@@ -111,9 +111,11 @@ def build_model(n_classes: int, arch: list[LayerSpec] | None = None, seed: int =
     return ModelParams(list(arch), params, tuple(input_shape), n_classes)
 
 
-def _forward_full(model: ModelParams, x: np.ndarray):
-    """Forward pass keeping per-layer caches for the backward sweep."""
+def _forward_full(model: ModelParams, x: np.ndarray, training: bool = True):
+    """Forward pass; with `training`, also the per-layer caches the backward
+    sweep needs (otherwise the returned list stays empty)."""
     caches = []
+    keep = caches.append if training else (lambda cache: None)
     cur = x
     n_conv = n_fc = 0
     for spec in model.specs:
@@ -121,23 +123,23 @@ def _forward_full(model: ModelParams, x: np.ndarray):
             n_conv += 1
             w = model.params[f"conv{n_conv}.weight"]
             b = model.params[f"conv{n_conv}.bias"]
-            caches.append((spec, n_conv, cur))
+            keep((spec, n_conv, cur))
             cur = ops.conv3d_forward(cur, w, b, spec.stride, spec.pad)
         elif spec.kind == "maxpool3d":
-            out, winners = ops.maxpool3d(cur, spec.window)
-            caches.append((spec, winners, cur.shape))
-            cur = out
+            in_shape = cur.shape
+            cur, winners = ops.maxpool3d(cur, spec.window)
+            keep((spec, winners, in_shape))
         elif spec.kind == "relu":
-            caches.append((spec, cur))
+            keep((spec, cur))
             cur = ops.relu_forward(cur)
         elif spec.kind == "flatten":
-            caches.append((spec, cur.shape))
+            keep((spec, cur.shape))
             cur = cur.reshape(cur.shape[0], -1)
         elif spec.kind == "linear":
             n_fc += 1
             w = model.params[f"fc{n_fc}.weight"]
             b = model.params[f"fc{n_fc}.bias"]
-            caches.append((spec, n_fc, cur))
+            keep((spec, n_fc, cur))
             cur = ops.linear_forward(cur, w, b)
         else:
             raise ArchitectureError(f"unknown layer kind {spec.kind!r}")
@@ -145,9 +147,12 @@ def _forward_full(model: ModelParams, x: np.ndarray):
 
 
 def _backward_full(model: ModelParams, caches, grad_logits: np.ndarray):
+    """Parameter gradients. Empties `caches`, last layer first, so each
+    layer's saved input is freed as soon as its backward has run."""
     grads: dict[str, np.ndarray] = {}
     g = grad_logits
-    for cache in reversed(caches):
+    while caches:
+        cache = caches.pop()
         spec = cache[0]
         if spec.kind == "conv3d":
             _, idx, x = cache
@@ -177,7 +182,7 @@ def forward(model: ModelParams, batch: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"batch shape {batch.shape} does not match (N,) + {model.input_shape}"
         )
-    return _forward_full(model, batch)[0]
+    return _forward_full(model, batch, training=False)[0]
 
 
 def classify(model: ModelParams, cuboid_values: np.ndarray):
@@ -224,6 +229,18 @@ def _extract_item(item: DatasetItem, sources: dict[str, VideoSource],
     return extract_cuboid(src, start, cfg.cuboid_len, cfg.cuboid_size).values
 
 
+def _train_step(model: ModelParams, opt: NesterovSGD, x: np.ndarray, y: np.ndarray,
+                where: str) -> tuple[float, int]:
+    """One SGD step on a batch: (summed loss, correct predictions). The
+    caches and gradients die on return, before validation allocates."""
+    logits, caches = _forward_full(model, x, training=True)
+    loss, grad_logits = ops.softmax_cross_entropy(logits, y)
+    if not np.isfinite(loss):
+        raise TrainingError(f"{where}: loss is {loss}; stopping the run")
+    opt.step(model.params, _backward_full(model, caches, grad_logits))
+    return loss, int(np.sum(np.argmax(logits, axis=1) == y))
+
+
 def _evaluate(model: ModelParams, samples: list[tuple[np.ndarray, int]],
               batch_size: int) -> float:
     correct = 0
@@ -244,7 +261,8 @@ def train(model: ModelParams, train_items: list[DatasetItem],
     batch losses (the loss itself is batch-summed) and keeps the snapshot with
     the highest validation accuracy, earliest epoch on ties. Samples whose
     video is missing or too short are skipped with a warning; an epoch with
-    nothing usable aborts.
+    nothing usable aborts, and so does a batch whose loss is not finite
+    (TrainingError naming the epoch and batch).
     """
     if not train_items or not val_items:
         raise TrainingError("train and validation sets must be non-empty")
@@ -288,12 +306,10 @@ def train(model: ModelParams, train_items: list[DatasetItem],
             batch = [train_samples[j] for j in order[i : i + cfg.batch_size]]
             x = np.stack([b[0] for b in batch])
             y = np.array([b[1] for b in batch], dtype=np.int64)
-            logits, caches = _forward_full(model, x)
-            loss, grad_logits = ops.softmax_cross_entropy(logits, y)
-            grads = _backward_full(model, caches, grad_logits)
-            opt.step(model.params, grads)
+            loss, hits = _train_step(model, opt, x, y, f"epoch {epoch}, batch "
+                                     f"{i // cfg.batch_size + 1}")
             epoch_loss += loss
-            correct += int(np.sum(np.argmax(logits, axis=1) == y))
+            correct += hits
         val_acc = _evaluate(model, val_samples, cfg.batch_size)
         history.append(EpochStats(epoch, epoch_loss, correct / n, val_acc))
         if val_acc > best_acc:

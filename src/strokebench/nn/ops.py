@@ -4,6 +4,28 @@ Tensors are plain C-order numpy arrays; every op preserves the input dtype
 (training runs in float32, gradient checking in float64). Layout conventions:
 activations are (N, C, T, H, W), conv weights (F, C, kt, kh, kw), linear
 weights (Out, In).
+
+Memory. No kernel builds a full im2col copy of its input (27x the input for
+a 3x3x3 kernel). `conv3d_forward` lowers one sample and one block of output
+frames at a time into a column buffer of at most `BLOCK_BYTES` (or one output
+frame, if that is larger). `conv3d_backward` holds about three input-sized
+buffers (padded input, its gradient, the returned grad_input), one kernel
+tap's input slice, one grad_out-sized copy and a col2im block of at most
+`BLOCK_BYTES`. `maxpool3d` takes the max over strided views of the input,
+with no transposed copy.
+
+Bound: the tracemalloc peak of one conv3d_forward or conv3d_backward call
+stays below 4 * (input bytes + output bytes) + BLOCK_BYTES, where output is
+the forward output or grad_out. `tests/test_kernels.py` checks it for x of
+shape (1, 8, 32, 64, 64) float32 and 8 filters: 67 MB allowed, 41 MB used
+by either call. The im2col kernels these replaced peaked at 122 MB
+(forward) and 127 MB (backward) there.
+
+Numerics. Each output element is one dot product over the same reduction
+axis, in the same order, as in the im2col formulation, but BLAS is called
+with other matrix shapes. OpenBLAS picks its kernel by shape, so the bytes
+match im2col at the layer shapes the model runs (see tests/test_kernels.py)
+and may differ in the last bits elsewhere.
 """
 
 from __future__ import annotations
@@ -12,6 +34,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
+
+# Upper bound on one im2col block (conv3d_forward) or col2im block
+# (conv3d_backward); see the module docstring.
+BLOCK_BYTES = 32 << 20
 
 
 def conv3d_out_extent(extent: int, kernel: int, stride: int, pad: int) -> int:
@@ -44,52 +70,92 @@ def _check_conv(x, weight, bias, stride, pad):
     return outs
 
 
-def _padded_windows(x, kshape, stride, pad):
+def _pad(x, pad):
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, kshape, axis=(2, 3, 4))
-    return win[:, :, ::stride, ::stride, ::stride]  # (N,C,T',H',W',kt,kh,kw)
+    return x
+
+
+def _block_frames(rows, ho, wo, itemsize):
+    """Output frames per block, so that a (rows, frames*ho*wo) buffer stays
+    within BLOCK_BYTES (one frame at least)."""
+    return max(1, BLOCK_BYTES // (rows * ho * wo * itemsize))
+
+
+def _tap_slices(tap, stride, extents, t0=0):
+    """Slices of the padded (T, H, W) axes that kernel tap (i, j, k) meets for
+    `extents` output positions starting at output frame t0."""
+    starts = (tap[0] + stride * t0, tap[1], tap[2])
+    return tuple(slice(a, a + stride * (e - 1) + 1, stride) for a, e in zip(starts, extents))
 
 
 def conv3d_forward(x, weight, bias, stride: int = 1, pad: int = 0):
-    """Cross-correlation over (T,H,W); zero padding contributes zeros."""
-    _check_conv(x, weight, bias, stride, pad)
-    win = _padded_windows(x, weight.shape[2:], stride, pad)
-    out = np.tensordot(win, weight, axes=([1, 5, 6, 7], [1, 2, 3, 4]))  # (N,T',H',W',F)
-    out = np.moveaxis(out, -1, 1)
-    out = out + bias.reshape(1, -1, 1, 1, 1)
-    return np.ascontiguousarray(out)
+    """Cross-correlation over (T,H,W); zero padding contributes zeros.
+
+    Per sample and block of output frames: im2col in (C,kt,kh,kw | T',H',W')
+    layout, then one GEMM writing straight into the (N,F,T',H',W') output.
+    """
+    to, ho, wo = _check_conv(x, weight, bias, stride, pad)
+    n = x.shape[0]
+    f = weight.shape[0]
+    kdim = weight[0].size
+    w2 = weight.reshape(f, kdim)
+    out = np.empty((n, f, to, ho, wo), dtype=np.result_type(x, weight))
+    frames = _block_frames(kdim, ho, wo, x.itemsize)
+    xp = _pad(x, pad)
+    for s in range(n):
+        win = sliding_window_view(xp[s], weight.shape[2:], axis=(1, 2, 3))
+        win = win[:, ::stride, ::stride, ::stride].transpose(0, 4, 5, 6, 1, 2, 3)
+        for t0 in range(0, to, frames):
+            cols = win[:, :, :, :, t0 : t0 + frames].reshape(kdim, -1)  # copies
+            np.matmul(w2, cols, out=out[s, :, t0 : t0 + frames].reshape(f, -1))
+            del cols  # so that two blocks never coexist
+    out += bias.reshape(1, -1, 1, 1, 1)
+    return out
 
 
 def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0):
-    """Exact adjoints of conv3d_forward: (grad_input, grad_weight, grad_bias)."""
+    """Exact adjoints of conv3d_forward: (grad_input, grad_weight, grad_bias).
+
+    grad_weight: one GEMM per kernel tap over the whole N*T'*H'*W' axis, so
+    every sum runs over the same axis as in one im2col GEMM.
+    grad_input: per sample and block of output frames, one GEMM gives every
+    tap's contribution (col2im, in (kt,kh,kw,C | T',H',W') layout), which is
+    added at the tap's offset. Blocks run last frame first, so that each
+    input element still receives its contributions in tap order.
+    """
     bias = np.zeros(weight.shape[0], dtype=weight.dtype)
-    to, ho, wo = _check_conv(x, weight, bias, stride, pad)
-    expected = (x.shape[0], weight.shape[0], to, ho, wo)
+    outs = _check_conv(x, weight, bias, stride, pad)
+    n, c, t, h, w = x.shape
+    f = weight.shape[0]
+    kshape = weight.shape[2:]
+    expected = (n, f) + outs
     if grad_out.shape != expected:
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match output {expected}")
+    to, ho, wo = outs
 
-    win = _padded_windows(x, weight.shape[2:], stride, pad)
-    grad_weight = np.tensordot(grad_out, win, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
     grad_bias = grad_out.sum(axis=(0, 2, 3, 4))
+    g5 = np.ascontiguousarray(grad_out.swapaxes(0, 1))  # (F,N,T',H',W')
+    xp = _pad(x, pad).swapaxes(0, 1)  # (C,N,T+2p,H+2p,W+2p)
+    gxp = np.zeros(xp.shape, dtype=grad_out.dtype)
 
-    # scatter grad_out * weight back onto the padded input, one kernel tap at a time
-    gcols = np.tensordot(grad_out, weight, axes=([1], [0]))  # (N,T',H',W',C,kt,kh,kw)
-    gcols = np.moveaxis(gcols, 4, 1)  # (N,C,T',H',W',kt,kh,kw)
-    n, c, t, h, w = x.shape
-    kt, kh, kw = weight.shape[2:]
-    gxp = np.zeros((n, c, t + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
-    for i in range(kt):
-        for j in range(kh):
-            for k in range(kw):
-                gxp[
-                    :,
-                    :,
-                    i : i + stride * (to - 1) + 1 : stride,
-                    j : j + stride * (ho - 1) + 1 : stride,
-                    k : k + stride * (wo - 1) + 1 : stride,
-                ] += gcols[..., i, j, k]
-    grad_input = gxp[:, :, pad : pad + t, pad : pad + h, pad : pad + w]
+    g2 = g5.reshape(f, -1)
+    grad_weight = np.empty(weight.shape, dtype=np.result_type(grad_out, x))
+    for tap in np.ndindex(*kshape):
+        x_tap = xp[(slice(None), slice(None)) + _tap_slices(tap, stride, outs)]
+        grad_weight[(slice(None), slice(None)) + tap] = g2 @ x_tap.reshape(c, -1).T  # copies
+
+    w2 = np.ascontiguousarray(weight.transpose(2, 3, 4, 1, 0)).reshape(-1, f)
+    frames = _block_frames(w2.shape[0], ho, wo, x.itemsize)
+    for s in range(n):
+        for end in range(to, 0, -frames):
+            t0 = max(0, end - frames)
+            block = (end - t0, ho, wo)
+            cols = (w2 @ g5[:, s, t0:end].reshape(f, -1)).reshape(kshape + (c,) + block)
+            for tap in np.ndindex(*kshape):
+                gxp[(slice(None), s) + _tap_slices(tap, stride, block, t0)] += cols[tap]
+            del cols  # so that two blocks never coexist
+    grad_input = gxp[:, :, pad : pad + t, pad : pad + h, pad : pad + w].swapaxes(0, 1)
     return np.ascontiguousarray(grad_input), grad_weight, grad_bias
 
 
@@ -97,9 +163,9 @@ def maxpool3d(x, window):
     """Non-overlapping max pooling.
 
     Returns (pooled, winners) where winners holds, per output element, the flat
-    index of the winning input element (ties go to the lowest flat index, which
-    is what argmax's first-occurrence rule yields under the window enumeration
-    order used here). Input extents must be divisible by the window.
+    index of the winning input element: the first maximum in (dt, dh, dw)
+    window order, or the first NaN if the window has one, as argmax picks.
+    Input extents must be divisible by the window.
     """
     if x.ndim != 5:
         raise ShapeError(f"maxpool3d input must be 5-d, got shape {x.shape}")
@@ -109,25 +175,29 @@ def maxpool3d(x, window):
         raise ShapeError(f"pool window extents must be >= 1, got {window}")
     if t % pt or h % ph or w % pw:
         raise ShapeError(f"input extents {(t, h, w)} not divisible by pool window {window}")
-    to, ho, wo = t // pt, h // ph, w // pw
-    r = (
-        x.reshape(n, c, to, pt, ho, ph, wo, pw)
-        .transpose(0, 1, 2, 4, 6, 3, 5, 7)
-        .reshape(n, c, to, ho, wo, pt * ph * pw)
-    )
-    local = r.argmax(axis=-1)
-    out = np.take_along_axis(r, local[..., None], axis=-1)[..., 0]
+    r = x.reshape(n, c, t // pt, pt, h // ph, ph, w // pw, pw)
+    taps = list(np.ndindex(pt, ph, pw))
+    views = [r[:, :, :, i, :, j, :, k] for i, j, k in taps]
+    peak = views[0].copy()
+    for v in views[1:]:
+        np.maximum(peak, v, out=peak)  # NaN propagates
 
-    dt = local // (ph * pw)
-    dh = (local // pw) % ph
-    dw = local % pw
-    tt = np.arange(to).reshape(1, 1, to, 1, 1) * pt + dt
-    hh = np.arange(ho).reshape(1, 1, 1, ho, 1) * ph + dh
-    ww = np.arange(wo).reshape(1, 1, 1, 1, wo) * pw + dw
-    nn = np.arange(n).reshape(n, 1, 1, 1, 1)
-    cc = np.arange(c).reshape(1, c, 1, 1, 1)
-    winners = (((nn * c + cc) * t + tt) * h + hh) * w + ww
-    return np.ascontiguousarray(out), winners.astype(np.int64)
+    has_nan = bool(np.isnan(peak).any())
+    local = np.zeros(peak.shape, dtype=np.min_scalar_type(len(taps) - 1))
+    for idx in reversed(range(len(taps))):  # the lowest matching tap is set last
+        hit = views[idx] == peak
+        if has_nan:
+            hit |= np.isnan(views[idx])
+        # local = idx where hit; unsigned wrap-around makes this exact
+        step = np.subtract(idx, local, dtype=local.dtype)
+        step *= hit
+        local += step
+
+    origins = np.ix_(range(n), range(c), range(0, t, pt), range(0, h, ph), range(0, w, pw))
+    offsets = np.array([(i * h + j) * w + k for i, j, k in taps], dtype=np.int64)
+    winners = np.ravel_multi_index(origins, x.shape) + offsets[local]
+    # the winners' own values: bit-exact even where +0.0 and -0.0 tie
+    return np.take(x, winners), winners
 
 
 def maxpool3d_backward(grad_out, winners, input_shape):

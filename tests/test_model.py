@@ -213,6 +213,17 @@ class TestTrain:
         _, history = train(small_model(seed=1), items, items[:2], sources, self._cfg())
         assert len(history) == 1
 
+    def test_non_finite_loss_stops_the_run(self, tmp_path):
+        sources, items = self._dataset(tmp_path, n_videos=4)
+        m = small_model(seed=2)
+        m.params["conv1.weight"][0, 0, 0, 0, 0] = np.nan
+        before = {k: v.copy() for k, v in m.params.items()}
+        with pytest.raises(TrainingError, match=r"^epoch 1, batch 1: loss is nan"):
+            train(m, items, items, sources, self._cfg())
+        # the step was not taken: no NaN spread into the other parameters
+        for k, v in m.params.items():
+            assert np.array_equal(v, before[k], equal_nan=True)
+
     def test_no_usable_samples_aborts(self, tmp_path):
         write_rgbv(tmp_path / "tiny.rgbv", np.zeros((2, 8, 8, 3), np.uint8), 120.0)
         sources = {"tiny": open_rgbv(tmp_path / "tiny.rgbv")}
