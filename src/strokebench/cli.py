@@ -3,8 +3,7 @@
 Configuration comes from defaults, then an optional key=value config file,
 then command-line flags (flags win). Results go to stdout and files under
 --out; diagnostics go to stderr; exit code 0 means the command's contract was
-fully met. STROKEBENCH_THREADS caps the worker count (all current code paths
-are strictly serial, which is also the deterministic mode).
+fully met.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import argparse
 import csv
 import io
 import logging
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -53,17 +51,14 @@ class RunConfig:
     block_len: int = 200
     map_tiou: float = 0.5
     seed: int = 0
-    deterministic: bool = False
     filters: tuple[int, ...] = (30, 60, 80)
     hidden: int = 500
-    threads: int = 1
 
 
 _PATH_KEYS = {"data", "taxonomy", "checkpoint", "out"}
 _INT_KEYS = {"epochs", "batch", "proposal_len", "proposal_stride", "cuboid_len",
-             "cuboid_size", "block_len", "seed", "hidden", "threads"}
+             "cuboid_size", "block_len", "seed", "hidden"}
 _FLOAT_KEYS = {"lr", "momentum", "weight_decay", "map_tiou"}
-_BOOL_KEYS = {"deterministic"}
 
 
 def _parse_value(key: str, raw: str):
@@ -74,12 +69,6 @@ def _parse_value(key: str, raw: str):
             return int(raw)
         if key in _FLOAT_KEYS:
             return float(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("1", "true", "yes"):
-                return True
-            if raw.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(raw)
         if key == "filters":
             return tuple(int(x) for x in raw.split(",") if x)
         if key == "task":
@@ -119,17 +108,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if f.name == "filters":
             v = _parse_value("filters", v)
         overrides[f.name] = v
-    cfg = replace(cfg, **overrides)
-    env_threads = os.environ.get("STROKEBENCH_THREADS")
-    if env_threads is not None:
-        try:
-            cap = int(env_threads)
-        except ValueError:
-            raise ConfigError(f"STROKEBENCH_THREADS must be an integer, got {env_threads!r}")
-        if cap < 1:
-            raise ConfigError(f"STROKEBENCH_THREADS must be >= 1, got {cap}")
-        cfg = replace(cfg, threads=min(cfg.threads, cap))
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def _load_taxonomy(cfg: RunConfig) -> Taxonomy:
@@ -256,7 +235,7 @@ def cmd_train(cfg: RunConfig) -> int:
     tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch, lr=cfg.lr,
                      momentum=cfg.momentum, weight_decay=cfg.weight_decay,
                      seed=cfg.seed, cuboid_len=cfg.cuboid_len,
-                     cuboid_size=cfg.cuboid_size, deterministic=cfg.deterministic)
+                     cuboid_size=cfg.cuboid_size)
     best, history = model_mod.train(net, train_items, val_items, sources, tc)
 
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
@@ -419,8 +398,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", type=Path)
     p.add_argument("--out", type=Path, help="output directory (default: runs)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--deterministic", action="store_const", const=True,
-                   help="strictly serial, bit-reproducible mode (always on; flag recorded)")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--lr", type=float)

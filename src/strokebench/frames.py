@@ -235,7 +235,6 @@ class Cuboid:
     """Model input block: float32 values (3, length, size, size) in [0, 1]."""
 
     values: np.ndarray
-    origin: tuple[str, int]
 
 
 def extract_cuboid(src: VideoSource, start: int, length: int = 98,
@@ -253,7 +252,7 @@ def extract_cuboid(src: VideoSource, start: int, length: int = 98,
     for t in range(length):
         resized = resize_bilinear(src.frame(start + t), (size, size))
         values[:, t] = resized.transpose(2, 0, 1) / 255.0
-    return Cuboid(values, (src.video_id, start))
+    return Cuboid(values)
 
 
 def clamped_start(frame_count: int, start: int, length: int) -> int:

@@ -57,7 +57,6 @@ class TrainConfig:
     seed: int = 0
     cuboid_len: int = 98
     cuboid_size: int = 120
-    deterministic: bool = True  # training is strictly serial either way
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -262,10 +261,17 @@ def train(model: ModelParams, train_items: list[DatasetItem],
     the highest validation accuracy, earliest epoch on ties. Samples whose
     video is missing or too short are skipped with a warning; an epoch with
     nothing usable aborts, and so does a batch whose loss is not finite
-    (TrainingError naming the epoch and batch).
+    (TrainingError naming the epoch and batch). Cuboid settings that do not
+    match the model input raise TrainingError before anything is extracted.
     """
     if not train_items or not val_items:
         raise TrainingError("train and validation sets must be non-empty")
+    cuboid_shape = (3, cfg.cuboid_len, cfg.cuboid_size, cfg.cuboid_size)
+    if cuboid_shape != model.input_shape:
+        raise TrainingError(
+            f"cuboid_len/cuboid_size give cuboids of shape {cuboid_shape}, but the "
+            f"model input shape is {model.input_shape}"
+        )
     for item in train_items + val_items:
         if not 0 <= item.class_index < model.n_classes:
             raise TrainingError(
@@ -293,7 +299,7 @@ def train(model: ModelParams, train_items: list[DatasetItem],
         raise TrainingError("no usable samples after extraction; aborting")
 
     opt = NesterovSGD(model.params, cfg.lr, cfg.momentum, cfg.weight_decay)
-    best_params = None
+    best = None
     best_acc = -1.0
     history: list[EpochStats] = []
     n = len(train_samples)
@@ -314,8 +320,7 @@ def train(model: ModelParams, train_items: list[DatasetItem],
         history.append(EpochStats(epoch, epoch_loss, correct / n, val_acc))
         if val_acc > best_acc:
             best_acc = val_acc
-            best_params = {k: v.copy() for k, v in model.params.items()}
-    best = replace(model, params=best_params)
+            best = model.copy()
     return best, history
 
 

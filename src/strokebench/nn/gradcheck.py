@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .layers import LayerSpec
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TRIALS = 20
@@ -162,11 +161,6 @@ def gradcheck(kind: str, trials: int = DEFAULT_TRIALS, eps: float = DEFAULT_EPS,
         raise ValueError(f"no gradient check for kind {kind!r}; know {sorted(_CHECKS)}")
     rng = np.random.default_rng(seed)
     return max(_CHECKS[kind](rng, eps) for _ in range(trials))
-
-
-def gradcheck_layer(spec: LayerSpec, trials: int = DEFAULT_TRIALS,
-                    eps: float = DEFAULT_EPS, seed: int = 0) -> float:
-    return gradcheck(spec.kind, trials=trials, eps=eps, seed=seed)
 
 
 def run_all(trials: int = DEFAULT_TRIALS, eps: float = DEFAULT_EPS,

@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 from ..errors import ArchitectureError, ShapeError
 from .ops import conv3d_out_extent
 
-KINDS = ("conv3d", "maxpool3d", "relu", "flatten", "linear")
-
 
 @dataclass(frozen=True)
 class LayerSpec:

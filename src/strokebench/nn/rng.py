@@ -72,9 +72,6 @@ class SplitMix64:
             states = ks * np.uint64(_GAMMA) + np.uint64(self.seed)
         return _mix64_array(states)
 
-    def next_float(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def fill_float(self, n: int) -> np.ndarray:
         return (self.fill_u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 

@@ -212,7 +212,7 @@ def desk_corpus(tmp_path_factory):
     return root
 
 
-DESK_TRAIN_FLAGS = ["--seed", "11", "--deterministic", "--batch", "10",
+DESK_TRAIN_FLAGS = ["--seed", "11", "--batch", "10",
                     "--lr", "0.01", "--momentum", "0.5", "--weight-decay", "0.005",
                     "--cuboid-len", "16", "--cuboid-size", "32",
                     "--filters", "8,16", "--hidden", "64"]
@@ -250,7 +250,7 @@ def test_end_to_end_desk_scale(desk_corpus, tmp_path, capsys):
 
 
 def test_deterministic_training_runs(desk_corpus, tmp_path, capsys):
-    with criterion("determinism: two seeded --deterministic runs are byte-identical"):
+    with criterion("determinism: two seeded runs are byte-identical"):
         artifacts = []
         for name in ("r1", "r2"):
             out = tmp_path / name

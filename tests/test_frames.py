@@ -172,7 +172,6 @@ class TestCuboid:
         cub = extract_cuboid(src, 0, length=98, size=120)
         assert cub.values.shape == (3, 98, 120, 120)
         assert cub.values.dtype == np.float32
-        assert cub.origin == ("v", 0)
         assert cub.values.min() >= 0.0 and cub.values.max() <= 1.0
 
     def test_black_video_gives_zeros(self, tmp_path):

@@ -2,7 +2,7 @@ import pytest
 
 from strokebench.errors import ArchitectureError
 from strokebench.nn import layers
-from strokebench.nn.gradcheck import gradcheck, gradcheck_layer, run_all
+from strokebench.nn.gradcheck import gradcheck, run_all
 from strokebench.nn.layers import (chain_shapes, conv3d, default_architecture, flatten,
                                    from_descriptor, linear, maxpool3d, param_entries,
                                    relu, to_descriptor)
@@ -91,10 +91,6 @@ class TestGradcheck:
 
     def test_softmax_meets_tighter_bound(self):
         assert gradcheck("softmax_cross_entropy", trials=20, seed=0) < 1e-8
-
-    def test_layer_spec_dispatch(self):
-        spec = conv3d(2, 3)
-        assert gradcheck_layer(spec, trials=3, seed=2) < 1e-6
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="no gradient check"):

@@ -224,6 +224,18 @@ class TestTrain:
         for k, v in m.params.items():
             assert np.array_equal(v, before[k], equal_nan=True)
 
+    def test_cuboid_settings_must_match_model_input(self, tmp_path):
+        # 16x4x4 cuboids flatten to the same 128 features as the model's 4x8x8
+        # input, so without the check a whole epoch of steps would run
+        sources, items = self._dataset(tmp_path)
+        m = small_model(seed=2)
+        before = {k: v.copy() for k, v in m.params.items()}
+        with pytest.raises(TrainingError,
+                           match=r"\(3, 16, 4, 4\).*\(3, 4, 8, 8\)"):
+            train(m, items, items, sources, self._cfg(cuboid_len=16, cuboid_size=4))
+        for k, v in m.params.items():
+            assert np.array_equal(v, before[k])
+
     def test_no_usable_samples_aborts(self, tmp_path):
         write_rgbv(tmp_path / "tiny.rgbv", np.zeros((2, 8, 8, 3), np.uint8), 120.0)
         sources = {"tiny": open_rgbv(tmp_path / "tiny.rgbv")}

@@ -107,14 +107,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bad value"):
             load_config_file(cfile)
 
-    def test_threads_env_cap(self, monkeypatch):
-        parser = make_parser()
-        args = parser.parse_args(["train"])
-        monkeypatch.setenv("STROKEBENCH_THREADS", "1")
-        assert build_run_config(args).threads == 1
+    @pytest.mark.parametrize("line", ["threads=2", "deterministic=true"])
+    def test_removed_settings_are_unknown_keys(self, tmp_path, line):
+        cfile = tmp_path / "old.cfg"
+        cfile.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config_file(cfile)
+
+    def test_deterministic_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["train", "--deterministic"])
+        assert exc.value.code == 2
+        assert "--deterministic" in capsys.readouterr().err
+
+    def test_threads_env_var_ignored(self, monkeypatch):
         monkeypatch.setenv("STROKEBENCH_THREADS", "zero")
-        with pytest.raises(ConfigError, match="STROKEBENCH_THREADS"):
-            build_run_config(args)
+        assert build_run_config(make_parser().parse_args(["train"])) == RunConfig()
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +137,7 @@ def tiny_corpus(tmp_path_factory):
 
 def _train_args(corpus, out, extra=()):
     return ["train", "--task", "detection", "--data", str(corpus), "--out", str(out),
-            "--seed", "3", "--deterministic", "--epochs", "2", "--batch", "4",
+            "--seed", "3", "--epochs", "2", "--batch", "4",
             "--lr", "0.01", "--cuboid-len", "8", "--cuboid-size", "16",
             "--filters", "4", "--hidden", "8", "--block-len", "10",
             "--proposal-len", "30", "--proposal-stride", "30", *extra]
