@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import xml.parsers.expat
 from dataclasses import dataclass, field
 from importlib import resources
@@ -72,8 +73,8 @@ class VideoAnnotation:
     def __post_init__(self):
         if self.frame_count < 0:
             raise AnnotationError(f"frame count must be >= 0, got {self.frame_count}")
-        if self.fps <= 0:
-            raise AnnotationError(f"fps must be > 0, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise AnnotationError(f"fps must be finite and > 0, got {self.fps}")
         self.segments = sorted(self.segments, key=lambda s: (s.begin, s.end))
         _validate_segments(self.segments, self.frame_count)
 
@@ -266,12 +267,6 @@ class Taxonomy:
     @property
     def labels(self) -> list[str]:
         return list(self.entries)
-
-    def class_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise TaxonomyError(f"unknown label {label!r}") from None
 
 
 def load_taxonomy(data: bytes) -> Taxonomy:

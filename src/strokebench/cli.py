@@ -1,9 +1,12 @@
 """Command-line orchestration: prepare, synth, train, infer, eval, gradcheck.
 
 Configuration comes from defaults, then an optional key=value config file,
-then command-line flags (flags win). Results go to stdout and files under
---out; diagnostics go to stderr; exit code 0 means the command's contract was
-fully met.
+then command-line flags (flags win). Each run setting is declared once, as a
+field of RunConfig with its default, the reader that parses its value and
+its help. A config file may set any of them, so one file serves every
+command; each command takes flags only for the settings it reads
+(`COMMANDS`). Results go to stdout and files under --out; diagnostics go to
+stderr; exit code 0 means the command's contract was fully met.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import csv
 import io
 import logging
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import metrics, model as model_mod, synth
@@ -32,57 +35,53 @@ TASKS = ("detection", "classification")
 GRADCHECK_TOLERANCE = 1e-6
 
 
+def _task(raw: str) -> str:
+    if raw not in TASKS:
+        # argparse prints this message as it is
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {raw!r} (choose from {', '.join(TASKS)})")
+    return raw
+
+
+def _int_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in raw.split(",") if x)
+
+
+def _setting(default, read, help: str):
+    """A run setting: its default, the reader that parses a config value or
+    flag into it, and its flag's help."""
+    return field(default=default, metadata={"read": read, "help": help})
+
+
 @dataclass
 class RunConfig:
-    task: str = "detection"
-    data: Path | None = None
-    taxonomy: Path | None = None
-    checkpoint: Path | None = None
-    out: Path = Path("runs")
-    epochs: int = 500
-    batch: int = 10
-    lr: float = 1e-4
-    momentum: float = 0.5
-    weight_decay: float = 0.005
-    proposal_len: int = 150
-    proposal_stride: int = 150
-    cuboid_len: int = 98
-    cuboid_size: int = 120
-    block_len: int = 200
-    map_tiou: float = 0.5
-    seed: int = 0
-    filters: tuple[int, ...] = (30, 60, 80)
-    hidden: int = 500
+    task: str = _setting("detection", _task, "detection or classification")
+    data: Path | None = _setting(None, Path, "corpus root with train/validation/test")
+    taxonomy: Path | None = _setting(None, Path, "taxonomy CSV (default: built-in 20 labels)")
+    checkpoint: Path | None = _setting(None, Path, "default: OUT/TASK_model.ckpt")
+    out: Path = _setting(Path("runs"), Path, "output directory (default: runs)")
+    epochs: int = _setting(500, int, "training epochs")
+    batch: int = _setting(10, int, "training batch size")
+    lr: float = _setting(1e-4, float, "learning rate")
+    momentum: float = _setting(0.5, float, "Nesterov momentum, in [0, 1)")
+    weight_decay: float = _setting(0.005, float, "L2 weight decay")
+    proposal_len: int = _setting(150, int, "detection window length in frames")
+    proposal_stride: int = _setting(150, int, "frames between detection windows")
+    cuboid_len: int = _setting(98, int, "frames per model input cuboid")
+    cuboid_size: int = _setting(120, int, "height and width of a model input cuboid")
+    block_len: int = _setting(200, int, "length of the inferred non-stroke blocks")
+    map_tiou: float = _setting(0.5, float, "temporal-IoU threshold of mAP")
+    seed: int = _setting(0, int, "random seed")
+    filters: tuple[int, ...] = _setting((30, 60, 80), _int_list,
+                                        "comma-separated conv filter counts")
+    hidden: int = _setting(500, int, "hidden units before the output layer")
 
 
-_PATH_KEYS = {"data", "taxonomy", "checkpoint", "out"}
-_INT_KEYS = {"epochs", "batch", "proposal_len", "proposal_stride", "cuboid_len",
-             "cuboid_size", "block_len", "seed", "hidden"}
-_FLOAT_KEYS = {"lr", "momentum", "weight_decay", "map_tiou"}
-
-
-def _parse_value(key: str, raw: str):
-    try:
-        if key in _PATH_KEYS:
-            return Path(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "filters":
-            return tuple(int(x) for x in raw.split(",") if x)
-        if key == "task":
-            if raw not in TASKS:
-                raise ValueError(raw)
-            return raw
-    except ValueError:
-        raise ConfigError(f"bad value {raw!r} for config key {key!r}") from None
-    raise ConfigError(f"unknown config key {key!r}")
+SETTINGS = {f.name: f for f in fields(RunConfig)}
 
 
 def load_config_file(path) -> dict:
     values = {}
-    known = {f.name for f in fields(RunConfig)}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -90,25 +89,19 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in known:
+        if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(key, raw)
+        try:
+            values[key] = SETTINGS[key].metadata["read"](raw)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ConfigError(f"{path}:{lineno}: bad value {raw!r} for config key {key!r}") from None
     return values
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **load_config_file(args.config))
-    overrides = {}
-    for f in fields(RunConfig):
-        v = getattr(args, f.name, None)
-        if v is None:
-            continue
-        if f.name == "filters":
-            v = _parse_value("filters", v)
-        overrides[f.name] = v
-    return replace(cfg, **overrides)
+    from_file = load_config_file(args.config) if getattr(args, "config", None) else {}
+    flags = {key: v for key in SETTINGS if (v := getattr(args, key, None)) is not None}
+    return RunConfig(**(from_file | flags))
 
 
 def _load_taxonomy(cfg: RunConfig) -> Taxonomy:
@@ -175,7 +168,7 @@ def _read_index(path: Path) -> list[tuple[str, int, int, str]]:
     return rows
 
 
-def cmd_prepare(cfg: RunConfig) -> int:
+def cmd_prepare(cfg: RunConfig, args: argparse.Namespace) -> int:
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
     for split in ("train", "validation"):
         rows = []
@@ -212,7 +205,7 @@ def _items_from_index(rows, labels: list[str]) -> list[DatasetItem]:
     return items
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     tax = _load_taxonomy(cfg)
     labels = _class_labels(cfg, tax)
     train_rows = _read_index(_index_path(cfg, "train"))
@@ -254,7 +247,7 @@ def _predictions_dir(cfg: RunConfig) -> Path:
     return Path(cfg.out) / "predictions"
 
 
-def cmd_infer(cfg: RunConfig) -> int:
+def cmd_infer(cfg: RunConfig, args: argparse.Namespace) -> int:
     tax = _load_taxonomy(cfg)
     ckpt = _default_checkpoint(cfg)
     if not Path(ckpt).is_file():
@@ -309,7 +302,7 @@ def _load_predictions(cfg: RunConfig) -> dict[str, list[Segment]]:
     return preds
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     gt = {ann.video_id: ann for ann in _split_annotations(cfg, "test")}
     preds = _load_predictions(cfg)
     unknown = sorted(set(preds) - set(gt))
@@ -361,27 +354,23 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
+# synth's corpus flags are SynthConfig's fields, named as below or after the field
+_SYNTH_FLAGS = {"train_per_class": "--samples", "val_per_class": "--val-samples",
+                "test_per_class": "--test-samples"}
+_SYNTH_FIELDS = [f for f in fields(synth.SynthConfig) if f.name != "seed"]
+
+
 def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
-    scfg = synth.SynthConfig(
-        classes=args.classes,
-        train_per_class=args.samples,
-        val_per_class=args.val_samples,
-        test_per_class=args.test_samples,
-        frame_size=args.frame_size,
-        stroke_len=args.stroke_len,
-        gap_len=args.gap_len,
-        strokes_per_video=args.strokes_per_video,
-        fps=args.fps,
-        seed=cfg.seed,
-    )
+    corpus = {f.name: v for f in _SYNTH_FIELDS if (v := getattr(args, f.name)) is not None}
+    scfg = synth.SynthConfig(**corpus, seed=cfg.seed)
     counts = synth.generate_corpus(cfg.out, scfg, _load_taxonomy(cfg))
     for split in synth.SPLITS:
         print(f"{split}: {counts[split]} segments -> {Path(cfg.out) / split}")
     return 0
 
 
-def cmd_gradcheck(args: argparse.Namespace) -> int:
-    results = run_all(trials=args.trials, seed=args.seed or 0)
+def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
+    results = run_all(trials=args.trials, seed=cfg.seed)
     ok = True
     for kind, err in results.items():
         status = "PASS" if err < GRADCHECK_TOLERANCE else "FAIL"
@@ -390,27 +379,27 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="key=value config file")
-    p.add_argument("--task", choices=TASKS)
-    p.add_argument("--data", type=Path, help="corpus root with train/validation/test")
-    p.add_argument("--taxonomy", type=Path, help="taxonomy CSV (default: built-in 20 labels)")
-    p.add_argument("--checkpoint", type=Path)
-    p.add_argument("--out", type=Path, help="output directory (default: runs)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--proposal-len", dest="proposal_len", type=int)
-    p.add_argument("--proposal-stride", dest="proposal_stride", type=int)
-    p.add_argument("--cuboid-len", dest="cuboid_len", type=int)
-    p.add_argument("--cuboid-size", dest="cuboid_size", type=int)
-    p.add_argument("--block-len", dest="block_len", type=int)
-    p.add_argument("--map-tiou", dest="map_tiou", type=float)
-    p.add_argument("--filters", type=str, help="comma-separated conv filter counts")
-    p.add_argument("--hidden", type=int)
+# command -> (handler(cfg, args), help, the settings the handler reads)
+COMMANDS = {
+    "prepare": (cmd_prepare, "build train/validation index CSVs",
+                ("task", "data", "out", "block_len")),
+    "train": (cmd_train, "train a model from prepared indices",
+              ("task", "data", "taxonomy", "checkpoint", "out", "seed", "epochs", "batch",
+               "lr", "momentum", "weight_decay", "cuboid_len", "cuboid_size", "filters",
+               "hidden")),
+    "infer": (cmd_infer, "run detection or classification on the test split",
+              ("task", "data", "taxonomy", "checkpoint", "out", "proposal_len",
+               "proposal_stride")),
+    "eval": (cmd_eval, "score predictions against ground truth",
+             ("task", "data", "taxonomy", "out", "map_tiou")),
+    "synth": (cmd_synth, "generate a deterministic synthetic corpus",
+              ("taxonomy", "out", "seed")),
+}
+
+
+def _add_setting(p: argparse.ArgumentParser, key: str) -> None:
+    meta = SETTINGS[key].metadata
+    p.add_argument("--" + key.replace("_", "-"), type=meta["read"], help=meta["help"])
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -418,28 +407,22 @@ def make_parser() -> argparse.ArgumentParser:
                                      description="Stroke detection/classification baseline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, doc in (("prepare", "build train/validation index CSVs"),
-                      ("train", "train a model from prepared indices"),
-                      ("infer", "run detection or classification on the test split"),
-                      ("eval", "score predictions against ground truth")):
+    for name, (handler, doc, keys) in COMMANDS.items():
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
-
-    p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")
-    _add_common(p)
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--samples", type=int, default=10, help="train segments per class")
-    p.add_argument("--val-samples", dest="val_samples", type=int, default=3)
-    p.add_argument("--test-samples", dest="test_samples", type=int, default=3)
-    p.add_argument("--frame-size", dest="frame_size", type=int, default=32)
-    p.add_argument("--stroke-len", dest="stroke_len", type=int, default=150)
-    p.add_argument("--gap-len", dest="gap_len", type=int, default=300)
-    p.add_argument("--strokes-per-video", dest="strokes_per_video", type=int, default=3)
-    p.add_argument("--fps", type=float, default=120.0)
+        p.set_defaults(handler=handler)
+        p.add_argument("--config", type=Path, help="key=value config file")
+        for key in keys:
+            _add_setting(p, key)
+        if name == "synth":
+            for f in _SYNTH_FIELDS:
+                p.add_argument(_SYNTH_FLAGS.get(f.name, "--" + f.name.replace("_", "-")),
+                               dest=f.name, type=type(f.default),
+                               help=f"default: {f.default}")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every backward pass")
+    p.set_defaults(handler=cmd_gradcheck)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int)
+    _add_setting(p, "seed")
     return parser
 
 
@@ -448,24 +431,8 @@ def main(argv=None) -> int:
                         format="%(levelname)s: %(message)s")
     args = make_parser().parse_args(argv)
     try:
-        if args.command == "gradcheck":
-            return cmd_gradcheck(args)
-        cfg = build_run_config(args)
-        if args.command == "prepare":
-            return cmd_prepare(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "infer":
-            return cmd_infer(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "synth":
-            return cmd_synth(cfg, args)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except StrokebenchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+        return args.handler(build_run_config(args), args)
+    except (StrokebenchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ index always yields the same bytes.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,8 +73,9 @@ class RgbvVideo(VideoSource):
             raise VideoFormatError(f"{path}: non-numeric header field in {fields}") from None
         if self.width < 1 or self.height < 1:
             raise VideoFormatError(f"{path}: zero or negative frame extents")
-        if self.fps <= 0 or self.frame_count < 0:
-            raise VideoFormatError(f"{path}: fps must be > 0 and frame_count >= 0")
+        if not 0 < self.fps < math.inf or self.frame_count < 0:
+            raise VideoFormatError(
+                f"{path}: fps must be finite and > 0 and frame_count >= 0")
 
         expected = offset + self.frame_count * self.height * self.width * 3
         actual = os.path.getsize(path)
@@ -144,8 +146,8 @@ class FrameDirVideo(VideoSource):
         path = Path(path)
         self.video_id = path.name
         self.fps = float(fps)
-        if self.fps <= 0:
-            raise VideoFormatError(f"{path}: fps must be > 0")
+        if not 0 < self.fps < math.inf:
+            raise VideoFormatError(f"{path}: fps must be finite and > 0, got {self.fps}")
         entries = sorted(p for p in path.iterdir() if p.suffix.lower() == ".ppm")
         if not entries:
             raise VideoFormatError(f"{path}: no .ppm frames found")

@@ -262,7 +262,8 @@ def train(model: ModelParams, train_items: list[DatasetItem],
     video is missing or too short are skipped with a warning; an epoch with
     nothing usable aborts, and so does a batch whose loss is not finite
     (TrainingError naming the epoch and batch). Cuboid settings that do not
-    match the model input raise TrainingError before anything is extracted.
+    match the model input raise TrainingError, and bad optimizer settings
+    ConfigError, before anything is extracted.
     """
     if not train_items or not val_items:
         raise TrainingError("train and validation sets must be non-empty")
@@ -277,6 +278,7 @@ def train(model: ModelParams, train_items: list[DatasetItem],
             raise TrainingError(
                 f"class index {item.class_index} outside [0, {model.n_classes})"
             )
+    opt = NesterovSGD(model.params, cfg.lr, cfg.momentum, cfg.weight_decay)
 
     train_samples = []
     skipped = 0
@@ -298,7 +300,6 @@ def train(model: ModelParams, train_items: list[DatasetItem],
     if not train_samples or not val_samples:
         raise TrainingError("no usable samples after extraction; aborting")
 
-    opt = NesterovSGD(model.params, cfg.lr, cfg.momentum, cfg.weight_decay)
     best = None
     best_acc = -1.0
     history: list[EpochStats] = []

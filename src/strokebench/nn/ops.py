@@ -60,9 +60,7 @@ def _check_conv(x, weight, bias, stride, pad):
     outs = tuple(
         conv3d_out_extent(x.shape[2 + i], weight.shape[2 + i], stride, pad) for i in range(3)
     )
-    if min(outs) < 1 or min(
-        x.shape[2 + i] + 2 * pad - weight.shape[2 + i] for i in range(3)
-    ) < 0:
+    if min(outs) < 1:
         raise ShapeError(
             f"kernel {weight.shape[2:]} with stride={stride} pad={pad} does not fit "
             f"input extents {x.shape[2:]}"

@@ -14,20 +14,22 @@ exactly to theta -= lr * g0.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ConfigError, ShapeError
 
 
 class NesterovSGD:
     def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-4,
                  momentum: float = 0.5, weight_decay: float = 0.005):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be > 0, got {lr}")
+        if not 0 < lr < math.inf:
+            raise ConfigError(f"learning rate must be > 0 and finite, got {lr}")
         if not 0 <= momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
+            raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
+        if not 0 <= weight_decay < math.inf:
+            raise ConfigError(f"weight decay must be >= 0 and finite, got {weight_decay}")
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay

@@ -50,6 +50,8 @@ class SynthConfig:
             raise ConfigError(f"frame size must be >= 8, got {self.frame_size}")
         if self.stroke_len < 1 or self.gap_len < 1 or self.strokes_per_video < 1:
             raise ConfigError("stroke/gap lengths and strokes per video must be >= 1")
+        if not 0 < self.fps < math.inf:
+            raise ConfigError(f"fps must be finite and > 0, got {self.fps}")
 
 
 def _class_velocity(class_index: int, n_classes: int) -> tuple[float, float]:

@@ -46,6 +46,11 @@ class TestParse:
         with pytest.raises(AnnotationError, match=r"begin 300 >= end 300 \(line 2\)"):
             parse_annotations(xml)
 
+    @pytest.mark.parametrize("fps", ["nan", "inf"])
+    def test_non_finite_fps_rejected(self, fps):
+        with pytest.raises(AnnotationError, match="fps must be finite"):
+            parse_annotations(f'<video name="v" frames="10" fps="{fps}"/>'.encode())
+
     def test_overlapping_ground_truth_rejected(self):
         xml = (b'<video name="v" frames="1000" fps="120">\n'
                b'<action begin="100" end="300" move="A"/>\n'
@@ -224,4 +229,3 @@ class TestTaxonomy:
                 b"B,Defensive,Backhand\n")
         tax = load_taxonomy(data)
         assert tax.labels == ["A", "B"]
-        assert tax.class_index("B") == 1

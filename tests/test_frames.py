@@ -61,6 +61,13 @@ class TestRgbv:
         with pytest.raises(VideoFormatError, match="extents"):
             open_rgbv(p)
 
+    @pytest.mark.parametrize("fps", [b"nan", b"inf"])
+    def test_non_finite_fps_rejected(self, tmp_path, fps):
+        p = tmp_path / "f.rgbv"
+        p.write_bytes(b"RGBV1\n4 4 " + fps + b" 0\n")
+        with pytest.raises(VideoFormatError, match="fps must be finite"):
+            open_rgbv(p)
+
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         frames = rng.integers(0, 256, (5, 6, 7, 3), dtype=np.uint8)
@@ -111,6 +118,12 @@ class TestFrameDir:
         self._write_ppm(tmp_path / "000000.ppm", np.zeros((4, 4, 3), np.uint8), magic=b"P3")
         with pytest.raises(VideoFormatError, match="P6"):
             open_frame_dir(tmp_path)
+
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
+    def test_non_finite_fps_rejected(self, tmp_path, fps):
+        self._write_ppm(tmp_path / "000000.ppm", np.zeros((4, 4, 3), np.uint8))
+        with pytest.raises(VideoFormatError, match="fps must be finite"):
+            open_frame_dir(tmp_path, fps)
 
     def test_missing_index_rejected(self, tmp_path):
         self._write_ppm(tmp_path / "000000.ppm", np.zeros((4, 4, 3), np.uint8))

@@ -1,7 +1,9 @@
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from strokebench import model as model_mod, synth
 from strokebench.annotations import parse_annotations
 from strokebench.cli import RunConfig, build_run_config, load_config_file, main, make_parser
 from strokebench.errors import ConfigError
@@ -67,6 +69,11 @@ class TestSynth:
         # gap frames are black
         assert not src.frame(seg0.end + 2).any()
 
+    @pytest.mark.parametrize("fps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_fps_rejected(self, fps):
+        with pytest.raises(ConfigError, match="fps must be finite"):
+            SynthConfig(fps=fps)
+
     def test_too_many_classes_rejected(self, tmp_path):
         cfg = SynthConfig(classes=21, train_per_class=1)
         with pytest.raises(ConfigError, match="taxonomy"):
@@ -124,6 +131,81 @@ class TestConfig:
         monkeypatch.setenv("STROKEBENCH_THREADS", "zero")
         assert build_run_config(make_parser().parse_args(["train"])) == RunConfig()
 
+    def test_bad_task_flag_names_both_tasks(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["train", "--task", "foo"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "detection" in err and "classification" in err
+
+
+# one raw value per run setting, and the RunConfig that all of them give
+RAW_SETTINGS = {"task": "classification", "data": "d", "taxonomy": "t.csv",
+                "checkpoint": "m.ckpt", "out": "o", "epochs": "3", "batch": "2",
+                "lr": "0.25", "momentum": "0.25", "weight_decay": "0.125",
+                "proposal_len": "30", "proposal_stride": "15", "cuboid_len": "8",
+                "cuboid_size": "16", "block_len": "10", "map_tiou": "0.75", "seed": "9",
+                "filters": "4,8", "hidden": "12"}
+ALL_SET = RunConfig(task="classification", data=Path("d"), taxonomy=Path("t.csv"),
+                    checkpoint=Path("m.ckpt"), out=Path("o"), epochs=3, batch=2, lr=0.25,
+                    momentum=0.25, weight_decay=0.125, proposal_len=30,
+                    proposal_stride=15, cuboid_len=8, cuboid_size=16, block_len=10,
+                    map_tiou=0.75, seed=9, filters=(4, 8), hidden=12)
+# the settings each command's handler reads, and so takes flags for
+COMMAND_SETTINGS = {
+    "prepare": {"task", "data", "out", "block_len"},
+    "train": {"task", "data", "taxonomy", "checkpoint", "out", "seed", "epochs", "batch",
+              "lr", "momentum", "weight_decay", "cuboid_len", "cuboid_size", "filters",
+              "hidden"},
+    "infer": {"task", "data", "taxonomy", "checkpoint", "out", "proposal_len",
+              "proposal_stride"},
+    "eval": {"task", "data", "taxonomy", "out", "map_tiou"},
+    "synth": {"taxonomy", "out", "seed"},
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestSettingFlags:
+    def test_raw_values_cover_every_setting(self):
+        assert [f.name for f in fields(RunConfig)] == list(RAW_SETTINGS)
+        assert all(getattr(ALL_SET, k) != getattr(RunConfig(), k) for k in RAW_SETTINGS)
+
+    @pytest.mark.parametrize("command, key", [(c, k) for c, keys in COMMAND_SETTINGS.items()
+                                              for k in sorted(keys)])
+    def test_command_takes_flag_of_setting_it_reads(self, command, key):
+        args = make_parser().parse_args([command, _flag(key), RAW_SETTINGS[key]])
+        cfg = build_run_config(args)
+        assert cfg == RunConfig(**{key: getattr(ALL_SET, key)})
+
+    @pytest.mark.parametrize("command, key", [(c, k) for c, keys in COMMAND_SETTINGS.items()
+                                              for k in RAW_SETTINGS if k not in keys])
+    def test_command_rejects_flag_of_setting_it_ignores(self, command, key, capsys):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args([command, _flag(key), RAW_SETTINGS[key]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + _flag(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(COMMAND_SETTINGS))
+    def test_config_file_may_set_every_key_for_every_command(self, command, tmp_path):
+        cfile = tmp_path / "all.cfg"
+        cfile.write_text("".join(f"{k} = {v}\n" for k, v in RAW_SETTINGS.items()))
+        args = make_parser().parse_args([command, "--config", str(cfile)])
+        assert build_run_config(args) == ALL_SET
+
+    def test_synth_defaults_come_from_synth_config(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(out, cfg, tax):
+            seen.append(cfg)
+            return dict.fromkeys(synth.SPLITS, 0)
+
+        monkeypatch.setattr(synth, "generate_corpus", capture)
+        assert main(["synth", "--out", str(tmp_path), "--seed", "4"]) == 0
+        assert seen == [SynthConfig(seed=4)]
+
 
 @pytest.fixture(scope="module")
 def tiny_corpus(tmp_path_factory):
@@ -139,8 +221,7 @@ def _train_args(corpus, out, extra=()):
     return ["train", "--task", "detection", "--data", str(corpus), "--out", str(out),
             "--seed", "3", "--epochs", "2", "--batch", "4",
             "--lr", "0.01", "--cuboid-len", "8", "--cuboid-size", "16",
-            "--filters", "4", "--hidden", "8", "--block-len", "10",
-            "--proposal-len", "30", "--proposal-stride", "30", *extra]
+            "--filters", "4", "--hidden", "8", *extra]
 
 
 class TestCommands:
@@ -191,6 +272,25 @@ class TestCommands:
     def test_train_missing_index_fails(self, tiny_corpus, tmp_path):
         rc = main(_train_args(tiny_corpus, tmp_path / "fresh"))
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "0", "learning rate must be > 0"),
+        ("--lr", "nan", "learning rate must be > 0 and finite"),
+        ("--momentum", "1", "momentum must be in [0, 1)"),
+        ("--weight-decay", "-1", "weight decay must be >= 0"),
+        ("--weight-decay", "inf", "weight decay must be >= 0 and finite"),
+    ], ids=["lr", "lr_nan", "momentum", "weight_decay", "weight_decay_inf"])
+    def test_bad_optimizer_setting_fails_before_extraction(
+            self, tiny_corpus, tmp_path, capsys, monkeypatch, flag, value, message):
+        out = tmp_path / "run"
+        assert main(["prepare", "--task", "detection", "--data", str(tiny_corpus),
+                     "--out", str(out), "--block-len", "10"]) == 0
+        calls = []
+        monkeypatch.setattr(model_mod, "extract_cuboid", lambda *a: calls.append(a))
+        capsys.readouterr()
+        assert main(_train_args(tiny_corpus, out, [flag, value])) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert calls == []
 
     def test_full_cli_round_and_history(self, tiny_corpus, tmp_path, capsys):
         out = tmp_path / "run"
