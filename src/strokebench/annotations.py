@@ -204,6 +204,8 @@ def _fmt_fps(fps: float) -> str:
 
 def render_annotation_xml(video_id: str, segments: list[Segment],
                           frame_count: int, fps: float) -> bytes:
+    if not 0 < float(fps) < math.inf:
+        raise AnnotationError(f"{video_id}: fps must be finite and > 0, got {fps}")
     out = io.StringIO()
     out.write(f"<video name={quoteattr(video_id)} frames=\"{frame_count}\" "
               f"fps=\"{_fmt_fps(fps)}\">\n")

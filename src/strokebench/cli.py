@@ -23,7 +23,7 @@ from . import metrics, model as model_mod, synth
 from .annotations import (LEVEL_TITLES, LEVELS, STROKE_LABEL, Segment, Taxonomy,
                           default_taxonomy, infer_negative_segments, load_taxonomy,
                           parse_annotations, superclass_of, write_predictions)
-from .errors import ConfigError, StrokebenchError
+from .errors import ConfigError, MetricError, StrokebenchError
 from .frames import clamped_start, extract_cuboid, open_frame_dir, open_rgbv
 from .model import DatasetItem, TrainConfig, build_model, load_checkpoint, save_checkpoint
 from .nn.gradcheck import run_all
@@ -41,6 +41,18 @@ def _task(raw: str) -> str:
         raise argparse.ArgumentTypeError(
             f"invalid choice: {raw!r} (choose from {', '.join(TASKS)})")
     return raw
+
+
+def _tiou(raw: str) -> float:
+    try:
+        value = float(raw)
+        metrics.check_threshold(value)
+    except MetricError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"temporal-IoU threshold {raw!r} is not a number") from None
+    return value
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
@@ -70,7 +82,7 @@ class RunConfig:
     cuboid_len: int = _setting(98, int, "frames per model input cuboid")
     cuboid_size: int = _setting(120, int, "height and width of a model input cuboid")
     block_len: int = _setting(200, int, "length of the inferred non-stroke blocks")
-    map_tiou: float = _setting(0.5, float, "temporal-IoU threshold of mAP")
+    map_tiou: float = _setting(0.5, _tiou, "temporal-IoU threshold of mAP, in (0, 1]")
     seed: int = _setting(0, int, "random seed")
     filters: tuple[int, ...] = _setting((30, 60, 80), _int_list,
                                         "comma-separated conv filter counts")

@@ -105,6 +105,8 @@ def write_rgbv(path, frames: np.ndarray, fps: float) -> None:
     frames = np.ascontiguousarray(frames, dtype=np.uint8)
     if frames.ndim != 4 or frames.shape[3] != 3:
         raise VideoFormatError(f"frames must be (N, H, W, 3), got {frames.shape}")
+    if not 0 < float(fps) < math.inf:
+        raise VideoFormatError(f"{path}: fps must be finite and > 0, got {fps}")
     n, h, w, _ = frames.shape
     fps_s = str(int(fps)) if float(fps).is_integer() else repr(float(fps))
     with open(path, "wb") as fh:
@@ -133,6 +135,18 @@ def _ppm_tokens(data: bytes, path, count: int):
     if i >= n or not data[i : i + 1].isspace():
         raise VideoFormatError(f"{path}: missing whitespace after PPM header")
     return tokens, i + 1
+
+
+def _read_ppm_header(p: Path):
+    """(tokens, payload_offset, file_size) of a P6 file, parsed from its first
+    4096 bytes, or from the whole file if comments make the header longer."""
+    with open(p, "rb") as fh:
+        head = fh.read(4096)
+        try:
+            tokens, offset = _ppm_tokens(head, p, 4)
+        except VideoFormatError:
+            tokens, offset = _ppm_tokens(head + fh.read(), p, 4)
+        return tokens, offset, os.fstat(fh.fileno()).st_size
 
 
 @dataclass
@@ -167,8 +181,7 @@ class FrameDirVideo(VideoSource):
         self._frames: list[_PpmFrame] = []
         for idx in range(len(by_index)):
             p = by_index[idx]
-            head = p.read_bytes()
-            tokens, offset = _ppm_tokens(head, p, 4)
+            tokens, offset, size = _read_ppm_header(p)
             if tokens[0] != b"P6":
                 raise VideoFormatError(f"{p}: not a binary P6 PPM (magic {tokens[0]!r})")
             try:
@@ -185,7 +198,7 @@ class FrameDirVideo(VideoSource):
                 raise VideoFormatError(
                     f"{p}: mixed extents {w}x{h}, expected {self.width}x{self.height}"
                 )
-            if len(head) - offset < w * h * 3:
+            if size - offset < w * h * 3:
                 raise VideoFormatError(f"{p}: truncated pixel payload")
             self._frames.append(_PpmFrame(p, offset))
         self.frame_count = len(self._frames)
@@ -208,6 +221,8 @@ def resize_bilinear(frame: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
 
     Source coordinate for output index d is (d + 0.5) * in/out - 0.5, clamped
     to the valid range; returns float64, exactly the input when sizes match.
+    Only the 2*oh source rows and 2*ow source columns that the output reads
+    are gathered, then cast to float64, so a large frame is never copied whole.
     """
     oh, ow = out_size
     if frame.ndim != 3:
@@ -215,9 +230,8 @@ def resize_bilinear(frame: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
     h, w, _ = frame.shape
     if min(h, w, oh, ow) < 1:
         raise VideoFormatError(f"extents must be >= 1, got {h}x{w} -> {oh}x{ow}")
-    src = frame.astype(np.float64)
     if (h, w) == (oh, ow):
-        return src
+        return frame.astype(np.float64)
 
     sy = np.clip((np.arange(oh) + 0.5) * (h / oh) - 0.5, 0.0, h - 1.0)
     sx = np.clip((np.arange(ow) + 0.5) * (w / ow) - 0.5, 0.0, w - 1.0)
@@ -227,8 +241,10 @@ def resize_bilinear(frame: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (sy - y0)[:, None, None]
     wx = (sx - x0)[None, :, None]
-    top = src[y0][:, x0] * (1 - wx) + src[y0][:, x1] * wx
-    bot = src[y1][:, x0] * (1 - wx) + src[y1][:, x1] * wx
+    # rows y0 then y1, columns x0 then x1
+    src = frame[np.concatenate((y0, y1))][:, np.concatenate((x0, x1))].astype(np.float64)
+    top = src[:oh, :ow] * (1 - wx) + src[:oh, ow:] * wx
+    bot = src[oh:, :ow] * (1 - wx) + src[oh:, ow:] * wx
     return top * (1 - wy) + bot * wy
 
 

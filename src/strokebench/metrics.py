@@ -149,7 +149,13 @@ def _envelope_ap(flags: list[bool], n_gt: int) -> float:
     return float(np.sum((recall - prev) * envelope))
 
 
+def check_threshold(threshold: float) -> None:
+    if not 0 < threshold <= 1:
+        raise MetricError(f"temporal-IoU threshold {threshold} is not in (0, 1]")
+
+
 def average_precision(ds: DetectionSet, threshold: float = 0.5) -> float:
+    check_threshold(threshold)
     n_gt = ds.n_ground_truth
     if n_gt == 0:
         raise MetricError("average precision undefined without ground truth")

@@ -4,8 +4,8 @@ import pytest
 from strokebench.annotations import (LEVELS, NONSTROKE_LABEL, Segment, Taxonomy,
                                      default_taxonomy, generate_window_proposals,
                                      infer_negative_segments, load_taxonomy,
-                                     parse_annotations, superclass_of,
-                                     write_predictions)
+                                     parse_annotations, render_annotation_xml,
+                                     superclass_of, write_predictions)
 from strokebench.errors import AnnotationError, TaxonomyError
 
 
@@ -121,6 +121,12 @@ class TestWrite:
     def test_score_required(self):
         with pytest.raises(AnnotationError, match="missing a score"):
             write_predictions("v", [Segment(0, 5, "A")])
+
+    @pytest.mark.parametrize("write", [write_predictions, render_annotation_xml])
+    @pytest.mark.parametrize("fps", [0, -1, float("nan"), float("inf")])
+    def test_writer_rejects_fps_the_reader_rejects(self, write, fps):
+        with pytest.raises(AnnotationError, match="fps must be finite"):
+            write("v", [], 10, fps)
 
 
 class TestNegativeInference:

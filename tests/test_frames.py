@@ -68,6 +68,13 @@ class TestRgbv:
         with pytest.raises(VideoFormatError, match="fps must be finite"):
             open_rgbv(p)
 
+    @pytest.mark.parametrize("fps", [0, -1, float("nan"), float("inf")])
+    def test_writer_rejects_fps_the_reader_rejects(self, tmp_path, fps):
+        p = tmp_path / "f.rgbv"
+        with pytest.raises(VideoFormatError, match="fps must be finite"):
+            write_rgbv(p, np.zeros((1, 4, 4, 3), np.uint8), fps)
+        assert not p.exists()
+
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         frames = rng.integers(0, 256, (5, 6, 7, 3), dtype=np.uint8)
@@ -136,6 +143,43 @@ class TestFrameDir:
         (tmp_path / "000000.ppm").write_bytes(b"P6\n# a comment\n4 4\n255\n" + img.tobytes())
         src = open_frame_dir(tmp_path)
         assert np.array_equal(src.frame(0), img)
+
+    # the header is read from the first 4096 bytes; these comment lengths put
+    # that cut at each byte of "\n4 # width\n4\n255\n", or far before it
+    @pytest.mark.parametrize("comment_len", [*range(4074, 4092), 20_000])
+    def test_long_comment_header_opens(self, tmp_path, comment_len):
+        img = np.arange(4 * 4 * 3, dtype=np.uint8).reshape(4, 4, 3)
+        header = b"P6\n# " + b"x" * comment_len + b"\n4 # width\n4\n255\n"
+        (tmp_path / "000000.ppm").write_bytes(header + img.tobytes())
+        src = open_frame_dir(tmp_path)
+        assert (src.width, src.height) == (4, 4)
+        assert np.array_equal(src.frame(0), img)
+
+    def test_frames_hold_no_open_files(self, tmp_path):
+        # a returned frame must not pin a file descriptor, or holding a
+        # video's frames runs out of them (EMFILE) under a 1024-file limit
+        resource = pytest.importorskip("resource")
+        for i in range(300):
+            self._write_ppm(tmp_path / f"{i:06d}.ppm", np.full((2, 2, 3), i % 256, np.uint8))
+        src = open_frame_dir(tmp_path)
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (min(256, soft), hard))
+        try:
+            held = [src.frame(i) for i in range(src.frame_count)]
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert [int(f[0, 0, 0]) for f in held] == [i % 256 for i in range(300)]
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        (tmp_path / "000000.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(4 * 4 * 3 - 1))
+        with pytest.raises(VideoFormatError, match="truncated pixel payload"):
+            open_frame_dir(tmp_path)
+
+    @pytest.mark.parametrize("data", [b"", b"P6\n4 4\n25", b"P6\n# comment without end"])
+    def test_truncated_header_rejected(self, tmp_path, data):
+        (tmp_path / "000000.ppm").write_bytes(data)
+        with pytest.raises(VideoFormatError, match="PPM header"):
+            open_frame_dir(tmp_path)
 
 
 class TestResize:

@@ -181,6 +181,16 @@ class TestAveragePrecision:
                           videos["v"][1])}
         assert abs(average_precision(_ds(squashed)) - base) < 1e-12
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, 1.5, float("nan"), float("inf")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        ds = _ds({"v": ([(0, 100, 0.9)], [(0, 100)])})
+        with pytest.raises(MetricError, match="threshold"):
+            average_precision(ds, threshold)
+
+    def test_threshold_one_needs_exact_match(self):
+        assert average_precision(_ds({"v": ([(0, 100, 0.9)], [(0, 100)])}), 1.0) == 1.0
+        assert average_precision(_ds({"v": ([(0, 99, 0.9)], [(0, 100)])}), 1.0) == 0.0
+
     def test_ap_within_unit_interval(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
@@ -205,6 +215,12 @@ class TestMeanAveragePrecision:
         with_gt = _ds({"v": ([(0, 100, 0.9)], [(0, 100)])})
         no_gt = _ds({"v": ([(0, 100, 0.9)], [])})
         assert mean_average_precision({"a": with_gt, "b": no_gt}) == 1.0
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, 1.5, float("nan"), float("inf")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        ds = _ds({"v": ([(0, 100, 0.9)], [(0, 100)])})
+        with pytest.raises(MetricError, match="threshold"):
+            mean_average_precision({"Stroke": ds}, threshold)
 
     def test_class_with_gt_but_no_predictions_contributes_zero(self):
         a = _ds({"v": ([(0, 100, 0.9)], [(0, 100)])})

@@ -131,6 +131,29 @@ class TestConfig:
         monkeypatch.setenv("STROKEBENCH_THREADS", "zero")
         assert build_run_config(make_parser().parse_args(["train"])) == RunConfig()
 
+    @pytest.mark.parametrize("raw", ["0", "-1", "1.5", "nan", "inf"])
+    def test_map_tiou_flag_outside_unit_interval_rejected(self, capsys, raw):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["eval", "--map-tiou", raw])
+        assert exc.value.code == 2
+        assert (f"error: argument --map-tiou: temporal-IoU threshold {float(raw)} "
+                "is not in (0, 1]") in capsys.readouterr().err
+
+    def test_map_tiou_flag_not_a_number_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["eval", "--map-tiou", "abc"])
+        assert exc.value.code == 2
+        assert "error: argument --map-tiou: temporal-IoU threshold 'abc' is not a number" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "1.5", "nan", "inf"])
+    def test_map_tiou_config_outside_unit_interval_rejected(self, tmp_path, capsys, raw):
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text(f"map_tiou = {raw}\n")
+        assert main(["eval", "--config", str(cfile)]) == 2
+        assert f"error: {cfile}:1: bad value {raw!r} for config key 'map_tiou'" in \
+            capsys.readouterr().err
+
     def test_bad_task_flag_names_both_tasks(self, capsys):
         with pytest.raises(SystemExit) as exc:
             make_parser().parse_args(["train", "--task", "foo"])
