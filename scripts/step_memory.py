@@ -1,0 +1,76 @@
+"""Peak memory and time of one training step, measured in this process.
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/step_memory.py \
+        --input 3x98x120x120 --filters 30,60,80 --hidden 500 --batch 10
+
+builds the default architecture for a 2-class model at the given input
+shape, then runs one forward pass, softmax cross entropy and backward pass
+(no optimizer step) on a seeded random batch. It prints one JSON line:
+peak RSS of the process in MB, the step's wall seconds, and a SHA-256 over
+the logits and every parameter gradient, so two builds can be compared byte
+for byte. Run each measurement in a fresh process: peak RSS never falls.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import resource
+import sys
+import time
+
+import numpy as np
+
+from strokebench import model
+from strokebench.cli import _int_list
+from strokebench.nn import ops
+from strokebench.nn.layers import default_architecture
+
+
+def _shape(raw: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in raw.split("x"))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--input", type=_shape, default=(3, 98, 120, 120),
+                   help="cuboid shape CxTxHxW (default 3x98x120x120)")
+    p.add_argument("--filters", type=_int_list, default=(30, 60, 80),
+                   help="comma-separated conv filter counts (default 30,60,80)")
+    p.add_argument("--hidden", type=int, default=500)
+    p.add_argument("--batch", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+    args = p.parse_args(argv)
+
+    arch = default_architecture(args.input, filters=args.filters, hidden=args.hidden,
+                                n_classes=2)
+    net = model.build_model(2, arch, seed=args.seed, input_shape=args.input)
+    rng = np.random.default_rng(args.seed)
+    x = rng.random((args.batch,) + args.input, dtype=np.float32)
+    classes = np.arange(args.batch) % 2
+
+    t0 = time.perf_counter()
+    logits, caches = model._forward_full(net, x)
+    _, grad_logits = ops.softmax_cross_entropy(logits, classes)
+    grads = model._backward_full(net, caches, grad_logits)
+    seconds = time.perf_counter() - t0
+
+    digest = hashlib.sha256(logits.tobytes())
+    for name in sorted(grads):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(grads[name]).tobytes())
+    print(json.dumps({
+        "input": list(args.input), "filters": list(args.filters), "hidden": args.hidden,
+        "batch": args.batch, "seed": args.seed,
+        "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "step_s": round(seconds, 3),
+        "sha256": digest.hexdigest(),
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -56,7 +56,20 @@ def _tiou(raw: str) -> float:
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in raw.split(",") if x)
+    if not raw.strip():
+        raise argparse.ArgumentTypeError(f"count list {raw!r} is empty")
+    values = []
+    for item in raw.split(","):
+        if not item.strip():
+            raise argparse.ArgumentTypeError(f"count list {raw!r} has an empty item")
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"count list {raw!r}: {item!r} is not an integer") from None
+        if values[-1] < 1:
+            raise argparse.ArgumentTypeError(f"count list {raw!r}: {item!r} is not >= 1")
+    return tuple(values)
 
 
 def _setting(default, read, help: str):

@@ -112,12 +112,27 @@ def build_model(n_classes: int, arch: list[LayerSpec] | None = None, seed: int =
 
 def _forward_full(model: ModelParams, x: np.ndarray, training: bool = True):
     """Forward pass; with `training`, also the per-layer caches the backward
-    sweep needs (otherwise the returned list stays empty)."""
+    sweep needs (otherwise the returned list stays empty).
+
+    A relu directly followed by a maxpool3d runs after it, on the pooled
+    tensor, so neither its output nor its cache is ever full size. That is
+    exact: relu is monotone, so where a window's maximum is > 0 both orders
+    pick the same first maximum, and where it is <= 0 both give +0.0
+    (relu_forward maps every x <= 0, -0.0 included, to +0.0); a NaN wins its
+    window either way. Against the spec order, only the stored winner of a
+    window whose values are all <= 0 can differ, and with it the sign of the
+    zero gradient routed there (g * 0 before, now 0 + g * 0, which is +0.0).
+    Caches are kept in run order, so _backward_full follows the same order.
+    """
     caches = []
     keep = caches.append if training else (lambda cache: None)
     cur = x
     n_conv = n_fc = 0
-    for spec in model.specs:
+    specs = list(model.specs)
+    for i in range(len(specs) - 1):
+        if specs[i].kind == "relu" and specs[i + 1].kind == "maxpool3d":
+            specs[i], specs[i + 1] = specs[i + 1], specs[i]
+    for spec in specs:
         if spec.kind == "conv3d":
             n_conv += 1
             w = model.params[f"conv{n_conv}.weight"]

@@ -1,25 +1,32 @@
 """Dense 3D CNN kernels with hand-written backward passes.
 
-Tensors are plain C-order numpy arrays; every op preserves the input dtype
-(training runs in float32, gradient checking in float64). Layout conventions:
-activations are (N, C, T, H, W), conv weights (F, C, kt, kh, kw), linear
-weights (Out, In).
+Tensors are C-order numpy arrays, with one exception: `maxpool3d_backward`
+returns an (N, C, T, H, W) view of a C-order (C, N, T, H, W) buffer, the
+layout `conv3d_backward` works in, so that the conv backward takes a pool
+gradient without a copy. Every op accepts either layout and preserves the
+input dtype (training runs in float32, gradient checking in float64).
+Layout conventions: activations are (N, C, T, H, W), conv weights
+(F, C, kt, kh, kw), linear weights (Out, In).
 
 Memory. No kernel builds a full im2col copy of its input (27x the input for
 a 3x3x3 kernel). `conv3d_forward` lowers one sample and one block of output
 frames at a time into a column buffer of at most `BLOCK_BYTES` (or one output
 frame, if that is larger). `conv3d_backward` holds about three input-sized
 buffers (padded input, its gradient, the returned grad_input), one kernel
-tap's input slice, one grad_out-sized copy and a col2im block of at most
-`BLOCK_BYTES`. `maxpool3d` takes the max over strided views of the input,
-with no transposed copy.
+tap's input slice, a channel-major copy of grad_out (none when grad_out is
+already channel-major) and a col2im block of at most `BLOCK_BYTES`.
+`maxpool3d` takes the max over strided views of the input, with no
+transposed copy; the int64 winner indices it returns are its only int64
+array of the pooled size. `maxpool3d_backward` remaps them to the
+channel-major buffer one sample at a time.
 
 Bound: the tracemalloc peak of one conv3d_forward or conv3d_backward call
 stays below 4 * (input bytes + output bytes) + BLOCK_BYTES, where output is
 the forward output or grad_out. `tests/test_kernels.py` checks it for x of
 shape (1, 8, 32, 64, 64) float32 and 8 filters: 67 MB allowed, 41 MB used
-by either call. The im2col kernels these replaced peaked at 122 MB
-(forward) and 127 MB (backward) there.
+by either call, with a C-order grad_out (a channel-major one skips the
+copy, so the bound still holds). The im2col kernels these replaced peaked
+at 122 MB (forward) and 127 MB (backward) there.
 
 Numerics. Each output element is one dot product over the same reduction
 axis, in the same order, as in the im2col formulation, but BLAS is called
@@ -132,8 +139,14 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0):
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match output {expected}")
     to, ho, wo = outs
 
-    grad_bias = grad_out.sum(axis=(0, 2, 3, 4))
-    g5 = np.ascontiguousarray(grad_out.swapaxes(0, 1))  # (F,N,T',H',W')
+    # (F,N,T',H',W'); a free view when grad_out comes from maxpool3d_backward
+    g5 = np.ascontiguousarray(grad_out.swapaxes(0, 1))
+    # each sample's T'H'W' sum, then the samples in order from 0: the sums
+    # grad_out.sum(axis=(0, 2, 3, 4)) makes on a C-order grad_out, whatever
+    # grad_out's layout
+    grad_bias = np.zeros(f, dtype=grad_out.dtype)
+    for sample_sums in g5.reshape(f, n, -1).sum(axis=2).T:
+        grad_bias += sample_sums
     xp = _pad(x, pad).swapaxes(0, 1)  # (C,N,T+2p,H+2p,W+2p)
     gxp = np.zeros(xp.shape, dtype=grad_out.dtype)
 
@@ -191,22 +204,39 @@ def maxpool3d(x, window):
         step *= hit
         local += step
 
-    origins = np.ix_(range(n), range(c), range(0, t, pt), range(0, h, ph), range(0, w, pw))
     offsets = np.array([(i * h + j) * w + k for i, j, k in taps], dtype=np.int64)
-    winners = np.ravel_multi_index(origins, x.shape) + offsets[local]
+    winners = offsets[local]
+    # plus the flat index of each window's origin, one small grid per axis
+    flat_strides = (c * t * h * w, t * h * w, h * w, w, 1)
+    for axis, extent in enumerate((1, 1, pt, ph, pw)):
+        origin = np.arange(0, x.shape[axis], extent, dtype=np.int64) * flat_strides[axis]
+        winners += origin.reshape((-1,) + (1,) * (4 - axis))
     # the winners' own values: bit-exact even where +0.0 and -0.0 tie
     return np.take(x, winners), winners
 
 
 def maxpool3d_backward(grad_out, winners, input_shape):
-    """Route each upstream gradient element to its stored winner, zeros elsewhere."""
+    """Route each upstream gradient element to its stored winner, zeros elsewhere.
+
+    The result is an (N, C, T, H, W) view of a C-order (C, N, T, H, W)
+    buffer, the layout conv3d_backward works in.
+    """
     if grad_out.shape != winners.shape:
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match winner index shape {winners.shape}"
         )
-    grad_input = np.zeros(int(np.prod(input_shape)), dtype=grad_out.dtype)
-    np.add.at(grad_input, winners.ravel(), grad_out.ravel())
-    return grad_input.reshape(input_shape)
+    n, c = input_shape[:2]
+    size = int(np.prod(input_shape[2:]))  # elements per (sample, channel)
+    grad_input = np.zeros((c, n) + tuple(input_shape[2:]), dtype=grad_out.dtype)
+    flat = grad_input.reshape(-1)
+    # winners[s, ch] holds flat (N, C, ...) indices (s*C + ch)*size + r,
+    # which move to (ch*N + s)*size + r in the (C, N, ...) buffer
+    for s in range(n):  # int64 temporaries of one sample's size
+        shift = (np.arange(c, dtype=np.int64) * (n - 1) - s * (c - 1)) * size
+        moved = winners[s] + shift.reshape(c, 1, 1, 1)
+        # add.at, not assignment: 0 + (-0.0) stores +0.0
+        np.add.at(flat, moved.ravel(), grad_out[s].ravel())
+    return grad_input.swapaxes(0, 1)
 
 
 def linear_forward(x, weight, bias):

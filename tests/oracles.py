@@ -140,3 +140,10 @@ def average_precision_bruteforce(videos, threshold):
             ap += (recalls[k] - prev_recall) * envelope
             prev_recall = recalls[k]
     return ap
+
+
+def maxpool3d_backward_flat(grad_out, winners, input_shape):
+    """The earlier pool backward: one np.add.at into a flat (N, C, ...) buffer."""
+    grad_input = np.zeros(int(np.prod(input_shape)), dtype=grad_out.dtype)
+    np.add.at(grad_input, winners.ravel(), grad_out.ravel())
+    return grad_input.reshape(input_shape)

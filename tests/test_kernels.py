@@ -1,5 +1,7 @@
 """conv3d and maxpool3d against frozen copies of the kernels they replaced,
-and the memory bound stated in the `nn.ops` module docstring.
+the channel-major gradient layout maxpool3d_backward hands to
+conv3d_backward, and the memory bound stated in the `nn.ops` module
+docstring.
 
 The references below are the earlier kernels, kept verbatim: conv3d through
 a full im2col copy fed to np.tensordot, maxpool3d through a transposed copy
@@ -24,6 +26,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from strokebench.nn import ops
+
+from oracles import maxpool3d_backward_flat
 
 # -- frozen references ---------------------------------------------------------
 
@@ -201,6 +205,57 @@ def test_maxpool_bit_identical_on_strided_input():
     out, winners = ops.maxpool3d(x, (2, 2, 3))
     ref_out, ref_winners = transpose_maxpool3d(x, (2, 2, 3))
     assert _same_bytes(out, ref_out) and _same_bytes(winners, ref_winners)
+
+
+# -- channel-major gradients ---------------------------------------------------
+
+# maxpool3d_backward returns an (N, C, ...) view of a (C, N, ...) buffer, and
+# conv3d_backward takes that view as grad_out without a copy
+
+
+def _channel_major(a):
+    """The values of `a`, held in a C-order (C, N, ...) buffer, viewed as (N, C, ...)."""
+    return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+
+
+# (input shape, filters): grad_out is (N, filters) + input extents
+LAYOUT_CASES = [
+    ((1, 3, 16, 32, 32), 8),
+    ((2, 60, 7, 30, 30), 80),
+    ((5, 3, 16, 32, 32), 8),
+    ((10, 3, 16, 32, 32), 8),
+    ((10, 8, 8, 16, 16), 16),
+]
+
+
+@pytest.mark.parametrize("x_shape,filters", LAYOUT_CASES)
+def test_conv_backward_same_bytes_for_channel_major_grad_out(x_shape, filters):
+    rng = np.random.default_rng(sum(x_shape) + filters)
+    x, weight, _, _, grad_out = _conv_case(rng, np.float32, x_shape, filters)
+    view = _channel_major(grad_out)
+    assert not view.flags.c_contiguous or x_shape[0] == 1
+    got = ops.conv3d_backward(x, weight, view, 1, 1)
+    ref = ops.conv3d_backward(x, weight, grad_out, 1, 1)
+    for part, g, r in zip(("grad_input", "grad_weight", "grad_bias"), got, ref):
+        assert _same_bytes(g, r), part
+    # both keep the sums a reduction over the C-order grad_out makes
+    assert _same_bytes(got[2], grad_out.sum(axis=(0, 2, 3, 4)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["random", "ties", "nan"])
+@pytest.mark.parametrize("window", WINDOWS)
+def test_maxpool_backward_matches_flat_scatter(window, kind, dtype):
+    rng = np.random.default_rng(2 * sum(window) + len(kind))
+    for n in (1, 2, 5):
+        x = _pool_input(rng, dtype, window, kind)
+        x = np.concatenate([x] * 3)[:n]
+        out, winners = ops.maxpool3d(x, window)
+        grad_out = rng.standard_normal(out.shape).astype(dtype)
+        grad_out[rng.random(out.shape) < 0.2] = -0.0
+        got = ops.maxpool3d_backward(grad_out, winners, x.shape)
+        assert _same_bytes(got, maxpool3d_backward_flat(grad_out, winners, x.shape))
+        assert got.swapaxes(0, 1).flags.c_contiguous
 
 
 # -- memory bound --------------------------------------------------------------

@@ -378,3 +378,37 @@ def test_history_csv_format():
     assert lines[0] == "epoch,train_loss,train_acc,val_acc"
     assert lines[1] == "1,2.5,0.5,0.25"
     assert len(lines) == 3
+
+
+def test_training_step_memory_per_sample():
+    """Each sample adds at most 2.5 conv1 outputs to a step's tracemalloc peak.
+
+    That peak sits in conv1's backward, which holds the conv1-output gradient
+    (one conv1 output per sample) and the padded input, its gradient and the
+    returned grad_input (about 0.4 each here). The spec-order walk also kept
+    a full-size relu output, relu cache and contiguous gradient copy there,
+    and grew by 3.1 conv1 outputs per sample.
+    """
+    import tracemalloc
+
+    from strokebench.model import _train_step
+    from strokebench.nn.optim import NesterovSGD
+
+    shape, filters = (3, 16, 64, 64), (8, 16)
+
+    def step_peak(batch):
+        arch = default_architecture(shape, filters=filters, hidden=16, n_classes=2)
+        m = build_model(2, arch, seed=1, input_shape=shape)
+        opt = NesterovSGD(m.params, lr=1e-3, momentum=0.5, weight_decay=0.0)
+        x = np.random.default_rng(batch).random((batch,) + shape, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _train_step(m, opt, x, np.arange(batch) % 2, "step")
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    conv1_out = filters[0] * int(np.prod(shape[1:])) * 4  # bytes per sample
+    per_sample = (step_peak(8) - step_peak(2)) / 6
+    assert per_sample < 2.5 * conv1_out

@@ -16,6 +16,19 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+# (--filters value, what the error says after the quoted value)
+BAD_COUNT_LISTS = [
+    ("4,x", ": 'x' is not an integer"),
+    ("4,1.5", ": '1.5' is not an integer"),
+    ("4,,8", " has an empty item"),
+    (",", " has an empty item"),
+    ("8,", " has an empty item"),
+    ("", " is empty"),
+    ("4,0", ": '0' is not >= 1"),
+    ("-2", ": '-2' is not >= 1"),
+]
+
+
 class TestSynth:
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = SynthConfig(classes=2, train_per_class=2, val_per_class=1, test_per_class=1,
@@ -160,6 +173,26 @@ class TestConfig:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "detection" in err and "classification" in err
+
+    @pytest.mark.parametrize("raw,problem", BAD_COUNT_LISTS)
+    def test_filters_flag_rejects_bad_list(self, capsys, raw, problem):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["train", "--filters", raw])
+        assert exc.value.code == 2
+        assert f"error: argument --filters: count list {raw!r}{problem}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw,problem", BAD_COUNT_LISTS)
+    def test_filters_config_rejects_bad_list(self, tmp_path, capsys, raw, problem):
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text(f"filters = {raw}\n")
+        assert main(["train", "--config", str(cfile)]) == 2
+        assert f"error: {cfile}:1: bad value {raw!r} for config key 'filters'" in \
+            capsys.readouterr().err
+
+    def test_filters_accepts_spaces_around_counts(self):
+        args = make_parser().parse_args(["train", "--filters", "30, 60 ,80"])
+        assert build_run_config(args).filters == (30, 60, 80)
 
 
 # one raw value per run setting, and the RunConfig that all of them give
