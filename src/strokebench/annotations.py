@@ -272,7 +272,10 @@ class Taxonomy:
 
 
 def load_taxonomy(data: bytes) -> Taxonomy:
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    except UnicodeDecodeError as e:
+        raise TaxonomyError(f"not UTF-8 text ({e.reason} at byte {e.start})") from None
     try:
         header = next(reader)
     except StopIteration:

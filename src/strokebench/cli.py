@@ -22,14 +22,12 @@ from pathlib import Path
 from . import metrics, model as model_mod, synth
 from .annotations import (LEVEL_TITLES, LEVELS, STROKE_LABEL, Segment, Taxonomy,
                           default_taxonomy, infer_negative_segments, load_taxonomy,
-                          parse_annotations, superclass_of, write_predictions)
-from .errors import ConfigError, MetricError, StrokebenchError
-from .frames import clamped_start, extract_cuboid, open_frame_dir, open_rgbv
+                          parse_annotations, write_predictions)
+from .errors import ConfigError, MetricError, StrokebenchError, TaxonomyError
+from .frames import open_frame_dir, open_rgbv
 from .model import DatasetItem, TrainConfig, build_model, load_checkpoint, save_checkpoint
 from .nn.gradcheck import run_all
 from .nn.layers import default_architecture
-
-logger = logging.getLogger(__name__)
 
 TASKS = ("detection", "classification")
 GRADCHECK_TOLERANCE = 1e-6
@@ -106,8 +104,12 @@ SETTINGS = {f.name: f for f in fields(RunConfig)}
 
 
 def load_config_file(path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -130,9 +132,12 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_taxonomy(cfg: RunConfig) -> Taxonomy:
-    if cfg.taxonomy is not None:
+    if cfg.taxonomy is None:
+        return default_taxonomy()
+    try:
         return load_taxonomy(Path(cfg.taxonomy).read_bytes())
-    return default_taxonomy()
+    except TaxonomyError as e:
+        raise TaxonomyError(f"{cfg.taxonomy}: {e}") from None
 
 
 def _split_annotations(cfg: RunConfig, split: str):
@@ -287,7 +292,6 @@ def cmd_infer(cfg: RunConfig, args: argparse.Namespace) -> int:
     pred_dir.mkdir(parents=True, exist_ok=True)
 
     anns = _split_annotations(cfg, "test")
-    _, cuboid_len, cuboid_size, _ = net.input_shape
     n_out = 0
     for ann in anns:
         src = _open_source(cfg, "test", ann.video_id)
@@ -297,17 +301,9 @@ def cmd_infer(cfg: RunConfig, args: argparse.Namespace) -> int:
             dets = model_mod.detect(net, src, cfg.proposal_len, cfg.proposal_stride)
             xml = write_predictions(ann.video_id, dets, src.frame_count, src.fps)
         else:
-            preds = []
-            for seg in ann.ground_truth:
-                if src.frame_count < cuboid_len:
-                    logger.warning("%s: too short for the model input; segment "
-                                   "[%d, %d) skipped", ann.video_id, seg.begin, seg.end)
-                    continue
-                start = clamped_start(src.frame_count, seg.begin, cuboid_len)
-                cub = extract_cuboid(src, start, cuboid_len, cuboid_size)
-                cls, probs = model_mod.classify(net, cub.values)
-                preds.append(Segment(seg.begin, seg.end, tax.labels[cls],
-                                     score=float(probs[cls])))
+            scored = model_mod.classify_windows(net, src, ann.ground_truth)
+            preds = [Segment(seg.begin, seg.end, tax.labels[cls], score=float(probs[cls]))
+                     for seg, cls, probs in scored]
             xml = write_predictions(ann.video_id, preds, ann.frame_count, ann.fps)
         out_path = pred_dir / f"{ann.video_id}.xml"
         out_path.write_bytes(xml)
@@ -368,10 +364,8 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
     accs = {}
     for level in LEVELS:
-        mapped_pred = [superclass_of(tax, p, level) for p in predicted]
-        mapped_truth = [superclass_of(tax, t, level) for t in truth]
-        accs[level] = metrics.accuracy(mapped_pred, mapped_truth)
         level_cm = metrics.aggregate(cm, tax, level)
+        accs[level] = level_cm.diagonal_accuracy()
         (Path(cfg.out) / f"confusion_{level}.csv").write_text(level_cm.to_csv())
     order = ("global", "type_hand", "type", "hand")
     print(",".join(LEVEL_TITLES[level] for level in order))

@@ -255,8 +255,7 @@ class Cuboid:
     values: np.ndarray
 
 
-def extract_cuboid(src: VideoSource, start: int, length: int = 98,
-                   size: int = 120) -> Cuboid:
+def extract_cuboid(src: VideoSource, start: int, length: int, size: int) -> Cuboid:
     """Stack frames [start, start+length), resized to size*size and scaled by
     1/255, channel-major. The window must fit inside the video."""
     if length < 1 or size < 1:

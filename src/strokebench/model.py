@@ -20,8 +20,8 @@ from .annotations import NONSTROKE_LABEL, STROKE_LABEL, Segment, generate_window
 from .errors import ArchitectureError, CheckpointError, ShapeError, TrainingError
 from .frames import VideoSource, clamped_start, extract_cuboid
 from .nn import ops
-from .nn.layers import (LayerSpec, chain_shapes, default_architecture, fan_in,
-                        from_descriptor, param_entries, to_descriptor)
+from .nn.layers import (LayerSpec, chain_shapes, default_architecture, from_descriptor,
+                        param_entries, to_descriptor)
 from .nn.optim import NesterovSGD
 from .nn.rng import SplitMix64, derive_seed
 
@@ -55,6 +55,7 @@ class TrainConfig:
     momentum: float = 0.5
     weight_decay: float = 0.005
     seed: int = 0
+    # train reads the cuboid shape from the model; these only have to match it
     cuboid_len: int = 98
     cuboid_size: int = 120
 
@@ -101,10 +102,10 @@ def build_model(n_classes: int, arch: list[LayerSpec] | None = None, seed: int =
         )
 
     stream = SplitMix64(derive_seed(seed, _INIT_SALT))
-    per_param_spec = [s for s in arch if s.kind in ("conv3d", "linear") for _ in ("w", "b")]
     params: dict[str, np.ndarray] = {}
-    for (name, shape), spec in zip(param_entries(arch), per_param_spec):
-        bound = 1.0 / np.sqrt(fan_in(spec))
+    for name, shape in param_entries(arch):
+        if name.endswith(".weight"):  # the bias that follows shares this bound
+            bound = 1.0 / np.sqrt(np.prod(shape[1:]))
         vals = stream.uniform(int(np.prod(shape)), -bound, bound).astype(np.float32)
         params[name] = vals.reshape(shape)
     return ModelParams(list(arch), params, tuple(input_shape), n_classes)
@@ -206,41 +207,57 @@ def classify(model: ModelParams, cuboid_values: np.ndarray):
     return int(np.argmax(probs)), probs
 
 
+def _window_input(model: ModelParams, src: VideoSource, begin: int) -> np.ndarray:
+    """The model input for the window starting at `begin`: a cuboid of the
+    model's input length and size, right-clamped to fit inside the video."""
+    _, length, size, _ = model.input_shape
+    start = clamped_start(src.frame_count, begin, length)
+    return extract_cuboid(src, start, length, size).values
+
+
+def classify_windows(model: ModelParams, src: VideoSource,
+                     windows: list[Segment]) -> list[tuple[Segment, int, np.ndarray]]:
+    """(window, class index, probabilities) for each window, in order. A video
+    shorter than the model input scores nothing: [] and one warning."""
+    length = model.input_shape[1]
+    if src.frame_count < length:
+        logger.warning("%s: only %d frames, shorter than the %d-frame model input; "
+                       "no windows classified", src.video_id, src.frame_count, length)
+        return []
+    return [(w, *classify(model, _window_input(model, src, w.begin))) for w in windows]
+
+
 def detect(model: ModelParams, src: VideoSource, proposal_len: int = 150,
            proposal_stride: int = 150) -> list[Segment]:
     """Score window proposals with the 2-class model; each positive window is
     its own detection, no merging of adjacent windows."""
     if model.n_classes != 2:
         raise ShapeError(f"detection needs a 2-class model, got {model.n_classes}")
-    _, cuboid_len, cuboid_size, _ = model.input_shape
-    if src.frame_count < cuboid_len:
-        logger.warning("%s: only %d frames, shorter than the %d-frame model input; "
-                       "no detections", src.video_id, src.frame_count, cuboid_len)
-        return []
     proposals = generate_window_proposals(src.frame_count, proposal_len, proposal_stride)
-    detections = []
-    for prop in proposals:
-        start = clamped_start(src.frame_count, prop.begin, cuboid_len)
-        cub = extract_cuboid(src, start, cuboid_len, cuboid_size)
-        cls, probs = classify(model, cub.values)
-        if cls == STROKE_CLASS:
-            detections.append(Segment(prop.begin, prop.end, STROKE_LABEL,
-                                      score=float(probs[STROKE_CLASS])))
-    return detections
+    return [Segment(p.begin, p.end, STROKE_LABEL, score=float(probs[STROKE_CLASS]))
+            for p, cls, probs in classify_windows(model, src, proposals)
+            if cls == STROKE_CLASS]
 
 
 def _extract_item(item: DatasetItem, sources: dict[str, VideoSource],
-                  cfg: TrainConfig) -> np.ndarray | None:
+                  model: ModelParams) -> np.ndarray | None:
     src = sources.get(item.video_id)
     if src is None:
         logger.warning("no video source for %s; sample skipped", item.video_id)
         return None
-    if src.frame_count < cfg.cuboid_len:
+    length = model.input_shape[1]
+    if src.frame_count < length:
         logger.warning("%s: %d frames < cuboid length %d; sample skipped",
-                       item.video_id, src.frame_count, cfg.cuboid_len)
+                       item.video_id, src.frame_count, length)
         return None
-    start = clamped_start(src.frame_count, item.segment.begin, cfg.cuboid_len)
-    return extract_cuboid(src, start, cfg.cuboid_len, cfg.cuboid_size).values
+    return _window_input(model, src, item.segment.begin)
+
+
+def _extract_samples(items: list[DatasetItem], sources: dict[str, VideoSource],
+                     model: ModelParams) -> list[tuple[np.ndarray, int]]:
+    """(cuboid, class index) for each item that can be extracted."""
+    samples = [(_extract_item(item, sources, model), item.class_index) for item in items]
+    return [s for s in samples if s[0] is not None]
 
 
 def _train_step(model: ModelParams, opt: NesterovSGD, x: np.ndarray, y: np.ndarray,
@@ -295,21 +312,9 @@ def train(model: ModelParams, train_items: list[DatasetItem],
             )
     opt = NesterovSGD(model.params, cfg.lr, cfg.momentum, cfg.weight_decay)
 
-    train_samples = []
-    skipped = 0
-    for item in train_items:
-        vals = _extract_item(item, sources, cfg)
-        if vals is None:
-            skipped += 1
-        else:
-            train_samples.append((vals, item.class_index))
-    val_samples = []
-    for item in val_items:
-        vals = _extract_item(item, sources, cfg)
-        if vals is None:
-            skipped += 1
-        else:
-            val_samples.append((vals, item.class_index))
+    train_samples = _extract_samples(train_items, sources, model)
+    val_samples = _extract_samples(val_items, sources, model)
+    skipped = len(train_items) + len(val_items) - len(train_samples) - len(val_samples)
     if skipped:
         logger.warning("skipped %d unextractable samples", skipped)
     if not train_samples or not val_samples:
@@ -362,11 +367,14 @@ def save_checkpoint(model: ModelParams, path) -> None:
     Path(path).write_bytes(bytes(buf))
 
 
-def _read_line(data: bytes, pos: int):
+def _read_line(data: bytes, pos: int, path):
     nl = data.find(b"\n", pos)
     if nl < 0:
-        raise CheckpointError("truncated checkpoint: unterminated header line")
-    return data[pos:nl].decode("utf-8"), nl + 1
+        raise CheckpointError(f"{path}: truncated checkpoint: unterminated header line")
+    try:
+        return data[pos:nl].decode("utf-8"), nl + 1
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: header line {data[pos:nl]!r} is not UTF-8") from None
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -376,7 +384,7 @@ def load_checkpoint(path) -> ModelParams:
             f"{path}: bad magic {data[:6]!r}, expected {CHECKPOINT_MAGIC!r}"
         )
     pos = len(CHECKPOINT_MAGIC)
-    header, pos = _read_line(data, pos)
+    header, pos = _read_line(data, pos, path)
     fields = header.split()
     if len(fields) != 3 or fields[0] != "arch":
         raise CheckpointError(f"{path}: bad header line {header!r}")
@@ -387,10 +395,12 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(f"{path}: unparseable header {header!r}") from None
     if len(input_shape) != 4:
         raise CheckpointError(f"{path}: input shape must have 4 extents, got {input_shape}")
+    if n_layers < 1:
+        raise CheckpointError(f"{path}: layer count {n_layers} is not >= 1")
 
     specs = []
     for _ in range(n_layers):
-        line, pos = _read_line(data, pos)
+        line, pos = _read_line(data, pos, path)
         try:
             specs.append(from_descriptor(line))
         except ValueError as e:
@@ -404,9 +414,9 @@ def load_checkpoint(path) -> ModelParams:
         pos += 4
         if pos + name_len > len(data):
             raise CheckpointError(f"{path}: truncated parameter name")
-        got_name = data[pos : pos + name_len].decode("utf-8")
+        got_name = data[pos : pos + name_len]
         pos += name_len
-        if got_name != name:
+        if got_name != name.encode("utf-8"):
             raise CheckpointError(f"{path}: expected parameter {name!r}, found {got_name!r}")
         if pos + 4 > len(data):
             raise CheckpointError(f"{path}: truncated rank of {name}")

@@ -126,14 +126,6 @@ def param_entries(specs: list[LayerSpec]) -> list[tuple[str, tuple[int, ...]]]:
     return entries
 
 
-def fan_in(spec: LayerSpec) -> int:
-    if spec.kind == "conv3d":
-        return spec.in_channels * spec.kernel[0] * spec.kernel[1] * spec.kernel[2]
-    if spec.kind == "linear":
-        return spec.in_features
-    raise ArchitectureError(f"{spec.kind} has no parameters")
-
-
 def to_descriptor(spec: LayerSpec) -> str:
     if spec.kind == "conv3d":
         kt, kh, kw = spec.kernel

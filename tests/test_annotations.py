@@ -225,6 +225,10 @@ class TestTaxonomy:
         with pytest.raises(TaxonomyError, match="header"):
             load_taxonomy(b"name,kind\n")
 
+    def test_non_utf8_rejected(self):
+        with pytest.raises(TaxonomyError, match="not UTF-8"):
+            load_taxonomy(b"label,type,hand_side\nX\xff,Offensive,Forehand\n")
+
     def test_bad_type_rejected(self):
         with pytest.raises(TaxonomyError, match="not one of"):
             load_taxonomy(b"label,type,hand_side\nX,Aggressive,Forehand\n")

@@ -1,13 +1,16 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
 from strokebench.annotations import Segment
-from strokebench.errors import (ArchitectureError, CheckpointError, ShapeError,
-                                TrainingError)
-from strokebench.frames import open_rgbv, write_rgbv
-from strokebench.model import (DatasetItem, ModelParams, TrainConfig, build_model,
-                               classify, detect, forward, history_csv,
-                               load_checkpoint, save_checkpoint, train)
+from strokebench.errors import (AnnotationError, ArchitectureError, CheckpointError,
+                                ShapeError, TrainingError)
+from strokebench.frames import extract_cuboid, open_rgbv, write_rgbv
+from strokebench.model import (CHECKPOINT_MAGIC, DatasetItem, ModelParams, TrainConfig,
+                               build_model, classify, classify_windows, detect, forward,
+                               history_csv, load_checkpoint, save_checkpoint, train)
 from strokebench.nn import ops
 from strokebench.nn.layers import (chain_shapes, conv3d, default_architecture, flatten,
                                    linear, maxpool3d, relu)
@@ -153,7 +156,7 @@ class TestTrain:
         accs = [h.val_acc for h in history]
         # re-evaluate the returned snapshot: must match the best recorded epoch
         from strokebench.model import _evaluate, _extract_item
-        samples = [(_extract_item(i, sources, self._cfg()), i.class_index) for i in items]
+        samples = [(_extract_item(i, sources, best), i.class_index) for i in items]
         best_acc = _evaluate(best, samples, 2)
         assert best_acc >= max(accs) - 1e-9
 
@@ -305,6 +308,44 @@ class TestDetect:
             detect(m, src)
 
 
+class TestClassifyWindows:
+    def _video(self, tmp_path, frames, name="v"):
+        data = np.random.default_rng(frames).integers(0, 256, (frames, 8, 8, 3), np.uint8)
+        write_rgbv(tmp_path / f"{name}.rgbv", data, 120.0)
+        return open_rgbv(tmp_path / f"{name}.rgbv")
+
+    def _assert_scored_at(self, model, src, scored, starts):
+        for (_, cls, probs), start in zip(scored, starts, strict=True):
+            want_cls, want_probs = classify(model, extract_cuboid(src, start, 4, 8).values)
+            assert cls == want_cls and np.array_equal(probs, want_probs)
+
+    def test_video_as_long_as_the_input_scores_every_window(self, tmp_path):
+        src = self._video(tmp_path, SMALL_SHAPE[1])
+        windows = [Segment(0, 4, "x"), Segment(1, 3, "x"), Segment(3, 9, "x")]
+        m = small_model(seed=4)
+        scored = classify_windows(m, src, windows)
+        assert [w for w, _, _ in scored] == windows
+        self._assert_scored_at(m, src, scored, [0, 0, 0])
+
+    def test_last_window_is_right_clamped(self, tmp_path):
+        src = self._video(tmp_path, 10)
+        m = small_model(seed=4)
+        scored = classify_windows(m, src, [Segment(2, 6, "x"), Segment(8, 10, "x")])
+        self._assert_scored_at(m, src, scored, [2, 6])
+
+    def test_video_shorter_than_the_input_gets_nothing(self, tmp_path, caplog):
+        src = self._video(tmp_path, SMALL_SHAPE[1] - 1, name="shorty")
+        with caplog.at_level(logging.WARNING, logger="strokebench"):
+            got = classify_windows(small_model(), src, [Segment(0, 3, "x"), Segment(1, 3, "x")])
+        assert got == []
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["shorty"]
+
+    def test_detect_checks_proposal_settings_on_a_short_video(self, tmp_path):
+        src = self._video(tmp_path, 3)
+        with pytest.raises(AnnotationError, match="length and stride"):
+            detect(small_model(), src, proposal_len=0)
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_logits(self, tmp_path):
         m = small_model(seed=9)
@@ -359,6 +400,23 @@ class TestCheckpoint:
         save_checkpoint(m, p)
         p.write_bytes(p.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("layers", [b"0", b"-1"])
+    def test_checkpoint_without_layers_rejected(self, tmp_path, layers):
+        p = tmp_path / "m.ckpt"
+        p.write_bytes(CHECKPOINT_MAGIC + b"arch layers=" + layers + b" input=3x4x8x8\n")
+        with pytest.raises(CheckpointError, match=re.escape(f"{p}: layer count")):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("old, new", [
+        (b"arch", b"\xffrch"), (b"conv3d", b"\xffonv3d"), (b"conv1.weight", b"\xffonv1.weight"),
+    ], ids=["header", "descriptor", "parameter_name"])
+    def test_non_utf8_text_rejected(self, tmp_path, old, new):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(small_model(), p)
+        p.write_bytes(p.read_bytes().replace(old, new, 1))
+        with pytest.raises(CheckpointError, match=re.escape(f"{p}: ")):
             load_checkpoint(p)
 
     def test_default_architecture_checkpoint_shape_chain(self, tmp_path):

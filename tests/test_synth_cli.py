@@ -1,6 +1,8 @@
+import logging
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from strokebench import model as model_mod, synth
@@ -126,6 +128,14 @@ class TestConfig:
         cfile.write_text("epochs=ten\n")
         with pytest.raises(ConfigError, match="bad value"):
             load_config_file(cfile)
+
+    def test_non_utf8_config_rejected(self, tmp_path, capsys):
+        cfile = tmp_path / "bad.cfg"
+        cfile.write_bytes(b"epochs=5  # \xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config_file(cfile)
+        assert main(["eval", "--config", str(cfile)]) == 2
+        assert f"error: {cfile}: not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["threads=2", "deterministic=true"])
     def test_removed_settings_are_unknown_keys(self, tmp_path, line):
@@ -418,6 +428,45 @@ class TestCommands:
         rc = main(["infer", "--task", "classification", "--data", str(tiny_corpus),
                    "--out", str(out), "--checkpoint", str(out / "detection_model.ckpt")])
         assert rc == 2
+
+    @pytest.mark.parametrize("content", [
+        model_mod.CHECKPOINT_MAGIC + b"arch layers=0 input=3x4x8x8\n",
+        model_mod.CHECKPOINT_MAGIC + b"\xffrch layers=1 input=3x4x8x8\n",
+    ], ids=["no_layers", "non_utf8_header"])
+    def test_malformed_checkpoint_fails_naming_it(self, tmp_path, capsys, content):
+        ckpt = tmp_path / "m.ckpt"
+        ckpt.write_bytes(content)
+        assert main(["infer", "--checkpoint", str(ckpt), "--out", str(tmp_path)]) == 2
+        assert f"error: {ckpt}: " in capsys.readouterr().err
+
+    def test_non_utf8_taxonomy_fails_naming_it(self, tmp_path, capsys):
+        tax = tmp_path / "tax.csv"
+        tax.write_bytes(b"label,type,hand_side\nX\xff,Offensive,Forehand\n")
+        assert main(["synth", "--taxonomy", str(tax), "--out", str(tmp_path / "c")]) == 2
+        assert f"error: {tax}: not UTF-8" in capsys.readouterr().err
+
+    def test_classification_of_a_too_short_test_video(self, tmp_path, caplog):
+        # nothing to classify: a warning, and a predictions file with no segments
+        from strokebench.annotations import Segment, default_taxonomy, render_annotation_xml
+        from strokebench.frames import write_rgbv
+        from strokebench.nn.layers import default_architecture
+        test_dir = tmp_path / "data" / "test"
+        test_dir.mkdir(parents=True)
+        label = default_taxonomy().labels[0]
+        (test_dir / "short.xml").write_bytes(
+            render_annotation_xml("short", [Segment(0, 3, label)], 3, 120.0))
+        write_rgbv(test_dir / "short.rgbv", np.zeros((3, 8, 8, 3), np.uint8), 120.0)
+        shape = (3, 4, 8, 8)
+        arch = default_architecture(shape, filters=(2,), hidden=4, n_classes=20)
+        ckpt = tmp_path / "c.ckpt"
+        model_mod.save_checkpoint(model_mod.build_model(20, arch, input_shape=shape), ckpt)
+        out = tmp_path / "run"
+        with caplog.at_level(logging.WARNING, logger="strokebench"):
+            assert main(["infer", "--task", "classification", "--data", str(tmp_path / "data"),
+                         "--out", str(out), "--checkpoint", str(ckpt)]) == 0
+        assert any(r.getMessage().startswith("short: ") for r in caplog.records)
+        xml = (out / "predictions" / "short.xml").read_bytes()
+        assert parse_annotations(xml).predictions == []
 
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck", "--trials", "5", "--seed", "1"]) == 0
