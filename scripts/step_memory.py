@@ -6,7 +6,8 @@
 builds the default architecture for a 2-class model at the given input
 shape, then runs one forward pass, softmax cross entropy and backward pass
 (no optimizer step) on a seeded random batch. It prints one JSON line:
-peak RSS of the process in MB, the step's wall seconds, and a SHA-256 over
+peak RSS of the process in MB, the step's wall seconds, split into the
+forward pass with the loss and the backward pass, and a SHA-256 over
 the logits and every parameter gradient, so two builds can be compared byte
 for byte. Run each measurement in a fresh process: peak RSS never falls.
 """
@@ -54,8 +55,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     logits, caches = model._forward_full(net, x)
     _, grad_logits = ops.softmax_cross_entropy(logits, classes)
+    t1 = time.perf_counter()
     grads = model._backward_full(net, caches, grad_logits)
-    seconds = time.perf_counter() - t0
+    t2 = time.perf_counter()
 
     digest = hashlib.sha256(logits.tobytes())
     for name in sorted(grads):
@@ -66,7 +68,9 @@ def main(argv=None) -> int:
         "batch": args.batch, "seed": args.seed,
         "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "step_s": round(seconds, 3),
+        "step_s": round(t2 - t0, 3),
+        "forward_s": round(t1 - t0, 3),
+        "backward_s": round(t2 - t1, 3),
         "sha256": digest.hexdigest(),
     }))
     return 0

@@ -93,8 +93,14 @@ def build_model(n_classes: int, arch: list[LayerSpec] | None = None, seed: int =
     """
     if n_classes < 2:
         raise ArchitectureError(f"need at least 2 classes, got {n_classes}")
+    if len(input_shape) != 4 or input_shape[2] != input_shape[3]:
+        raise ArchitectureError(
+            f"input shape must be (C, T, S, S) with square frames, got {tuple(input_shape)}"
+        )
     if arch is None:
         arch = default_architecture(input_shape, n_classes=n_classes)
+    if not arch:
+        raise ArchitectureError("architecture has no layers")
     shapes = chain_shapes(arch, input_shape)
     if shapes[-1] != (n_classes,):
         raise ArchitectureError(
@@ -167,28 +173,38 @@ def _backward_full(model: ModelParams, caches, grad_logits: np.ndarray):
     grads: dict[str, np.ndarray] = {}
     g = grad_logits
     while caches:
-        cache = caches.pop()
-        spec = cache[0]
-        if spec.kind == "conv3d":
-            _, idx, x = cache
-            w = model.params[f"conv{idx}.weight"]
-            g, gw, gb = ops.conv3d_backward(x, w, g, spec.stride, spec.pad)
-            grads[f"conv{idx}.weight"] = gw
-            grads[f"conv{idx}.bias"] = gb
-        elif spec.kind == "maxpool3d":
-            _, winners, in_shape = cache
-            g = ops.maxpool3d_backward(g, winners, in_shape)
-        elif spec.kind == "relu":
-            g = ops.relu_backward(cache[1], g)
-        elif spec.kind == "flatten":
-            g = g.reshape(cache[1])
-        elif spec.kind == "linear":
-            _, idx, x = cache
-            w = model.params[f"fc{idx}.weight"]
-            g, gw, gb = ops.linear_backward(x, w, g)
-            grads[f"fc{idx}.weight"] = gw
-            grads[f"fc{idx}.bias"] = gb
+        # the first layer's input needs no gradient
+        g = _layer_backward(model, caches.pop(), g, grads, need_input=bool(caches))
     return grads
+
+
+def _layer_backward(model: ModelParams, cache, g: np.ndarray, grads: dict[str, np.ndarray],
+                    need_input: bool) -> np.ndarray:
+    """One layer's backward: returns the gradient for its input and adds its
+    parameter gradients to `grads`. The cache dies on return, with every
+    array unpacked from it."""
+    spec = cache[0]
+    if spec.kind == "conv3d":
+        _, idx, x = cache
+        w = model.params[f"conv{idx}.weight"]
+        g, gw, gb = ops.conv3d_backward(x, w, g, spec.stride, spec.pad,
+                                        need_input=need_input)
+        grads[f"conv{idx}.weight"] = gw
+        grads[f"conv{idx}.bias"] = gb
+    elif spec.kind == "maxpool3d":
+        _, winners, in_shape = cache
+        g = ops.maxpool3d_backward(g, winners, in_shape)
+    elif spec.kind == "relu":
+        g = ops.relu_backward(cache[1], g)
+    elif spec.kind == "flatten":
+        g = g.reshape(cache[1])
+    elif spec.kind == "linear":
+        _, idx, x = cache
+        w = model.params[f"fc{idx}.weight"]
+        g, gw, gb = ops.linear_backward(x, w, g)
+        grads[f"fc{idx}.weight"] = gw
+        grads[f"fc{idx}.bias"] = gb
+    return g
 
 
 def forward(model: ModelParams, batch: np.ndarray) -> np.ndarray:
@@ -395,6 +411,8 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(f"{path}: unparseable header {header!r}") from None
     if len(input_shape) != 4:
         raise CheckpointError(f"{path}: input shape must have 4 extents, got {input_shape}")
+    if input_shape[2] != input_shape[3]:
+        raise CheckpointError(f"{path}: input frames must be square, got {input_shape}")
     if n_layers < 1:
         raise CheckpointError(f"{path}: layer count {n_layers} is not >= 1")
 

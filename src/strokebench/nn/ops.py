@@ -11,22 +11,26 @@ Layout conventions: activations are (N, C, T, H, W), conv weights
 Memory. No kernel builds a full im2col copy of its input (27x the input for
 a 3x3x3 kernel). `conv3d_forward` lowers one sample and one block of output
 frames at a time into a column buffer of at most `BLOCK_BYTES` (or one output
-frame, if that is larger). `conv3d_backward` holds about three input-sized
-buffers (padded input, its gradient, the returned grad_input), one kernel
-tap's input slice, a channel-major copy of grad_out (none when grad_out is
-already channel-major) and a col2im block of at most `BLOCK_BYTES`.
+frame, if that is larger). `conv3d_backward` holds a channel-major copy of
+grad_out (none when grad_out is already channel-major) and the padded input
+throughout. For grad_weight it adds one kernel row's input slices (kw of
+them, each input-sized at stride 1); for grad_input, after that block is
+freed, the padded input's gradient, the returned grad_input and a col2im
+block of at most `BLOCK_BYTES`.
 `maxpool3d` takes the max over strided views of the input, with no
 transposed copy; the int64 winner indices it returns are its only int64
 array of the pooled size. `maxpool3d_backward` remaps them to the
 channel-major buffer one sample at a time.
 
-Bound: the tracemalloc peak of one conv3d_forward or conv3d_backward call
-stays below 4 * (input bytes + output bytes) + BLOCK_BYTES, where output is
-the forward output or grad_out. `tests/test_kernels.py` checks it for x of
-shape (1, 8, 32, 64, 64) float32 and 8 filters: 67 MB allowed, 41 MB used
-by either call, with a C-order grad_out (a channel-major one skips the
-copy, so the bound still holds). The im2col kernels these replaced peaked
-at 122 MB (forward) and 127 MB (backward) there.
+Bound: for kernels at most 3 wide (kw <= 3), the tracemalloc peak of one
+conv3d_forward or conv3d_backward call stays below
+4 * (input bytes + output bytes) + BLOCK_BYTES, where output is the forward
+output or grad_out; a wider kernel adds about one input size per extra tap
+in its row. `tests/test_kernels.py` checks it for x of shape (1, 8, 32, 64, 64)
+float32 and 8 filters: 67 MB allowed, 41 MB used by either call (17 MB by
+a backward without grad_input), with a C-order grad_out (a channel-major
+one skips the copy, so the bound still holds). The im2col kernels these
+replaced peaked at 122 MB (forward) and 127 MB (backward) there.
 
 Numerics. Each output element is one dot product over the same reduction
 axis, in the same order, as in the im2col formulation, but BLAS is called
@@ -119,15 +123,20 @@ def conv3d_forward(x, weight, bias, stride: int = 1, pad: int = 0):
     return out
 
 
-def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0):
+def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
+                    need_input: bool = True):
     """Exact adjoints of conv3d_forward: (grad_input, grad_weight, grad_bias).
 
-    grad_weight: one GEMM per kernel tap over the whole N*T'*H'*W' axis, so
-    every sum runs over the same axis as in one im2col GEMM.
+    grad_weight: one GEMM per kernel row (i, j) over the whole N*T'*H'*W'
+    axis. The row's kw taps share one (kw*C, N, T', H', W') block of input
+    slices, so every sum still runs over the same axis as in one im2col GEMM.
     grad_input: per sample and block of output frames, one GEMM gives every
     tap's contribution (col2im, in (kt,kh,kw,C | T',H',W') layout), which is
     added at the tap's offset. Blocks run last frame first, so that each
     input element still receives its contributions in tap order.
+    With need_input=False grad_input is not computed, and an empty array of
+    grad_out's dtype stands in its place (for a first layer, whose input
+    needs no gradient).
     """
     bias = np.zeros(weight.shape[0], dtype=weight.dtype)
     outs = _check_conv(x, weight, bias, stride, pad)
@@ -148,14 +157,22 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0):
     for sample_sums in g5.reshape(f, n, -1).sum(axis=2).T:
         grad_bias += sample_sums
     xp = _pad(x, pad).swapaxes(0, 1)  # (C,N,T+2p,H+2p,W+2p)
-    gxp = np.zeros(xp.shape, dtype=grad_out.dtype)
 
     g2 = g5.reshape(f, -1)
     grad_weight = np.empty(weight.shape, dtype=np.result_type(grad_out, x))
-    for tap in np.ndindex(*kshape):
-        x_tap = xp[(slice(None), slice(None)) + _tap_slices(tap, stride, outs)]
-        grad_weight[(slice(None), slice(None)) + tap] = g2 @ x_tap.reshape(c, -1).T  # copies
+    kt, kh, kw = kshape
+    row = np.empty((kw, c, n) + outs, dtype=x.dtype)
+    for i, j in np.ndindex(kt, kh):
+        for k in range(kw):
+            row[k] = xp[(slice(None), slice(None)) + _tap_slices((i, j, k), stride, outs)]
+        # column block k of the (F, kw*C) product is grad_weight[:, :, i, j, k]
+        prod = g2 @ row.reshape(kw * c, -1).T
+        grad_weight[:, :, i, j] = prod.reshape(f, kw, c).swapaxes(1, 2)
+    del row  # so that it never coexists with gxp
+    if not need_input:
+        return np.empty(0, dtype=grad_out.dtype), grad_weight, grad_bias
 
+    gxp = np.zeros(xp.shape, dtype=grad_out.dtype)
     w2 = np.ascontiguousarray(weight.transpose(2, 3, 4, 1, 0)).reshape(-1, f)
     frames = _block_frames(w2.shape[0], ho, wo, x.itemsize)
     for s in range(n):

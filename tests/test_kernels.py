@@ -4,8 +4,8 @@ conv3d_backward, and the memory bound stated in the `nn.ops` module
 docstring.
 
 The references below are the earlier kernels, kept verbatim: conv3d through
-a full im2col copy fed to np.tensordot, maxpool3d through a transposed copy
-and argmax.
+a full im2col copy fed to np.tensordot, the conv grad_weight through one
+GEMM per kernel tap, maxpool3d through a transposed copy and argmax.
 
 Pooling involves no BLAS call, so it must match its reference byte for byte
 on any input. The conv kernels make the same products and sums as im2col
@@ -17,15 +17,29 @@ per-tap grad_weight product of under 1e6 multiply-adds; on an AVX-512
 OpenBLAS build such products can go to a small-matrix kernel, which sums in
 another order than the one large im2col product did. There the results are
 held to a rounding tolerance.
+
+The grad_weight of one GEMM per kernel row is held to the bytes of one GEMM
+per tap at one OpenBLAS thread, the setting the benchmark and
+`scripts/step_memory.py` run at; those tests compare in a child process
+started with OPENBLAS_NUM_THREADS=1. With more threads OpenBLAS may split
+the reduction of the wider row product into other blocks than the per-tap
+one (seen on float64 at the paper's conv3), and the last bits can differ.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from strokebench import model
 from strokebench.nn import ops
+from strokebench.nn.layers import default_architecture
 
 from oracles import maxpool3d_backward_flat
 
@@ -70,6 +84,24 @@ def im2col_conv3d_backward(x, weight, grad_out, stride=1, pad=0):
                 ] += gcols[..., i, j, k]
     grad_input = gxp[:, :, pad : pad + t, pad : pad + h, pad : pad + w]
     return np.ascontiguousarray(grad_input), grad_weight, grad_bias
+
+
+def per_tap_grad_weight(x, weight, grad_out, stride=1, pad=0):
+    """conv3d grad_weight as one (F x M) @ (M x C) GEMM per kernel tap,
+    M = N*T'*H'*W'."""
+    f, c = weight.shape[:2]
+    to, ho, wo = grad_out.shape[2:]
+    g2 = np.ascontiguousarray(grad_out.swapaxes(0, 1)).reshape(f, -1)
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad), (pad, pad)))
+    xp = x.swapaxes(0, 1)
+    grad_weight = np.empty(weight.shape, dtype=np.result_type(grad_out, x))
+    for i, j, k in np.ndindex(*weight.shape[2:]):
+        x_tap = xp[:, :, i : i + stride * (to - 1) + 1 : stride,
+                   j : j + stride * (ho - 1) + 1 : stride,
+                   k : k + stride * (wo - 1) + 1 : stride]
+        grad_weight[:, :, i, j, k] = g2 @ x_tap.reshape(c, -1).T
+    return grad_weight
 
 
 def transpose_maxpool3d(x, window):
@@ -168,6 +200,114 @@ def test_conv_matches_im2col_at_random_shapes(dtype):
         for g, r in zip(got, ref):
             assert g.dtype == r.dtype and g.shape == r.shape
             assert np.abs(g - r).max() <= tol * max(np.abs(r).max(), 1.0)
+
+
+# -- conv3d grad_weight, one GEMM per kernel row -------------------------------
+
+# (name, input shape, filters, kernel, stride, pad): the MODEL_LAYERS, kernels
+# one tap wide (the row is one tap, as in the reference), stride 2 without
+# padding, and more channels than filters
+ROW_CASES = [(name, x_shape, filters, (3, 3, 3), 1, 1)
+             for name, x_shape, filters in MODEL_LAYERS] + [
+    ("kernel 1x1x1", (5, 8, 8, 16, 16), 16, (1, 1, 1), 1, 0),
+    ("kernel 2x3x1", (5, 8, 8, 16, 16), 16, (2, 3, 1), 1, 1),
+    ("paper conv3, stride 2, pad 0", (2, 60, 7, 30, 30), 80, (3, 3, 3), 2, 0),
+    ("16 channels, 8 filters", (5, 16, 8, 16, 16), 8, (3, 3, 3), 1, 1),
+]
+
+
+def _row_case(dtype, x_shape, filters, kernel, stride, pad):
+    rng = np.random.default_rng(sum(x_shape) + filters + sum(kernel) + stride)
+    return _conv_case(rng, dtype, x_shape, filters, kernel, stride, pad)
+
+
+def row_grad_weight_same_bytes(dtype, x_shape, filters, kernel, stride, pad):
+    x, weight, _, _, grad_out = _row_case(dtype, x_shape, filters, kernel, stride, pad)
+    got = ops.conv3d_backward(x, weight, grad_out, stride, pad)[1]
+    return _same_bytes(got, per_tap_grad_weight(x, weight, grad_out, stride, pad))
+
+
+def _at_one_blas_thread(func, *args):
+    """func(*args) of this module, run in a child with one OpenBLAS thread."""
+    here = Path(__file__).resolve().parent
+    path = [str(here), str(here.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
+    code = f"import {__name__} as m; print(repr(m.{func.__name__}(*{args!r})))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                         text=True, check=True).stdout
+    return out.strip() == "True"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name,x_shape,filters,kernel,stride,pad", ROW_CASES)
+def test_grad_weight_bit_identical_to_per_tap_gemms(name, x_shape, filters, kernel, stride,
+                                                    pad, dtype):
+    assert _at_one_blas_thread(row_grad_weight_same_bytes, np.dtype(dtype).name, x_shape,
+                               filters, kernel, stride, pad), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 2, 3])
+def test_grad_weight_at_small_desk_batches_within_rounding(batch, dtype):
+    """At desk batch 1 to 3 OpenBLAS may pick another kernel for the row's
+    wider product, so the bits may differ: equal up to rounding."""
+    tol = 100 * np.finfo(dtype).eps
+    for x_shape, filters in (((batch, 3, 16, 32, 32), 8), ((batch, 8, 8, 16, 16), 16)):
+        x, weight, _, _, grad_out = _row_case(dtype, x_shape, filters, (3, 3, 3), 1, 1)
+        got = ops.conv3d_backward(x, weight, grad_out, 1, 1)[1]
+        ref = per_tap_grad_weight(x, weight, grad_out, 1, 1)
+        assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name,x_shape,filters,kernel,stride,pad", ROW_CASES[::2])
+def test_backward_without_grad_input(name, x_shape, filters, kernel, stride, pad, dtype):
+    x, weight, _, _, grad_out = _row_case(dtype, x_shape, filters, kernel, stride, pad)
+    full = ops.conv3d_backward(x, weight, grad_out, stride, pad)
+    grad_input, grad_weight, grad_bias = ops.conv3d_backward(
+        x, weight, _channel_major(grad_out), stride, pad, need_input=False)
+    assert grad_input.size == 0 and grad_input.dtype == grad_out.dtype
+    assert _same_bytes(grad_weight, full[1]) and _same_bytes(grad_bias, full[2]), name
+
+
+def test_backward_full_skips_only_the_first_conv_grad_input(monkeypatch):
+    arch = default_architecture((3, 8, 16, 16), filters=(4, 8, 8), hidden=8, n_classes=2)
+    net = model.build_model(2, arch, seed=3, input_shape=(3, 8, 16, 16))
+    x = np.random.default_rng(3).random((2, 3, 8, 16, 16), dtype=np.float32)
+    logits, caches = model._forward_full(net, x)
+    calls = []
+
+    def spy(x, weight, grad_out, stride=1, pad=0, **kwargs):
+        out = orig(x, weight, grad_out, stride, pad, **kwargs)
+        calls.append((weight.shape[:2], kwargs.get("need_input", True), out[0].shape))
+        return out
+
+    orig = ops.conv3d_backward
+    monkeypatch.setattr(ops, "conv3d_backward", spy)
+    model._backward_full(net, caches, np.ones_like(logits))
+    assert calls == [((8, 8), True, (2, 8, 2, 4, 4)), ((8, 4), True, (2, 4, 4, 8, 8)),
+                     ((4, 3), False, (0,))]
+
+
+def test_backward_full_frees_each_cache_before_the_next_layer(monkeypatch):
+    """When conv1's backward runs, pool1's winner indices are gone."""
+    shape = (3, 8, 16, 16)
+    arch = default_architecture(shape, filters=(4, 8), hidden=8, n_classes=2)
+    net = model.build_model(2, arch, seed=3, input_shape=shape)
+    logits, caches = model._forward_full(net, np.ones((2,) + shape, dtype=np.float32))
+    pool1 = next(c for c in caches if c[0].kind == "maxpool3d")
+    winners = weakref.ref(pool1[1])
+    del pool1
+    alive = []
+
+    def spy(x, weight, *args, **kwargs):
+        alive.append(winners() is not None)
+        return orig(x, weight, *args, **kwargs)
+
+    orig = ops.conv3d_backward
+    monkeypatch.setattr(ops, "conv3d_backward", spy)
+    model._backward_full(net, caches, np.ones_like(logits))
+    assert alive == [True, False]
 
 
 # -- maxpool3d -----------------------------------------------------------------
@@ -294,6 +434,12 @@ def test_conv_forward_memory_is_bounded(bound_case):
 def test_conv_backward_memory_is_bounded(bound_case):
     x, weight, _, grad_out, bound = bound_case
     assert _peak_bytes(ops.conv3d_backward, x, weight, grad_out, 1, 1) < bound
+
+
+def test_conv_backward_without_grad_input_peaks_lower(bound_case):
+    x, weight, _, grad_out, _ = bound_case
+    skip = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad_out, 1, 1, need_input=False))
+    assert skip < _peak_bytes(ops.conv3d_backward, x, weight, grad_out, 1, 1)
 
 
 def test_memory_bound_rejects_im2col(bound_case):

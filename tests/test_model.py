@@ -13,7 +13,7 @@ from strokebench.model import (CHECKPOINT_MAGIC, DatasetItem, ModelParams, Train
                                history_csv, load_checkpoint, save_checkpoint, train)
 from strokebench.nn import ops
 from strokebench.nn.layers import (chain_shapes, conv3d, default_architecture, flatten,
-                                   linear, maxpool3d, relu)
+                                   linear, maxpool3d, param_entries, relu)
 
 SMALL_SHAPE = (3, 4, 8, 8)
 
@@ -27,6 +27,22 @@ def small_arch(n_classes=2, hidden=8):
 
 def small_model(n_classes=2, seed=0):
     return build_model(n_classes, small_arch(n_classes), seed=seed, input_shape=SMALL_SHAPE)
+
+
+# frames 8 high and 16 wide: every window would be extracted 8x8
+NON_SQUARE_SHAPE = (3, 4, 8, 16)
+
+
+def non_square_arch():
+    return [conv3d(3, 4), relu(), maxpool3d((2, 2, 2)),
+            flatten(), linear(4 * 2 * 4 * 8, 8), relu(), linear(8, 2)]
+
+
+def non_square_model():
+    """A consistent model at NON_SQUARE_SHAPE, assembled without build_model."""
+    specs = non_square_arch()
+    params = {name: np.zeros(shape, np.float32) for name, shape in param_entries(specs)}
+    return ModelParams(specs, params, NON_SQUARE_SHAPE, 2)
 
 
 def _cuboid(rng):
@@ -63,6 +79,15 @@ class TestBuild:
     def test_wrong_head_size_rejected(self):
         with pytest.raises(ArchitectureError, match="expected"):
             build_model(5, small_arch(n_classes=2), input_shape=SMALL_SHAPE)
+
+    def test_empty_architecture_rejected(self):
+        with pytest.raises(ArchitectureError, match="no layers"):
+            build_model(2, [], input_shape=SMALL_SHAPE)
+
+    @pytest.mark.parametrize("arch", [None, non_square_arch()], ids=["default", "explicit"])
+    def test_non_square_input_rejected(self, arch):
+        with pytest.raises(ArchitectureError, match="square"):
+            build_model(2, arch, input_shape=NON_SQUARE_SHAPE)
 
 
 class TestForward:
@@ -419,6 +444,12 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(f"{p}: ")):
             load_checkpoint(p)
 
+    def test_non_square_input_rejected(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(non_square_model(), p)
+        with pytest.raises(CheckpointError, match=re.escape(f"{p}: input frames must be square")):
+            load_checkpoint(p)
+
     def test_default_architecture_checkpoint_shape_chain(self, tmp_path):
         specs = default_architecture((3, 16, 32, 32), filters=(4, 8), hidden=16, n_classes=20)
         m = build_model(20, specs, input_shape=(3, 16, 32, 32))
@@ -441,11 +472,16 @@ def test_history_csv_format():
 def test_training_step_memory_per_sample():
     """Each sample adds at most 2.5 conv1 outputs to a step's tracemalloc peak.
 
-    That peak sits in conv1's backward, which holds the conv1-output gradient
-    (one conv1 output per sample) and the padded input, its gradient and the
-    returned grad_input (about 0.4 each here). The spec-order walk also kept
-    a full-size relu output, relu cache and contiguous gradient copy there,
-    and grew by 3.1 conv1 outputs per sample.
+    From batch 2 to 8 that peak sits in conv1's forward, whose column block
+    has a fixed size, and grows by about 1.45 conv1 outputs per sample.
+    Conv1's backward starts lower but grows by about 2.6: the conv1-output
+    gradient (one conv1 output), the padded input (about 0.45) and one
+    kernel row's input slices (9 channels for 8 filters, about 1.1); it
+    passes the forward above batch 8. When the backward still computed
+    conv1's grad_input, it held that, the padded input's gradient and one
+    tap's slice (about 0.4 each) instead of the row, set the peak and grew
+    by about 2.15. The spec-order walk also kept a full-size relu output,
+    relu cache and contiguous gradient copy there, and grew by 3.1.
     """
     import tracemalloc
 

@@ -24,6 +24,9 @@ def test_step_memory_reports_one_reproducible_step():
     assert first["input"] == [3, 8, 16, 16] and first["filters"] == [4, 8]
     assert first["batch"] == 2 and first["openblas_threads"] == "1"
     assert 0 < first["peak_rss_mb"] and 0 <= first["step_s"]
+    assert 0 <= first["forward_s"] and 0 <= first["backward_s"]
+    # each of the three is rounded to the millisecond
+    assert abs(first["forward_s"] + first["backward_s"] - first["step_s"]) < 0.002
     assert len(first["sha256"]) == 64
     assert second["sha256"] == first["sha256"]
     assert _run(*args[:-1], "3")["sha256"] != first["sha256"]

@@ -12,6 +12,8 @@ from strokebench.errors import ConfigError
 from strokebench.frames import open_rgbv
 from strokebench.synth import SynthConfig, generate_corpus
 
+from test_model import non_square_model
+
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes()
@@ -438,6 +440,13 @@ class TestCommands:
         ckpt.write_bytes(content)
         assert main(["infer", "--checkpoint", str(ckpt), "--out", str(tmp_path)]) == 2
         assert f"error: {ckpt}: " in capsys.readouterr().err
+
+    def test_non_square_checkpoint_fails_naming_it(self, tiny_corpus, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        model_mod.save_checkpoint(non_square_model(), ckpt)
+        assert main(["infer", "--task", "detection", "--data", str(tiny_corpus),
+                     "--out", str(tmp_path / "run"), "--checkpoint", str(ckpt)]) == 2
+        assert f"error: {ckpt}: input frames must be square" in capsys.readouterr().err
 
     def test_non_utf8_taxonomy_fails_naming_it(self, tmp_path, capsys):
         tax = tmp_path / "tax.csv"
