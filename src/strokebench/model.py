@@ -5,11 +5,14 @@ Checkpoint layout (bit-exact): magic ``STKB1\\n``; one UTF-8 header line
 ``arch layers=<n> input=<C>x<T>x<H>x<W>``; one UTF-8 descriptor line per
 layer; then for each parameter in declaration order: name length (u32 LE),
 name bytes, rank (u32), extents (u32 each), raw little-endian float32 values.
+A checkpoint loads only if it holds exactly the records save_checkpoint writes
+for a model build_model accepts.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -83,6 +86,24 @@ class EpochStats:
     val_acc: float
 
 
+def _checked(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> ModelParams:
+    """The model `specs` makes of `input_shape`, with no parameters yet.
+
+    Raises ArchitectureError unless the input is (C, T, S, S) with square
+    frames and the layers chain from it to a (K,) class vector, K >= 2.
+    """
+    if len(input_shape) != 4:
+        raise ArchitectureError(f"input shape must be (C, T, S, S), got {tuple(input_shape)}")
+    if input_shape[2] != input_shape[3]:
+        raise ArchitectureError(f"input frames must be square, got {tuple(input_shape)}")
+    if not specs:
+        raise ArchitectureError("architecture has no layers")
+    out = chain_shapes(specs, input_shape)[-1]
+    if len(out) != 1 or out[0] < 2:
+        raise ArchitectureError(f"architecture ends at shape {out}, expected (K,) with K >= 2")
+    return ModelParams(list(specs), {}, tuple(input_shape), out[0])
+
+
 def build_model(n_classes: int, arch: list[LayerSpec] | None = None, seed: int = 0,
                 input_shape: tuple[int, int, int, int] = (3, 98, 120, 120)) -> ModelParams:
     """Validate the shape chain and initialize parameters.
@@ -91,30 +112,21 @@ def build_model(n_classes: int, arch: list[LayerSpec] | None = None, seed: int =
     declaration order from one seeded stream, so a fixed seed gives
     byte-identical parameters.
     """
-    if n_classes < 2:
-        raise ArchitectureError(f"need at least 2 classes, got {n_classes}")
-    if len(input_shape) != 4 or input_shape[2] != input_shape[3]:
-        raise ArchitectureError(
-            f"input shape must be (C, T, S, S) with square frames, got {tuple(input_shape)}"
-        )
     if arch is None:
         arch = default_architecture(input_shape, n_classes=n_classes)
-    if not arch:
-        raise ArchitectureError("architecture has no layers")
-    shapes = chain_shapes(arch, input_shape)
-    if shapes[-1] != (n_classes,):
+    model = _checked(arch, input_shape)
+    if model.n_classes != n_classes:
         raise ArchitectureError(
-            f"architecture ends at shape {shapes[-1]}, expected ({n_classes},)"
+            f"architecture ends at shape ({model.n_classes},), expected ({n_classes},)"
         )
 
     stream = SplitMix64(derive_seed(seed, _INIT_SALT))
-    params: dict[str, np.ndarray] = {}
     for name, shape in param_entries(arch):
         if name.endswith(".weight"):  # the bias that follows shares this bound
             bound = 1.0 / np.sqrt(np.prod(shape[1:]))
         vals = stream.uniform(int(np.prod(shape)), -bound, bound).astype(np.float32)
-        params[name] = vals.reshape(shape)
-    return ModelParams(list(arch), params, tuple(input_shape), n_classes)
+        model.params[name] = vals.reshape(shape)
+    return model
 
 
 def _forward_full(model: ModelParams, x: np.ndarray, training: bool = True):
@@ -368,6 +380,13 @@ def history_csv(history: list[EpochStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _record_head(name: str, shape: tuple[int, ...]) -> bytes:
+    """What precedes a parameter's values: name length (u32 LE), UTF-8 name,
+    rank (u32) and extents (u32 each)."""
+    nb = name.encode("utf-8")
+    return struct.pack(f"<I{len(nb)}sI{len(shape)}I", len(nb), nb, len(shape), *shape)
+
+
 def save_checkpoint(model: ModelParams, path) -> None:
     c, t, h, w = model.input_shape
     buf = bytearray(CHECKPOINT_MAGIC)
@@ -375,10 +394,7 @@ def save_checkpoint(model: ModelParams, path) -> None:
     for spec in model.specs:
         buf += (to_descriptor(spec) + "\n").encode("utf-8")
     for name, arr in model.params.items():
-        nb = name.encode("utf-8")
-        buf += struct.pack("<I", len(nb)) + nb
-        buf += struct.pack("<I", arr.ndim)
-        buf += struct.pack(f"<{arr.ndim}I", *arr.shape)
+        buf += _record_head(name, arr.shape)
         buf += np.ascontiguousarray(arr, dtype="<f4").tobytes()
     Path(path).write_bytes(bytes(buf))
 
@@ -409,55 +425,35 @@ def load_checkpoint(path) -> ModelParams:
         input_shape = tuple(int(x) for x in fields[2].removeprefix("input=").split("x"))
     except ValueError:
         raise CheckpointError(f"{path}: unparseable header {header!r}") from None
-    if len(input_shape) != 4:
-        raise CheckpointError(f"{path}: input shape must have 4 extents, got {input_shape}")
-    if input_shape[2] != input_shape[3]:
-        raise CheckpointError(f"{path}: input frames must be square, got {input_shape}")
     if n_layers < 1:
         raise CheckpointError(f"{path}: layer count {n_layers} is not >= 1")
 
-    specs = []
+    lines = []
     for _ in range(n_layers):
         line, pos = _read_line(data, pos, path)
-        try:
-            specs.append(from_descriptor(line))
-        except ValueError as e:
-            raise CheckpointError(f"{path}: {e}") from None
+        lines.append(line)
+    try:
+        model = _checked([from_descriptor(line) for line in lines], input_shape)
+    except ValueError as e:  # ArchitectureError included
+        raise CheckpointError(f"{path}: {e}") from None
 
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_entries(specs):
-        if pos + 4 > len(data):
-            raise CheckpointError(f"{path}: truncated before parameter {name}")
-        (name_len,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        if pos + name_len > len(data):
-            raise CheckpointError(f"{path}: truncated parameter name")
-        got_name = data[pos : pos + name_len]
-        pos += name_len
-        if got_name != name.encode("utf-8"):
-            raise CheckpointError(f"{path}: expected parameter {name!r}, found {got_name!r}")
-        if pos + 4 > len(data):
-            raise CheckpointError(f"{path}: truncated rank of {name}")
-        (rank,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        if pos + 4 * rank > len(data):
-            raise CheckpointError(f"{path}: truncated extents of {name}")
-        extents = struct.unpack_from(f"<{rank}I", data, pos)
-        pos += 4 * rank
-        if extents != shape:
+    for name, shape in param_entries(model.specs):
+        try:
+            head = _record_head(name, shape)
+        except struct.error:  # no record holds an extent past u32
+            raise CheckpointError(f"{path}: {name} {shape} has an extent past 2**32 - 1") from None
+        count = math.prod(shape)
+        start = pos + len(head)
+        end = start + 4 * count
+        if end > len(data):
+            raise CheckpointError(f"{path}: truncated at parameter {name}")
+        if data[pos:start] != head:
             raise CheckpointError(
-                f"{path}: parameter {name} has extents {extents}, expected {shape}"
+                f"{path}: record at byte {pos} is not parameter {name} of shape {shape}"
             )
-        count = int(np.prod(shape))
-        if pos + 4 * count > len(data):
-            raise CheckpointError(f"{path}: truncated values of {name}")
-        vals = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
-        pos += 4 * count
-        params[name] = np.ascontiguousarray(vals.reshape(shape)).astype(np.float32)
+        vals = np.frombuffer(data, dtype="<f4", count=count, offset=start)
+        model.params[name] = vals.reshape(shape).astype(np.float32)
+        pos = end
     if pos != len(data):
         raise CheckpointError(f"{path}: {len(data) - pos} bytes of trailing data")
-
-    shapes = chain_shapes(specs, input_shape)
-    if len(shapes[-1]) != 1:
-        raise CheckpointError(f"{path}: architecture does not end in a class vector")
-    return ModelParams(specs, params, input_shape, shapes[-1][0])
+    return model

@@ -126,53 +126,50 @@ def param_entries(specs: list[LayerSpec]) -> list[tuple[str, tuple[int, ...]]]:
     return entries
 
 
+def _extents(text: str) -> tuple[int, int, int]:
+    xs = text.split("x")
+    if len(xs) != 3:
+        raise ValueError(f"expected AxBxC, got {text!r}")
+    return tuple(int(x) for x in xs)
+
+
+# Each kind's factory and descriptor keys, in descriptor order: key -> (the
+# LayerSpec field it holds, its parser). Both descriptor directions read this.
+_DESCRIPTORS = {
+    "conv3d": (conv3d, {"in": ("in_channels", int), "out": ("out_channels", int),
+                        "kernel": ("kernel", _extents), "stride": ("stride", int),
+                        "pad": ("pad", int)}),
+    "maxpool3d": (maxpool3d, {"window": ("window", _extents)}),
+    "relu": (relu, {}),
+    "flatten": (flatten, {}),
+    "linear": (linear, {"in": ("in_features", int), "out": ("out_features", int)}),
+}
+
+
 def to_descriptor(spec: LayerSpec) -> str:
-    if spec.kind == "conv3d":
-        kt, kh, kw = spec.kernel
-        return (f"conv3d in={spec.in_channels} out={spec.out_channels} "
-                f"kernel={kt}x{kh}x{kw} stride={spec.stride} pad={spec.pad}")
-    if spec.kind == "maxpool3d":
-        pt, ph, pw = spec.window
-        return f"maxpool3d window={pt}x{ph}x{pw}"
-    if spec.kind in ("relu", "flatten"):
-        return spec.kind
-    if spec.kind == "linear":
-        return f"linear in={spec.in_features} out={spec.out_features}"
-    raise ArchitectureError(f"unknown layer kind {spec.kind!r}")
+    if spec.kind not in _DESCRIPTORS:
+        raise ArchitectureError(f"unknown layer kind {spec.kind!r}")
+    words = [spec.kind]
+    for key, (name, _) in _DESCRIPTORS[spec.kind][1].items():
+        value = getattr(spec, name)
+        text = "x".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        words.append(f"{key}={text}")
+    return " ".join(words)
 
 
 def from_descriptor(line: str) -> LayerSpec:
-    parts = line.split()
-    if not parts:
-        raise ValueError("empty layer descriptor")
-    kind, kv = parts[0], {}
-    for p in parts[1:]:
-        if "=" not in p:
-            raise ValueError(f"bad descriptor field {p!r} in {line!r}")
-        key, val = p.split("=", 1)
-        kv[key] = val
-
-    def triple(s):
-        xs = s.split("x")
-        if len(xs) != 3:
-            raise ValueError(f"expected AxBxC, got {s!r}")
-        return tuple(int(x) for x in xs)
-
-    try:
-        if kind == "conv3d":
-            return conv3d(int(kv["in"]), int(kv["out"]), triple(kv["kernel"]),
-                          int(kv["stride"]), int(kv["pad"]))
-        if kind == "maxpool3d":
-            return maxpool3d(triple(kv["window"]))
-        if kind == "relu":
-            return relu()
-        if kind == "flatten":
-            return flatten()
-        if kind == "linear":
-            return linear(int(kv["in"]), int(kv["out"]))
-    except KeyError as e:
-        raise ValueError(f"descriptor {line!r} missing field {e}") from e
-    raise ValueError(f"unknown layer kind in descriptor {line!r}")
+    """The LayerSpec of a descriptor line: its kind, then exactly the kind's
+    key=value fields in to_descriptor's order; the factory checks the values."""
+    kind, *words = line.split() or [""]
+    if kind not in _DESCRIPTORS:
+        raise ValueError(f"unknown layer kind in descriptor {line!r}")
+    factory, keys = _DESCRIPTORS[kind]
+    fields = [word.partition("=") for word in words]
+    if [(key, eq) for key, eq, _ in fields] != [(key, "=") for key in keys]:
+        expected = " ".join([kind] + [f"{key}=..." for key in keys])
+        raise ValueError(f"descriptor {line!r} does not match {expected!r}")
+    return factory(**{name: parse(text)
+                      for (_, _, text), (name, parse) in zip(fields, keys.values())})
 
 
 def _pool_extent(n: int) -> int:
@@ -198,6 +195,8 @@ def default_architecture(input_shape=(3, 98, 120, 120), filters=(30, 60, 80),
     shape yields a valid chain; with the defaults the temporal axis pools
     2/7/7 (98 -> 49 -> 7 -> 1) and the spatial axes 2/2/2 (120 -> 15).
     """
+    if len(input_shape) != 4:
+        raise ArchitectureError(f"default architecture needs (C, T, H, W), got {input_shape}")
     c, t, h, w = input_shape
     specs: list[LayerSpec] = []
     for f in filters:

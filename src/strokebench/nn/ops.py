@@ -55,7 +55,7 @@ def conv3d_out_extent(extent: int, kernel: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - kernel) // stride + 1
 
 
-def _check_conv(x, weight, bias, stride, pad):
+def _check_conv(x, weight, stride, pad):
     if x.ndim != 5:
         raise ShapeError(f"conv3d input must be 5-d (N,C,T,H,W), got shape {x.shape}")
     if weight.ndim != 5:
@@ -64,8 +64,6 @@ def _check_conv(x, weight, bias, stride, pad):
         raise ShapeError(
             f"input channels {x.shape[1]} do not match weight channels {weight.shape[1]}"
         )
-    if bias.shape != (weight.shape[0],):
-        raise ShapeError(f"bias shape {bias.shape} does not match {weight.shape[0]} filters")
     if stride < 1 or pad < 0:
         raise ShapeError(f"stride must be >= 1 and pad >= 0, got stride={stride} pad={pad}")
     outs = tuple(
@@ -104,7 +102,9 @@ def conv3d_forward(x, weight, bias, stride: int = 1, pad: int = 0):
     Per sample and block of output frames: im2col in (C,kt,kh,kw | T',H',W')
     layout, then one GEMM writing straight into the (N,F,T',H',W') output.
     """
-    to, ho, wo = _check_conv(x, weight, bias, stride, pad)
+    to, ho, wo = _check_conv(x, weight, stride, pad)
+    if bias.shape != (weight.shape[0],):
+        raise ShapeError(f"bias shape {bias.shape} does not match {weight.shape[0]} filters")
     n = x.shape[0]
     f = weight.shape[0]
     kdim = weight[0].size
@@ -138,8 +138,7 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
     grad_out's dtype stands in its place (for a first layer, whose input
     needs no gradient).
     """
-    bias = np.zeros(weight.shape[0], dtype=weight.dtype)
-    outs = _check_conv(x, weight, bias, stride, pad)
+    outs = _check_conv(x, weight, stride, pad)
     n, c, t, h, w = x.shape
     f = weight.shape[0]
     kshape = weight.shape[2:]

@@ -61,6 +61,35 @@ def test_descriptor_round_trip():
         from_descriptor("warp factor=9")
 
 
+@pytest.mark.parametrize("spec, text", [
+    (conv3d(3, 30), "conv3d in=3 out=30 kernel=3x3x3 stride=1 pad=1"),
+    (conv3d(3, 8, kernel=(1, 3, 2), stride=2, pad=0),
+     "conv3d in=3 out=8 kernel=1x3x2 stride=2 pad=0"),
+    (maxpool3d((7, 2, 2)), "maxpool3d window=7x2x2"),
+    (linear(18000, 500), "linear in=18000 out=500"),
+    (relu(), "relu"),
+    (flatten(), "flatten"),
+], ids=["conv3d_default", "conv3d", "maxpool3d", "linear", "relu", "flatten"])
+def test_descriptor_text_round_trip(spec, text):
+    assert to_descriptor(spec) == text
+    assert from_descriptor(text) == spec
+
+
+@pytest.mark.parametrize("line", [
+    "conv3d in=3 out=8 kernel=3x3 stride=1 pad=1",
+    "maxpool3d window=2x2x2x2",
+    "conv3d in=3 out=8 kernel=3x3x3 stride=1.5 pad=1",
+    "linear in=3",
+    "pool window=2x2x2",
+    "relu inplace=1",
+    "linear in=3 out=4 bias",
+], ids=["two_extent_kernel", "four_extent_window", "non_integer", "missing_key",
+        "unknown_kind", "stray_field", "stray_token"])
+def test_malformed_descriptor_rejected(line):
+    with pytest.raises(ValueError):
+        from_descriptor(line)
+
+
 def test_factory_validation():
     with pytest.raises(ArchitectureError):
         conv3d(0, 8)

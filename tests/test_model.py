@@ -1,5 +1,6 @@
 import logging
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from strokebench.model import (CHECKPOINT_MAGIC, DatasetItem, ModelParams, Train
                                history_csv, load_checkpoint, save_checkpoint, train)
 from strokebench.nn import ops
 from strokebench.nn.layers import (chain_shapes, conv3d, default_architecture, flatten,
-                                   linear, maxpool3d, param_entries, relu)
+                                   linear, maxpool3d, param_entries, relu, to_descriptor)
 
 SMALL_SHAPE = (3, 4, 8, 8)
 
@@ -40,9 +41,61 @@ def non_square_arch():
 
 def non_square_model():
     """A consistent model at NON_SQUARE_SHAPE, assembled without build_model."""
-    specs = non_square_arch()
+    return unchecked_model(non_square_arch(), NON_SQUARE_SHAPE)
+
+
+def unchecked_model(specs, input_shape=SMALL_SHAPE):
+    """A model with all-zero parameters, assembled without build_model's checks."""
     params = {name: np.zeros(shape, np.float32) for name, shape in param_entries(specs)}
-    return ModelParams(specs, params, NON_SQUARE_SHAPE, 2)
+    return ModelParams(specs, params, input_shape, 2)
+
+
+def broken_chain_arch():
+    """small_arch with a pool window of 3 frames, which does not divide 4."""
+    arch = small_arch()
+    arch[2] = maxpool3d((3, 2, 2))
+    return arch
+
+
+# (architecture, what load_checkpoint says after the path), for models that
+# save_checkpoint writes but build_model refuses
+INVALID_MODELS = {
+    "broken_chain": (broken_chain_arch(), "layer 2 (maxpool3d): extents (4, 8, 8) "
+                                          "not divisible by pool window (3, 2, 2)"),
+    "one_class": (small_arch(n_classes=1), "architecture ends at shape (1,), expected (K,) "
+                                           "with K >= 2"),
+}
+
+
+def reference_checkpoint_bytes(model):
+    """The checkpoint layout of the module docstring, packed field by field:
+    a frozen reference for the bytes save_checkpoint writes."""
+    c, t, h, w = model.input_shape
+    buf = bytearray(CHECKPOINT_MAGIC)
+    buf += f"arch layers={len(model.specs)} input={c}x{t}x{h}x{w}\n".encode("utf-8")
+    for spec in model.specs:
+        buf += (to_descriptor(spec) + "\n").encode("utf-8")
+    for name, arr in model.params.items():
+        nb = name.encode("utf-8")
+        buf += struct.pack("<I", len(nb)) + nb
+        buf += struct.pack("<I", arr.ndim)
+        buf += struct.pack(f"<{arr.ndim}I", *arr.shape)
+        buf += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    return bytes(buf)
+
+
+def _set_byte(offset, value):
+    """An edit of a saved checkpoint: byte `offset` of conv1.weight's record
+    (0 is the first byte of its name) set to `value`."""
+    def edit(data):
+        at = data.index(b"conv1.weight") + offset
+        return data[:at] + bytes([value]) + data[at + 1 :]
+    return edit
+
+
+# conv1.weight's record is 12 name bytes, then rank 5 and extents (4, 3, 3, 3, 3)
+# as u32; each record opens with its name length, 4 bytes before the name
+_CONV1_RECORD = "record at byte {} is not parameter conv1.weight of shape (4, 3, 3, 3, 3)"
 
 
 def _cuboid(rng):
@@ -449,6 +502,47 @@ class TestCheckpoint:
         save_checkpoint(non_square_model(), p)
         with pytest.raises(CheckpointError, match=re.escape(f"{p}: input frames must be square")):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("kind", list(INVALID_MODELS))
+    def test_invalid_model_rejected(self, tmp_path, kind):
+        arch, message = INVALID_MODELS[kind]
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(unchecked_model(arch), p)
+        with pytest.raises(CheckpointError, match=re.escape(f"{p}: {message}")):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (_set_byte(0, ord("k")), _CONV1_RECORD),
+        (_set_byte(12, 4), _CONV1_RECORD),
+        (_set_byte(16, 5), _CONV1_RECORD),
+        (lambda data: data[:-7], "truncated at parameter fc2.bias"),
+        (lambda data: data + b"\x00", "1 bytes of trailing data"),
+    ], ids=["name_byte", "rank", "extent", "values_cut_short", "trailing_byte"])
+    def test_corrupt_record_rejected(self, tmp_path, edit, message):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(small_model(), p)
+        data = p.read_bytes()
+        p.write_bytes(edit(data))
+        message = message.format(data.index(b"conv1.weight") - 4)
+        with pytest.raises(CheckpointError, match=re.escape(f"{p}: {message}")):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("n_classes, input_shape, kwargs", [
+        (2, (3, 16, 32, 32), dict(filters=(8, 16), hidden=64)),
+        (20, (3, 16, 32, 32), dict(filters=(4, 8), hidden=16)),
+        (20, (3, 98, 120, 120), {}),
+    ], ids=["desk_2_classes", "desk_20_classes", "paper"])
+    def test_saved_bytes_match_the_reference(self, tmp_path, n_classes, input_shape, kwargs):
+        specs = default_architecture(input_shape, n_classes=n_classes, **kwargs)
+        m = build_model(n_classes, specs, seed=4, input_shape=input_shape)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(m, p)
+        assert p.read_bytes() == reference_checkpoint_bytes(m)
+        back = load_checkpoint(p)
+        assert list(back.params) == list(m.params)
+        for name, arr in m.params.items():
+            assert back.params[name].dtype == np.float32
+            assert back.params[name].tobytes() == arr.tobytes()
 
     def test_default_architecture_checkpoint_shape_chain(self, tmp_path):
         specs = default_architecture((3, 16, 32, 32), filters=(4, 8), hidden=16, n_classes=20)

@@ -54,6 +54,12 @@ class TestConv3d:
         with pytest.raises(ShapeError, match="channels"):
             ops.conv3d_forward(x, w, np.zeros(1))
 
+    def test_bias_shape_mismatch_rejected(self):
+        x = np.zeros((1, 2, 3, 3, 3))
+        w = np.zeros((4, 2, 3, 3, 3))
+        with pytest.raises(ShapeError, match=r"bias shape \(3,\) does not match 4 filters"):
+            ops.conv3d_forward(x, w, np.zeros(3))
+
     def test_kernel_larger_than_input_rejected(self):
         x = np.zeros((1, 1, 2, 2, 2))
         w = np.zeros((1, 1, 3, 3, 3))

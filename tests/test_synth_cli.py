@@ -12,7 +12,7 @@ from strokebench.errors import ConfigError
 from strokebench.frames import open_rgbv
 from strokebench.synth import SynthConfig, generate_corpus
 
-from test_model import non_square_model
+from test_model import INVALID_MODELS, non_square_model, unchecked_model
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
@@ -434,7 +434,9 @@ class TestCommands:
     @pytest.mark.parametrize("content", [
         model_mod.CHECKPOINT_MAGIC + b"arch layers=0 input=3x4x8x8\n",
         model_mod.CHECKPOINT_MAGIC + b"\xffrch layers=1 input=3x4x8x8\n",
-    ], ids=["no_layers", "non_utf8_header"])
+        model_mod.CHECKPOINT_MAGIC + b"arch layers=3 input=3x4x8x8\nflatten\n"
+        b"linear in=768 out=4294967296\nlinear in=4294967296 out=2\n",
+    ], ids=["no_layers", "non_utf8_header", "extent_past_u32"])
     def test_malformed_checkpoint_fails_naming_it(self, tmp_path, capsys, content):
         ckpt = tmp_path / "m.ckpt"
         ckpt.write_bytes(content)
@@ -447,6 +449,14 @@ class TestCommands:
         assert main(["infer", "--task", "detection", "--data", str(tiny_corpus),
                      "--out", str(tmp_path / "run"), "--checkpoint", str(ckpt)]) == 2
         assert f"error: {ckpt}: input frames must be square" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", list(INVALID_MODELS))
+    def test_invalid_model_checkpoint_fails_naming_it(self, tmp_path, capsys, kind):
+        arch, message = INVALID_MODELS[kind]
+        ckpt = tmp_path / "m.ckpt"
+        model_mod.save_checkpoint(unchecked_model(arch), ckpt)
+        assert main(["infer", "--checkpoint", str(ckpt), "--out", str(tmp_path)]) == 2
+        assert f"error: {ckpt}: {message}" in capsys.readouterr().err
 
     def test_non_utf8_taxonomy_fails_naming_it(self, tmp_path, capsys):
         tax = tmp_path / "tax.csv"
