@@ -23,7 +23,8 @@ from . import metrics, model as model_mod, synth
 from .annotations import (LEVEL_TITLES, LEVELS, STROKE_LABEL, Segment, Taxonomy,
                           default_taxonomy, infer_negative_segments, load_taxonomy,
                           parse_annotations, write_predictions)
-from .errors import ConfigError, MetricError, StrokebenchError, TaxonomyError
+from .errors import (AnnotationError, ConfigError, CuboidError, MetricError, StrokebenchError,
+                     TaxonomyError)
 from .frames import open_frame_dir, open_rgbv
 from .model import DatasetItem, TrainConfig, build_model, load_checkpoint, save_checkpoint
 from .nn.gradcheck import run_all
@@ -131,13 +132,18 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**(from_file | flags))
 
 
+def _parse_file(path, parse, error: type[StrokebenchError]):
+    """parse(the file's bytes), with the path in front of any `error` it raises."""
+    try:
+        return parse(Path(path).read_bytes())
+    except error as e:
+        raise error(f"{path}: {e}") from None
+
+
 def _load_taxonomy(cfg: RunConfig) -> Taxonomy:
     if cfg.taxonomy is None:
         return default_taxonomy()
-    try:
-        return load_taxonomy(Path(cfg.taxonomy).read_bytes())
-    except TaxonomyError as e:
-        raise TaxonomyError(f"{cfg.taxonomy}: {e}") from None
+    return _parse_file(cfg.taxonomy, load_taxonomy, TaxonomyError)
 
 
 def _split_annotations(cfg: RunConfig, split: str):
@@ -149,7 +155,7 @@ def _split_annotations(cfg: RunConfig, split: str):
     xmls = sorted(split_dir.glob("*.xml"))
     if not xmls:
         raise ConfigError(f"no annotation files in {split_dir}")
-    return [parse_annotations(p.read_bytes()) for p in xmls]
+    return [_parse_file(p, parse_annotations, AnnotationError) for p in xmls]
 
 
 def _open_source(cfg: RunConfig, split: str, video_id: str):
@@ -301,6 +307,9 @@ def cmd_infer(cfg: RunConfig, args: argparse.Namespace) -> int:
             dets = model_mod.detect(net, src, cfg.proposal_len, cfg.proposal_stride)
             xml = write_predictions(ann.video_id, dets, src.frame_count, src.fps)
         else:
+            if src.frame_count < net.input_shape[1]:  # eval needs every segment classified
+                raise CuboidError(f"{ann.video_id}: only {src.frame_count} frames, shorter than "
+                                  f"the {net.input_shape[1]}-frame model input")
             scored = model_mod.classify_windows(net, src, ann.ground_truth)
             preds = [Segment(seg.begin, seg.end, tax.labels[cls], score=float(probs[cls]))
                      for seg, cls, probs in scored]
@@ -318,7 +327,7 @@ def _load_predictions(cfg: RunConfig) -> dict[str, list[Segment]]:
         raise ConfigError(f"missing predictions directory {pred_dir}; run `infer` first")
     preds = {}
     for p in sorted(pred_dir.glob("*.xml")):
-        ann = parse_annotations(p.read_bytes())
+        ann = _parse_file(p, parse_annotations, AnnotationError)
         preds[ann.video_id] = ann.predictions
     return preds
 

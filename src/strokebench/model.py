@@ -5,8 +5,8 @@ Checkpoint layout (bit-exact): magic ``STKB1\\n``; one UTF-8 header line
 ``arch layers=<n> input=<C>x<T>x<H>x<W>``; one UTF-8 descriptor line per
 layer; then for each parameter in declaration order: name length (u32 LE),
 name bytes, rank (u32), extents (u32 each), raw little-endian float32 values.
-A checkpoint loads only if it holds exactly the records save_checkpoint writes
-for a model build_model accepts.
+A checkpoint loads only if it holds exactly the lines and records
+save_checkpoint writes for a model build_model accepts.
 """
 
 from __future__ import annotations
@@ -146,18 +146,18 @@ def _forward_full(model: ModelParams, x: np.ndarray, training: bool = True):
     caches = []
     keep = caches.append if training else (lambda cache: None)
     cur = x
-    n_conv = n_fc = 0
+    names = iter([name for name, _ in param_entries(model.specs)])  # the swap keeps their order
     specs = list(model.specs)
     for i in range(len(specs) - 1):
         if specs[i].kind == "relu" and specs[i + 1].kind == "maxpool3d":
             specs[i], specs[i + 1] = specs[i + 1], specs[i]
     for spec in specs:
-        if spec.kind == "conv3d":
-            n_conv += 1
-            w = model.params[f"conv{n_conv}.weight"]
-            b = model.params[f"conv{n_conv}.bias"]
-            keep((spec, n_conv, cur))
-            cur = ops.conv3d_forward(cur, w, b, spec.stride, spec.pad)
+        if spec.kind in ("conv3d", "linear"):
+            weight, bias = next(names), next(names)
+            keep((spec, weight, bias, cur))
+            w, b = model.params[weight], model.params[bias]
+            cur = (ops.conv3d_forward(cur, w, b, spec.stride, spec.pad)
+                   if spec.kind == "conv3d" else ops.linear_forward(cur, w, b))
         elif spec.kind == "maxpool3d":
             in_shape = cur.shape
             cur, winners = ops.maxpool3d(cur, spec.window)
@@ -168,12 +168,6 @@ def _forward_full(model: ModelParams, x: np.ndarray, training: bool = True):
         elif spec.kind == "flatten":
             keep((spec, cur.shape))
             cur = cur.reshape(cur.shape[0], -1)
-        elif spec.kind == "linear":
-            n_fc += 1
-            w = model.params[f"fc{n_fc}.weight"]
-            b = model.params[f"fc{n_fc}.bias"]
-            keep((spec, n_fc, cur))
-            cur = ops.linear_forward(cur, w, b)
         else:
             raise ArchitectureError(f"unknown layer kind {spec.kind!r}")
     return cur, caches
@@ -196,13 +190,12 @@ def _layer_backward(model: ModelParams, cache, g: np.ndarray, grads: dict[str, n
     parameter gradients to `grads`. The cache dies on return, with every
     array unpacked from it."""
     spec = cache[0]
-    if spec.kind == "conv3d":
-        _, idx, x = cache
-        w = model.params[f"conv{idx}.weight"]
-        g, gw, gb = ops.conv3d_backward(x, w, g, spec.stride, spec.pad,
-                                        need_input=need_input)
-        grads[f"conv{idx}.weight"] = gw
-        grads[f"conv{idx}.bias"] = gb
+    if spec.kind in ("conv3d", "linear"):
+        _, weight, bias, x = cache
+        w = model.params[weight]
+        g, grads[weight], grads[bias] = (
+            ops.conv3d_backward(x, w, g, spec.stride, spec.pad, need_input=need_input)
+            if spec.kind == "conv3d" else ops.linear_backward(x, w, g))
     elif spec.kind == "maxpool3d":
         _, winners, in_shape = cache
         g = ops.maxpool3d_backward(g, winners, in_shape)
@@ -210,12 +203,6 @@ def _layer_backward(model: ModelParams, cache, g: np.ndarray, grads: dict[str, n
         g = ops.relu_backward(cache[1], g)
     elif spec.kind == "flatten":
         g = g.reshape(cache[1])
-    elif spec.kind == "linear":
-        _, idx, x = cache
-        w = model.params[f"fc{idx}.weight"]
-        g, gw, gb = ops.linear_backward(x, w, g)
-        grads[f"fc{idx}.weight"] = gw
-        grads[f"fc{idx}.bias"] = gb
     return g
 
 
@@ -387,12 +374,16 @@ def _record_head(name: str, shape: tuple[int, ...]) -> bytes:
     return struct.pack(f"<I{len(nb)}sI{len(shape)}I", len(nb), nb, len(shape), *shape)
 
 
+def _text_lines(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> list[str]:
+    """The header line and one descriptor line per layer, as saved."""
+    header = f"arch layers={len(specs)} input={'x'.join(map(str, input_shape))}"
+    return [header] + [to_descriptor(spec) for spec in specs]
+
+
 def save_checkpoint(model: ModelParams, path) -> None:
-    c, t, h, w = model.input_shape
     buf = bytearray(CHECKPOINT_MAGIC)
-    buf += f"arch layers={len(model.specs)} input={c}x{t}x{h}x{w}\n".encode("utf-8")
-    for spec in model.specs:
-        buf += (to_descriptor(spec) + "\n").encode("utf-8")
+    for line in _text_lines(model.specs, model.input_shape):
+        buf += (line + "\n").encode("utf-8")
     for name, arr in model.params.items():
         buf += _record_head(name, arr.shape)
         buf += np.ascontiguousarray(arr, dtype="<f4").tobytes()
@@ -402,11 +393,11 @@ def save_checkpoint(model: ModelParams, path) -> None:
 def _read_line(data: bytes, pos: int, path):
     nl = data.find(b"\n", pos)
     if nl < 0:
-        raise CheckpointError(f"{path}: truncated checkpoint: unterminated header line")
+        raise CheckpointError(f"{path}: truncated checkpoint: unterminated text line")
     try:
         return data[pos:nl].decode("utf-8"), nl + 1
     except UnicodeDecodeError:
-        raise CheckpointError(f"{path}: header line {data[pos:nl]!r} is not UTF-8") from None
+        raise CheckpointError(f"{path}: text line {data[pos:nl]!r} is not UTF-8") from None
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -417,25 +408,28 @@ def load_checkpoint(path) -> ModelParams:
         )
     pos = len(CHECKPOINT_MAGIC)
     header, pos = _read_line(data, pos, path)
-    fields = header.split()
-    if len(fields) != 3 or fields[0] != "arch":
-        raise CheckpointError(f"{path}: bad header line {header!r}")
     try:
-        n_layers = int(fields[1].removeprefix("layers="))
-        input_shape = tuple(int(x) for x in fields[2].removeprefix("input=").split("x"))
+        _, layers, shape = header.split(" ")
+        n_layers = int(layers.removeprefix("layers="))
+        input_shape = tuple(int(x) for x in shape.removeprefix("input=").split("x"))
     except ValueError:
-        raise CheckpointError(f"{path}: unparseable header {header!r}") from None
+        raise CheckpointError(f"{path}: bad header line {header!r}") from None
     if n_layers < 1:
         raise CheckpointError(f"{path}: layer count {n_layers} is not >= 1")
 
-    lines = []
+    lines = [header]
     for _ in range(n_layers):
         line, pos = _read_line(data, pos, path)
         lines.append(line)
     try:
-        model = _checked([from_descriptor(line) for line in lines], input_shape)
+        model = _checked([from_descriptor(line) for line in lines[1:]], input_shape)
     except ValueError as e:  # ArchitectureError included
         raise CheckpointError(f"{path}: {e}") from None
+    # one spelling per value: each line must be the one save_checkpoint writes
+    for lineno, (line, saved) in enumerate(zip(lines, _text_lines(model.specs, input_shape)), 2):
+        if line != saved:
+            raise CheckpointError(
+                f"{path}: line {lineno} reads {line!r}, but save_checkpoint writes {saved!r}")
 
     for name, shape in param_entries(model.specs):
         try:

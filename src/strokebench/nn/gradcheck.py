@@ -71,18 +71,15 @@ def _check_conv3d(rng: np.random.Generator, eps: float) -> float:
 
 def _check_maxpool3d(rng: np.random.Generator, eps: float) -> float:
     window = tuple(int(rng.integers(1, 3)) for _ in range(3))
+    pt, ph, pw = window
     n, c = 1, int(rng.integers(1, 3))
-    t, h, w = (window[i] * int(rng.integers(1, 3)) for i in range(3))
+    to, ho, wo = (int(rng.integers(1, 3)) for _ in range(3))  # windows per axis
     # resample until every window's top two values are well separated, so the
     # finite-difference probe cannot flip a winner
     while True:
-        x = rng.standard_normal((n, c, t, h, w))
-        r = (
-            x.reshape(n, c, t // window[0], window[0], h // window[1], window[1],
-                      w // window[2], window[2])
-            .transpose(0, 1, 2, 4, 6, 3, 5, 7)
-            .reshape(-1, window[0] * window[1] * window[2])
-        )
+        x = rng.standard_normal((n, c, to * pt, ho * ph, wo * pw))
+        r = (x.reshape(n, c, to, pt, ho, ph, wo, pw).transpose(0, 1, 2, 4, 6, 3, 5, 7)
+             .reshape(-1, pt * ph * pw))
         if r.shape[1] == 1:
             break
         part = np.sort(r, axis=1)

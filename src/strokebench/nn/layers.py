@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..errors import ArchitectureError, ShapeError
-from .ops import conv3d_out_extent
+from .ops import conv3d_out_extents, maxpool3d_out_extents
 
 
 @dataclass(frozen=True)
@@ -62,33 +63,18 @@ def output_shape(spec: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
             raise ShapeError(f"conv3d expects a (C,T,H,W) input, got {shape}")
         if shape[0] != spec.in_channels:
             raise ShapeError(f"conv3d expects {spec.in_channels} channels, got {shape[0]}")
-        outs = tuple(
-            conv3d_out_extent(shape[1 + i], spec.kernel[i], spec.stride, spec.pad)
-            for i in range(3)
-        )
-        if min(outs) < 1:
-            raise ShapeError(
-                f"conv3d kernel {spec.kernel} stride={spec.stride} pad={spec.pad} "
-                f"does not fit extents {shape[1:]}"
-            )
-        return (spec.out_channels,) + outs
+        return (spec.out_channels,) + conv3d_out_extents(shape[1:], spec.kernel,
+                                                         spec.stride, spec.pad)
     if spec.kind == "maxpool3d":
         if len(shape) != 4:
             raise ShapeError(f"maxpool3d expects a (C,T,H,W) input, got {shape}")
-        pt, ph, pw = spec.window
-        c, t, h, w = shape
-        if t % pt or h % ph or w % pw:
-            raise ShapeError(f"extents {(t, h, w)} not divisible by pool window {spec.window}")
-        return (c, t // pt, h // ph, w // pw)
+        return (shape[0],) + maxpool3d_out_extents(shape[1:], spec.window)
     if spec.kind == "relu":
         return shape
     if spec.kind == "flatten":
         if len(shape) < 2:
             raise ShapeError(f"flatten expects a multi-axis input, got {shape}")
-        n = 1
-        for s in shape:
-            n *= s
-        return (n,)
+        return (math.prod(shape),)
     if spec.kind == "linear":
         if shape != (spec.in_features,):
             raise ShapeError(f"linear expects ({spec.in_features},) features, got {shape}")
@@ -126,23 +112,30 @@ def param_entries(specs: list[LayerSpec]) -> list[tuple[str, tuple[int, ...]]]:
     return entries
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not an integer") from None
+
+
 def _extents(text: str) -> tuple[int, int, int]:
     xs = text.split("x")
     if len(xs) != 3:
         raise ValueError(f"expected AxBxC, got {text!r}")
-    return tuple(int(x) for x in xs)
+    return tuple(_int(x) for x in xs)
 
 
 # Each kind's factory and descriptor keys, in descriptor order: key -> (the
 # LayerSpec field it holds, its parser). Both descriptor directions read this.
 _DESCRIPTORS = {
-    "conv3d": (conv3d, {"in": ("in_channels", int), "out": ("out_channels", int),
-                        "kernel": ("kernel", _extents), "stride": ("stride", int),
-                        "pad": ("pad", int)}),
+    "conv3d": (conv3d, {"in": ("in_channels", _int), "out": ("out_channels", _int),
+                        "kernel": ("kernel", _extents), "stride": ("stride", _int),
+                        "pad": ("pad", _int)}),
     "maxpool3d": (maxpool3d, {"window": ("window", _extents)}),
     "relu": (relu, {}),
     "flatten": (flatten, {}),
-    "linear": (linear, {"in": ("in_features", int), "out": ("out_features", int)}),
+    "linear": (linear, {"in": ("in_features", _int), "out": ("out_features", _int)}),
 }
 
 
@@ -168,8 +161,13 @@ def from_descriptor(line: str) -> LayerSpec:
     if [(key, eq) for key, eq, _ in fields] != [(key, "=") for key in keys]:
         expected = " ".join([kind] + [f"{key}=..." for key in keys])
         raise ValueError(f"descriptor {line!r} does not match {expected!r}")
-    return factory(**{name: parse(text)
-                      for (_, _, text), (name, parse) in zip(fields, keys.values())})
+    values = {}
+    for (key, _, text), (name, parse) in zip(fields, keys.values()):
+        try:
+            values[name] = parse(text)
+        except ValueError as e:
+            raise ValueError(f"{kind} {key}: {e}") from None
+    return factory(**values)
 
 
 def _pool_extent(n: int) -> int:
@@ -197,17 +195,12 @@ def default_architecture(input_shape=(3, 98, 120, 120), filters=(30, 60, 80),
     """
     if len(input_shape) != 4:
         raise ArchitectureError(f"default architecture needs (C, T, H, W), got {input_shape}")
-    c, t, h, w = input_shape
+    c, extents = input_shape[0], tuple(input_shape[1:])
     specs: list[LayerSpec] = []
-    for f in filters:
-        specs.append(conv3d(c, f, kernel=(3, 3, 3), stride=1, pad=1))
-        specs.append(relu())
-        win = (_pool_extent(t), _pool_extent(h), _pool_extent(w))
-        specs.append(maxpool3d(win))
-        c, t, h, w = f, t // win[0], h // win[1], w // win[2]
-    specs.append(flatten())
-    specs.append(linear(c * t * h * w, hidden))
-    specs.append(relu())
-    specs.append(linear(hidden, n_classes))
+    for f in filters:  # a 3x3x3 conv at pad 1 keeps the extents
+        win = tuple(_pool_extent(n) for n in extents)
+        specs += [conv3d(c, f, kernel=(3, 3, 3), stride=1, pad=1), relu(), maxpool3d(win)]
+        c, extents = f, maxpool3d_out_extents(extents, win)
+    specs += [flatten(), linear(c * math.prod(extents), hidden), relu(), linear(hidden, n_classes)]
     chain_shapes(specs, input_shape)
     return specs

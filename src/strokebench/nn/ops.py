@@ -51,8 +51,26 @@ from ..errors import ShapeError
 BLOCK_BYTES = 32 << 20
 
 
-def conv3d_out_extent(extent: int, kernel: int, stride: int, pad: int) -> int:
-    return (extent + 2 * pad - kernel) // stride + 1
+def conv3d_out_extents(extents, kernel, stride: int, pad: int) -> tuple[int, int, int]:
+    """(T', H', W') of a conv over (T, H, W) `extents`; ShapeError unless
+    stride >= 1, pad >= 0 and each output extent is >= 1."""
+    if stride < 1 or pad < 0:
+        raise ShapeError(f"stride must be >= 1 and pad >= 0, got stride={stride} pad={pad}")
+    outs = tuple((e + 2 * pad - k) // stride + 1 for e, k in zip(extents, kernel))
+    if min(outs) < 1:
+        raise ShapeError(f"kernel {kernel} with stride={stride} pad={pad} does not fit "
+                         f"input extents {extents}")
+    return outs
+
+
+def maxpool3d_out_extents(extents, window) -> tuple[int, int, int]:
+    """(T', H', W') of a pool over (T, H, W) `extents`; ShapeError unless the
+    window's extents are >= 1 and divide the input's."""
+    if min(window) < 1:
+        raise ShapeError(f"pool window extents must be >= 1, got {window}")
+    if any(e % p for e, p in zip(extents, window)):
+        raise ShapeError(f"extents {extents} not divisible by pool window {window}")
+    return tuple(e // p for e, p in zip(extents, window))
 
 
 def _check_conv(x, weight, stride, pad):
@@ -64,17 +82,7 @@ def _check_conv(x, weight, stride, pad):
         raise ShapeError(
             f"input channels {x.shape[1]} do not match weight channels {weight.shape[1]}"
         )
-    if stride < 1 or pad < 0:
-        raise ShapeError(f"stride must be >= 1 and pad >= 0, got stride={stride} pad={pad}")
-    outs = tuple(
-        conv3d_out_extent(x.shape[2 + i], weight.shape[2 + i], stride, pad) for i in range(3)
-    )
-    if min(outs) < 1:
-        raise ShapeError(
-            f"kernel {weight.shape[2:]} with stride={stride} pad={pad} does not fit "
-            f"input extents {x.shape[2:]}"
-        )
-    return outs
+    return conv3d_out_extents(x.shape[2:], weight.shape[2:], stride, pad)
 
 
 def _pad(x, pad):
@@ -198,11 +206,8 @@ def maxpool3d(x, window):
         raise ShapeError(f"maxpool3d input must be 5-d, got shape {x.shape}")
     pt, ph, pw = window
     n, c, t, h, w = x.shape
-    if min(pt, ph, pw) < 1:
-        raise ShapeError(f"pool window extents must be >= 1, got {window}")
-    if t % pt or h % ph or w % pw:
-        raise ShapeError(f"input extents {(t, h, w)} not divisible by pool window {window}")
-    r = x.reshape(n, c, t // pt, pt, h // ph, ph, w // pw, pw)
+    to, ho, wo = maxpool3d_out_extents(x.shape[2:], window)
+    r = x.reshape(n, c, to, pt, ho, ph, wo, pw)
     taps = list(np.ndindex(pt, ph, pw))
     views = [r[:, :, :, i, :, j, :, k] for i, j, k in taps]
     peak = views[0].copy()

@@ -1,7 +1,11 @@
+import itertools
+import re
+
+import numpy as np
 import pytest
 
-from strokebench.errors import ArchitectureError
-from strokebench.nn import layers
+from strokebench.errors import ArchitectureError, ShapeError
+from strokebench.nn import layers, ops
 from strokebench.nn.gradcheck import gradcheck, run_all
 from strokebench.nn.layers import (chain_shapes, conv3d, default_architecture, flatten,
                                    from_descriptor, linear, maxpool3d, param_entries,
@@ -20,6 +24,54 @@ def test_chain_names_offending_layer():
         chain_shapes(specs, (3, 5, 8, 8))
     with pytest.raises(ArchitectureError, match=r"layer 0 \(conv3d\)"):
         chain_shapes(specs, (4, 8, 8, 8))
+
+
+def _chain_matches_kernel(spec, extents, run_kernel):
+    """chain_shapes gives the (C, T', H', W') the kernel returns for a one-sample
+    one-channel input of `extents`, or raises with the kernel's message.
+    Returns whether the kernel rejected the input."""
+    try:
+        expected = run_kernel(np.zeros((1, 1) + extents, dtype=np.float32)).shape[1:]
+    except ShapeError as e:
+        with pytest.raises(ArchitectureError, match=re.escape(f"layer 0 ({spec.kind}): {e}")):
+            chain_shapes([spec], (1,) + extents)
+        return True
+    assert chain_shapes([spec], (1,) + extents) == [expected], (spec, extents)
+    return False
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_chain_shapes_match_conv_kernel(stride, pad):
+    rejected = []
+    for kernel in itertools.product((1, 2, 3), repeat=3):
+        spec = conv3d(1, 2, kernel, stride, pad)
+        weight = np.zeros((2, 1) + kernel, dtype=np.float32)
+        bias = np.zeros(2, dtype=np.float32)
+        for extents in itertools.product((1, 2, 3), repeat=3):
+            rejected.append(_chain_matches_kernel(
+                spec, extents, lambda x: ops.conv3d_forward(x, weight, bias, stride, pad)))
+    assert any(rejected) == (pad == 0) and not all(rejected)
+
+
+@pytest.mark.parametrize("window", [(1, 1, 1), (2, 2, 2), (7, 2, 2), (1, 2, 3), (3, 1, 1),
+                                    (2, 5, 1)])
+def test_chain_shapes_match_pool_kernel(window):
+    spec = maxpool3d(window)
+    rejected = [_chain_matches_kernel(spec, extents, lambda x: ops.maxpool3d(x, window)[0])
+                for extents in itertools.product((2, 3, 5, 7, 14), repeat=3)]
+    assert any(rejected) == (window != (1, 1, 1)) and not all(rejected)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (layers.LayerSpec("maxpool3d"), "pool window extents must be >= 1, got (0, 0, 0)"),
+    (layers.LayerSpec("conv3d", in_channels=1, out_channels=1, kernel=(1, 1, 1), stride=0),
+     "stride must be >= 1 and pad >= 0, got stride=0 pad=0"),
+], ids=["pool_window", "conv_stride"])
+def test_hand_built_spec_rejected_with_the_kernel_rule(spec, message):
+    # LayerSpec(...) skips the factory's checks; the kernel's own rule still holds
+    with pytest.raises(ArchitectureError, match=re.escape(f"layer 0 ({spec.kind}): {message}")):
+        chain_shapes([spec], (1, 2, 2, 2))
 
 
 def test_default_architecture_accepts_canonical_input():
@@ -87,6 +139,17 @@ def test_descriptor_text_round_trip(spec, text):
         "unknown_kind", "stray_field", "stray_token"])
 def test_malformed_descriptor_rejected(line):
     with pytest.raises(ValueError):
+        from_descriptor(line)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("conv3d in=3 out=8 kernel=3x3x3 stride=1.5 pad=1", "conv3d stride: '1.5' is not an integer"),
+    ("conv3d in=3 out=8 kernel=3xAx3 stride=1 pad=1", "conv3d kernel: 'A' is not an integer"),
+    ("linear in=3 out=", "linear out: '' is not an integer"),
+    ("maxpool3d window=2x2", "maxpool3d window: expected AxBxC, got '2x2'"),
+], ids=["stride", "kernel_extent", "empty", "window"])
+def test_malformed_value_names_kind_and_key(line, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         from_descriptor(line)
 
 

@@ -13,8 +13,9 @@ from strokebench.model import (CHECKPOINT_MAGIC, DatasetItem, ModelParams, Train
                                build_model, classify, classify_windows, detect, forward,
                                history_csv, load_checkpoint, save_checkpoint, train)
 from strokebench.nn import ops
-from strokebench.nn.layers import (chain_shapes, conv3d, default_architecture, flatten,
-                                   linear, maxpool3d, param_entries, relu, to_descriptor)
+from strokebench.nn.layers import (LayerSpec, chain_shapes, conv3d, default_architecture,
+                                   flatten, linear, maxpool3d, param_entries, relu,
+                                   to_descriptor)
 
 SMALL_SHAPE = (3, 4, 8, 8)
 
@@ -164,6 +165,13 @@ class TestForward:
     def test_batch_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="batch shape"):
             forward(small_model(), np.zeros((1, 3, 4, 4, 4), np.float32))
+
+    def test_unknown_layer_kind_rejected(self):
+        # a hand-built model skips build_model's chain check; forward still refuses it
+        arch = small_arch()
+        arch.insert(3, LayerSpec("dropout"))
+        with pytest.raises(ArchitectureError, match="unknown layer kind 'dropout'"):
+            forward(unchecked_model(arch), np.zeros((1,) + SMALL_SHAPE, np.float32))
 
 
 class TestClassify:
@@ -478,6 +486,28 @@ class TestCheckpoint:
         save_checkpoint(m, p)
         p.write_bytes(p.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("old, new, message", [
+        (b"layers=7", b"layers=07", "line 2 reads 'arch layers=07 input=3x4x8x8', "
+                                    "but save_checkpoint writes 'arch layers=7 input=3x4x8x8'"),
+        (b"input=3x4", b"input=+3x4", "line 2 reads 'arch layers=7 input=+3x4x8x8'"),
+        (b"conv3d in=3 out=4", b"conv3d  in=+3 out=0_4",
+         "line 3 reads 'conv3d  in=+3 out=0_4 kernel=3x3x3 stride=1 pad=1', "
+         "but save_checkpoint writes 'conv3d in=3 out=4 kernel=3x3x3 stride=1 pad=1'"),
+        (b"window=2x2x2", b"window=2x2x2 ", "line 5 reads 'maxpool3d window=2x2x2 '"),
+        (b"stride=1", b"stride=1.5", "conv3d stride: '1.5' is not an integer"),
+        (b"conv3d", b"\xffonv3d",
+         "text line b'\\xffonv3d in=3 out=4 kernel=3x3x3 stride=1 pad=1' is not UTF-8"),
+    ], ids=["header_zero_padded", "header_plus_sign", "descriptor_spelling",
+            "descriptor_trailing_space", "descriptor_non_integer", "descriptor_not_utf8"])
+    def test_text_line_not_as_saved_rejected(self, tmp_path, old, new, message):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(small_model(), p)
+        data = p.read_bytes()
+        assert data.count(old) == 1
+        p.write_bytes(data.replace(old, new))
+        with pytest.raises(CheckpointError, match=re.escape(f"{p}: {message}")):
             load_checkpoint(p)
 
     @pytest.mark.parametrize("layers", [b"0", b"-1"])

@@ -1,4 +1,3 @@
-import logging
 from dataclasses import fields
 from pathlib import Path
 
@@ -464,8 +463,24 @@ class TestCommands:
         assert main(["synth", "--taxonomy", str(tax), "--out", str(tmp_path / "c")]) == 2
         assert f"error: {tax}: not UTF-8" in capsys.readouterr().err
 
-    def test_classification_of_a_too_short_test_video(self, tmp_path, caplog):
-        # nothing to classify: a warning, and a predictions file with no segments
+    @pytest.mark.parametrize("command, bad", [
+        ("prepare", "data/validation/v.xml"),
+        ("eval", "run/predictions/v.xml"),
+    ])
+    def test_malformed_annotation_xml_fails_naming_it(self, tmp_path, capsys, command, bad):
+        from strokebench.annotations import Segment, write_predictions
+        good = write_predictions("v", [Segment(0, 3, "Stroke", 0.5)], 10)
+        for folder in ("data/train", "data/validation", "data/test", "run/predictions"):
+            (tmp_path / folder).mkdir(parents=True)
+            (tmp_path / folder / "v.xml").write_bytes(good)
+        (tmp_path / bad).write_bytes(good.replace(b' move="Stroke"', b""))
+        assert main([command, "--task", "detection", "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / bad}: missing attribute 'move' (line 2)" in err
+
+    def test_classification_of_a_too_short_test_video(self, tmp_path, capsys):
+        # its segments cannot be classified, so infer fails before writing its XML
         from strokebench.annotations import Segment, default_taxonomy, render_annotation_xml
         from strokebench.frames import write_rgbv
         from strokebench.nn.layers import default_architecture
@@ -480,12 +495,11 @@ class TestCommands:
         ckpt = tmp_path / "c.ckpt"
         model_mod.save_checkpoint(model_mod.build_model(20, arch, input_shape=shape), ckpt)
         out = tmp_path / "run"
-        with caplog.at_level(logging.WARNING, logger="strokebench"):
-            assert main(["infer", "--task", "classification", "--data", str(tmp_path / "data"),
-                         "--out", str(out), "--checkpoint", str(ckpt)]) == 0
-        assert any(r.getMessage().startswith("short: ") for r in caplog.records)
-        xml = (out / "predictions" / "short.xml").read_bytes()
-        assert parse_annotations(xml).predictions == []
+        assert main(["infer", "--task", "classification", "--data", str(tmp_path / "data"),
+                     "--out", str(out), "--checkpoint", str(ckpt)]) == 2
+        assert ("error: short: only 3 frames, shorter than the 4-frame model input"
+                in capsys.readouterr().err)
+        assert not (out / "predictions" / "short.xml").exists()
 
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck", "--trials", "5", "--seed", "1"]) == 0
