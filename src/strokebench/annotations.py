@@ -24,6 +24,7 @@ from importlib import resources
 from xml.sax.saxutils import quoteattr
 
 from .errors import AnnotationError, TaxonomyError
+from .frames import fps_text
 
 NONSTROKE_LABEL = "Non-stroke"
 STROKE_LABEL = "Stroke"
@@ -177,18 +178,15 @@ def parse_annotations(data: bytes) -> VideoAnnotation:
 
     segments, lines = [], []
     for attrs, line in target.actions:
-        begin = _attr_int(attrs, "begin", line, minimum=0)
+        begin = _attr_int(attrs, "begin", line)
         end = _attr_int(attrs, "end", line)
         if "move" not in attrs:
             raise AnnotationError(f"missing attribute 'move' (line {line})")
-        if begin >= end:
-            raise AnnotationError(f"begin {begin} >= end {end} (line {line})")
-        score = None
-        if "score" in attrs:
-            score = _attr_float(attrs, "score", line)
-            if not 0.0 <= score <= 1.0:
-                raise AnnotationError(f"score {score} outside [0, 1] (line {line})")
-        segments.append(Segment(begin, end, attrs["move"], score))
+        score = _attr_float(attrs, "score", line) if "score" in attrs else None
+        try:
+            segments.append(Segment(begin, end, attrs["move"], score))
+        except AnnotationError as e:
+            raise AnnotationError(f"{e} (line {line})") from None
         lines.append(line)
 
     order = sorted(range(len(segments)), key=lambda i: (segments[i].begin, segments[i].end))
@@ -198,17 +196,13 @@ def parse_annotations(data: bytes) -> VideoAnnotation:
     return VideoAnnotation(vattrs["name"], frame_count, fps, segments)
 
 
-def _fmt_fps(fps: float) -> str:
-    return str(int(fps)) if float(fps).is_integer() else repr(float(fps))
-
-
 def render_annotation_xml(video_id: str, segments: list[Segment],
                           frame_count: int, fps: float) -> bytes:
     if not 0 < float(fps) < math.inf:
         raise AnnotationError(f"{video_id}: fps must be finite and > 0, got {fps}")
     out = io.StringIO()
     out.write(f"<video name={quoteattr(video_id)} frames=\"{frame_count}\" "
-              f"fps=\"{_fmt_fps(fps)}\">\n")
+              f"fps=\"{fps_text(fps)}\">\n")
     for s in sorted(segments, key=lambda s: (s.begin, s.end)):
         score = f" score=\"{s.score!r}\"" if s.score is not None else ""
         out.write(f"  <action begin=\"{s.begin}\" end=\"{s.end}\" "

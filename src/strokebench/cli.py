@@ -23,8 +23,7 @@ from . import metrics, model as model_mod, synth
 from .annotations import (LEVEL_TITLES, LEVELS, STROKE_LABEL, Segment, Taxonomy,
                           default_taxonomy, infer_negative_segments, load_taxonomy,
                           parse_annotations, write_predictions)
-from .errors import (AnnotationError, ConfigError, CuboidError, MetricError, StrokebenchError,
-                     TaxonomyError)
+from .errors import AnnotationError, ConfigError, MetricError, StrokebenchError, TaxonomyError
 from .frames import open_frame_dir, open_rgbv
 from .model import DatasetItem, TrainConfig, build_model, load_checkpoint, save_checkpoint
 from .nn.gradcheck import run_all
@@ -307,9 +306,7 @@ def cmd_infer(cfg: RunConfig, args: argparse.Namespace) -> int:
             dets = model_mod.detect(net, src, cfg.proposal_len, cfg.proposal_stride)
             xml = write_predictions(ann.video_id, dets, src.frame_count, src.fps)
         else:
-            if src.frame_count < net.input_shape[1]:  # eval needs every segment classified
-                raise CuboidError(f"{ann.video_id}: only {src.frame_count} frames, shorter than "
-                                  f"the {net.input_shape[1]}-frame model input")
+            model_mod.check_video_length(net, src)  # eval needs every segment classified
             scored = model_mod.classify_windows(net, src, ann.ground_truth)
             preds = [Segment(seg.begin, seg.end, tax.labels[cls], score=float(probs[cls]))
                      for seg, cls, probs in scored]

@@ -6,7 +6,7 @@ Two sources are supported so the pipeline needs no codec dependencies:
   ``width height fps frame_count\\n`` (fps may be decimal), then frame_count
   raw frames of height*width interleaved R,G,B bytes, no padding.
 * Frame directory: binary PPM (P6, maxval 255) files named by zero-padded
-  frame index, e.g. 000000.ppm, 000001.ppm, ...
+  frame index, e.g. 000000.ppm, 000001.ppm, ..., read at 120 fps.
 
 Frames come back as uint8 (H, W, 3) arrays; reads are stateless, the same
 index always yields the same bytes.
@@ -24,6 +24,7 @@ import numpy as np
 from .errors import CuboidError, VideoFormatError
 
 RGBV_MAGIC = b"RGBV1\n"
+FRAME_DIR_FPS = 120.0  # a frame directory stores no rate
 
 
 class VideoSource:
@@ -100,6 +101,12 @@ def open_rgbv(path) -> RgbvVideo:
     return RgbvVideo(path)
 
 
+def fps_text(fps: float) -> str:
+    """fps as RGBV headers and annotation XML write it: an integer without a
+    decimal point, any other value as Python's shortest repr."""
+    return str(int(fps)) if float(fps).is_integer() else repr(float(fps))
+
+
 def write_rgbv(path, frames: np.ndarray, fps: float) -> None:
     """Write an (N, H, W, 3) uint8 array as an RGBV file."""
     frames = np.ascontiguousarray(frames, dtype=np.uint8)
@@ -108,10 +115,9 @@ def write_rgbv(path, frames: np.ndarray, fps: float) -> None:
     if not 0 < float(fps) < math.inf:
         raise VideoFormatError(f"{path}: fps must be finite and > 0, got {fps}")
     n, h, w, _ = frames.shape
-    fps_s = str(int(fps)) if float(fps).is_integer() else repr(float(fps))
     with open(path, "wb") as fh:
         fh.write(RGBV_MAGIC)
-        fh.write(f"{w} {h} {fps_s} {n}\n".encode("ascii"))
+        fh.write(f"{w} {h} {fps_text(fps)} {n}\n".encode("ascii"))
         fh.write(frames.tobytes())
 
 
@@ -156,12 +162,10 @@ class _PpmFrame:
 
 
 class FrameDirVideo(VideoSource):
-    def __init__(self, path, fps: float = 120.0):
+    def __init__(self, path):
         path = Path(path)
         self.video_id = path.name
-        self.fps = float(fps)
-        if not 0 < self.fps < math.inf:
-            raise VideoFormatError(f"{path}: fps must be finite and > 0, got {self.fps}")
+        self.fps = FRAME_DIR_FPS
         entries = sorted(p for p in path.iterdir() if p.suffix.lower() == ".ppm")
         if not entries:
             raise VideoFormatError(f"{path}: no .ppm frames found")
@@ -212,8 +216,8 @@ class FrameDirVideo(VideoSource):
         return px.reshape(self.height, self.width, 3)
 
 
-def open_frame_dir(path, fps: float = 120.0) -> FrameDirVideo:
-    return FrameDirVideo(path, fps)
+def open_frame_dir(path) -> FrameDirVideo:
+    return FrameDirVideo(path)
 
 
 def resize_bilinear(frame: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
@@ -270,11 +274,3 @@ def extract_cuboid(src: VideoSource, start: int, length: int, size: int) -> Cubo
         resized = resize_bilinear(src.frame(start + t), (size, size))
         values[:, t] = resized.transpose(2, 0, 1) / 255.0
     return Cuboid(values)
-
-
-def clamped_start(frame_count: int, start: int, length: int) -> int:
-    """Right-clamp a window start so [start, start+length) fits; the video must
-    be at least `length` frames long."""
-    if frame_count < length:
-        raise CuboidError(f"video has {frame_count} frames, shorter than window {length}")
-    return max(0, min(start, frame_count - length))

@@ -20,11 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .annotations import NONSTROKE_LABEL, STROKE_LABEL, Segment, generate_window_proposals
-from .errors import ArchitectureError, CheckpointError, ShapeError, TrainingError
-from .frames import VideoSource, clamped_start, extract_cuboid
+from .errors import ArchitectureError, CheckpointError, CuboidError, ShapeError, TrainingError
+from .frames import VideoSource, extract_cuboid
 from .nn import ops
-from .nn.layers import (LayerSpec, chain_shapes, default_architecture, from_descriptor,
-                        param_entries, to_descriptor)
+from .nn.layers import LayerSpec, chain_shapes, from_descriptor, param_entries, to_descriptor
 from .nn.optim import NesterovSGD
 from .nn.rng import SplitMix64, derive_seed
 
@@ -104,7 +103,7 @@ def _checked(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> ModelParam
     return ModelParams(list(specs), {}, tuple(input_shape), out[0])
 
 
-def build_model(n_classes: int, arch: list[LayerSpec] | None = None, seed: int = 0,
+def build_model(n_classes: int, arch: list[LayerSpec], seed: int = 0,
                 input_shape: tuple[int, int, int, int] = (3, 98, 120, 120)) -> ModelParams:
     """Validate the shape chain and initialize parameters.
 
@@ -112,8 +111,6 @@ def build_model(n_classes: int, arch: list[LayerSpec] | None = None, seed: int =
     declaration order from one seeded stream, so a fixed seed gives
     byte-identical parameters.
     """
-    if arch is None:
-        arch = default_architecture(input_shape, n_classes=n_classes)
     model = _checked(arch, input_shape)
     if model.n_classes != n_classes:
         raise ArchitectureError(
@@ -222,11 +219,21 @@ def classify(model: ModelParams, cuboid_values: np.ndarray):
     return int(np.argmax(probs)), probs
 
 
+def check_video_length(model: ModelParams, src: VideoSource) -> None:
+    """Raise CuboidError if `src` is shorter than the model input, so that no
+    window of it can be classified."""
+    length = model.input_shape[1]
+    if src.frame_count < length:
+        raise CuboidError(f"{src.video_id}: only {src.frame_count} frames, shorter than "
+                          f"the {length}-frame model input")
+
+
 def _window_input(model: ModelParams, src: VideoSource, begin: int) -> np.ndarray:
     """The model input for the window starting at `begin`: a cuboid of the
     model's input length and size, right-clamped to fit inside the video."""
+    check_video_length(model, src)
     _, length, size, _ = model.input_shape
-    start = clamped_start(src.frame_count, begin, length)
+    start = max(0, min(begin, src.frame_count - length))
     return extract_cuboid(src, start, length, size).values
 
 
@@ -234,10 +241,10 @@ def classify_windows(model: ModelParams, src: VideoSource,
                      windows: list[Segment]) -> list[tuple[Segment, int, np.ndarray]]:
     """(window, class index, probabilities) for each window, in order. A video
     shorter than the model input scores nothing: [] and one warning."""
-    length = model.input_shape[1]
-    if src.frame_count < length:
-        logger.warning("%s: only %d frames, shorter than the %d-frame model input; "
-                       "no windows classified", src.video_id, src.frame_count, length)
+    try:
+        check_video_length(model, src)
+    except CuboidError as e:
+        logger.warning("%s; no windows classified", e)
         return []
     return [(w, *classify(model, _window_input(model, src, w.begin))) for w in windows]
 
@@ -260,10 +267,10 @@ def _extract_item(item: DatasetItem, sources: dict[str, VideoSource],
     if src is None:
         logger.warning("no video source for %s; sample skipped", item.video_id)
         return None
-    length = model.input_shape[1]
-    if src.frame_count < length:
-        logger.warning("%s: %d frames < cuboid length %d; sample skipped",
-                       item.video_id, src.frame_count, length)
+    try:
+        check_video_length(model, src)
+    except CuboidError as e:
+        logger.warning("%s; sample skipped", e)
         return None
     return _window_input(model, src, item.segment.begin)
 
@@ -414,8 +421,6 @@ def load_checkpoint(path) -> ModelParams:
         input_shape = tuple(int(x) for x in shape.removeprefix("input=").split("x"))
     except ValueError:
         raise CheckpointError(f"{path}: bad header line {header!r}") from None
-    if n_layers < 1:
-        raise CheckpointError(f"{path}: layer count {n_layers} is not >= 1")
 
     lines = [header]
     for _ in range(n_layers):

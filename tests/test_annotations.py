@@ -43,7 +43,8 @@ class TestParse:
     def test_begin_not_before_end_reports_line(self):
         xml = (b'<video name="v" frames="1000" fps="120">\n'
                b'<action begin="300" end="300" move="A"/>\n</video>')
-        with pytest.raises(AnnotationError, match=r"begin 300 >= end 300 \(line 2\)"):
+        with pytest.raises(AnnotationError, match=r"segment must satisfy 0 <= begin < end, "
+                                                  r"got \[300, 300\) \(line 2\)"):
             parse_annotations(xml)
 
     @pytest.mark.parametrize("fps", ["nan", "inf"])

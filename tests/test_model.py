@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from strokebench.annotations import Segment
-from strokebench.errors import (AnnotationError, ArchitectureError, CheckpointError,
+from strokebench.errors import (AnnotationError, ArchitectureError, CheckpointError, CuboidError,
                                 ShapeError, TrainingError)
 from strokebench.frames import extract_cuboid, open_rgbv, write_rgbv
 from strokebench.model import (CHECKPOINT_MAGIC, DatasetItem, ModelParams, TrainConfig,
                                build_model, classify, classify_windows, detect, forward,
-                               history_csv, load_checkpoint, save_checkpoint, train)
+                               _window_input, history_csv, load_checkpoint, save_checkpoint,
+                               train)
 from strokebench.nn import ops
 from strokebench.nn.layers import (LayerSpec, chain_shapes, conv3d, default_architecture,
                                    flatten, linear, maxpool3d, param_entries, relu,
@@ -105,9 +106,10 @@ def _cuboid(rng):
 
 class TestBuild:
     def test_final_layer_matches_class_count(self):
-        m2 = build_model(2, input_shape=(3, 98, 120, 120))
+        shape = (3, 98, 120, 120)
+        m2 = build_model(2, default_architecture(shape, n_classes=2), input_shape=shape)
         assert m2.params["fc2.weight"].shape[0] == 2
-        m20 = build_model(20, input_shape=(3, 98, 120, 120))
+        m20 = build_model(20, default_architecture(shape, n_classes=20), input_shape=shape)
         assert m20.params["fc2.weight"].shape[0] == 20
         assert m20.n_classes == 20
 
@@ -419,6 +421,18 @@ class TestClassifyWindows:
         scored = classify_windows(m, src, [Segment(2, 6, "x"), Segment(8, 10, "x")])
         self._assert_scored_at(m, src, scored, [2, 6])
 
+    @pytest.mark.parametrize("frames, begin, start", [(200, 150, 102), (200, 50, 50), (98, 10, 0)])
+    def test_window_start_is_right_clamped(self, tmp_path, frames, begin, start):
+        src = self._video(tmp_path, frames)
+        m = ModelParams([], {}, (3, 98, 8, 8), 2)  # _window_input reads only the input shape
+        got = _window_input(m, src, begin)
+        assert np.array_equal(got, extract_cuboid(src, start, 98, 8).values)
+
+    def test_window_of_a_video_shorter_than_the_input_rejected(self, tmp_path):
+        src = self._video(tmp_path, 97)
+        with pytest.raises(CuboidError, match="shorter"):
+            _window_input(ModelParams([], {}, (3, 98, 8, 8), 2), src, 0)
+
     def test_video_shorter_than_the_input_gets_nothing(self, tmp_path, caplog):
         src = self._video(tmp_path, SMALL_SHAPE[1] - 1, name="shorty")
         with caplog.at_level(logging.WARNING, logger="strokebench"):
@@ -514,7 +528,7 @@ class TestCheckpoint:
     def test_checkpoint_without_layers_rejected(self, tmp_path, layers):
         p = tmp_path / "m.ckpt"
         p.write_bytes(CHECKPOINT_MAGIC + b"arch layers=" + layers + b" input=3x4x8x8\n")
-        with pytest.raises(CheckpointError, match=re.escape(f"{p}: layer count")):
+        with pytest.raises(CheckpointError, match=re.escape(f"{p}: architecture has no layers")):
             load_checkpoint(p)
 
     @pytest.mark.parametrize("old, new", [

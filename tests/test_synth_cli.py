@@ -1,3 +1,4 @@
+import logging
 from dataclasses import fields
 from pathlib import Path
 
@@ -274,6 +275,26 @@ class TestSettingFlags:
         assert seen == [SynthConfig(seed=4)]
 
 
+def _short_test_video(tmp_path):
+    """A 3-frame classification test video under tmp_path/data/test, one
+    segment long, and a 20-class model with a 4-frame input saved to c.ckpt:
+    (model, checkpoint path, the segment)."""
+    from strokebench.annotations import Segment, default_taxonomy, render_annotation_xml
+    from strokebench.frames import write_rgbv
+    from strokebench.nn.layers import default_architecture
+    test_dir = tmp_path / "data" / "test"
+    test_dir.mkdir(parents=True)
+    segment = Segment(0, 3, default_taxonomy().labels[0])
+    (test_dir / "short.xml").write_bytes(render_annotation_xml("short", [segment], 3, 120.0))
+    write_rgbv(test_dir / "short.rgbv", np.zeros((3, 8, 8, 3), np.uint8), 120.0)
+    shape = (3, 4, 8, 8)
+    arch = default_architecture(shape, filters=(2,), hidden=4, n_classes=20)
+    net = model_mod.build_model(20, arch, input_shape=shape)
+    ckpt = tmp_path / "c.ckpt"
+    model_mod.save_checkpoint(net, ckpt)
+    return net, ckpt, segment
+
+
 @pytest.fixture(scope="module")
 def tiny_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
@@ -481,25 +502,36 @@ class TestCommands:
 
     def test_classification_of_a_too_short_test_video(self, tmp_path, capsys):
         # its segments cannot be classified, so infer fails before writing its XML
-        from strokebench.annotations import Segment, default_taxonomy, render_annotation_xml
-        from strokebench.frames import write_rgbv
-        from strokebench.nn.layers import default_architecture
-        test_dir = tmp_path / "data" / "test"
-        test_dir.mkdir(parents=True)
-        label = default_taxonomy().labels[0]
-        (test_dir / "short.xml").write_bytes(
-            render_annotation_xml("short", [Segment(0, 3, label)], 3, 120.0))
-        write_rgbv(test_dir / "short.rgbv", np.zeros((3, 8, 8, 3), np.uint8), 120.0)
-        shape = (3, 4, 8, 8)
-        arch = default_architecture(shape, filters=(2,), hidden=4, n_classes=20)
-        ckpt = tmp_path / "c.ckpt"
-        model_mod.save_checkpoint(model_mod.build_model(20, arch, input_shape=shape), ckpt)
+        ckpt = _short_test_video(tmp_path)[1]
         out = tmp_path / "run"
         assert main(["infer", "--task", "classification", "--data", str(tmp_path / "data"),
                      "--out", str(out), "--checkpoint", str(ckpt)]) == 2
         assert ("error: short: only 3 frames, shorter than the 4-frame model input"
                 in capsys.readouterr().err)
         assert not (out / "predictions" / "short.xml").exists()
+
+    @pytest.mark.parametrize("outcome, line", [
+        ("train", "short: only 3 frames, shorter than the 4-frame model input; sample skipped"),
+        ("classify_windows",
+         "short: only 3 frames, shorter than the 4-frame model input; no windows classified"),
+        ("infer", "error: short: only 3 frames, shorter than the 4-frame model input"),
+    ], ids=["train", "classify_windows", "infer"])
+    def test_short_video_message_is_shared(self, tmp_path, caplog, capsys, outcome, line):
+        # training skips the sample, classify_windows scores nothing, infer exits 2;
+        # all three say why in the same words
+        net, ckpt, segment = _short_test_video(tmp_path)
+        src = open_rgbv(tmp_path / "data" / "test" / "short.rgbv")
+        with caplog.at_level(logging.WARNING, logger="strokebench"):
+            if outcome == "train":
+                item = model_mod.DatasetItem("short", segment, 0)
+                assert model_mod._extract_item(item, {"short": src}, net) is None
+            elif outcome == "classify_windows":
+                assert model_mod.classify_windows(net, src, [segment]) == []
+            else:
+                assert main(["infer", "--task", "classification", "--checkpoint", str(ckpt),
+                             "--data", str(tmp_path / "data"), "--out", str(tmp_path)]) == 2
+        said = capsys.readouterr().err.splitlines() + [r.getMessage() for r in caplog.records]
+        assert said == [line]
 
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck", "--trials", "5", "--seed", "1"]) == 0
