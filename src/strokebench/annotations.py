@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import xml.parsers.expat
 from dataclasses import dataclass, field
 from importlib import resources
 from xml.sax.saxutils import quoteattr
 
 from .errors import AnnotationError, TaxonomyError
-from .frames import fps_text
+from .frames import check_fps, fps_text
 
 NONSTROKE_LABEL = "Non-stroke"
 STROKE_LABEL = "Stroke"
@@ -66,6 +65,8 @@ class Segment:
 
 @dataclass
 class VideoAnnotation:
+    """An annotation document; construction checks every rule of the XML format."""
+
     video_id: str
     frame_count: int
     fps: float
@@ -74,10 +75,8 @@ class VideoAnnotation:
     def __post_init__(self):
         if self.frame_count < 0:
             raise AnnotationError(f"frame count must be >= 0, got {self.frame_count}")
-        if not 0 < self.fps < math.inf:
-            raise AnnotationError(f"fps must be finite and > 0, got {self.fps}")
-        self.segments = sorted(self.segments, key=lambda s: (s.begin, s.end))
-        _validate_segments(self.segments, self.frame_count)
+        check_fps(self.fps, AnnotationError)
+        self.segments = _sorted_segments(self.segments, self.frame_count)
 
     @property
     def ground_truth(self) -> list[Segment]:
@@ -88,23 +87,25 @@ class VideoAnnotation:
         return [s for s in self.segments if s.score is not None]
 
 
-def _validate_segments(segments: list[Segment], frame_count: int, lines=None):
-    def where(i):
-        return f" (line {lines[i]})" if lines else ""
-
+def _sorted_segments(segments: list[Segment], frame_count: int, lines=None) -> list[Segment]:
+    """segments in (begin, end) order, checked against the frame count (0 means
+    unknown) and each other; lines[i], if given, is segment i's source line."""
+    order = sorted(range(len(segments)), key=lambda i: (segments[i].begin, segments[i].end))
     prev_gt = None
-    for i, s in enumerate(segments):
+    for i in order:
+        s, where = segments[i], f" (line {lines[i]})" if lines else ""
         if frame_count > 0 and s.end > frame_count:
             raise AnnotationError(
-                f"segment [{s.begin}, {s.end}) exceeds frame count {frame_count}{where(i)}"
+                f"segment [{s.begin}, {s.end}) exceeds frame count {frame_count}{where}"
             )
         if s.score is None:
             if prev_gt is not None and s.begin < prev_gt.end:
                 raise AnnotationError(
                     f"ground-truth segments overlap: [{prev_gt.begin}, {prev_gt.end}) "
-                    f"and [{s.begin}, {s.end}){where(i)}"
+                    f"and [{s.begin}, {s.end}){where}"
                 )
             prev_gt = s
+    return [segments[i] for i in order]
 
 
 class _VideoXmlTarget:
@@ -134,26 +135,18 @@ class _VideoXmlTarget:
         self.depth -= 1
 
 
-def _attr_int(attrs, name, line, minimum=None):
+_ATTR_KINDS = {int: "a base-10 integer", float: "a number"}
+
+
+def _attr(attrs, name, line, kind=str):
+    """attrs[name] read as kind: str, int or float. Errors carry the line."""
     if name not in attrs:
         raise AnnotationError(f"missing attribute {name!r} (line {line})")
     try:
-        v = int(attrs[name], 10)
+        return kind(attrs[name])
     except ValueError:
         raise AnnotationError(
-            f"attribute {name}={attrs[name]!r} is not a base-10 integer (line {line})"
-        ) from None
-    if minimum is not None and v < minimum:
-        raise AnnotationError(f"attribute {name}={v} must be >= {minimum} (line {line})")
-    return v
-
-
-def _attr_float(attrs, name, line):
-    try:
-        return float(attrs[name])
-    except ValueError:
-        raise AnnotationError(
-            f"attribute {name}={attrs[name]!r} is not a number (line {line})"
+            f"attribute {name}={attrs[name]!r} is not {_ATTR_KINDS[kind]} (line {line})"
         ) from None
 
 
@@ -171,39 +164,37 @@ def parse_annotations(data: bytes) -> VideoAnnotation:
         raise AnnotationError("no <video> element found")
 
     vattrs, vline = target.video_attrs
-    if "name" not in vattrs:
-        raise AnnotationError(f"missing attribute 'name' (line {vline})")
-    frame_count = _attr_int(vattrs, "frames", vline, minimum=0)
-    fps = _attr_float(vattrs, "fps", vline)
+    name = _attr(vattrs, "name", vline)
+    frame_count = _attr(vattrs, "frames", vline, int)
+    fps = _attr(vattrs, "fps", vline, float)
+    try:
+        ann = VideoAnnotation(name, frame_count, fps)
+    except AnnotationError as e:
+        raise AnnotationError(f"{e} (line {vline})") from None
 
     segments, lines = [], []
     for attrs, line in target.actions:
-        begin = _attr_int(attrs, "begin", line)
-        end = _attr_int(attrs, "end", line)
-        if "move" not in attrs:
-            raise AnnotationError(f"missing attribute 'move' (line {line})")
-        score = _attr_float(attrs, "score", line) if "score" in attrs else None
+        begin = _attr(attrs, "begin", line, int)
+        end = _attr(attrs, "end", line, int)
+        move = _attr(attrs, "move", line)
+        score = _attr(attrs, "score", line, float) if "score" in attrs else None
         try:
-            segments.append(Segment(begin, end, attrs["move"], score))
+            segments.append(Segment(begin, end, move, score))
         except AnnotationError as e:
             raise AnnotationError(f"{e} (line {line})") from None
         lines.append(line)
-
-    order = sorted(range(len(segments)), key=lambda i: (segments[i].begin, segments[i].end))
-    segments = [segments[i] for i in order]
-    lines = [lines[i] for i in order]
-    _validate_segments(segments, frame_count, lines)  # line-numbered diagnostics
-    return VideoAnnotation(vattrs["name"], frame_count, fps, segments)
+    ann.segments = _sorted_segments(segments, frame_count, lines)
+    return ann
 
 
 def render_annotation_xml(video_id: str, segments: list[Segment],
                           frame_count: int, fps: float) -> bytes:
-    if not 0 < float(fps) < math.inf:
-        raise AnnotationError(f"{video_id}: fps must be finite and > 0, got {fps}")
+    """XML of VideoAnnotation(video_id, frame_count, fps, segments): the reader's rules hold."""
+    ann = VideoAnnotation(video_id, frame_count, fps, segments)
     out = io.StringIO()
-    out.write(f"<video name={quoteattr(video_id)} frames=\"{frame_count}\" "
-              f"fps=\"{fps_text(fps)}\">\n")
-    for s in sorted(segments, key=lambda s: (s.begin, s.end)):
+    out.write(f"<video name={quoteattr(ann.video_id)} frames=\"{ann.frame_count}\" "
+              f"fps=\"{fps_text(ann.fps)}\">\n")
+    for s in ann.segments:
         score = f" score=\"{s.score!r}\"" if s.score is not None else ""
         out.write(f"  <action begin=\"{s.begin}\" end=\"{s.end}\" "
                   f"move={quoteattr(s.label)}{score}/>\n")

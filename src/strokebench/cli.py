@@ -184,23 +184,32 @@ def _write_index(path: Path, rows: list[tuple[str, int, int, str]]) -> None:
     path.write_text(out.getvalue())
 
 
-def _read_index(path: Path) -> list[tuple[str, int, int, str]]:
+def _read_index(path: Path, labels: list[str]) -> list[DatasetItem]:
+    """The items an index CSV lists, labels[i] being class i; errors name the row."""
     if not path.is_file():
         raise ConfigError(f"missing index file {path}; run `prepare` first")
-    rows = []
+    index = {lab: i for i, lab in enumerate(labels)}
+    items = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["video_id", "begin", "end", "label"]:
             raise ConfigError(f"{path}: bad index header {header}")
         for row in reader:
+            where = f"{path}: row {reader.line_num}"
             if len(row) != 4:
-                raise ConfigError(f"{path}: bad index row {row}")
+                raise ConfigError(f"{where}: bad index row {row}")
+            video_id, begin, end, label = row
             try:
-                rows.append((row[0], int(row[1]), int(row[2]), row[3]))
+                segment = Segment(int(begin), int(end), label)
+            except AnnotationError as e:  # a ValueError too, so caught first
+                raise ConfigError(f"{where}: {e}") from None
             except ValueError:
-                raise ConfigError(f"{path}: non-integer frame bound in {row}") from None
-    return rows
+                raise ConfigError(f"{where}: non-integer frame bound in {row}") from None
+            if label not in index:
+                raise ConfigError(f"{where}: label {label!r} not among task classes")
+            items.append(DatasetItem(video_id, segment, index[label]))
+    return items
 
 
 def cmd_prepare(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -230,23 +239,11 @@ def _class_labels(cfg: RunConfig, tax: Taxonomy) -> list[str]:
     return list(model_mod.DETECTION_LABELS) if cfg.task == "detection" else tax.labels
 
 
-def _items_from_index(rows, labels: list[str]) -> list[DatasetItem]:
-    index = {lab: i for i, lab in enumerate(labels)}
-    items = []
-    for video_id, begin, end, label in rows:
-        if label not in index:
-            raise ConfigError(f"label {label!r} not among task classes")
-        items.append(DatasetItem(video_id, Segment(begin, end, label), index[label]))
-    return items
-
-
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     tax = _load_taxonomy(cfg)
     labels = _class_labels(cfg, tax)
-    train_rows = _read_index(_index_path(cfg, "train"))
-    val_rows = _read_index(_index_path(cfg, "validation"))
-    train_items = _items_from_index(train_rows, labels)
-    val_items = _items_from_index(val_rows, labels)
+    train_items = _read_index(_index_path(cfg, "train"), labels)
+    val_items = _read_index(_index_path(cfg, "validation"), labels)
 
     sources = {}
     for split, items in (("train", train_items), ("validation", val_items)):

@@ -3,8 +3,9 @@
 Two sources are supported so the pipeline needs no codec dependencies:
 
 * RGBV container: ASCII magic ``RGBV1\\n``, one ASCII header line
-  ``width height fps frame_count\\n`` (fps may be decimal), then frame_count
-  raw frames of height*width interleaved R,G,B bytes, no padding.
+  ``width height fps frame_count\\n`` of at most 256 bytes (fps may be
+  decimal), then frame_count raw frames of height*width interleaved R,G,B
+  bytes, no padding.
 * Frame directory: binary PPM (P6, maxval 255) files named by zero-padded
   frame index, e.g. 000000.ppm, 000001.ppm, ..., read at 120 fps.
 
@@ -21,9 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CuboidError, VideoFormatError
+from .errors import CuboidError, StrokebenchError, VideoFormatError
 
 RGBV_MAGIC = b"RGBV1\n"
+RGBV_HEADER_MAX = 256  # bytes in the header line, its newline included
 FRAME_DIR_FPS = 120.0  # a frame directory stores no rate
 
 
@@ -54,29 +56,9 @@ class RgbvVideo(VideoSource):
             magic = fh.read(len(RGBV_MAGIC))
             if magic != RGBV_MAGIC:
                 raise VideoFormatError(f"{path}: bad magic {magic!r}, expected {RGBV_MAGIC!r}")
-            header = bytearray()
-            while not header.endswith(b"\n"):
-                b = fh.read(1)
-                if not b:
-                    raise VideoFormatError(f"{path}: truncated header")
-                header += b
-                if len(header) > 256:
-                    raise VideoFormatError(f"{path}: header line too long")
+            header = fh.readline(RGBV_HEADER_MAX + 1)
             offset = fh.tell()
-        fields = header.decode("ascii", "replace").split()
-        if len(fields) != 4:
-            raise VideoFormatError(f"{path}: header must be 'width height fps frame_count'")
-        try:
-            self.width, self.height = int(fields[0]), int(fields[1])
-            self.fps = float(fields[2])
-            self.frame_count = int(fields[3])
-        except ValueError:
-            raise VideoFormatError(f"{path}: non-numeric header field in {fields}") from None
-        if self.width < 1 or self.height < 1:
-            raise VideoFormatError(f"{path}: zero or negative frame extents")
-        if not 0 < self.fps < math.inf or self.frame_count < 0:
-            raise VideoFormatError(
-                f"{path}: fps must be finite and > 0 and frame_count >= 0")
+        self.width, self.height, self.fps, self.frame_count = _parse_rgbv_header(header, path)
 
         expected = offset + self.frame_count * self.height * self.width * 3
         actual = os.path.getsize(path)
@@ -84,7 +66,6 @@ class RgbvVideo(VideoSource):
             raise VideoFormatError(f"{path}: truncated payload ({actual} < {expected} bytes)")
         if actual > expected:
             raise VideoFormatError(f"{path}: trailing data ({actual} > {expected} bytes)")
-        self._path = path
         self._frames = (
             np.memmap(path, dtype=np.uint8, mode="r", offset=offset,
                       shape=(self.frame_count, self.height, self.width, 3))
@@ -101,23 +82,52 @@ def open_rgbv(path) -> RgbvVideo:
     return RgbvVideo(path)
 
 
+def check_fps(fps: float, error: type[StrokebenchError], prefix: str = "") -> None:
+    """The frame-rate rule of RGBV headers, annotation XML and the synthetic
+    corpus: raise error(prefix + message) unless fps is finite and > 0."""
+    if not 0 < fps < math.inf:
+        raise error(f"{prefix}fps must be finite and > 0, got {float(fps)}")
+
+
 def fps_text(fps: float) -> str:
     """fps as RGBV headers and annotation XML write it: an integer without a
     decimal point, any other value as Python's shortest repr."""
     return str(int(fps)) if float(fps).is_integer() else repr(float(fps))
 
 
+def _parse_rgbv_header(line: bytes, path) -> tuple[int, int, float, int]:
+    """(width, height, fps, frame_count) of an RGBV header line, newline included."""
+    if len(line) > RGBV_HEADER_MAX:
+        raise VideoFormatError(f"{path}: header line too long")
+    if not line.endswith(b"\n"):
+        raise VideoFormatError(f"{path}: truncated header")
+    fields = line.decode("ascii", "replace").split()
+    if len(fields) != 4:
+        raise VideoFormatError(f"{path}: header must be 'width height fps frame_count'")
+    try:
+        width, height, frame_count = int(fields[0]), int(fields[1]), int(fields[3])
+        fps = float(fields[2])
+    except ValueError:
+        raise VideoFormatError(f"{path}: non-numeric header field in {fields}") from None
+    if width < 1 or height < 1:
+        raise VideoFormatError(f"{path}: zero or negative frame extents")
+    check_fps(fps, VideoFormatError, f"{path}: ")
+    if frame_count < 0:
+        raise VideoFormatError(f"{path}: frame_count must be >= 0, got {frame_count}")
+    return width, height, fps, frame_count
+
+
 def write_rgbv(path, frames: np.ndarray, fps: float) -> None:
-    """Write an (N, H, W, 3) uint8 array as an RGBV file."""
+    """Write an (N, H, W, 3) uint8 array as an RGBV file whose header the reader accepts."""
     frames = np.ascontiguousarray(frames, dtype=np.uint8)
     if frames.ndim != 4 or frames.shape[3] != 3:
         raise VideoFormatError(f"frames must be (N, H, W, 3), got {frames.shape}")
-    if not 0 < float(fps) < math.inf:
-        raise VideoFormatError(f"{path}: fps must be finite and > 0, got {fps}")
     n, h, w, _ = frames.shape
+    header = f"{w} {h} {fps_text(fps)} {n}\n".encode("ascii")
+    _parse_rgbv_header(header, path)
     with open(path, "wb") as fh:
         fh.write(RGBV_MAGIC)
-        fh.write(f"{w} {h} {fps_text(fps)} {n}\n".encode("ascii"))
+        fh.write(header)
         fh.write(frames.tobytes())
 
 

@@ -77,6 +77,14 @@ class TestParse:
                b'<action begin="100" end="300" move="A"/></video>')
         assert parse_annotations(xml).segments[0].end == 300
 
+    @pytest.mark.parametrize("attr", ["name", "frames", "fps"])
+    def test_missing_video_attribute_reports_line(self, attr):
+        attrs = {"name": "v", "frames": "10", "fps": "120"}
+        del attrs[attr]
+        xml = "<video " + " ".join(f'{k}="{v}"' for k, v in attrs.items()) + "/>"
+        with pytest.raises(AnnotationError, match=rf"^missing attribute '{attr}' \(line 1\)$"):
+            parse_annotations(xml.encode())
+
     def test_non_integer_attribute_rejected(self):
         xml = b'<video name="v" frames="1.5" fps="120"/>'
         with pytest.raises(AnnotationError, match="base-10 integer"):
@@ -128,6 +136,28 @@ class TestWrite:
     def test_writer_rejects_fps_the_reader_rejects(self, write, fps):
         with pytest.raises(AnnotationError, match="fps must be finite"):
             write("v", [], 10, fps)
+
+
+    # (frame count, ground-truth spans, fps, line of the reader's error):
+    # documents the reader refuses
+    REFUSED = [(-1, [], 120.0, 1), (200, [(100, 300)], 120.0, 2),
+               (1000, [(100, 300), (200, 400)], 120.0, 3), (10, [], 0.0, 1),
+               (10, [], -1.0, 1), (10, [], float("nan"), 1), (10, [], float("inf"), 1)]
+
+    @pytest.mark.parametrize("frames, spans, fps, line", REFUSED, ids=[
+        "frames-1", "past_end", "overlap", "fps0", "fps-1", "nan", "inf"])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, frames, spans, fps, line):
+        p = tmp_path / "v.xml"
+        with pytest.raises(AnnotationError) as written:
+            p.write_bytes(render_annotation_xml("v", [Segment(b, e, "A") for b, e in spans],
+                                                frames, fps))
+        assert not p.exists()
+        xml = (f'<video name="v" frames="{frames}" fps="{fps!r}">\n'
+               + "".join(f'<action begin="{b}" end="{e}" move="A"/>\n' for b, e in spans)
+               + "</video>\n")
+        with pytest.raises(AnnotationError) as read:
+            parse_annotations(xml.encode())
+        assert str(read.value) == f"{written.value} (line {line})"
 
 
 class TestNegativeInference:

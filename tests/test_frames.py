@@ -75,6 +75,42 @@ class TestRgbv:
             write_rgbv(p, np.zeros((1, 4, 4, 3), np.uint8), fps)
         assert not p.exists()
 
+    def test_header_line_of_256_bytes_opens(self, tmp_path):
+        p = tmp_path / "h.rgbv"
+        p.write_bytes(b"RGBV1\n" + b"4 4 120 1".ljust(255) + b"\n" + bytes(4 * 4 * 3))
+        src = open_rgbv(p)
+        assert (src.width, src.height, src.fps, src.frame_count) == (4, 4, 120.0, 1)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"4 4 120 1".ljust(256) + b"\n", "header line too long"),
+        (b"4 4 120 1", "truncated header"),
+    ], ids=["257_bytes", "no_newline"])
+    def test_header_line_refused(self, tmp_path, header, message):
+        p = tmp_path / "h.rgbv"
+        p.write_bytes(b"RGBV1\n" + header)
+        with pytest.raises(VideoFormatError) as err:
+            open_rgbv(p)
+        assert str(err.value) == f"{p}: {message}"
+
+    # (frame array shape, fps): values the reader refuses in a header
+    REFUSED = [((2, 4, 0, 3), 120.0), ((2, 0, 4, 3), 120.0), ((1, 4, 4, 3), 0.0),
+               ((1, 4, 4, 3), -1.0), ((1, 4, 4, 3), float("nan")),
+               ((1, 4, 4, 3), float("inf")), ((1, 4, 4, 3), 1e300)]
+
+    @pytest.mark.parametrize("shape, fps", REFUSED,
+                             ids=["Nx0", "0xN", "fps0", "fps-1", "nan", "inf", "long_header"])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, shape, fps):
+        p = tmp_path / "v.rgbv"
+        frames = np.zeros(shape, np.uint8)
+        with pytest.raises(VideoFormatError) as written:
+            write_rgbv(p, frames, fps)
+        assert not p.exists()
+        _, h, w, _ = shape
+        p.write_bytes(_rgbv_bytes(w, h, fps, list(frames)))
+        with pytest.raises(VideoFormatError) as read:
+            open_rgbv(p)
+        assert str(read.value) == str(written.value)
+
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         frames = rng.integers(0, 256, (5, 6, 7, 3), dtype=np.uint8)

@@ -361,6 +361,23 @@ class TestCommands:
         rc = main(_train_args(tiny_corpus, tmp_path / "fresh"))
         assert rc == 2
 
+    @pytest.mark.parametrize("row, message", [
+        ("train001,900,300,Stroke", "segment must satisfy 0 <= begin < end, got [900, 300)"),
+        ("train001,0,30,X", "label 'X' not among task classes"),
+    ], ids=["begin_after_end", "unknown_label"])
+    def test_bad_index_row_fails_naming_file_and_row(
+            self, tiny_corpus, tmp_path, capsys, row, message):
+        out = tmp_path / "run"
+        assert main(["prepare", "--task", "detection", "--data", str(tiny_corpus),
+                     "--out", str(out)]) == 0
+        index = out / "detection_train_index.csv"
+        lines = index.read_text().splitlines()
+        lines[2] = row  # the header is row 1
+        index.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(_train_args(tiny_corpus, out)) == 2
+        assert f"error: {index}: row 3: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--lr", "0", "learning rate must be > 0"),
         ("--lr", "nan", "learning rate must be > 0 and finite"),
