@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import xml.parsers.expat
 from dataclasses import dataclass, field
 from importlib import resources
@@ -63,6 +64,10 @@ class Segment:
         return self.end - self.begin
 
 
+# a character outside XML 1.0's Char production, which no XML document can hold
+_NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
 @dataclass
 class VideoAnnotation:
     """An annotation document; construction checks every rule of the XML format."""
@@ -76,6 +81,11 @@ class VideoAnnotation:
         if self.frame_count < 0:
             raise AnnotationError(f"frame count must be >= 0, got {self.frame_count}")
         check_fps(self.fps, AnnotationError)
+        texts = [("video id", self.video_id)] + [("label", s.label) for s in self.segments]
+        for what, text in texts:
+            if bad := _NON_XML_CHAR.search(text):
+                raise AnnotationError(f"{what} {text!r} holds {bad.group()!r}, "
+                                      f"which XML 1.0 cannot carry")
         self.segments = _sorted_segments(self.segments, self.frame_count)
 
     @property
@@ -159,7 +169,8 @@ def parse_annotations(data: bytes) -> VideoAnnotation:
     try:
         parser.Parse(data, True)
     except xml.parsers.expat.ExpatError as e:
-        raise AnnotationError(f"malformed XML: {e} (line {e.lineno})") from None
+        raise AnnotationError(f"malformed XML: {xml.parsers.expat.ErrorString(e.code)} "
+                              f"(line {e.lineno})") from None
     if target.video_attrs is None:
         raise AnnotationError("no <video> element found")
 

@@ -21,8 +21,8 @@ from pathlib import Path
 
 from . import metrics, model as model_mod, synth
 from .annotations import (LEVEL_TITLES, LEVELS, STROKE_LABEL, Segment, Taxonomy,
-                          default_taxonomy, infer_negative_segments, load_taxonomy,
-                          parse_annotations, write_predictions)
+                          VideoAnnotation, default_taxonomy, infer_negative_segments,
+                          load_taxonomy, parse_annotations, write_predictions)
 from .errors import AnnotationError, ConfigError, MetricError, StrokebenchError, TaxonomyError
 from .frames import open_frame_dir, open_rgbv
 from .model import DatasetItem, TrainConfig, build_model, load_checkpoint, save_checkpoint
@@ -154,7 +154,19 @@ def _split_annotations(cfg: RunConfig, split: str):
     xmls = sorted(split_dir.glob("*.xml"))
     if not xmls:
         raise ConfigError(f"no annotation files in {split_dir}")
-    return [_parse_file(p, parse_annotations, AnnotationError) for p in xmls]
+    return _parse_annotation_files(xmls)
+
+
+def _parse_annotation_files(paths: list[Path]) -> list[VideoAnnotation]:
+    """Each file's annotation, in order; ConfigError if two files name one video."""
+    anns = {}  # video id -> (its file, its annotation)
+    for p in paths:
+        ann = _parse_file(p, parse_annotations, AnnotationError)
+        if ann.video_id in anns:
+            raise ConfigError(f"{anns[ann.video_id][0]} and {p} both annotate video "
+                              f"{ann.video_id!r}")
+        anns[ann.video_id] = p, ann
+    return [ann for _, ann in anns.values()]
 
 
 def _open_source(cfg: RunConfig, split: str, video_id: str):
@@ -285,7 +297,7 @@ def cmd_infer(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not Path(ckpt).is_file():
         raise ConfigError(f"missing checkpoint {ckpt}; run `train` first")
     net = load_checkpoint(ckpt)
-    expected = 2 if cfg.task == "detection" else len(tax.labels)
+    expected = len(_class_labels(cfg, tax))
     if net.n_classes != expected:
         raise ConfigError(
             f"checkpoint has {net.n_classes} classes but task {cfg.task!r} needs {expected}"
@@ -319,11 +331,8 @@ def _load_predictions(cfg: RunConfig) -> dict[str, list[Segment]]:
     pred_dir = _predictions_dir(cfg)
     if not pred_dir.is_dir():
         raise ConfigError(f"missing predictions directory {pred_dir}; run `infer` first")
-    preds = {}
-    for p in sorted(pred_dir.glob("*.xml")):
-        ann = _parse_file(p, parse_annotations, AnnotationError)
-        preds[ann.video_id] = ann.predictions
-    return preds
+    anns = _parse_annotation_files(sorted(pred_dir.glob("*.xml")))
+    return {ann.video_id: ann.predictions for ann in anns}
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:

@@ -388,12 +388,17 @@ def _text_lines(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> list[st
 
 
 def save_checkpoint(model: ModelParams, path) -> None:
+    """Write one record per param_entries(model.specs) entry, in that order;
+    CheckpointError, before the file is made, unless params holds exactly those."""
+    entries = dict(param_entries(model.specs))
+    if (shapes := {name: arr.shape for name, arr in model.params.items()}) != entries:
+        raise CheckpointError(f"{path}: parameters {shapes} do not match the layers' {entries}")
     buf = bytearray(CHECKPOINT_MAGIC)
     for line in _text_lines(model.specs, model.input_shape):
         buf += (line + "\n").encode("utf-8")
-    for name, arr in model.params.items():
-        buf += _record_head(name, arr.shape)
-        buf += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    for name, shape in entries.items():
+        buf += _record_head(name, shape)
+        buf += np.ascontiguousarray(model.params[name], dtype="<f4").tobytes()
     Path(path).write_bytes(bytes(buf))
 
 

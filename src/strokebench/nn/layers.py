@@ -23,23 +23,12 @@ class LayerSpec:
 
 
 def conv3d(in_channels: int, out_channels: int, kernel=(3, 3, 3), stride=1, pad=1) -> LayerSpec:
-    kernel = tuple(int(k) for k in kernel)
-    if in_channels < 1 or out_channels < 1:
-        raise ArchitectureError(f"conv3d channels must be >= 1, got {in_channels}/{out_channels}")
-    if min(kernel) < 1 or stride < 1 or pad < 0:
-        raise ArchitectureError(
-            f"conv3d needs kernel extents >= 1, stride >= 1, pad >= 0: "
-            f"kernel={kernel} stride={stride} pad={pad}"
-        )
     return LayerSpec("conv3d", in_channels=in_channels, out_channels=out_channels,
-                     kernel=kernel, stride=stride, pad=pad)
+                     kernel=tuple(int(k) for k in kernel), stride=stride, pad=pad)
 
 
 def maxpool3d(window) -> LayerSpec:
-    window = tuple(int(x) for x in window)
-    if min(window) < 1:
-        raise ArchitectureError(f"maxpool3d window extents must be >= 1, got {window}")
-    return LayerSpec("maxpool3d", window=window)
+    return LayerSpec("maxpool3d", window=tuple(int(x) for x in window))
 
 
 def relu() -> LayerSpec:
@@ -51,23 +40,21 @@ def flatten() -> LayerSpec:
 
 
 def linear(in_features: int, out_features: int) -> LayerSpec:
-    if in_features < 1 or out_features < 1:
-        raise ArchitectureError(f"linear features must be >= 1, got {in_features}/{out_features}")
     return LayerSpec("linear", in_features=in_features, out_features=out_features)
 
 
 def output_shape(spec: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
     """Shape produced by one layer from `shape` (without the batch axis)."""
+    if spec.kind in ("conv3d", "maxpool3d") and len(shape) != 4:
+        raise ShapeError(f"{spec.kind} expects a (C,T,H,W) input, got {shape}")
     if spec.kind == "conv3d":
-        if len(shape) != 4:
-            raise ShapeError(f"conv3d expects a (C,T,H,W) input, got {shape}")
+        if spec.in_channels < 1 or spec.out_channels < 1:
+            raise ShapeError(f"channels must be >= 1, got {spec.in_channels}/{spec.out_channels}")
         if shape[0] != spec.in_channels:
             raise ShapeError(f"conv3d expects {spec.in_channels} channels, got {shape[0]}")
         return (spec.out_channels,) + conv3d_out_extents(shape[1:], spec.kernel,
                                                          spec.stride, spec.pad)
     if spec.kind == "maxpool3d":
-        if len(shape) != 4:
-            raise ShapeError(f"maxpool3d expects a (C,T,H,W) input, got {shape}")
         return (shape[0],) + maxpool3d_out_extents(shape[1:], spec.window)
     if spec.kind == "relu":
         return shape
@@ -76,6 +63,8 @@ def output_shape(spec: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
             raise ShapeError(f"flatten expects a multi-axis input, got {shape}")
         return (math.prod(shape),)
     if spec.kind == "linear":
+        if spec.in_features < 1 or spec.out_features < 1:
+            raise ShapeError(f"features must be >= 1, got {spec.in_features}/{spec.out_features}")
         if shape != (spec.in_features,):
             raise ShapeError(f"linear expects ({spec.in_features},) features, got {shape}")
         return (spec.out_features,)
@@ -126,16 +115,15 @@ def _extents(text: str) -> tuple[int, int, int]:
     return tuple(_int(x) for x in xs)
 
 
-# Each kind's factory and descriptor keys, in descriptor order: key -> (the
-# LayerSpec field it holds, its parser). Both descriptor directions read this.
+# Each kind's descriptor keys, in descriptor order: key -> (the LayerSpec
+# field it holds, its parser). Both descriptor directions read this.
 _DESCRIPTORS = {
-    "conv3d": (conv3d, {"in": ("in_channels", _int), "out": ("out_channels", _int),
-                        "kernel": ("kernel", _extents), "stride": ("stride", _int),
-                        "pad": ("pad", _int)}),
-    "maxpool3d": (maxpool3d, {"window": ("window", _extents)}),
-    "relu": (relu, {}),
-    "flatten": (flatten, {}),
-    "linear": (linear, {"in": ("in_features", _int), "out": ("out_features", _int)}),
+    "conv3d": {"in": ("in_channels", _int), "out": ("out_channels", _int),
+               "kernel": ("kernel", _extents), "stride": ("stride", _int), "pad": ("pad", _int)},
+    "maxpool3d": {"window": ("window", _extents)},
+    "relu": {},
+    "flatten": {},
+    "linear": {"in": ("in_features", _int), "out": ("out_features", _int)},
 }
 
 
@@ -143,7 +131,7 @@ def to_descriptor(spec: LayerSpec) -> str:
     if spec.kind not in _DESCRIPTORS:
         raise ArchitectureError(f"unknown layer kind {spec.kind!r}")
     words = [spec.kind]
-    for key, (name, _) in _DESCRIPTORS[spec.kind][1].items():
+    for key, (name, _) in _DESCRIPTORS[spec.kind].items():
         value = getattr(spec, name)
         text = "x".join(map(str, value)) if isinstance(value, tuple) else str(value)
         words.append(f"{key}={text}")
@@ -152,11 +140,11 @@ def to_descriptor(spec: LayerSpec) -> str:
 
 def from_descriptor(line: str) -> LayerSpec:
     """The LayerSpec of a descriptor line: its kind, then exactly the kind's
-    key=value fields in to_descriptor's order; the factory checks the values."""
+    key=value fields in to_descriptor's order; chain_shapes checks the values."""
     kind, *words = line.split() or [""]
     if kind not in _DESCRIPTORS:
         raise ValueError(f"unknown layer kind in descriptor {line!r}")
-    factory, keys = _DESCRIPTORS[kind]
+    keys = _DESCRIPTORS[kind]
     fields = [word.partition("=") for word in words]
     if [(key, eq) for key, eq, _ in fields] != [(key, "=") for key in keys]:
         expected = " ".join([kind] + [f"{key}=..." for key in keys])
@@ -167,7 +155,7 @@ def from_descriptor(line: str) -> LayerSpec:
             values[name] = parse(text)
         except ValueError as e:
             raise ValueError(f"{kind} {key}: {e}") from None
-    return factory(**values)
+    return LayerSpec(kind, **values)
 
 
 def _pool_extent(n: int) -> int:

@@ -52,8 +52,10 @@ BLOCK_BYTES = 32 << 20
 
 
 def conv3d_out_extents(extents, kernel, stride: int, pad: int) -> tuple[int, int, int]:
-    """(T', H', W') of a conv over (T, H, W) `extents`; ShapeError unless
-    stride >= 1, pad >= 0 and each output extent is >= 1."""
+    """(T', H', W') of a conv over (T, H, W) `extents`; ShapeError unless the
+    kernel's extents are >= 1, stride >= 1, pad >= 0 and each output extent is >= 1."""
+    if min(kernel) < 1:
+        raise ShapeError(f"kernel extents must be >= 1, got {kernel}")
     if stride < 1 or pad < 0:
         raise ShapeError(f"stride must be >= 1 and pad >= 0, got stride={stride} pad={pad}")
     outs = tuple((e + 2 * pad - k) // stride + 1 for e, k in zip(extents, kernel))

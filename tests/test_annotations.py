@@ -143,21 +143,31 @@ class TestWrite:
     REFUSED = [(-1, [], 120.0, 1), (200, [(100, 300)], 120.0, 2),
                (1000, [(100, 300), (200, 400)], 120.0, 3), (10, [], 0.0, 1),
                (10, [], -1.0, 1), (10, [], float("nan"), 1), (10, [], float("inf"), 1)]
+    # (video id, label, line of the reader's error): documents holding a
+    # character XML 1.0 cannot carry, which expat refuses before any rule runs
+    BAD_TEXT = [("v\x01", "A", 1), ("v", "A\x01", 2), ("v\ud800", "A", 1), ("v", "A\udfff", 2)]
 
-    @pytest.mark.parametrize("frames, spans, fps, line", REFUSED, ids=[
-        "frames-1", "past_end", "overlap", "fps0", "fps-1", "nan", "inf"])
-    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, frames, spans, fps, line):
+    @pytest.mark.parametrize("name, label, frames, spans, fps, line, said", [
+        ("v", "A", *row, None) for row in REFUSED
+    ] + [
+        (name, label, 10, [(0, 5)], 120.0, line, "malformed XML: not well-formed (invalid token)")
+        for name, label, line in BAD_TEXT
+    ], ids=["frames-1", "past_end", "overlap", "fps0", "fps-1", "nan", "inf",
+            "control_char_in_id", "control_char_in_label", "surrogate_in_id", "surrogate_in_label"])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, name, label, frames, spans,
+                                                    fps, line, said):
         p = tmp_path / "v.xml"
         with pytest.raises(AnnotationError) as written:
-            p.write_bytes(render_annotation_xml("v", [Segment(b, e, "A") for b, e in spans],
+            p.write_bytes(render_annotation_xml(name, [Segment(b, e, label) for b, e in spans],
                                                 frames, fps))
         assert not p.exists()
-        xml = (f'<video name="v" frames="{frames}" fps="{fps!r}">\n'
-               + "".join(f'<action begin="{b}" end="{e}" move="A"/>\n' for b, e in spans)
+        xml = (f'<video name="{name}" frames="{frames}" fps="{fps!r}">\n'
+               + "".join(f'<action begin="{b}" end="{e}" move="{label}"/>\n' for b, e in spans)
                + "</video>\n")
         with pytest.raises(AnnotationError) as read:
-            parse_annotations(xml.encode())
-        assert str(read.value) == f"{written.value} (line {line})"
+            parse_annotations(xml.encode("utf-8", "surrogatepass"))
+        # said: what the reader says, when it is not what the writer says
+        assert str(read.value) == f"{said or written.value} (line {line})"
 
 
 class TestNegativeInference:

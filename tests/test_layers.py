@@ -69,7 +69,7 @@ def test_chain_shapes_match_pool_kernel(window):
      "stride must be >= 1 and pad >= 0, got stride=0 pad=0"),
 ], ids=["pool_window", "conv_stride"])
 def test_hand_built_spec_rejected_with_the_kernel_rule(spec, message):
-    # LayerSpec(...) skips the factory's checks; the kernel's own rule still holds
+    # a hand-built LayerSpec meets the kernel's own rule in the chain walk
     with pytest.raises(ArchitectureError, match=re.escape(f"layer 0 ({spec.kind}): {message}")):
         chain_shapes([spec], (1, 2, 2, 2))
 
@@ -154,14 +154,16 @@ def test_malformed_value_names_kind_and_key(line, message):
 
 
 def test_factory_validation():
-    with pytest.raises(ArchitectureError):
-        conv3d(0, 8)
-    with pytest.raises(ArchitectureError):
-        conv3d(1, 1, kernel=(0, 3, 3))
-    with pytest.raises(ArchitectureError):
-        maxpool3d((0, 2, 2))
-    with pytest.raises(ArchitectureError):
-        linear(0, 5)
+    # the factories only build; the chain walk refuses what they make
+    for spec, input_shape, message in [
+        (conv3d(0, 8), (1, 4, 4, 4), "channels must be >= 1, got 0/8"),
+        (conv3d(1, 1, kernel=(0, 3, 3)), (1, 4, 4, 4),
+         "kernel extents must be >= 1, got (0, 3, 3)"),
+        (maxpool3d((0, 2, 2)), (1, 4, 4, 4), "pool window extents must be >= 1, got (0, 2, 2)"),
+        (linear(0, 5), (1,), "features must be >= 1, got 0/5"),
+    ]:
+        with pytest.raises(ArchitectureError, match=re.escape(f"layer 0 ({spec.kind}): {message}")):
+            chain_shapes([spec], input_shape)
 
 
 def test_pool_extent_rules():

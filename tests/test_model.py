@@ -11,8 +11,8 @@ from strokebench.errors import (AnnotationError, ArchitectureError, CheckpointEr
 from strokebench.frames import extract_cuboid, open_rgbv, write_rgbv
 from strokebench.model import (CHECKPOINT_MAGIC, DatasetItem, ModelParams, TrainConfig,
                                build_model, classify, classify_windows, detect, forward,
-                               _window_input, history_csv, load_checkpoint, save_checkpoint,
-                               train)
+                               _text_lines, _window_input, history_csv, load_checkpoint,
+                               save_checkpoint, train)
 from strokebench.nn import ops
 from strokebench.nn.layers import (LayerSpec, chain_shapes, conv3d, default_architecture,
                                    flatten, linear, maxpool3d, param_entries, relu,
@@ -66,6 +66,38 @@ INVALID_MODELS = {
                                           "not divisible by pool window (3, 2, 2)"),
     "one_class": (small_arch(n_classes=1), "architecture ends at shape (1,), expected (K,) "
                                            "with K >= 2"),
+}
+
+
+TINY_SHAPE = (3, 4, 4, 4)
+
+
+def _conv(**fields):
+    """A hand-built conv3d spec: 3 -> 4 channels, 3x3x3 kernel, stride 1, pad 1,
+    with `fields` replaced and no factory in between."""
+    return LayerSpec("conv3d", **dict(in_channels=3, out_channels=4, kernel=(3, 3, 3),
+                                      stride=1, pad=1) | fields)
+
+
+# Hand-built chains at TINY_SHAPE, each breaking one layer rule, and what
+# build_model says of them
+RULE_BREAKING_CHAINS = {
+    "zero_filters": ([_conv(out_channels=0), relu(), flatten(),
+                      LayerSpec("linear", in_features=0, out_features=2)],
+                     "layer 0 (conv3d): channels must be >= 1, got 3/0"),
+    "zero_kernel_extent": ([_conv(kernel=(0, 3, 3)), relu(), maxpool3d((7, 2, 2)), flatten(),
+                            linear(16, 2)],
+                           "layer 0 (conv3d): kernel extents must be >= 1, got (0, 3, 3)"),
+    "zero_hidden_outputs": ([_conv(), relu(), maxpool3d((2, 2, 2)), flatten(),
+                             LayerSpec("linear", in_features=32, out_features=0), relu(),
+                             LayerSpec("linear", in_features=0, out_features=2)],
+                            "layer 4 (linear): features must be >= 1, got 32/0"),
+    "zero_stride": ([_conv(stride=0), relu(), maxpool3d((2, 2, 2)), flatten(), linear(32, 2)],
+                    "layer 0 (conv3d): stride must be >= 1 and pad >= 0, got stride=0 pad=1"),
+    "zero_window_extent": ([_conv(), relu(), LayerSpec("maxpool3d", window=(0, 2, 2)),
+                            flatten(), linear(32, 2)],
+                           "layer 2 (maxpool3d): pool window extents must be >= 1, "
+                           "got (0, 2, 2)"),
 }
 
 
@@ -587,6 +619,40 @@ class TestCheckpoint:
         for name, arr in m.params.items():
             assert back.params[name].dtype == np.float32
             assert back.params[name].tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("kind", list(RULE_BREAKING_CHAINS))
+    def test_build_and_load_refuse_a_chain_alike(self, tmp_path, kind):
+        specs, message = RULE_BREAKING_CHAINS[kind]
+        with pytest.raises(ArchitectureError) as built:
+            build_model(2, specs, input_shape=TINY_SHAPE)
+        assert str(built.value) == message
+        p = tmp_path / "m.ckpt"
+        text = "".join(line + "\n" for line in _text_lines(specs, TINY_SHAPE))
+        p.write_bytes(CHECKPOINT_MAGIC + text.encode("utf-8"))
+        with pytest.raises(CheckpointError) as loaded:
+            load_checkpoint(p)
+        assert str(loaded.value) == f"{p}: {message}"
+
+    def test_save_writes_records_in_layer_order(self, tmp_path):
+        m = small_model(seed=9)
+        reordered = ModelParams(m.specs, dict(reversed(m.params.items())), m.input_shape,
+                                m.n_classes)
+        save_checkpoint(m, tmp_path / "a.ckpt")
+        save_checkpoint(reordered, tmp_path / "b.ckpt")
+        assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda params: params.update({"conv1.weight": params["conv1.weight"][..., :2]}),
+        lambda params: params.pop("fc2.bias"),
+        lambda params: params.update({"fc3.bias": np.zeros(2, np.float32)}),
+    ], ids=["misshapen", "missing", "extra"])
+    def test_save_refuses_params_the_layers_do_not_declare(self, tmp_path, edit):
+        m = small_model()
+        edit(m.params)
+        p = tmp_path / "m.ckpt"
+        with pytest.raises(CheckpointError, match=re.escape(f"{p}: parameters ")):
+            save_checkpoint(m, p)
+        assert not p.exists()
 
     def test_default_architecture_checkpoint_shape_chain(self, tmp_path):
         specs = default_architecture((3, 16, 32, 32), filters=(4, 8), hidden=16, n_classes=20)

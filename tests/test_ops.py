@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,17 @@ class TestConv3d:
         w = np.zeros((1, 1, 3, 3, 3))
         with pytest.raises(ShapeError, match="does not fit"):
             ops.conv3d_forward(x, w, np.zeros(1), stride=1, pad=0)
+
+    @pytest.mark.parametrize("run", [
+        lambda x, w: ops.conv3d_forward(x, w, np.zeros(2)),
+        lambda x, w: ops.conv3d_backward(x, w, np.zeros((1, 2, 4, 1, 1))),
+    ], ids=["forward", "backward"])
+    def test_zero_extent_kernel_rejected(self, run):
+        x = np.zeros((1, 1, 3, 3, 3))
+        w = np.zeros((2, 1, 0, 3, 3))
+        message = "kernel extents must be >= 1, got (0, 3, 3)"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            run(x, w)
 
     def test_backward_zero_grad_out(self):
         rng = np.random.default_rng(0)

@@ -1,4 +1,5 @@
 import logging
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -438,6 +439,30 @@ class TestCommands:
             write_predictions("ghost", [Segment(0, 10, "Stroke", 0.5)]))
         assert main(["eval", "--task", "detection", "--data", str(tiny_corpus),
                      "--out", str(out)]) == 2
+
+    def test_two_annotation_files_naming_one_video_fail(self, tiny_corpus, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(tiny_corpus, data)
+        first, second = data / "train" / "train000.xml", data / "train" / "train001.xml"
+        second.write_bytes(second.read_bytes().replace(b'name="train001"', b'name="train000"'))
+        capsys.readouterr()
+        assert main(["prepare", "--task", "detection", "--data", str(data),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert (f"error: {first} and {second} both annotate video 'train000'"
+                in capsys.readouterr().err)
+
+    def test_two_prediction_files_naming_one_video_fail(self, tiny_corpus, tmp_path, capsys):
+        from strokebench.annotations import Segment, write_predictions
+        pred_dir = tmp_path / "run" / "predictions"
+        pred_dir.mkdir(parents=True)
+        for name in ("a.xml", "b.xml"):
+            (pred_dir / name).write_bytes(
+                write_predictions("test000", [Segment(0, 10, "Stroke", 0.5)]))
+        capsys.readouterr()
+        assert main(["eval", "--task", "detection", "--data", str(tiny_corpus),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert (f"error: {pred_dir / 'a.xml'} and {pred_dir / 'b.xml'} both annotate video "
+                f"'test000'" in capsys.readouterr().err)
 
     def test_classification_eval_report_columns(self, tiny_corpus, tmp_path, capsys):
         out = tmp_path / "runc"
