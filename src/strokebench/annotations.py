@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from xml.sax.saxutils import quoteattr
 
-from .errors import AnnotationError, TaxonomyError
+from .errors import AnnotationError, StrokebenchError, TaxonomyError
 from .frames import check_fps, fps_text
 
 NONSTROKE_LABEL = "Non-stroke"
@@ -68,6 +68,13 @@ class Segment:
 _NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
+def _check_xml_text(what: str, text: str, error: type[StrokebenchError]) -> None:
+    """The rule for a video id or label, which annotation XML must carry:
+    raise error unless every character is in XML 1.0's Char production."""
+    if bad := _NON_XML_CHAR.search(text):
+        raise error(f"{what} {text!r} holds {bad.group()!r}, which XML 1.0 cannot carry")
+
+
 @dataclass
 class VideoAnnotation:
     """An annotation document; construction checks every rule of the XML format."""
@@ -81,11 +88,9 @@ class VideoAnnotation:
         if self.frame_count < 0:
             raise AnnotationError(f"frame count must be >= 0, got {self.frame_count}")
         check_fps(self.fps, AnnotationError)
-        texts = [("video id", self.video_id)] + [("label", s.label) for s in self.segments]
-        for what, text in texts:
-            if bad := _NON_XML_CHAR.search(text):
-                raise AnnotationError(f"{what} {text!r} holds {bad.group()!r}, "
-                                      f"which XML 1.0 cannot carry")
+        _check_xml_text("video id", self.video_id, AnnotationError)
+        for s in self.segments:
+            _check_xml_text("label", s.label, AnnotationError)
         self.segments = _sorted_segments(self.segments, self.frame_count)
 
     @property
@@ -285,6 +290,7 @@ def load_taxonomy(data: bytes) -> Taxonomy:
         if len(row) != 3:
             raise TaxonomyError(f"expected 3 columns, got {row}")
         label, typ, hand = row
+        _check_xml_text("label", label, TaxonomyError)
         if label in entries:
             raise TaxonomyError(f"duplicate fine label {label!r}")
         if typ not in TYPES:

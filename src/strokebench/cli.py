@@ -347,10 +347,8 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
         for vid, ann in gt.items():
             stroke_gts = [Segment(s.begin, s.end, STROKE_LABEL) for s in ann.ground_truth]
             ds.add_video(vid, preds.get(vid, []), stroke_gts)
-        mean_ap = metrics.mean_average_precision({STROKE_LABEL: ds}, cfg.map_tiou)
-        giou = metrics.global_iou(ds)
-        print(f"mAP: {mean_ap}")
-        print(f"global IoU: {giou}")
+        print(f"mAP: {metrics.average_precision(ds, cfg.map_tiou)}")
+        print(f"global IoU: {metrics.global_iou(ds)}")
         return 0
 
     tax = _load_taxonomy(cfg)

@@ -5,9 +5,12 @@ AP follows the PASCAL convention: predictions ranked by descending score (ties
 by video id, then begin), greedily matched per video to the unmatched ground
 truth with the highest temporal IoU (IoU ties to the earliest begin), true
 positive iff that IoU clears the threshold; the PR curve is integrated with
-the precision envelope over all points. Global IoU instead pools predicted
-and ground-truth frame sets per video and micro-averages intersection over
-union across videos, so it is insensitive to how detections are split.
+the precision envelope over all points. Detection has one class, stroke, so
+the mAP that `eval` reports is that class's AP. Global IoU instead pools
+predicted and ground-truth frame sets per video and micro-averages
+intersection over union across videos, so it is insensitive to how
+detections are split; per video |P∪G| is one union sweep and |P∩G| is
+|P| + |G| - |P∪G|.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotations import LEVELS, Segment, Taxonomy, superclass_of
+from .annotations import Segment, Taxonomy, superclass_of
 from .errors import MetricError
 
 
@@ -68,13 +71,8 @@ def confusion(pred: list[str], truth: list[str], labels: list[str]) -> Confusion
 def aggregate(cm: ConfusionMatrix, tax: Taxonomy, level: str) -> ConfusionMatrix:
     """Sum cells whose labels map to the same super-label pair; totals are
     preserved. Super-labels appear in first-appearance order of cm.labels."""
-    if level not in LEVELS:
-        raise MetricError(f"unknown level {level!r}; know {LEVELS}")
     mapped = [superclass_of(tax, lab, level) for lab in cm.labels]
-    out_labels: list[str] = []
-    for m in mapped:
-        if m not in out_labels:
-            out_labels.append(m)
+    out_labels = list(dict.fromkeys(mapped))
     index = {lab: i for i, lab in enumerate(out_labels)}
     counts = np.zeros((len(out_labels), len(out_labels)), dtype=np.int64)
     for i, mi in enumerate(mapped):
@@ -162,38 +160,14 @@ def average_precision(ds: DetectionSet, threshold: float = 0.5) -> float:
     return _envelope_ap(match_detections(ds, threshold), n_gt)
 
 
-def mean_average_precision(per_class: dict[str, DetectionSet],
-                           threshold: float = 0.5) -> float:
-    """Unweighted mean AP over classes that have ground truth; classes with no
-    ground truth are excluded rather than counted as zero."""
-    aps = [average_precision(ds, threshold)
-           for ds in per_class.values() if ds.n_ground_truth > 0]
-    if not aps:
-        raise MetricError("no class has ground truth")
-    return sum(aps) / len(aps)
-
-
-def _merged_intervals(segments: list[Segment]) -> list[tuple[int, int]]:
-    merged: list[list[int]] = []
+def _covered(segments: list[Segment]) -> int:
+    """Frames in the union of the half-open segments, from one sweep by begin."""
+    total = reach = 0
     for s in sorted(segments, key=lambda s: s.begin):
-        if merged and s.begin <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], s.end)
-        else:
-            merged.append([s.begin, s.end])
-    return [(b, e) for b, e in merged]
-
-
-def _interval_overlap(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> int:
-    total, i, j = 0, 0, 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo < hi:
-            total += hi - lo
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
+        lo = max(s.begin, reach)
+        if s.end > lo:
+            total += s.end - lo
+            reach = s.end
     return total
 
 
@@ -202,13 +176,9 @@ def global_iou(ds: DetectionSet) -> float:
     videos; detection count plays no role."""
     inter = union = 0
     for preds, gts in ds.videos.values():
-        p = _merged_intervals(preds)
-        g = _merged_intervals(gts)
-        p_len = sum(e - b for b, e in p)
-        g_len = sum(e - b for b, e in g)
-        i = _interval_overlap(p, g)
-        inter += i
-        union += p_len + g_len - i
+        both = _covered(preds + gts)
+        inter += _covered(preds) + _covered(gts) - both
+        union += both
     if union == 0:
         raise MetricError("global IoU undefined: no predicted or ground-truth frames")
     return inter / union

@@ -88,11 +88,11 @@ class EpochStats:
 def _checked(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> ModelParams:
     """The model `specs` makes of `input_shape`, with no parameters yet.
 
-    Raises ArchitectureError unless the input is (C, T, S, S) with square
-    frames and the layers chain from it to a (K,) class vector, K >= 2.
+    Raises ArchitectureError unless the input is an RGB (3, T, S, S) with
+    square frames and the layers chain from it to a (K,) class vector, K >= 2.
     """
-    if len(input_shape) != 4:
-        raise ArchitectureError(f"input shape must be (C, T, S, S), got {tuple(input_shape)}")
+    if len(input_shape) != 4 or input_shape[0] != 3:
+        raise ArchitectureError(f"input shape must be (3, T, S, S), got {tuple(input_shape)}")
     if input_shape[2] != input_shape[3]:
         raise ArchitectureError(f"input frames must be square, got {tuple(input_shape)}")
     if not specs:
@@ -268,11 +268,10 @@ def _extract_item(item: DatasetItem, sources: dict[str, VideoSource],
         logger.warning("no video source for %s; sample skipped", item.video_id)
         return None
     try:
-        check_video_length(model, src)
+        return _window_input(model, src, item.segment.begin)
     except CuboidError as e:
         logger.warning("%s; sample skipped", e)
         return None
-    return _window_input(model, src, item.segment.begin)
 
 
 def _extract_samples(items: list[DatasetItem], sources: dict[str, VideoSource],

@@ -53,7 +53,10 @@ BLOCK_BYTES = 32 << 20
 
 def conv3d_out_extents(extents, kernel, stride: int, pad: int) -> tuple[int, int, int]:
     """(T', H', W') of a conv over (T, H, W) `extents`; ShapeError unless the
-    kernel's extents are >= 1, stride >= 1, pad >= 0 and each output extent is >= 1."""
+    kernel has 3 extents, each >= 1, stride >= 1, pad >= 0 and each output
+    extent is >= 1."""
+    if len(kernel) != 3:
+        raise ShapeError(f"kernel must have 3 extents, got {kernel}")
     if min(kernel) < 1:
         raise ShapeError(f"kernel extents must be >= 1, got {kernel}")
     if stride < 1 or pad < 0:
@@ -67,7 +70,9 @@ def conv3d_out_extents(extents, kernel, stride: int, pad: int) -> tuple[int, int
 
 def maxpool3d_out_extents(extents, window) -> tuple[int, int, int]:
     """(T', H', W') of a pool over (T, H, W) `extents`; ShapeError unless the
-    window's extents are >= 1 and divide the input's."""
+    window has 3 extents, each >= 1, that divide the input's."""
+    if len(window) != 3:
+        raise ShapeError(f"pool window must have 3 extents, got {window}")
     if min(window) < 1:
         raise ShapeError(f"pool window extents must be >= 1, got {window}")
     if any(e % p for e, p in zip(extents, window)):

@@ -142,6 +142,19 @@ def average_precision_bruteforce(videos, threshold):
     return ap
 
 
+def global_iou_frame_sets(videos):
+    """Frame-wise |P∩G| / |P∪G| from Python sets of frame indices, the
+    intersection and union summed over videos. `videos` is laid out as for
+    `average_precision_bruteforce`."""
+    inter = union = 0
+    for preds, gts in videos.values():
+        p = {f for b, e, _ in preds for f in range(b, e)}
+        g = {f for b, e in gts for f in range(b, e)}
+        inter += len(p & g)
+        union += len(p | g)
+    return inter / union
+
+
 def maxpool3d_backward_flat(grad_out, winners, input_shape):
     """The earlier pool backward: one np.add.at into a flat (N, C, ...) buffer."""
     grad_input = np.zeros(int(np.prod(input_shape)), dtype=grad_out.dtype)

@@ -67,7 +67,12 @@ def test_chain_shapes_match_pool_kernel(window):
     (layers.LayerSpec("maxpool3d"), "pool window extents must be >= 1, got (0, 0, 0)"),
     (layers.LayerSpec("conv3d", in_channels=1, out_channels=1, kernel=(1, 1, 1), stride=0),
      "stride must be >= 1 and pad >= 0, got stride=0 pad=0"),
-], ids=["pool_window", "conv_stride"])
+    (layers.LayerSpec("conv3d", in_channels=1, out_channels=1, kernel=(3, 3)),
+     "kernel must have 3 extents, got (3, 3)"),
+    (layers.LayerSpec("conv3d", in_channels=1, out_channels=1, kernel=()),
+     "kernel must have 3 extents, got ()"),
+    (layers.LayerSpec("maxpool3d", window=(2, 2)), "pool window must have 3 extents, got (2, 2)"),
+], ids=["pool_window", "conv_stride", "kernel_2_extents", "kernel_0_extents", "window_2_extents"])
 def test_hand_built_spec_rejected_with_the_kernel_rule(spec, message):
     # a hand-built LayerSpec meets the kernel's own rule in the chain walk
     with pytest.raises(ArchitectureError, match=re.escape(f"layer 0 ({spec.kind}): {message}")):

@@ -4,10 +4,9 @@ import pytest
 from strokebench.annotations import Segment, default_taxonomy, superclass_of
 from strokebench.errors import MetricError
 from strokebench.metrics import (ConfusionMatrix, DetectionSet, accuracy, aggregate,
-                                 average_precision, confusion, global_iou,
-                                 mean_average_precision, tiou)
+                                 average_precision, confusion, global_iou, tiou)
 
-from oracles import average_precision_bruteforce
+from oracles import average_precision_bruteforce, global_iou_frame_sets
 
 
 def _ds(videos):
@@ -201,33 +200,6 @@ class TestAveragePrecision:
             assert 0.0 <= ap <= 1.0
 
 
-class TestMeanAveragePrecision:
-    def test_single_class_equals_ap(self):
-        ds = _ds({"v": ([(0, 100, 0.9)], [(0, 100)])})
-        assert mean_average_precision({"Stroke": ds}) == average_precision(ds)
-
-    def test_mean_of_two_classes(self):
-        ds_hi = _ds({"v": ([(0, 100, 0.9)], [(0, 100)])})            # AP 1.0
-        ds_lo = _ds({"v": ([(500, 600, 0.9)], [(0, 100)])})          # AP 0.0
-        assert mean_average_precision({"a": ds_hi, "b": ds_lo}) == 0.5
-
-    def test_class_without_gt_excluded(self):
-        with_gt = _ds({"v": ([(0, 100, 0.9)], [(0, 100)])})
-        no_gt = _ds({"v": ([(0, 100, 0.9)], [])})
-        assert mean_average_precision({"a": with_gt, "b": no_gt}) == 1.0
-
-    @pytest.mark.parametrize("threshold", [0.0, -1.0, 1.5, float("nan"), float("inf")])
-    def test_threshold_outside_unit_interval_rejected(self, threshold):
-        ds = _ds({"v": ([(0, 100, 0.9)], [(0, 100)])})
-        with pytest.raises(MetricError, match="threshold"):
-            mean_average_precision({"Stroke": ds}, threshold)
-
-    def test_class_with_gt_but_no_predictions_contributes_zero(self):
-        a = _ds({"v": ([(0, 100, 0.9)], [(0, 100)])})
-        b = _ds({"v": ([], [(0, 100)])})
-        assert mean_average_precision({"a": a, "b": b}) == 0.5
-
-
 class TestGlobalIou:
     def test_hand_case_one_third(self):
         ds = _ds({"v": ([(0, 100, 0.9)], [(50, 150)])})
@@ -248,6 +220,32 @@ class TestGlobalIou:
         ds = _ds({"v": ([], [])})
         with pytest.raises(MetricError, match="undefined"):
             global_iou(ds)
+
+    def test_matches_frame_set_oracle_on_random_instances(self):
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            videos = {}
+            for vid in ("a", "b", "c", "d")[: int(rng.integers(1, 5))]:
+                gts = []
+                pos = 0
+                for _ in range(int(rng.integers(0, 5))):
+                    pos += int(rng.integers(0, 40))  # 0: abuts the previous one
+                    end = pos + int(rng.integers(1, 60))
+                    gts.append((pos, end))
+                    pos = end
+                preds = []
+                for _ in range(int(rng.integers(0, 7))):
+                    b = int(rng.integers(0, 250))
+                    e = b + int(rng.integers(1, 70))
+                    preds.append((b, e, 0.5))
+                    if rng.random() < 0.3:  # a second window abutting the first
+                        preds.append((e, e + int(rng.integers(1, 40)), 0.5))
+                videos[vid] = (preds, gts)
+            if not any(p or g for p, g in videos.values()):
+                with pytest.raises(MetricError, match="undefined"):
+                    global_iou(_ds(videos))
+                continue
+            assert global_iou(_ds(videos)) == global_iou_frame_sets(videos)
 
     def test_split_invariance(self):
         rng = np.random.default_rng(9)

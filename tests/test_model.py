@@ -46,6 +46,15 @@ def non_square_model():
     return unchecked_model(non_square_arch(), NON_SQUARE_SHAPE)
 
 
+# one channel: extract_cuboid always yields RGB, so no window fits this input
+GRAY_SHAPE = (1, 4, 8, 8)
+
+
+def gray_arch():
+    return [conv3d(1, 4), relu(), maxpool3d((2, 2, 2)),
+            flatten(), linear(4 * 2 * 4 * 4, 8), relu(), linear(8, 2)]
+
+
 def unchecked_model(specs, input_shape=SMALL_SHAPE):
     """A model with all-zero parameters, assembled without build_model's checks."""
     params = {name: np.zeros(shape, np.float32) for name, shape in param_entries(specs)}
@@ -172,10 +181,14 @@ class TestBuild:
         with pytest.raises(ArchitectureError, match="no layers"):
             build_model(2, [], input_shape=SMALL_SHAPE)
 
-    @pytest.mark.parametrize("arch", [None, non_square_arch()], ids=["default", "explicit"])
-    def test_non_square_input_rejected(self, arch):
-        with pytest.raises(ArchitectureError, match="square"):
-            build_model(2, arch, input_shape=NON_SQUARE_SHAPE)
+    @pytest.mark.parametrize("arch, shape, message", [
+        (None, NON_SQUARE_SHAPE, "square"),
+        (non_square_arch(), NON_SQUARE_SHAPE, "square"),
+        (gray_arch(), GRAY_SHAPE, "input shape must be (3, T, S, S), got (1, 4, 8, 8)"),
+    ], ids=["default", "explicit", "gray"])
+    def test_non_square_input_rejected(self, arch, shape, message):
+        with pytest.raises(ArchitectureError, match=re.escape(message)):
+            build_model(2, arch, input_shape=shape)
 
 
 class TestForward:
@@ -573,10 +586,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(f"{p}: ")):
             load_checkpoint(p)
 
-    def test_non_square_input_rejected(self, tmp_path):
+    @pytest.mark.parametrize("arch, shape, message", [
+        (non_square_arch(), NON_SQUARE_SHAPE, "input frames must be square"),
+        (gray_arch(), GRAY_SHAPE, "input shape must be (3, T, S, S), got (1, 4, 8, 8)"),
+    ], ids=["non_square", "gray"])
+    def test_non_square_input_rejected(self, tmp_path, arch, shape, message):
         p = tmp_path / "m.ckpt"
-        save_checkpoint(non_square_model(), p)
-        with pytest.raises(CheckpointError, match=re.escape(f"{p}: input frames must be square")):
+        save_checkpoint(unchecked_model(arch, shape), p)
+        with pytest.raises(CheckpointError, match=re.escape(f"{p}: {message}")):
             load_checkpoint(p)
 
     @pytest.mark.parametrize("kind", list(INVALID_MODELS))

@@ -526,6 +526,15 @@ class TestCommands:
         assert main(["synth", "--taxonomy", str(tax), "--out", str(tmp_path / "c")]) == 2
         assert f"error: {tax}: not UTF-8" in capsys.readouterr().err
 
+    def test_taxonomy_label_xml_cannot_carry_fails_before_writing(self, tmp_path, capsys):
+        tax = tmp_path / "tax.csv"
+        tax.write_bytes(b"label,type,hand_side\nA,Offensive,Forehand\nB\x01,Defensive,Backhand\n")
+        out = tmp_path / "c"
+        assert main(["synth", "--taxonomy", str(tax), "--out", str(out), "--classes", "2"]) == 2
+        assert (f"error: {tax}: label 'B\\x01' holds '\\x01', which XML 1.0 cannot carry"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, bad", [
         ("prepare", "data/validation/v.xml"),
         ("eval", "run/predictions/v.xml"),
