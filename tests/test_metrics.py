@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from strokebench.annotations import Segment, default_taxonomy, superclass_of
-from strokebench.errors import MetricError
+from strokebench.errors import MetricError, TaxonomyError
 from strokebench.metrics import (ConfusionMatrix, DetectionSet, accuracy, aggregate,
-                                 average_precision, confusion, global_iou, tiou)
+                                 _covered, average_precision, confusion, global_iou,
+                                 tiou)
 
 from oracles import average_precision_bruteforce, global_iou_frame_sets
 
@@ -102,6 +103,12 @@ class TestAggregate:
                                       [superclass_of(tax, t, level) for t in truth])
                 assert aggregate(cm, tax, level).diagonal_accuracy() == mapped_acc
 
+    def test_unknown_level_rejected_by_the_taxonomy(self):
+        tax = default_taxonomy()
+        cm = ConfusionMatrix(tax.labels[:2], np.ones((2, 2), dtype=np.int64))
+        with pytest.raises(TaxonomyError, match="unknown level 'side'"):
+            aggregate(cm, tax, "side")
+
 
 class TestTiou:
     def test_half_open_overlap(self):
@@ -198,6 +205,18 @@ class TestAveragePrecision:
                             [(50, 80), (200, 230)])}
             ap = average_precision(_ds(videos))
             assert 0.0 <= ap <= 1.0
+
+
+@pytest.mark.parametrize("spans, frames", [
+    ([], 0),
+    ([(0, 10)], 10),
+    ([(0, 10), (10, 20)], 20),        # abutting
+    ([(20, 30), (0, 10)], 20),        # disjoint, out of begin order
+    ([(0, 30), (5, 10), (12, 18)], 30),  # nested inside the first
+    ([(0, 10), (5, 25), (20, 22)], 25),  # chained overlaps
+], ids=["empty", "one", "abutting", "unsorted", "nested", "chained"])
+def test_covered_counts_union_frames(spans, frames):
+    assert _covered([Segment(b, e, "x") for b, e in spans]) == frames
 
 
 class TestGlobalIou:

@@ -1,4 +1,5 @@
 import logging
+import re
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -439,6 +440,22 @@ class TestCommands:
             write_predictions("ghost", [Segment(0, 10, "Stroke", 0.5)]))
         assert main(["eval", "--task", "detection", "--data", str(tiny_corpus),
                      "--out", str(out)]) == 2
+
+    def test_eval_without_ground_truth_strokes_fails(self, tiny_corpus, tmp_path, capsys):
+        # mAP is the stroke class's AP, which no ground truth leaves undefined
+        from strokebench.annotations import Segment, write_predictions
+        data = tmp_path / "data"
+        shutil.copytree(tiny_corpus, data)
+        for xml in (data / "test").glob("*.xml"):
+            xml.write_bytes(re.sub(rb"\s*<action [^>]*/>", b"", xml.read_bytes()))
+        pred_dir = tmp_path / "run" / "predictions"
+        pred_dir.mkdir(parents=True)
+        (pred_dir / "test000.xml").write_bytes(
+            write_predictions("test000", [Segment(0, 10, "Stroke", 0.5)]))
+        capsys.readouterr()
+        assert main(["eval", "--task", "detection", "--data", str(data),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "error: average precision undefined without ground truth" in capsys.readouterr().err
 
     def test_two_annotation_files_naming_one_video_fail(self, tiny_corpus, tmp_path, capsys):
         data = tmp_path / "data"
