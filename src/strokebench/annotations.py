@@ -33,13 +33,14 @@ PROPOSAL_LABEL = "Proposal"
 TYPES = ("Defensive", "Offensive", "Service")
 HAND_SIDES = ("Forehand", "Backhand")
 
-LEVELS = ("global", "type", "hand", "type_hand")
+# taxonomy level -> its report title, in the order `eval` reports them
 LEVEL_TITLES = {
     "global": "Global",
     "type_hand": "Type and Hand-Sided",
     "type": "Type",
     "hand": "Hand-Side",
 }
+LEVELS = tuple(LEVEL_TITLES)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import metrics, model as model_mod, synth
-from .annotations import (LEVEL_TITLES, LEVELS, STROKE_LABEL, Segment, Taxonomy,
+from .annotations import (LEVEL_TITLES, STROKE_LABEL, Segment, Taxonomy,
                           VideoAnnotation, default_taxonomy, infer_negative_segments,
                           load_taxonomy, parse_annotations, write_predictions)
 from .errors import AnnotationError, ConfigError, MetricError, StrokebenchError, TaxonomyError
@@ -254,8 +254,14 @@ def _class_labels(cfg: RunConfig, tax: Taxonomy) -> list[str]:
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     tax = _load_taxonomy(cfg)
     labels = _class_labels(cfg, tax)
-    train_items = _read_index(_index_path(cfg, "train"), labels)
-    val_items = _read_index(_index_path(cfg, "validation"), labels)
+    train_index, val_index = _index_path(cfg, "train"), _index_path(cfg, "validation")
+    train_items = _read_index(train_index, labels)
+    val_items = _read_index(val_index, labels)
+    # training looks a sample's video up by id alone, so one id may name one video only
+    shared = sorted({i.video_id for i in train_items} & {i.video_id for i in val_items})
+    if shared:
+        raise ConfigError(f"video id {shared[0]!r} is named by both {train_index} and "
+                          f"{val_index}; train and validation videos need distinct ids")
 
     sources = {}
     for split, items in (("train", train_items), ("validation", val_items)):
@@ -345,8 +351,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.task == "detection":
         ds = metrics.DetectionSet()
         for vid, ann in gt.items():
-            stroke_gts = [Segment(s.begin, s.end, STROKE_LABEL) for s in ann.ground_truth]
-            ds.add_video(vid, preds.get(vid, []), stroke_gts)
+            ds.add_video(vid, preds.get(vid, []), ann.ground_truth)
         print(f"mAP: {metrics.average_precision(ds, cfg.map_tiou)}")
         print(f"global IoU: {metrics.global_iou(ds)}")
         return 0
@@ -354,7 +359,11 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     tax = _load_taxonomy(cfg)
     truth, predicted = [], []
     for vid, ann in gt.items():
-        by_span = {(p.begin, p.end): p for p in preds.get(vid, [])}
+        by_span = {}
+        for p in preds.get(vid, []):
+            if (p.begin, p.end) in by_span:
+                raise ConfigError(f"{vid}: two predictions for segment [{p.begin}, {p.end})")
+            by_span[p.begin, p.end] = p
         gt_spans = {(s.begin, s.end) for s in ann.ground_truth}
         stray = sorted(set(by_span) - gt_spans)
         if stray:
@@ -372,14 +381,13 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     cm = metrics.confusion(predicted, truth, tax.labels)
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
-    accs = {}
-    for level in LEVELS:
+    accs = []
+    for level in LEVEL_TITLES:
         level_cm = metrics.aggregate(cm, tax, level)
-        accs[level] = level_cm.diagonal_accuracy()
+        accs.append(str(level_cm.diagonal_accuracy()))
         (Path(cfg.out) / f"confusion_{level}.csv").write_text(level_cm.to_csv())
-    order = ("global", "type_hand", "type", "hand")
-    print(",".join(LEVEL_TITLES[level] for level in order))
-    print(",".join(str(accs[level]) for level in order))
+    print(",".join(LEVEL_TITLES.values()))
+    print(",".join(accs))
     return 0
 
 

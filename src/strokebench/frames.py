@@ -128,7 +128,7 @@ def write_rgbv(path, frames: np.ndarray, fps: float) -> None:
     with open(path, "wb") as fh:
         fh.write(RGBV_MAGIC)
         fh.write(header)
-        fh.write(frames.tobytes())
+        fh.write(frames.data)  # the array's own buffer: no copy of the clip
 
 
 def _ppm_tokens(data: bytes, path, count: int):

@@ -1,5 +1,5 @@
-"""Evaluation: accuracy, hierarchical confusion matrices, temporal-IoU average
-precision and global frame-wise IoU.
+"""Evaluation: a confusion matrix per taxonomy level with its diagonal
+accuracy, temporal-IoU average precision and global frame-wise IoU.
 
 AP follows the PASCAL convention: predictions ranked by descending score (ties
 by video id, then begin), greedily matched per video to the unmatched ground
@@ -21,14 +21,6 @@ import numpy as np
 
 from .annotations import Segment, Taxonomy, superclass_of
 from .errors import MetricError
-
-
-def accuracy(pred: list[str], truth: list[str]) -> float:
-    if len(pred) != len(truth):
-        raise MetricError(f"length mismatch: {len(pred)} predictions vs {len(truth)} truths")
-    if not truth:
-        raise MetricError("cannot compute accuracy of zero samples")
-    return sum(p == t for p, t in zip(pred, truth)) / len(truth)
 
 
 @dataclass

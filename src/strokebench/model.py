@@ -213,10 +213,10 @@ def forward(model: ModelParams, batch: np.ndarray) -> np.ndarray:
 
 
 def classify(model: ModelParams, cuboid_values: np.ndarray):
-    """(class index, probability vector); argmax ties go to the lowest index."""
+    """(class index, probabilities): the argmax of the logits, ties to the
+    lowest index, as validation counts it, and the logits' softmax."""
     logits = forward(model, cuboid_values[None].astype(np.float32, copy=False))
-    probs = ops.softmax(logits)[0]
-    return int(np.argmax(probs)), probs
+    return int(np.argmax(logits[0])), ops.softmax(logits)[0]
 
 
 def check_video_length(model: ModelParams, src: VideoSource) -> None:

@@ -6,6 +6,8 @@ scalar arithmetic) and must stay free of the package's own fast paths.
 
 import numpy as np
 
+from strokebench.errors import MetricError
+
 _MASK = (1 << 64) - 1
 
 
@@ -84,6 +86,16 @@ def cross_entropy_direct(logits, classes):
         for j in range(logits.shape[1]):
             grads[i, j] = exps[j] / denom - (1.0 if j == classes[i] else 0.0)
     return total, grads
+
+
+def accuracy(pred: list[str], truth: list[str]) -> float:
+    """The share of positions where the two label lists agree, the reference
+    that a confusion matrix's diagonal accuracy is checked against."""
+    if len(pred) != len(truth):
+        raise MetricError(f"length mismatch: {len(pred)} predictions vs {len(truth)} truths")
+    if not truth:
+        raise MetricError("cannot compute accuracy of zero samples")
+    return sum(p == t for p, t in zip(pred, truth)) / len(truth)
 
 
 def _tiou_scalar(a_begin, a_end, b_begin, b_end):

@@ -14,8 +14,8 @@ from strokebench.annotations import (Segment, default_taxonomy,
                                      infer_negative_segments, parse_annotations,
                                      superclass_of, write_predictions)
 from strokebench.cli import main
-from strokebench.metrics import (DetectionSet, accuracy, aggregate, average_precision,
-                                 confusion, global_iou)
+from strokebench.metrics import (DetectionSet, aggregate, average_precision, confusion,
+                                 global_iou)
 from strokebench.model import build_model, forward, load_checkpoint, save_checkpoint
 from strokebench.nn import ops
 from strokebench.nn.gradcheck import max_rel_error, run_all
@@ -23,7 +23,7 @@ from strokebench.nn.layers import conv3d, flatten, linear, maxpool3d, relu
 from strokebench.nn.optim import NesterovSGD
 from strokebench.synth import SynthConfig, generate_corpus
 
-from oracles import average_precision_bruteforce, conv3d_naive
+from oracles import accuracy, average_precision_bruteforce, conv3d_naive
 
 
 @contextmanager

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,26 @@ class TestRgbv:
         assert src.fps == 119.88
         for i in range(5):
             assert np.array_equal(src.frame(i), frames[i])
+
+    def test_writer_does_not_copy_the_clip(self, tmp_path):
+        frames = np.random.default_rng(2).integers(0, 256, (20, 240, 320, 3), dtype=np.uint8)
+        p = tmp_path / "big.rgbv"
+        tracemalloc.start()
+        try:
+            write_rgbv(p, frames, 120.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.read_bytes() == _rgbv_bytes(320, 240, 120, list(frames))
+        # a bytes copy of the clip alone would take all of its 4.6 MB
+        assert peak < frames.nbytes / 100
+
+    def test_writer_takes_a_strided_view(self, tmp_path):
+        frames = np.random.default_rng(3).integers(0, 256, (4, 6, 10, 3), dtype=np.uint8)
+        view = frames[::2, :, ::-2]
+        p = tmp_path / "view.rgbv"
+        write_rgbv(p, view, 120.0)
+        assert p.read_bytes() == _rgbv_bytes(5, 6, 120, list(view))
 
     def test_repeated_reads_identical(self, tmp_path):
         rng = np.random.default_rng(1)

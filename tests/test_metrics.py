@@ -3,11 +3,10 @@ import pytest
 
 from strokebench.annotations import Segment, default_taxonomy, superclass_of
 from strokebench.errors import MetricError, TaxonomyError
-from strokebench.metrics import (ConfusionMatrix, DetectionSet, accuracy, aggregate,
-                                 _covered, average_precision, confusion, global_iou,
-                                 tiou)
+from strokebench.metrics import (ConfusionMatrix, DetectionSet, aggregate, _covered,
+                                 average_precision, confusion, global_iou, tiou)
 
-from oracles import average_precision_bruteforce, global_iou_frame_sets
+from oracles import accuracy, average_precision_bruteforce, global_iou_frame_sets
 
 
 def _ds(videos):
@@ -23,6 +22,9 @@ def _ds(videos):
 
 
 class TestAccuracy:
+    """The reference accuracy of `oracles`, which TestAggregate and the
+    acceptance suite check `diagonal_accuracy` against."""
+
     def test_identical(self):
         assert accuracy(["a", "b"], ["a", "b"]) == 1.0
 

@@ -241,6 +241,16 @@ class TestClassify:
         cls, _ = classify(m, _cuboid(np.random.default_rng(0)))
         assert cls == 0
 
+    def test_logits_decide_where_probabilities_tie(self):
+        # two float32 logits one ulp apart soften to exactly [0.5, 0.5]; the
+        # class is still the one validation counts, the argmax of the logits
+        bias = np.float32(0.25)
+        m = self._rigged([bias, np.nextafter(bias, np.float32(1))])
+        x = _cuboid(np.random.default_rng(0))
+        cls, probs = classify(m, x)
+        assert probs[0] == probs[1]
+        assert cls == 1 == int(np.argmax(forward(m, x[None])[0]))
+
     def test_probability_vector_sums_to_one(self):
         m = small_model()
         cls, probs = classify(m, _cuboid(np.random.default_rng(2)))

@@ -307,8 +307,21 @@ def tiny_corpus(tmp_path_factory):
     return root
 
 
-def _train_args(corpus, out, extra=()):
-    return ["train", "--task", "detection", "--data", str(corpus), "--out", str(out),
+def _as_frame_dirs(corpus: Path, root: Path) -> None:
+    """A copy of corpus under root with each RGBV video stored as a
+    directory of P6 PPM frames instead."""
+    shutil.copytree(corpus, root, ignore=shutil.ignore_patterns("*.rgbv"))
+    for path in sorted(corpus.glob("*/*.rgbv")):
+        src = open_rgbv(path)
+        frame_dir = root / path.parent.name / path.stem
+        frame_dir.mkdir()
+        header = f"P6\n{src.width} {src.height}\n255\n".encode()
+        for i in range(src.frame_count):
+            (frame_dir / f"{i:06d}.ppm").write_bytes(header + src.frame(i).tobytes())
+
+
+def _train_args(corpus, out, extra=(), task="detection"):
+    return ["train", "--task", task, "--data", str(corpus), "--out", str(out),
             "--seed", "3", "--epochs", "2", "--batch", "4",
             "--lr", "0.01", "--cuboid-len", "8", "--cuboid-size", "16",
             "--filters", "4", "--hidden", "8", *extra]
@@ -420,6 +433,58 @@ class TestCommands:
         assert lines[1].startswith("global IoU: ")
         assert 0.0 <= float(lines[0].split(": ")[1]) <= 1.0
 
+    def test_frame_directory_corpus_gives_the_rgbv_corpus_bytes(
+            self, tiny_corpus, tmp_path, capsys):
+        frame_dirs = tmp_path / "frame_dirs"
+        _as_frame_dirs(tiny_corpus, frame_dirs)
+        assert not list(frame_dirs.rglob("*.rgbv"))
+        runs = []
+        for data in (tiny_corpus, frame_dirs):
+            # classification scores every test segment, so every score is compared
+            out = tmp_path / f"run_{data.name}"
+            common = ["--task", "classification", "--data", str(data), "--out", str(out)]
+            capsys.readouterr()
+            assert main(["prepare", *common]) == 0
+            assert main(_train_args(data, out, task="classification")) == 0
+            assert main(["infer", *common]) == 0
+            assert main(["eval", *common]) == 0
+            printed = capsys.readouterr().out.replace(str(out), "OUT")
+            runs.append((_tree_bytes(out), printed))
+        (rgbv_files, rgbv_out), (dir_files, dir_out) = runs
+        assert sorted(rgbv_files) == [
+            "classification_history.csv", "classification_model.ckpt",
+            "classification_train_index.csv", "classification_validation_index.csv",
+            "confusion_global.csv", "confusion_hand.csv", "confusion_type.csv",
+            "confusion_type_hand.csv", "predictions/test000.xml"]
+        assert dir_files == rgbv_files
+        assert dir_out == rgbv_out
+
+    def test_train_refuses_a_video_id_in_both_train_and_validation(
+            self, tiny_corpus, tmp_path, capsys, monkeypatch):
+        # training looks videos up by id, so the validation item would be cut
+        # from the train split's video of that id
+        data = tmp_path / "data"
+        shutil.copytree(tiny_corpus, data)
+        val = data / "validation"
+        xml = (val / "validation000.xml").read_bytes()
+        (val / "train000.xml").write_bytes(xml.replace(b'name="validation000"',
+                                                       b'name="train000"'))
+        (val / "validation000.rgbv").rename(val / "train000.rgbv")
+        (val / "validation000.xml").unlink()
+        out = tmp_path / "run"
+        assert main(["prepare", "--task", "detection", "--data", str(data),
+                     "--out", str(out), "--block-len", "10"]) == 0
+        calls = []
+        monkeypatch.setattr(model_mod, "extract_cuboid", lambda *a: calls.append(a))
+        capsys.readouterr()
+        assert main(_train_args(data, out)) == 2
+        train_index = out / "detection_train_index.csv"
+        val_index = out / "detection_validation_index.csv"
+        assert (f"error: video id 'train000' is named by both {train_index} and {val_index}"
+                in capsys.readouterr().err)
+        assert calls == []
+        assert not (out / "detection_model.ckpt").exists()
+
     def test_deterministic_reruns_are_byte_identical(self, tiny_corpus, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -485,9 +550,7 @@ class TestCommands:
         out = tmp_path / "runc"
         assert main(["prepare", "--task", "classification", "--data", str(tiny_corpus),
                      "--out", str(out)]) == 0
-        args = _train_args(tiny_corpus, out)
-        args[2] = "classification"
-        assert main(args) == 0
+        assert main(_train_args(tiny_corpus, out, task="classification")) == 0
         assert main(["infer", "--task", "classification", "--data", str(tiny_corpus),
                      "--out", str(out)]) == 0
         capsys.readouterr()
@@ -500,6 +563,33 @@ class TestCommands:
         for level in ("global", "type_hand", "type", "hand"):
             csv_text = (out / f"confusion_{level}.csv").read_text()
             assert csv_text.startswith("truth\\pred,")
+
+    @pytest.mark.parametrize("order", ["wrong_first", "right_first"])
+    def test_classification_eval_refuses_two_predictions_for_one_segment(
+            self, tiny_corpus, tmp_path, capsys, order):
+        # whichever prediction came last used to win, so the order set the score
+        from strokebench.annotations import Segment, default_taxonomy, write_predictions
+        pred_dir = tmp_path / "run" / "predictions"
+        pred_dir.mkdir(parents=True)
+        labels = default_taxonomy().labels
+        for xml in sorted((tiny_corpus / "test").glob("*.xml")):
+            ann = parse_annotations(xml.read_bytes())
+            preds = [Segment(s.begin, s.end, s.label, 0.8) for s in ann.ground_truth]
+            first = ann.ground_truth[0]
+            wrong = next(lab for lab in labels if lab != first.label)
+            preds.append(Segment(first.begin, first.end, wrong, 0.9))
+            if order == "right_first":
+                preds.reverse()
+            (pred_dir / xml.name).write_bytes(
+                write_predictions(ann.video_id, preds, ann.frame_count, ann.fps))
+        capsys.readouterr()
+        assert main(["eval", "--task", "classification", "--data", str(tiny_corpus),
+                     "--out", str(tmp_path / "run")]) == 2
+        first = parse_annotations((tiny_corpus / "test" / "test000.xml").read_bytes())
+        seg = first.ground_truth[0]
+        assert (f"error: test000: two predictions for segment [{seg.begin}, {seg.end})"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run" / "confusion_global.csv").exists()
 
     def test_task_checkpoint_mismatch_fails(self, tiny_corpus, tmp_path):
         out = tmp_path / "run"
