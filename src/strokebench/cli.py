@@ -294,7 +294,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _predictions_dir(cfg: RunConfig) -> Path:
-    return Path(cfg.out) / "predictions"
+    return Path(cfg.out) / f"{cfg.task}_predictions"
 
 
 def cmd_infer(cfg: RunConfig, args: argparse.Namespace) -> int:

@@ -230,36 +230,59 @@ def open_frame_dir(path) -> FrameDirVideo:
     return FrameDirVideo(path)
 
 
-def resize_bilinear(frame: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
-    """Bilinear resize with half-pixel centers, channels independent.
+def _resize_plan(shape: tuple[int, ...], out_size: tuple[int, int]):
+    """The bilinear resize of an (h, w, c) frame to (oh, ow), half-pixel
+    centers, channels independent: a function from such a frame to its
+    (c, oh, ow) float64 resize.
 
     Source coordinate for output index d is (d + 0.5) * in/out - 0.5, clamped
-    to the valid range; returns float64, exactly the input when sizes match.
-    Only the 2*oh source rows and 2*ow source columns that the output reads
-    are gathered, then cast to float64, so a large frame is never copied whole.
+    to the valid range. The plan holds one flat gather index of shape
+    (c, 2*oh, 2*ow): the channels of the 2*oh source rows (y0 then y1) and the
+    2*ow source columns (x0 then x1) that the output reads. Each call gathers
+    those pixels from the frame's buffer, casts them to float64, interpolates
+    along x on the y0 and y1 rows together, then along y. Equal sizes give
+    exactly the input.
     """
     oh, ow = out_size
-    if frame.ndim != 3:
-        raise VideoFormatError(f"expected (H, W, C) frame, got shape {frame.shape}")
-    h, w, _ = frame.shape
+    if len(shape) != 3:
+        raise VideoFormatError(f"expected (H, W, C) frame, got shape {tuple(shape)}")
+    h, w, c = shape
     if min(h, w, oh, ow) < 1:
         raise VideoFormatError(f"extents must be >= 1, got {h}x{w} -> {oh}x{ow}")
     if (h, w) == (oh, ow):
-        return frame.astype(np.float64)
+        return lambda frame: frame.astype(np.float64).transpose(2, 0, 1)
 
     sy = np.clip((np.arange(oh) + 0.5) * (h / oh) - 0.5, 0.0, h - 1.0)
     sx = np.clip((np.arange(ow) + 0.5) * (w / ow) - 0.5, 0.0, w - 1.0)
     y0 = np.floor(sy).astype(np.int64)
     x0 = np.floor(sx).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (sy - y0)[:, None, None]
-    wx = (sx - x0)[None, :, None]
-    # rows y0 then y1, columns x0 then x1
-    src = frame[np.concatenate((y0, y1))][:, np.concatenate((x0, x1))].astype(np.float64)
-    top = src[:oh, :ow] * (1 - wx) + src[:oh, ow:] * wx
-    bot = src[oh:, :ow] * (1 - wx) + src[oh:, ow:] * wx
-    return top * (1 - wy) + bot * wy
+    ys = np.concatenate((y0, np.minimum(y0 + 1, h - 1)))
+    xs = np.concatenate((x0, np.minimum(x0 + 1, w - 1)))
+    index = ((ys[:, None] * w + xs) * c)[None] + np.arange(c)[:, None, None]
+    wy = (sy - y0)[:, None]
+    wx = sx - x0
+    uy, ux = 1 - wy, 1 - wx
+
+    def resize(frame: np.ndarray) -> np.ndarray:
+        # a C-order frame is read in place, any other copied once
+        src = np.take(frame.reshape(-1), index).astype(np.float64)
+        along_x = src[..., :ow] * ux + src[..., ow:] * wx  # y0 rows, then y1 rows
+        return along_x[:, :oh] * uy + along_x[:, oh:] * wy
+
+    return resize
+
+
+def resize_bilinear(frame: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
+    """Bilinear resize of an (H, W, C) frame to an (oh, ow, C) float64 array,
+    with half-pixel centers, channels independent; exactly the input when
+    sizes match.
+
+    It runs the plan `extract_cuboid` builds once per cuboid (`_resize_plan`)
+    on one frame. Only the 2*oh source rows and 2*ow source columns that the
+    output reads are gathered, then cast to float64, so a large frame is never
+    cast whole.
+    """
+    return np.ascontiguousarray(_resize_plan(frame.shape, out_size)(frame).transpose(1, 2, 0))
 
 
 @dataclass
@@ -271,7 +294,9 @@ class Cuboid:
 
 def extract_cuboid(src: VideoSource, start: int, length: int, size: int) -> Cuboid:
     """Stack frames [start, start+length), resized to size*size and scaled by
-    1/255, channel-major. The window must fit inside the video."""
+    1/255, channel-major. The window must fit inside the video. One resize
+    plan serves every frame of the window, and each frame's temporaries are
+    freed before the next is read."""
     if length < 1 or size < 1:
         raise CuboidError(f"length and size must be >= 1, got {length}/{size}")
     if start < 0 or start + length > src.frame_count:
@@ -279,8 +304,8 @@ def extract_cuboid(src: VideoSource, start: int, length: int, size: int) -> Cubo
             f"{src.video_id}: window [{start}, {start + length}) out of range "
             f"for {src.frame_count} frames"
         )
+    resize = _resize_plan((src.height, src.width, 3), (size, size))
     values = np.empty((3, length, size, size), dtype=np.float32)
     for t in range(length):
-        resized = resize_bilinear(src.frame(start + t), (size, size))
-        values[:, t] = resized.transpose(2, 0, 1) / 255.0
+        values[:, t] = resize(src.frame(start + t)) / 255.0
     return Cuboid(values)

@@ -128,7 +128,9 @@ def build_model(n_classes: int, arch: list[LayerSpec], seed: int = 0,
 
 def _forward_full(model: ModelParams, x: np.ndarray, training: bool = True):
     """Forward pass; with `training`, also the per-layer caches the backward
-    sweep needs (otherwise the returned list stays empty).
+    sweep needs. Otherwise the returned list stays empty and each maxpool3d
+    computes its pooled values only, with no winner indices; the logits keep
+    their bytes.
 
     A relu directly followed by a maxpool3d runs after it, on the pooled
     tensor, so neither its output nor its cache is ever full size. That is
@@ -157,7 +159,7 @@ def _forward_full(model: ModelParams, x: np.ndarray, training: bool = True):
                    if spec.kind == "conv3d" else ops.linear_forward(cur, w, b))
         elif spec.kind == "maxpool3d":
             in_shape = cur.shape
-            cur, winners = ops.maxpool3d(cur, spec.window)
+            cur, winners = ops.maxpool3d(cur, spec.window, need_winners=training)
             keep((spec, winners, in_shape))
         elif spec.kind == "relu":
             keep((spec, cur))

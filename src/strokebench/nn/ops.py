@@ -19,8 +19,9 @@ freed, the padded input's gradient, the returned grad_input and a col2im
 block of at most `BLOCK_BYTES`.
 `maxpool3d` takes the max over strided views of the input, with no
 transposed copy; the int64 winner indices it returns are its only int64
-array of the pooled size. `maxpool3d_backward` remaps them to the
-channel-major buffer one sample at a time.
+array of the pooled size, and inference (need_winners=False) builds none.
+`maxpool3d_backward` remaps them to the channel-major buffer one sample at
+a time.
 
 Bound: for kernels at most 3 wide (kw <= 3), the tracemalloc peak of one
 conv3d_forward or conv3d_backward call stays below
@@ -201,13 +202,15 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
     return np.ascontiguousarray(grad_input), grad_weight, grad_bias
 
 
-def maxpool3d(x, window):
+def maxpool3d(x, window, *, need_winners: bool = True):
     """Non-overlapping max pooling.
 
     Returns (pooled, winners) where winners holds, per output element, the flat
     index of the winning input element: the first maximum in (dt, dh, dw)
     window order, or the first NaN if the window has one, as argmax picks.
-    Input extents must be divisible by the window.
+    Input extents must be divisible by the window. With need_winners=False
+    no index is computed and None stands in its place (for inference, which
+    runs no backward); the pooled values keep their bytes.
     """
     if x.ndim != 5:
         raise ShapeError(f"maxpool3d input must be 5-d, got shape {x.shape}")
@@ -219,7 +222,16 @@ def maxpool3d(x, window):
     views = [r[:, :, :, i, :, j, :, k] for i, j, k in taps]
     peak = views[0].copy()
     for v in views[1:]:
-        np.maximum(peak, v, out=peak)  # NaN propagates
+        np.maximum(peak, v, out=peak)  # keeps the first NaN, payload included
+    # np.maximum(-0.0, +0.0) may give either zero, and the winner is the
+    # first zero tap: set it last
+    zero = peak == 0
+    if zero.any():
+        for v in reversed(views):
+            np.copyto(peak, v, where=zero & (v == 0))
+    del zero  # so that it never coexists with the winner indices
+    if not need_winners:
+        return peak, None
 
     has_nan = bool(np.isnan(peak).any())
     local = np.zeros(peak.shape, dtype=np.min_scalar_type(len(taps) - 1))
@@ -239,8 +251,7 @@ def maxpool3d(x, window):
     for axis, extent in enumerate((1, 1, pt, ph, pw)):
         origin = np.arange(0, x.shape[axis], extent, dtype=np.int64) * flat_strides[axis]
         winners += origin.reshape((-1,) + (1,) * (4 - axis))
-    # the winners' own values: bit-exact even where +0.0 and -0.0 tie
-    return np.take(x, winners), winners
+    return peak, winners
 
 
 def maxpool3d_backward(grad_out, winners, input_shape):

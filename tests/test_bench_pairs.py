@@ -1,0 +1,73 @@
+"""scripts/bench_pairs.py with `run_once` replaced by a fake benchmark: the
+pair order, the per-pair ratios and the count of improved pairs."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _trees(tmp_path):
+    base, change = tmp_path / "base", tmp_path / "change"
+    for tree in (base, change):
+        tree.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", change)
+    return base, change
+
+
+def _fake(calls, failed_at=None):
+    """items_per_s 100*seed on the base and 150*seed on the change; peak RSS
+    and set-up time higher on the change for odd seeds only."""
+    def run_once(tree, workload, seed, seconds, tiny):
+        side = tree.name
+        calls.append((workload, seed, side))
+        change = side == "change"
+        worse = change and seed % 2
+        values = {"items_per_s": (150 if change else 100) * seed,
+                  "peak_rss_mb": 110.0 if worse else 100.0,
+                  "setup_s": 2.0 if worse else (0.5 if change else 1.0)}
+        failed = int((seed, side) == failed_at)
+        return {"env": f"nproc=2 cpus=[1] seed={seed}", "returncode": failed,
+                "result": {"failed": failed, "attempted": 3,
+                           "metrics": {k: {"value": v} for k, v in values.items()}}}
+    return run_once
+
+
+def test_pairs_alternate_and_ratios_count(tmp_path, monkeypatch):
+    base, change = _trees(tmp_path)
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", _fake(calls))
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pairs.main(["--base", str(base), "--change", str(change), "--seeds", "4",
+                             "--workload", "train-desk", "--out", str(out)]) == 0
+    assert [(seed, side) for _, seed, side in calls] == [
+        (1, "base"), (1, "change"), (2, "change"), (2, "base"),
+        (3, "base"), (3, "change"), (4, "change"), (4, "base")]
+    report = json.loads(out.read_text())
+    assert report["trees"]["base"]["path"] == str(base)
+    desk = report["workloads"]["train-desk"]
+    assert desk["order"] == [["base", "change"], ["change", "base"]] * 2
+    assert desk["base"]["env"] == ["nproc=2 cpus=[1]"]
+    items = desk["metrics"]["items_per_s"]
+    assert items["base"]["values"] == [100, 200, 300, 400]
+    assert items["base"]["median"] == 250 and items["base"]["q1_q3"] == [175.0, 325.0]
+    assert items["ratios"] == [1.5] * 4 and items["median_ratio"] == 1.5
+    assert (items["pairs_improved"], items["pairs"]) == (4, 4)
+    rss = desk["metrics"]["peak_rss_mb"]  # lower is better; worse on odd seeds, tied on even
+    assert rss["ratios"] == [1.1, 1.0, 1.1, 1.0] and rss["pairs_improved"] == 0
+    setup = desk["metrics"]["setup_s"]  # better on even seeds only
+    assert setup["ratios"] == [2.0, 0.5, 2.0, 0.5] and setup["pairs_improved"] == 2
+
+
+def test_failed_gate_gives_exit_1(tmp_path, monkeypatch):
+    base, change = _trees(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", _fake([], failed_at=(2, "change")))
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pairs.main(["--base", str(base), "--change", str(change), "--seeds", "2",
+                             "--workload", "detect-hires", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["workloads"]["detect-hires"]["change"]["failed"] == [0, 1]

@@ -3,9 +3,10 @@ they replaced, and the memory bound of a downscale.
 
 The reference below is the earlier resize_bilinear, kept verbatim: it casts
 the whole frame to float64, then gathers the 2x2 neighbours of each output
-pixel. The current function gathers first and casts after. Each output
-element still gets the same float64 products and sums in the same order, so
-the two must agree byte for byte at every shape.
+pixel. The current code builds one gather plan per cuboid, gathers each
+frame's pixels channel-major through it and casts after. Each output element
+still gets the same float64 products and sums in the same order, so the two
+must agree byte for byte at every shape.
 """
 
 import tracemalloc
@@ -13,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from strokebench import frames as frames_mod
 from strokebench.frames import (extract_cuboid, open_frame_dir, open_rgbv, resize_bilinear,
                                 write_rgbv)
 
@@ -92,6 +94,13 @@ def test_resize_matches_reference_bytes_on_float_frames():
     _assert_same_bytes(resize_bilinear(frame, (5, 8)), reference_resize(frame, (5, 8)))
 
 
+def test_resize_matches_reference_bytes_on_strided_frames():
+    frame = np.random.default_rng(16).integers(0, 256, (21, 13, 3), dtype=np.uint8)
+    for view in (frame[:, ::-1], frame.transpose(1, 0, 2), frame[::2, 1:]):
+        for out_size in [(5, 8), (30, 17), view.shape[:2]]:
+            _assert_same_bytes(resize_bilinear(view, out_size), reference_resize(view, out_size))
+
+
 def test_hd_downscale_peak_allocation_below_1mb():
     frame = np.random.default_rng(13).integers(0, 256, (720, 1280, 3), dtype=np.uint8)
     tracemalloc.start()
@@ -116,6 +125,44 @@ def test_rgbv_extraction_matches_reference(tmp_path):
     for start, length, size in [(0, 5, 32), (1, 3, 120), (2, 2, 7)]:
         got = extract_cuboid(src, start, length=length, size=size).values
         _assert_same_bytes(got, reference_cuboid(frames, start, length, size))
+
+
+def test_hd_window_extraction_matches_reference_at_several_starts(tmp_path):
+    frames = np.random.default_rng(17).integers(0, 256, (19, 720, 1280, 3), dtype=np.uint8)
+    path = tmp_path / "hd.rgbv"
+    write_rgbv(path, frames, 120)
+    src = open_rgbv(path)
+    for start in (0, 1, 3):
+        got = extract_cuboid(src, start, length=16, size=32).values
+        _assert_same_bytes(got, reference_cuboid(frames, start, 16, 32))
+
+
+def test_non_square_source_extraction_matches_reference(tmp_path):
+    # every size upscales at least one axis of a 9x23 frame, the first both
+    frames = np.random.default_rng(18).integers(0, 256, (6, 9, 23, 3), dtype=np.uint8)
+    path = tmp_path / "wide.rgbv"
+    write_rgbv(path, frames, 30)
+    src = open_rgbv(path)
+    for start, length, size in [(0, 6, 40), (2, 3, 12), (5, 1, 16)]:
+        got = extract_cuboid(src, start, length=length, size=size).values
+        _assert_same_bytes(got, reference_cuboid(frames, start, length, size))
+
+
+def test_extraction_builds_one_resize_plan_per_cuboid(tmp_path, monkeypatch):
+    frames = np.random.default_rng(19).integers(0, 256, (8, 24, 40, 3), dtype=np.uint8)
+    write_rgbv(tmp_path / "v.rgbv", frames, 30)
+    src = open_rgbv(tmp_path / "v.rgbv")
+    plans = []
+    build = frames_mod._resize_plan
+
+    def spy(shape, out_size):
+        plans.append((shape, out_size))
+        return build(shape, out_size)
+
+    monkeypatch.setattr(frames_mod, "_resize_plan", spy)
+    for start, size in [(0, 16), (2, 24)]:
+        extract_cuboid(src, start, length=6, size=size)
+    assert plans == [((24, 40, 3), (16, 16)), ((24, 40, 3), (24, 24))]
 
 
 def test_ppm_dir_extraction_matches_reference(tmp_path):

@@ -347,6 +347,41 @@ def test_maxpool_bit_identical_on_strided_input():
     assert _same_bytes(out, ref_out) and _same_bytes(winners, ref_winners)
 
 
+def test_maxpool_values_only_bit_identical_on_strided_input():
+    x = np.random.default_rng(4).standard_normal((2, 3, 4, 6, 8)).swapaxes(3, 4)
+    out, winners = ops.maxpool3d(x, (2, 2, 3), need_winners=False)
+    assert winners is None and _same_bytes(out, transpose_maxpool3d(x, (2, 2, 3))[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["random", "ties", "nan"])
+@pytest.mark.parametrize("window", WINDOWS)
+def test_maxpool_values_only_bit_identical(window, kind, dtype):
+    rng = np.random.default_rng(sum(window) + len(kind))
+    for _ in range(5):
+        x = _pool_input(rng, dtype, window, kind)
+        out, winners = ops.maxpool3d(x, window, need_winners=False)
+        assert winners is None
+        assert _same_bytes(out, transpose_maxpool3d(x, window)[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)], ids=["-0 first", "+0 first"])
+@pytest.mark.parametrize("need_winners", [True, False])
+def test_maxpool_signed_zero_tie_keeps_the_first_zero(zeros, need_winners, dtype):
+    # np.maximum may return either zero of a tie; the first tap's zero wins
+    first, second = zeros
+    x = np.full((1, 1, 2, 2, 2), -1.0, dtype=dtype)
+    x[0, 0, 0, 1, 0] = first
+    x[0, 0, 1, 0, 1] = second
+    for window in [(2, 2, 2), (2, 1, 2), (1, 2, 2)]:
+        out = ops.maxpool3d(x, window, need_winners=need_winners)[0]
+        ref = transpose_maxpool3d(x, window)[0]
+        assert _same_bytes(out, ref), window
+    assert np.signbit(ops.maxpool3d(x, (2, 2, 2), need_winners=need_winners)[0]) == \
+        np.signbit(dtype(first))
+
+
 # -- channel-major gradients ---------------------------------------------------
 
 # maxpool3d_backward returns an (N, C, ...) view of a (C, N, ...) buffer, and

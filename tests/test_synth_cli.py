@@ -423,7 +423,7 @@ class TestCommands:
         assert main(["infer", "--task", "detection", "--data", str(tiny_corpus),
                      "--out", str(out), "--proposal-len", "30",
                      "--proposal-stride", "30"]) == 0
-        preds = sorted((out / "predictions").glob("*.xml"))
+        preds = sorted((out / "detection_predictions").glob("*.xml"))
         assert preds
         capsys.readouterr()
         assert main(["eval", "--task", "detection", "--data", str(tiny_corpus),
@@ -432,6 +432,31 @@ class TestCommands:
         assert lines[0].startswith("mAP: ")
         assert lines[1].startswith("global IoU: ")
         assert 0.0 <= float(lines[0].split(": ")[1]) <= 1.0
+
+    def test_each_task_keeps_its_own_predictions(self, tiny_corpus, tmp_path, capsys):
+        # classification infer into the same --out must not replace the
+        # detection predictions that detection eval scores
+        out = tmp_path / "run"
+        detection = ["--task", "detection", "--data", str(tiny_corpus), "--out", str(out)]
+        classification = ["--task", "classification", "--data", str(tiny_corpus),
+                          "--out", str(out)]
+        for task, common in (("detection", detection), ("classification", classification)):
+            assert main(["prepare", *common]) == 0
+            assert main(_train_args(tiny_corpus, out, task=task)) == 0
+        assert main(["infer", *detection, "--proposal-len", "30",
+                     "--proposal-stride", "30"]) == 0
+        pred_dir = out / "detection_predictions"
+        detected = _tree_bytes(pred_dir)
+        assert detected
+        capsys.readouterr()
+        assert main(["eval", *detection]) == 0
+        scored = capsys.readouterr().out
+        assert main(["infer", *classification]) == 0
+        assert sorted(_tree_bytes(out / "classification_predictions")) == sorted(detected)
+        assert _tree_bytes(pred_dir) == detected
+        capsys.readouterr()
+        assert main(["eval", *detection]) == 0
+        assert capsys.readouterr().out == scored
 
     def test_frame_directory_corpus_gives_the_rgbv_corpus_bytes(
             self, tiny_corpus, tmp_path, capsys):
@@ -453,9 +478,10 @@ class TestCommands:
         (rgbv_files, rgbv_out), (dir_files, dir_out) = runs
         assert sorted(rgbv_files) == [
             "classification_history.csv", "classification_model.ckpt",
+            "classification_predictions/test000.xml",
             "classification_train_index.csv", "classification_validation_index.csv",
             "confusion_global.csv", "confusion_hand.csv", "confusion_type.csv",
-            "confusion_type_hand.csv", "predictions/test000.xml"]
+            "confusion_type_hand.csv"]
         assert dir_files == rgbv_files
         assert dir_out == rgbv_out
 
@@ -499,9 +525,9 @@ class TestCommands:
 
     def test_eval_rejects_unknown_video_predictions(self, tiny_corpus, tmp_path):
         out = tmp_path / "run"
-        (out / "predictions").mkdir(parents=True)
+        (out / "detection_predictions").mkdir(parents=True)
         from strokebench.annotations import Segment, write_predictions
-        (out / "predictions" / "ghost.xml").write_bytes(
+        (out / "detection_predictions" / "ghost.xml").write_bytes(
             write_predictions("ghost", [Segment(0, 10, "Stroke", 0.5)]))
         assert main(["eval", "--task", "detection", "--data", str(tiny_corpus),
                      "--out", str(out)]) == 2
@@ -513,7 +539,7 @@ class TestCommands:
         shutil.copytree(tiny_corpus, data)
         for xml in (data / "test").glob("*.xml"):
             xml.write_bytes(re.sub(rb"\s*<action [^>]*/>", b"", xml.read_bytes()))
-        pred_dir = tmp_path / "run" / "predictions"
+        pred_dir = tmp_path / "run" / "detection_predictions"
         pred_dir.mkdir(parents=True)
         (pred_dir / "test000.xml").write_bytes(
             write_predictions("test000", [Segment(0, 10, "Stroke", 0.5)]))
@@ -535,7 +561,7 @@ class TestCommands:
 
     def test_two_prediction_files_naming_one_video_fail(self, tiny_corpus, tmp_path, capsys):
         from strokebench.annotations import Segment, write_predictions
-        pred_dir = tmp_path / "run" / "predictions"
+        pred_dir = tmp_path / "run" / "detection_predictions"
         pred_dir.mkdir(parents=True)
         for name in ("a.xml", "b.xml"):
             (pred_dir / name).write_bytes(
@@ -569,7 +595,7 @@ class TestCommands:
             self, tiny_corpus, tmp_path, capsys, order):
         # whichever prediction came last used to win, so the order set the score
         from strokebench.annotations import Segment, default_taxonomy, write_predictions
-        pred_dir = tmp_path / "run" / "predictions"
+        pred_dir = tmp_path / "run" / "classification_predictions"
         pred_dir.mkdir(parents=True)
         labels = default_taxonomy().labels
         for xml in sorted((tiny_corpus / "test").glob("*.xml")):
@@ -644,12 +670,12 @@ class TestCommands:
 
     @pytest.mark.parametrize("command, bad", [
         ("prepare", "data/validation/v.xml"),
-        ("eval", "run/predictions/v.xml"),
+        ("eval", "run/detection_predictions/v.xml"),
     ])
     def test_malformed_annotation_xml_fails_naming_it(self, tmp_path, capsys, command, bad):
         from strokebench.annotations import Segment, write_predictions
         good = write_predictions("v", [Segment(0, 3, "Stroke", 0.5)], 10)
-        for folder in ("data/train", "data/validation", "data/test", "run/predictions"):
+        for folder in ("data/train", "data/validation", "data/test", "run/detection_predictions"):
             (tmp_path / folder).mkdir(parents=True)
             (tmp_path / folder / "v.xml").write_bytes(good)
         (tmp_path / bad).write_bytes(good.replace(b' move="Stroke"', b""))
@@ -666,7 +692,7 @@ class TestCommands:
                      "--out", str(out), "--checkpoint", str(ckpt)]) == 2
         assert ("error: short: only 3 frames, shorter than the 4-frame model input"
                 in capsys.readouterr().err)
-        assert not (out / "predictions" / "short.xml").exists()
+        assert not (out / "classification_predictions" / "short.xml").exists()
 
     @pytest.mark.parametrize("outcome, line", [
         ("train", "short: only 3 frames, shorter than the 4-frame model input; sample skipped"),

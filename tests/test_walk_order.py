@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 from strokebench import model
-from strokebench.nn import ops
+from strokebench.errors import TrainingError
+from strokebench.nn import layers, ops
 from strokebench.nn.layers import default_architecture
+from strokebench.nn.optim import NesterovSGD
 
 from oracles import maxpool3d_backward_flat
 
@@ -179,3 +181,52 @@ def test_some_windows_pick_other_winners():
     _, relu_winners = ops.maxpool3d(ops.relu_forward(conv), window)
     differ = raw_winners != relu_winners
     assert 0 < differ.sum() < differ.size
+
+
+# -- inference pools values only -----------------------------------------------
+
+# conv -> pool -> flatten -> linear: no relu after the pool, so a +0.0/-0.0
+# tie in a pool window reaches the linear layer as it was pooled
+NO_RELU_SHAPE = (3, 6, 8, 8)
+NO_RELU_CHAIN = [layers.conv3d(3, 4), layers.maxpool3d((2, 2, 2)), layers.flatten(),
+                 layers.linear(4 * 3 * 4 * 4, 2)]
+
+
+def _chain_net(chain):
+    if chain == "desk":
+        return _net(*DESK), DESK[0]
+    return model.build_model(2, NO_RELU_CHAIN, seed=5, input_shape=NO_RELU_SHAPE), NO_RELU_SHAPE
+
+
+@pytest.mark.parametrize("kind", ["random"] + EDGES)
+@pytest.mark.parametrize("chain", ["desk", "no relu after pool"])
+def test_inference_pools_without_winners_and_keeps_training_logits(chain, kind, monkeypatch):
+    rng = np.random.default_rng(len(kind) + len(chain))
+    net, shape = _chain_net(chain)
+    x = _edge_case(kind, rng, rng.random((3,) + shape, dtype=np.float32), net)
+    calls, seen = [], []
+    pool, loss = ops.maxpool3d, ops.softmax_cross_entropy
+
+    def pool_spy(x, window, **kwargs):
+        pooled, winners = pool(x, window, **kwargs)
+        calls.append((kwargs["need_winners"], winners is None))
+        return pooled, winners
+
+    def loss_spy(logits, classes):
+        seen.append(logits.copy())
+        return loss(logits, classes)
+
+    monkeypatch.setattr(ops, "maxpool3d", pool_spy)
+    monkeypatch.setattr(ops, "softmax_cross_entropy", loss_spy)
+    n_pools = sum(spec.kind == "maxpool3d" for spec in net.specs)
+    with np.errstate(invalid="ignore", over="ignore"):
+        logits = model.forward(net, x)
+        assert calls == [(False, True)] * n_pools
+        calls.clear()
+        opt = NesterovSGD(net.params, 0.01, 0.5, 0.005)
+        try:
+            model._train_step(net, opt, x, np.arange(3) % 2, "spy")
+        except TrainingError:  # a NaN or infinite input stops the step after its forward
+            assert kind in ("nan", "inf")
+    assert calls == [(True, False)] * n_pools
+    assert _same_bytes(logits, seen[0])
