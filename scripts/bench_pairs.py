@@ -9,17 +9,28 @@ seeds), so slow drift of the machine falls on both sides alike. Each run is
 a fresh child process from the root of its checkout, as the benchmark runs
 it. `--workload` may be repeated; each workload gets `--seeds` pairs.
 
+`--step-batch B` (repeatable) also runs one paper training step,
+`scripts/step_memory.py --batch B`, once in each checkout: a fresh child
+each, from the root of its checkout with its own `src` on PYTHONPATH, one
+OpenBLAS thread and pinned to the CPU the benchmark pins to, alternating
+which goes first. With `--tiny` the step runs at a tiny shape instead of
+the paper's.
+
 The file holds, per workload and end-to-end metric of BENCHMARK.json, each
 tree's values, median and [q1, q3], the per-pair ratio change / base and
 how many pairs improved (moved in the metric's better direction); per tree,
 the `env:` line of its runs and its `git rev-parse HEAD` with a dirty flag.
-The exit code is nonzero if a run printed no result or failed a gate.
+Per step batch it holds each tree's peak RSS, forward and backward seconds
+and the SHA-256 of its logits and gradients. The exit code is nonzero if a
+run printed no result or failed a gate, or if the two trees' steps gave
+different SHA-256s.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -28,6 +39,10 @@ from pathlib import Path
 import numpy as np
 
 TREES = ("base", "change")
+
+# the shape the CI smoke run of scripts/step_memory.py uses
+TINY_STEP = ["--input", "3x8x16x16", "--filters", "4,8", "--hidden", "8"]
+STEP_FIELDS = ("peak_rss_mb", "forward_s", "backward_s", "sha256")
 
 
 def git_state(tree: Path, given: Path) -> dict:
@@ -55,6 +70,38 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, tiny: bool) -
         raise SystemExit(f"error: {tree}: {workload} seed {seed} printed no result "
                          f"(exit {proc.returncode})") from None
     return {"env": env, "returncode": proc.returncode, "result": result}
+
+
+def run_step(tree: Path, batch: int, tiny: bool) -> dict:
+    """One `scripts/step_memory.py --batch B` run of `tree`: the fields of
+    STEP_FIELDS from the JSON line it prints."""
+    cmd = [sys.executable, "scripts/step_memory.py", "--batch", str(batch)] + (
+        TINY_STEP if tiny else [])
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    cpu = max(os.sched_getaffinity(0))  # as perfbench/run.py pins its runs
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
+                          preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    try:
+        result = json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.stderr.write(proc.stdout + proc.stderr)
+        raise SystemExit(f"error: {tree}: step at batch {batch} printed no result "
+                         f"(exit {proc.returncode})") from None
+    return {field: result[field] for field in STEP_FIELDS}
+
+
+def pair_steps(trees: dict, batches: list[int], tiny: bool) -> dict:
+    out = {}
+    for k, batch in enumerate(batches):
+        first = TREES if k % 2 == 0 else TREES[::-1]
+        runs = {}
+        for name in first:
+            runs[name] = run_step(trees[name], batch, tiny)
+            print(f"step batch {batch} {name}: peak_rss_mb {runs[name]['peak_rss_mb']}",
+                  flush=True)
+        out[str(batch)] = {"order": list(first), **{t: runs[t] for t in TREES},
+                           "same_sha256": runs["base"]["sha256"] == runs["change"]["sha256"]}
+    return out
 
 
 def summary(values: list[float]) -> dict:
@@ -103,8 +150,11 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", type=Path, required=True, help="checkout measured as the base")
     p.add_argument("--change", type=Path, required=True, help="checkout measured against it")
-    p.add_argument("--workload", action="append", required=True,
+    p.add_argument("--workload", action="append", default=[],
                    help="benchmark workload; repeat for several")
+    p.add_argument("--step-batch", type=int, action="append", default=[], metavar="B",
+                   help="also run scripts/step_memory.py --batch B in both checkouts; "
+                        "repeat for several")
     p.add_argument("--seeds", type=int, default=5, help="pairs per workload (seeds 1..N)")
     p.add_argument("--seconds", type=float, default=15.0, help="loop seconds per run")
     p.add_argument("--tiny", action="store_true", help="tiny shapes (smoke test)")
@@ -112,6 +162,10 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.seeds < 1:
         p.error("--seeds must be >= 1")
+    if not args.workload and not args.step_batch:
+        p.error("give at least one --workload or --step-batch")
+    if any(b < 1 for b in args.step_batch):
+        p.error("--step-batch must be >= 1")
 
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
@@ -125,11 +179,16 @@ def main(argv=None) -> int:
         "workloads": {w: pair_workload(trees, w, seeds, args.seconds, args.tiny,
                                        spec["end_to_end"])
                       for w in args.workload},
+        "steps": pair_steps(trees, args.step_batch, args.tiny),
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     ok = all(code == 0 and not failed
              for w in report["workloads"].values() for t in TREES
              for code, failed in zip(w[t]["returncodes"], w[t]["failed"]))
+    for batch, step in report["steps"].items():
+        if not step["same_sha256"]:
+            print(f"error: the step at batch {batch} gave different SHA-256s", file=sys.stderr)
+            ok = False
     print(f"wrote {args.out}")
     return 0 if ok else 1
 

@@ -128,18 +128,20 @@ def build_model(n_classes: int, arch: list[LayerSpec], seed: int = 0,
 
 def _forward_full(model: ModelParams, x: np.ndarray, training: bool = True):
     """Forward pass; with `training`, also the per-layer caches the backward
-    sweep needs. Otherwise the returned list stays empty and each maxpool3d
-    computes its pooled values only, with no winner indices; the logits keep
-    their bytes.
+    sweep needs, among them each maxpool3d's index of the winning tap in
+    every window (one byte per pooled element). Otherwise the returned list
+    stays empty and each maxpool3d computes its pooled values only, with no
+    tap index; the logits keep their bytes.
 
     A relu directly followed by a maxpool3d runs after it, on the pooled
     tensor, so neither its output nor its cache is ever full size. That is
     exact: relu is monotone, so where a window's maximum is > 0 both orders
     pick the same first maximum, and where it is <= 0 both give +0.0
     (relu_forward maps every x <= 0, -0.0 included, to +0.0); a NaN wins its
-    window either way. Against the spec order, only the stored winner of a
-    window whose values are all <= 0 can differ, and with it the sign of the
-    zero gradient routed there (g * 0 before, now 0 + g * 0, which is +0.0).
+    window either way. Against the spec order, only the stored winning tap
+    of a window whose values are all <= 0 can differ, and with it the sign of
+    the zero gradient routed there (g * 0 before, now 0 + g * 0, which is
+    +0.0).
     Caches are kept in run order, so _backward_full follows the same order.
     """
     caches = []
@@ -159,8 +161,8 @@ def _forward_full(model: ModelParams, x: np.ndarray, training: bool = True):
                    if spec.kind == "conv3d" else ops.linear_forward(cur, w, b))
         elif spec.kind == "maxpool3d":
             in_shape = cur.shape
-            cur, winners = ops.maxpool3d(cur, spec.window, need_winners=training)
-            keep((spec, winners, in_shape))
+            cur, taps = ops.maxpool3d(cur, spec.window, need_winners=training)
+            keep((spec, taps, in_shape))
         elif spec.kind == "relu":
             keep((spec, cur))
             cur = ops.relu_forward(cur)
@@ -196,8 +198,8 @@ def _layer_backward(model: ModelParams, cache, g: np.ndarray, grads: dict[str, n
             ops.conv3d_backward(x, w, g, spec.stride, spec.pad, need_input=need_input)
             if spec.kind == "conv3d" else ops.linear_backward(x, w, g))
     elif spec.kind == "maxpool3d":
-        _, winners, in_shape = cache
-        g = ops.maxpool3d_backward(g, winners, in_shape)
+        _, taps, in_shape = cache
+        g = ops.maxpool3d_backward(g, taps, in_shape, spec.window)
     elif spec.kind == "relu":
         g = ops.relu_backward(cache[1], g)
     elif spec.kind == "flatten":
@@ -285,13 +287,19 @@ def _extract_samples(items: list[DatasetItem], sources: dict[str, VideoSource],
 
 def _train_step(model: ModelParams, opt: NesterovSGD, x: np.ndarray, y: np.ndarray,
                 where: str) -> tuple[float, int]:
-    """One SGD step on a batch: (summed loss, correct predictions). The
-    caches and gradients die on return, before validation allocates."""
+    """One SGD step on a batch: (summed loss, correct predictions). A loss
+    or a parameter gradient that is not finite raises TrainingError before
+    any parameter or velocity changes. The caches and gradients die on
+    return, before validation allocates."""
     logits, caches = _forward_full(model, x, training=True)
     loss, grad_logits = ops.softmax_cross_entropy(logits, y)
     if not np.isfinite(loss):
         raise TrainingError(f"{where}: loss is {loss}; stopping the run")
-    opt.step(model.params, _backward_full(model, caches, grad_logits))
+    grads = _backward_full(model, caches, grad_logits)
+    for name in model.params:
+        if not np.isfinite(grads[name]).all():
+            raise TrainingError(f"{where}: gradient of {name} is not finite; stopping the run")
+    opt.step(model.params, grads)
     return loss, int(np.sum(np.argmax(logits, axis=1) == y))
 
 
@@ -315,8 +323,9 @@ def train(model: ModelParams, train_items: list[DatasetItem],
     batch losses (the loss itself is batch-summed) and keeps the snapshot with
     the highest validation accuracy, earliest epoch on ties. Samples whose
     video is missing or too short are skipped with a warning; an epoch with
-    nothing usable aborts, and so does a batch whose loss is not finite
-    (TrainingError naming the epoch and batch). Cuboid settings that do not
+    nothing usable aborts, and so does a batch whose loss or parameter
+    gradient is not finite (TrainingError naming the epoch and batch, raised
+    before that batch changes any parameter). Cuboid settings that do not
     match the model input raise TrainingError, and bad optimizer settings
     ConfigError, before anything is extracted.
     """

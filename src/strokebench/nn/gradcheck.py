@@ -87,13 +87,13 @@ def _check_maxpool3d(rng: np.random.Generator) -> float:
         part = np.sort(r, axis=1)
         if np.min(part[:, -1] - part[:, -2]) > 1e3 * EPS:
             break
-    out, winners = ops.maxpool3d(x, window)
+    out, taps = ops.maxpool3d(x, window)
     g = rng.standard_normal(out.shape)
 
     def objective():
         return float(np.sum(ops.maxpool3d(x, window)[0] * g))
 
-    gx = ops.maxpool3d_backward(g, winners, x.shape)
+    gx = ops.maxpool3d_backward(g, taps, x.shape, window)
     return _worst(objective, [(gx, x)])
 
 

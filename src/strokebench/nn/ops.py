@@ -12,26 +12,33 @@ Memory. No kernel builds a full im2col copy of its input (27x the input for
 a 3x3x3 kernel). `conv3d_forward` lowers one sample and one block of output
 frames at a time into a column buffer of at most `BLOCK_BYTES` (or one output
 frame, if that is larger). `conv3d_backward` holds a channel-major copy of
-grad_out (none when grad_out is already channel-major) and the padded input
-throughout. For grad_weight it adds one kernel row's input slices (kw of
-them, each input-sized at stride 1); for grad_input, after that block is
-freed, the padded input's gradient, the returned grad_input and a col2im
+grad_out (none when grad_out is already channel-major) throughout, and no
+padded copy of the input. For grad_weight it adds one kernel row's input
+slices (kw of them, each input-sized at stride 1), copied from the input
+with zeros where a tap meets the padding; for grad_input, after that block
+is freed, the padded input's gradient, the returned grad_input and a col2im
 block of at most `BLOCK_BYTES`.
 `maxpool3d` takes the max over strided views of the input, with no
-transposed copy; the int64 winner indices it returns are its only int64
-array of the pooled size, and inference (need_winners=False) builds none.
-`maxpool3d_backward` remaps them to the channel-major buffer one sample at
-a time.
+transposed copy, one sample and one block of output frames (at most
+`POOL_BLOCK_BYTES` of input) at a time. For training it returns the index
+of each window's winning tap, one byte per pooled element; inference
+(need_winners=False) builds none. `maxpool3d_backward` expands that index to
+flat int64 indices one sample and one block of at most `POOL_BLOCK_BYTES`
+at a time.
 
 Bound: for kernels at most 3 wide (kw <= 3), the tracemalloc peak of one
 conv3d_forward or conv3d_backward call stays below
 4 * (input bytes + output bytes) + BLOCK_BYTES, where output is the forward
 output or grad_out; a wider kernel adds about one input size per extra tap
 in its row. `tests/test_kernels.py` checks it for x of shape (1, 8, 32, 64, 64)
-float32 and 8 filters: 67 MB allowed, 41 MB used by either call (17 MB by
-a backward without grad_input), with a C-order grad_out (a channel-major
-one skips the copy, so the bound still holds). The im2col kernels these
-replaced peaked at 122 MB (forward) and 127 MB (backward) there.
+float32 and 8 filters: 67 MB allowed, 41 MB used by the forward and 37 MB by
+the backward (13 MB by a backward without grad_input: the kernel row, the
+GEMM's output and the returned gradients), with a C-order grad_out (a
+channel-major one skips the copy, so the bound still holds). The im2col
+kernels these replaced peaked at 122 MB (forward) and 127 MB (backward)
+there. It also checks that a training `maxpool3d` call peaks less than
+`POOL_BLOCK_BYTES` above its pooled values and taps, and `maxpool3d_backward`
+less than that above its result.
 
 Numerics. Each output element is one dot product over the same reduction
 axis, in the same order, as in the im2col formulation, but BLAS is called
@@ -50,6 +57,16 @@ from ..errors import ShapeError
 # Upper bound on one im2col block (conv3d_forward) or col2im block
 # (conv3d_backward); see the module docstring.
 BLOCK_BYTES = 32 << 20
+
+# Upper bound on the input of one maxpool3d block, and on the temporaries of
+# one maxpool3d_backward block. At 4 MB, the pooled-size arrays a 2x2x2
+# window's passes reread (values, tap index and the masks of the tap pass,
+# about a quarter of the block) fit in the 2 MB L2 cache of one core of the
+# target machine. Training pooling of paper pool1, shape (2, 30, 98, 120,
+# 120), one output frame of 3.5 MB per block up to 4 MB, took 0.25-0.30 s
+# with blocks of 1 to 8 MB, 0.31 s with 32 MB blocks and 0.55 s unblocked
+# (best of 5, one CPU).
+POOL_BLOCK_BYTES = 4 << 20
 
 
 def conv3d_out_extents(extents, kernel, stride: int, pad: int) -> tuple[int, int, int]:
@@ -112,6 +129,25 @@ def _tap_slices(tap, stride, extents, t0=0):
     return tuple(slice(a, a + stride * (e - 1) + 1, stride) for a, e in zip(starts, extents))
 
 
+def _copy_tap(dst, xs, tap, stride, pad):
+    """dst (C, N, T', H', W') = the (C, N, T, H, W) input `xs` as kernel tap
+    (i, j, k) meets it, zero where the tap falls in the padding, with no
+    padded copy of the input: the part inside the input is copied, and only
+    the strips of output positions that read padding are zeroed."""
+    dst_part, src_part = [slice(None)] * 2, [slice(None)] * 2
+    for axis, (offset, extent) in enumerate(zip(tap, xs.shape[2:]), start=2):
+        outs = dst.shape[axis]
+        # output positions o with 0 <= offset + stride*o - pad < extent
+        lo = min(outs, max(0, -((offset - pad) // stride)))
+        hi = max(lo, min(outs, (extent - 1 + pad - offset) // stride + 1))
+        start = offset + stride * lo - pad
+        dst_part.append(slice(lo, hi))
+        src_part.append(slice(start, start + stride * (hi - lo), stride))
+        for zeros in (slice(0, lo), slice(hi, outs)):
+            dst[(slice(None),) * axis + (zeros,)] = 0
+    dst[tuple(dst_part)] = xs[tuple(src_part)]
+
+
 def conv3d_forward(x, weight, bias, stride: int = 1, pad: int = 0):
     """Cross-correlation over (T,H,W); zero padding contributes zeros.
 
@@ -146,6 +182,7 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
     grad_weight: one GEMM per kernel row (i, j) over the whole N*T'*H'*W'
     axis. The row's kw taps share one (kw*C, N, T', H', W') block of input
     slices, so every sum still runs over the same axis as in one im2col GEMM.
+    Each tap's slice is copied from the unpadded input (see _copy_tap).
     grad_input: per sample and block of output frames, one GEMM gives every
     tap's contribution (col2im, in (kt,kh,kw,C | T',H',W') layout), which is
     added at the tap's offset. Blocks run last frame first, so that each
@@ -171,7 +208,7 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
     grad_bias = np.zeros(f, dtype=grad_out.dtype)
     for sample_sums in g5.reshape(f, n, -1).sum(axis=2).T:
         grad_bias += sample_sums
-    xp = _pad(x, pad).swapaxes(0, 1)  # (C,N,T+2p,H+2p,W+2p)
+    xs = x.swapaxes(0, 1)  # (C,N,T,H,W)
 
     g2 = g5.reshape(f, -1)
     grad_weight = np.empty(weight.shape, dtype=np.result_type(grad_out, x))
@@ -179,7 +216,7 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
     row = np.empty((kw, c, n) + outs, dtype=x.dtype)
     for i, j in np.ndindex(kt, kh):
         for k in range(kw):
-            row[k] = xp[(slice(None), slice(None)) + _tap_slices((i, j, k), stride, outs)]
+            _copy_tap(row[k], xs, (i, j, k), stride, pad)
         # column block k of the (F, kw*C) product is grad_weight[:, :, i, j, k]
         prod = g2 @ row.reshape(kw * c, -1).T
         grad_weight[:, :, i, j] = prod.reshape(f, kw, c).swapaxes(1, 2)
@@ -187,7 +224,7 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
     if not need_input:
         return np.empty(0, dtype=grad_out.dtype), grad_weight, grad_bias
 
-    gxp = np.zeros(xp.shape, dtype=grad_out.dtype)
+    gxp = np.zeros((c, n, t + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
     w2 = np.ascontiguousarray(weight.transpose(2, 3, 4, 1, 0)).reshape(-1, f)
     frames = _block_frames(w2.shape[0], ho, wo, x.itemsize)
     for s in range(n):
@@ -202,12 +239,46 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
     return np.ascontiguousarray(grad_input), grad_weight, grad_bias
 
 
+def _pool_frames(frame_bytes):
+    """Output frames per pool block, so that a block holds at most
+    POOL_BLOCK_BYTES when one output frame takes `frame_bytes` (one frame at
+    least)."""
+    return max(1, POOL_BLOCK_BYTES // frame_bytes)
+
+
+def _pool_block(views, peak, local):
+    """The max over the tap `views` into `peak`, and, unless `local` is None,
+    the index of each window's winning tap into `local` (zeros on entry)."""
+    np.copyto(peak, views[0])
+    for v in views[1:]:
+        np.maximum(peak, v, out=peak)  # keeps the first NaN, payload included
+    # np.maximum(-0.0, +0.0) may give either zero, and the winner is the
+    # first zero tap: set it last
+    zero = peak == 0
+    if zero.any():
+        for v in reversed(views):
+            np.copyto(peak, v, where=zero & (v == 0))
+    del zero  # so that it never coexists with the tap index temporaries
+    if local is None:
+        return
+    has_nan = bool(np.isnan(peak).any())
+    for idx in reversed(range(len(views))):  # the lowest matching tap is set last
+        hit = views[idx] == peak
+        if has_nan:
+            hit |= np.isnan(views[idx])
+        # local = idx where hit; unsigned wrap-around makes this exact
+        step = np.subtract(idx, local, dtype=local.dtype)
+        step *= hit
+        local += step
+
+
 def maxpool3d(x, window, *, need_winners: bool = True):
     """Non-overlapping max pooling.
 
-    Returns (pooled, winners) where winners holds, per output element, the flat
-    index of the winning input element: the first maximum in (dt, dh, dw)
-    window order, or the first NaN if the window has one, as argmax picks.
+    Returns (pooled, taps) where taps holds, per output element, the index in
+    (dt, dh, dw) window order of the winning tap: the first maximum, or the
+    first NaN if the window has one, as argmax picks. Its dtype is the
+    smallest unsigned type that holds every tap index (uint8 up to 256 taps).
     Input extents must be divisible by the window. With need_winners=False
     no index is computed and None stands in its place (for inference, which
     runs no backward); the pooled values keep their bytes.
@@ -217,64 +288,60 @@ def maxpool3d(x, window, *, need_winners: bool = True):
     pt, ph, pw = window
     n, c, t, h, w = x.shape
     to, ho, wo = maxpool3d_out_extents(x.shape[2:], window)
-    r = x.reshape(n, c, to, pt, ho, ph, wo, pw)
     taps = list(np.ndindex(pt, ph, pw))
-    views = [r[:, :, :, i, :, j, :, k] for i, j, k in taps]
-    peak = views[0].copy()
-    for v in views[1:]:
-        np.maximum(peak, v, out=peak)  # keeps the first NaN, payload included
-    # np.maximum(-0.0, +0.0) may give either zero, and the winner is the
-    # first zero tap: set it last
-    zero = peak == 0
-    if zero.any():
-        for v in reversed(views):
-            np.copyto(peak, v, where=zero & (v == 0))
-    del zero  # so that it never coexists with the winner indices
-    if not need_winners:
-        return peak, None
-
-    has_nan = bool(np.isnan(peak).any())
-    local = np.zeros(peak.shape, dtype=np.min_scalar_type(len(taps) - 1))
-    for idx in reversed(range(len(taps))):  # the lowest matching tap is set last
-        hit = views[idx] == peak
-        if has_nan:
-            hit |= np.isnan(views[idx])
-        # local = idx where hit; unsigned wrap-around makes this exact
-        step = np.subtract(idx, local, dtype=local.dtype)
-        step *= hit
-        local += step
-
-    offsets = np.array([(i * h + j) * w + k for i, j, k in taps], dtype=np.int64)
-    winners = offsets[local]
-    # plus the flat index of each window's origin, one small grid per axis
-    flat_strides = (c * t * h * w, t * h * w, h * w, w, 1)
-    for axis, extent in enumerate((1, 1, pt, ph, pw)):
-        origin = np.arange(0, x.shape[axis], extent, dtype=np.int64) * flat_strides[axis]
-        winners += origin.reshape((-1,) + (1,) * (4 - axis))
-    return peak, winners
+    pooled = np.empty((n, c, to, ho, wo), dtype=x.dtype)
+    local = (np.zeros(pooled.shape, dtype=np.min_scalar_type(len(taps) - 1))
+             if need_winners else None)
+    frames = _pool_frames(c * pt * h * w * x.itemsize)  # input bytes per output frame
+    for s in range(n):
+        for t0 in range(0, to, frames):
+            t1 = min(to, t0 + frames)
+            r = x[s, :, t0 * pt : t1 * pt].reshape(c, t1 - t0, pt, ho, ph, wo, pw)
+            _pool_block([r[:, :, i, :, j, :, k] for i, j, k in taps], pooled[s, :, t0:t1],
+                        None if local is None else local[s, :, t0:t1])
+    return pooled, local
 
 
-def maxpool3d_backward(grad_out, winners, input_shape):
-    """Route each upstream gradient element to its stored winner, zeros elsewhere.
+def maxpool3d_backward(grad_out, taps, input_shape, window):
+    """Route each upstream gradient element to its window's winning tap,
+    zeros elsewhere.
 
     The result is an (N, C, T, H, W) view of a C-order (C, N, T, H, W)
     buffer, the layout conv3d_backward works in.
     """
-    if grad_out.shape != winners.shape:
-        raise ShapeError(
-            f"grad_out shape {grad_out.shape} does not match winner index shape {winners.shape}"
-        )
     n, c = input_shape[:2]
-    size = int(np.prod(input_shape[2:]))  # elements per (sample, channel)
-    grad_input = np.zeros((c, n) + tuple(input_shape[2:]), dtype=grad_out.dtype)
+    expected = (n, c) + maxpool3d_out_extents(input_shape[2:], window)
+    if grad_out.shape != expected or taps.shape != expected:
+        raise ShapeError(f"grad_out shape {grad_out.shape} and tap index shape {taps.shape} "
+                         f"must both be {expected}")
+    pt, ph, pw = window
+    t, h, w = input_shape[2:]
+    to, ho, wo = expected[2:]
+    size = t * h * w  # elements per (sample, channel)
+    grad_input = np.zeros((c, n, t, h, w), dtype=grad_out.dtype)
     flat = grad_input.reshape(-1)
-    # winners[s, ch] holds flat (N, C, ...) indices (s*C + ch)*size + r,
-    # which move to (ch*N + s)*size + r in the (C, N, ...) buffer
-    for s in range(n):  # int64 temporaries of one sample's size
-        shift = (np.arange(c, dtype=np.int64) * (n - 1) - s * (c - 1)) * size
-        moved = winners[s] + shift.reshape(c, 1, 1, 1)
-        # add.at, not assignment: 0 + (-0.0) stores +0.0
-        np.add.at(flat, moved.ravel(), grad_out[s].ravel())
+    # flat index in the (C, N, T, H, W) buffer: the tap's offset in its
+    # window, plus the window's origin (channel and sample, then frame, row
+    # and column within the block)
+    offsets = np.array([(i * h + j) * w + k for i, j, k in np.ndindex(*window)],
+                       dtype=np.int64)
+    channels = np.arange(c, dtype=np.int64).reshape(c, 1, 1, 1) * (n * size)
+    # per output frame of a block: the flat index, the int64 copy of the tap
+    # index that take() makes, the gradient and the origins
+    frames = _pool_frames(ho * wo * (c * (16 + grad_out.itemsize) + 8))
+    origins = (np.arange(min(frames, to), dtype=np.int64).reshape(-1, 1, 1) * (pt * h * w)
+               + np.arange(ho, dtype=np.int64).reshape(ho, 1) * (ph * w)
+               + np.arange(wo, dtype=np.int64) * pw)
+    for s in range(n):
+        for t0 in range(0, to, frames):
+            t1 = min(to, t0 + frames)
+            # every tap index is in range; mode="clip" only skips the check
+            idx = offsets.take(taps[s, :, t0:t1], mode="clip")
+            idx += channels + (s * size + t0 * pt * h * w)
+            idx += origins[: t1 - t0]
+            # add.at, not assignment: 0 + (-0.0) stores +0.0
+            np.add.at(flat, idx.ravel(), grad_out[s, :, t0:t1].ravel())
+            del idx  # so that two blocks never coexist
     return grad_input.swapaxes(0, 1)
 
 

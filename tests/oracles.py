@@ -172,3 +172,17 @@ def maxpool3d_backward_flat(grad_out, winners, input_shape):
     grad_input = np.zeros(int(np.prod(input_shape)), dtype=grad_out.dtype)
     np.add.at(grad_input, winners.ravel(), grad_out.ravel())
     return grad_input.reshape(input_shape)
+
+
+def taps_to_winners(taps, input_shape, window):
+    """The flat (N, C, T, H, W) index of each window's winning input element,
+    from the index of its winning tap in (dt, dh, dw) window order."""
+    n, c, t, h, w = input_shape
+    to, ho, wo = taps.shape[2:]
+    dt, dh, dw = np.unravel_index(taps.astype(np.int64), window)
+    tt = np.arange(to).reshape(1, 1, to, 1, 1) * window[0] + dt
+    hh = np.arange(ho).reshape(1, 1, 1, ho, 1) * window[1] + dh
+    ww = np.arange(wo).reshape(1, 1, 1, 1, wo) * window[2] + dw
+    nn = np.arange(n).reshape(n, 1, 1, 1, 1)
+    cc = np.arange(c).reshape(1, c, 1, 1, 1)
+    return ((((nn * c + cc) * t + tt) * h + hh) * w + ww).astype(np.int64)

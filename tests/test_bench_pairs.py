@@ -1,10 +1,13 @@
 """scripts/bench_pairs.py with `run_once` replaced by a fake benchmark: the
-pair order, the per-pair ratios and the count of improved pairs."""
+pair order, the per-pair ratios and the count of improved pairs; and its
+training-step runs, with `run_step` faked and once for real at a tiny shape."""
 
 import importlib.util
 import json
 import shutil
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
@@ -71,3 +74,58 @@ def test_failed_gate_gives_exit_1(tmp_path, monkeypatch):
     assert bench_pairs.main(["--base", str(base), "--change", str(change), "--seeds", "2",
                              "--workload", "detect-hires", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["workloads"]["detect-hires"]["change"]["failed"] == [0, 1]
+
+
+def _fake_step(calls, sha_of=lambda side, batch: "same"):
+    def run_step(tree, batch, tiny):
+        calls.append((batch, tree.name, tiny))
+        return {"peak_rss_mb": 100.0 + batch, "forward_s": 1.0, "backward_s": 2.0,
+                "sha256": sha_of(tree.name, batch)}
+    return run_step
+
+
+def test_steps_alternate_and_record_each_tree(tmp_path, monkeypatch):
+    base, change = _trees(tmp_path)
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_step", _fake_step(calls))
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pairs.main(["--base", str(base), "--change", str(change), "--tiny",
+                             "--step-batch", "2", "--step-batch", "10",
+                             "--out", str(out)]) == 0
+    assert calls == [(2, "base", True), (2, "change", True),
+                     (10, "change", True), (10, "base", True)]
+    report = json.loads(out.read_text())
+    assert report["workloads"] == {}
+    step = report["steps"]["10"]
+    assert step["order"] == ["change", "base"] and step["same_sha256"]
+    assert step["base"] == {"peak_rss_mb": 110.0, "forward_s": 1.0, "backward_s": 2.0,
+                            "sha256": "same"}
+
+
+def test_steps_with_other_bytes_give_exit_1(tmp_path, monkeypatch):
+    base, change = _trees(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_step",
+                        _fake_step([], lambda side, batch: side if batch == 10 else "same"))
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pairs.main(["--base", str(base), "--change", str(change),
+                             "--step-batch", "2", "--step-batch", "10", "--out", str(out)]) == 1
+    steps = json.loads(out.read_text())["steps"]
+    assert steps["2"]["same_sha256"] and not steps["10"]["same_sha256"]
+
+
+def test_tiny_step_of_one_checkout_against_itself(tmp_path):
+    """The real scripts/step_memory.py, in a fresh child per tree."""
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pairs.main(["--base", str(ROOT), "--change", str(ROOT), "--tiny",
+                             "--step-batch", "2", "--out", str(out)]) == 0
+    step = json.loads(out.read_text())["steps"]["2"]
+    assert step["same_sha256"] and len(step["base"]["sha256"]) == 64
+    assert set(step["base"]) == set(bench_pairs.STEP_FIELDS)
+    assert step["base"]["peak_rss_mb"] > 0
+
+
+def test_nothing_to_run_is_refused(tmp_path):
+    base, change = _trees(tmp_path)
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--base", str(base), "--change", str(change),
+                          "--out", str(tmp_path / "BENCH_1.json")])

@@ -1,11 +1,14 @@
 """conv3d and maxpool3d against frozen copies of the kernels they replaced,
 the channel-major gradient layout maxpool3d_backward hands to
-conv3d_backward, and the memory bound stated in the `nn.ops` module
+conv3d_backward, and the memory bounds stated in the `nn.ops` module
 docstring.
 
 The references below are the earlier kernels, kept verbatim: conv3d through
 a full im2col copy fed to np.tensordot, the conv grad_weight through one
-GEMM per kernel tap, maxpool3d through a transposed copy and argmax.
+GEMM per kernel tap, maxpool3d through a transposed copy and argmax. The
+pool reference returns that argmax, the winning tap of each window, which is
+what maxpool3d returns now; `oracles.taps_to_winners` turns it into the
+flat winner indices the earlier pool backward scattered to.
 
 Pooling involves no BLAS call, so it must match its reference byte for byte
 on any input. The conv kernels make the same products and sums as im2col
@@ -41,7 +44,7 @@ from strokebench import model
 from strokebench.nn import ops
 from strokebench.nn.layers import default_architecture
 
-from oracles import maxpool3d_backward_flat
+from oracles import maxpool3d_backward_flat, taps_to_winners
 
 # -- frozen references ---------------------------------------------------------
 
@@ -115,17 +118,7 @@ def transpose_maxpool3d(x, window):
     )
     local = r.argmax(axis=-1)
     out = np.take_along_axis(r, local[..., None], axis=-1)[..., 0]
-
-    dt = local // (ph * pw)
-    dh = (local // pw) % ph
-    dw = local % pw
-    tt = np.arange(to).reshape(1, 1, to, 1, 1) * pt + dt
-    hh = np.arange(ho).reshape(1, 1, 1, ho, 1) * ph + dh
-    ww = np.arange(wo).reshape(1, 1, 1, 1, wo) * pw + dw
-    nn = np.arange(n).reshape(n, 1, 1, 1, 1)
-    cc = np.arange(c).reshape(1, c, 1, 1, 1)
-    winners = (((nn * c + cc) * t + tt) * h + hh) * w + ww
-    return np.ascontiguousarray(out), winners.astype(np.int64)
+    return np.ascontiguousarray(out), local
 
 
 # -- helpers -------------------------------------------------------------------
@@ -133,6 +126,12 @@ def transpose_maxpool3d(x, window):
 
 def _same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_taps(taps, ref_taps):
+    """The tap index equals the reference argmax, as uint8: every window
+    here has at most 256 taps."""
+    return _same_bytes(taps, ref_taps.astype(np.uint8)) and (taps == ref_taps).all()
 
 
 def _conv_case(rng, dtype, x_shape, filters, kernel=(3, 3, 3), stride=1, pad=1):
@@ -290,18 +289,18 @@ def test_backward_full_skips_only_the_first_conv_grad_input(monkeypatch):
 
 
 def test_backward_full_frees_each_cache_before_the_next_layer(monkeypatch):
-    """When conv1's backward runs, pool1's winner indices are gone."""
+    """When conv1's backward runs, pool1's tap index is gone."""
     shape = (3, 8, 16, 16)
     arch = default_architecture(shape, filters=(4, 8), hidden=8, n_classes=2)
     net = model.build_model(2, arch, seed=3, input_shape=shape)
     logits, caches = model._forward_full(net, np.ones((2,) + shape, dtype=np.float32))
     pool1 = next(c for c in caches if c[0].kind == "maxpool3d")
-    winners = weakref.ref(pool1[1])
+    taps = weakref.ref(pool1[1])
     del pool1
     alive = []
 
     def spy(x, weight, *args, **kwargs):
-        alive.append(winners() is not None)
+        alive.append(taps() is not None)
         return orig(x, weight, *args, **kwargs)
 
     orig = ops.conv3d_backward
@@ -334,23 +333,23 @@ def test_maxpool_bit_identical(window, kind, dtype):
     rng = np.random.default_rng(sum(window) + len(kind))
     for _ in range(5):
         x = _pool_input(rng, dtype, window, kind)
-        out, winners = ops.maxpool3d(x, window)
-        ref_out, ref_winners = transpose_maxpool3d(x, window)
+        out, taps = ops.maxpool3d(x, window)
+        ref_out, ref_taps = transpose_maxpool3d(x, window)
         assert _same_bytes(out, ref_out)
-        assert _same_bytes(winners, ref_winners)
+        assert _same_taps(taps, ref_taps)
 
 
 def test_maxpool_bit_identical_on_strided_input():
     x = np.random.default_rng(4).standard_normal((2, 3, 4, 6, 8)).swapaxes(3, 4)
-    out, winners = ops.maxpool3d(x, (2, 2, 3))
-    ref_out, ref_winners = transpose_maxpool3d(x, (2, 2, 3))
-    assert _same_bytes(out, ref_out) and _same_bytes(winners, ref_winners)
+    out, taps = ops.maxpool3d(x, (2, 2, 3))
+    ref_out, ref_taps = transpose_maxpool3d(x, (2, 2, 3))
+    assert _same_bytes(out, ref_out) and _same_taps(taps, ref_taps)
 
 
 def test_maxpool_values_only_bit_identical_on_strided_input():
     x = np.random.default_rng(4).standard_normal((2, 3, 4, 6, 8)).swapaxes(3, 4)
-    out, winners = ops.maxpool3d(x, (2, 2, 3), need_winners=False)
-    assert winners is None and _same_bytes(out, transpose_maxpool3d(x, (2, 2, 3))[0])
+    out, taps = ops.maxpool3d(x, (2, 2, 3), need_winners=False)
+    assert taps is None and _same_bytes(out, transpose_maxpool3d(x, (2, 2, 3))[0])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -360,8 +359,8 @@ def test_maxpool_values_only_bit_identical(window, kind, dtype):
     rng = np.random.default_rng(sum(window) + len(kind))
     for _ in range(5):
         x = _pool_input(rng, dtype, window, kind)
-        out, winners = ops.maxpool3d(x, window, need_winners=False)
-        assert winners is None
+        out, taps = ops.maxpool3d(x, window, need_winners=False)
+        assert taps is None
         assert _same_bytes(out, transpose_maxpool3d(x, window)[0])
 
 
@@ -425,10 +424,11 @@ def test_maxpool_backward_matches_flat_scatter(window, kind, dtype):
     for n in (1, 2, 5):
         x = _pool_input(rng, dtype, window, kind)
         x = np.concatenate([x] * 3)[:n]
-        out, winners = ops.maxpool3d(x, window)
+        out, taps = ops.maxpool3d(x, window)
         grad_out = rng.standard_normal(out.shape).astype(dtype)
         grad_out[rng.random(out.shape) < 0.2] = -0.0
-        got = ops.maxpool3d_backward(grad_out, winners, x.shape)
+        got = ops.maxpool3d_backward(grad_out, taps, x.shape, window)
+        winners = taps_to_winners(taps, x.shape, window)
         assert _same_bytes(got, maxpool3d_backward_flat(grad_out, winners, x.shape))
         assert got.swapaxes(0, 1).flags.c_contiguous
 
@@ -477,7 +477,50 @@ def test_conv_backward_without_grad_input_peaks_lower(bound_case):
     assert skip < _peak_bytes(ops.conv3d_backward, x, weight, grad_out, 1, 1)
 
 
+def test_conv_backward_without_grad_input_holds_one_row(bound_case):
+    """No padded copy of x: past the kernel row's input slices, the backward
+    without grad_input holds only the row's GEMM output, the returned
+    gradients and Python objects (grad_out is channel-major, as the pool
+    backward hands it over)."""
+    x, weight, _, grad_out, _ = bound_case
+    f, c, _, _, kw = weight.shape
+    row = kw * x.nbytes  # stride 1 and pad 1: each tap's slice is input-sized
+    gemm_out = f * kw * c * x.itemsize
+    returned = weight.nbytes + f * x.itemsize
+    peak = _peak_bytes(lambda: ops.conv3d_backward(x, weight, _channel_major(grad_out), 1, 1,
+                                                   need_input=False))
+    assert row < peak < row + gemm_out + returned + (16 << 10)
+
+
 def test_memory_bound_rejects_im2col(bound_case):
     x, weight, bias, grad_out, bound = bound_case
     assert _peak_bytes(im2col_conv3d_forward, x, weight, bias, 1, 1) > bound
     assert _peak_bytes(im2col_conv3d_backward, x, weight, grad_out, 1, 1) > bound
+
+
+# x (1,16,32,128,128) float32 is 34 MB, 8 blocks of POOL_BLOCK_BYTES; the int64
+# flat winners the pool returned before took 8.4 MB, two blocks
+POOL_X = (1, 16, 32, 128, 128)
+
+
+@pytest.fixture(scope="module")
+def pool_case():
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal(POOL_X, dtype=np.float32)
+    pooled, taps = ops.maxpool3d(x, (2, 2, 2))
+    assert 8 * taps.size >= 2 * ops.POOL_BLOCK_BYTES
+    grad_out = rng.standard_normal(pooled.shape, dtype=np.float32)
+    return x, pooled, taps, grad_out
+
+
+def test_maxpool_memory_is_one_block_above_its_result(pool_case):
+    x, pooled, taps, _ = pool_case
+    assert taps.dtype == np.uint8 and taps.shape == pooled.shape
+    peak = _peak_bytes(ops.maxpool3d, x, (2, 2, 2))
+    assert peak < pooled.nbytes + pooled.size + ops.POOL_BLOCK_BYTES  # one byte per tap
+
+
+def test_maxpool_backward_memory_is_one_block_above_its_result(pool_case):
+    x, _, taps, grad_out = pool_case
+    peak = _peak_bytes(ops.maxpool3d_backward, grad_out, taps, x.shape, (2, 2, 2))
+    assert peak < x.nbytes + ops.POOL_BLOCK_BYTES

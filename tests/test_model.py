@@ -370,6 +370,49 @@ class TestTrain:
         for k, v in m.params.items():
             assert np.array_equal(v, before[k], equal_nan=True)
 
+    def test_non_finite_gradient_stops_the_run(self, tmp_path, monkeypatch):
+        """A NaN in one gradient with a finite loss: the step that made it
+        changes no parameter, and the error names the epoch, batch and
+        parameter."""
+        sources, items = self._dataset(tmp_path, n_videos=4)
+        m = small_model(seed=2)
+        conv_backward = ops.conv3d_backward
+        seen = {}
+
+        def poisoned(*args, **kwargs):
+            grad_input, grad_weight, grad_bias = conv_backward(*args, **kwargs)
+            if kwargs.get("need_input", True):
+                return grad_input, grad_weight, grad_bias
+            seen["calls"] = seen.get("calls", 0) + 1  # conv1, once per step
+            if seen["calls"] == 3:  # epoch 2, batch 1
+                seen["params"] = {k: v.copy() for k, v in m.params.items()}
+                grad_weight[0, 0, 0, 0, 0] = np.nan
+            return grad_input, grad_weight, grad_bias
+
+        monkeypatch.setattr(ops, "conv3d_backward", poisoned)
+        with pytest.raises(TrainingError, match=r"^epoch 2, batch 1: gradient of conv1.weight "
+                                                r"is not finite; stopping the run$"):
+            train(m, items, items, sources, self._cfg(epochs=3))
+        for k, v in m.params.items():
+            assert np.array_equal(v, seen["params"][k])
+
+        # called directly, the step leaves the velocity as it was too
+        from strokebench.model import _train_step
+        from strokebench.nn.optim import NesterovSGD
+
+        m = small_model(seed=2)
+        opt = NesterovSGD(m.params, lr=1e-3, momentum=0.5, weight_decay=0.0)
+        opt.velocity["fc1.bias"][:] = 1.0
+        before = {k: v.copy() for k, v in m.params.items()}
+        velocity = {k: v.copy() for k, v in opt.velocity.items()}
+        x = np.random.default_rng(3).random((2,) + m.input_shape, dtype=np.float32)
+        seen["calls"] = 2
+        with pytest.raises(TrainingError, match=r"^direct: gradient of conv1.weight"):
+            _train_step(m, opt, x, np.array([0, 1]), "direct")
+        for k in m.params:
+            assert np.array_equal(m.params[k], before[k])
+            assert np.array_equal(opt.velocity[k], velocity[k])
+
     def test_cuboid_settings_must_match_model_input(self, tmp_path):
         # 16x4x4 cuboids flatten to the same 128 features as the model's 4x8x8
         # input, so without the check a whole epoch of steps would run
@@ -700,19 +743,18 @@ def test_history_csv_format():
     assert len(lines) == 3
 
 
-def test_training_step_memory_per_sample():
+def test_training_step_memory_per_sample(monkeypatch):
     """Each sample adds at most 2.5 conv1 outputs to a step's tracemalloc peak.
 
-    From batch 2 to 8 that peak sits in conv1's forward, whose column block
-    has a fixed size, and grows by about 1.45 conv1 outputs per sample.
-    Conv1's backward starts lower but grows by about 2.6: the conv1-output
-    gradient (one conv1 output), the padded input (about 0.45) and one
-    kernel row's input slices (9 channels for 8 filters, about 1.1); it
-    passes the forward above batch 8. When the backward still computed
-    conv1's grad_input, it held that, the padded input's gradient and one
-    tap's slice (about 0.4 each) instead of the row, set the peak and grew
-    by about 2.15. The spec-order walk also kept a full-size relu output,
-    relu cache and contiguous gradient copy there, and grew by 3.1.
+    From batch 20 to 28 that peak sits in conv1's backward, which grows by
+    about 2.13 conv1 outputs per sample: the conv1-output gradient (one conv1
+    output) and one kernel row's input slices (9 channels for 8 filters,
+    about 1.13). Conv1's forward, whose column block has a fixed size, holds
+    the peak up to about batch 16 and grows by about 1.45. While the
+    backward copied the padded input, it grew by about 2.57 (0.45 more);
+    when it still computed conv1's grad_input, by about 2.15. The spec-order
+    walk also kept a full-size relu output, relu cache and contiguous
+    gradient copy there, and grew by 3.1.
     """
     import tracemalloc
 
@@ -720,20 +762,35 @@ def test_training_step_memory_per_sample():
     from strokebench.nn.optim import NesterovSGD
 
     shape, filters = (3, 16, 64, 64), (8, 16)
+    conv_backward = ops.conv3d_backward
 
     def step_peak(batch):
         arch = default_architecture(shape, filters=filters, hidden=16, n_classes=2)
         m = build_model(2, arch, seed=1, input_shape=shape)
         opt = NesterovSGD(m.params, lr=1e-3, momentum=0.5, weight_decay=0.0)
         x = np.random.default_rng(batch).random((batch,) + shape, dtype=np.float32)
+        conv1 = []  # the step's peak before and after conv1's backward
+
+        def spy(*args, **kwargs):
+            if kwargs.get("need_input", True):
+                return conv_backward(*args, **kwargs)
+            conv1.append(tracemalloc.get_traced_memory()[1])
+            out = conv_backward(*args, **kwargs)
+            conv1.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        monkeypatch.setattr(ops, "conv3d_backward", spy)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             _train_step(m, opt, x, np.arange(batch) % 2, "step")
-            return tracemalloc.get_traced_memory()[1] - base
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        before, after = conv1
+        assert before < after == peak, batch  # conv1's backward sets the step's peak
+        return peak - base
 
     conv1_out = filters[0] * int(np.prod(shape[1:])) * 4  # bytes per sample
-    per_sample = (step_peak(8) - step_peak(2)) / 6
+    per_sample = (step_peak(28) - step_peak(20)) / 8
     assert per_sample < 2.5 * conv1_out

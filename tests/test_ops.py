@@ -127,39 +127,42 @@ class TestConv3d:
 class TestMaxPool3d:
     def test_cube_of_one_to_eight(self):
         x = np.arange(1.0, 9.0).reshape(1, 1, 2, 2, 2)
-        out, winners = ops.maxpool3d(x, (2, 2, 2))
+        out, taps = ops.maxpool3d(x, (2, 2, 2))
         assert out.shape == (1, 1, 1, 1, 1)
         assert out.item() == 8.0
-        assert winners.item() == 7  # last element wins
+        assert taps.dtype == np.uint8
+        assert taps.item() == 7  # last tap wins
 
-    def test_constant_input_ties_to_lowest_flat_index(self):
+    def test_constant_input_ties_to_tap_0(self):
         x = np.ones((1, 1, 2, 4, 4))
-        out, winners = ops.maxpool3d(x, (2, 2, 2))
+        out, taps = ops.maxpool3d(x, (2, 2, 2))
         assert np.all(out == 1.0)
-        # winner of the window starting at (0,0,0) is flat index 0, etc.
-        grad = ops.maxpool3d_backward(np.full(out.shape, 3.0), winners, x.shape)
-        assert grad.ravel()[winners.ravel()].sum() == grad.sum()
+        # every window's winner is its first tap, (0, 0, 0) in the window
+        assert np.all(taps == 0)
+        grad = ops.maxpool3d_backward(np.full(out.shape, 3.0), taps, x.shape, (2, 2, 2))
+        expected = np.zeros(x.shape)
+        expected[:, :, ::2, ::2, ::2] = 3.0  # each window's first element
+        assert np.array_equal(grad, expected)
         assert grad.sum() == 3.0 * out.size
-        assert winners.ravel()[0] == 0
 
     def test_gradient_mass_is_conserved(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 3, 4, 6, 8))
-        out, winners = ops.maxpool3d(x, (2, 3, 2))
+        out, taps = ops.maxpool3d(x, (2, 3, 2))
         g = rng.standard_normal(out.shape)
-        gx = ops.maxpool3d_backward(g, winners, x.shape)
+        gx = ops.maxpool3d_backward(g, taps, x.shape, (2, 3, 2))
         assert np.isclose(np.abs(gx).sum(), np.abs(g).sum(), rtol=0, atol=1e-12)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((1, 2, 4, 4, 4))
-        out, winners = ops.maxpool3d(x, (2, 2, 2))
+        out, taps = ops.maxpool3d(x, (2, 2, 2))
         g = rng.standard_normal(out.shape)
 
         def objective():
             return float(np.sum(ops.maxpool3d(x, (2, 2, 2))[0] * g))
 
-        gx = ops.maxpool3d_backward(g, winners, x.shape)
+        gx = ops.maxpool3d_backward(g, taps, x.shape, (2, 2, 2))
         assert max_rel_error(gx, numeric_grad(objective, x, 1e-6)) < 1e-6
 
     def test_non_divisible_rejected(self):
@@ -286,6 +289,6 @@ def test_all_ops_produce_finite_values_on_finite_inputs():
     assert np.isfinite(out).all()
     gx, gw, gb = ops.conv3d_backward(x, w, out, 1, 1)
     assert np.isfinite(gx).all() and np.isfinite(gw).all() and np.isfinite(gb).all()
-    pooled, winners = ops.maxpool3d(out, (2, 2, 2))
+    pooled, taps = ops.maxpool3d(out, (2, 2, 2))
     assert np.isfinite(pooled).all()
-    assert np.isfinite(ops.maxpool3d_backward(pooled, winners, out.shape)).all()
+    assert np.isfinite(ops.maxpool3d_backward(pooled, taps, out.shape, (2, 2, 2))).all()

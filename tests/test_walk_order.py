@@ -5,7 +5,8 @@ The model now runs each relu -> maxpool3d pair as maxpool3d -> relu, routes
 the pool gradient into a channel-major buffer, and sums conv bias gradients
 per sample. The reference below keeps the earlier walk: every layer
 in spec order, the pool gradient scattered with `np.add.at` into a flat
-(N, C, ...) buffer, and the conv bias gradient as
+(N, C, ...) buffer at the winners `oracles.taps_to_winners` makes of the
+pool's tap index, and the conv bias gradient as
 `grad_out.sum(axis=(0, 2, 3, 4))` on that C-order gradient. Logits, every
 parameter gradient and the inference logits must match it byte for byte,
 also on inputs where the two orders pick different pool winners (windows
@@ -21,7 +22,7 @@ from strokebench.nn import layers, ops
 from strokebench.nn.layers import default_architecture
 from strokebench.nn.optim import NesterovSGD
 
-from oracles import maxpool3d_backward_flat
+from oracles import maxpool3d_backward_flat, taps_to_winners
 
 # -- frozen reference ----------------------------------------------------------
 
@@ -40,8 +41,8 @@ def spec_order_step(net, x, upstream):
                                      net.params[f"conv{n_conv}.bias"], spec.stride, spec.pad)
         elif spec.kind == "maxpool3d":
             in_shape = cur.shape
-            cur, winners = ops.maxpool3d(cur, spec.window)
-            caches.append((spec, winners, in_shape))
+            cur, taps = ops.maxpool3d(cur, spec.window)
+            caches.append((spec, taps, in_shape))
         elif spec.kind == "relu":
             caches.append((spec, cur))
             cur = ops.relu_forward(cur)
@@ -66,8 +67,9 @@ def spec_order_step(net, x, upstream):
                 inp, net.params[f"conv{idx}.weight"], g, spec.stride, spec.pad)
             grads[f"conv{idx}.bias"] = bias_grad
         elif spec.kind == "maxpool3d":
-            _, winners, in_shape = cache
-            g = maxpool3d_backward_flat(g, winners, in_shape)
+            _, taps, in_shape = cache
+            g = maxpool3d_backward_flat(g, taps_to_winners(taps, in_shape, spec.window),
+                                        in_shape)
         elif spec.kind == "relu":
             g = ops.relu_backward(cache[1], g)
         elif spec.kind == "flatten":
@@ -177,9 +179,9 @@ def test_some_windows_pick_other_winners():
     x = rng.random((3,) + DESK[0], dtype=np.float32)
     conv = ops.conv3d_forward(x, net.params["conv1.weight"], net.params["conv1.bias"], 1, 1)
     window = net.specs[2].window
-    _, raw_winners = ops.maxpool3d(conv, window)
-    _, relu_winners = ops.maxpool3d(ops.relu_forward(conv), window)
-    differ = raw_winners != relu_winners
+    _, raw_taps = ops.maxpool3d(conv, window)
+    _, relu_taps = ops.maxpool3d(ops.relu_forward(conv), window)
+    differ = raw_taps != relu_taps
     assert 0 < differ.sum() < differ.size
 
 
@@ -208,9 +210,9 @@ def test_inference_pools_without_winners_and_keeps_training_logits(chain, kind, 
     pool, loss = ops.maxpool3d, ops.softmax_cross_entropy
 
     def pool_spy(x, window, **kwargs):
-        pooled, winners = pool(x, window, **kwargs)
-        calls.append((kwargs["need_winners"], winners is None))
-        return pooled, winners
+        pooled, taps = pool(x, window, **kwargs)
+        calls.append((kwargs["need_winners"], taps is None))
+        return pooled, taps
 
     def loss_spy(logits, classes):
         seen.append(logits.copy())
