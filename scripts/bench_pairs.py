@@ -17,9 +17,13 @@ which goes first. With `--tiny` the step runs at a tiny shape instead of
 the paper's.
 
 The file holds, per workload and end-to-end metric of BENCHMARK.json, each
-tree's values, median and [q1, q3], the per-pair ratio change / base and
-how many pairs improved (moved in the metric's better direction); per tree,
-the `env:` line of its runs and its `git rev-parse HEAD` with a dirty flag.
+tree's values, median and [q1, q3], the per-pair ratio change / base, how
+many pairs improved (moved in the metric's better direction) and which
+share of pairs that is, and two verdicts (see `compare`): `gain_rule_met`,
+whether a claimed gain would stand, and `within_bound`, whether the change
+stays within the metric's regression bound. It prints one line per
+workload and metric with both. Per tree it holds the `env:` line of its
+runs and its `git rev-parse HEAD` with a dirty flag.
 Per step batch it holds each tree's peak RSS, forward and backward seconds
 and the SHA-256 of its logits and gradients. The exit code is nonzero if a
 run printed no result or failed a gate, or if the two trees' steps gave
@@ -110,6 +114,45 @@ def summary(values: list[float]) -> dict:
             "q1_q3": [float(q1), float(q3)]}
 
 
+def compare(metric: dict, base: list[float], change: list[float]) -> dict:
+    """The pairs of one end-to-end metric of BENCHMARK.json and its verdicts.
+
+    A pair is won when the change moved in the metric's better direction;
+    a tie counts for neither side. `gain_rule_met`: the change won at least
+    9 of 10 pairs and its median is better than the base's by more than the
+    base's q3 - q1. `within_bound`: the change's median is worse than the
+    base's by no more than the metric's relative `bound`.
+    """
+    higher = metric["better"] == "higher"
+    ratios = [c / b for b, c in zip(base, change)]
+    won = sum(r > 1 if higher else r < 1 for r in ratios)
+    sides = {"base": summary(base), "change": summary(change)}
+    q1, q3 = sides["base"]["q1_q3"]
+    gain = sides["change"]["median"] - sides["base"]["median"]
+    if not higher:
+        gain = -gain
+    return {
+        "unit": metric["unit"], "better": metric["better"], **sides,
+        "ratios": ratios,
+        "median_ratio": statistics.median(ratios),
+        "pairs_improved": won,
+        "pairs": len(ratios),
+        "won_fraction": won / len(ratios),
+        "gain_rule_met": 10 * won >= 9 * len(ratios) and gain > q3 - q1,
+        "bound": metric["bound"],
+        "within_bound": gain >= -metric["bound"] * sides["base"]["median"],
+    }
+
+
+def verdict_line(workload: str, name: str, m: dict) -> str:
+    base, change = m["base"], m["change"]
+    return (f"{workload} {name}: median {base['median']:.6g} -> {change['median']:.6g} "
+            f"(base q1-q3 {base['q1_q3'][0]:.6g}-{base['q1_q3'][1]:.6g}), "
+            f"median ratio {m['median_ratio']:.4g}, won {m['pairs_improved']}/{m['pairs']}, "
+            f"gain rule {'met' if m['gain_rule_met'] else 'not met'}, "
+            f"{'within' if m['within_bound'] else 'OUTSIDE'} bound {m['bound']:g}")
+
+
 def pair_workload(trees: dict, workload: str, seeds: list[int], seconds: float,
                   tiny: bool, metrics: list[dict]) -> dict:
     runs = {name: [] for name in TREES}
@@ -125,17 +168,10 @@ def pair_workload(trees: dict, workload: str, seeds: list[int], seconds: float,
 
     out = {"seeds": seeds, "order": order, "metrics": {}}
     for m in metrics:
-        name, higher = m["name"], m["better"] == "higher"
+        name = m["name"]
         vals = {t: [r["result"]["metrics"][name]["value"] for r in runs[t]] for t in TREES}
-        ratios = [c / b for b, c in zip(vals["base"], vals["change"])]
-        out["metrics"][name] = {
-            "unit": m["unit"], "better": m["better"],
-            **{t: summary(vals[t]) for t in TREES},
-            "ratios": ratios,
-            "median_ratio": statistics.median(ratios),
-            "pairs_improved": sum(r > 1 if higher else r < 1 for r in ratios),
-            "pairs": len(ratios),
-        }
+        out["metrics"][name] = compare(m, vals["base"], vals["change"])
+        print(verdict_line(workload, name, out["metrics"][name]), flush=True)
     for t in TREES:
         out[t] = {
             "env": sorted({r["env"].rsplit(" seed=", 1)[0] for r in runs[t]}),

@@ -9,11 +9,12 @@ Layout conventions: activations are (N, C, T, H, W), conv weights
 (F, C, kt, kh, kw), linear weights (Out, In).
 
 Memory. No kernel builds a full im2col copy of its input (27x the input for
-a 3x3x3 kernel). `conv3d_forward` lowers one sample and one block of output
-frames at a time into a column buffer of at most `BLOCK_BYTES` (or one output
-frame, if that is larger). `conv3d_backward` holds a channel-major copy of
-grad_out (none when grad_out is already channel-major) throughout, and no
-padded copy of the input. For grad_weight it adds one kernel row's input
+a 3x3x3 kernel). `conv3d_forward` holds a padded copy of the input and
+lowers one sample and one tile of output positions at a time into one
+column buffer of at most `TILE_BYTES` (or one output row, if that is
+larger), which every tile reuses. `conv3d_backward` holds a channel-major
+copy of grad_out (none when grad_out is already channel-major) throughout,
+and no padded copy of the input. For grad_weight it adds one kernel row's input
 slices (kw of them, each input-sized at stride 1), copied from the input
 with zeros where a tap meets the padding; for grad_input, after that block
 is freed, the padded input's gradient, the returned grad_input and a col2im
@@ -26,19 +27,22 @@ of each window's winning tap, one byte per pooled element; inference
 flat int64 indices one sample and one block of at most `POOL_BLOCK_BYTES`
 at a time.
 
-Bound: for kernels at most 3 wide (kw <= 3), the tracemalloc peak of one
-conv3d_forward or conv3d_backward call stays below
-4 * (input bytes + output bytes) + BLOCK_BYTES, where output is the forward
-output or grad_out; a wider kernel adds about one input size per extra tap
-in its row. `tests/test_kernels.py` checks it for x of shape (1, 8, 32, 64, 64)
-float32 and 8 filters: 67 MB allowed, 41 MB used by the forward and 37 MB by
-the backward (13 MB by a backward without grad_input: the kernel row, the
-GEMM's output and the returned gradients), with a C-order grad_out (a
-channel-major one skips the copy, so the bound still holds). The im2col
-kernels these replaced peaked at 122 MB (forward) and 127 MB (backward)
-there. It also checks that a training `maxpool3d` call peaks less than
-`POOL_BLOCK_BYTES` above its pooled values and taps, and `maxpool3d_backward`
-less than that above its result.
+Bound: the tracemalloc peak of one conv3d_forward call stays below
+output bytes + padded input bytes + 2 * TILE_BYTES while one output row's
+columns fit in a tile. For kernels at most 3 wide (kw <= 3), that of one
+conv3d_backward call stays below 4 * (input bytes + grad_out bytes) +
+BLOCK_BYTES; a wider kernel adds about one input size per extra tap in its
+row. `tests/test_kernels.py` checks both for x of shape (1, 8, 32, 64, 64)
+float32 and 8 filters. The forward may use 9.98 MB (a 4.19 MB output, a
+4.74 MB padded input and two tiles) and uses 9.46 MB, where the frame-block
+forward before it used 40.8 MB. The backward may use 67 MB and uses 37 MB
+(13 MB without grad_input: the kernel row, the GEMM's output and the
+returned gradients), with a C-order grad_out (a channel-major one skips the
+copy, so the bound still holds). The im2col kernels these replaced peaked
+at 122 MB (forward) and 127 MB (backward) there. It also checks that a
+training `maxpool3d` call peaks less than `POOL_BLOCK_BYTES` above its
+pooled values and taps, and `maxpool3d_backward` less than that above its
+result.
 
 Numerics. Each output element is one dot product over the same reduction
 axis, in the same order, as in the im2col formulation, but BLAS is called
@@ -49,14 +53,21 @@ and may differ in the last bits elsewhere.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
 
-# Upper bound on one im2col block (conv3d_forward) or col2im block
-# (conv3d_backward); see the module docstring.
+# Upper bound on one col2im block of conv3d_backward; see the module
+# docstring.
 BLOCK_BYTES = 32 << 20
+
+# Upper bound on the columns of one conv3d_forward tile: a quarter of the
+# 2 MB L2 cache of one core of the target machine, because OpenBLAS packs a
+# second copy of the columns and the tile's output must fit beside them.
+TILE_BYTES = 512 << 10
 
 # Upper bound on the input of one maxpool3d block, and on the temporaries of
 # one maxpool3d_backward block. At 4 MB, the pooled-size arrays a 2x2x2
@@ -122,6 +133,13 @@ def _block_frames(rows, ho, wo, itemsize):
     return max(1, BLOCK_BYTES // (rows * ho * wo * itemsize))
 
 
+def _even_runs(count, cap):
+    """range(count) as the fewest [start, end) runs of at most `cap` items
+    (one at least), whose lengths differ by at most one."""
+    runs = -(-count // max(1, cap))
+    return [(count * i // runs, count * (i + 1) // runs) for i in range(runs)]
+
+
 def _tap_slices(tap, stride, extents, t0=0):
     """Slices of the padded (T, H, W) axes that kernel tap (i, j, k) meets for
     `extents` output positions starting at output frame t0."""
@@ -151,8 +169,18 @@ def _copy_tap(dst, xs, tap, stride, pad):
 def conv3d_forward(x, weight, bias, stride: int = 1, pad: int = 0):
     """Cross-correlation over (T,H,W); zero padding contributes zeros.
 
-    Per sample and block of output frames: im2col in (C,kt,kh,kw | T',H',W')
-    layout, then one GEMM writing straight into the (N,F,T',H',W') output.
+    Per sample and tile of output positions: im2col of the tile in
+    (C,kt,kh,kw | positions) layout into one reused column buffer, one GEMM
+    writing straight into the (N,F,T',H',W') output, then the bias added to
+    the tile while it is still in cache. A tile's columns take at most
+    `TILE_BYTES`: a tile holds whole output frames when one frame's columns
+    fit, and otherwise a run of output rows of one frame (one row at least).
+    The frames, or each frame's rows, are split into the fewest such tiles,
+    whose lengths differ by at most one, so that no GEMM is a small remainder
+    (which OpenBLAS may run with another kernel). Only the GEMM's N axis is
+    cut, so each output element is the same dot product as in one GEMM per
+    sample; tests/test_kernels.py holds the bytes to those of the earlier
+    frame-block forward at every conv shape the workloads run.
     """
     to, ho, wo = _check_conv(x, weight, stride, pad)
     if bias.shape != (weight.shape[0],):
@@ -162,16 +190,35 @@ def conv3d_forward(x, weight, bias, stride: int = 1, pad: int = 0):
     kdim = weight[0].size
     w2 = weight.reshape(f, kdim)
     out = np.empty((n, f, to, ho, wo), dtype=np.result_type(x, weight))
-    frames = _block_frames(kdim, ho, wo, x.itemsize)
+    rows = TILE_BYTES // (kdim * wo * x.itemsize)  # output rows whose columns fit
+    if rows >= ho:  # tiles of whole frames
+        unit = (ho, wo)
+        runs = [((slice(a, b),), a, b) for a, b in _even_runs(to, rows // ho)]
+    else:  # tiles of a run of rows of one frame
+        unit = (wo,)
+        runs = [((t, slice(a, b)), t * ho + a, t * ho + b)
+                for t in range(to) for a, b in _even_runs(ho, rows)]
+    step = math.prod(unit)  # output positions per frame or row
+    lengths = {b - a for _, a, b in runs}
+    cols = np.empty(kdim * step * max(lengths), dtype=x.dtype)
+    # per tile length: the column buffer as the tile's windows and as the GEMM operand
+    lowered = {k: (cols[: kdim * step * k].reshape(weight.shape[1:] + (k,) + unit),
+                   cols[: kdim * step * k].reshape(kdim, -1)) for k in lengths}
+    # (window index, output positions, buffer views) per tile, built once
+    tiles = [((slice(None),) * 4 + index, slice(a * step, b * step), lowered[b - a])
+             for index, a, b in runs]
+    column_bias = bias.reshape(f, 1)
+    flat = out.reshape(n, f, -1)
     xp = _pad(x, pad)
     for s in range(n):
         win = sliding_window_view(xp[s], weight.shape[2:], axis=(1, 2, 3))
         win = win[:, ::stride, ::stride, ::stride].transpose(0, 4, 5, 6, 1, 2, 3)
-        for t0 in range(0, to, frames):
-            cols = win[:, :, :, :, t0 : t0 + frames].reshape(kdim, -1)  # copies
-            np.matmul(w2, cols, out=out[s, :, t0 : t0 + frames].reshape(f, -1))
-            del cols  # so that two blocks never coexist
-    out += bias.reshape(1, -1, 1, 1, 1)
+        out_s = flat[s]
+        for index, positions, (windows, matrix) in tiles:
+            np.copyto(windows, win[index])
+            dst = out_s[:, positions]
+            np.matmul(w2, matrix, out=dst)
+            dst += column_bias
     return out
 
 

@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py with `run_once` replaced by a fake benchmark: the
-pair order, the per-pair ratios and the count of improved pairs; and its
-training-step runs, with `run_step` faked and once for real at a tiny shape."""
+pair order, the per-pair ratios, the count of improved pairs and the gain
+and bound verdicts; and its training-step runs, with `run_step` faked and
+once for real at a tiny shape."""
 
 import importlib.util
 import json
@@ -65,6 +66,55 @@ def test_pairs_alternate_and_ratios_count(tmp_path, monkeypatch):
     assert rss["ratios"] == [1.1, 1.0, 1.1, 1.0] and rss["pairs_improved"] == 0
     setup = desk["metrics"]["setup_s"]  # better on even seeds only
     assert setup["ratios"] == [2.0, 0.5, 2.0, 0.5] and setup["pairs_improved"] == 2
+
+
+def test_verdicts_are_written_and_printed(tmp_path, monkeypatch, capsys):
+    base, change = _trees(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", _fake([]))
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pairs.main(["--base", str(base), "--change", str(change), "--seeds", "4",
+                             "--workload", "train-desk", "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["train-desk"]["metrics"]
+    items, rss, setup = (metrics[k] for k in ("items_per_s", "peak_rss_mb", "setup_s"))
+    # medians 250 -> 375, the base's q3 - q1 is 150: every pair won, yet no gain
+    assert items["won_fraction"] == 1.0 and not items["gain_rule_met"]
+    assert items["within_bound"] and items["bound"] == 0.25
+    # 105 MB against 100 MB is 5 % worse, within the 25 % bound; ties win nothing
+    assert rss["won_fraction"] == 0.0 and rss["within_bound"]
+    assert setup["won_fraction"] == 0.5 and setup["within_bound"]
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("train-desk ") and "median" in line]
+    assert len(lines) == 3
+    assert lines[0] == ("train-desk items_per_s: median 250 -> 375 (base q1-q3 175-325), "
+                        "median ratio 1.5, won 4/4, gain rule not met, within bound 0.25")
+
+
+HIGHER = {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+LOWER = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.25}
+
+
+def test_gain_rule_needs_nine_of_ten_and_a_gap_past_the_spread():
+    base = [100.0 + k for k in range(10)]  # median 104.5, q3 - q1 = 4.5
+    nine = [v + 6 for v in base[:9]] + [base[9]]  # median 109.5; the last pair a tie
+    assert bench_pairs.compare(HIGHER, base, nine)["won_fraction"] == 0.9
+    assert bench_pairs.compare(HIGHER, base, nine)["gain_rule_met"]
+    eight = [v + 6 for v in base[:8]] + [base[8] - 1, base[9]]
+    assert not bench_pairs.compare(HIGHER, base, eight)["gain_rule_met"]
+    small = [v + 4 for v in base]  # every pair won, a gap of 4 within the spread
+    verdict = bench_pairs.compare(HIGHER, base, small)
+    assert verdict["pairs_improved"] == 10 and not verdict["gain_rule_met"]
+    # lower is better: the same gap downwards is a gain, upwards a loss
+    assert bench_pairs.compare(LOWER, base, [v - 5 for v in base])["gain_rule_met"]
+    assert not bench_pairs.compare(LOWER, base, [v + 5 for v in base])["gain_rule_met"]
+
+
+@pytest.mark.parametrize("metric,factor,within", [
+    (HIGHER, 0.8, True), (HIGHER, 0.7, False), (HIGHER, 2.0, True),
+    (LOWER, 1.2, True), (LOWER, 1.3, False), (LOWER, 0.5, True)])
+def test_within_bound_compares_medians(metric, factor, within):
+    base = [10.0, 20.0, 30.0]
+    change = [25.0 * factor, 20.0 * factor, 1.0 * factor]  # median 20 * factor
+    assert bench_pairs.compare(metric, base, change)["within_bound"] is within
 
 
 def test_failed_gate_gives_exit_1(tmp_path, monkeypatch):

@@ -4,8 +4,9 @@ conv3d_backward, and the memory bounds stated in the `nn.ops` module
 docstring.
 
 The references below are the earlier kernels, kept verbatim: conv3d through
-a full im2col copy fed to np.tensordot, the conv grad_weight through one
-GEMM per kernel tap, maxpool3d through a transposed copy and argmax. The
+a full im2col copy fed to np.tensordot, the conv forward through one column
+block of up to 32 MB of output frames per GEMM, the conv grad_weight through
+one GEMM per kernel tap, maxpool3d through a transposed copy and argmax. The
 pool reference returns that argmax, the winning tap of each window, which is
 what maxpool3d returns now; `oracles.taps_to_winners` turns it into the
 flat winner indices the earlier pool backward scattered to.
@@ -87,6 +88,33 @@ def im2col_conv3d_backward(x, weight, grad_out, stride=1, pad=0):
                 ] += gcols[..., i, j, k]
     grad_input = gxp[:, :, pad : pad + t, pad : pad + h, pad : pad + w]
     return np.ascontiguousarray(grad_input), grad_weight, grad_bias
+
+
+FRAME_BLOCK_BYTES = 32 << 20
+
+
+def frame_block_conv3d_forward(x, weight, bias, stride=1, pad=0):
+    """conv3d_forward before it worked in cache-sized tiles: per sample, one
+    GEMM per block of output frames whose columns take up to 32 MB, and the
+    bias added to the whole output at the end."""
+    to, ho, wo = ops._check_conv(x, weight, stride, pad)
+    n = x.shape[0]
+    f = weight.shape[0]
+    kdim = weight[0].size
+    w2 = weight.reshape(f, kdim)
+    out = np.empty((n, f, to, ho, wo), dtype=np.result_type(x, weight))
+    frames = max(1, FRAME_BLOCK_BYTES // (kdim * ho * wo * x.itemsize))
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad), (pad, pad)))
+    for s in range(n):
+        win = sliding_window_view(x[s], weight.shape[2:], axis=(1, 2, 3))
+        win = win[:, ::stride, ::stride, ::stride].transpose(0, 4, 5, 6, 1, 2, 3)
+        for t0 in range(0, to, frames):
+            cols = win[:, :, :, :, t0 : t0 + frames].reshape(kdim, -1)  # copies
+            np.matmul(w2, cols, out=out[s, :, t0 : t0 + frames].reshape(f, -1))
+            del cols  # so that two blocks never coexist
+    out += bias.reshape(1, -1, 1, 1, 1)
+    return out
 
 
 def per_tap_grad_weight(x, weight, grad_out, stride=1, pad=0):
@@ -199,6 +227,45 @@ def test_conv_matches_im2col_at_random_shapes(dtype):
         for g, r in zip(got, ref):
             assert g.dtype == r.dtype and g.shape == r.shape
             assert np.abs(g - r).max() <= tol * max(np.abs(r).max(), 1.0)
+
+
+# -- conv3d forward in cache-sized tiles ---------------------------------------
+
+# (name, input shape, filters): every conv layer the workloads and the README
+# run. The desk detector classifies one cuboid at a time. At paper conv1 and
+# conv2 one frame's columns exceed TILE_BYTES, so tiles are runs of rows (120
+# rows in 10 tiles of 12, 60 rows in 30 tiles of 2); a few frames suffice.
+TILE_CASES = [
+    ("desk conv1, batch 1", (1, 3, 16, 32, 32), 8),
+    ("desk conv2, batch 1", (1, 8, 8, 16, 16), 16),
+    ("desk conv1, batch 5", (5, 3, 16, 32, 32), 8),
+    ("desk conv2, batch 5", (5, 8, 8, 16, 16), 16),
+    ("desk conv1, batch 10", (10, 3, 16, 32, 32), 8),
+    ("desk conv2, batch 10", (10, 8, 8, 16, 16), 16),
+    ("paper conv3, batch 1", (1, 60, 7, 30, 30), 80),
+    ("paper conv3, batch 2", (2, 60, 7, 30, 30), 80),
+    ("paper conv1, batch 1, 4 frames", (1, 3, 4, 120, 120), 30),
+    ("paper conv2, batch 1, 4 frames", (1, 30, 4, 60, 60), 60),
+]
+
+
+@pytest.mark.parametrize("name,x_shape,filters", TILE_CASES)
+def test_tiled_forward_bit_identical_to_frame_blocks(name, x_shape, filters):
+    """Cutting the GEMM's N axis into equal tiles keeps every byte. A plan
+    with a small remainder tile (13-row tiles and a 3-row rest at paper
+    conv1) changed the bytes of the rows in the remainder."""
+    rng = np.random.default_rng(sum(x_shape) + filters)
+    x, weight, bias, _, _ = _conv_case(rng, np.float32, x_shape, filters)
+    got = ops.conv3d_forward(x, weight, bias, 1, 1)
+    assert _same_bytes(got, frame_block_conv3d_forward(x, weight, bias, 1, 1)), name
+
+
+def test_tiles_have_equal_lengths():
+    assert ops._even_runs(120, 13) == [(12 * k, 12 * k + 12) for k in range(10)]
+    assert ops._even_runs(60, 2) == [(2 * k, 2 * k + 2) for k in range(30)]
+    assert [b - a for a, b in ops._even_runs(7, 2)] == [1, 2, 2, 2]
+    assert ops._even_runs(5, 0) == [(k, k + 1) for k in range(5)]
+    assert ops._even_runs(3, 8) == [(0, 3)]
 
 
 # -- conv3d grad_weight, one GEMM per kernel row -------------------------------
@@ -462,8 +529,13 @@ def bound_case():
 
 
 def test_conv_forward_memory_is_bounded(bound_case):
-    x, weight, bias, _, bound = bound_case
-    assert _peak_bytes(ops.conv3d_forward, x, weight, bias, 1, 1) < bound
+    """Past its output and the padded input, the forward holds one tile's
+    columns, at most TILE_BYTES (the frame-block forward held 32 MB)."""
+    x, weight, bias, grad_out, _ = bound_case
+    padded = x.shape[0] * x.shape[1] * int(np.prod([e + 2 for e in x.shape[2:]]))  # pad 1
+    limit = grad_out.nbytes + padded * x.itemsize + 2 * ops.TILE_BYTES
+    assert _peak_bytes(ops.conv3d_forward, x, weight, bias, 1, 1) < limit
+    assert _peak_bytes(frame_block_conv3d_forward, x, weight, bias, 1, 1) > limit
 
 
 def test_conv_backward_memory_is_bounded(bound_case):
