@@ -407,6 +407,8 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     results = run_all(trials=args.trials, seed=cfg.seed)
     ok = True
     for kind, err in results.items():

@@ -21,11 +21,13 @@ is freed, the padded input's gradient, the returned grad_input and a col2im
 block of at most `BLOCK_BYTES`.
 `maxpool3d` takes the max over strided views of the input, with no
 transposed copy, one sample and one block of output frames (at most
-`POOL_BLOCK_BYTES` of input) at a time. For training it returns the index
-of each window's winning tap, one byte per pooled element; inference
-(need_winners=False) builds none. `maxpool3d_backward` expands that index to
-flat int64 indices one sample and one block of at most `POOL_BLOCK_BYTES`
-at a time.
+`BLOCK_BYTES` of input) at a time. For training it returns the index of
+each window's winning tap, one byte per pooled element; inference
+(need_winners=False) builds none. `maxpool3d_backward` expands that index
+to flat int64 indices one sample and one block of at most `BLOCK_BYTES` at
+a time. Tiles and blocks alike are planned by `_even_runs`: the fewest runs
+within the cap (one frame or row at least) whose lengths differ by one at
+most.
 
 Bound: the tracemalloc peak of one conv3d_forward call stays below
 output bytes + padded input bytes + 2 * TILE_BYTES while one output row's
@@ -35,14 +37,15 @@ BLOCK_BYTES; a wider kernel adds about one input size per extra tap in its
 row. `tests/test_kernels.py` checks both for x of shape (1, 8, 32, 64, 64)
 float32 and 8 filters. The forward may use 9.98 MB (a 4.19 MB output, a
 4.74 MB padded input and two tiles) and uses 9.46 MB, where the frame-block
-forward before it used 40.8 MB. The backward may use 67 MB and uses 37 MB
-(13 MB without grad_input: the kernel row, the GEMM's output and the
-returned gradients), with a C-order grad_out (a channel-major one skips the
-copy, so the bound still holds). The im2col kernels these replaced peaked
-at 122 MB (forward) and 127 MB (backward) there. It also checks that a
-training `maxpool3d` call peaks less than `POOL_BLOCK_BYTES` above its
-pooled values and taps, and `maxpool3d_backward` less than that above its
-result.
+forward before it used 40.8 MB. The backward may use 37.7 MB and uses
+12.6 MB, with or without grad_input: the kernel row, the GEMM's output and
+the returned gradients set the peak (with 32 MB col2im blocks, grad_input
+set it at 36.7 MB). That is with a C-order grad_out (a channel-major one
+skips the copy, so the bound still holds). The im2col kernels these
+replaced peaked at 122 MB (forward) and 127 MB (backward) there. It also
+checks that a training `maxpool3d` call peaks less than `BLOCK_BYTES` above
+its pooled values and taps, and `maxpool3d_backward` less than that above
+its result.
 
 Numerics. Each output element is one dot product over the same reduction
 axis, in the same order, as in the im2col formulation, but BLAS is called
@@ -60,24 +63,25 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
 
-# Upper bound on one col2im block of conv3d_backward; see the module
-# docstring.
-BLOCK_BYTES = 32 << 20
-
 # Upper bound on the columns of one conv3d_forward tile: a quarter of the
 # 2 MB L2 cache of one core of the target machine, because OpenBLAS packs a
 # second copy of the columns and the tile's output must fit beside them.
 TILE_BYTES = 512 << 10
 
-# Upper bound on the input of one maxpool3d block, and on the temporaries of
-# one maxpool3d_backward block. At 4 MB, the pooled-size arrays a 2x2x2
-# window's passes reread (values, tap index and the masks of the tap pass,
-# about a quarter of the block) fit in the 2 MB L2 cache of one core of the
-# target machine. Training pooling of paper pool1, shape (2, 30, 98, 120,
-# 120), one output frame of 3.5 MB per block up to 4 MB, took 0.25-0.30 s
-# with blocks of 1 to 8 MB, 0.31 s with 32 MB blocks and 0.55 s unblocked
-# (best of 5, one CPU).
-POOL_BLOCK_BYTES = 4 << 20
+# Upper bound on one block of a streaming kernel, one output frame at least:
+# a col2im block of conv3d_backward, the input of a maxpool3d block, the
+# temporaries of a maxpool3d_backward block. At 4 MB the pooled-size arrays
+# a 2x2x2 window's passes reread (about a quarter of the block) fit in the
+# 2 MB L2 cache of one core of the target machine. Measured on one CPU, one
+# BLAS thread: training pooling of paper pool1, (2, 30, 98, 120, 120), took
+# 0.25-0.30 s with 1 to 8 MB blocks, 0.31 s with 32 MB and 0.55 s unblocked
+# (best of 5). Col2im time barely depends on the cap: paper conv2 and conv3
+# grad_input at batch 2 took 684 and 57 ms in one-frame blocks (any cap from
+# 512 KB to 8 MB) and 684 and 63 ms under a 32 MB cap; desk conv2 at batch 10
+# 10.6 ms in one block and 13.2 ms in 512 KB blocks (medians). But a freed
+# block raises glibc's mmap threshold to its size, so smaller blocks hold less
+# freed heap: train-paper peaks at 751 MB RSS, not 777 MB (BENCH_21.json).
+BLOCK_BYTES = 4 << 20
 
 
 def conv3d_out_extents(extents, kernel, stride: int, pad: int) -> tuple[int, int, int]:
@@ -125,12 +129,6 @@ def _pad(x, pad):
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad), (pad, pad)))
     return x
-
-
-def _block_frames(rows, ho, wo, itemsize):
-    """Output frames per block, so that a (rows, frames*ho*wo) buffer stays
-    within BLOCK_BYTES (one frame at least)."""
-    return max(1, BLOCK_BYTES // (rows * ho * wo * itemsize))
 
 
 def _even_runs(count, cap):
@@ -273,24 +271,16 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
 
     gxp = np.zeros((c, n, t + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
     w2 = np.ascontiguousarray(weight.transpose(2, 3, 4, 1, 0)).reshape(-1, f)
-    frames = _block_frames(w2.shape[0], ho, wo, x.itemsize)
+    blocks = _even_runs(to, BLOCK_BYTES // (w2.shape[0] * ho * wo * x.itemsize))
     for s in range(n):
-        for end in range(to, 0, -frames):
-            t0 = max(0, end - frames)
-            block = (end - t0, ho, wo)
-            cols = (w2 @ g5[:, s, t0:end].reshape(f, -1)).reshape(kshape + (c,) + block)
+        for t0, t1 in reversed(blocks):
+            block = (t1 - t0, ho, wo)
+            cols = (w2 @ g5[:, s, t0:t1].reshape(f, -1)).reshape(kshape + (c,) + block)
             for tap in np.ndindex(*kshape):
                 gxp[(slice(None), s) + _tap_slices(tap, stride, block, t0)] += cols[tap]
             del cols  # so that two blocks never coexist
     grad_input = gxp[:, :, pad : pad + t, pad : pad + h, pad : pad + w].swapaxes(0, 1)
     return np.ascontiguousarray(grad_input), grad_weight, grad_bias
-
-
-def _pool_frames(frame_bytes):
-    """Output frames per pool block, so that a block holds at most
-    POOL_BLOCK_BYTES when one output frame takes `frame_bytes` (one frame at
-    least)."""
-    return max(1, POOL_BLOCK_BYTES // frame_bytes)
 
 
 def _pool_block(views, peak, local):
@@ -339,10 +329,10 @@ def maxpool3d(x, window, *, need_winners: bool = True):
     pooled = np.empty((n, c, to, ho, wo), dtype=x.dtype)
     local = (np.zeros(pooled.shape, dtype=np.min_scalar_type(len(taps) - 1))
              if need_winners else None)
-    frames = _pool_frames(c * pt * h * w * x.itemsize)  # input bytes per output frame
+    frame_bytes = c * pt * h * w * x.itemsize  # input bytes per output frame
+    blocks = _even_runs(to, BLOCK_BYTES // max(1, frame_bytes))
     for s in range(n):
-        for t0 in range(0, to, frames):
-            t1 = min(to, t0 + frames)
+        for t0, t1 in blocks:
             r = x[s, :, t0 * pt : t1 * pt].reshape(c, t1 - t0, pt, ho, ph, wo, pw)
             _pool_block([r[:, :, i, :, j, :, k] for i, j, k in taps], pooled[s, :, t0:t1],
                         None if local is None else local[s, :, t0:t1])
@@ -375,13 +365,14 @@ def maxpool3d_backward(grad_out, taps, input_shape, window):
     channels = np.arange(c, dtype=np.int64).reshape(c, 1, 1, 1) * (n * size)
     # per output frame of a block: the flat index, the int64 copy of the tap
     # index that take() makes, the gradient and the origins
-    frames = _pool_frames(ho * wo * (c * (16 + grad_out.itemsize) + 8))
-    origins = (np.arange(min(frames, to), dtype=np.int64).reshape(-1, 1, 1) * (pt * h * w)
+    frame_bytes = ho * wo * (c * (16 + grad_out.itemsize) + 8)
+    blocks = _even_runs(to, BLOCK_BYTES // max(1, frame_bytes))
+    longest = max((t1 - t0 for t0, t1 in blocks), default=0)
+    origins = (np.arange(longest, dtype=np.int64).reshape(-1, 1, 1) * (pt * h * w)
                + np.arange(ho, dtype=np.int64).reshape(ho, 1) * (ph * w)
                + np.arange(wo, dtype=np.int64) * pw)
     for s in range(n):
-        for t0 in range(0, to, frames):
-            t1 = min(to, t0 + frames)
+        for t0, t1 in blocks:
             # every tap index is in range; mode="clip" only skips the check
             idx = offsets.take(taps[s, :, t0:t1], mode="clip")
             idx += channels + (s * size + t0 * pt * h * w)

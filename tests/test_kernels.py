@@ -196,17 +196,26 @@ def test_conv_bit_identical_at_desk_layers(name, x_shape, filters, dtype):
         assert _same_bytes(g, r), f"{name} {part}"
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 1), (1, 0), (2, 1), (2, 0)])
-def test_conv_bit_identical_at_paper_conv3(stride, pad):
+# (name, input shape, filters, stride, pad): paper conv3 at batch 2 with and
+# without stride and padding, and paper conv2 on 4 frames, where one output
+# frame's col2im columns (11.7 MB) exceed BLOCK_BYTES, so grad_input runs in
+# blocks of one frame
+PAPER_CASES = [MODEL_LAYERS[4] + sp for sp in [(1, 1), (1, 0), (2, 1), (2, 0)]] + [
+    ("paper conv2, batch 1, 4 frames", (1, 30, 4, 60, 60), 60, 1, 1),
+    ("paper conv2, batch 2, 4 frames", (2, 30, 4, 60, 60), 60, 1, 1),
+]
+
+
+@pytest.mark.parametrize("name,x_shape,filters,stride,pad", PAPER_CASES)
+def test_conv_bit_identical_at_paper_layers(name, x_shape, filters, stride, pad):
     rng = np.random.default_rng(3 + stride + pad)
-    _, x_shape, filters = MODEL_LAYERS[4]
     x, weight, bias, out, grad_out = _conv_case(rng, np.float32, x_shape, filters,
                                                 stride=stride, pad=pad)
     assert _same_bytes(ops.conv3d_forward(x, weight, bias, stride, pad), out)
     got = ops.conv3d_backward(x, weight, grad_out, stride, pad)
     ref = im2col_conv3d_backward(x, weight, grad_out, stride, pad)
-    for g, r in zip(got, ref):
-        assert _same_bytes(g, r)
+    for part, g, r in zip(("grad_input", "grad_weight", "grad_bias"), got, ref):
+        assert _same_bytes(g, r), f"{name} {part}"
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -543,10 +552,15 @@ def test_conv_backward_memory_is_bounded(bound_case):
     assert _peak_bytes(ops.conv3d_backward, x, weight, grad_out, 1, 1) < bound
 
 
-def test_conv_backward_without_grad_input_peaks_lower(bound_case):
-    x, weight, _, grad_out, _ = bound_case
+def test_conv_backward_without_grad_input_peaks_lower():
+    """need_input=False skips the grad_input buffers. A kernel one tap wide
+    makes the kernel row one input-sized slice, so those buffers set the
+    full backward's peak (at 3x3x3 the row block sets both peaks)."""
+    x, weight, _, _, grad_out = _conv_case(np.random.default_rng(8), np.float32, BOUND_X,
+                                           BOUND_FILTERS, kernel=(3, 3, 1))
     skip = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad_out, 1, 1, need_input=False))
-    assert skip < _peak_bytes(ops.conv3d_backward, x, weight, grad_out, 1, 1)
+    # the returned grad_input alone is input-sized
+    assert skip + x.nbytes < _peak_bytes(ops.conv3d_backward, x, weight, grad_out, 1, 1)
 
 
 def test_conv_backward_without_grad_input_holds_one_row(bound_case):
@@ -570,7 +584,7 @@ def test_memory_bound_rejects_im2col(bound_case):
     assert _peak_bytes(im2col_conv3d_backward, x, weight, grad_out, 1, 1) > bound
 
 
-# x (1,16,32,128,128) float32 is 34 MB, 8 blocks of POOL_BLOCK_BYTES; the int64
+# x (1,16,32,128,128) float32 is 34 MB, 8 blocks of BLOCK_BYTES; the int64
 # flat winners the pool returned before took 8.4 MB, two blocks
 POOL_X = (1, 16, 32, 128, 128)
 
@@ -580,7 +594,7 @@ def pool_case():
     rng = np.random.default_rng(16)
     x = rng.standard_normal(POOL_X, dtype=np.float32)
     pooled, taps = ops.maxpool3d(x, (2, 2, 2))
-    assert 8 * taps.size >= 2 * ops.POOL_BLOCK_BYTES
+    assert 8 * taps.size >= 2 * ops.BLOCK_BYTES
     grad_out = rng.standard_normal(pooled.shape, dtype=np.float32)
     return x, pooled, taps, grad_out
 
@@ -589,10 +603,25 @@ def test_maxpool_memory_is_one_block_above_its_result(pool_case):
     x, pooled, taps, _ = pool_case
     assert taps.dtype == np.uint8 and taps.shape == pooled.shape
     peak = _peak_bytes(ops.maxpool3d, x, (2, 2, 2))
-    assert peak < pooled.nbytes + pooled.size + ops.POOL_BLOCK_BYTES  # one byte per tap
+    assert peak < pooled.nbytes + pooled.size + ops.BLOCK_BYTES  # one byte per tap
 
 
 def test_maxpool_backward_memory_is_one_block_above_its_result(pool_case):
     x, _, taps, grad_out = pool_case
     peak = _peak_bytes(ops.maxpool3d_backward, grad_out, taps, x.shape, (2, 2, 2))
-    assert peak < x.nbytes + ops.POOL_BLOCK_BYTES
+    assert peak < x.nbytes + ops.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 0, 4, 4), (1, 2, 4, 0, 4), (1, 2, 4, 4, 0),
+                                   (1, 0, 4, 4, 4), (0, 2, 4, 4, 4)])
+def test_maxpool_of_a_zero_extent_is_empty(shape):
+    """An extent of zero plans no block (or blocks of empty frames): empty
+    results of the right shapes and dtypes."""
+    x = np.zeros(shape, dtype=np.float32)
+    pooled_shape = shape[:2] + tuple(e // 2 for e in shape[2:])
+    pooled, taps = ops.maxpool3d(x, (2, 2, 2))
+    assert pooled.shape == taps.shape == pooled_shape
+    assert pooled.dtype == np.float32 and taps.dtype == np.uint8
+    assert ops.maxpool3d(x, (2, 2, 2), need_winners=False)[0].shape == pooled_shape
+    grad = ops.maxpool3d_backward(pooled, taps, shape, (2, 2, 2))
+    assert grad.shape == shape and grad.dtype == np.float32

@@ -724,6 +724,11 @@ class TestCommands:
             assert f"{kind}: max_rel_err=" in out
         assert out.count("PASS") == 5
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_gradcheck_command_rejects_no_trials(self, trials, capsys):
+        assert main(["gradcheck", "--trials", trials]) == 2
+        assert f"error: --trials must be >= 1, got {trials}" in capsys.readouterr().err
+
     def test_gradcheck_command_flags_corrupted_backward(self, capsys, monkeypatch):
         from strokebench.nn import ops
         real = ops.linear_backward
