@@ -44,7 +44,7 @@ import numpy as np
 
 TREES = ("base", "change")
 
-# the shape the CI smoke run of scripts/step_memory.py uses
+# the tiny shape tests/test_step_memory.py runs scripts/step_memory.py at
 TINY_STEP = ["--input", "3x8x16x16", "--filters", "4,8", "--hidden", "8"]
 STEP_FIELDS = ("peak_rss_mb", "forward_s", "backward_s", "sha256")
 

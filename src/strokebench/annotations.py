@@ -24,7 +24,7 @@ from importlib import resources
 from xml.sax.saxutils import quoteattr
 
 from .errors import AnnotationError, StrokebenchError, TaxonomyError
-from .frames import check_fps, fps_text
+from .frames import ascii_int, check_fps, fps_text
 
 NONSTROKE_LABEL = "Non-stroke"
 STROKE_LABEL = "Stroke"
@@ -151,11 +151,11 @@ class _VideoXmlTarget:
         self.depth -= 1
 
 
-_ATTR_KINDS = {int: "a base-10 integer", float: "a number"}
+_ATTR_KINDS = {ascii_int: "a base-10 integer", float: "a number"}
 
 
 def _attr(attrs, name, line, kind=str):
-    """attrs[name] read as kind: str, int or float. Errors carry the line."""
+    """attrs[name] read as kind: str, ascii_int or float. Errors carry the line."""
     if name not in attrs:
         raise AnnotationError(f"missing attribute {name!r} (line {line})")
     try:
@@ -182,7 +182,7 @@ def parse_annotations(data: bytes) -> VideoAnnotation:
 
     vattrs, vline = target.video_attrs
     name = _attr(vattrs, "name", vline)
-    frame_count = _attr(vattrs, "frames", vline, int)
+    frame_count = _attr(vattrs, "frames", vline, ascii_int)
     fps = _attr(vattrs, "fps", vline, float)
     try:
         ann = VideoAnnotation(name, frame_count, fps)
@@ -191,8 +191,8 @@ def parse_annotations(data: bytes) -> VideoAnnotation:
 
     segments, lines = [], []
     for attrs, line in target.actions:
-        begin = _attr(attrs, "begin", line, int)
-        end = _attr(attrs, "end", line, int)
+        begin = _attr(attrs, "begin", line, ascii_int)
+        end = _attr(attrs, "end", line, ascii_int)
         move = _attr(attrs, "move", line)
         score = _attr(attrs, "score", line, float) if "score" in attrs else None
         try:

@@ -24,7 +24,7 @@ from .annotations import (LEVEL_TITLES, STROKE_LABEL, Segment, Taxonomy,
                           VideoAnnotation, default_taxonomy, infer_negative_segments,
                           load_taxonomy, parse_annotations, write_predictions)
 from .errors import AnnotationError, ConfigError, MetricError, StrokebenchError, TaxonomyError
-from .frames import open_frame_dir, open_rgbv
+from .frames import ascii_int, open_frame_dir, open_rgbv
 from .model import DatasetItem, TrainConfig, build_model, load_checkpoint, save_checkpoint
 from .nn.gradcheck import run_all
 from .nn.layers import default_architecture
@@ -213,7 +213,7 @@ def _read_index(path: Path, labels: list[str]) -> list[DatasetItem]:
                 raise ConfigError(f"{where}: bad index row {row}")
             video_id, begin, end, label = row
             try:
-                segment = Segment(int(begin), int(end), label)
+                segment = Segment(ascii_int(begin), ascii_int(end), label)
             except AnnotationError as e:  # a ValueError too, so caught first
                 raise ConfigError(f"{where}: {e}") from None
             except ValueError:

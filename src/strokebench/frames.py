@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,6 +90,14 @@ def check_fps(fps: float, error: type[StrokebenchError], prefix: str = "") -> No
         raise error(f"{prefix}fps must be finite and > 0, got {float(fps)}")
 
 
+def ascii_int(text: str) -> int:
+    """int(text) for an optional '-' and ASCII digits, else ValueError (int()
+    also takes '+', '_', spaces and other digits): the rule of integer text."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"not a base-10 integer: {text!r}")
+    return int(text)
+
+
 def fps_text(fps: float) -> str:
     """fps as RGBV headers and annotation XML write it: an integer without a
     decimal point, any other value as Python's shortest repr."""
@@ -105,7 +114,7 @@ def _parse_rgbv_header(line: bytes, path) -> tuple[int, int, float, int]:
     if len(fields) != 4:
         raise VideoFormatError(f"{path}: header must be 'width height fps frame_count'")
     try:
-        width, height, frame_count = int(fields[0]), int(fields[1]), int(fields[3])
+        width, height, frame_count = (ascii_int(fields[i]) for i in (0, 1, 3))
         fps = float(fields[2])
     except ValueError:
         raise VideoFormatError(f"{path}: non-numeric header field in {fields}") from None
@@ -181,9 +190,10 @@ class FrameDirVideo(VideoSource):
             raise VideoFormatError(f"{path}: no .ppm frames found")
         by_index: dict[int, Path] = {}
         for p in entries:
-            if not p.stem.isdigit():
-                raise VideoFormatError(f"{p}: frame name is not a zero-padded index")
-            idx = int(p.stem, 10)
+            try:  # the integer rule less its sign, which "+" fails: no "-0" either
+                idx = ascii_int(p.stem.replace("-", "+"))
+            except ValueError:
+                raise VideoFormatError(f"{p}: frame name is not a zero-padded index") from None
             if idx in by_index:
                 raise VideoFormatError(f"{p}: duplicate frame index {idx}")
             by_index[idx] = p
@@ -199,7 +209,7 @@ class FrameDirVideo(VideoSource):
             if tokens[0] != b"P6":
                 raise VideoFormatError(f"{p}: not a binary P6 PPM (magic {tokens[0]!r})")
             try:
-                w, h, maxval = (int(t) for t in tokens[1:4])
+                w, h, maxval = (ascii_int(t.decode("latin-1")) for t in tokens[1:4])
             except ValueError:
                 raise VideoFormatError(f"{p}: non-numeric PPM header field") from None
             if maxval != 255:

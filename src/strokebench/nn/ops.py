@@ -13,12 +13,12 @@ a 3x3x3 kernel). `conv3d_forward` holds a padded copy of the input and
 lowers one sample and one tile of output positions at a time into one
 column buffer of at most `TILE_BYTES` (or one output row, if that is
 larger), which every tile reuses. `conv3d_backward` holds a channel-major
-copy of grad_out (none when grad_out is already channel-major) throughout,
-and no padded copy of the input. For grad_weight it adds one kernel row's input
-slices (kw of them, each input-sized at stride 1), copied from the input
-with zeros where a tap meets the padding; for grad_input, after that block
-is freed, the padded input's gradient, the returned grad_input and a col2im
-block of at most `BLOCK_BYTES`.
+copy of grad_out (none when grad_out is already channel-major) and no
+padded copy of the input or of its gradient. For grad_weight it adds one
+kernel row's input slices (kw of them, each input-sized at stride 1); for
+grad_input, after that block is freed, the returned grad_input and one
+col2im block of at most `BLOCK_BYTES`. Both adjoints find where a tap meets
+the unpadded input by `_tap_parts`: grad_weight copies from there, col2im adds.
 `maxpool3d` takes the max over strided views of the input, with no
 transposed copy, one sample and one block of output frames (at most
 `BLOCK_BYTES` of input) at a time. For training it returns the index of
@@ -36,13 +36,11 @@ conv3d_backward call stays below 4 * (input bytes + grad_out bytes) +
 BLOCK_BYTES; a wider kernel adds about one input size per extra tap in its
 row. `tests/test_kernels.py` checks both for x of shape (1, 8, 32, 64, 64)
 float32 and 8 filters. The forward may use 9.98 MB (a 4.19 MB output, a
-4.74 MB padded input and two tiles) and uses 9.46 MB, where the frame-block
-forward before it used 40.8 MB. The backward may use 37.7 MB and uses
-12.6 MB, with or without grad_input: the kernel row, the GEMM's output and
-the returned gradients set the peak (with 32 MB col2im blocks, grad_input
-set it at 36.7 MB). That is with a C-order grad_out (a channel-major one
-skips the copy, so the bound still holds). The im2col kernels these
-replaced peaked at 122 MB (forward) and 127 MB (backward) there. It also
+4.74 MB padded input and two tiles) and uses 9.46 MB. The backward may use
+37.7 MB and uses 12.6 MB with or without grad_input, set by the kernel row
+(the im2col kernels peaked at 122 and 127 MB). With a 3x3x1 kernel the row
+is one input size and grad_input sets the peak: 7.95 MB, below grad_input
++ BLOCK_BYTES + 128 KB of ufunc buffers and Python objects (8.52 MB). It also
 checks that a training `maxpool3d` call peaks less than `BLOCK_BYTES` above
 its pooled values and taps, and `maxpool3d_backward` less than that above
 its result.
@@ -72,15 +70,11 @@ TILE_BYTES = 512 << 10
 # a col2im block of conv3d_backward, the input of a maxpool3d block, the
 # temporaries of a maxpool3d_backward block. At 4 MB the pooled-size arrays
 # a 2x2x2 window's passes reread (about a quarter of the block) fit in the
-# 2 MB L2 cache of one core of the target machine. Measured on one CPU, one
-# BLAS thread: training pooling of paper pool1, (2, 30, 98, 120, 120), took
-# 0.25-0.30 s with 1 to 8 MB blocks, 0.31 s with 32 MB and 0.55 s unblocked
-# (best of 5). Col2im time barely depends on the cap: paper conv2 and conv3
-# grad_input at batch 2 took 684 and 57 ms in one-frame blocks (any cap from
-# 512 KB to 8 MB) and 684 and 63 ms under a 32 MB cap; desk conv2 at batch 10
-# 10.6 ms in one block and 13.2 ms in 512 KB blocks (medians). But a freed
-# block raises glibc's mmap threshold to its size, so smaller blocks hold less
-# freed heap: train-paper peaks at 751 MB RSS, not 777 MB (BENCH_21.json).
+# 2 MB L2 cache of one core of the target machine: training pooling of paper
+# pool1, (2, 30, 98, 120, 120), took 0.25-0.30 s with 1 to 8 MB blocks, 0.31 s
+# with 32 MB and 0.55 s unblocked (one CPU, one BLAS thread, best of 5).
+# Col2im time barely depends on the cap, and a freed block raises glibc's mmap
+# threshold to its size, so smaller blocks hold less freed heap (BENCH_21.json).
 BLOCK_BYTES = 4 << 20
 
 
@@ -125,12 +119,6 @@ def _check_conv(x, weight, stride, pad):
     return conv3d_out_extents(x.shape[2:], weight.shape[2:], stride, pad)
 
 
-def _pad(x, pad):
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad), (pad, pad)))
-    return x
-
-
 def _even_runs(count, cap):
     """range(count) as the fewest [start, end) runs of at most `cap` items
     (one at least), whose lengths differ by at most one."""
@@ -138,30 +126,32 @@ def _even_runs(count, cap):
     return [(count * i // runs, count * (i + 1) // runs) for i in range(runs)]
 
 
-def _tap_slices(tap, stride, extents, t0=0):
-    """Slices of the padded (T, H, W) axes that kernel tap (i, j, k) meets for
-    `extents` output positions starting at output frame t0."""
-    starts = (tap[0] + stride * t0, tap[1], tap[2])
-    return tuple(slice(a, a + stride * (e - 1) + 1, stride) for a, e in zip(starts, extents))
+def _tap_parts(tap, stride, pad, extents, ranges):
+    """Where kernel tap (i, j, k) meets the unpadded (T, H, W) input of
+    `extents`, for the output positions in `ranges` ((start, end) per axis):
+    the slices of the positions whose tap lands inside the input, counted
+    from each range's start, and the input slices those positions read."""
+    out_part, in_part = [], []
+    for offset, extent, (a, b) in zip(tap, extents, ranges):
+        # output positions o with 0 <= offset + stride*o - pad < extent
+        lo = min(b, max(a, -((offset - pad) // stride)))
+        hi = max(lo, min(b, (extent - 1 + pad - offset) // stride + 1))
+        start = offset + stride * lo - pad
+        out_part.append(slice(lo - a, hi - a))
+        in_part.append(slice(start, start + stride * (hi - lo), stride))
+    return tuple(out_part), tuple(in_part)
 
 
 def _copy_tap(dst, xs, tap, stride, pad):
     """dst (C, N, T', H', W') = the (C, N, T, H, W) input `xs` as kernel tap
-    (i, j, k) meets it, zero where the tap falls in the padding, with no
-    padded copy of the input: the part inside the input is copied, and only
-    the strips of output positions that read padding are zeroed."""
-    dst_part, src_part = [slice(None)] * 2, [slice(None)] * 2
-    for axis, (offset, extent) in enumerate(zip(tap, xs.shape[2:]), start=2):
-        outs = dst.shape[axis]
-        # output positions o with 0 <= offset + stride*o - pad < extent
-        lo = min(outs, max(0, -((offset - pad) // stride)))
-        hi = max(lo, min(outs, (extent - 1 + pad - offset) // stride + 1))
-        start = offset + stride * lo - pad
-        dst_part.append(slice(lo, hi))
-        src_part.append(slice(start, start + stride * (hi - lo), stride))
-        for zeros in (slice(0, lo), slice(hi, outs)):
+    (i, j, k) meets it, with no padded copy of the input: the part inside the
+    input is copied, and only the strips that read padding are zeroed."""
+    outs = dst.shape[2:]
+    out_part, in_part = _tap_parts(tap, stride, pad, xs.shape[2:], [(0, e) for e in outs])
+    for axis, (part, extent) in enumerate(zip(out_part, outs), start=2):
+        for zeros in (slice(0, part.start), slice(part.stop, extent)):
             dst[(slice(None),) * axis + (zeros,)] = 0
-    dst[tuple(dst_part)] = xs[tuple(src_part)]
+    dst[(..., *out_part)] = xs[(..., *in_part)]
 
 
 def conv3d_forward(x, weight, bias, stride: int = 1, pad: int = 0):
@@ -207,7 +197,7 @@ def conv3d_forward(x, weight, bias, stride: int = 1, pad: int = 0):
              for index, a, b in runs]
     column_bias = bias.reshape(f, 1)
     flat = out.reshape(n, f, -1)
-    xp = _pad(x, pad)
+    xp = np.pad(x, [(0, 0)] * 2 + [(pad, pad)] * 3) if pad else x
     for s in range(n):
         win = sliding_window_view(xp[s], weight.shape[2:], axis=(1, 2, 3))
         win = win[:, ::stride, ::stride, ::stride].transpose(0, 4, 5, 6, 1, 2, 3)
@@ -229,9 +219,10 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
     slices, so every sum still runs over the same axis as in one im2col GEMM.
     Each tap's slice is copied from the unpadded input (see _copy_tap).
     grad_input: per sample and block of output frames, one GEMM gives every
-    tap's contribution (col2im, in (kt,kh,kw,C | T',H',W') layout), which is
-    added at the tap's offset. Blocks run last frame first, so that each
-    input element still receives its contributions in tap order.
+    tap's contribution (col2im, in (kt,kh,kw,C | T',H',W') layout), added
+    straight into grad_input where the tap meets the input (see _tap_parts).
+    Blocks run last frame first, so that each input element still receives
+    its contributions in tap order.
     With need_input=False grad_input is not computed, and an empty array of
     grad_out's dtype stands in its place (for a first layer, whose input
     needs no gradient).
@@ -248,8 +239,7 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
     # (F,N,T',H',W'); a free view when grad_out comes from maxpool3d_backward
     g5 = np.ascontiguousarray(grad_out.swapaxes(0, 1))
     # each sample's T'H'W' sum, then the samples in order from 0: the sums
-    # grad_out.sum(axis=(0, 2, 3, 4)) makes on a C-order grad_out, whatever
-    # grad_out's layout
+    # grad_out.sum(axis=(0, 2, 3, 4)) makes on a C-order grad_out, in any layout
     grad_bias = np.zeros(f, dtype=grad_out.dtype)
     for sample_sums in g5.reshape(f, n, -1).sum(axis=2).T:
         grad_bias += sample_sums
@@ -265,22 +255,22 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
         # column block k of the (F, kw*C) product is grad_weight[:, :, i, j, k]
         prod = g2 @ row.reshape(kw * c, -1).T
         grad_weight[:, :, i, j] = prod.reshape(f, kw, c).swapaxes(1, 2)
-    del row  # so that it never coexists with gxp
+    del row  # so that it never coexists with grad_input
     if not need_input:
         return np.empty(0, dtype=grad_out.dtype), grad_weight, grad_bias
 
-    gxp = np.zeros((c, n, t + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
+    grad_input = np.zeros(x.shape, dtype=grad_out.dtype)
     w2 = np.ascontiguousarray(weight.transpose(2, 3, 4, 1, 0)).reshape(-1, f)
     blocks = _even_runs(to, BLOCK_BYTES // (w2.shape[0] * ho * wo * x.itemsize))
     for s in range(n):
         for t0, t1 in reversed(blocks):
-            block = (t1 - t0, ho, wo)
-            cols = (w2 @ g5[:, s, t0:t1].reshape(f, -1)).reshape(kshape + (c,) + block)
+            cols = (w2 @ g5[:, s, t0:t1].reshape(f, -1)).reshape(kshape + (c, t1 - t0, ho, wo))
             for tap in np.ndindex(*kshape):
-                gxp[(slice(None), s) + _tap_slices(tap, stride, block, t0)] += cols[tap]
+                out_part, in_part = _tap_parts(tap, stride, pad, (t, h, w),
+                                               ((t0, t1), (0, ho), (0, wo)))
+                grad_input[(s, ..., *in_part)] += cols[tap][(..., *out_part)]
             del cols  # so that two blocks never coexist
-    grad_input = gxp[:, :, pad : pad + t, pad : pad + h, pad : pad + w].swapaxes(0, 1)
-    return np.ascontiguousarray(grad_input), grad_weight, grad_bias
+    return grad_input, grad_weight, grad_bias
 
 
 def _pool_block(views, peak, local):

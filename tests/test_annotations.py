@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -85,10 +87,18 @@ class TestParse:
         with pytest.raises(AnnotationError, match=rf"^missing attribute '{attr}' \(line 1\)$"):
             parse_annotations(xml.encode())
 
-    def test_non_integer_attribute_rejected(self):
-        xml = b'<video name="v" frames="1.5" fps="120"/>'
-        with pytest.raises(AnnotationError, match="base-10 integer"):
-            parse_annotations(xml)
+    # int() takes all but "1.5": digit separators, spaces, a plus sign and
+    # other scripts' digits (full-width, Arabic-Indic)
+    @pytest.mark.parametrize("attr", ["frames", "begin", "end"])
+    @pytest.mark.parametrize("value", ["1.5", "1_000", " 10", "10 ", "+20", "\uff11\uff10",
+                                       "\u0661\u0660"])
+    def test_non_integer_attribute_rejected(self, attr, value):
+        a = {"frames": "1000", "begin": "10", "end": "300", attr: value}
+        xml = (f'<video name="v" frames="{a["frames"]}" fps="120"><action '
+               f'begin="{a["begin"]}" end="{a["end"]}" move="A"/></video>')
+        message = f"attribute {attr}='{value}' is not a base-10 integer (line 1)"
+        with pytest.raises(AnnotationError, match=f"^{re.escape(message)}$"):
+            parse_annotations(xml.encode())
 
 
 class TestWrite:

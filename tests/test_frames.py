@@ -86,7 +86,14 @@ class TestRgbv:
     @pytest.mark.parametrize("header, message", [
         (b"4 4 120 1".ljust(256) + b"\n", "header line too long"),
         (b"4 4 120 1", "truncated header"),
-    ], ids=["257_bytes", "no_newline"])
+        # int() takes each of these integers
+        (b"1_0 4 120 1\n", "non-numeric header field in ['1_0', '4', '120', '1']"),
+        (b"4 +4 120 1\n", "non-numeric header field in ['4', '+4', '120', '1']"),
+        (b"4 4 120 0_1\n", "non-numeric header field in ['4', '4', '120', '0_1']"),
+        (b"4 -4 120 1\n", "zero or negative frame extents"),
+        (b"4 4 120 -1\n", "frame_count must be >= 0, got -1"),
+    ], ids=["257_bytes", "no_newline", "underscore", "plus", "count_underscore",
+            "negative_height", "negative_count"])
     def test_header_line_refused(self, tmp_path, header, message):
         p = tmp_path / "h.rgbv"
         p.write_bytes(b"RGBV1\n" + header)
@@ -188,6 +195,23 @@ class TestFrameDir:
         self._write_ppm(tmp_path / "000000.ppm", np.zeros((4, 4, 3), np.uint8))
         self._write_ppm(tmp_path / "000002.ppm", np.zeros((4, 4, 3), np.uint8))
         with pytest.raises(VideoFormatError, match="missing frame indices"):
+            open_frame_dir(tmp_path)
+
+    # int() takes the non-ASCII digits but "²" ("²".isdigit() is true)
+    @pytest.mark.parametrize("stem", ["\u00b2", "\uff10", "\u0660", "+0", "0_0", "-0", "-1"])
+    def test_frame_name_of_other_than_ascii_digits_rejected(self, tmp_path, stem):
+        self._write_ppm(tmp_path / "000000.ppm", np.zeros((4, 4, 3), np.uint8))
+        self._write_ppm(tmp_path / f"{stem}.ppm", np.zeros((4, 4, 3), np.uint8))
+        with pytest.raises(VideoFormatError) as err:
+            open_frame_dir(tmp_path)
+        assert str(err.value) == f"{tmp_path / stem}.ppm: frame name is not a zero-padded index"
+
+    # int() takes each of these, bytes or not
+    @pytest.mark.parametrize("header", [b"P6\n+4 4\n255\n", b"P6\n4 0_4\n255\n",
+                                        b"P6\n4 4\n2_55\n", b"P6\n\xef\xbc\x94 4\n255\n"])
+    def test_non_integer_ppm_header_field_rejected(self, tmp_path, header):
+        (tmp_path / "000000.ppm").write_bytes(header + bytes(4 * 4 * 3))
+        with pytest.raises(VideoFormatError, match="non-numeric PPM header field"):
             open_frame_dir(tmp_path)
 
     def test_comment_in_header_ok(self, tmp_path):

@@ -555,12 +555,18 @@ def test_conv_backward_memory_is_bounded(bound_case):
 def test_conv_backward_without_grad_input_peaks_lower():
     """need_input=False skips the grad_input buffers. A kernel one tap wide
     makes the kernel row one input-sized slice, so those buffers set the
-    full backward's peak (at 3x3x3 the row block sets both peaks)."""
+    full backward's peak (at 3x3x3 the row block sets both peaks). They are
+    the returned grad_input, which col2im adds into directly, and one col2im
+    block; the padded gradient and the copy that stripped its padding, which
+    took one more input size, are gone."""
     x, weight, _, _, grad_out = _conv_case(np.random.default_rng(8), np.float32, BOUND_X,
                                            BOUND_FILTERS, kernel=(3, 3, 1))
+    assert grad_out.swapaxes(0, 1).flags.c_contiguous  # one sample: no channel-major copy
     skip = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad_out, 1, 1, need_input=False))
-    # the returned grad_input alone is input-sized
-    assert skip + x.nbytes < _peak_bytes(ops.conv3d_backward, x, weight, grad_out, 1, 1)
+    full = _peak_bytes(ops.conv3d_backward, x, weight, grad_out, 1, 1)
+    assert skip < full
+    # grad_input, one block, the ufunc buffers of its adds (96 KB) and Python objects
+    assert full < x.nbytes + ops.BLOCK_BYTES + (128 << 10)
 
 
 def test_conv_backward_without_grad_input_holds_one_row(bound_case):

@@ -379,7 +379,12 @@ class TestCommands:
     @pytest.mark.parametrize("row, message", [
         ("train001,900,300,Stroke", "segment must satisfy 0 <= begin < end, got [900, 300)"),
         ("train001,0,30,X", "label 'X' not among task classes"),
-    ], ids=["begin_after_end", "unknown_label"])
+        # int() takes both bounds
+        ("train001,1_0,30,Stroke",
+         "non-integer frame bound in ['train001', '1_0', '30', 'Stroke']"),
+        ("train001,0, +30,Stroke",
+         "non-integer frame bound in ['train001', '0', ' +30', 'Stroke']"),
+    ], ids=["begin_after_end", "unknown_label", "underscore", "space_plus"])
     def test_bad_index_row_fails_naming_file_and_row(
             self, tiny_corpus, tmp_path, capsys, row, message):
         out = tmp_path / "run"
