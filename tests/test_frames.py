@@ -197,7 +197,7 @@ class TestFrameDir:
         with pytest.raises(VideoFormatError, match="missing frame indices"):
             open_frame_dir(tmp_path)
 
-    # int() takes the non-ASCII digits but "²" ("²".isdigit() is true)
+    # int() takes all but the first; "²".isdigit() is true, but int() raises
     @pytest.mark.parametrize("stem", ["\u00b2", "\uff10", "\u0660", "+0", "0_0", "-0", "-1"])
     def test_frame_name_of_other_than_ascii_digits_rejected(self, tmp_path, stem):
         self._write_ppm(tmp_path / "000000.ppm", np.zeros((4, 4, 3), np.uint8))
@@ -206,7 +206,7 @@ class TestFrameDir:
             open_frame_dir(tmp_path)
         assert str(err.value) == f"{tmp_path / stem}.ppm: frame name is not a zero-padded index"
 
-    # int() takes each of these, bytes or not
+    # int() takes the first three; the last is a full-width 4 in UTF-8
     @pytest.mark.parametrize("header", [b"P6\n+4 4\n255\n", b"P6\n4 0_4\n255\n",
                                         b"P6\n4 4\n2_55\n", b"P6\n\xef\xbc\x94 4\n255\n"])
     def test_non_integer_ppm_header_field_rejected(self, tmp_path, header):
