@@ -1,13 +1,14 @@
 """Paired benchmark runs of two checkouts, written to one BENCH_<n>.json.
 
     python scripts/bench_pairs.py --base ../parent --change . \
-        --workload detect-hires --seeds 5 --out BENCH_18.json
+        --workload detect-hires --out BENCH_18.json
 
 runs `perfbench/run.py --trace 0` for each workload in both checkouts, once
 per seed (1..N), alternating which checkout goes first (the base on odd
 seeds), so slow drift of the machine falls on both sides alike. Each run is
 a fresh child process from the root of its checkout, as the benchmark runs
-it. `--workload` may be repeated; each workload gets `--seeds` pairs.
+it. `--workload` may be repeated; each workload gets `--seeds` pairs, 10 by
+default: the fewest that can meet the gain rule.
 
 `--step-batch B` (repeatable) also runs one paper training step,
 `scripts/step_memory.py --batch B`, once in each checkout: a fresh child
@@ -47,6 +48,8 @@ TREES = ("base", "change")
 # the tiny shape tests/test_step_memory.py runs scripts/step_memory.py at
 TINY_STEP = ["--input", "3x8x16x16", "--filters", "4,8", "--hidden", "8"]
 STEP_FIELDS = ("peak_rss_mb", "forward_s", "backward_s", "sha256")
+# a claimed gain needs at least this many pairs
+GAIN_PAIRS = 10
 
 
 def git_state(tree: Path, given: Path) -> dict:
@@ -118,10 +121,11 @@ def compare(metric: dict, base: list[float], change: list[float]) -> dict:
     """The pairs of one end-to-end metric of BENCHMARK.json and its verdicts.
 
     A pair is won when the change moved in the metric's better direction;
-    a tie counts for neither side. `gain_rule_met`: the change won at least
-    9 of 10 pairs and its median is better than the base's by more than the
-    base's q3 - q1. `within_bound`: the change's median is worse than the
-    base's by no more than the metric's relative `bound`.
+    a tie counts for neither side. `gain_rule_met`: there are at least
+    GAIN_PAIRS pairs, the change won at least 9 of each 10 of them, and its
+    median is better than the base's by more than the base's q3 - q1.
+    `within_bound`: the change's median is worse than the base's by no more
+    than the metric's relative `bound`.
     """
     higher = metric["better"] == "higher"
     ratios = [c / b for b, c in zip(base, change)]
@@ -138,7 +142,8 @@ def compare(metric: dict, base: list[float], change: list[float]) -> dict:
         "pairs_improved": won,
         "pairs": len(ratios),
         "won_fraction": won / len(ratios),
-        "gain_rule_met": 10 * won >= 9 * len(ratios) and gain > q3 - q1,
+        "gain_rule_met": (len(ratios) >= GAIN_PAIRS and 10 * won >= 9 * len(ratios)
+                          and gain > q3 - q1),
         "bound": metric["bound"],
         "within_bound": gain >= -metric["bound"] * sides["base"]["median"],
     }
@@ -191,7 +196,8 @@ def main(argv=None) -> int:
     p.add_argument("--step-batch", type=int, action="append", default=[], metavar="B",
                    help="also run scripts/step_memory.py --batch B in both checkouts; "
                         "repeat for several")
-    p.add_argument("--seeds", type=int, default=5, help="pairs per workload (seeds 1..N)")
+    p.add_argument("--seeds", type=int, default=GAIN_PAIRS,
+                   help="pairs per workload (seeds 1..N)")
     p.add_argument("--seconds", type=float, default=15.0, help="loop seconds per run")
     p.add_argument("--tiny", action="store_true", help="tiny shapes (smoke test)")
     p.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write")

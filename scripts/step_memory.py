@@ -10,6 +10,11 @@ peak RSS of the process in MB, the step's wall seconds, split into the
 forward pass with the loss and the backward pass, and a SHA-256 over
 the logits and every parameter gradient, so two builds can be compared byte
 for byte. Run each measurement in a fresh process: peak RSS never falls.
+
+Every option defaults to the paper recipe, so the command above spells out
+the defaults. They are read from the library: the input shape, filters and
+hidden units from `strokebench.nn.layers`, the batch from
+`strokebench.model.TrainConfig`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from strokebench import model
 from strokebench.cli import _int_list
 from strokebench.nn import ops
-from strokebench.nn.layers import default_architecture
+from strokebench.nn.layers import FILTERS, HIDDEN, INPUT_SHAPE, default_architecture
 
 
 def _shape(raw: str) -> tuple[int, ...]:
@@ -36,12 +41,13 @@ def _shape(raw: str) -> tuple[int, ...]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--input", type=_shape, default=(3, 98, 120, 120),
-                   help="cuboid shape CxTxHxW (default 3x98x120x120)")
-    p.add_argument("--filters", type=_int_list, default=(30, 60, 80),
-                   help="comma-separated conv filter counts (default 30,60,80)")
-    p.add_argument("--hidden", type=int, default=500)
-    p.add_argument("--batch", type=int, default=10)
+    p.add_argument("--input", type=_shape, default=INPUT_SHAPE,
+                   help=f"cuboid shape CxTxHxW (default {'x'.join(map(str, INPUT_SHAPE))})")
+    p.add_argument("--filters", type=_int_list, default=FILTERS,
+                   help=f"comma-separated conv filter counts (default "
+                        f"{','.join(map(str, FILTERS))})")
+    p.add_argument("--hidden", type=int, default=HIDDEN)
+    p.add_argument("--batch", type=int, default=model.TrainConfig.batch_size)
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
 

@@ -24,11 +24,16 @@ from importlib import resources
 from xml.sax.saxutils import quoteattr
 
 from .errors import AnnotationError, StrokebenchError, TaxonomyError
-from .frames import ascii_int, check_fps, fps_text
+from .frames import ascii_float, ascii_int, check_fps, fps_text
 
 NONSTROKE_LABEL = "Non-stroke"
 STROKE_LABEL = "Stroke"
 PROPOSAL_LABEL = "Proposal"
+
+# the paper's detection windows and non-stroke training blocks, in frames
+PROPOSAL_LEN = 150
+PROPOSAL_STRIDE = 150
+NEGATIVE_BLOCK = 200
 
 TYPES = ("Defensive", "Offensive", "Service")
 HAND_SIDES = ("Forehand", "Backhand")
@@ -151,11 +156,11 @@ class _VideoXmlTarget:
         self.depth -= 1
 
 
-_ATTR_KINDS = {ascii_int: "a base-10 integer", float: "a number"}
+_ATTR_KINDS = {ascii_int: "a base-10 integer", ascii_float: "a number"}
 
 
 def _attr(attrs, name, line, kind=str):
-    """attrs[name] read as kind: str, ascii_int or float. Errors carry the line."""
+    """attrs[name] read as kind: str, ascii_int or ascii_float. Errors carry the line."""
     if name not in attrs:
         raise AnnotationError(f"missing attribute {name!r} (line {line})")
     try:
@@ -183,7 +188,7 @@ def parse_annotations(data: bytes) -> VideoAnnotation:
     vattrs, vline = target.video_attrs
     name = _attr(vattrs, "name", vline)
     frame_count = _attr(vattrs, "frames", vline, ascii_int)
-    fps = _attr(vattrs, "fps", vline, float)
+    fps = _attr(vattrs, "fps", vline, ascii_float)
     try:
         ann = VideoAnnotation(name, frame_count, fps)
     except AnnotationError as e:
@@ -194,7 +199,7 @@ def parse_annotations(data: bytes) -> VideoAnnotation:
         begin = _attr(attrs, "begin", line, ascii_int)
         end = _attr(attrs, "end", line, ascii_int)
         move = _attr(attrs, "move", line)
-        score = _attr(attrs, "score", line, float) if "score" in attrs else None
+        score = _attr(attrs, "score", line, ascii_float) if "score" in attrs else None
         try:
             segments.append(Segment(begin, end, move, score))
         except AnnotationError as e:
@@ -229,7 +234,7 @@ def write_predictions(video_id: str, segments: list[Segment],
     return render_annotation_xml(video_id, segments, frame_count, fps)
 
 
-def infer_negative_segments(ann: VideoAnnotation, block: int = 200) -> list[Segment]:
+def infer_negative_segments(ann: VideoAnnotation, block: int = NEGATIVE_BLOCK) -> list[Segment]:
     """Non-stroke blocks from the gaps between consecutive strokes.
 
     Only gaps strictly longer than `block` are used and they are tiled from
@@ -249,8 +254,8 @@ def infer_negative_segments(ann: VideoAnnotation, block: int = 200) -> list[Segm
     return negatives
 
 
-def generate_window_proposals(frame_count: int, length: int = 150,
-                              stride: int = 150) -> list[Segment]:
+def generate_window_proposals(frame_count: int, length: int = PROPOSAL_LEN,
+                              stride: int = PROPOSAL_STRIDE) -> list[Segment]:
     """Candidate windows [k*stride, k*stride+length) fully inside the video."""
     if length < 1 or stride < 1:
         raise AnnotationError(f"length and stride must be >= 1, got {length}/{stride}")

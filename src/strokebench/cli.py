@@ -3,10 +3,12 @@
 Configuration comes from defaults, then an optional key=value config file,
 then command-line flags (flags win). Each run setting is declared once, as a
 field of RunConfig with its default, the reader that parses its value and
-its help. A config file may set any of them, so one file serves every
-command; each command takes flags only for the settings it reads
-(`COMMANDS`). Results go to stdout and files under --out; diagnostics go to
-stderr; exit code 0 means the command's contract was fully met.
+its help; a recipe default is read from the library module that applies it,
+and numbers follow the ASCII rules of frames.ascii_int and ascii_float. A
+config file may set any of them, so one file serves every command; each
+command takes flags only for the settings it reads (`COMMANDS`). Results go
+to stdout and files under --out; diagnostics go to stderr; exit code 0 means
+the command's contract was fully met.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import metrics, model as model_mod, synth
-from .annotations import (LEVEL_TITLES, STROKE_LABEL, Segment, Taxonomy,
-                          VideoAnnotation, default_taxonomy, infer_negative_segments,
-                          load_taxonomy, parse_annotations, write_predictions)
+from .annotations import (LEVEL_TITLES, NEGATIVE_BLOCK, PROPOSAL_LEN, PROPOSAL_STRIDE,
+                          STROKE_LABEL, Segment, Taxonomy, VideoAnnotation, default_taxonomy,
+                          infer_negative_segments, load_taxonomy, parse_annotations,
+                          write_predictions)
 from .errors import AnnotationError, ConfigError, MetricError, StrokebenchError, TaxonomyError
-from .frames import ascii_int, open_frame_dir, open_rgbv
+from .frames import ascii_float, ascii_int, open_frame_dir, open_rgbv
 from .model import DatasetItem, TrainConfig, build_model, load_checkpoint, save_checkpoint
 from .nn.gradcheck import run_all
-from .nn.layers import default_architecture
+from .nn.layers import FILTERS, HIDDEN, INPUT_SHAPE, default_architecture
 
 TASKS = ("detection", "classification")
 GRADCHECK_TOLERANCE = 1e-6
@@ -41,9 +44,23 @@ def _task(raw: str) -> str:
     return raw
 
 
+def _number(parse):
+    """parse(raw) as a reader of flags and config values: its ValueError
+    becomes the message argparse prints after the flag's name."""
+    def read(raw: str):
+        try:
+            return parse(raw)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return read
+
+
+_int, _float = _number(ascii_int), _number(ascii_float)
+
+
 def _tiou(raw: str) -> float:
     try:
-        value = float(raw)
+        value = ascii_float(raw)
         metrics.check_threshold(value)
     except MetricError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
@@ -61,7 +78,7 @@ def _int_list(raw: str) -> tuple[int, ...]:
         if not item.strip():
             raise argparse.ArgumentTypeError(f"count list {raw!r} has an empty item")
         try:
-            values.append(int(item))
+            values.append(ascii_int(item.strip()))
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"count list {raw!r}: {item!r} is not an integer") from None
@@ -83,21 +100,20 @@ class RunConfig:
     taxonomy: Path | None = _setting(None, Path, "taxonomy CSV (default: built-in 20 labels)")
     checkpoint: Path | None = _setting(None, Path, "default: OUT/TASK_model.ckpt")
     out: Path = _setting(Path("runs"), Path, "output directory (default: runs)")
-    epochs: int = _setting(500, int, "training epochs")
-    batch: int = _setting(10, int, "training batch size")
-    lr: float = _setting(1e-4, float, "learning rate")
-    momentum: float = _setting(0.5, float, "Nesterov momentum, in [0, 1)")
-    weight_decay: float = _setting(0.005, float, "L2 weight decay")
-    proposal_len: int = _setting(150, int, "detection window length in frames")
-    proposal_stride: int = _setting(150, int, "frames between detection windows")
-    cuboid_len: int = _setting(98, int, "frames per model input cuboid")
-    cuboid_size: int = _setting(120, int, "height and width of a model input cuboid")
-    block_len: int = _setting(200, int, "length of the inferred non-stroke blocks")
+    epochs: int = _setting(TrainConfig.epochs, _int, "training epochs")
+    batch: int = _setting(TrainConfig.batch_size, _int, "training batch size")
+    lr: float = _setting(TrainConfig.lr, _float, "learning rate")
+    momentum: float = _setting(TrainConfig.momentum, _float, "Nesterov momentum, in [0, 1)")
+    weight_decay: float = _setting(TrainConfig.weight_decay, _float, "L2 weight decay")
+    proposal_len: int = _setting(PROPOSAL_LEN, _int, "detection window length in frames")
+    proposal_stride: int = _setting(PROPOSAL_STRIDE, _int, "frames between detection windows")
+    cuboid_len: int = _setting(INPUT_SHAPE[1], _int, "frames per model input cuboid")
+    cuboid_size: int = _setting(INPUT_SHAPE[2], _int, "height and width of a model input cuboid")
+    block_len: int = _setting(NEGATIVE_BLOCK, _int, "length of the inferred non-stroke blocks")
     map_tiou: float = _setting(0.5, _tiou, "temporal-IoU threshold of mAP, in (0, 1]")
-    seed: int = _setting(0, int, "random seed")
-    filters: tuple[int, ...] = _setting((30, 60, 80), _int_list,
-                                        "comma-separated conv filter counts")
-    hidden: int = _setting(500, int, "hidden units before the output layer")
+    seed: int = _setting(0, _int, "random seed")
+    filters: tuple[int, ...] = _setting(FILTERS, _int_list, "comma-separated conv filter counts")
+    hidden: int = _setting(HIDDEN, _int, "hidden units before the output layer")
 
 
 SETTINGS = {f.name: f for f in fields(RunConfig)}
@@ -455,12 +471,12 @@ def make_parser() -> argparse.ArgumentParser:
         if name == "synth":
             for f in _SYNTH_FIELDS:
                 p.add_argument(_SYNTH_FLAGS.get(f.name, "--" + f.name.replace("_", "-")),
-                               dest=f.name, type=type(f.default),
+                               dest=f.name, type={int: _int, float: _float}[type(f.default)],
                                help=f"default: {f.default}")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every backward pass")
     p.set_defaults(handler=cmd_gradcheck)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_int, default=20)
     _add_setting(p, "seed")
     return parser
 

@@ -98,6 +98,16 @@ def ascii_int(text: str) -> int:
     return int(text)
 
 
+def ascii_float(text: str) -> float:
+    """float(text) for an optional '-', ASCII digits, an optional fraction and
+    an optional exponent, else ValueError (float() also takes '+', '_',
+    spaces, other digits, 'inf' and 'nan'): the rule of decimal text. Every
+    value fps_text and repr(float) write passes it."""
+    if not re.fullmatch(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?", text):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
+
+
 def fps_text(fps: float) -> str:
     """fps as RGBV headers and annotation XML write it: an integer without a
     decimal point, any other value as Python's shortest repr."""
@@ -115,7 +125,7 @@ def _parse_rgbv_header(line: bytes, path) -> tuple[int, int, float, int]:
         raise VideoFormatError(f"{path}: header must be 'width height fps frame_count'")
     try:
         width, height, frame_count = (ascii_int(fields[i]) for i in (0, 1, 3))
-        fps = float(fields[2])
+        fps = ascii_float(fields[2])
     except ValueError:
         raise VideoFormatError(f"{path}: non-numeric header field in {fields}") from None
     if width < 1 or height < 1:

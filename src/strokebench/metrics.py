@@ -144,7 +144,7 @@ def check_threshold(threshold: float) -> None:
         raise MetricError(f"temporal-IoU threshold {threshold} is not in (0, 1]")
 
 
-def average_precision(ds: DetectionSet, threshold: float = 0.5) -> float:
+def average_precision(ds: DetectionSet, threshold: float) -> float:
     check_threshold(threshold)
     n_gt = ds.n_ground_truth
     if n_gt == 0:

@@ -19,11 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotations import NONSTROKE_LABEL, STROKE_LABEL, Segment, generate_window_proposals
+from .annotations import (NONSTROKE_LABEL, PROPOSAL_LEN, PROPOSAL_STRIDE, STROKE_LABEL,
+                          Segment, generate_window_proposals)
 from .errors import ArchitectureError, CheckpointError, CuboidError, ShapeError, TrainingError
 from .frames import VideoSource, extract_cuboid
 from .nn import ops
-from .nn.layers import LayerSpec, chain_shapes, from_descriptor, param_entries, to_descriptor
+from .nn.layers import (INPUT_SHAPE, LayerSpec, chain_shapes, from_descriptor, param_entries,
+                        to_descriptor)
 from .nn.optim import NesterovSGD
 from .nn.rng import SplitMix64, derive_seed
 
@@ -58,8 +60,8 @@ class TrainConfig:
     weight_decay: float = 0.005
     seed: int = 0
     # train reads the cuboid shape from the model; these only have to match it
-    cuboid_len: int = 98
-    cuboid_size: int = 120
+    cuboid_len: int = INPUT_SHAPE[1]
+    cuboid_size: int = INPUT_SHAPE[2]
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -103,8 +105,8 @@ def _checked(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> ModelParam
     return ModelParams(list(specs), {}, tuple(input_shape), out[0])
 
 
-def build_model(n_classes: int, arch: list[LayerSpec], seed: int = 0,
-                input_shape: tuple[int, int, int, int] = (3, 98, 120, 120)) -> ModelParams:
+def build_model(n_classes: int, arch: list[LayerSpec], seed: int = 0, *,
+                input_shape: tuple[int, int, int, int]) -> ModelParams:
     """Validate the shape chain and initialize parameters.
 
     Weights and biases are uniform in ±1/sqrt(fan_in), drawn per layer in
@@ -253,8 +255,8 @@ def classify_windows(model: ModelParams, src: VideoSource,
     return [(w, *classify(model, _window_input(model, src, w.begin))) for w in windows]
 
 
-def detect(model: ModelParams, src: VideoSource, proposal_len: int = 150,
-           proposal_stride: int = 150) -> list[Segment]:
+def detect(model: ModelParams, src: VideoSource, proposal_len: int = PROPOSAL_LEN,
+           proposal_stride: int = PROPOSAL_STRIDE) -> list[Segment]:
     """Score window proposals with the 2-class model; each positive window is
     its own detection, no merging of adjacent windows."""
     if model.n_classes != 2:

@@ -16,7 +16,6 @@ import numpy as np
 from . import ops
 
 EPS = 1e-5  # central-difference step
-DEFAULT_TRIALS = 20
 
 
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -149,7 +148,7 @@ _CHECKS = {
 }
 
 
-def gradcheck(kind: str, trials: int = DEFAULT_TRIALS, seed: int = 0) -> float:
+def gradcheck(kind: str, trials: int, seed: int = 0) -> float:
     """Worst relative error over `trials` random instances of one layer kind."""
     if kind not in _CHECKS:
         raise ValueError(f"no gradient check for kind {kind!r}; know {sorted(_CHECKS)}")
@@ -157,6 +156,6 @@ def gradcheck(kind: str, trials: int = DEFAULT_TRIALS, seed: int = 0) -> float:
     return max(_CHECKS[kind](rng) for _ in range(trials))
 
 
-def run_all(trials: int = DEFAULT_TRIALS, seed: int = 0) -> dict[str, float]:
+def run_all(trials: int, seed: int = 0) -> dict[str, float]:
     """Max relative error per layer kind plus the loss, in a fixed order."""
     return {kind: gradcheck(kind, trials=trials, seed=seed) for kind in _CHECKS}

@@ -173,8 +173,14 @@ def _pool_extent(n: int) -> int:
     return n  # prime extent: collapse the axis
 
 
-def default_architecture(input_shape=(3, 98, 120, 120), filters=(30, 60, 80),
-                         hidden: int = 500, n_classes: int = 20) -> list[LayerSpec]:
+# the paper's network: its input cuboid, conv filter counts and hidden units
+INPUT_SHAPE = (3, 98, 120, 120)
+FILTERS = (30, 60, 80)
+HIDDEN = 500
+
+
+def default_architecture(input_shape=INPUT_SHAPE, filters=FILTERS, hidden: int = HIDDEN, *,
+                         n_classes: int) -> list[LayerSpec]:
     """Conv/relu/pool blocks followed by a two-layer classifier head.
 
     Pool windows adapt to the running extents (see _pool_extent) so any input

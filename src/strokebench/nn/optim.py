@@ -22,8 +22,8 @@ from ..errors import ConfigError, ShapeError
 
 
 class NesterovSGD:
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-4,
-                 momentum: float = 0.5, weight_decay: float = 0.005):
+    def __init__(self, params: dict[str, np.ndarray], lr: float, momentum: float,
+                 weight_decay: float):
         if not 0 < lr < math.inf:
             raise ConfigError(f"learning rate must be > 0 and finite, got {lr}")
         if not 0 <= momentum < 1:

@@ -51,7 +51,7 @@ class TestParse:
 
     @pytest.mark.parametrize("fps", ["nan", "inf"])
     def test_non_finite_fps_rejected(self, fps):
-        with pytest.raises(AnnotationError, match="fps must be finite"):
+        with pytest.raises(AnnotationError, match=f"^attribute fps='{fps}' is not a number"):
             parse_annotations(f'<video name="v" frames="10" fps="{fps}"/>'.encode())
 
     def test_overlapping_ground_truth_rejected(self):
@@ -99,6 +99,25 @@ class TestParse:
         message = f"attribute {attr}='{value}' is not a base-10 integer (line 1)"
         with pytest.raises(AnnotationError, match=f"^{re.escape(message)}$"):
             parse_annotations(xml.encode())
+
+    # float() takes each of these
+    @pytest.mark.parametrize("attr", ["fps", "score"])
+    @pytest.mark.parametrize("value", ["1_20", "\u0661\u0662\u0660", " 120", "+120", " +0.5",
+                                       "inf", "nan"])
+    def test_non_decimal_attribute_rejected(self, attr, value):
+        a = {"fps": "120", "score": "0.5", attr: value}
+        xml = (f'<video name="v" frames="1000" fps="{a["fps"]}">\n<action '
+               f'begin="10" end="300" move="A" score="{a["score"]}"/></video>')
+        line = 1 if attr == "fps" else 2
+        message = f"attribute {attr}='{value}' is not a number (line {line})"
+        with pytest.raises(AnnotationError, match=f"^{re.escape(message)}$"):
+            parse_annotations(xml.encode())
+
+    @pytest.mark.parametrize("fps, score", [(29.97, 5e-324), (1e-05, 0.1), (120.0, 1.0),
+                                            (23.976023976023978, 1e-05)])
+    def test_written_numbers_read_back(self, fps, score):
+        ann = parse_annotations(write_predictions("v", [Segment(0, 5, "A", score)], 10, fps))
+        assert ann.fps == fps and ann.predictions[0].score == score
 
 
 class TestWrite:
@@ -148,17 +167,20 @@ class TestWrite:
             write("v", [], 10, fps)
 
 
-    # (frame count, ground-truth spans, fps, line of the reader's error):
-    # documents the reader refuses
-    REFUSED = [(-1, [], 120.0, 1), (200, [(100, 300)], 120.0, 2),
-               (1000, [(100, 300), (200, 400)], 120.0, 3), (10, [], 0.0, 1),
-               (10, [], -1.0, 1), (10, [], float("nan"), 1), (10, [], float("inf"), 1)]
+    # (frame count, ground-truth spans, fps, line of the reader's error, what
+    # the reader says when it is not what the writer says): documents the
+    # reader refuses; it refuses nan and inf as text, before the fps rule
+    REFUSED = [(-1, [], 120.0, 1, None), (200, [(100, 300)], 120.0, 2, None),
+               (1000, [(100, 300), (200, 400)], 120.0, 3, None), (10, [], 0.0, 1, None),
+               (10, [], -1.0, 1, None),
+               (10, [], float("nan"), 1, "attribute fps='nan' is not a number"),
+               (10, [], float("inf"), 1, "attribute fps='inf' is not a number")]
     # (video id, label, line of the reader's error): documents holding a
     # character XML 1.0 cannot carry, which expat refuses before any rule runs
     BAD_TEXT = [("v\x01", "A", 1), ("v", "A\x01", 2), ("v\ud800", "A", 1), ("v", "A\udfff", 2)]
 
     @pytest.mark.parametrize("name, label, frames, spans, fps, line, said", [
-        ("v", "A", *row, None) for row in REFUSED
+        ("v", "A", *row) for row in REFUSED
     ] + [
         (name, label, 10, [(0, 5)], 120.0, line, "malformed XML: not well-formed (invalid token)")
         for name, label, line in BAD_TEXT

@@ -106,6 +106,18 @@ def test_gain_rule_needs_nine_of_ten_and_a_gap_past_the_spread():
     # lower is better: the same gap downwards is a gain, upwards a loss
     assert bench_pairs.compare(LOWER, base, [v - 5 for v in base])["gain_rule_met"]
     assert not bench_pairs.compare(LOWER, base, [v + 5 for v in base])["gain_rule_met"]
+    # nine pairs are too few, however clear the gain
+    verdict = bench_pairs.compare(HIGHER, base[:9], [v + 50 for v in base[:9]])
+    assert verdict["won_fraction"] == 1.0 and not verdict["gain_rule_met"]
+
+
+def test_seeds_default_to_ten_pairs(tmp_path, monkeypatch):
+    base, change = _trees(tmp_path)
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", _fake(calls))
+    assert bench_pairs.main(["--base", str(base), "--change", str(change),
+                             "--workload", "train-desk", "--out", str(tmp_path / "b.json")]) == 0
+    assert sorted({seed for _, seed, _ in calls}) == list(range(1, 11))
 
 
 @pytest.mark.parametrize("metric,factor,within", [

@@ -1,11 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from strokebench.errors import CuboidError, VideoFormatError
-from strokebench.frames import (extract_cuboid, open_frame_dir, open_rgbv, resize_bilinear,
-                                write_rgbv)
+from strokebench.frames import (ascii_float, extract_cuboid, fps_text, open_frame_dir, open_rgbv,
+                                resize_bilinear, write_rgbv)
 
 from oracles import bilinear_scalar
 
@@ -19,6 +20,29 @@ def _rgbv_bytes(width, height, fps, frames):
 def _write_video(path, frames, fps=120.0):
     write_rgbv(path, np.stack(frames) if frames else np.zeros((0, 8, 8, 3), np.uint8), fps)
     return path
+
+
+class TestDecimalText:
+    # float() takes each of these but "", ".5", "5." and "1e"
+    @pytest.mark.parametrize("text", ["1_20", "\u0661\u0662\u0660", "\uff11\uff12", " 120",
+                                      "120 ", "+120", " +0.5", "inf", "-inf", "nan",
+                                      "Infinity", "", ".5", "5.", "1e", "0x10"])
+    def test_refused(self, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'not a decimal number: {text!r}')}$"):
+            ascii_float(text)
+
+    @pytest.mark.parametrize("value", [120.0, 29.97, 1e-05, 5e-324, 0.1, 1e16, 1.5e300,
+                                       1.7976931348623157e308, -2.5, -0.0])
+    def test_written_values_read_back(self, value):
+        assert ascii_float(fps_text(value)) == value
+        assert ascii_float(repr(value)) == value
+
+    def test_repr_of_every_finite_double_reads_back(self):
+        # random bit patterns reach every exponent, subnormals included
+        bits = np.random.default_rng(0).integers(0, 2**64, 2000, dtype=np.uint64)
+        for value in bits.view(np.float64):
+            if np.isfinite(value):
+                assert ascii_float(repr(float(value))) == value
 
 
 class TestRgbv:
@@ -67,13 +91,23 @@ class TestRgbv:
     def test_non_finite_fps_rejected(self, tmp_path, fps):
         p = tmp_path / "f.rgbv"
         p.write_bytes(b"RGBV1\n4 4 " + fps + b" 0\n")
-        with pytest.raises(VideoFormatError, match="fps must be finite"):
+        with pytest.raises(VideoFormatError, match="non-numeric header field"):
             open_rgbv(p)
 
-    @pytest.mark.parametrize("fps", [0, -1, float("nan"), float("inf")])
-    def test_writer_rejects_fps_the_reader_rejects(self, tmp_path, fps):
+    @pytest.mark.parametrize("fps", [29.97, 1e-05, 5e-324, 2.5e-300, 120.0])
+    def test_written_fps_reads_back(self, tmp_path, fps):
         p = tmp_path / "f.rgbv"
-        with pytest.raises(VideoFormatError, match="fps must be finite"):
+        write_rgbv(p, np.zeros((1, 4, 4, 3), np.uint8), fps)
+        assert open_rgbv(p).fps == fps
+
+    # nan and inf are refused as header text, before the fps rule
+    @pytest.mark.parametrize("fps, message", [
+        (0, "fps must be finite"), (-1, "fps must be finite"),
+        (float("nan"), "non-numeric header field"), (float("inf"), "non-numeric header field"),
+    ], ids=["0", "-1", "nan", "inf"])
+    def test_writer_rejects_fps_the_reader_rejects(self, tmp_path, fps, message):
+        p = tmp_path / "f.rgbv"
+        with pytest.raises(VideoFormatError, match=message):
             write_rgbv(p, np.zeros((1, 4, 4, 3), np.uint8), fps)
         assert not p.exists()
 
@@ -90,9 +124,15 @@ class TestRgbv:
         (b"1_0 4 120 1\n", "non-numeric header field in ['1_0', '4', '120', '1']"),
         (b"4 +4 120 1\n", "non-numeric header field in ['4', '+4', '120', '1']"),
         (b"4 4 120 0_1\n", "non-numeric header field in ['4', '4', '120', '0_1']"),
+        # float() takes each of these frame rates
+        (b"4 4 1_20 1\n", "non-numeric header field in ['4', '4', '1_20', '1']"),
+        (b"4 4 +120 1\n", "non-numeric header field in ['4', '4', '+120', '1']"),
+        ("4 4 \u0661\u0662\u0660 1\n".encode(),
+         f"non-numeric header field in ['4', '4', '{chr(0xfffd) * 6}', '1']"),
         (b"4 -4 120 1\n", "zero or negative frame extents"),
         (b"4 4 120 -1\n", "frame_count must be >= 0, got -1"),
     ], ids=["257_bytes", "no_newline", "underscore", "plus", "count_underscore",
+            "fps_underscore", "fps_plus", "fps_arabic_indic",
             "negative_height", "negative_count"])
     def test_header_line_refused(self, tmp_path, header, message):
         p = tmp_path / "h.rgbv"

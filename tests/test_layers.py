@@ -193,7 +193,7 @@ class TestGradcheck:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="no gradient check"):
-            gradcheck("dropout")
+            gradcheck("dropout", trials=1)
 
     def test_corrupted_backward_is_detected(self, monkeypatch):
         # negative control: a broken adjoint must push the error over tolerance

@@ -8,6 +8,8 @@ from strokebench.metrics import (ConfusionMatrix, DetectionSet, aggregate, _cove
 
 from oracles import accuracy, average_precision_bruteforce, global_iou_frame_sets
 
+TIOU = 0.5  # the paper's mAP threshold, the default of --map-tiou
+
 
 def _ds(videos):
     """videos: {vid: ([(b, e, score)...], [(b, e)...])}"""
@@ -134,21 +136,21 @@ class TestTiou:
 class TestAveragePrecision:
     def test_perfect_detector(self):
         ds = _ds({"v": ([(0, 100, 0.9), (200, 300, 0.8)], [(0, 100), (200, 300)])})
-        assert average_precision(ds) == 1.0
+        assert average_precision(ds, TIOU) == 1.0
 
     def test_no_predictions(self):
         ds = _ds({"v": ([], [(0, 100)])})
-        assert average_precision(ds) == 0.0
+        assert average_precision(ds, TIOU) == 0.0
 
     def test_no_ground_truth_rejected(self):
         ds = _ds({"v": ([(0, 100, 0.5)], [])})
         with pytest.raises(MetricError, match="without ground truth"):
-            average_precision(ds)
+            average_precision(ds, TIOU)
 
     def test_duplicate_hit_and_miss(self):
         videos = {"v": ([(0, 100, 0.9), (0, 100, 0.8), (500, 600, 0.7)],
                         [(0, 100), (200, 300)])}
-        got = average_precision(_ds(videos))
+        got = average_precision(_ds(videos), TIOU)
         ref = average_precision_bruteforce(videos, 0.5)
         assert abs(got - ref) < 1e-12
         # 1 TP at rank 1 out of 2 GT, then only FPs: AP = 0.5
@@ -184,10 +186,10 @@ class TestAveragePrecision:
         videos = {"v": ([(int(b), int(b) + 50, float(s)) for b, s in
                          zip(rng.integers(0, 500, 8), rng.random(8))],
                         [(0, 50), (100, 150), (300, 350)])}
-        base = average_precision(_ds(videos))
+        base = average_precision(_ds(videos), TIOU)
         squashed = {"v": ([(b, e, s / (1 + s)) for b, e, s in videos["v"][0]],
                           videos["v"][1])}
-        assert abs(average_precision(_ds(squashed)) - base) < 1e-12
+        assert abs(average_precision(_ds(squashed), TIOU) - base) < 1e-12
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, 1.5, float("nan"), float("inf")])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
@@ -205,7 +207,7 @@ class TestAveragePrecision:
             videos = {"v": ([(int(b), int(b) + 30, float(s)) for b, s in
                              zip(rng.integers(0, 400, 5), rng.random(5))],
                             [(50, 80), (200, 230)])}
-            ap = average_precision(_ds(videos))
+            ap = average_precision(_ds(videos), TIOU)
             assert 0.0 <= ap <= 1.0
 
 
@@ -299,6 +301,6 @@ def test_splitting_hurts_map_at_default_threshold_too():
     gt = [(0, 150)]
     whole = {"v": ([(0, 150, 0.9)], gt)}
     split = {"v": ([(0, 50, 0.9), (50, 150, 0.8)], gt)}
-    assert average_precision(_ds(whole)) == 1.0
-    assert average_precision(_ds(split)) == 0.5
+    assert average_precision(_ds(whole), TIOU) == 1.0
+    assert average_precision(_ds(split), TIOU) == 0.5
     assert global_iou(_ds(whole)) == global_iou(_ds(split)) == 1.0

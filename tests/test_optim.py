@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from strokebench.model import TrainConfig
 from strokebench.nn.optim import NesterovSGD
 
 
@@ -51,23 +52,22 @@ def test_weight_decay_pulls_toward_zero():
 
 def test_velocity_tracks_parameter_shapes():
     params = {"a": np.zeros((2, 3), dtype=np.float32), "b": np.zeros(5, dtype=np.float32)}
-    opt = NesterovSGD(params)
+    opt = NesterovSGD(params, lr=0.1, momentum=0.5, weight_decay=0.0)
     assert opt.velocity["a"].shape == (2, 3)
     assert opt.velocity["b"].dtype == np.float32
 
 
 def test_hyperparameter_validation():
-    params = _single(0.0)
-    with pytest.raises(ValueError, match="learning rate"):
-        NesterovSGD(params, lr=0.0)
-    with pytest.raises(ValueError, match="momentum"):
-        NesterovSGD(params, momentum=1.0)
-    with pytest.raises(ValueError, match="weight decay"):
-        NesterovSGD(params, weight_decay=-0.1)
+    good = {"lr": 0.1, "momentum": 0.5, "weight_decay": 0.0}
+    for bad, message in [({"lr": 0.0}, "learning rate"), ({"lr": float("nan")}, "learning rate"),
+                         ({"momentum": 1.0}, "momentum"), ({"weight_decay": -0.1}, "weight decay"),
+                         ({"weight_decay": float("inf")}, "weight decay")]:
+        with pytest.raises(ValueError, match=message):
+            NesterovSGD(_single(0.0), **(good | bad))
 
 
 def test_default_hyperparameters():
-    opt = NesterovSGD(_single(0.0))
-    assert opt.lr == 1e-4
-    assert opt.momentum == 0.5
-    assert opt.weight_decay == 0.005
+    # the optimizer has no defaults of its own: training passes TrainConfig's
+    cfg = TrainConfig()
+    opt = NesterovSGD(_single(0.0), cfg.lr, cfg.momentum, cfg.weight_decay)
+    assert (opt.lr, opt.momentum, opt.weight_decay) == (1e-4, 0.5, 0.005)

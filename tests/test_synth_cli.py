@@ -1,3 +1,4 @@
+import inspect
 import logging
 import re
 import shutil
@@ -8,10 +9,13 @@ import numpy as np
 import pytest
 
 from strokebench import model as model_mod, synth
-from strokebench.annotations import parse_annotations
+from strokebench.annotations import (generate_window_proposals, infer_negative_segments,
+                                     parse_annotations)
 from strokebench.cli import RunConfig, build_run_config, load_config_file, main, make_parser
 from strokebench.errors import ConfigError
 from strokebench.frames import open_rgbv
+from strokebench.model import TrainConfig
+from strokebench.nn.layers import default_architecture
 from strokebench.synth import SynthConfig, generate_corpus
 
 from test_model import INVALID_MODELS, non_square_model, unchecked_model
@@ -110,6 +114,27 @@ class TestConfig:
         assert cfg.batch == 10
         assert cfg.map_tiou == 0.5
 
+    def test_library_defaults_are_the_run_defaults(self):
+        """Each default the benchmark or a library caller reads is RunConfig's."""
+        cfg = RunConfig()
+
+        def defaults(function):
+            params = inspect.signature(function).parameters.values()
+            return {p.name: p.default for p in params if p.default is not p.empty}
+
+        assert TrainConfig() == TrainConfig(
+            epochs=cfg.epochs, batch_size=cfg.batch, lr=cfg.lr, momentum=cfg.momentum,
+            weight_decay=cfg.weight_decay, seed=cfg.seed, cuboid_len=cfg.cuboid_len,
+            cuboid_size=cfg.cuboid_size)
+        assert defaults(default_architecture) == {
+            "input_shape": (3, cfg.cuboid_len, cfg.cuboid_size, cfg.cuboid_size),
+            "filters": cfg.filters, "hidden": cfg.hidden}
+        assert defaults(model_mod.detect) == {"proposal_len": cfg.proposal_len,
+                                              "proposal_stride": cfg.proposal_stride}
+        assert defaults(generate_window_proposals) == {"length": cfg.proposal_len,
+                                                       "stride": cfg.proposal_stride}
+        assert defaults(infer_negative_segments) == {"block": cfg.block_len}
+
     def test_config_file_then_flags(self, tmp_path):
         cfile = tmp_path / "run.cfg"
         cfile.write_text("epochs = 7\nlr=0.5\ntask=classification\n# comment\n\nfilters=4,8\n")
@@ -158,7 +183,7 @@ class TestConfig:
         monkeypatch.setenv("STROKEBENCH_THREADS", "zero")
         assert build_run_config(make_parser().parse_args(["train"])) == RunConfig()
 
-    @pytest.mark.parametrize("raw", ["0", "-1", "1.5", "nan", "inf"])
+    @pytest.mark.parametrize("raw", ["0", "-1", "1.5", "1e999"])
     def test_map_tiou_flag_outside_unit_interval_rejected(self, capsys, raw):
         with pytest.raises(SystemExit) as exc:
             make_parser().parse_args(["eval", "--map-tiou", raw])
@@ -171,6 +196,38 @@ class TestConfig:
             make_parser().parse_args(["eval", "--map-tiou", "abc"])
         assert exc.value.code == 2
         assert "error: argument --map-tiou: temporal-IoU threshold 'abc' is not a number" in \
+            capsys.readouterr().err
+
+    # (command, flag, value) that int() or float() takes: digit separators,
+    # a sign or spaces around the digits, other scripts' digits, inf and nan
+    OTHER_SPELLINGS = [
+        ("train", "--epochs", "1_0"), ("train", "--batch", "\u0661\u0660"),
+        ("train", "--hidden", "+5"), ("train", "--seed", " 1"),
+        ("train", "--lr", "nan"), ("train", "--momentum", "+0.5"),
+        ("train", "--weight-decay", "inf"), ("train", "--filters", "4,+8"),
+        ("infer", "--proposal-len", "1_50"), ("prepare", "--block-len", "2_00"),
+        ("gradcheck", "--trials", "2_0"), ("synth", "--samples", "+3"),
+        ("synth", "--fps", "nan"), ("eval", "--map-tiou", "nan"),
+        ("eval", "--map-tiou", "inf"), ("eval", "--map-tiou", "+0.5"),
+    ]
+
+    @pytest.mark.parametrize("command, flag, raw", OTHER_SPELLINGS)
+    def test_number_flags_refuse_other_spellings(self, capsys, command, flag, raw):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args([command, flag, raw])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: " in err and repr(raw) in err
+
+    @pytest.mark.parametrize("line", ["epochs = 1_0", "batch = \u0661\u0660", "hidden = +5",
+                                      "lr = nan", "momentum = +0.5", "weight_decay = inf",
+                                      "map_tiou = +0.5", "filters = 4,+8", "seed = +1"])
+    def test_number_config_values_refuse_other_spellings(self, tmp_path, capsys, line):
+        key, raw = (s.strip() for s in line.split("="))
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text(line + "\n", encoding="utf-8")
+        assert main(["eval", "--config", str(cfile)]) == 2
+        assert f"error: {cfile}:1: bad value {raw!r} for config key {key!r}" in \
             capsys.readouterr().err
 
     @pytest.mark.parametrize("raw", ["0", "-1", "1.5", "nan", "inf"])
@@ -264,6 +321,17 @@ class TestSettingFlags:
         cfile.write_text("".join(f"{k} = {v}\n" for k, v in RAW_SETTINGS.items()))
         args = make_parser().parse_args([command, "--config", str(cfile)])
         assert build_run_config(args) == ALL_SET
+
+    @pytest.mark.parametrize("command", list(COMMAND_SETTINGS) + ["gradcheck"])
+    def test_help_renders(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args([command, "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: strokebench {command} ")
+        flags = ["--seed", "--trials"] if command == "gradcheck" else [
+            "--config", *map(_flag, COMMAND_SETTINGS[command])]
+        assert all(f in out for f in flags)
 
     def test_synth_defaults_come_from_synth_config(self, tmp_path, monkeypatch):
         seen = []
@@ -400,11 +468,11 @@ class TestCommands:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--lr", "0", "learning rate must be > 0"),
-        ("--lr", "nan", "learning rate must be > 0 and finite"),
+        ("--lr", "1e999", "learning rate must be > 0 and finite"),
         ("--momentum", "1", "momentum must be in [0, 1)"),
         ("--weight-decay", "-1", "weight decay must be >= 0"),
-        ("--weight-decay", "inf", "weight decay must be >= 0 and finite"),
-    ], ids=["lr", "lr_nan", "momentum", "weight_decay", "weight_decay_inf"])
+        ("--weight-decay", "1e999", "weight decay must be >= 0 and finite"),
+    ], ids=["lr", "lr_inf", "momentum", "weight_decay", "weight_decay_inf"])
     def test_bad_optimizer_setting_fails_before_extraction(
             self, tiny_corpus, tmp_path, capsys, monkeypatch, flag, value, message):
         out = tmp_path / "run"
