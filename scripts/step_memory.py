@@ -14,7 +14,9 @@ for byte. Run each measurement in a fresh process: peak RSS never falls.
 Every option defaults to the paper recipe, so the command above spells out
 the defaults. They are read from the library: the input shape, filters and
 hidden units from `strokebench.nn.layers`, the batch from
-`strokebench.model.TrainConfig`.
+`strokebench.model.TrainConfig`. Numbers follow the CLI's rule of integer
+text (`strokebench.frames.ascii_int`), and every count is at least 1; any
+other spelling exits 2.
 """
 
 from __future__ import annotations
@@ -30,25 +32,36 @@ import time
 import numpy as np
 
 from strokebench import model
-from strokebench.cli import _int_list
+from strokebench.frames import ascii_int
 from strokebench.nn import ops
 from strokebench.nn.layers import FILTERS, HIDDEN, INPUT_SHAPE, default_architecture
 
 
+def _count(text: str) -> int:
+    value = ascii_int(text)
+    if value < 1:
+        raise ValueError(f"not a count >= 1: {text!r}")
+    return value
+
+
 def _shape(raw: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in raw.split("x"))
+    return tuple(_count(v) for v in raw.split("x"))
+
+
+def _filters(raw: str) -> tuple[int, ...]:
+    return tuple(_count(v) for v in raw.split(","))
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--input", type=_shape, default=INPUT_SHAPE,
                    help=f"cuboid shape CxTxHxW (default {'x'.join(map(str, INPUT_SHAPE))})")
-    p.add_argument("--filters", type=_int_list, default=FILTERS,
+    p.add_argument("--filters", type=_filters, default=FILTERS,
                    help=f"comma-separated conv filter counts (default "
                         f"{','.join(map(str, FILTERS))})")
-    p.add_argument("--hidden", type=int, default=HIDDEN)
-    p.add_argument("--batch", type=int, default=model.TrainConfig.batch_size)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--hidden", type=_count, default=HIDDEN)
+    p.add_argument("--batch", type=_count, default=model.TrainConfig.batch_size)
+    p.add_argument("--seed", type=ascii_int, default=0)
     args = p.parse_args(argv)
 
     arch = default_architecture(args.input, filters=args.filters, hidden=args.hidden,

@@ -9,16 +9,17 @@ Layout conventions: activations are (N, C, T, H, W), conv weights
 (F, C, kt, kh, kw), linear weights (Out, In).
 
 Memory. No kernel builds a full im2col copy of its input (27x the input for
-a 3x3x3 kernel). `conv3d_forward` holds a padded copy of the input and
-lowers one sample and one tile of output positions at a time into one
-column buffer of at most `TILE_BYTES` (or one output row, if that is
-larger), which every tile reuses. `conv3d_backward` holds a channel-major
-copy of grad_out (none when grad_out is already channel-major) and no
-padded copy of the input or of its gradient. For grad_weight it adds one
-kernel row's input slices (kw of them, each input-sized at stride 1); for
-grad_input, after that block is freed, the returned grad_input and one
-col2im block of at most `BLOCK_BYTES`. Both adjoints find where a tap meets
-the unpadded input by `_tap_parts`: grad_weight copies from there, col2im adds.
+a 3x3x3 kernel). `conv3d_forward` and the grad_weight of `conv3d_backward`
+lower the input the same way (`_lowered_tiles`): one sample at a time,
+padded into one reused buffer, and one tile of output positions at a time
+into one column buffer of at most `TILE_BYTES` (or one output row, if that
+is larger), which every tile reuses. `conv3d_backward` also holds a
+channel-major copy of grad_out (none when grad_out is already
+channel-major), and no padded copy of its gradient. For grad_weight it adds
+one (F, C*kt*kh*kw) sum and one GEMM output of that size; for grad_input,
+after the column buffer is freed, the returned grad_input and one col2im
+block of at most `BLOCK_BYTES`. Col2im finds where a tap meets the unpadded
+input by `_tap_parts`.
 `maxpool3d` takes the max over strided views of the input, with no
 transposed copy, one sample and one block of output frames (at most
 `BLOCK_BYTES` of input) at a time. For training it returns the index of
@@ -30,26 +31,32 @@ within the cap (one frame or row at least) whose lengths differ by one at
 most.
 
 Bound: the tracemalloc peak of one conv3d_forward call stays below
-output bytes + padded input bytes + 2 * TILE_BYTES while one output row's
-columns fit in a tile. For kernels at most 3 wide (kw <= 3), that of one
-conv3d_backward call stays below 4 * (input bytes + grad_out bytes) +
-BLOCK_BYTES; a wider kernel adds about one input size per extra tap in its
-row. `tests/test_kernels.py` checks both for x of shape (1, 8, 32, 64, 64)
-float32 and 8 filters. The forward may use 9.98 MB (a 4.19 MB output, a
-4.74 MB padded input and two tiles) and uses 9.46 MB. The backward may use
-37.7 MB and uses 12.6 MB with or without grad_input, set by the kernel row
-(the im2col kernels peaked at 122 and 127 MB). With a 3x3x1 kernel the row
-is one input size and grad_input sets the peak: 7.95 MB, below grad_input
-+ BLOCK_BYTES + 128 KB of ufunc buffers and Python objects (8.52 MB). It also
-checks that a training `maxpool3d` call peaks less than `BLOCK_BYTES` above
-its pooled values and taps, and `maxpool3d_backward` less than that above
-its result.
+output bytes + one padded sample's bytes + 2 * TILE_BYTES while one output
+row's columns fit in a tile. That of one conv3d_backward call stays below
+4 * (input bytes + grad_out bytes) + BLOCK_BYTES while one output frame's
+col2im columns fit in a block. `tests/test_kernels.py` checks both for x
+of shape (1, 8, 32, 64, 64) float32 and 8 filters. The forward may use
+9.98 MB (a 4.19 MB output, a 4.74 MB padded sample and two tiles) and uses
+9.43 MB. The backward may use 37.7 MB and uses 7.85 MB, set by grad_input
+and one col2im block; without grad_input it uses 5.20 MB, one padded
+sample, one tile and 20 KB of sums and Python objects (the kernel-row
+kernels peaked at 12.6 MB either way, the im2col kernels at 122 and
+127 MB). With a 3x3x1 kernel grad_input sets the peak: 7.95 MB, below
+grad_input + BLOCK_BYTES + 128 KB of ufunc buffers and Python objects
+(8.52 MB). It also checks that a training `maxpool3d` call peaks less than
+`BLOCK_BYTES` above its pooled values and taps, and `maxpool3d_backward`
+less than that above its result.
 
-Numerics. Each output element is one dot product over the same reduction
-axis, in the same order, as in the im2col formulation, but BLAS is called
-with other matrix shapes. OpenBLAS picks its kernel by shape, so the bytes
-match im2col at the layer shapes the model runs (see tests/test_kernels.py)
-and may differ in the last bits elsewhere.
+Numerics. Each output element of the forward and of grad_input is one dot
+product over the same reduction axis, in the same order, as in the im2col
+formulation, but BLAS is called with other matrix shapes. OpenBLAS picks
+its kernel by shape, so the bytes match im2col at the layer shapes the
+model runs (see tests/test_kernels.py) and may differ in the last bits
+elsewhere. grad_weight is summed per tile: one GEMM per sample and tile,
+added in order into a sum that starts from zero, not one GEMM over all
+N*T'*H'*W' positions. Its last bits therefore differ from im2col's; summed
+over its elements, its distance from the float64 result is smaller than
+that of one GEMM per kernel tap at the model's layer shapes.
 """
 
 from __future__ import annotations
@@ -142,71 +149,77 @@ def _tap_parts(tap, stride, pad, extents, ranges):
     return tuple(out_part), tuple(in_part)
 
 
-def _copy_tap(dst, xs, tap, stride, pad):
-    """dst (C, N, T', H', W') = the (C, N, T, H, W) input `xs` as kernel tap
-    (i, j, k) meets it, with no padded copy of the input: the part inside the
-    input is copied, and only the strips that read padding are zeroed."""
-    outs = dst.shape[2:]
-    out_part, in_part = _tap_parts(tap, stride, pad, xs.shape[2:], [(0, e) for e in outs])
-    for axis, (part, extent) in enumerate(zip(out_part, outs), start=2):
-        for zeros in (slice(0, part.start), slice(part.stop, extent)):
-            dst[(slice(None),) * axis + (zeros,)] = 0
-    dst[(..., *out_part)] = xs[(..., *in_part)]
+def _lowered_tiles(x, kshape, stride: int, pad: int, outs):
+    """The columns of conv3d_forward's tiles for the unpadded input `x`, in
+    the order both passes use them: yields (sample, output positions,
+    columns) per sample and tile. `outs` is the output's (T', H', W').
+
+    A tile holds whole output frames when one frame's columns fit in
+    `TILE_BYTES`, and otherwise a run of output rows of one frame (one row
+    at least). The frames, or each frame's rows, are split into the fewest
+    such tiles, whose lengths differ by at most one, so that no GEMM is a
+    small remainder (which OpenBLAS may run with another kernel). Each tile
+    is lowered in (C,kt,kh,kw | positions) layout into one column buffer,
+    the (C*kt*kh*kw, positions) matrix yielded, which the next tile
+    overwrites. The positions are a slice of the sample's flat T'*H'*W'
+    axis. One padded sample is held at a time; its borders stay zero.
+    """
+    n, c = x.shape[:2]
+    to, ho, wo = outs
+    kdim = c * math.prod(kshape)
+    rows = TILE_BYTES // (kdim * wo * x.itemsize)  # output rows whose columns fit
+    whole_frames = rows >= ho
+    if whole_frames:  # tiles of whole frames: runs of the T' axis
+        unit, runs = (ho, wo), _even_runs(to, rows // ho)
+    else:  # tiles of a run of rows of one frame: runs of each frame's H' axis
+        unit, runs = (wo,), _even_runs(ho, rows)
+    step = math.prod(unit)  # output positions per frame or row
+    lengths = {b - a for a, b in runs}
+    cols = np.empty(kdim * step * max(lengths), dtype=x.dtype)
+    # per tile length: the column buffer as the tile's windows and as the GEMM operand
+    lowered = {k: (cols[: kdim * step * k].reshape((c,) + kshape + (k,) + unit),
+                   cols[: kdim * step * k].reshape(kdim, -1)) for k in lengths}
+    # (slice of the tiled axis, its output positions, buffer views) per tile, built once
+    tiles = [(slice(a, b), (a * step, b * step), lowered[b - a]) for a, b in runs]
+    if pad:
+        xp = np.zeros((c,) + tuple(e + 2 * pad for e in x.shape[2:]), dtype=x.dtype)
+        inner = (slice(None),) + (slice(pad, -pad),) * 3
+    for s in range(n):
+        if pad:
+            xp[inner] = x[s]
+        win = sliding_window_view(xp if pad else x[s], kshape, axis=(1, 2, 3))
+        win = win[:, ::stride, ::stride, ::stride].transpose(0, 4, 5, 6, 1, 2, 3)
+        # (C,kt,kh,kw | tiled axis, ...) windows of all frames at once, or of each frame
+        for t, part in enumerate(win[None] if whole_frames else np.moveaxis(win, 4, 0)):
+            first = t * ho * wo  # output positions before the frame
+            for index, (a, b), (windows, matrix) in tiles:
+                np.copyto(windows, part[:, :, :, :, index])
+                yield s, slice(first + a, first + b), matrix
 
 
 def conv3d_forward(x, weight, bias, stride: int = 1, pad: int = 0):
     """Cross-correlation over (T,H,W); zero padding contributes zeros.
 
-    Per sample and tile of output positions: im2col of the tile in
-    (C,kt,kh,kw | positions) layout into one reused column buffer, one GEMM
-    writing straight into the (N,F,T',H',W') output, then the bias added to
-    the tile while it is still in cache. A tile's columns take at most
-    `TILE_BYTES`: a tile holds whole output frames when one frame's columns
-    fit, and otherwise a run of output rows of one frame (one row at least).
-    The frames, or each frame's rows, are split into the fewest such tiles,
-    whose lengths differ by at most one, so that no GEMM is a small remainder
-    (which OpenBLAS may run with another kernel). Only the GEMM's N axis is
-    cut, so each output element is the same dot product as in one GEMM per
-    sample; tests/test_kernels.py holds the bytes to those of the earlier
-    frame-block forward at every conv shape the workloads run.
+    Per sample and tile of output positions (see _lowered_tiles): one GEMM
+    of the tile's columns writing straight into the (N,F,T',H',W') output,
+    then the bias added to the tile while it is still in cache. Only the
+    GEMM's N axis is cut, so each output element is the same dot product as
+    in one GEMM per sample; tests/test_kernels.py holds the bytes to those
+    of the earlier frame-block forward at every conv shape the workloads run.
     """
-    to, ho, wo = _check_conv(x, weight, stride, pad)
+    outs = _check_conv(x, weight, stride, pad)
     if bias.shape != (weight.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} does not match {weight.shape[0]} filters")
     n = x.shape[0]
     f = weight.shape[0]
-    kdim = weight[0].size
-    w2 = weight.reshape(f, kdim)
-    out = np.empty((n, f, to, ho, wo), dtype=np.result_type(x, weight))
-    rows = TILE_BYTES // (kdim * wo * x.itemsize)  # output rows whose columns fit
-    if rows >= ho:  # tiles of whole frames
-        unit = (ho, wo)
-        runs = [((slice(a, b),), a, b) for a, b in _even_runs(to, rows // ho)]
-    else:  # tiles of a run of rows of one frame
-        unit = (wo,)
-        runs = [((t, slice(a, b)), t * ho + a, t * ho + b)
-                for t in range(to) for a, b in _even_runs(ho, rows)]
-    step = math.prod(unit)  # output positions per frame or row
-    lengths = {b - a for _, a, b in runs}
-    cols = np.empty(kdim * step * max(lengths), dtype=x.dtype)
-    # per tile length: the column buffer as the tile's windows and as the GEMM operand
-    lowered = {k: (cols[: kdim * step * k].reshape(weight.shape[1:] + (k,) + unit),
-                   cols[: kdim * step * k].reshape(kdim, -1)) for k in lengths}
-    # (window index, output positions, buffer views) per tile, built once
-    tiles = [((slice(None),) * 4 + index, slice(a * step, b * step), lowered[b - a])
-             for index, a, b in runs]
+    w2 = weight.reshape(f, -1)
+    out = np.empty((n, f) + outs, dtype=np.result_type(x, weight))
     column_bias = bias.reshape(f, 1)
     flat = out.reshape(n, f, -1)
-    xp = np.pad(x, [(0, 0)] * 2 + [(pad, pad)] * 3) if pad else x
-    for s in range(n):
-        win = sliding_window_view(xp[s], weight.shape[2:], axis=(1, 2, 3))
-        win = win[:, ::stride, ::stride, ::stride].transpose(0, 4, 5, 6, 1, 2, 3)
-        out_s = flat[s]
-        for index, positions, (windows, matrix) in tiles:
-            np.copyto(windows, win[index])
-            dst = out_s[:, positions]
-            np.matmul(w2, matrix, out=dst)
-            dst += column_bias
+    for s, positions, cols in _lowered_tiles(x, weight.shape[2:], stride, pad, outs):
+        dst = flat[s, :, positions]
+        np.matmul(w2, cols, out=dst)
+        dst += column_bias
     return out
 
 
@@ -214,10 +227,11 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
                     need_input: bool = True):
     """Exact adjoints of conv3d_forward: (grad_input, grad_weight, grad_bias).
 
-    grad_weight: one GEMM per kernel row (i, j) over the whole N*T'*H'*W'
-    axis. The row's kw taps share one (kw*C, N, T', H', W') block of input
-    slices, so every sum still runs over the same axis as in one im2col GEMM.
-    Each tap's slice is copied from the unpadded input (see _copy_tap).
+    grad_weight: per sample and tile of conv3d_forward (see _lowered_tiles),
+    the tile lowered as the forward lowers it and one GEMM, the tile's
+    grad_out (F x positions) times its columns transposed, added into one
+    (F, C*kt*kh*kw) sum that starts from zero, in tile order. So the sum
+    over N*T'*H'*W' runs tile by tile.
     grad_input: per sample and block of output frames, one GEMM gives every
     tap's contribution (col2im, in (kt,kh,kw,C | T',H',W') layout), added
     straight into grad_input where the tap meets the input (see _tap_parts).
@@ -243,19 +257,15 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
     grad_bias = np.zeros(f, dtype=grad_out.dtype)
     for sample_sums in g5.reshape(f, n, -1).sum(axis=2).T:
         grad_bias += sample_sums
-    xs = x.swapaxes(0, 1)  # (C,N,T,H,W)
 
-    g2 = g5.reshape(f, -1)
-    grad_weight = np.empty(weight.shape, dtype=np.result_type(grad_out, x))
-    kt, kh, kw = kshape
-    row = np.empty((kw, c, n) + outs, dtype=x.dtype)
-    for i, j in np.ndindex(kt, kh):
-        for k in range(kw):
-            _copy_tap(row[k], xs, (i, j, k), stride, pad)
-        # column block k of the (F, kw*C) product is grad_weight[:, :, i, j, k]
-        prod = g2 @ row.reshape(kw * c, -1).T
-        grad_weight[:, :, i, j] = prod.reshape(f, kw, c).swapaxes(1, 2)
-    del row  # so that it never coexists with grad_input
+    g3 = g5.reshape(f, n, -1)
+    grad_weight = np.zeros((f, weight[0].size), dtype=np.result_type(grad_out, x))
+    prod = np.empty_like(grad_weight)
+    for s, positions, cols in _lowered_tiles(x, kshape, stride, pad, outs):
+        np.matmul(g3[:, s, positions], cols.T, out=prod)
+        grad_weight += prod
+    grad_weight = grad_weight.reshape(weight.shape)
+    cols = prod = None  # so that the column buffer never coexists with grad_input
     if not need_input:
         return np.empty(0, dtype=grad_out.dtype), grad_weight, grad_bias
 

@@ -744,14 +744,16 @@ def test_history_csv_format():
 
 
 def test_training_step_memory_per_sample(monkeypatch):
-    """Each sample adds at most 2.5 conv1 outputs to a step's tracemalloc peak.
+    """Each sample adds at most 1.25 conv1 outputs to a step's tracemalloc peak.
 
-    From batch 20 to 28 that peak sits in conv1's backward, which grows by
-    about 2.13 conv1 outputs per sample: the conv1-output gradient (one conv1
-    output) and one kernel row's input slices (9 channels for 8 filters,
-    about 1.13). Conv1's forward, whose column block has a fixed size, holds
-    the peak up to about batch 16 and grows by about 1.45. While the
-    backward copied the padded input, it grew by about 2.57 (0.45 more);
+    From batch 20 to 28 that peak sits in pool1's backward, which grows by
+    about 1.16 conv1 outputs per sample: the conv1-output gradient it
+    returns (one conv1 output), and the relu1 gradient and pool1's tap index
+    it holds (1/8 and 1/32). Conv1's forward and backward each grow by about
+    1.0, their conv1 output or its gradient: both lower one padded sample at
+    a time into a fixed-size column buffer. While conv1's backward built
+    one kernel row's input slices over the whole batch, it set the peak and
+    grew by about 2.13; while it copied the padded input, by about 2.57;
     when it still computed conv1's grad_input, by about 2.15. The spec-order
     walk also kept a full-size relu output, relu cache and contiguous
     gradient copy there, and grew by 3.1.
@@ -762,24 +764,22 @@ def test_training_step_memory_per_sample(monkeypatch):
     from strokebench.nn.optim import NesterovSGD
 
     shape, filters = (3, 16, 64, 64), (8, 16)
-    conv_backward = ops.conv3d_backward
+    pool_backward = ops.maxpool3d_backward
 
     def step_peak(batch):
         arch = default_architecture(shape, filters=filters, hidden=16, n_classes=2)
         m = build_model(2, arch, seed=1, input_shape=shape)
         opt = NesterovSGD(m.params, lr=1e-3, momentum=0.5, weight_decay=0.0)
         x = np.random.default_rng(batch).random((batch,) + shape, dtype=np.float32)
-        conv1 = []  # the step's peak before and after conv1's backward
+        pool1 = []  # the step's peak before and after the last pool backward, pool1's
 
         def spy(*args, **kwargs):
-            if kwargs.get("need_input", True):
-                return conv_backward(*args, **kwargs)
-            conv1.append(tracemalloc.get_traced_memory()[1])
-            out = conv_backward(*args, **kwargs)
-            conv1.append(tracemalloc.get_traced_memory()[1])
+            before = tracemalloc.get_traced_memory()[1]
+            out = pool_backward(*args, **kwargs)
+            pool1[:] = [before, tracemalloc.get_traced_memory()[1]]
             return out
 
-        monkeypatch.setattr(ops, "conv3d_backward", spy)
+        monkeypatch.setattr(ops, "maxpool3d_backward", spy)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -787,10 +787,10 @@ def test_training_step_memory_per_sample(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        before, after = conv1
-        assert before < after == peak, batch  # conv1's backward sets the step's peak
+        before, after = pool1
+        assert before < after == peak, batch  # pool1's backward sets the step's peak
         return peak - base
 
     conv1_out = filters[0] * int(np.prod(shape[1:])) * 4  # bytes per sample
     per_sample = (step_peak(28) - step_peak(20)) / 8
-    assert per_sample < 2.5 * conv1_out
+    assert per_sample < 1.25 * conv1_out

@@ -1,4 +1,5 @@
-"""scripts/step_memory.py at a tiny shape: one JSON line, reproducible bytes."""
+"""scripts/step_memory.py at a tiny shape: one JSON line, reproducible bytes,
+and the CLI's rule of integer text for its numbers."""
 
 import json
 import os
@@ -6,14 +7,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(*args):
+def _proc(*args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "step_memory.py"), *args],
-                         env=env, capture_output=True, text=True, check=True).stdout
-    lines = out.strip().splitlines()
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "step_memory.py"), *args],
+                          env=env, capture_output=True, text=True)
+
+
+def _run(*args):
+    proc = _proc(*args)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
     assert len(lines) == 1
     return json.loads(lines[0])
 
@@ -30,3 +38,15 @@ def test_step_memory_reports_one_reproducible_step():
     assert len(first["sha256"]) == 64
     assert second["sha256"] == first["sha256"]
     assert _run(*args[:-1], "3")["sha256"] != first["sha256"]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--input", "3x9_8x120x120"), ("--input", "3x0x16x16"),
+    ("--filters", "4,+8"), ("--filters", "4, 8"), ("--filters", "4,0"),
+    ("--hidden", "+500"), ("--hidden", "٥"), ("--batch", " 2"), ("--batch", "0"),
+    ("--seed", "1_0"),
+])
+def test_numbers_follow_the_integer_rule(flag, value):
+    proc = _proc(flag, value)
+    assert proc.returncode == 2 and f"argument {flag}: invalid" in proc.stderr
+    assert not proc.stdout
