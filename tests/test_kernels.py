@@ -148,7 +148,8 @@ def tile_plan(x_shape, kshape, outs, itemsize):
     flat output positions, in order: whole output frames when one frame's
     columns fit in TILE_BYTES, else runs of rows of one frame, frame by
     frame, each split into the fewest runs of lengths that differ by one
-    at most."""
+    at most. It is written out here, apart from `nn.ops`, so that a change
+    to the kernels' plan fails the byte pins."""
     to, ho, wo = outs
     rows = ops.TILE_BYTES // (x_shape[1] * int(np.prod(kshape)) * wo * itemsize)
     if rows >= ho:
