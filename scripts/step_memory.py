@@ -4,12 +4,15 @@
         --input 3x98x120x120 --filters 30,60,80 --hidden 500 --batch 10
 
 builds the default architecture for a 2-class model at the given input
-shape, then runs one forward pass, softmax cross entropy and backward pass
-(no optimizer step) on a seeded random batch. It prints one JSON line:
-peak RSS of the process in MB, the step's wall seconds, split into the
-forward pass with the loss and the backward pass, and a SHA-256 over
-the logits and every parameter gradient, so two builds can be compared byte
-for byte. Run each measurement in a fresh process: peak RSS never falls.
+shape, then computes the gradients of one training step on a seeded random
+batch (no optimizer step) with the function training calls,
+`strokebench.model._summed_gradients`: forward pass, softmax cross entropy
+and backward pass one sample at a time, summed in sample order. It prints
+one JSON line: peak RSS of the process in MB, the step's wall seconds,
+split into the forward passes with the loss and the backward passes, and a
+SHA-256 over the logits and every summed parameter gradient, so two builds
+can be compared byte for byte. Run each measurement in a fresh process:
+peak RSS never falls.
 
 Every option defaults to the paper recipe, so the command above spells out
 the defaults. They are read from the library: the input shape, filters and
@@ -33,7 +36,6 @@ import numpy as np
 
 from strokebench import model
 from strokebench.frames import ascii_int
-from strokebench.nn import ops
 from strokebench.nn.layers import FILTERS, HIDDEN, INPUT_SHAPE, default_architecture
 
 
@@ -69,14 +71,11 @@ def main(argv=None) -> int:
     net = model.build_model(2, arch, seed=args.seed, input_shape=args.input)
     rng = np.random.default_rng(args.seed)
     x = rng.random((args.batch,) + args.input, dtype=np.float32)
-    classes = np.arange(args.batch) % 2
+    samples = [(cuboid, n % 2) for n, cuboid in enumerate(x)]
 
     t0 = time.perf_counter()
-    logits, caches = model._forward_full(net, x)
-    _, grad_logits = ops.softmax_cross_entropy(logits, classes)
-    t1 = time.perf_counter()
-    grads = model._backward_full(net, caches, grad_logits)
-    t2 = time.perf_counter()
+    _, logits, grads, (forward_s, backward_s) = model._summed_gradients(net, samples, "step")
+    step_s = time.perf_counter() - t0
 
     digest = hashlib.sha256(logits.tobytes())
     for name in sorted(grads):
@@ -87,9 +86,9 @@ def main(argv=None) -> int:
         "batch": args.batch, "seed": args.seed,
         "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "step_s": round(t2 - t0, 3),
-        "forward_s": round(t1 - t0, 3),
-        "backward_s": round(t2 - t1, 3),
+        "step_s": round(step_s, 3),
+        "forward_s": round(forward_s, 3),
+        "backward_s": round(backward_s, 3),
         "sha256": digest.hexdigest(),
     }))
     return 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -287,33 +288,60 @@ def _extract_samples(items: list[DatasetItem], sources: dict[str, VideoSource],
     return [s for s in samples if s[0] is not None]
 
 
-def _train_step(model: ModelParams, opt: NesterovSGD, x: np.ndarray, y: np.ndarray,
-                where: str) -> tuple[float, int]:
-    """One SGD step on a batch: (summed loss, correct predictions). A loss
-    or a parameter gradient that is not finite raises TrainingError before
-    any parameter or velocity changes. The caches and gradients die on
-    return, before validation allocates."""
-    logits, caches = _forward_full(model, x, training=True)
-    loss, grad_logits = ops.softmax_cross_entropy(logits, y)
-    if not np.isfinite(loss):
-        raise TrainingError(f"{where}: loss is {loss}; stopping the run")
-    grads = _backward_full(model, caches, grad_logits)
+def _summed_gradients(model: ModelParams, samples: list[tuple[np.ndarray, int]], where: str):
+    """Forward, loss and backward of each (cuboid, class) in `samples`, one
+    held cuboid at a time as a one-sample view, so that no stacked copy of
+    the batch is made and one sample's caches are live at a time.
+
+    In sample order, each sample's parameter gradients are added into one sum
+    per parameter that starts from zero, and its loss into a summed loss that
+    starts from zero. Returns (summed loss, the (N, K) logits, the summed
+    gradients, (forward seconds, backward seconds)): the forward passes with
+    their losses, and the backward passes with the sums and checks. A loss
+    that is not finite raises TrainingError before its sample's backward, a
+    summed gradient that is not finite after the last sample's.
+    """
+    grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    loss = 0.0
+    logits = []
+    forward_s = backward_s = 0.0
+    for cuboid, cls in samples:
+        t0 = time.perf_counter()
+        out, caches = _forward_full(model, cuboid[None], training=True)
+        sample_loss, grad_logits = ops.softmax_cross_entropy(out, np.array([cls]))
+        t1 = time.perf_counter()
+        forward_s += t1 - t0
+        if not np.isfinite(sample_loss):
+            raise TrainingError(f"{where}: loss is {sample_loss}; stopping the run")
+        loss += sample_loss
+        logits.append(out[0])
+        for name, g in _backward_full(model, caches, grad_logits).items():
+            grads[name] += g
+        backward_s += time.perf_counter() - t1
+    t1 = time.perf_counter()
     for name in model.params:
         if not np.isfinite(grads[name]).all():
             raise TrainingError(f"{where}: gradient of {name} is not finite; stopping the run")
+    backward_s += time.perf_counter() - t1
+    return loss, np.stack(logits), grads, (forward_s, backward_s)
+
+
+def _train_step(model: ModelParams, opt: NesterovSGD, samples: list[tuple[np.ndarray, int]],
+                where: str) -> tuple[float, int]:
+    """One SGD step on a batch of (cuboid, class) samples, with the gradients
+    `_summed_gradients` sums: (summed loss, correct predictions). A loss or
+    a parameter gradient that is not finite raises TrainingError before any
+    parameter or velocity changes. The caches and gradients die on return,
+    before validation allocates."""
+    loss, logits, grads, _ = _summed_gradients(model, samples, where)
     opt.step(model.params, grads)
-    return loss, int(np.sum(np.argmax(logits, axis=1) == y))
+    return loss, int(np.sum(np.argmax(logits, axis=1) == [cls for _, cls in samples]))
 
 
-def _evaluate(model: ModelParams, samples: list[tuple[np.ndarray, int]],
-              batch_size: int) -> float:
-    correct = 0
-    for i in range(0, len(samples), batch_size):
-        chunk = samples[i : i + batch_size]
-        x = np.stack([c[0] for c in chunk])
-        logits = forward(model, x)
-        correct += int(np.sum(np.argmax(logits, axis=1) == [c[1] for c in chunk]))
-    return correct / len(samples)
+def _evaluate(model: ModelParams, samples: list[tuple[np.ndarray, int]]) -> float:
+    """The share of samples whose `classify` class is their own: one cuboid
+    at a time, the shape inference runs the model at."""
+    return sum(classify(model, cuboid)[0] == cls for cuboid, cls in samples) / len(samples)
 
 
 def train(model: ModelParams, train_items: list[DatasetItem],
@@ -322,14 +350,15 @@ def train(model: ModelParams, train_items: list[DatasetItem],
     """SGD over epochs with per-epoch validation; returns (best_model, history).
 
     Every epoch shuffles with its own (seed, epoch)-derived stream, sums the
-    batch losses (the loss itself is batch-summed) and keeps the snapshot with
-    the highest validation accuracy, earliest epoch on ties. Samples whose
-    video is missing or too short are skipped with a warning; an epoch with
-    nothing usable aborts, and so does a batch whose loss or parameter
-    gradient is not finite (TrainingError naming the epoch and batch, raised
-    before that batch changes any parameter). Cuboid settings that do not
-    match the model input raise TrainingError, and bad optimizer settings
-    ConfigError, before anything is extracted.
+    sample losses (a batch's gradient is the sum of its samples') and keeps
+    the snapshot with the highest validation accuracy, earliest epoch on
+    ties. Training and validation run the model on one sample at a time, as
+    `classify` does. Samples whose video is missing or too short are skipped
+    with a warning; an epoch with nothing usable aborts, and so does a batch
+    whose loss or parameter gradient is not finite (TrainingError naming the
+    epoch and batch, raised before that batch changes any parameter). Cuboid
+    settings that do not match the model input raise TrainingError, and bad
+    optimizer settings ConfigError, before anything is extracted.
     """
     if not train_items or not val_items:
         raise TrainingError("train and validation sets must be non-empty")
@@ -365,13 +394,11 @@ def train(model: ModelParams, train_items: list[DatasetItem],
         correct = 0
         for i in range(0, n, cfg.batch_size):
             batch = [train_samples[j] for j in order[i : i + cfg.batch_size]]
-            x = np.stack([b[0] for b in batch])
-            y = np.array([b[1] for b in batch], dtype=np.int64)
-            loss, hits = _train_step(model, opt, x, y, f"epoch {epoch}, batch "
+            loss, hits = _train_step(model, opt, batch, f"epoch {epoch}, batch "
                                      f"{i // cfg.batch_size + 1}")
             epoch_loss += loss
             correct += hits
-        val_acc = _evaluate(model, val_samples, cfg.batch_size)
+        val_acc = _evaluate(model, val_samples)
         history.append(EpochStats(epoch, epoch_loss, correct / n, val_acc))
         if val_acc > best_acc:
             best_acc = val_acc

@@ -401,7 +401,15 @@ def linear_backward(x, weight, grad_out):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match ({x.shape[0]}, {weight.shape[0]})"
         )
-    return grad_out @ weight, grad_out.T @ x, grad_out.sum(axis=0)
+    if x.shape[0] == 1:
+        # One product per element, as in the K = 1 GEMM grad_out.T @ x, which
+        # OpenBLAS runs up to 20x slower. The GEMM adds each product to 0, so
+        # adding 0 here too gives its bytes: +0.0 where the product is -0.0.
+        grad_weight = grad_out.T * x
+        grad_weight += 0.0
+    else:
+        grad_weight = grad_out.T @ x
+    return grad_out @ weight, grad_weight, grad_out.sum(axis=0)
 
 
 def relu_forward(x):

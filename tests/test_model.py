@@ -300,7 +300,7 @@ class TestTrain:
         # re-evaluate the returned snapshot: must match the best recorded epoch
         from strokebench.model import _evaluate, _extract_item
         samples = [(_extract_item(i, sources, best), i.class_index) for i in items]
-        best_acc = _evaluate(best, samples, 2)
+        best_acc = _evaluate(best, samples)
         assert best_acc >= max(accs) - 1e-9
 
     def test_snapshot_selection_prefers_earliest_tie(self, tmp_path, monkeypatch):
@@ -312,7 +312,7 @@ class TestTrain:
         scripted = iter([0.4, 0.7, 0.7, 0.5])
         per_epoch_params = []
 
-        def fake_evaluate(model, samples, batch_size):
+        def fake_evaluate(model, samples):
             per_epoch_params.append({k: v.copy() for k, v in model.params.items()})
             return next(scripted)
 
@@ -383,8 +383,8 @@ class TestTrain:
             grad_input, grad_weight, grad_bias = conv_backward(*args, **kwargs)
             if kwargs.get("need_input", True):
                 return grad_input, grad_weight, grad_bias
-            seen["calls"] = seen.get("calls", 0) + 1  # conv1, once per step
-            if seen["calls"] == 3:  # epoch 2, batch 1
+            seen["calls"] = seen.get("calls", 0) + 1  # conv1, once per sample
+            if seen["calls"] == 5:  # epoch 2, batch 1, its first sample
                 seen["params"] = {k: v.copy() for k, v in m.params.items()}
                 grad_weight[0, 0, 0, 0, 0] = np.nan
             return grad_input, grad_weight, grad_bias
@@ -406,12 +406,72 @@ class TestTrain:
         before = {k: v.copy() for k, v in m.params.items()}
         velocity = {k: v.copy() for k, v in opt.velocity.items()}
         x = np.random.default_rng(3).random((2,) + m.input_shape, dtype=np.float32)
-        seen["calls"] = 2
+        seen["calls"] = 4
         with pytest.raises(TrainingError, match=r"^direct: gradient of conv1.weight"):
-            _train_step(m, opt, x, np.array([0, 1]), "direct")
+            _train_step(m, opt, [(x[0], 0), (x[1], 1)], "direct")
         for k in m.params:
             assert np.array_equal(m.params[k], before[k])
             assert np.array_equal(opt.velocity[k], velocity[k])
+
+    def test_validation_scores_each_cuboid_as_classify(self, tmp_path, monkeypatch):
+        """Validation accuracy is the share of `classify` argmax hits, and
+        validation runs the model on each cuboid alone, with the bytes of
+        one-window inference."""
+        import strokebench.model as model_mod
+        from strokebench.model import _extract_item
+
+        sources, items = self._dataset(tmp_path, n_videos=4)
+        seen = []
+        real_forward = model_mod.forward
+
+        def spy(model, batch):
+            seen.append(real_forward(model, batch))
+            return seen[-1]
+
+        monkeypatch.setattr(model_mod, "forward", spy)
+        best, history = train(small_model(seed=3), items, items[::-1], sources, self._cfg())
+        monkeypatch.undo()
+        assert len(seen) == len(items)  # training itself runs no inference forward
+        hits = 0
+        for item, logits in zip(items[::-1], seen):
+            cuboid = _extract_item(item, sources, best)
+            assert logits.tobytes() == forward(best, cuboid[None]).tobytes()
+            cls, _ = classify(best, cuboid)
+            assert cls == int(np.argmax(logits[0]))
+            hits += cls == item.class_index
+        assert history[0].val_acc == hits / len(items)
+
+    def test_step_is_the_sample_order_sum_of_one_sample_passes(self, monkeypatch):
+        """The step's summed loss and the gradients it hands the optimizer
+        are, byte for byte, the sums in sample order, each starting from
+        zero, of one-sample _forward_full/_backward_full passes."""
+        from strokebench.model import _backward_full, _forward_full, _train_step
+        from strokebench.nn.optim import NesterovSGD
+
+        shape = (3, 16, 32, 32)
+        arch = default_architecture(shape, filters=(8, 16), hidden=64, n_classes=2)
+        m = build_model(2, arch, seed=7, input_shape=shape)
+        x = np.random.default_rng(8).random((5,) + shape, dtype=np.float32)
+        samples = [(cuboid, n % 2) for n, cuboid in enumerate(x)]
+
+        loss = 0.0
+        grads = {name: np.zeros_like(p) for name, p in m.params.items()}
+        hits = 0
+        for cuboid, cls in samples:
+            logits, caches = _forward_full(m, cuboid[None])
+            sample_loss, grad_logits = ops.softmax_cross_entropy(logits, np.array([cls]))
+            loss += sample_loss
+            hits += int(np.argmax(logits[0])) == cls
+            for name, g in _backward_full(m, caches, grad_logits).items():
+                grads[name] += g
+
+        opt = NesterovSGD(m.params, lr=1e-3, momentum=0.5, weight_decay=0.0)
+        stepped = {}
+        monkeypatch.setattr(opt, "step", lambda params, g: stepped.update(g))
+        assert _train_step(m, opt, samples, "step") == (loss, hits)
+        assert stepped.keys() == grads.keys()
+        for name, g in grads.items():
+            assert stepped[name].dtype == g.dtype and stepped[name].tobytes() == g.tobytes(), name
 
     def test_cuboid_settings_must_match_model_input(self, tmp_path):
         # 16x4x4 cuboids flatten to the same 128 features as the model's 4x8x8
@@ -743,20 +803,15 @@ def test_history_csv_format():
     assert len(lines) == 3
 
 
-def test_training_step_memory_per_sample(monkeypatch):
-    """Each sample adds at most 1.25 conv1 outputs to a step's tracemalloc peak.
+def test_training_step_memory_per_sample():
+    """Each added sample adds less than one cuboid to a step's tracemalloc peak.
 
-    From batch 20 to 28 that peak sits in pool1's backward, which grows by
-    about 1.16 conv1 outputs per sample: the conv1-output gradient it
-    returns (one conv1 output), and the relu1 gradient and pool1's tap index
-    it holds (1/8 and 1/32). Conv1's forward and backward each grow by about
-    1.0, their conv1 output or its gradient: both lower one padded sample at
-    a time into a fixed-size column buffer. While conv1's backward built
-    one kernel row's input slices over the whole batch, it set the peak and
-    grew by about 2.13; while it copied the padded input, by about 2.57;
-    when it still computed conv1's grad_input, by about 2.15. The spec-order
-    walk also kept a full-size relu output, relu cache and contiguous
-    gradient copy there, and grew by 3.1.
+    The step runs one held cuboid at a time, so its peak is one sample's
+    (pool1's backward) beside the gradient sums; only the list of logits
+    grows with the batch. The batch step it replaced stacked the batch, one
+    cuboid per sample, and kept every layer's cache for the whole batch
+    until its backward: its peak grew by about 1.16 conv1 outputs, 3.1
+    cuboids, per sample.
     """
     import tracemalloc
 
@@ -764,33 +819,22 @@ def test_training_step_memory_per_sample(monkeypatch):
     from strokebench.nn.optim import NesterovSGD
 
     shape, filters = (3, 16, 64, 64), (8, 16)
-    pool_backward = ops.maxpool3d_backward
 
     def step_peak(batch):
         arch = default_architecture(shape, filters=filters, hidden=16, n_classes=2)
         m = build_model(2, arch, seed=1, input_shape=shape)
         opt = NesterovSGD(m.params, lr=1e-3, momentum=0.5, weight_decay=0.0)
         x = np.random.default_rng(batch).random((batch,) + shape, dtype=np.float32)
-        pool1 = []  # the step's peak before and after the last pool backward, pool1's
-
-        def spy(*args, **kwargs):
-            before = tracemalloc.get_traced_memory()[1]
-            out = pool_backward(*args, **kwargs)
-            pool1[:] = [before, tracemalloc.get_traced_memory()[1]]
-            return out
-
-        monkeypatch.setattr(ops, "maxpool3d_backward", spy)
+        samples = [(cuboid, n % 2) for n, cuboid in enumerate(x)]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _train_step(m, opt, x, np.arange(batch) % 2, "step")
+            _train_step(m, opt, samples, "step")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        before, after = pool1
-        assert before < after == peak, batch  # pool1's backward sets the step's peak
         return peak - base
 
-    conv1_out = filters[0] * int(np.prod(shape[1:])) * 4  # bytes per sample
-    per_sample = (step_peak(28) - step_peak(20)) / 8
-    assert per_sample < 1.25 * conv1_out
+    cuboid = int(np.prod(shape)) * 4  # bytes per sample
+    per_sample = (step_peak(6) - step_peak(2)) / 4
+    assert per_sample < cuboid

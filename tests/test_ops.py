@@ -196,6 +196,23 @@ class TestLinear:
         assert max_rel_error(gw, numeric_grad(objective, w, 1e-5)) < 1e-6
         assert max_rel_error(gb, numeric_grad(objective, b, 1e-5)) < 1e-6
 
+    @pytest.mark.parametrize("outs,ins,dtype", [
+        (64, 4096, np.float32), (2, 64, np.float32), (500, 18000, np.float32),
+        (2, 500, np.float32), (64, 4096, np.float64),
+    ], ids=["desk fc1", "desk fc2", "paper fc1", "paper fc2", "desk fc1 float64"])
+    def test_one_sample_grad_weight_has_the_gemm_bytes(self, outs, ins, dtype):
+        """At N = 1 grad_weight is a broadcast product with the bytes of the
+        K = 1 GEMM grad_out.T @ x, signed zeros included: relu's +0.0 inputs
+        meet negative gradients, as in training."""
+        rng = np.random.default_rng(ins)
+        x = np.maximum(rng.standard_normal((1, ins)), 0).astype(dtype)
+        x[0, :2] = -0.0
+        r = rng.standard_normal((1, outs)).astype(dtype)
+        r[0, :2] = [0.0, -0.0]
+        gx, gw, gb = ops.linear_backward(x, np.ones((outs, ins), dtype), r)
+        assert np.signbit(r.T * x).any() and not np.signbit(r.T @ x).all()
+        assert gw.dtype == dtype and gw.tobytes() == (r.T @ x).tobytes()
+
     def test_inner_extent_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="inner extents"):
             ops.linear_forward(np.zeros((1, 3)), np.zeros((2, 4)), np.zeros(2))

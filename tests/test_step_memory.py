@@ -1,13 +1,19 @@
 """scripts/step_memory.py at a tiny shape: one JSON line, reproducible bytes,
-and the CLI's rule of integer text for its numbers."""
+the bytes of the library's training step, and the CLI's rule of integer text
+for its numbers."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from strokebench import model
+from strokebench.nn.layers import default_architecture
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,6 +44,25 @@ def test_step_memory_reports_one_reproducible_step():
     assert len(first["sha256"]) == 64
     assert second["sha256"] == first["sha256"]
     assert _run(*args[:-1], "3")["sha256"] != first["sha256"]
+
+
+def test_step_memory_measures_the_library_step():
+    """The script's SHA-256 is that of `model._summed_gradients`, the
+    function `_train_step` calls, computed in this process on the script's
+    net, batch and classes: the script cannot drift into a step of its own."""
+    shape, filters, hidden, batch = (3, 8, 16, 16), (4, 8), 8, 3
+    arch = default_architecture(shape, filters=filters, hidden=hidden, n_classes=2)
+    net = model.build_model(2, arch, seed=0, input_shape=shape)
+    x = np.random.default_rng(0).random((batch,) + shape, dtype=np.float32)
+    _, logits, grads, _ = model._summed_gradients(
+        net, [(cuboid, n % 2) for n, cuboid in enumerate(x)], "test")
+    digest = hashlib.sha256(logits.tobytes())
+    for name in sorted(grads):
+        digest.update(name.encode())
+        digest.update(grads[name].tobytes())
+    reported = _run("--input", "3x8x16x16", "--filters", "4,8", "--hidden", "8",
+                    "--batch", "3")
+    assert reported["sha256"] == digest.hexdigest()
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -222,13 +222,15 @@ def test_inference_pools_without_winners_and_keeps_training_logits(chain, kind, 
     monkeypatch.setattr(ops, "softmax_cross_entropy", loss_spy)
     n_pools = sum(spec.kind == "maxpool3d" for spec in net.specs)
     with np.errstate(invalid="ignore", over="ignore"):
-        logits = model.forward(net, x)
-        assert calls == [(False, True)] * n_pools
+        # one-sample inference, the shape training runs the model at
+        logits = [model.forward(net, x[n : n + 1]) for n in range(len(x))]
+        assert calls == [(False, True)] * n_pools * len(x)
         calls.clear()
         opt = NesterovSGD(net.params, 0.01, 0.5, 0.005)
         try:
-            model._train_step(net, opt, x, np.arange(3) % 2, "spy")
+            model._train_step(net, opt, [(cuboid, n % 2) for n, cuboid in enumerate(x)], "spy")
         except TrainingError:  # a NaN or infinite input stops the step after its forward
             assert kind in ("nan", "inf")
-    assert calls == [(True, False)] * n_pools
-    assert _same_bytes(logits, seen[0])
+    assert seen and calls == [(True, False)] * n_pools * len(seen)
+    for n, training_logits in enumerate(seen):
+        assert _same_bytes(logits[n], training_logits), n
