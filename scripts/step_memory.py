@@ -8,8 +8,9 @@ shape, then computes the gradients of one training step on a seeded random
 batch (no optimizer step) with the function training calls,
 `strokebench.model._summed_gradients`: forward pass, softmax cross entropy
 and backward pass one sample at a time, summed in sample order. It prints
-one JSON line: peak RSS of the process in MB, the step's wall seconds,
-split into the forward passes with the loss and the backward passes, and a
+one JSON line: peak RSS of the process in MB, the step's wall seconds
+(with drawing the cuboids, about 20 ms each at the paper shape), the
+forward passes with the loss and the backward passes among them, and a
 SHA-256 over the logits and every summed parameter gradient, so two builds
 can be compared byte for byte. Run each measurement in a fresh process:
 peak RSS never falls.
@@ -70,8 +71,10 @@ def main(argv=None) -> int:
                                 n_classes=2)
     net = model.build_model(2, arch, seed=args.seed, input_shape=args.input)
     rng = np.random.default_rng(args.seed)
-    x = rng.random((args.batch,) + args.input, dtype=np.float32)
-    samples = [(cuboid, n % 2) for n, cuboid in enumerate(x)]
+    # each cuboid is drawn as the step reaches it (the values of one
+    # (batch,) + input draw): training steps over cuboids it holds anyway,
+    # so no copy of the batch belongs to the step
+    samples = ((rng.random(args.input, dtype=np.float32), n % 2) for n in range(args.batch))
 
     t0 = time.perf_counter()
     _, logits, grads, (forward_s, backward_s) = model._summed_gradients(net, samples, "step")
