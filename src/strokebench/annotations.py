@@ -225,7 +225,7 @@ def render_annotation_xml(video_id: str, segments: list[Segment],
 
 
 def write_predictions(video_id: str, segments: list[Segment],
-                      frame_count: int = 0, fps: float = 120.0) -> bytes:
+                      frame_count: int, fps: float) -> bytes:
     """Emit predicted segments; parse_annotations(write_predictions(...)) is an
     identity on the segment data. frame_count 0 means unknown."""
     for s in segments:

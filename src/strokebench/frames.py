@@ -27,7 +27,7 @@ from .errors import CuboidError, StrokebenchError, VideoFormatError
 
 RGBV_MAGIC = b"RGBV1\n"
 RGBV_HEADER_MAX = 256  # bytes in the header line, its newline included
-FRAME_DIR_FPS = 120.0  # a frame directory stores no rate
+VIDEO_FPS = 120.0  # the corpus's frame rate; a frame directory, which stores none, reads at it
 
 
 class VideoSource:
@@ -194,7 +194,7 @@ class FrameDirVideo(VideoSource):
     def __init__(self, path):
         path = Path(path)
         self.video_id = path.name
-        self.fps = FRAME_DIR_FPS
+        self.fps = VIDEO_FPS
         entries = sorted(p for p in path.iterdir() if p.suffix.lower() == ".ppm")
         if not entries:
             raise VideoFormatError(f"{path}: no .ppm frames found")

@@ -15,6 +15,7 @@ import logging
 import math
 import struct
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -288,7 +289,8 @@ def _extract_samples(items: list[DatasetItem], sources: dict[str, VideoSource],
     return [s for s in samples if s[0] is not None]
 
 
-def _summed_gradients(model: ModelParams, samples: list[tuple[np.ndarray, int]], where: str):
+def _summed_gradients(model: ModelParams, samples: Iterable[tuple[np.ndarray, int]],
+                      where: str):
     """Forward, loss and backward of each (cuboid, class) in `samples`, one
     held cuboid at a time as a one-sample view, so that no stacked copy of
     the batch is made and one sample's caches are live at a time.
@@ -297,9 +299,9 @@ def _summed_gradients(model: ModelParams, samples: list[tuple[np.ndarray, int]],
     per parameter that starts from zero, and its loss into a summed loss that
     starts from zero. Returns (summed loss, the (N, K) logits, the summed
     gradients, (forward seconds, backward seconds)): the forward passes with
-    their losses, and the backward passes with the sums and checks. A loss
-    that is not finite raises TrainingError before its sample's backward, a
-    summed gradient that is not finite after the last sample's.
+    their losses, and the backward passes with the sums. A loss that is not
+    finite raises TrainingError before its sample's backward, a summed
+    gradient that is not finite after the last sample's.
     """
     grads = {name: np.zeros_like(p) for name, p in model.params.items()}
     loss = 0.0
@@ -318,11 +320,9 @@ def _summed_gradients(model: ModelParams, samples: list[tuple[np.ndarray, int]],
         for name, g in _backward_full(model, caches, grad_logits).items():
             grads[name] += g
         backward_s += time.perf_counter() - t1
-    t1 = time.perf_counter()
     for name in model.params:
         if not np.isfinite(grads[name]).all():
             raise TrainingError(f"{where}: gradient of {name} is not finite; stopping the run")
-    backward_s += time.perf_counter() - t1
     return loss, np.stack(logits), grads, (forward_s, backward_s)
 
 

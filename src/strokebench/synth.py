@@ -21,7 +21,7 @@ import numpy as np
 
 from .annotations import Segment, Taxonomy, default_taxonomy, render_annotation_xml
 from .errors import ConfigError
-from .frames import check_fps, write_rgbv
+from .frames import VIDEO_FPS, check_fps, write_rgbv
 from .nn.rng import SplitMix64, derive_seed
 
 SPLITS = ("train", "validation", "test")
@@ -38,7 +38,7 @@ class SynthConfig:
     stroke_len: int = 150
     gap_len: int = 300
     strokes_per_video: int = 3
-    fps: float = 120.0
+    fps: float = VIDEO_FPS
     seed: int = 0
 
     def __post_init__(self):

@@ -275,7 +275,7 @@ def test_round_trips(tmp_path):
                 segs.append(Segment(pos, pos + length, f"label {rng.integers(0, 20)}",
                                     float(np.round(rng.random(), 6))))
                 pos += length
-            data = write_predictions("vid", segs)
+            data = write_predictions("vid", segs, 0, 120.0)
             assert parse_annotations(data).segments == segs
 
         for seed in range(5):

@@ -129,13 +129,13 @@ class TestWrite:
         assert back.video_id == "v1"
 
     def test_empty_prediction_list(self):
-        ann = parse_annotations(write_predictions("v", []))
+        ann = parse_annotations(write_predictions("v", [], 0, 120.0))
         assert ann.segments == []
 
     def test_three_actions_in_begin_order(self):
         segs = [Segment(600, 700, "C", 0.5), Segment(0, 100, "A", 0.25),
                 Segment(300, 400, "B", 1.0)]
-        data = write_predictions("v", segs)
+        data = write_predictions("v", segs, 0, 120.0)
         assert [s.begin for s in parse_annotations(data).segments] == [0, 300, 600]
 
     def test_round_trip_randomized(self):
@@ -149,16 +149,16 @@ class TestWrite:
                 score = float(np.round(rng.random(), 6))
                 segs.append(Segment(pos, pos + length, f"label {rng.integers(0, 9)}", score))
                 pos += length
-            data = write_predictions("vid-x", segs)
+            data = write_predictions("vid-x", segs, 0, 120.0)
             assert parse_annotations(data).segments == segs
 
     def test_label_escaping(self):
         segs = [Segment(0, 5, 'odd "label" <&>', 0.5)]
-        assert parse_annotations(write_predictions("v", segs)).segments == segs
+        assert parse_annotations(write_predictions("v", segs, 0, 120.0)).segments == segs
 
     def test_score_required(self):
         with pytest.raises(AnnotationError, match="missing a score"):
-            write_predictions("v", [Segment(0, 5, "A")])
+            write_predictions("v", [Segment(0, 5, "A")], 0, 120.0)
 
     @pytest.mark.parametrize("write", [write_predictions, render_annotation_xml])
     @pytest.mark.parametrize("fps", [0, -1, float("nan"), float("inf")])

@@ -807,9 +807,9 @@ def test_training_step_memory_per_sample():
     """Each added sample adds less than one cuboid to a step's tracemalloc peak.
 
     The step runs one held cuboid at a time, so its peak is one sample's
-    (pool1's backward) beside the gradient sums; only the list of logits
-    grows with the batch. The batch step it replaced stacked the batch, one
-    cuboid per sample, and kept every layer's cache for the whole batch
+    beside the gradient sums; only the list of logits grows with the batch
+    (about 3 KB per sample). The batch step it replaced stacked the batch,
+    one cuboid per sample, and kept every layer's cache for the whole batch
     until its backward: its peak grew by about 1.16 conv1 outputs, 3.1
     cuboids, per sample.
     """

@@ -601,7 +601,7 @@ class TestCommands:
         (out / "detection_predictions").mkdir(parents=True)
         from strokebench.annotations import Segment, write_predictions
         (out / "detection_predictions" / "ghost.xml").write_bytes(
-            write_predictions("ghost", [Segment(0, 10, "Stroke", 0.5)]))
+            write_predictions("ghost", [Segment(0, 10, "Stroke", 0.5)], 0, 120.0))
         assert main(["eval", "--task", "detection", "--data", str(tiny_corpus),
                      "--out", str(out)]) == 2
 
@@ -615,7 +615,7 @@ class TestCommands:
         pred_dir = tmp_path / "run" / "detection_predictions"
         pred_dir.mkdir(parents=True)
         (pred_dir / "test000.xml").write_bytes(
-            write_predictions("test000", [Segment(0, 10, "Stroke", 0.5)]))
+            write_predictions("test000", [Segment(0, 10, "Stroke", 0.5)], 0, 120.0))
         capsys.readouterr()
         assert main(["eval", "--task", "detection", "--data", str(data),
                      "--out", str(tmp_path / "run")]) == 2
@@ -638,7 +638,7 @@ class TestCommands:
         pred_dir.mkdir(parents=True)
         for name in ("a.xml", "b.xml"):
             (pred_dir / name).write_bytes(
-                write_predictions("test000", [Segment(0, 10, "Stroke", 0.5)]))
+                write_predictions("test000", [Segment(0, 10, "Stroke", 0.5)], 0, 120.0))
         capsys.readouterr()
         assert main(["eval", "--task", "detection", "--data", str(tiny_corpus),
                      "--out", str(tmp_path / "run")]) == 2
@@ -747,7 +747,7 @@ class TestCommands:
     ])
     def test_malformed_annotation_xml_fails_naming_it(self, tmp_path, capsys, command, bad):
         from strokebench.annotations import Segment, write_predictions
-        good = write_predictions("v", [Segment(0, 3, "Stroke", 0.5)], 10)
+        good = write_predictions("v", [Segment(0, 3, "Stroke", 0.5)], 10, 120.0)
         for folder in ("data/train", "data/validation", "data/test", "run/detection_predictions"):
             (tmp_path / folder).mkdir(parents=True)
             (tmp_path / folder / "v.xml").write_bytes(good)
