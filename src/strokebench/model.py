@@ -107,7 +107,7 @@ def _checked(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> ModelParam
     return ModelParams(list(specs), {}, tuple(input_shape), out[0])
 
 
-def build_model(n_classes: int, arch: list[LayerSpec], seed: int = 0, *,
+def build_model(n_classes: int, arch: list[LayerSpec], seed: int, *,
                 input_shape: tuple[int, int, int, int]) -> ModelParams:
     """Validate the shape chain and initialize parameters.
 
@@ -212,12 +212,14 @@ def _layer_backward(model: ModelParams, cache, g: np.ndarray, grads: dict[str, n
 
 
 def forward(model: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Logits for a (N,) + input_shape batch."""
+    """Logits for a (N,) + input_shape batch, one sample at a time: row i
+    has the bytes of `classify`'s logits for sample i."""
     if batch.ndim != 5 or batch.shape[1:] != model.input_shape:
         raise ShapeError(
             f"batch shape {batch.shape} does not match (N,) + {model.input_shape}"
         )
-    return _forward_full(model, batch, training=False)[0]
+    return np.concatenate([_forward_full(model, batch[i:i + 1], training=False)[0]
+                           for i in range(len(batch))])
 
 
 def classify(model: ModelParams, cuboid_values: np.ndarray):

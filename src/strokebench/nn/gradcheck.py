@@ -47,6 +47,12 @@ def _worst(objective, pairs) -> float:
     return max(max_rel_error(a, numeric_grad(objective, x, EPS)) for a, x in pairs)
 
 
+def _per_sample(check, x, r) -> float:
+    """Worst error of `check(x[s:s+1], r[s:s+1])` over the samples of x, the
+    one-sample inputs the kernels take, each with its projection."""
+    return max(check(x[s:s + 1], r[s:s + 1]) for s in range(len(x)))
+
+
 def _check_conv3d(rng: np.random.Generator) -> float:
     n = int(rng.integers(1, 3))
     c = int(rng.integers(1, 3))
@@ -61,13 +67,16 @@ def _check_conv3d(rng: np.random.Generator) -> float:
     x = rng.standard_normal((n, c, t, h, w))
     wt = rng.standard_normal((f, c, kt, kh, kw))
     b = rng.standard_normal(f)
-    r = rng.standard_normal(ops.conv3d_forward(x, wt, b, stride, pad).shape)
+    r = rng.standard_normal((n, f) + ops.conv3d_out_extents((t, h, w), (kt, kh, kw), stride, pad))
 
-    def objective():
-        return float(np.sum(ops.conv3d_forward(x, wt, b, stride, pad) * r))
+    def check(xs, rs):
+        def objective():
+            return float(np.sum(ops.conv3d_forward(xs, wt, b, stride, pad) * rs))
 
-    gx, gw, gb = ops.conv3d_backward(x, wt, r, stride, pad)
-    return _worst(objective, [(gx, x), (gw, wt), (gb, b)])
+        gx, gw, gb = ops.conv3d_backward(xs, wt, rs, stride, pad)
+        return _worst(objective, [(gx, xs), (gw, wt), (gb, b)])
+
+    return _per_sample(check, x, r)
 
 
 def _check_maxpool3d(rng: np.random.Generator) -> float:
@@ -105,11 +114,14 @@ def _check_linear(rng: np.random.Generator) -> float:
     b = rng.standard_normal(fout)
     r = rng.standard_normal((n, fout))
 
-    def objective():
-        return float(np.sum(ops.linear_forward(x, w, b) * r))
+    def check(xs, rs):
+        def objective():
+            return float(np.sum(ops.linear_forward(xs, w, b) * rs))
 
-    gx, gw, gb = ops.linear_backward(x, w, r)
-    return _worst(objective, [(gx, x), (gw, w), (gb, b)])
+        gx, gw, gb = ops.linear_backward(xs, w, rs)
+        return _worst(objective, [(gx, xs), (gw, w), (gb, b)])
+
+    return _per_sample(check, x, r)
 
 
 def _check_relu(rng: np.random.Generator) -> float:

@@ -1,34 +1,30 @@
 """Dense 3D CNN kernels with hand-written backward passes.
 
-Tensors are C-order numpy arrays, with one exception: `maxpool3d_backward`
-returns an (N, C, T, H, W) view of a C-order (C, N, T, H, W) buffer, the
-layout `conv3d_backward` works in, so that the conv backward takes a pool
-gradient without a copy. Every op accepts either layout and preserves the
-input dtype (training runs in float32, gradient checking in float64).
-Layout conventions: activations are (N, C, T, H, W), conv weights
-(F, C, kt, kh, kw), linear weights (Out, In).
+Tensors are C-order numpy arrays, and every op preserves the input dtype
+(training runs in float32, gradient checking in float64). The conv and pool
+kernels and `linear_backward` take one sample: activations are
+(1, C, T, H, W), linear inputs (1, In); any other batch extent is refused
+with a ShapeError. A batch runs as one-sample passes (see `model`).
+Conv weights are (F, C, kt, kh, kw), linear weights (Out, In).
 
 Memory. No kernel builds a full im2col copy of its input (27x the input for
 a 3x3x3 kernel). `conv3d_forward` and the grad_weight of `conv3d_backward`
-lower the input the same way (`_lowered_tiles`): one sample at a time,
-padded into one reused buffer, and one tile of output positions at a time
-into one column buffer of at most `TILE_BYTES` (or one output row, if that
-is larger), which every tile reuses. `conv3d_backward` also holds a
-channel-major copy of grad_out (none when grad_out is already
-channel-major), and no padded copy of its gradient. For grad_weight it adds
-one (F, C*kt*kh*kw) sum and one GEMM output of that size; for grad_input,
-after the column buffer is freed, the returned grad_input and one col2im
-block of at most `BLOCK_BYTES`. Col2im finds where a tap meets the unpadded
-input by `_tap_parts`.
+lower the input the same way (`_lowered_tiles`): the sample padded once,
+and one tile of output positions at a time into one column buffer of at
+most `TILE_BYTES` (or one output row, if that is larger), which every tile
+reuses. `conv3d_backward` holds no padded copy of its gradient. For
+grad_weight it adds one (F, C*kt*kh*kw) sum and one GEMM output of that
+size; for grad_input, after the column buffer is freed, the returned
+grad_input and one col2im block of at most `BLOCK_BYTES`. Col2im finds
+where a tap meets the unpadded input by `_tap_parts`.
 `maxpool3d` takes the max over strided views of the input, with no
-transposed copy, one sample and one block of output frames (at most
-`BLOCK_BYTES` of input) at a time. For training it returns the index of
-each window's winning tap, one byte per pooled element; inference
-(need_winners=False) builds none. `maxpool3d_backward` expands that index
-to flat int64 indices one sample and one block of at most `BLOCK_BYTES` at
-a time. Tiles and blocks alike are planned by `_even_runs`: the fewest runs
-within the cap (one frame or row at least) whose lengths differ by one at
-most.
+transposed copy, one block of output frames (at most `BLOCK_BYTES` of
+input) at a time. For training it returns the index of each window's
+winning tap, one byte per pooled element; inference (need_winners=False)
+builds none. `maxpool3d_backward` expands that index to flat int64 indices
+one block of at most `BLOCK_BYTES` at a time. Tiles and blocks alike are
+planned by `_even_runs`: the fewest runs within the cap (one frame or row at
+least) whose lengths differ by one at most.
 
 Bound: the tracemalloc peak of one conv3d_forward call stays below
 output bytes + one padded sample's bytes + 2 * TILE_BYTES while one output
@@ -52,11 +48,13 @@ product over the same reduction axis, in the same order, as in the im2col
 formulation, but BLAS is called with other matrix shapes. OpenBLAS picks
 its kernel by shape, so the bytes match im2col at the layer shapes the
 model runs (see tests/test_kernels.py) and may differ in the last bits
-elsewhere. grad_weight is summed per tile: one GEMM per sample and tile,
-added in order into a sum that starts from zero, not one GEMM over all
-N*T'*H'*W' positions. Its last bits therefore differ from im2col's; summed
-over its elements, its distance from the float64 result is smaller than
-that of one GEMM per kernel tap at the model's layer shapes.
+elsewhere. grad_weight is summed per tile: one GEMM per tile, added in
+order into a sum that starts from zero, not one GEMM over all T'*H'*W'
+positions. Its last bits therefore differ from im2col's. Summed over the
+samples of a batch from zero, as training sums them, and then over its
+elements, its distance from the float64 result is smaller than that of one
+GEMM per kernel tap over the batch at the model's layer shapes. One sample
+alone need not be: at desk conv2 it is 1.4 times the per-tap GEMMs'.
 """
 
 from __future__ import annotations
@@ -114,9 +112,13 @@ def maxpool3d_out_extents(extents, window) -> tuple[int, int, int]:
     return tuple(e // p for e, p in zip(extents, window))
 
 
+def _check_one_sample(op, shape):
+    if len(shape) != 5 or shape[0] != 1:
+        raise ShapeError(f"{op} takes one sample of shape (1,C,T,H,W), got shape {tuple(shape)}")
+
+
 def _check_conv(x, weight, stride, pad):
-    if x.ndim != 5:
-        raise ShapeError(f"conv3d input must be 5-d (N,C,T,H,W), got shape {x.shape}")
+    _check_one_sample("conv3d", x.shape)
     if weight.ndim != 5:
         raise ShapeError(f"conv3d weight must be 5-d (F,C,kt,kh,kw), got shape {weight.shape}")
     if x.shape[1] != weight.shape[1]:
@@ -150,9 +152,9 @@ def _tap_parts(tap, stride, pad, extents, ranges):
 
 
 def _lowered_tiles(x, kshape, stride: int, pad: int, outs):
-    """The columns of conv3d_forward's tiles for the unpadded input `x`, in
-    the order both passes use them: yields (sample, output positions,
-    columns) per sample and tile. `outs` is the output's (T', H', W').
+    """The columns of conv3d_forward's tiles for the unpadded one-sample
+    input `x`, in the order both passes use them: yields (output positions,
+    columns) per tile. `outs` is the output's (T', H', W').
 
     A tile holds whole output frames when one frame's columns fit in
     `TILE_BYTES`, and otherwise a run of output rows of one frame (one row
@@ -161,10 +163,10 @@ def _lowered_tiles(x, kshape, stride: int, pad: int, outs):
     small remainder (which OpenBLAS may run with another kernel). Each tile
     is lowered in (C,kt,kh,kw | positions) layout into one column buffer,
     the (C*kt*kh*kw, positions) matrix yielded, which the next tile
-    overwrites. The positions are a slice of the sample's flat T'*H'*W'
-    axis. One padded sample is held at a time; its borders stay zero.
+    overwrites. The positions are a slice of the flat T'*H'*W' axis. The
+    sample is padded once, into one zero-bordered copy.
     """
-    n, c = x.shape[:2]
+    c = x.shape[1]
     to, ho, wo = outs
     kdim = c * math.prod(kshape)
     rows = TILE_BYTES // (kdim * wo * x.itemsize)  # output rows whose columns fit
@@ -181,43 +183,40 @@ def _lowered_tiles(x, kshape, stride: int, pad: int, outs):
                    cols[: kdim * step * k].reshape(kdim, -1)) for k in lengths}
     # (slice of the tiled axis, its output positions, buffer views) per tile, built once
     tiles = [(slice(a, b), (a * step, b * step), lowered[b - a]) for a, b in runs]
-    if pad:
-        xp = np.zeros((c,) + tuple(e + 2 * pad for e in x.shape[2:]), dtype=x.dtype)
-        inner = (slice(None),) + (slice(pad, -pad),) * 3
-    for s in range(n):
-        if pad:
-            xp[inner] = x[s]
-        win = sliding_window_view(xp if pad else x[s], kshape, axis=(1, 2, 3))
-        win = win[:, ::stride, ::stride, ::stride].transpose(0, 4, 5, 6, 1, 2, 3)
-        # (C,kt,kh,kw | tiled axis, ...) windows of all frames at once, or of each frame
-        for t, part in enumerate(win[None] if whole_frames else np.moveaxis(win, 4, 0)):
-            first = t * ho * wo  # output positions before the frame
-            for index, (a, b), (windows, matrix) in tiles:
-                np.copyto(windows, part[:, :, :, :, index])
-                yield s, slice(first + a, first + b), matrix
+    sample = x[0]
+    if pad:  # not np.pad: 89 against 31 us at desk conv1 on the target machine
+        sample = np.zeros((c,) + tuple(e + 2 * pad for e in x.shape[2:]), dtype=x.dtype)
+        sample[(slice(None),) + (slice(pad, -pad),) * 3] = x[0]
+    win = sliding_window_view(sample, kshape, axis=(1, 2, 3))
+    win = win[:, ::stride, ::stride, ::stride].transpose(0, 4, 5, 6, 1, 2, 3)
+    # (C,kt,kh,kw | tiled axis, ...) windows of all frames at once, or of each frame
+    for t, part in enumerate(win[None] if whole_frames else np.moveaxis(win, 4, 0)):
+        first = t * ho * wo  # output positions before the frame
+        for index, (a, b), (windows, matrix) in tiles:
+            np.copyto(windows, part[:, :, :, :, index])
+            yield slice(first + a, first + b), matrix
 
 
 def conv3d_forward(x, weight, bias, stride: int = 1, pad: int = 0):
     """Cross-correlation over (T,H,W); zero padding contributes zeros.
 
-    Per sample and tile of output positions (see _lowered_tiles): one GEMM
-    of the tile's columns writing straight into the (N,F,T',H',W') output,
-    then the bias added to the tile while it is still in cache. Only the
-    GEMM's N axis is cut, so each output element is the same dot product as
-    in one GEMM per sample; tests/test_kernels.py holds the bytes to those
+    Per tile of output positions (see _lowered_tiles): one GEMM of the
+    tile's columns writing straight into the (1,F,T',H',W') output, then the
+    bias added to the tile while it is still in cache. Only the GEMM's N
+    axis is cut, so each output element is the same dot product as in one
+    GEMM over all positions; tests/test_kernels.py holds the bytes to those
     of the earlier frame-block forward at every conv shape the workloads run.
     """
     outs = _check_conv(x, weight, stride, pad)
     if bias.shape != (weight.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} does not match {weight.shape[0]} filters")
-    n = x.shape[0]
     f = weight.shape[0]
     w2 = weight.reshape(f, -1)
-    out = np.empty((n, f) + outs, dtype=np.result_type(x, weight))
+    out = np.empty((1, f) + outs, dtype=np.result_type(x, weight))
     column_bias = bias.reshape(f, 1)
-    flat = out.reshape(n, f, -1)
-    for s, positions, cols in _lowered_tiles(x, weight.shape[2:], stride, pad, outs):
-        dst = flat[s, :, positions]
+    flat = out.reshape(f, -1)
+    for positions, cols in _lowered_tiles(x, weight.shape[2:], stride, pad, outs):
+        dst = flat[:, positions]
         np.matmul(w2, cols, out=dst)
         dst += column_bias
     return out
@@ -227,13 +226,13 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
                     need_input: bool = True):
     """Exact adjoints of conv3d_forward: (grad_input, grad_weight, grad_bias).
 
-    grad_weight: per sample and tile of conv3d_forward (see _lowered_tiles),
-    the tile lowered as the forward lowers it and one GEMM, the tile's
-    grad_out (F x positions) times its columns transposed, added into one
+    grad_weight: per tile of conv3d_forward (see _lowered_tiles), the tile
+    lowered as the forward lowers it and one GEMM, the tile's grad_out
+    (F x positions) times its columns transposed, added into one
     (F, C*kt*kh*kw) sum that starts from zero, in tile order. So the sum
-    over N*T'*H'*W' runs tile by tile.
-    grad_input: per sample and block of output frames, one GEMM gives every
-    tap's contribution (col2im, in (kt,kh,kw,C | T',H',W') layout), added
+    over T'*H'*W' runs tile by tile.
+    grad_input: per block of output frames, one GEMM gives every tap's
+    contribution (col2im, in (kt,kh,kw,C | T',H',W') layout), added
     straight into grad_input where the tap meets the input (see _tap_parts).
     Blocks run last frame first, so that each input element still receives
     its contributions in tap order.
@@ -242,27 +241,22 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
     needs no gradient).
     """
     outs = _check_conv(x, weight, stride, pad)
-    n, c, t, h, w = x.shape
+    c, t, h, w = x.shape[1:]
     f = weight.shape[0]
     kshape = weight.shape[2:]
-    expected = (n, f) + outs
+    expected = (1, f) + outs
     if grad_out.shape != expected:
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match output {expected}")
     to, ho, wo = outs
 
-    # (F,N,T',H',W'); a free view when grad_out comes from maxpool3d_backward
-    g5 = np.ascontiguousarray(grad_out.swapaxes(0, 1))
-    # each sample's T'H'W' sum, then the samples in order from 0: the sums
-    # grad_out.sum(axis=(0, 2, 3, 4)) makes on a C-order grad_out, in any layout
-    grad_bias = np.zeros(f, dtype=grad_out.dtype)
-    for sample_sums in g5.reshape(f, n, -1).sum(axis=2).T:
-        grad_bias += sample_sums
+    g2 = grad_out.reshape(f, -1)
+    # a sum from zero: a channel of -0.0 gradients gives +0.0
+    grad_bias = g2.sum(axis=1) + 0.0
 
-    g3 = g5.reshape(f, n, -1)
     grad_weight = np.zeros((f, weight[0].size), dtype=np.result_type(grad_out, x))
     prod = np.empty_like(grad_weight)
-    for s, positions, cols in _lowered_tiles(x, kshape, stride, pad, outs):
-        np.matmul(g3[:, s, positions], cols.T, out=prod)
+    for positions, cols in _lowered_tiles(x, kshape, stride, pad, outs):
+        np.matmul(g2[:, positions], cols.T, out=prod)
         grad_weight += prod
     grad_weight = grad_weight.reshape(weight.shape)
     cols = prod = None  # so that the column buffer never coexists with grad_input
@@ -272,14 +266,13 @@ def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
     grad_input = np.zeros(x.shape, dtype=grad_out.dtype)
     w2 = np.ascontiguousarray(weight.transpose(2, 3, 4, 1, 0)).reshape(-1, f)
     blocks = _even_runs(to, BLOCK_BYTES // (w2.shape[0] * ho * wo * x.itemsize))
-    for s in range(n):
-        for t0, t1 in reversed(blocks):
-            cols = (w2 @ g5[:, s, t0:t1].reshape(f, -1)).reshape(kshape + (c, t1 - t0, ho, wo))
-            for tap in np.ndindex(*kshape):
-                out_part, in_part = _tap_parts(tap, stride, pad, (t, h, w),
-                                               ((t0, t1), (0, ho), (0, wo)))
-                grad_input[(s, ..., *in_part)] += cols[tap][(..., *out_part)]
-            del cols  # so that two blocks never coexist
+    for t0, t1 in reversed(blocks):
+        cols = (w2 @ g2[:, t0 * ho * wo : t1 * ho * wo]).reshape(kshape + (c, t1 - t0, ho, wo))
+        for tap in np.ndindex(*kshape):
+            out_part, in_part = _tap_parts(tap, stride, pad, (t, h, w),
+                                           ((t0, t1), (0, ho), (0, wo)))
+            grad_input[(0, ..., *in_part)] += cols[tap][(..., *out_part)]
+        del cols  # so that two blocks never coexist
     return grad_input, grad_weight, grad_bias
 
 
@@ -320,49 +313,41 @@ def maxpool3d(x, window, *, need_winners: bool = True):
     no index is computed and None stands in its place (for inference, which
     runs no backward); the pooled values keep their bytes.
     """
-    if x.ndim != 5:
-        raise ShapeError(f"maxpool3d input must be 5-d, got shape {x.shape}")
+    _check_one_sample("maxpool3d", x.shape)
     pt, ph, pw = window
-    n, c, t, h, w = x.shape
+    c, t, h, w = x.shape[1:]
     to, ho, wo = maxpool3d_out_extents(x.shape[2:], window)
     taps = list(np.ndindex(pt, ph, pw))
-    pooled = np.empty((n, c, to, ho, wo), dtype=x.dtype)
+    pooled = np.empty((1, c, to, ho, wo), dtype=x.dtype)
     local = (np.zeros(pooled.shape, dtype=np.min_scalar_type(len(taps) - 1))
              if need_winners else None)
     frame_bytes = c * pt * h * w * x.itemsize  # input bytes per output frame
-    blocks = _even_runs(to, BLOCK_BYTES // max(1, frame_bytes))
-    for s in range(n):
-        for t0, t1 in blocks:
-            r = x[s, :, t0 * pt : t1 * pt].reshape(c, t1 - t0, pt, ho, ph, wo, pw)
-            _pool_block([r[:, :, i, :, j, :, k] for i, j, k in taps], pooled[s, :, t0:t1],
-                        None if local is None else local[s, :, t0:t1])
+    for t0, t1 in _even_runs(to, BLOCK_BYTES // max(1, frame_bytes)):
+        r = x[0, :, t0 * pt : t1 * pt].reshape(c, t1 - t0, pt, ho, ph, wo, pw)
+        _pool_block([r[:, :, i, :, j, :, k] for i, j, k in taps], pooled[0, :, t0:t1],
+                    None if local is None else local[0, :, t0:t1])
     return pooled, local
 
 
 def maxpool3d_backward(grad_out, taps, input_shape, window):
     """Route each upstream gradient element to its window's winning tap,
-    zeros elsewhere.
-
-    The result is an (N, C, T, H, W) view of a C-order (C, N, T, H, W)
-    buffer, the layout conv3d_backward works in.
-    """
-    n, c = input_shape[:2]
-    expected = (n, c) + maxpool3d_out_extents(input_shape[2:], window)
+    zeros elsewhere."""
+    _check_one_sample("maxpool3d_backward", input_shape)
+    c = input_shape[1]
+    expected = (1, c) + maxpool3d_out_extents(input_shape[2:], window)
     if grad_out.shape != expected or taps.shape != expected:
         raise ShapeError(f"grad_out shape {grad_out.shape} and tap index shape {taps.shape} "
                          f"must both be {expected}")
     pt, ph, pw = window
     t, h, w = input_shape[2:]
     to, ho, wo = expected[2:]
-    size = t * h * w  # elements per (sample, channel)
-    grad_input = np.zeros((c, n, t, h, w), dtype=grad_out.dtype)
+    grad_input = np.zeros(input_shape, dtype=grad_out.dtype)
     flat = grad_input.reshape(-1)
-    # flat index in the (C, N, T, H, W) buffer: the tap's offset in its
-    # window, plus the window's origin (channel and sample, then frame, row
-    # and column within the block)
+    # flat index in grad_input: the tap's offset in its window, plus the
+    # window's origin (channel, then frame, row and column within the block)
     offsets = np.array([(i * h + j) * w + k for i, j, k in np.ndindex(*window)],
                        dtype=np.int64)
-    channels = np.arange(c, dtype=np.int64).reshape(c, 1, 1, 1) * (n * size)
+    channels = np.arange(c, dtype=np.int64).reshape(c, 1, 1, 1) * (t * h * w)
     # per output frame of a block: the flat index, the int64 copy of the tap
     # index that take() makes, the gradient and the origins
     frame_bytes = ho * wo * (c * (16 + grad_out.itemsize) + 8)
@@ -371,16 +356,15 @@ def maxpool3d_backward(grad_out, taps, input_shape, window):
     origins = (np.arange(longest, dtype=np.int64).reshape(-1, 1, 1) * (pt * h * w)
                + np.arange(ho, dtype=np.int64).reshape(ho, 1) * (ph * w)
                + np.arange(wo, dtype=np.int64) * pw)
-    for s in range(n):
-        for t0, t1 in blocks:
-            # every tap index is in range; mode="clip" only skips the check
-            idx = offsets.take(taps[s, :, t0:t1], mode="clip")
-            idx += channels + (s * size + t0 * pt * h * w)
-            idx += origins[: t1 - t0]
-            # add.at, not assignment: 0 + (-0.0) stores +0.0
-            np.add.at(flat, idx.ravel(), grad_out[s, :, t0:t1].ravel())
-            del idx  # so that two blocks never coexist
-    return grad_input.swapaxes(0, 1)
+    for t0, t1 in blocks:
+        # every tap index is in range; mode="clip" only skips the check
+        idx = offsets.take(taps[0, :, t0:t1], mode="clip")
+        idx += channels + t0 * pt * h * w
+        idx += origins[: t1 - t0]
+        # add.at, not assignment: 0 + (-0.0) stores +0.0
+        np.add.at(flat, idx.ravel(), grad_out[0, :, t0:t1].ravel())
+        del idx  # so that two blocks never coexist
+    return grad_input
 
 
 def linear_forward(x, weight, bias):
@@ -397,18 +381,15 @@ def linear_forward(x, weight, bias):
 
 
 def linear_backward(x, weight, grad_out):
-    if grad_out.shape != (x.shape[0], weight.shape[0]):
-        raise ShapeError(
-            f"grad_out shape {grad_out.shape} does not match ({x.shape[0]}, {weight.shape[0]})"
-        )
-    if x.shape[0] == 1:
-        # One product per element, as in the K = 1 GEMM grad_out.T @ x, which
-        # OpenBLAS runs up to 20x slower. The GEMM adds each product to 0, so
-        # adding 0 here too gives its bytes: +0.0 where the product is -0.0.
-        grad_weight = grad_out.T * x
-        grad_weight += 0.0
-    else:
-        grad_weight = grad_out.T @ x
+    if x.ndim != 2 or x.shape[0] != 1:
+        raise ShapeError(f"linear_backward takes one sample of shape (1,In), got shape {x.shape}")
+    if grad_out.shape != (1, weight.shape[0]):
+        raise ShapeError(f"grad_out shape {grad_out.shape} does not match (1, {weight.shape[0]})")
+    # One product per element, as in the K = 1 GEMM grad_out.T @ x, which
+    # OpenBLAS runs up to 20x slower. The GEMM adds each product to 0, so
+    # adding 0 here too gives its bytes: +0.0 where the product is -0.0.
+    grad_weight = grad_out.T * x
+    grad_weight += 0.0
     return grad_out @ weight, grad_weight, grad_out.sum(axis=0)
 
 

@@ -29,10 +29,11 @@ class TestConv3d:
         x = rng.standard_normal((2, 3, 6, 8, 8))
         w = rng.standard_normal((4, 3, 3, 3, 3))
         b = rng.standard_normal(4)
-        out = ops.conv3d_forward(x, w, b, stride=1, pad=1)
-        assert out.shape == (2, 4, 6, 8, 8)
-        ref = conv3d_naive(x, w, b, stride=1, pad=1)
-        assert max_rel_error(out, ref) < 1e-10
+        for s in range(2):
+            out = ops.conv3d_forward(x[s:s + 1], w, b, stride=1, pad=1)
+            assert out.shape == (1, 4, 6, 8, 8)
+            ref = conv3d_naive(x[s:s + 1], w, b, stride=1, pad=1)
+            assert max_rel_error(out, ref) < 1e-10
 
     def test_matches_naive_loops_random_shapes(self):
         rng = np.random.default_rng(5)
@@ -45,10 +46,11 @@ class TestConv3d:
             x = rng.standard_normal((n, c, t, h, w))
             wt = rng.standard_normal((f, c, kt, kh, kw))
             b = rng.standard_normal(f)
-            got = ops.conv3d_forward(x, wt, b, stride, pad)
-            ref = conv3d_naive(x, wt, b, stride, pad)
-            assert got.shape == ref.shape
-            assert max_rel_error(got, ref) < 1e-10
+            for s in range(n):
+                got = ops.conv3d_forward(x[s:s + 1], wt, b, stride, pad)
+                ref = conv3d_naive(x[s:s + 1], wt, b, stride, pad)
+                assert got.shape == ref.shape
+                assert max_rel_error(got, ref) < 1e-10
 
     def test_channel_mismatch_rejected(self):
         x = np.zeros((1, 2, 3, 3, 3))
@@ -148,10 +150,12 @@ class TestMaxPool3d:
     def test_gradient_mass_is_conserved(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 3, 4, 6, 8))
-        out, taps = ops.maxpool3d(x, (2, 3, 2))
-        g = rng.standard_normal(out.shape)
-        gx = ops.maxpool3d_backward(g, taps, x.shape, (2, 3, 2))
-        assert np.isclose(np.abs(gx).sum(), np.abs(g).sum(), rtol=0, atol=1e-12)
+        g = rng.standard_normal((2, 3, 2, 2, 4))
+        for s in range(2):
+            xs = x[s:s + 1]
+            taps = ops.maxpool3d(xs, (2, 3, 2))[1]
+            gx = ops.maxpool3d_backward(g[s:s + 1], taps, xs.shape, (2, 3, 2))
+            assert np.isclose(np.abs(gx).sum(), np.abs(g[s]).sum(), rtol=0, atol=1e-12)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -187,14 +191,16 @@ class TestLinear:
         w = rng.standard_normal((5, 10))
         b = rng.standard_normal(5)
         r = rng.standard_normal((4, 5))
+        for s in range(4):  # each row alone, the one sample linear_backward takes
+            xs, rs = x[s:s + 1], r[s:s + 1]
 
-        def objective():
-            return float(np.sum(ops.linear_forward(x, w, b) * r))
+            def objective():
+                return float(np.sum(ops.linear_forward(xs, w, b) * rs))
 
-        gx, gw, gb = ops.linear_backward(x, w, r)
-        assert max_rel_error(gx, numeric_grad(objective, x, 1e-5)) < 1e-6
-        assert max_rel_error(gw, numeric_grad(objective, w, 1e-5)) < 1e-6
-        assert max_rel_error(gb, numeric_grad(objective, b, 1e-5)) < 1e-6
+            gx, gw, gb = ops.linear_backward(xs, w, rs)
+            assert max_rel_error(gx, numeric_grad(objective, xs, 1e-5)) < 1e-6
+            assert max_rel_error(gw, numeric_grad(objective, w, 1e-5)) < 1e-6
+            assert max_rel_error(gb, numeric_grad(objective, b, 1e-5)) < 1e-6
 
     @pytest.mark.parametrize("outs,ins,dtype", [
         (64, 4096, np.float32), (2, 64, np.float32), (500, 18000, np.float32),
@@ -297,15 +303,40 @@ class TestSoftmaxCrossEntropy:
             assert loss >= 0.0
 
 
+# one call per kernel that takes one sample, with a batch extent of n
+ONE_SAMPLE_KERNELS = {
+    "conv3d_forward": lambda n: ops.conv3d_forward(
+        np.zeros((n, 2, 4, 4, 4)), np.zeros((3, 2, 3, 3, 3)), np.zeros(3)),
+    "conv3d_backward": lambda n: ops.conv3d_backward(
+        np.zeros((n, 2, 4, 4, 4)), np.zeros((3, 2, 3, 3, 3)), np.zeros((n, 3, 2, 2, 2))),
+    "maxpool3d": lambda n: ops.maxpool3d(np.zeros((n, 2, 4, 4, 4)), (2, 2, 2)),
+    "maxpool3d_backward": lambda n: ops.maxpool3d_backward(
+        np.zeros((n, 2, 2, 2, 2)), np.zeros((n, 2, 2, 2, 2), np.uint8), (n, 2, 4, 4, 4),
+        (2, 2, 2)),
+    "linear_backward": lambda n: ops.linear_backward(
+        np.zeros((n, 4)), np.zeros((3, 4)), np.zeros((n, 3))),
+}
+
+
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("kernel", ONE_SAMPLE_KERNELS)
+def test_kernels_refuse_a_batch_other_than_one(kernel, n):
+    shape = (n, 4) if kernel == "linear_backward" else (n, 2, 4, 4, 4)
+    message = r"takes one sample .*, got shape " + re.escape(str(shape))
+    with pytest.raises(ShapeError, match=message):
+        ONE_SAMPLE_KERNELS[kernel](n)
+
+
 def test_all_ops_produce_finite_values_on_finite_inputs():
     rng = np.random.default_rng(55)
     x = rng.standard_normal((2, 3, 4, 6, 6)) * 100
     w = rng.standard_normal((4, 3, 3, 3, 3)) * 100
     b = rng.standard_normal(4) * 100
-    out = ops.conv3d_forward(x, w, b, 1, 1)
-    assert np.isfinite(out).all()
-    gx, gw, gb = ops.conv3d_backward(x, w, out, 1, 1)
-    assert np.isfinite(gx).all() and np.isfinite(gw).all() and np.isfinite(gb).all()
-    pooled, taps = ops.maxpool3d(out, (2, 2, 2))
-    assert np.isfinite(pooled).all()
-    assert np.isfinite(ops.maxpool3d_backward(pooled, taps, out.shape, (2, 2, 2))).all()
+    for s in range(2):
+        out = ops.conv3d_forward(x[s:s + 1], w, b, 1, 1)
+        assert np.isfinite(out).all()
+        gx, gw, gb = ops.conv3d_backward(x[s:s + 1], w, out, 1, 1)
+        assert np.isfinite(gx).all() and np.isfinite(gw).all() and np.isfinite(gb).all()
+        pooled, taps = ops.maxpool3d(out, (2, 2, 2))
+        assert np.isfinite(pooled).all()
+        assert np.isfinite(ops.maxpool3d_backward(pooled, taps, out.shape, (2, 2, 2))).all()

@@ -359,7 +359,7 @@ def _short_test_video(tmp_path):
     write_rgbv(test_dir / "short.rgbv", np.zeros((3, 8, 8, 3), np.uint8), 120.0)
     shape = (3, 4, 8, 8)
     arch = default_architecture(shape, filters=(2,), hidden=4, n_classes=20)
-    net = model_mod.build_model(20, arch, input_shape=shape)
+    net = model_mod.build_model(20, arch, seed=0, input_shape=shape)
     ckpt = tmp_path / "c.ckpt"
     model_mod.save_checkpoint(net, ckpt)
     return net, ckpt, segment

@@ -1,16 +1,16 @@
 """The training walk of `model._forward_full`/`_backward_full` against a frozen
 copy of the spec-order walk it replaced.
 
-The model now runs each relu -> maxpool3d pair as maxpool3d -> relu, routes
-the pool gradient into a channel-major buffer, and sums conv bias gradients
-per sample. The reference below keeps the earlier walk: every layer
-in spec order, the pool gradient scattered with `np.add.at` into a flat
-(N, C, ...) buffer at the winners `oracles.taps_to_winners` makes of the
-pool's tap index, and the conv bias gradient as
-`grad_out.sum(axis=(0, 2, 3, 4))` on that C-order gradient. Logits, every
-parameter gradient and the inference logits must match it byte for byte,
-also on inputs where the two orders pick different pool winners (windows
-whose values are all <= 0) and on signed zeros, NaN and infinities.
+The model now runs each relu -> maxpool3d pair as maxpool3d -> relu, and
+its kernels take one sample. The reference below keeps the earlier walk:
+every layer in spec order, the pool gradient scattered with `np.add.at` into
+a flat (N, C, ...) buffer at the winners `oracles.taps_to_winners` makes of
+the pool's tap index, and the conv bias gradient as
+`grad_out.sum(axis=(0, 2, 3, 4))` on that C-order gradient. Both walks run
+each sample of a batch alone. Logits, every parameter gradient and the
+inference logits must match the reference byte for byte, also on inputs
+where the two orders pick different pool winners (windows whose values are
+all <= 0) and on signed zeros, NaN and infinities.
 """
 
 import numpy as np
@@ -94,19 +94,22 @@ def _net(shape, filters, hidden, seed=5):
 
 
 def _loss_gradient(classes):
-    return lambda logits: ops.softmax_cross_entropy(logits, classes)[1]
+    """The loss gradient of sample s, whose class is classes[s]."""
+    return lambda logits, s: ops.softmax_cross_entropy(logits, classes[s:s + 1])[1]
 
 
-def _negative(logits):
-    """Finite upstream gradients that are all < 0, so that `g * 0` is -0.0.
+def _negative(logits, s):
+    """Finite upstream gradients that are all < 0, so that `g * 0` is -0.0:
+    row s of those of a batch.
 
     Finite even where the logits are not: training runs the backward sweep
     only after a finite loss. (A NaN upstream gradient routed through an
     all-<= 0 window lands on the other winner, so the NaN that reaches a
     parameter gradient may carry another sign bit.)
     """
-    return -0.25 - np.abs(np.sin(np.arange(logits.size, dtype=logits.dtype))).reshape(
-        logits.shape)
+    first = s * logits.size
+    return -0.25 - np.abs(np.sin(np.arange(first, first + logits.size,
+                                           dtype=logits.dtype))).reshape(logits.shape)
 
 
 def _same_bytes(a, b):
@@ -114,14 +117,18 @@ def _same_bytes(a, b):
 
 
 def _assert_walks_agree(net, x, upstream):
-    ref_logits, ref_grads = spec_order_step(net, x, upstream)
-    logits, caches = model._forward_full(net, x)
-    grads = model._backward_full(net, caches, upstream(logits))
-    assert _same_bytes(logits, ref_logits)
-    assert grads.keys() == ref_grads.keys()
-    for name in ref_grads:
-        assert _same_bytes(grads[name], ref_grads[name]), name
-    assert _same_bytes(model.forward(net, x), ref_logits)
+    """Per sample s of x, the walks agree on x[s:s+1] with the upstream
+    gradient `upstream(logits, s)`."""
+    for s in range(len(x)):
+        xs = x[s:s + 1]
+        ref_logits, ref_grads = spec_order_step(net, xs, lambda logits: upstream(logits, s))
+        logits, caches = model._forward_full(net, xs)
+        grads = model._backward_full(net, caches, upstream(logits, s))
+        assert _same_bytes(logits, ref_logits), s
+        assert grads.keys() == ref_grads.keys()
+        for name in ref_grads:
+            assert _same_bytes(grads[name], ref_grads[name]), (s, name)
+        assert _same_bytes(model.forward(net, xs), ref_logits), s
 
 
 @pytest.mark.parametrize("batch", [1, 5, 10])
@@ -177,11 +184,15 @@ def test_some_windows_pick_other_winners():
     net = _net(*DESK)
     net.params["conv1.bias"][:] = -0.35
     x = rng.random((3,) + DESK[0], dtype=np.float32)
-    conv = ops.conv3d_forward(x, net.params["conv1.weight"], net.params["conv1.bias"], 1, 1)
     window = net.specs[2].window
-    _, raw_taps = ops.maxpool3d(conv, window)
-    _, relu_taps = ops.maxpool3d(ops.relu_forward(conv), window)
-    differ = raw_taps != relu_taps
+    differ = []
+    for s in range(len(x)):
+        conv = ops.conv3d_forward(x[s:s + 1], net.params["conv1.weight"],
+                                  net.params["conv1.bias"], 1, 1)
+        _, raw_taps = ops.maxpool3d(conv, window)
+        _, relu_taps = ops.maxpool3d(ops.relu_forward(conv), window)
+        differ.append(raw_taps != relu_taps)
+    differ = np.concatenate(differ)
     assert 0 < differ.sum() < differ.size
 
 
