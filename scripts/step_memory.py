@@ -20,7 +20,7 @@ the defaults. They are read from the library: the input shape, filters and
 hidden units from `strokebench.nn.layers`, the batch from
 `strokebench.model.TrainConfig`. Numbers follow the CLI's rule of integer
 text (`strokebench.frames.ascii_int`), and every count is at least 1; any
-other spelling exits 2.
+other spelling, and a shape the architecture cannot be built for, exits 2.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import time
 import numpy as np
 
 from strokebench import model
+from strokebench.errors import ArchitectureError
 from strokebench.frames import ascii_int
 from strokebench.nn.layers import FILTERS, HIDDEN, INPUT_SHAPE, default_architecture
 
@@ -67,9 +68,12 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=ascii_int, default=0)
     args = p.parse_args(argv)
 
-    arch = default_architecture(args.input, filters=args.filters, hidden=args.hidden,
-                                n_classes=2)
-    net = model.build_model(2, arch, seed=args.seed, input_shape=args.input)
+    try:
+        arch = default_architecture(args.input, filters=args.filters, hidden=args.hidden,
+                                    n_classes=2)
+        net = model.build_model(2, arch, seed=args.seed, input_shape=args.input)
+    except ArchitectureError as e:
+        p.error(f"argument --input: invalid shape {'x'.join(map(str, args.input))}: {e}")
     rng = np.random.default_rng(args.seed)
     # each cuboid is drawn as the step reaches it (the values of one
     # (batch,) + input draw): training steps over cuboids it holds anyway,

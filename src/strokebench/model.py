@@ -24,7 +24,7 @@ import numpy as np
 from .annotations import (NONSTROKE_LABEL, PROPOSAL_LEN, PROPOSAL_STRIDE, STROKE_LABEL,
                           Segment, generate_window_proposals)
 from .errors import ArchitectureError, CheckpointError, CuboidError, ShapeError, TrainingError
-from .frames import VideoSource, extract_cuboid
+from .frames import VideoSource, ascii_int, extract_cuboid
 from .nn import ops
 from .nn.layers import (INPUT_SHAPE, LayerSpec, chain_shapes, from_descriptor, param_entries,
                         to_descriptor)
@@ -130,12 +130,12 @@ def build_model(n_classes: int, arch: list[LayerSpec], seed: int, *,
     return model
 
 
-def _forward_full(model: ModelParams, x: np.ndarray, training: bool = True):
-    """Forward pass; with `training`, also the per-layer caches the backward
-    sweep needs, among them each maxpool3d's index of the winning tap in
-    every window (one byte per pooled element). Otherwise the returned list
-    stays empty and each maxpool3d computes its pooled values only, with no
-    tap index; the logits keep their bytes.
+def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool = True):
+    """(K,) logits of one (C, T, H, W) cuboid; with `training`, also the
+    per-layer caches the backward sweep needs, among them each maxpool3d's
+    index of the winning tap in every window (one byte per pooled element).
+    Otherwise the returned list stays empty and each maxpool3d computes its
+    pooled values only, with no tap index; the logits keep their bytes.
 
     A relu directly followed by a maxpool3d runs after it, on the pooled
     tensor, so neither its output nor its cache is ever full size. That is
@@ -147,10 +147,12 @@ def _forward_full(model: ModelParams, x: np.ndarray, training: bool = True):
     the zero gradient routed there (g * 0 before, now 0 + g * 0, which is
     +0.0).
     Caches are kept in run order, so _backward_full follows the same order.
+    The kernels take a unit batch axis: it is added here and in
+    _backward_full, and nowhere else.
     """
     caches = []
     keep = caches.append if training else (lambda cache: None)
-    cur = x
+    cur = cuboid[None]
     names = iter([name for name, _ in param_entries(model.specs)])  # the swap keeps their order
     specs = list(model.specs)
     for i in range(len(specs) - 1):
@@ -175,14 +177,15 @@ def _forward_full(model: ModelParams, x: np.ndarray, training: bool = True):
             cur = cur.reshape(cur.shape[0], -1)
         else:
             raise ArchitectureError(f"unknown layer kind {spec.kind!r}")
-    return cur, caches
+    return cur[0], caches
 
 
 def _backward_full(model: ModelParams, caches, grad_logits: np.ndarray):
-    """Parameter gradients. Empties `caches`, last layer first, so each
-    layer's saved input is freed as soon as its backward has run."""
+    """Parameter gradients of one sample from its (K,) logit gradient.
+    Empties `caches`, last layer first, so each layer's saved input is freed
+    as soon as its backward has run."""
     grads: dict[str, np.ndarray] = {}
-    g = grad_logits
+    g = grad_logits[None]
     while caches:
         # the first layer's input needs no gradient
         g = _layer_backward(model, caches.pop(), g, grads, need_input=bool(caches))
@@ -211,22 +214,18 @@ def _layer_backward(model: ModelParams, cache, g: np.ndarray, grads: dict[str, n
     return g
 
 
-def forward(model: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Logits for a (N,) + input_shape batch, one sample at a time: row i
-    has the bytes of `classify`'s logits for sample i."""
-    if batch.ndim != 5 or batch.shape[1:] != model.input_shape:
-        raise ShapeError(
-            f"batch shape {batch.shape} does not match (N,) + {model.input_shape}"
-        )
-    return np.concatenate([_forward_full(model, batch[i:i + 1], training=False)[0]
-                           for i in range(len(batch))])
+def forward(model: ModelParams, cuboid: np.ndarray) -> np.ndarray:
+    """(K,) logits of one cuboid of shape `model.input_shape`."""
+    if cuboid.shape != model.input_shape:
+        raise ShapeError(f"cuboid shape {cuboid.shape} does not match {model.input_shape}")
+    return _forward_full(model, cuboid, training=False)[0]
 
 
 def classify(model: ModelParams, cuboid_values: np.ndarray):
     """(class index, probabilities): the argmax of the logits, ties to the
     lowest index, as validation counts it, and the logits' softmax."""
-    logits = forward(model, cuboid_values[None].astype(np.float32, copy=False))
-    return int(np.argmax(logits[0])), ops.softmax(logits)[0]
+    logits = forward(model, cuboid_values.astype(np.float32, copy=False))
+    return int(np.argmax(logits)), ops.softmax(logits)
 
 
 def check_video_length(model: ModelParams, src: VideoSource) -> None:
@@ -294,8 +293,8 @@ def _extract_samples(items: list[DatasetItem], sources: dict[str, VideoSource],
 def _summed_gradients(model: ModelParams, samples: Iterable[tuple[np.ndarray, int]],
                       where: str):
     """Forward, loss and backward of each (cuboid, class) in `samples`, one
-    held cuboid at a time as a one-sample view, so that no stacked copy of
-    the batch is made and one sample's caches are live at a time.
+    held cuboid at a time, so that no stacked copy of the batch is made and
+    one sample's caches are live at a time.
 
     In sample order, each sample's parameter gradients are added into one sum
     per parameter that starts from zero, and its loss into a summed loss that
@@ -311,14 +310,14 @@ def _summed_gradients(model: ModelParams, samples: Iterable[tuple[np.ndarray, in
     forward_s = backward_s = 0.0
     for cuboid, cls in samples:
         t0 = time.perf_counter()
-        out, caches = _forward_full(model, cuboid[None], training=True)
-        sample_loss, grad_logits = ops.softmax_cross_entropy(out, np.array([cls]))
+        out, caches = _forward_full(model, cuboid, training=True)
+        sample_loss, grad_logits = ops.softmax_cross_entropy(out, cls)
         t1 = time.perf_counter()
         forward_s += t1 - t0
         if not np.isfinite(sample_loss):
             raise TrainingError(f"{where}: loss is {sample_loss}; stopping the run")
         loss += sample_loss
-        logits.append(out[0])
+        logits.append(out)
         for name, g in _backward_full(model, caches, grad_logits).items():
             grads[name] += g
         backward_s += time.perf_counter() - t1
@@ -463,8 +462,8 @@ def load_checkpoint(path) -> ModelParams:
     header, pos = _read_line(data, pos, path)
     try:
         _, layers, shape = header.split(" ")
-        n_layers = int(layers.removeprefix("layers="))
-        input_shape = tuple(int(x) for x in shape.removeprefix("input=").split("x"))
+        n_layers = ascii_int(layers.removeprefix("layers="))
+        input_shape = tuple(ascii_int(x) for x in shape.removeprefix("input=").split("x"))
     except ValueError:
         raise CheckpointError(f"{path}: bad header line {header!r}") from None
 

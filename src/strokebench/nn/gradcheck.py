@@ -49,7 +49,7 @@ def _worst(objective, pairs) -> float:
 
 def _per_sample(check, x, r) -> float:
     """Worst error of `check(x[s:s+1], r[s:s+1])` over the samples of x, the
-    one-sample inputs the kernels take, each with its projection."""
+    one-sample inputs the kernels take, each with its projection (or class)."""
     return max(check(x[s:s + 1], r[s:s + 1]) for s in range(len(x)))
 
 
@@ -144,11 +144,15 @@ def _check_softmax_cross_entropy(rng: np.random.Generator) -> float:
     logits = rng.uniform(-1.0, 1.0, (n, k))
     classes = rng.integers(0, k, n)
 
-    def objective():
-        return ops.softmax_cross_entropy(logits, classes)[0]
+    def check(rows, cls):
+        row, c = rows[0], int(cls[0])  # the one (K,) sample the loss takes
 
-    analytic = ops.softmax_cross_entropy(logits, classes)[1]
-    return _worst(objective, [(analytic, logits)])
+        def objective():
+            return ops.softmax_cross_entropy(row, c)[0]
+
+        return _worst(objective, [(ops.softmax_cross_entropy(row, c)[1], row)])
+
+    return _per_sample(check, logits, classes)
 
 
 _CHECKS = {

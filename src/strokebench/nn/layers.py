@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..errors import ArchitectureError, ShapeError
+from ..frames import ascii_int
 from .ops import conv3d_out_extents, maxpool3d_out_extents
 
 
@@ -22,7 +23,7 @@ class LayerSpec:
     out_features: int = 0
 
 
-def conv3d(in_channels: int, out_channels: int, kernel=(3, 3, 3), stride=1, pad=1) -> LayerSpec:
+def conv3d(in_channels: int, out_channels: int, kernel, stride: int, pad: int) -> LayerSpec:
     return LayerSpec("conv3d", in_channels=in_channels, out_channels=out_channels,
                      kernel=tuple(int(k) for k in kernel), stride=stride, pad=pad)
 
@@ -101,29 +102,23 @@ def param_entries(specs: list[LayerSpec]) -> list[tuple[str, tuple[int, ...]]]:
     return entries
 
 
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{text!r} is not an integer") from None
-
-
 def _extents(text: str) -> tuple[int, int, int]:
     xs = text.split("x")
     if len(xs) != 3:
         raise ValueError(f"expected AxBxC, got {text!r}")
-    return tuple(_int(x) for x in xs)
+    return tuple(ascii_int(x) for x in xs)
 
 
 # Each kind's descriptor keys, in descriptor order: key -> (the LayerSpec
 # field it holds, its parser). Both descriptor directions read this.
 _DESCRIPTORS = {
-    "conv3d": {"in": ("in_channels", _int), "out": ("out_channels", _int),
-               "kernel": ("kernel", _extents), "stride": ("stride", _int), "pad": ("pad", _int)},
+    "conv3d": {"in": ("in_channels", ascii_int), "out": ("out_channels", ascii_int),
+               "kernel": ("kernel", _extents), "stride": ("stride", ascii_int),
+               "pad": ("pad", ascii_int)},
     "maxpool3d": {"window": ("window", _extents)},
     "relu": {},
     "flatten": {},
-    "linear": {"in": ("in_features", _int), "out": ("out_features", _int)},
+    "linear": {"in": ("in_features", ascii_int), "out": ("out_features", ascii_int)},
 }
 
 

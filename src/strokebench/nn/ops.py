@@ -4,7 +4,8 @@ Tensors are C-order numpy arrays, and every op preserves the input dtype
 (training runs in float32, gradient checking in float64). The conv and pool
 kernels and `linear_backward` take one sample: activations are
 (1, C, T, H, W), linear inputs (1, In); any other batch extent is refused
-with a ShapeError. A batch runs as one-sample passes (see `model`).
+with a ShapeError. `softmax` and `softmax_cross_entropy` take one (K,)
+logit vector. A batch runs as one-sample passes (see `model`).
 Conv weights are (F, C, kt, kh, kw), linear weights (Out, In).
 
 Memory. No kernel builds a full im2col copy of its input (27x the input for
@@ -35,13 +36,12 @@ of shape (1, 8, 32, 64, 64) float32 and 8 filters. The forward may use
 9.98 MB (a 4.19 MB output, a 4.74 MB padded sample and two tiles) and uses
 9.43 MB. The backward may use 37.7 MB and uses 7.85 MB, set by grad_input
 and one col2im block; without grad_input it uses 5.20 MB, one padded
-sample, one tile and 20 KB of sums and Python objects (the kernel-row
-kernels peaked at 12.6 MB either way, the im2col kernels at 122 and
-127 MB). With a 3x3x1 kernel grad_input sets the peak: 7.95 MB, below
-grad_input + BLOCK_BYTES + 128 KB of ufunc buffers and Python objects
-(8.52 MB). It also checks that a training `maxpool3d` call peaks less than
-`BLOCK_BYTES` above its pooled values and taps, and `maxpool3d_backward`
-less than that above its result.
+sample, one tile and 20 KB of sums and Python objects. With a 3x3x1
+kernel grad_input sets the peak: 7.95 MB, below grad_input + BLOCK_BYTES
++ 128 KB of ufunc buffers and Python objects (8.52 MB). It also checks
+that a training `maxpool3d` call peaks less than `BLOCK_BYTES` above its
+pooled values and taps, and `maxpool3d_backward` less than that above its
+result.
 
 Numerics. Each output element of the forward and of grad_input is one dot
 product over the same reduction axis, in the same order, as in the im2col
@@ -403,35 +403,26 @@ def relu_backward(x, grad_out):
 
 
 def softmax(logits):
-    """Row-wise stable softmax of (N, K) logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    """Stable softmax of one (K,) logit vector."""
+    z = logits - logits.max()
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum()
 
 
-def softmax_cross_entropy(logits, classes):
-    """Summed-over-the-batch cross entropy of softmaxed logits.
+def softmax_cross_entropy(logits, cls: int):
+    """Cross entropy of one sample's softmaxed (K,) logits against class `cls`.
 
-    Returns (loss, grad_logits) with grad row n = softmax(row n) - onehot(class n).
+    Returns (loss, grad_logits) with grad_logits = softmax(logits) - onehot(cls).
     Max-subtraction keeps arbitrarily large logits finite.
     """
     logits = np.asarray(logits)
-    classes = np.asarray(classes)
-    if logits.ndim != 2 or logits.shape[1] < 2:
-        raise ShapeError(f"logits must be (N, K>=2), got shape {logits.shape}")
-    n, k = logits.shape
-    if classes.shape != (n,):
-        raise ShapeError(f"classes shape {classes.shape} does not match batch size {n}")
-    if classes.size and (classes.min() < 0 or classes.max() >= k):
-        raise ShapeError(f"class indices must lie in [0, {k}), got {classes}")
-
-    m = logits.max(axis=1, keepdims=True)
-    z = logits - m
+    if logits.ndim != 1 or len(logits) < 2:
+        raise ShapeError(f"logits must be (K,) with K >= 2, got shape {logits.shape}")
+    if not 0 <= cls < len(logits):
+        raise ShapeError(f"class index must lie in [0, {len(logits)}), got {cls}")
+    z = logits - logits.max()
     e = np.exp(z)
-    denom = e.sum(axis=1, keepdims=True)
-    rows = np.arange(n)
-    log_probs = z - np.log(denom)
-    loss = float(-log_probs[rows, classes].sum())
+    denom = e.sum()
     grad = e / denom
-    grad[rows, classes] -= 1
-    return loss, grad
+    grad[cls] -= 1
+    return float(np.log(denom) - z[cls]), grad

@@ -23,7 +23,7 @@ from strokebench.nn.layers import conv3d, flatten, linear, maxpool3d, relu
 from strokebench.nn.optim import NesterovSGD
 from strokebench.synth import SynthConfig, generate_corpus
 
-from oracles import accuracy, average_precision_bruteforce, conv3d_naive
+from oracles import accuracy, average_precision_bruteforce, conv3d_naive, cross_entropy_direct
 
 
 @contextmanager
@@ -72,19 +72,19 @@ def test_convolution_oracle():
 
 
 def test_loss_correctness():
-    with criterion("loss: ln 2 on uniform 2-logits; batch loss = sum of rows"):
-        loss, grad = ops.softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))
+    with criterion("loss: ln 2 on uniform 2-logits; each sample's loss = direct formula"):
+        loss, grad = ops.softmax_cross_entropy(np.array([0.0, 0.0]), 0)
         assert abs(loss - np.log(2)) < 1e-12
-        assert np.allclose(grad, [[-0.5, 0.5]], atol=1e-12)
+        assert np.allclose(grad, [-0.5, 0.5], atol=1e-12)
         rng = np.random.default_rng(2)
         for _ in range(50):
             n, k = int(rng.integers(1, 9)), int(rng.integers(2, 12))
             logits = rng.standard_normal((n, k)) * 5
             classes = rng.integers(0, k, n)
-            total, _ = ops.softmax_cross_entropy(logits, classes)
-            rows = sum(ops.softmax_cross_entropy(logits[i:i + 1], classes[i:i + 1])[0]
-                       for i in range(n))
-            assert abs(total - rows) < 1e-9
+            for i in range(n):
+                loss, _ = ops.softmax_cross_entropy(logits[i], int(classes[i]))
+                direct, _ = cross_entropy_direct(logits[i:i + 1], classes[i:i + 1])
+                assert abs(loss - direct) < 1e-9
 
 
 def test_optimizer_correctness():
@@ -281,7 +281,7 @@ def test_round_trips(tmp_path):
 
         for seed in range(5):
             n_classes = int(rng.integers(2, 8))
-            arch = [conv3d(3, 4), relu(), maxpool3d((2, 2, 2)), flatten(),
+            arch = [conv3d(3, 4, (3, 3, 3), 1, 1), relu(), maxpool3d((2, 2, 2)), flatten(),
                     linear(4 * 2 * 4 * 4, 8), relu(), linear(8, n_classes)]
             m = build_model(n_classes, arch, seed=seed, input_shape=(3, 4, 8, 8))
             p = tmp_path / f"rt{seed}.ckpt"
@@ -289,6 +289,7 @@ def test_round_trips(tmp_path):
             original = p.read_bytes()
             back = load_checkpoint(p)
             x = rng.random((2, 3, 4, 8, 8)).astype(np.float32)
-            assert np.array_equal(forward(m, x), forward(back, x))
+            for cuboid in x:
+                assert np.array_equal(forward(m, cuboid), forward(back, cuboid))
             save_checkpoint(back, p)
             assert p.read_bytes() == original

@@ -460,7 +460,7 @@ def test_backward_full_skips_only_the_first_conv_grad_input(monkeypatch):
     orig = ops.conv3d_backward
     monkeypatch.setattr(ops, "conv3d_backward", spy)
     for s in range(len(x)):
-        logits, caches = model._forward_full(net, x[s:s + 1])
+        logits, caches = model._forward_full(net, x[s])
         model._backward_full(net, caches, np.ones_like(logits))
     assert calls == [((8, 8), True, (1, 8, 2, 4, 4)), ((8, 4), True, (1, 4, 4, 8, 8)),
                      ((4, 3), False, (0,))] * len(x)
@@ -481,7 +481,7 @@ def test_backward_full_frees_each_cache_before_the_next_layer(monkeypatch):
     orig = ops.conv3d_backward
     monkeypatch.setattr(ops, "conv3d_backward", spy)
     for s in range(len(x)):
-        logits, caches = model._forward_full(net, x[s:s + 1])
+        logits, caches = model._forward_full(net, x[s])
         pool1 = next(c for c in caches if c[0].kind == "maxpool3d")
         taps = weakref.ref(pool1[1])
         del pool1

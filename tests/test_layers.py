@@ -13,13 +13,14 @@ from strokebench.nn.layers import (chain_shapes, conv3d, default_architecture, f
 
 
 def test_chain_shapes_basic():
-    specs = [conv3d(3, 8), relu(), maxpool3d((2, 2, 2)), flatten(), linear(8 * 2 * 4 * 4, 5)]
+    specs = [conv3d(3, 8, (3, 3, 3), 1, 1), relu(), maxpool3d((2, 2, 2)), flatten(),
+             linear(8 * 2 * 4 * 4, 5)]
     shapes = chain_shapes(specs, (3, 4, 8, 8))
     assert shapes == [(8, 4, 8, 8), (8, 4, 8, 8), (8, 2, 4, 4), (8 * 2 * 4 * 4,), (5,)]
 
 
 def test_chain_names_offending_layer():
-    specs = [conv3d(3, 8), maxpool3d((2, 2, 2))]
+    specs = [conv3d(3, 8, (3, 3, 3), 1, 1), maxpool3d((2, 2, 2))]
     with pytest.raises(ArchitectureError, match=r"layer 1 \(maxpool3d\)"):
         chain_shapes(specs, (3, 5, 8, 8))
     with pytest.raises(ArchitectureError, match=r"layer 0 \(conv3d\)"):
@@ -119,7 +120,7 @@ def test_descriptor_round_trip():
 
 
 @pytest.mark.parametrize("spec, text", [
-    (conv3d(3, 30), "conv3d in=3 out=30 kernel=3x3x3 stride=1 pad=1"),
+    (conv3d(3, 30, (3, 3, 3), 1, 1), "conv3d in=3 out=30 kernel=3x3x3 stride=1 pad=1"),
     (conv3d(3, 8, kernel=(1, 3, 2), stride=2, pad=0),
      "conv3d in=3 out=8 kernel=1x3x2 stride=2 pad=0"),
     (maxpool3d((7, 2, 2)), "maxpool3d window=7x2x2"),
@@ -148,11 +149,17 @@ def test_malformed_descriptor_rejected(line):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("conv3d in=3 out=8 kernel=3x3x3 stride=1.5 pad=1", "conv3d stride: '1.5' is not an integer"),
-    ("conv3d in=3 out=8 kernel=3xAx3 stride=1 pad=1", "conv3d kernel: 'A' is not an integer"),
-    ("linear in=3 out=", "linear out: '' is not an integer"),
+    ("conv3d in=3 out=8 kernel=3x3x3 stride=1.5 pad=1",
+     "conv3d stride: not a base-10 integer: '1.5'"),
+    ("conv3d in=3 out=8 kernel=3xAx3 stride=1 pad=1", "conv3d kernel: not a base-10 integer: 'A'"),
+    ("linear in=3 out=", "linear out: not a base-10 integer: ''"),
     ("maxpool3d window=2x2", "maxpool3d window: expected AxBxC, got '2x2'"),
-], ids=["stride", "kernel_extent", "empty", "window"])
+    # int() takes these; checkpoint text follows the CLI's integer rule
+    ("conv3d in=+3 out=8 kernel=3x3x3 stride=1 pad=1", "conv3d in: not a base-10 integer: '+3'"),
+    ("linear in=1_0 out=4", "linear in: not a base-10 integer: '1_0'"),
+    ("maxpool3d window=2x\uff13x2", "maxpool3d window: not a base-10 integer: '\uff13'"),
+], ids=["stride", "kernel_extent", "empty", "window", "plus_sign", "underscore",
+        "fullwidth_digit"])
 def test_malformed_value_names_kind_and_key(line, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         from_descriptor(line)
@@ -161,8 +168,8 @@ def test_malformed_value_names_kind_and_key(line, message):
 def test_factory_validation():
     # the factories only build; the chain walk refuses what they make
     for spec, input_shape, message in [
-        (conv3d(0, 8), (1, 4, 4, 4), "channels must be >= 1, got 0/8"),
-        (conv3d(1, 1, kernel=(0, 3, 3)), (1, 4, 4, 4),
+        (conv3d(0, 8, (3, 3, 3), 1, 1), (1, 4, 4, 4), "channels must be >= 1, got 0/8"),
+        (conv3d(1, 1, kernel=(0, 3, 3), stride=1, pad=1), (1, 4, 4, 4),
          "kernel extents must be >= 1, got (0, 3, 3)"),
         (maxpool3d((0, 2, 2)), (1, 4, 4, 4), "pool window extents must be >= 1, got (0, 2, 2)"),
         (linear(0, 5), (1,), "features must be >= 1, got 0/5"),

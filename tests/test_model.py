@@ -23,7 +23,7 @@ SMALL_SHAPE = (3, 4, 8, 8)
 
 def small_arch(n_classes=2, hidden=8):
     return [
-        conv3d(3, 4), relu(), maxpool3d((2, 2, 2)),
+        conv3d(3, 4, (3, 3, 3), 1, 1), relu(), maxpool3d((2, 2, 2)),
         flatten(), linear(4 * 2 * 4 * 4, hidden), relu(), linear(hidden, n_classes),
     ]
 
@@ -37,7 +37,7 @@ NON_SQUARE_SHAPE = (3, 4, 8, 16)
 
 
 def non_square_arch():
-    return [conv3d(3, 4), relu(), maxpool3d((2, 2, 2)),
+    return [conv3d(3, 4, (3, 3, 3), 1, 1), relu(), maxpool3d((2, 2, 2)),
             flatten(), linear(4 * 2 * 4 * 8, 8), relu(), linear(8, 2)]
 
 
@@ -51,7 +51,7 @@ GRAY_SHAPE = (1, 4, 8, 8)
 
 
 def gray_arch():
-    return [conv3d(1, 4), relu(), maxpool3d((2, 2, 2)),
+    return [conv3d(1, 4, (3, 3, 3), 1, 1), relu(), maxpool3d((2, 2, 2)),
             flatten(), linear(4 * 2 * 4 * 4, 8), relu(), linear(8, 2)]
 
 
@@ -169,7 +169,7 @@ class TestBuild:
         assert w.dtype == np.float32
 
     def test_incompatible_chain_rejected(self):
-        arch = [conv3d(3, 4), maxpool3d((3, 2, 2))]
+        arch = [conv3d(3, 4, (3, 3, 3), 1, 1), maxpool3d((3, 2, 2))]
         with pytest.raises(ArchitectureError, match=r"layer 1"):
             build_model(2, arch, seed=0, input_shape=SMALL_SHAPE)
 
@@ -196,41 +196,32 @@ class TestForward:
         m = small_model()
         rng = np.random.default_rng(0)
         x = rng.random((3,) + SMALL_SHAPE).astype(np.float32)
-        logits = forward(m, x)
-        assert logits.shape == (3, 2)
-        p = ops.softmax(logits)
-        assert np.abs(p.sum(axis=1) - 1).max() < 1e-6
+        for cuboid in x:
+            logits = forward(m, cuboid)
+            assert logits.shape == (2,)
+            assert abs(ops.softmax(logits).sum() - 1) < 1e-6
 
-    def test_rows_are_independent(self):
+    def test_calls_are_independent(self):
+        # a forward of another cuboid in between leaves the next logits as they were
         m = small_model()
         rng = np.random.default_rng(1)
         x = rng.random((2,) + SMALL_SHAPE).astype(np.float32)
         dup = np.concatenate([x, x[:1]])
-        logits = forward(m, dup)
+        logits = [forward(m, cuboid) for cuboid in dup]
         assert np.array_equal(logits[0], logits[2])
 
-    def test_batch_rows_have_the_one_sample_bytes(self):
-        """Each row of a batch's logits has the bytes of that cuboid's
-        one-sample logits, the shape `classify` runs: a batched fc1 and fc2
-        GEMM (M = N against M = 1) moved them by up to 3.7e-8 here."""
-        shape = (3, 16, 32, 32)
-        arch = default_architecture(shape, filters=(8, 16), hidden=64, n_classes=2)
-        m = build_model(2, arch, seed=11, input_shape=shape)
-        x = np.random.default_rng(4).random((4,) + shape, dtype=np.float32)
-        logits = forward(m, x)
-        for i in range(len(x)):
-            assert logits[i].tobytes() == forward(m, x[i:i + 1])[0].tobytes(), i
-
-    def test_batch_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError, match="batch shape"):
-            forward(small_model(), np.zeros((1, 3, 4, 4, 4), np.float32))
+    @pytest.mark.parametrize("shape", [(1,) + SMALL_SHAPE, (3, 4, 4, 4), SMALL_SHAPE[1:]],
+                             ids=["batch_of_one", "wrong_size", "no_channels"])
+    def test_other_shape_rejected(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(f"cuboid shape {shape} does not match")):
+            forward(small_model(), np.zeros(shape, np.float32))
 
     def test_unknown_layer_kind_rejected(self):
         # a hand-built model skips build_model's chain check; forward still refuses it
         arch = small_arch()
         arch.insert(3, LayerSpec("dropout"))
         with pytest.raises(ArchitectureError, match="unknown layer kind 'dropout'"):
-            forward(unchecked_model(arch), np.zeros((1,) + SMALL_SHAPE, np.float32))
+            forward(unchecked_model(arch), np.zeros(SMALL_SHAPE, np.float32))
 
 
 class TestClassify:
@@ -261,7 +252,7 @@ class TestClassify:
         x = _cuboid(np.random.default_rng(0))
         cls, probs = classify(m, x)
         assert probs[0] == probs[1]
-        assert cls == 1 == int(np.argmax(forward(m, x[None])[0]))
+        assert cls == 1 == int(np.argmax(forward(m, x)))
 
     def test_probability_vector_sums_to_one(self):
         m = small_model()
@@ -270,7 +261,7 @@ class TestClassify:
         assert abs(float(probs.sum()) - 1.0) < 1e-6
 
     def test_shift_invariance_of_probabilities(self):
-        logits = np.array([[0.3, -1.2, 2.2]])
+        logits = np.array([0.3, -1.2, 2.2])
         assert np.abs(ops.softmax(logits) - ops.softmax(logits + 55.5)).max() < 1e-9
 
 
@@ -349,8 +340,8 @@ class TestTrain:
 
     def test_single_step_decreases_single_sample_loss(self):
         rng = np.random.default_rng(11)
-        x = _cuboid(rng)[None]
-        y = np.array([1])
+        x = _cuboid(rng)
+        y = 1
         m = small_model(seed=6)
         from strokebench.model import _backward_full, _forward_full
         from strokebench.nn.optim import NesterovSGD
@@ -436,8 +427,8 @@ class TestTrain:
         seen = []
         real_forward = model_mod.forward
 
-        def spy(model, batch):
-            seen.append(real_forward(model, batch))
+        def spy(model, cuboid):
+            seen.append(real_forward(model, cuboid))
             return seen[-1]
 
         monkeypatch.setattr(model_mod, "forward", spy)
@@ -447,9 +438,9 @@ class TestTrain:
         hits = 0
         for item, logits in zip(items[::-1], seen):
             cuboid = _extract_item(item, sources, best)
-            assert logits.tobytes() == forward(best, cuboid[None]).tobytes()
+            assert logits.tobytes() == forward(best, cuboid).tobytes()
             cls, _ = classify(best, cuboid)
-            assert cls == int(np.argmax(logits[0]))
+            assert cls == int(np.argmax(logits))
             hits += cls == item.class_index
         assert history[0].val_acc == hits / len(items)
 
@@ -470,10 +461,10 @@ class TestTrain:
         grads = {name: np.zeros_like(p) for name, p in m.params.items()}
         hits = 0
         for cuboid, cls in samples:
-            logits, caches = _forward_full(m, cuboid[None])
-            sample_loss, grad_logits = ops.softmax_cross_entropy(logits, np.array([cls]))
+            logits, caches = _forward_full(m, cuboid)
+            sample_loss, grad_logits = ops.softmax_cross_entropy(logits, cls)
             loss += sample_loss
-            hits += int(np.argmax(logits[0])) == cls
+            hits += int(np.argmax(logits)) == cls
             for name, g in _backward_full(m, caches, grad_logits).items():
                 grads[name] += g
 
@@ -626,7 +617,8 @@ class TestCheckpoint:
         assert back.input_shape == SMALL_SHAPE
         assert back.specs == m.specs
         x = np.random.default_rng(0).random((2,) + SMALL_SHAPE).astype(np.float32)
-        assert np.array_equal(forward(m, x), forward(back, x))
+        for cuboid in x:
+            assert np.array_equal(forward(m, cuboid), forward(back, cuboid))
 
     def test_save_is_byte_deterministic(self, tmp_path):
         m = small_model(seed=9)
@@ -675,16 +667,19 @@ class TestCheckpoint:
     @pytest.mark.parametrize("old, new, message", [
         (b"layers=7", b"layers=07", "line 2 reads 'arch layers=07 input=3x4x8x8', "
                                     "but save_checkpoint writes 'arch layers=7 input=3x4x8x8'"),
-        (b"input=3x4", b"input=+3x4", "line 2 reads 'arch layers=7 input=+3x4x8x8'"),
+        (b"input=3x4", b"input=+3x4", "bad header line 'arch layers=7 input=+3x4x8x8'"),
         (b"conv3d in=3 out=4", b"conv3d  in=+3 out=0_4",
-         "line 3 reads 'conv3d  in=+3 out=0_4 kernel=3x3x3 stride=1 pad=1', "
+         "conv3d in: not a base-10 integer: '+3'"),
+        (b"conv3d in=3", b"conv3d  in=3",
+         "line 3 reads 'conv3d  in=3 out=4 kernel=3x3x3 stride=1 pad=1', "
          "but save_checkpoint writes 'conv3d in=3 out=4 kernel=3x3x3 stride=1 pad=1'"),
         (b"window=2x2x2", b"window=2x2x2 ", "line 5 reads 'maxpool3d window=2x2x2 '"),
-        (b"stride=1", b"stride=1.5", "conv3d stride: '1.5' is not an integer"),
+        (b"stride=1", b"stride=1.5", "conv3d stride: not a base-10 integer: '1.5'"),
         (b"conv3d", b"\xffonv3d",
          "text line b'\\xffonv3d in=3 out=4 kernel=3x3x3 stride=1 pad=1' is not UTF-8"),
     ], ids=["header_zero_padded", "header_plus_sign", "descriptor_spelling",
-            "descriptor_trailing_space", "descriptor_non_integer", "descriptor_not_utf8"])
+            "descriptor_double_space", "descriptor_trailing_space", "descriptor_non_integer",
+            "descriptor_not_utf8"])
     def test_text_line_not_as_saved_rejected(self, tmp_path, old, new, message):
         p = tmp_path / "m.ckpt"
         save_checkpoint(small_model(), p)

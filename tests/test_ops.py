@@ -241,66 +241,63 @@ class TestRelu:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_give_log_k(self):
-        loss, grad = ops.softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))
+        loss, grad = ops.softmax_cross_entropy(np.array([0.0, 0.0]), 0)
         assert abs(loss - np.log(2)) < 1e-12
-        assert np.allclose(grad, [[-0.5, 0.5]], atol=1e-12)
+        assert np.allclose(grad, [-0.5, 0.5], atol=1e-12)
         for k in (3, 5, 17):
-            loss, _ = ops.softmax_cross_entropy(np.zeros((1, k)), np.array([k - 1]))
+            loss, _ = ops.softmax_cross_entropy(np.zeros(k), k - 1)
             assert abs(loss - np.log(k)) < 1e-12
 
     def test_huge_logits_stay_finite(self):
-        loss, grad = ops.softmax_cross_entropy(np.array([[1000.0, 0.0]]), np.array([0]))
+        loss, grad = ops.softmax_cross_entropy(np.array([1000.0, 0.0]), 0)
         assert abs(loss) < 1e-12
         assert np.isfinite(grad).all()
 
     def test_matches_direct_formula(self):
         logits = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
         classes = np.array([2, 1])
-        loss, grad = ops.softmax_cross_entropy(logits, classes)
-        ref_loss, ref_grad = cross_entropy_direct(logits, classes)
-        assert abs(loss - ref_loss) < 1e-10
-        assert np.abs(grad - ref_grad).max() < 1e-10
-
-    def test_batch_loss_is_sum_of_rows(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            n, k = int(rng.integers(1, 7)), int(rng.integers(2, 9))
-            logits = rng.standard_normal((n, k)) * 4
-            classes = rng.integers(0, k, n)
-            total, _ = ops.softmax_cross_entropy(logits, classes)
-            per_row = sum(
-                ops.softmax_cross_entropy(logits[i : i + 1], classes[i : i + 1])[0]
-                for i in range(n)
-            )
-            assert abs(total - per_row) < 1e-9
+        for i in range(len(logits)):  # each sample alone
+            loss, grad = ops.softmax_cross_entropy(logits[i], int(classes[i]))
+            ref_loss, ref_grad = cross_entropy_direct(logits[i:i + 1], classes[i:i + 1])
+            assert abs(loss - ref_loss) < 1e-10
+            assert np.abs(grad - ref_grad[0]).max() < 1e-10
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(12)
         logits = rng.standard_normal((3, 6))
         classes = np.array([0, 5, 2])
-        loss_a, grad_a = ops.softmax_cross_entropy(logits, classes)
-        loss_b, grad_b = ops.softmax_cross_entropy(logits + 123.456, classes)
-        assert abs(loss_a - loss_b) < 1e-9
-        assert np.abs(grad_a - grad_b).max() < 1e-9
+        for i in range(len(logits)):
+            loss_a, grad_a = ops.softmax_cross_entropy(logits[i], int(classes[i]))
+            loss_b, grad_b = ops.softmax_cross_entropy(logits[i] + 123.456, int(classes[i]))
+            assert abs(loss_a - loss_b) < 1e-9
+            assert np.abs(grad_a - grad_b).max() < 1e-9
 
     def test_softmax_rows_are_distributions(self):
         rng = np.random.default_rng(13)
-        p = ops.softmax(rng.standard_normal((50, 9)) * 10)
-        assert (p >= 0).all()
-        assert np.abs(p.sum(axis=1) - 1).max() < 1e-9
+        for row in rng.standard_normal((50, 9)) * 10:
+            p = ops.softmax(row)
+            assert (p >= 0).all()
+            assert abs(p.sum() - 1) < 1e-9
 
-    def test_class_out_of_range_rejected(self):
-        with pytest.raises(ShapeError, match="class indices"):
-            ops.softmax_cross_entropy(np.zeros((1, 3)), np.array([3]))
-        with pytest.raises(ShapeError, match="K>=2"):
-            ops.softmax_cross_entropy(np.zeros((1, 1)), np.array([0]))
+    @pytest.mark.parametrize("cls", [-1, 3])
+    def test_class_out_of_range_rejected(self, cls):
+        with pytest.raises(ShapeError, match=re.escape(f"in [0, 3), got {cls}")):
+            ops.softmax_cross_entropy(np.zeros(3), cls)
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 3), (2, 3)])
+    def test_logits_other_than_one_k_vector_rejected(self, shape):
+        # one class cannot be softmaxed, and a batch is no longer taken
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            ops.softmax_cross_entropy(np.zeros(shape), 0)
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
             logits = rng.standard_normal((4, 5)) * 6
-            loss, _ = ops.softmax_cross_entropy(logits, rng.integers(0, 5, 4))
-            assert loss >= 0.0
+            classes = rng.integers(0, 5, 4)
+            for row, cls in zip(logits, classes):
+                loss, _ = ops.softmax_cross_entropy(row, int(cls))
+                assert loss >= 0.0
 
 
 # one call per kernel that takes one sample, with a batch extent of n

@@ -70,8 +70,11 @@ def test_step_memory_measures_the_library_step():
     ("--filters", "4,+8"), ("--filters", "4, 8"), ("--filters", "4,0"),
     ("--hidden", "+500"), ("--hidden", "٥"), ("--batch", " 2"), ("--batch", "0"),
     ("--seed", "1_0"),
+    # integer text, but no model can be built for the shape
+    ("--input", "3x16x32"), ("--input", "3x16x32x30"), ("--input", "1x16x32x32"),
 ])
 def test_numbers_follow_the_integer_rule(flag, value):
     proc = _proc(flag, value)
     assert proc.returncode == 2 and f"argument {flag}: invalid" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not proc.stdout

@@ -95,7 +95,7 @@ def _net(shape, filters, hidden, seed=5):
 
 def _loss_gradient(classes):
     """The loss gradient of sample s, whose class is classes[s]."""
-    return lambda logits, s: ops.softmax_cross_entropy(logits, classes[s:s + 1])[1]
+    return lambda logits, s: ops.softmax_cross_entropy(logits, int(classes[s]))[1]
 
 
 def _negative(logits, s):
@@ -117,18 +117,19 @@ def _same_bytes(a, b):
 
 
 def _assert_walks_agree(net, x, upstream):
-    """Per sample s of x, the walks agree on x[s:s+1] with the upstream
-    gradient `upstream(logits, s)`."""
+    """Per sample s of x, the walks agree on that cuboid with the upstream
+    gradient `upstream(logits, s)` of its (K,) logits; the reference walks
+    the one-sample batch x[s:s+1]."""
     for s in range(len(x)):
-        xs = x[s:s + 1]
-        ref_logits, ref_grads = spec_order_step(net, xs, lambda logits: upstream(logits, s))
-        logits, caches = model._forward_full(net, xs)
+        ref_logits, ref_grads = spec_order_step(
+            net, x[s:s + 1], lambda logits: upstream(logits[0], s)[None])
+        logits, caches = model._forward_full(net, x[s])
         grads = model._backward_full(net, caches, upstream(logits, s))
-        assert _same_bytes(logits, ref_logits), s
+        assert _same_bytes(logits, ref_logits[0]), s
         assert grads.keys() == ref_grads.keys()
         for name in ref_grads:
             assert _same_bytes(grads[name], ref_grads[name]), (s, name)
-        assert _same_bytes(model.forward(net, xs), ref_logits), s
+        assert _same_bytes(model.forward(net, x[s]), ref_logits[0]), s
 
 
 @pytest.mark.parametrize("batch", [1, 5, 10])
@@ -201,8 +202,8 @@ def test_some_windows_pick_other_winners():
 # conv -> pool -> flatten -> linear: no relu after the pool, so a +0.0/-0.0
 # tie in a pool window reaches the linear layer as it was pooled
 NO_RELU_SHAPE = (3, 6, 8, 8)
-NO_RELU_CHAIN = [layers.conv3d(3, 4), layers.maxpool3d((2, 2, 2)), layers.flatten(),
-                 layers.linear(4 * 3 * 4 * 4, 2)]
+NO_RELU_CHAIN = [layers.conv3d(3, 4, (3, 3, 3), 1, 1), layers.maxpool3d((2, 2, 2)),
+                 layers.flatten(), layers.linear(4 * 3 * 4 * 4, 2)]
 
 
 def _chain_net(chain):
@@ -225,16 +226,16 @@ def test_inference_pools_without_winners_and_keeps_training_logits(chain, kind, 
         calls.append((kwargs["need_winners"], taps is None))
         return pooled, taps
 
-    def loss_spy(logits, classes):
+    def loss_spy(logits, cls):
         seen.append(logits.copy())
-        return loss(logits, classes)
+        return loss(logits, cls)
 
     monkeypatch.setattr(ops, "maxpool3d", pool_spy)
     monkeypatch.setattr(ops, "softmax_cross_entropy", loss_spy)
     n_pools = sum(spec.kind == "maxpool3d" for spec in net.specs)
     with np.errstate(invalid="ignore", over="ignore"):
         # one-sample inference, the shape training runs the model at
-        logits = [model.forward(net, x[n : n + 1]) for n in range(len(x))]
+        logits = [model.forward(net, cuboid) for cuboid in x]
         assert calls == [(False, True)] * n_pools * len(x)
         calls.clear()
         opt = NesterovSGD(net.params, 0.01, 0.5, 0.005)
