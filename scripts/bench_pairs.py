@@ -46,7 +46,7 @@ import numpy as np
 TREES = ("base", "change")
 
 # the tiny shape tests/test_step_memory.py runs scripts/step_memory.py at
-TINY_STEP = ["--input", "3x8x16x16", "--filters", "4,8", "--hidden", "8"]
+TINY_STEP = ["--cuboid-len", "8", "--cuboid-size", "16", "--filters", "4,8", "--hidden", "8"]
 STEP_FIELDS = ("peak_rss_mb", "forward_s", "backward_s", "sha256")
 # a claimed gain needs at least this many pairs
 GAIN_PAIRS = 10
@@ -199,7 +199,10 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, default=GAIN_PAIRS,
                    help="pairs per workload (seeds 1..N)")
     p.add_argument("--seconds", type=float, default=15.0, help="loop seconds per run")
-    p.add_argument("--tiny", action="store_true", help="tiny shapes (smoke test)")
+    p.add_argument("--tiny", action="store_true",
+                   help="tiny shapes (smoke test); a --step-batch pair then passes "
+                        "--cuboid-len/--cuboid-size, so both checkouts' "
+                        "scripts/step_memory.py must take those flags")
     p.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write")
     args = p.parse_args(argv)
     if args.seeds < 1:
@@ -208,6 +211,8 @@ def main(argv=None) -> int:
         p.error("give at least one --workload or --step-batch")
     if any(b < 1 for b in args.step_batch):
         p.error("--step-batch must be >= 1")
+    if not args.out.parent.is_dir():  # refused before the runs, not after them
+        p.error(f"--out: no directory {args.out.parent}")
 
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())

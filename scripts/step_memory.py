@@ -1,11 +1,11 @@
 """Peak memory and time of one training step, measured in this process.
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/step_memory.py \
-        --input 3x98x120x120 --filters 30,60,80 --hidden 500 --batch 10
+        --cuboid-len 98 --cuboid-size 120 --filters 30,60,80 --hidden 500 --batch 10
 
-builds the default architecture for a 2-class model at the given input
-shape, then computes the gradients of one training step on a seeded random
-batch (no optimizer step) with the function training calls,
+builds the default architecture for a 2-class model at the RGB cuboid shape
+(3, len, size, size), then computes the gradients of one training step on a
+seeded random batch (no optimizer step) with the function training calls,
 `strokebench.model._summed_gradients`: forward pass, softmax cross entropy
 and backward pass one sample at a time, summed in sample order. It prints
 one JSON line: peak RSS of the process in MB, the step's wall seconds
@@ -15,12 +15,12 @@ SHA-256 over the logits and every summed parameter gradient, so two builds
 can be compared byte for byte. Run each measurement in a fresh process:
 peak RSS never falls.
 
-Every option defaults to the paper recipe, so the command above spells out
-the defaults. They are read from the library: the input shape, filters and
-hidden units from `strokebench.nn.layers`, the batch from
-`strokebench.model.TrainConfig`. Numbers follow the CLI's rule of integer
-text (`strokebench.frames.ascii_int`), and every count is at least 1; any
-other spelling, and a shape the architecture cannot be built for, exits 2.
+Its flags are those of `strokebench train` (`--cuboid-len`, `--cuboid-size`,
+`--filters`, `--hidden`, `--batch`, `--seed`), with the CLI's readers,
+defaults and help (`strokebench.cli.RunConfig`), so the command above spells
+out the paper-recipe defaults. A value the CLI refuses exits 2 with the
+CLI's message, and so do a batch below 1 and a cuboid no model can be built
+for.
 """
 
 from __future__ import annotations
@@ -35,50 +35,32 @@ import time
 
 import numpy as np
 
-from strokebench import model
-from strokebench.errors import ArchitectureError
-from strokebench.frames import ascii_int
-from strokebench.nn.layers import FILTERS, HIDDEN, INPUT_SHAPE, default_architecture
-
-
-def _count(text: str) -> int:
-    value = ascii_int(text)
-    if value < 1:
-        raise ValueError(f"not a count >= 1: {text!r}")
-    return value
-
-
-def _shape(raw: str) -> tuple[int, ...]:
-    return tuple(_count(v) for v in raw.split("x"))
-
-
-def _filters(raw: str) -> tuple[int, ...]:
-    return tuple(_count(v) for v in raw.split(","))
+from strokebench import cli, model
+from strokebench.errors import ArchitectureError, TrainingError
+from strokebench.nn.rng import MASK64
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--input", type=_shape, default=INPUT_SHAPE,
-                   help=f"cuboid shape CxTxHxW (default {'x'.join(map(str, INPUT_SHAPE))})")
-    p.add_argument("--filters", type=_filters, default=FILTERS,
-                   help=f"comma-separated conv filter counts (default "
-                        f"{','.join(map(str, FILTERS))})")
-    p.add_argument("--hidden", type=_count, default=HIDDEN)
-    p.add_argument("--batch", type=_count, default=model.TrainConfig.batch_size)
-    p.add_argument("--seed", type=ascii_int, default=0)
-    args = p.parse_args(argv)
+    for key in ("cuboid_len", "cuboid_size", "filters", "hidden", "batch", "seed"):
+        cli._add_setting(p, key)
+    cfg = cli.build_run_config(p.parse_args(argv))
 
     try:
-        arch = default_architecture(args.input, filters=args.filters, hidden=args.hidden,
-                                    n_classes=2)
-        net = model.build_model(2, arch, seed=args.seed, input_shape=args.input)
+        model.TrainConfig(batch_size=cfg.batch)
+    except TrainingError as e:
+        p.error(f"argument --batch: {e}")
+    try:
+        net = cli._default_net(cfg, 2)  # the model `strokebench train` builds
     except ArchitectureError as e:
-        p.error(f"argument --input: invalid shape {'x'.join(map(str, args.input))}: {e}")
-    rng = np.random.default_rng(args.seed)
+        p.error(f"no model for --cuboid-len {cfg.cuboid_len} --cuboid-size {cfg.cuboid_size} "
+                f"--hidden {cfg.hidden}: {e}")
+    shape = net.input_shape
+    rng = np.random.default_rng(cfg.seed & MASK64)
     # each cuboid is drawn as the step reaches it (the values of one
-    # (batch,) + input draw): training steps over cuboids it holds anyway,
+    # (batch,) + shape draw): training steps over cuboids it holds anyway,
     # so no copy of the batch belongs to the step
-    samples = ((rng.random(args.input, dtype=np.float32), n % 2) for n in range(args.batch))
+    samples = ((rng.random(shape, dtype=np.float32), n % 2) for n in range(cfg.batch))
 
     t0 = time.perf_counter()
     _, logits, grads, (forward_s, backward_s) = model._summed_gradients(net, samples, "step")
@@ -89,8 +71,8 @@ def main(argv=None) -> int:
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(grads[name]).tobytes())
     print(json.dumps({
-        "input": list(args.input), "filters": list(args.filters), "hidden": args.hidden,
-        "batch": args.batch, "seed": args.seed,
+        "input": list(shape), "filters": list(cfg.filters), "hidden": cfg.hidden,
+        "batch": cfg.batch, "seed": cfg.seed,
         "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "step_s": round(step_s, 3),

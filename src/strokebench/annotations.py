@@ -182,8 +182,7 @@ def parse_annotations(data: bytes) -> VideoAnnotation:
     except xml.parsers.expat.ExpatError as e:
         raise AnnotationError(f"malformed XML: {xml.parsers.expat.ErrorString(e.code)} "
                               f"(line {e.lineno})") from None
-    if target.video_attrs is None:
-        raise AnnotationError("no <video> element found")
+    # expat refuses a document with no root, and target.start a root other than <video>
 
     vattrs, vline = target.video_attrs
     name = _attr(vattrs, "name", vline)

@@ -204,6 +204,12 @@ def _default_checkpoint(cfg: RunConfig) -> Path:
     return cfg.checkpoint if cfg.checkpoint else Path(cfg.out) / f"{cfg.task}_model.ckpt"
 
 
+def _default_net(cfg: RunConfig, n_classes: int) -> model_mod.ModelParams:
+    shape = (3, cfg.cuboid_len, cfg.cuboid_size, cfg.cuboid_size)  # RGB, square frames
+    arch = default_architecture(shape, filters=cfg.filters, hidden=cfg.hidden, n_classes=n_classes)
+    return build_model(n_classes, arch, seed=cfg.seed, input_shape=shape)
+
+
 def _write_index(path: Path, rows: list[tuple[str, int, int, str]]) -> None:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -287,13 +293,9 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
                 if src is not None:
                     sources[item.video_id] = src
 
-    input_shape = (3, cfg.cuboid_len, cfg.cuboid_size, cfg.cuboid_size)
-    arch = default_architecture(input_shape, filters=cfg.filters, hidden=cfg.hidden,
-                                n_classes=len(labels))
-    net = build_model(len(labels), arch, seed=cfg.seed, input_shape=input_shape)
-    tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch, lr=cfg.lr,
-                     momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-                     seed=cfg.seed, cuboid_len=cfg.cuboid_len,
+    net = _default_net(cfg, len(labels))
+    tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch, lr=cfg.lr, momentum=cfg.momentum,
+                     weight_decay=cfg.weight_decay, seed=cfg.seed, cuboid_len=cfg.cuboid_len,
                      cuboid_size=cfg.cuboid_size)
     best, history = model_mod.train(net, train_items, val_items, sources, tc)
 

@@ -66,10 +66,9 @@ class TrainConfig:
     cuboid_size: int = INPUT_SHAPE[2]
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise TrainingError(
-                f"epochs and batch_size must be >= 1, got {self.epochs}/{self.batch_size}"
-            )
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise TrainingError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ def build_model(n_classes: int, arch: list[LayerSpec], seed: int, *,
     return model
 
 
-def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool = True):
+def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
     """(K,) logits of one (C, T, H, W) cuboid; with `training`, also the
     per-layer caches the backward sweep needs, among them each maxpool3d's
     index of the winning tap in every window (one byte per pooled element).

@@ -174,13 +174,12 @@ FILTERS = (30, 60, 80)
 HIDDEN = 500
 
 
-def default_architecture(input_shape=INPUT_SHAPE, filters=FILTERS, hidden: int = HIDDEN, *,
-                         n_classes: int) -> list[LayerSpec]:
+def default_architecture(input_shape, filters, hidden: int, *, n_classes: int) -> list[LayerSpec]:
     """Conv/relu/pool blocks followed by a two-layer classifier head.
 
     Pool windows adapt to the running extents (see _pool_extent) so any input
-    shape yields a valid chain; with the defaults the temporal axis pools
-    2/7/7 (98 -> 49 -> 7 -> 1) and the spatial axes 2/2/2 (120 -> 15).
+    shape yields a valid chain; at INPUT_SHAPE and FILTERS the temporal axis
+    pools 2/7/7 (98 -> 49 -> 7 -> 1) and the spatial axes 2/2/2 (120 -> 15).
     """
     if len(input_shape) != 4:
         raise ArchitectureError(f"default architecture needs (C, T, H, W), got {input_shape}")

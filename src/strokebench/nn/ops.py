@@ -197,7 +197,7 @@ def _lowered_tiles(x, kshape, stride: int, pad: int, outs):
             yield slice(first + a, first + b), matrix
 
 
-def conv3d_forward(x, weight, bias, stride: int = 1, pad: int = 0):
+def conv3d_forward(x, weight, bias, stride: int, pad: int):
     """Cross-correlation over (T,H,W); zero padding contributes zeros.
 
     Per tile of output positions (see _lowered_tiles): one GEMM of the
@@ -222,7 +222,7 @@ def conv3d_forward(x, weight, bias, stride: int = 1, pad: int = 0):
     return out
 
 
-def conv3d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0, *,
+def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *,
                     need_input: bool = True):
     """Exact adjoints of conv3d_forward: (grad_input, grad_weight, grad_bias).
 

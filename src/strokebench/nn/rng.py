@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK = (1 << 64) - 1
+MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
 def mix64(z: int) -> int:
     """Finalizer of the generator, usable on its own to hash integers."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
 
 
@@ -41,7 +41,7 @@ def derive_seed(seed: int, *salts: int) -> int:
     """
     h = mix64(seed + _GAMMA)
     for s in salts:
-        h = mix64((h ^ (s & _MASK)) + _GAMMA)
+        h = mix64((h ^ (s & MASK64)) + _GAMMA)
     return h
 
 
@@ -57,7 +57,7 @@ class SplitMix64:
     """Counter-based splitmix generator; scalar and block draws interleave freely."""
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK
+        self.seed = seed & MASK64
         self.counter = 0
 
     def next_u64(self) -> int:

@@ -42,6 +42,20 @@ class TestParse:
         with pytest.raises(AnnotationError, match=r"line 2"):
             parse_annotations(b'<video name="v" frames="10" fps="1">\n<action</video>')
 
+    @pytest.mark.parametrize("xml, message", [
+        (b'<video name="v" frames="10" fps="1">\n<action begin="0" end="5" move="A" '
+         b'score="1.5"/>\n</video>', "score must lie in [0, 1], got 1.5 (line 2)"),
+        (b'<clip name="v" frames="10" fps="1"/>', "expected <video> root, got <clip> (line 1)"),
+        (b'<video name="v" frames="10" fps="1">\n<segment/>\n</video>',
+         "unexpected element <segment> (line 2)"),
+        (b'<video name="v" frames="10" fps="1">\n<action begin="0" end="5" move="A">\n'
+         b'<note/></action>\n</video>', "unexpected nested element <note> (line 3)"),
+        (b'<?xml version="1.0"?>\n<!-- no video -->\n', "malformed XML: no element found"),
+    ], ids=["score_above_1", "root_not_video", "element_not_action", "nested", "no_video"])
+    def test_refusals_name_the_element_and_line(self, xml, message):
+        with pytest.raises(AnnotationError, match="^" + re.escape(message)):
+            parse_annotations(xml)
+
     def test_begin_not_before_end_reports_line(self):
         xml = (b'<video name="v" frames="1000" fps="120">\n'
                b'<action begin="300" end="300" move="A"/>\n</video>')
@@ -305,6 +319,17 @@ class TestTaxonomy:
     def test_bad_type_rejected(self):
         with pytest.raises(TaxonomyError, match="not one of"):
             load_taxonomy(b"label,type,hand_side\nX,Aggressive,Forehand\n")
+
+    @pytest.mark.parametrize("data, message", [
+        (b"", "empty taxonomy file"),
+        (b"label,type,hand_side\nX,Offensive\n", "expected 3 columns, got ['X', 'Offensive']"),
+        (b"label,type,hand_side\nX,Offensive,Left\n",
+         "hand side 'Left' for 'X' not one of ('Forehand', 'Backhand')"),
+        (b"label,type,hand_side\n\n", "taxonomy defines no labels"),
+    ], ids=["empty", "two_columns", "unknown_hand_side", "no_labels"])
+    def test_malformed_taxonomy_rejected(self, data, message):
+        with pytest.raises(TaxonomyError, match="^" + re.escape(message) + "$"):
+            load_taxonomy(data)
 
     def test_small_custom_taxonomy_loads(self):
         data = (b"label,type,hand_side\n"

@@ -191,3 +191,16 @@ def test_nothing_to_run_is_refused(tmp_path):
     with pytest.raises(SystemExit):
         bench_pairs.main(["--base", str(base), "--change", str(change),
                           "--out", str(tmp_path / "BENCH_1.json")])
+
+
+def test_out_in_a_missing_directory_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    base, change = _trees(tmp_path)
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", _fake(calls))
+    monkeypatch.setattr(bench_pairs, "run_step", _fake_step(calls))
+    out = tmp_path / "missing" / "BENCH_1.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--base", str(base), "--change", str(change), "--seeds", "1",
+                          "--workload", "train-desk", "--step-batch", "1", "--out", str(out)])
+    assert exit_.value.code == 2 and not calls
+    assert f"--out: no directory {out.parent}" in capsys.readouterr().err

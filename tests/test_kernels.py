@@ -460,7 +460,7 @@ def test_backward_full_skips_only_the_first_conv_grad_input(monkeypatch):
     orig = ops.conv3d_backward
     monkeypatch.setattr(ops, "conv3d_backward", spy)
     for s in range(len(x)):
-        logits, caches = model._forward_full(net, x[s])
+        logits, caches = model._forward_full(net, x[s], training=True)
         model._backward_full(net, caches, np.ones_like(logits))
     assert calls == [((8, 8), True, (1, 8, 2, 4, 4)), ((8, 4), True, (1, 4, 4, 8, 8)),
                      ((4, 3), False, (0,))] * len(x)
@@ -481,7 +481,7 @@ def test_backward_full_frees_each_cache_before_the_next_layer(monkeypatch):
     orig = ops.conv3d_backward
     monkeypatch.setattr(ops, "conv3d_backward", spy)
     for s in range(len(x)):
-        logits, caches = model._forward_full(net, x[s])
+        logits, caches = model._forward_full(net, x[s], training=True)
         pool1 = next(c for c in caches if c[0].kind == "maxpool3d")
         taps = weakref.ref(pool1[1])
         del pool1
@@ -594,7 +594,7 @@ def test_conv_grad_bias_sums_from_zero():
     grad_out = np.full((1, 2, 2, 2, 2), -0.0, dtype=np.float32)
     grad_out[0, 1, 0, 0, 0] = 1.0
     grad_bias = ops.conv3d_backward(np.ones((1, 1, 2, 2, 2), np.float32),
-                                    np.ones((2, 1, 1, 1, 1), np.float32), grad_out)[2]
+                                    np.ones((2, 1, 1, 1, 1), np.float32), grad_out, 1, 0)[2]
     assert grad_bias.tolist() == [0.0, 1.0] and not np.signbit(grad_bias).any()
 
 

@@ -7,9 +7,9 @@ import pytest
 from strokebench.errors import ArchitectureError, ShapeError
 from strokebench.nn import layers, ops
 from strokebench.nn.gradcheck import gradcheck, run_all
-from strokebench.nn.layers import (chain_shapes, conv3d, default_architecture, flatten,
-                                   from_descriptor, linear, maxpool3d, param_entries,
-                                   relu, to_descriptor)
+from strokebench.nn.layers import (FILTERS, HIDDEN, chain_shapes, conv3d,
+                                   default_architecture, flatten, from_descriptor, linear,
+                                   maxpool3d, param_entries, relu, to_descriptor)
 
 
 def test_chain_shapes_basic():
@@ -81,7 +81,7 @@ def test_hand_built_spec_rejected_with_the_kernel_rule(spec, message):
 
 
 def test_default_architecture_accepts_canonical_input():
-    specs = default_architecture((3, 98, 120, 120), n_classes=20)
+    specs = default_architecture((3, 98, 120, 120), FILTERS, HIDDEN, n_classes=20)
     shapes = chain_shapes(specs, (3, 98, 120, 120))
     assert shapes[-1] == (20,)
     # temporal axis: 98 -> 49 -> 7 -> 1, spatial: 120 -> 60 -> 30 -> 15
@@ -110,7 +110,7 @@ def test_param_entries_order_and_shapes():
 
 
 def test_descriptor_round_trip():
-    specs = default_architecture((3, 98, 120, 120), n_classes=2)
+    specs = default_architecture((3, 98, 120, 120), FILTERS, HIDDEN, n_classes=2)
     for spec in specs:
         assert from_descriptor(to_descriptor(spec)) == spec
     with pytest.raises(ValueError):
@@ -200,7 +200,7 @@ class TestGradcheck:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="no gradient check"):
-            gradcheck("dropout", trials=1)
+            gradcheck("dropout", trials=1, seed=0)
 
     def test_corrupted_backward_is_detected(self, monkeypatch):
         # negative control: a broken adjoint must push the error over tolerance

@@ -14,9 +14,9 @@ from strokebench.model import (CHECKPOINT_MAGIC, DatasetItem, ModelParams, Train
                                _text_lines, _window_input, history_csv, load_checkpoint,
                                save_checkpoint, train)
 from strokebench.nn import ops
-from strokebench.nn.layers import (LayerSpec, chain_shapes, conv3d, default_architecture,
-                                   flatten, linear, maxpool3d, param_entries, relu,
-                                   to_descriptor)
+from strokebench.nn.layers import (FILTERS, HIDDEN, LayerSpec, chain_shapes, conv3d,
+                                   default_architecture, flatten, linear, maxpool3d,
+                                   param_entries, relu, to_descriptor)
 
 SMALL_SHAPE = (3, 4, 8, 8)
 
@@ -148,9 +148,11 @@ def _cuboid(rng):
 class TestBuild:
     def test_final_layer_matches_class_count(self):
         shape = (3, 98, 120, 120)
-        m2 = build_model(2, default_architecture(shape, n_classes=2), seed=0, input_shape=shape)
+        m2 = build_model(2, default_architecture(shape, FILTERS, HIDDEN, n_classes=2), seed=0,
+                         input_shape=shape)
         assert m2.params["fc2.weight"].shape[0] == 2
-        m20 = build_model(20, default_architecture(shape, n_classes=20), seed=0, input_shape=shape)
+        m20 = build_model(20, default_architecture(shape, FILTERS, HIDDEN, n_classes=20), seed=0,
+                          input_shape=shape)
         assert m20.params["fc2.weight"].shape[0] == 20
         assert m20.n_classes == 20
 
@@ -346,11 +348,11 @@ class TestTrain:
         from strokebench.model import _backward_full, _forward_full
         from strokebench.nn.optim import NesterovSGD
 
-        logits, caches = _forward_full(m, x)
+        logits, caches = _forward_full(m, x, training=True)
         loss_before, grad = ops.softmax_cross_entropy(logits, y)
         grads = _backward_full(m, caches, grad)
         NesterovSGD(m.params, lr=1e-4, momentum=0.0, weight_decay=0.0).step(m.params, grads)
-        loss_after, _ = ops.softmax_cross_entropy(_forward_full(m, x)[0], y)
+        loss_after, _ = ops.softmax_cross_entropy(_forward_full(m, x, training=True)[0], y)
         assert loss_after < loss_before
 
     def test_too_short_videos_are_skipped(self, tmp_path):
@@ -461,7 +463,7 @@ class TestTrain:
         grads = {name: np.zeros_like(p) for name, p in m.params.items()}
         hits = 0
         for cuboid, cls in samples:
-            logits, caches = _forward_full(m, cuboid)
+            logits, caches = _forward_full(m, cuboid, training=True)
             sample_loss, grad_logits = ops.softmax_cross_entropy(logits, cls)
             loss += sample_loss
             hits += int(np.argmax(logits)) == cls
@@ -743,7 +745,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("n_classes, input_shape, kwargs", [
         (2, (3, 16, 32, 32), dict(filters=(8, 16), hidden=64)),
         (20, (3, 16, 32, 32), dict(filters=(4, 8), hidden=16)),
-        (20, (3, 98, 120, 120), {}),
+        (20, (3, 98, 120, 120), dict(filters=FILTERS, hidden=HIDDEN)),
     ], ids=["desk_2_classes", "desk_20_classes", "paper"])
     def test_saved_bytes_match_the_reference(self, tmp_path, n_classes, input_shape, kwargs):
         specs = default_architecture(input_shape, n_classes=n_classes, **kwargs)

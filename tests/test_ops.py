@@ -56,13 +56,13 @@ class TestConv3d:
         x = np.zeros((1, 2, 3, 3, 3))
         w = np.zeros((1, 3, 3, 3, 3))
         with pytest.raises(ShapeError, match="channels"):
-            ops.conv3d_forward(x, w, np.zeros(1))
+            ops.conv3d_forward(x, w, np.zeros(1), stride=1, pad=0)
 
     def test_bias_shape_mismatch_rejected(self):
         x = np.zeros((1, 2, 3, 3, 3))
         w = np.zeros((4, 2, 3, 3, 3))
         with pytest.raises(ShapeError, match=r"bias shape \(3,\) does not match 4 filters"):
-            ops.conv3d_forward(x, w, np.zeros(3))
+            ops.conv3d_forward(x, w, np.zeros(3), stride=1, pad=0)
 
     def test_kernel_larger_than_input_rejected(self):
         x = np.zeros((1, 1, 2, 2, 2))
@@ -71,8 +71,8 @@ class TestConv3d:
             ops.conv3d_forward(x, w, np.zeros(1), stride=1, pad=0)
 
     @pytest.mark.parametrize("run", [
-        lambda x, w: ops.conv3d_forward(x, w, np.zeros(2)),
-        lambda x, w: ops.conv3d_backward(x, w, np.zeros((1, 2, 4, 1, 1))),
+        lambda x, w: ops.conv3d_forward(x, w, np.zeros(2), 1, 0),
+        lambda x, w: ops.conv3d_backward(x, w, np.zeros((1, 2, 4, 1, 1)), 1, 0),
     ], ids=["forward", "backward"])
     def test_zero_extent_kernel_rejected(self, run):
         x = np.zeros((1, 1, 3, 3, 3))
@@ -91,7 +91,7 @@ class TestConv3d:
     def test_backward_scalar_chain_rule(self):
         x = np.full((1, 1, 1, 1, 1), 5.0)
         w = np.full((1, 1, 1, 1, 1), 2.0)
-        gx, gw, gb = ops.conv3d_backward(x, w, np.ones((1, 1, 1, 1, 1)))
+        gx, gw, gb = ops.conv3d_backward(x, w, np.ones((1, 1, 1, 1, 1)), stride=1, pad=0)
         assert gx.item() == 2.0 and gw.item() == 5.0 and gb.item() == 1.0
 
     def test_backward_matches_finite_differences(self):
@@ -303,9 +303,10 @@ class TestSoftmaxCrossEntropy:
 # one call per kernel that takes one sample, with a batch extent of n
 ONE_SAMPLE_KERNELS = {
     "conv3d_forward": lambda n: ops.conv3d_forward(
-        np.zeros((n, 2, 4, 4, 4)), np.zeros((3, 2, 3, 3, 3)), np.zeros(3)),
+        np.zeros((n, 2, 4, 4, 4)), np.zeros((3, 2, 3, 3, 3)), np.zeros(3), 1, 0),
     "conv3d_backward": lambda n: ops.conv3d_backward(
-        np.zeros((n, 2, 4, 4, 4)), np.zeros((3, 2, 3, 3, 3)), np.zeros((n, 3, 2, 2, 2))),
+        np.zeros((n, 2, 4, 4, 4)), np.zeros((3, 2, 3, 3, 3)), np.zeros((n, 3, 2, 2, 2)),
+        1, 0),
     "maxpool3d": lambda n: ops.maxpool3d(np.zeros((n, 2, 4, 4, 4)), (2, 2, 2)),
     "maxpool3d_backward": lambda n: ops.maxpool3d_backward(
         np.zeros((n, 2, 2, 2, 2)), np.zeros((n, 2, 2, 2, 2), np.uint8), (n, 2, 4, 4, 4),

@@ -1,8 +1,9 @@
 """scripts/step_memory.py at a tiny shape: one JSON line, reproducible bytes,
-the bytes of the library's training step, and the CLI's rule of integer text
-for its numbers."""
+the bytes of the library's training step, and the flags, readers and
+messages of `strokebench train`."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,9 +14,13 @@ import numpy as np
 import pytest
 
 from strokebench import model
-from strokebench.nn.layers import default_architecture
+from strokebench.model import TrainConfig
+from strokebench.nn.layers import FILTERS, HIDDEN, INPUT_SHAPE, default_architecture
 
 ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("step_memory", ROOT / "scripts" / "step_memory.py")
+step_memory = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(step_memory)
 
 
 def _proc(*args):
@@ -32,8 +37,12 @@ def _run(*args):
     return json.loads(lines[0])
 
 
+# the tiny shape 3x8x16x16, as scripts/bench_pairs.py --tiny runs it
+TINY = ("--cuboid-len", "8", "--cuboid-size", "16", "--filters", "4,8", "--hidden", "8")
+
+
 def test_step_memory_reports_one_reproducible_step():
-    args = ("--input", "3x8x16x16", "--filters", "4,8", "--hidden", "8", "--batch", "2")
+    args = TINY + ("--batch", "2")
     first, second = _run(*args), _run(*args)
     assert first["input"] == [3, 8, 16, 16] and first["filters"] == [4, 8]
     assert first["batch"] == 2 and first["openblas_threads"] == "1"
@@ -60,21 +69,71 @@ def test_step_memory_measures_the_library_step():
     for name in sorted(grads):
         digest.update(name.encode())
         digest.update(grads[name].tobytes())
-    reported = _run("--input", "3x8x16x16", "--filters", "4,8", "--hidden", "8",
-                    "--batch", "3")
+    reported = _run(*TINY, "--batch", "3")
     assert reported["sha256"] == digest.hexdigest()
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--input", "3x9_8x120x120"), ("--input", "3x0x16x16"),
-    ("--filters", "4,+8"), ("--filters", "4, 8"), ("--filters", "4,0"),
-    ("--hidden", "+500"), ("--hidden", "٥"), ("--batch", " 2"), ("--batch", "0"),
-    ("--seed", "1_0"),
-    # integer text, but no model can be built for the shape
-    ("--input", "3x16x32"), ("--input", "3x16x32x30"), ("--input", "1x16x32x32"),
-])
-def test_numbers_follow_the_integer_rule(flag, value):
-    proc = _proc(flag, value)
-    assert proc.returncode == 2 and f"argument {flag}: invalid" in proc.stderr
+def test_defaults_are_the_paper_recipe(monkeypatch, capsys):
+    """With no flags the script reads every setting from `RunConfig`, the
+    defaults of `strokebench train`: the paper's cuboid, filters, hidden
+    units and batch, and seed 0. The step itself is faked here."""
+    seen = {}
+
+    def fake_step(net, samples, where):
+        seen["input_shape"] = net.input_shape
+        seen["batch"] = sum(1 for _ in samples)
+        return 0.0, np.zeros((seen["batch"], 2), np.float32), {}, (0.0, 0.0)
+
+    monkeypatch.setattr(model, "_summed_gradients", fake_step)
+    assert step_memory.main([]) == 0
+    reported = json.loads(capsys.readouterr().out)
+    assert reported["input"] == list(INPUT_SHAPE) and seen["input_shape"] == INPUT_SHAPE
+    assert reported["filters"] == list(FILTERS) and reported["hidden"] == HIDDEN
+    assert reported["batch"] == seen["batch"] == TrainConfig.batch_size
+    assert reported["seed"] == 0
+
+
+def test_negative_seed_is_taken_mod_2_64():
+    """`--seed -1` is read as `strokebench train` reads it, and draws as
+    seed 2**64 - 1, as SplitMix64 takes it."""
+    negative = _run(*TINY, "--batch", "1", "--seed", "-1")
+    assert negative["seed"] == -1 and len(negative["sha256"]) == 64
+    assert _run(*TINY, "--batch", "1", "--seed", str(2**64 - 1))["sha256"] == negative["sha256"]
+
+
+NO_FIT = "layer 0 (conv3d): kernel (3, 3, 3) with stride=1 pad=1 does not fit input extents"
+BAD_SETTINGS = [
+    ("--cuboid-len", "9_8", "argument --cuboid-len: not a base-10 integer: '9_8'"),
+    ("--cuboid-size", "+16", "argument --cuboid-size: not a base-10 integer: '+16'"),
+    ("--filters", "4,+8", "argument --filters: count list '4,+8': '+8' is not an integer"),
+    ("--filters", "4,,8", "argument --filters: count list '4,,8' has an empty item"),
+    ("--filters", "4,0", "argument --filters: count list '4,0': '0' is not >= 1"),
+    ("--hidden", "+500", "argument --hidden: not a base-10 integer: '+500'"),
+    ("--hidden", "\u0665", "argument --hidden: not a base-10 integer: '\u0665'"),
+    ("--batch", " 2", "argument --batch: not a base-10 integer: ' 2'"),
+    ("--seed", "1_0", "argument --seed: not a base-10 integer: '1_0'"),
+    # integer text, refused by the library that the setting feeds
+    ("--batch", "0", "argument --batch: batch_size must be >= 1, got 0"),
+    ("--cuboid-size", "0",
+     f"no model for --cuboid-len 8 --cuboid-size 0 --hidden 8: {NO_FIT} (8, 0, 0)"),
+    ("--cuboid-len", "0",
+     f"no model for --cuboid-len 0 --cuboid-size 16 --hidden 8: {NO_FIT} (0, 16, 16)"),
+    ("--hidden", "0", "no model for --cuboid-len 8 --cuboid-size 16 --hidden 0: "
+                      "layer 7 (linear): features must be >= 1, got 256/0"),
+]
+
+
+@pytest.mark.parametrize("flag,value,message", BAD_SETTINGS,
+                         ids=[f"{flag}-{value}" for flag, value, _ in BAD_SETTINGS])
+def test_numbers_follow_the_integer_rule(flag, value, message):
+    """The last stderr line is the whole error: the flag that was given and
+    the CLI's or the library's message for its value."""
+    proc = _proc(*TINY, flag, value)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == f"step_memory.py: error: {message}"
     assert "Traceback" not in proc.stderr
     assert not proc.stdout
+
+
+def test_filters_accept_spaces_around_counts():
+    assert _run(*TINY, "--batch", "1", "--filters", "4, 8")["filters"] == [4, 8]

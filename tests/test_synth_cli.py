@@ -15,7 +15,7 @@ from strokebench.cli import RunConfig, build_run_config, load_config_file, main,
 from strokebench.errors import ConfigError
 from strokebench.frames import open_rgbv
 from strokebench.model import TrainConfig
-from strokebench.nn.layers import default_architecture
+from strokebench.nn.layers import FILTERS, HIDDEN, INPUT_SHAPE, default_architecture
 from strokebench.synth import SynthConfig, generate_corpus
 
 from test_model import INVALID_MODELS, non_square_model, unchecked_model
@@ -126,9 +126,10 @@ class TestConfig:
             epochs=cfg.epochs, batch_size=cfg.batch, lr=cfg.lr, momentum=cfg.momentum,
             weight_decay=cfg.weight_decay, seed=cfg.seed, cuboid_len=cfg.cuboid_len,
             cuboid_size=cfg.cuboid_size)
-        assert defaults(default_architecture) == {
-            "input_shape": (3, cfg.cuboid_len, cfg.cuboid_size, cfg.cuboid_size),
-            "filters": cfg.filters, "hidden": cfg.hidden}
+        # every caller passes the shape settings; no second default can drift
+        assert defaults(default_architecture) == {}
+        assert (3, cfg.cuboid_len, cfg.cuboid_size, cfg.cuboid_size) == INPUT_SHAPE
+        assert (cfg.filters, cfg.hidden) == (FILTERS, HIDDEN)
         assert defaults(model_mod.detect) == {"proposal_len": cfg.proposal_len,
                                               "proposal_stride": cfg.proposal_stride}
         assert defaults(generate_window_proposals) == {"length": cfg.proposal_len,
@@ -690,6 +691,78 @@ class TestCommands:
                 in capsys.readouterr().err)
         assert not (tmp_path / "run" / "confusion_global.csv").exists()
 
+    @pytest.mark.parametrize("case", ["stray", "missing", "no_ground_truth"])
+    def test_classification_eval_needs_one_prediction_per_segment(
+            self, tiny_corpus, tmp_path, capsys, case):
+        from strokebench.annotations import Segment, write_predictions
+        data = tmp_path / "data"
+        shutil.copytree(tiny_corpus, data)
+        if case == "no_ground_truth":
+            for xml in (data / "test").glob("*.xml"):
+                xml.write_bytes(re.sub(rb"\s*<action [^>]*/>", b"", xml.read_bytes()))
+        pred_dir = tmp_path / "run" / "classification_predictions"
+        pred_dir.mkdir(parents=True)
+        for xml in sorted((data / "test").glob("*.xml")):
+            ann = parse_annotations(xml.read_bytes())
+            preds = [Segment(s.begin, s.end, s.label, 0.8) for s in ann.ground_truth]
+            if ann.video_id == "test000" and case == "stray":
+                preds.append(Segment(0, 1, preds[0].label, 0.8))
+            if ann.video_id == "test000" and case == "missing":
+                preds.pop(0)
+            (pred_dir / xml.name).write_bytes(
+                write_predictions(ann.video_id, preds, ann.frame_count, ann.fps))
+        seg = parse_annotations(
+            (tiny_corpus / "test" / "test000.xml").read_bytes()).ground_truth[0]
+        message = {"stray": "test000: predictions for unknown segments [(0, 1)]",
+                   "missing": f"test000: no prediction for segment [{seg.begin}, {seg.end})",
+                   "no_ground_truth": "no ground-truth segments to evaluate"}[case]
+        capsys.readouterr()
+        assert main(["eval", "--task", "classification", "--data", str(data),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "confusion_global.csv").exists()
+
+    def test_prepare_refuses_block_len_0(self, tiny_corpus, tmp_path, capsys):
+        assert main(["prepare", "--task", "detection", "--data", str(tiny_corpus),
+                     "--out", str(tmp_path / "run"), "--block-len", "0"]) == 2
+        assert "error: block must be >= 1, got 0\n" in capsys.readouterr().err
+
+    def test_train_skips_a_sample_without_video(self, tiny_corpus, tmp_path, caplog):
+        data = tmp_path / "data"
+        shutil.copytree(tiny_corpus, data)
+        (data / "train" / "train000.rgbv").unlink()
+        out = tmp_path / "run"
+        assert main(["prepare", "--task", "detection", "--data", str(data),
+                     "--out", str(out), "--block-len", "10"]) == 0
+        with caplog.at_level(logging.WARNING):
+            assert main(_train_args(data, out)) == 0
+        skipped = [r.getMessage() for r in caplog.records
+                   if r.getMessage() == "no video source for train000; sample skipped"]
+        rows = (out / "detection_train_index.csv").read_text().splitlines()
+        assert len(skipped) == sum(row.startswith("train000,") for row in rows) > 0
+
+    @pytest.mark.parametrize("flag, field", [("--epochs", "epochs"), ("--batch", "batch_size")])
+    def test_train_refuses_no_epochs_or_batch(self, tiny_corpus, tmp_path, capsys, flag, field):
+        out = tmp_path / "run"
+        assert main(["prepare", "--task", "detection", "--data", str(tiny_corpus),
+                     "--out", str(out), "--block-len", "10"]) == 0
+        capsys.readouterr()
+        assert main(_train_args(tiny_corpus, out, [flag, "0"])) == 2
+        assert f"error: {field} must be >= 1, got 0\n" in capsys.readouterr().err
+        assert not (out / "detection_model.ckpt").exists()
+
+    @pytest.mark.parametrize("command, message", [
+        ("infer", "missing checkpoint {out}/detection_model.ckpt; run `train` first"),
+        ("eval", "missing predictions directory {out}/detection_predictions; "
+                 "run `infer` first"),
+    ], ids=["infer", "eval"])
+    def test_command_without_its_input_fails(self, tiny_corpus, tmp_path, capsys,
+                                             command, message):
+        out = tmp_path / "run"
+        assert main([command, "--task", "detection", "--data", str(tiny_corpus),
+                     "--out", str(out)]) == 2
+        assert f"error: {message.format(out=out)}\n" in capsys.readouterr().err
+
     def test_task_checkpoint_mismatch_fails(self, tiny_corpus, tmp_path):
         out = tmp_path / "run"
         assert main(["prepare", "--task", "detection", "--data", str(tiny_corpus),
@@ -813,6 +886,26 @@ class TestCommands:
         monkeypatch.setattr(ops, "linear_backward", broken)
         assert main(["gradcheck", "--trials", "5", "--seed", "1"]) == 1
         assert "linear: max_rel_err=" in capsys.readouterr().out
+
+    def test_gradcheck_command_takes_a_negative_seed(self, capsys):
+        """-1 is read as every command reads it, and draws as 2**64 - 1,
+        as SplitMix64 takes it."""
+        assert main(["gradcheck", "--trials", "2", "--seed", "-1"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 5
+        assert main(["gradcheck", "--trials", "2", "--seed", str(2**64 - 1)]) == 0
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--classes", "1", "need at least 2 classes, got 1"),
+        ("--frame-size", "7", "frame size must be >= 8, got 7"),
+    ], ids=["classes_1", "frame_size_7"])
+    def test_synth_command_refuses_a_corpus_it_cannot_make(self, tmp_path, capsys,
+                                                           flag, value, message):
+        out = tmp_path / "c"
+        assert main(["synth", "--out", str(out), flag, value]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_synth_command_counts(self, tmp_path, capsys):
         out = tmp_path / "c"

@@ -123,7 +123,7 @@ def _assert_walks_agree(net, x, upstream):
     for s in range(len(x)):
         ref_logits, ref_grads = spec_order_step(
             net, x[s:s + 1], lambda logits: upstream(logits[0], s)[None])
-        logits, caches = model._forward_full(net, x[s])
+        logits, caches = model._forward_full(net, x[s], training=True)
         grads = model._backward_full(net, caches, upstream(logits, s))
         assert _same_bytes(logits, ref_logits[0]), s
         assert grads.keys() == ref_grads.keys()
