@@ -145,6 +145,8 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
     of a window whose values are all <= 0 can differ, and with it the sign of
     the zero gradient routed there (g * 0 before, now 0 + g * 0, which is
     +0.0).
+    Each relu caches its output, which the next layer holds as well, so the
+    array relu read dies as soon as relu has run.
     Caches are kept in run order, so _backward_full follows the same order.
     The kernels take a unit batch axis: it is added here and in
     _backward_full, and nowhere else.
@@ -169,8 +171,9 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
             cur, taps = ops.maxpool3d(cur, spec.window, need_winners=training)
             keep((spec, taps, in_shape))
         elif spec.kind == "relu":
-            keep((spec, cur))
+            # its output: x > 0 masks relu's input and output alike, NaN, ±0 and ±inf too
             cur = ops.relu_forward(cur)
+            keep((spec, cur))
         elif spec.kind == "flatten":
             keep((spec, cur.shape))
             cur = cur.reshape(cur.shape[0], -1)
@@ -179,30 +182,32 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
     return cur[0], caches
 
 
-def _backward_full(model: ModelParams, caches, grad_logits: np.ndarray):
-    """Parameter gradients of one sample from its (K,) logit gradient.
-    Empties `caches`, last layer first, so each layer's saved input is freed
+def _backward_full(model: ModelParams, caches, grad_logits: np.ndarray,
+                   sums: dict[str, np.ndarray]) -> None:
+    """Adds one sample's parameter gradients, from its (K,) logit gradient,
+    into `sums` in place as each layer's backward returns them.
+    Empties `caches`, last layer first, so each layer's saved array is freed
     as soon as its backward has run."""
-    grads: dict[str, np.ndarray] = {}
     g = grad_logits[None]
     while caches:
         # the first layer's input needs no gradient
-        g = _layer_backward(model, caches.pop(), g, grads, need_input=bool(caches))
-    return grads
+        g = _layer_backward(model, caches.pop(), g, sums, need_input=bool(caches))
 
 
-def _layer_backward(model: ModelParams, cache, g: np.ndarray, grads: dict[str, np.ndarray],
+def _layer_backward(model: ModelParams, cache, g: np.ndarray, sums: dict[str, np.ndarray],
                     need_input: bool) -> np.ndarray:
     """One layer's backward: returns the gradient for its input and adds its
-    parameter gradients to `grads`. The cache dies on return, with every
+    parameter gradients into `sums`. The cache dies on return, with every
     array unpacked from it."""
     spec = cache[0]
     if spec.kind in ("conv3d", "linear"):
         _, weight, bias, x = cache
         w = model.params[weight]
-        g, grads[weight], grads[bias] = (
+        g, grad_w, grad_b = (
             ops.conv3d_backward(x, w, g, spec.stride, spec.pad, need_input=need_input)
             if spec.kind == "conv3d" else ops.linear_backward(x, w, g))
+        sums[weight] += grad_w
+        sums[bias] += grad_b
     elif spec.kind == "maxpool3d":
         _, taps, in_shape = cache
         g = ops.maxpool3d_backward(g, taps, in_shape, spec.window)
@@ -317,8 +322,7 @@ def _summed_gradients(model: ModelParams, samples: Iterable[tuple[np.ndarray, in
             raise TrainingError(f"{where}: loss is {sample_loss}; stopping the run")
         loss += sample_loss
         logits.append(out)
-        for name, g in _backward_full(model, caches, grad_logits).items():
-            grads[name] += g
+        _backward_full(model, caches, grad_logits, grads)
         backward_s += time.perf_counter() - t1
     for name in model.params:
         if not np.isfinite(grads[name]).all():

@@ -25,28 +25,21 @@ MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def mix64(z: int) -> int:
-    """Finalizer of the generator, usable on its own to hash integers."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
-
-
 def derive_seed(seed: int, *salts: int) -> int:
-    """Fold salts into a seed to carve independent, reproducible streams.
+    """Fold salts into a seed to carve independent, reproducible streams:
+    h = mix64(seed + GAMMA), then mix64((h ^ salt) + GAMMA) per salt.
 
     Used to give weight init, every training epoch's shuffle and every
     synthetic video its own stream from one user-facing seed.
     """
-    h = mix64(seed + _GAMMA)
-    for s in salts:
-        h = mix64((h ^ (s & MASK64)) + _GAMMA)
+    h = 0
+    for x in (seed, *salts):
+        h = int(_mix64(np.array([((h ^ x) + _GAMMA) & MASK64], dtype=np.uint64))[0])
     return h
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 wraparound is intentional throughout
+def _mix64(z: np.ndarray) -> np.ndarray:
+    # mix64 of each uint64 element; the wraparound is intentional throughout
     with np.errstate(over="ignore"):
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -61,8 +54,7 @@ class SplitMix64:
         self.counter = 0
 
     def next_u64(self) -> int:
-        self.counter += 1
-        return mix64(self.seed + self.counter * _GAMMA)
+        return int(self.fill_u64(1)[0])
 
     def fill_u64(self, n: int) -> np.ndarray:
         """Next n draws as a uint64 array (same sequence as n next_u64 calls)."""
@@ -70,7 +62,7 @@ class SplitMix64:
         self.counter += n
         with np.errstate(over="ignore"):
             states = ks * np.uint64(_GAMMA) + np.uint64(self.seed)
-        return _mix64_array(states)
+        return _mix64(states)
 
     def fill_float(self, n: int) -> np.ndarray:
         return (self.fill_u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -87,6 +79,7 @@ class SplitMix64:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates driven by this stream."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        draws = self.fill_u64(max(len(items) - 1, 0)).tolist()
+        for i, u in zip(range(len(items) - 1, 0, -1), draws):
+            j = u % (i + 1)  # as below(i + 1) draws it
             items[i], items[j] = items[j], items[i]

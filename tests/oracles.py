@@ -9,6 +9,15 @@ import numpy as np
 from strokebench.errors import MetricError
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64_scalar(z: int) -> int:
+    """The three xor/multiply rounds on one Python int, mod 2^64."""
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
 
 def splitmix64_sequence(seed: int, n: int) -> list[int]:
@@ -16,12 +25,18 @@ def splitmix64_sequence(seed: int, n: int) -> list[int]:
     state = seed & _MASK
     out = []
     for _ in range(n):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        out.append(z ^ (z >> 31))
+        state = (state + _GAMMA) & _MASK
+        out.append(_mix64_scalar(state))
     return out
+
+
+def derive_seed_scalar(seed: int, *salts: int) -> int:
+    """Scalar salt folding: h = mix(seed + gamma), then h = mix((h ^ salt) + gamma)
+    for each salt, every operand taken mod 2^64."""
+    h = _mix64_scalar(seed + _GAMMA)
+    for salt in salts:
+        h = _mix64_scalar((h ^ (salt & _MASK)) + _GAMMA)
+    return h
 
 
 def conv3d_naive(x, weight, bias, stride, pad):

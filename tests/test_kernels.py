@@ -459,9 +459,10 @@ def test_backward_full_skips_only_the_first_conv_grad_input(monkeypatch):
 
     orig = ops.conv3d_backward
     monkeypatch.setattr(ops, "conv3d_backward", spy)
+    sums = {name: np.zeros_like(p) for name, p in net.params.items()}
     for s in range(len(x)):
         logits, caches = model._forward_full(net, x[s], training=True)
-        model._backward_full(net, caches, np.ones_like(logits))
+        model._backward_full(net, caches, np.ones_like(logits), sums)
     assert calls == [((8, 8), True, (1, 8, 2, 4, 4)), ((8, 4), True, (1, 4, 4, 8, 8)),
                      ((4, 3), False, (0,))] * len(x)
 
@@ -480,13 +481,67 @@ def test_backward_full_frees_each_cache_before_the_next_layer(monkeypatch):
 
     orig = ops.conv3d_backward
     monkeypatch.setattr(ops, "conv3d_backward", spy)
+    sums = {name: np.zeros_like(p) for name, p in net.params.items()}
     for s in range(len(x)):
         logits, caches = model._forward_full(net, x[s], training=True)
         pool1 = next(c for c in caches if c[0].kind == "maxpool3d")
         taps = weakref.ref(pool1[1])
         del pool1
-        model._backward_full(net, caches, np.ones_like(logits))
+        model._backward_full(net, caches, np.ones_like(logits), sums)
     assert alive == [True, False] * len(x)
+
+
+def test_step_drops_each_parameter_gradient_once_it_is_summed(monkeypatch):
+    """Each sample's fc1 grad_weight is added into the step's sums and dropped
+    before any conv backward of that sample runs."""
+    shape = (3, 8, 16, 16)
+    arch = default_architecture(shape, filters=(4, 8), hidden=8, n_classes=2)
+    net = model.build_model(2, arch, seed=3, input_shape=shape)
+    fc1_grad, alive = [], []
+
+    def linear_spy(x, weight, grad_out):
+        out = orig_linear(x, weight, grad_out)
+        if weight is net.params["fc1.weight"]:
+            fc1_grad.append(weakref.ref(out[1]))
+        return out
+
+    def conv_spy(x, weight, *args, **kwargs):
+        alive.append(fc1_grad[-1]() is not None)
+        return orig_conv(x, weight, *args, **kwargs)
+
+    orig_linear, orig_conv = ops.linear_backward, ops.conv3d_backward
+    monkeypatch.setattr(ops, "linear_backward", linear_spy)
+    monkeypatch.setattr(ops, "conv3d_backward", conv_spy)
+    samples = [(np.ones(shape, np.float32), 0), (np.full(shape, 0.5, np.float32), 1)]
+    _, _, sums, _ = model._summed_gradients(net, samples, "step")
+    assert len(fc1_grad) == 2 and alive == [False, False] * 2
+    assert np.any(sums["fc1.weight"] != 0) and np.any(sums["conv1.weight"] != 0)
+
+
+def test_relu_caches_the_array_its_next_layer_holds(monkeypatch):
+    """After a training forward, every relu cache is the array (or the base of
+    the flattened view) that the next conv or linear layer caches, and no
+    cache holds a pool's output."""
+    shape = (3, 8, 16, 16)
+    arch = default_architecture(shape, filters=(4, 8), hidden=8, n_classes=2)
+    net = model.build_model(2, arch, seed=3, input_shape=shape)
+    pooled = []
+
+    def pool_spy(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        pooled.append(out[0])
+        return out
+
+    orig = ops.maxpool3d
+    monkeypatch.setattr(ops, "maxpool3d", pool_spy)
+    _, caches = model._forward_full(net, np.ones(shape, np.float32), training=True)
+    relus = [(i, c[1]) for i, c in enumerate(caches) if c[0].kind == "relu"]
+    assert len(relus) == 3 and len(pooled) == 2
+    for i, out in relus:
+        nxt = next(c[-1] for c in caches[i + 1:] if c[0].kind in ("conv3d", "linear"))
+        assert nxt is out or nxt.base is out, i
+    arrays = [a for c in caches for a in c[1:] if isinstance(a, np.ndarray)]
+    assert not any(a is p for a in arrays for p in pooled)
 
 
 # -- maxpool3d -----------------------------------------------------------------

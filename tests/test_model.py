@@ -350,7 +350,8 @@ class TestTrain:
 
         logits, caches = _forward_full(m, x, training=True)
         loss_before, grad = ops.softmax_cross_entropy(logits, y)
-        grads = _backward_full(m, caches, grad)
+        grads = {name: np.zeros_like(p) for name, p in m.params.items()}
+        _backward_full(m, caches, grad, grads)
         NesterovSGD(m.params, lr=1e-4, momentum=0.0, weight_decay=0.0).step(m.params, grads)
         loss_after, _ = ops.softmax_cross_entropy(_forward_full(m, x, training=True)[0], y)
         assert loss_after < loss_before
@@ -467,8 +468,7 @@ class TestTrain:
             sample_loss, grad_logits = ops.softmax_cross_entropy(logits, cls)
             loss += sample_loss
             hits += int(np.argmax(logits)) == cls
-            for name, g in _backward_full(m, caches, grad_logits).items():
-                grads[name] += g
+            assert _backward_full(m, caches, grad_logits, grads) is None
 
         opt = NesterovSGD(m.params, lr=1e-3, momentum=0.5, weight_decay=0.0)
         stepped = {}

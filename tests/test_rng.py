@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
-from strokebench.nn.rng import SplitMix64, derive_seed, mix64
+from strokebench.nn.rng import SplitMix64, derive_seed
 
-from oracles import splitmix64_sequence
+from oracles import derive_seed_scalar, splitmix64_sequence
 
 
 def test_matches_scalar_reference():
@@ -53,4 +54,19 @@ def test_derive_seed_separates_streams():
     seeds = {derive_seed(5, salt, epoch) for salt in (1, 2) for epoch in range(100)}
     assert len(seeds) == 200
     assert derive_seed(5, 1, 3) == derive_seed(5, 1, 3)
-    assert mix64(12345) == mix64(12345)
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 2**64 - 1, 2**70])
+def test_derive_seed_matches_scalar_reference(seed):
+    for salts in [(), (1,), (0x494E4954,), (0x53485546, 3), (-1, 2**70, 7), (2**64 - 1, 0, 0)]:
+        assert derive_seed(seed, *salts) == derive_seed_scalar(seed, *salts)
+    # with no salt the fold is the stream's first draw; seeds are taken mod 2^64
+    assert derive_seed(seed) == splitmix64_sequence(seed, 1)[0]
+    assert derive_seed(0, 0x53485546, 3) == 0x65B61C6FAE6F0655
+
+
+def test_shuffle_of_fewer_than_two_items_draws_nothing():
+    gen = SplitMix64(3)
+    for items in ([], [7]):
+        gen.shuffle(items)
+    assert gen.counter == 0 and gen.next_u64() == splitmix64_sequence(3, 1)[0]

@@ -147,6 +147,11 @@ class TestConfig:
         assert cfg.task == "classification"
         assert cfg.filters == (4, 8)
 
+    def test_hash_starts_a_comment_anywhere_on_a_line(self, tmp_path):
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text("# runs\ndata = runs/exp#2\nepochs = 7  # seven\n  #lr=1\n")
+        assert load_config_file(cfile) == {"data": Path("runs/exp"), "epochs": 7}
+
     def test_unknown_key_rejected(self, tmp_path):
         cfile = tmp_path / "bad.cfg"
         cfile.write_text("warp_speed=9\n")

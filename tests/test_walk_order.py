@@ -124,7 +124,10 @@ def _assert_walks_agree(net, x, upstream):
         ref_logits, ref_grads = spec_order_step(
             net, x[s:s + 1], lambda logits: upstream(logits[0], s)[None])
         logits, caches = model._forward_full(net, x[s], training=True)
-        grads = model._backward_full(net, caches, upstream(logits, s))
+        # -0.0 + v keeps the bytes of every v arithmetic makes, quiet NaNs and
+        # signed zeros too, so these sums are the sample's raw gradients
+        grads = {name: np.full_like(p, -0.0) for name, p in net.params.items()}
+        model._backward_full(net, caches, upstream(logits, s), grads)
         assert _same_bytes(logits, ref_logits[0]), s
         assert grads.keys() == ref_grads.keys()
         for name in ref_grads:
