@@ -468,7 +468,12 @@ class TestTrain:
             sample_loss, grad_logits = ops.softmax_cross_entropy(logits, cls)
             loss += sample_loss
             hits += int(np.argmax(logits)) == cls
-            assert _backward_full(m, caches, grad_logits, grads) is None
+            # -0.0 + g is g for every float, so `raw` holds this sample's own
+            # gradient bytes; the sample-order sum is this test's, not the code's
+            raw = {name: np.full_like(p, -0.0) for name, p in m.params.items()}
+            assert _backward_full(m, caches, grad_logits, raw) is None
+            for name, g in raw.items():
+                grads[name] += g
 
         opt = NesterovSGD(m.params, lr=1e-3, momentum=0.5, weight_decay=0.0)
         stepped = {}
