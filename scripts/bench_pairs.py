@@ -25,8 +25,9 @@ whether a claimed gain would stand, and `within_bound`, whether the change
 stays within the metric's regression bound. It prints one line per
 workload and metric with both. Per tree it holds the `env:` line of its
 runs and its `git rev-parse HEAD` with a dirty flag.
-Per step batch it holds each tree's peak RSS, forward and backward seconds
-and the SHA-256 of its logits and gradients. The exit code is nonzero if a
+Per step batch it holds each tree's peak RSS, the peak RSS after the model
+build (None where that tree's script does not print it), forward and
+backward seconds and the SHA-256 of its logits and gradients. The exit code is nonzero if a
 run printed no result or failed a gate, or if the two trees' steps gave
 different SHA-256s.
 """
@@ -47,7 +48,7 @@ TREES = ("base", "change")
 
 # the tiny shape tests/test_step_memory.py runs scripts/step_memory.py at
 TINY_STEP = ["--cuboid-len", "8", "--cuboid-size", "16", "--filters", "4,8", "--hidden", "8"]
-STEP_FIELDS = ("peak_rss_mb", "forward_s", "backward_s", "sha256")
+STEP_FIELDS = ("peak_rss_mb", "build_peak_rss_mb", "forward_s", "backward_s", "sha256")
 # a claimed gain needs at least this many pairs
 GAIN_PAIRS = 10
 
@@ -94,7 +95,8 @@ def run_step(tree: Path, batch: int, tiny: bool) -> dict:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"error: {tree}: step at batch {batch} printed no result "
                          f"(exit {proc.returncode})") from None
-    return {field: result[field] for field in STEP_FIELDS}
+    # a checkout older than build_peak_rss_mb does not print it: None
+    return {field: result.get(field) for field in STEP_FIELDS}
 
 
 def pair_steps(trees: dict, batches: list[int], tiny: bool) -> dict:
@@ -104,8 +106,8 @@ def pair_steps(trees: dict, batches: list[int], tiny: bool) -> dict:
         runs = {}
         for name in first:
             runs[name] = run_step(trees[name], batch, tiny)
-            print(f"step batch {batch} {name}: peak_rss_mb {runs[name]['peak_rss_mb']}",
-                  flush=True)
+            print(f"step batch {batch} {name}: peak_rss_mb {runs[name]['peak_rss_mb']}, "
+                  f"after the build {runs[name]['build_peak_rss_mb']}", flush=True)
         out[str(batch)] = {"order": list(first), **{t: runs[t] for t in TREES},
                            "same_sha256": runs["base"]["sha256"] == runs["change"]["sha256"]}
     return out

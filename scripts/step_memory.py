@@ -8,7 +8,10 @@ builds the default architecture for a 2-class model at the RGB cuboid shape
 seeded random batch (no optimizer step) with the function training calls,
 `strokebench.model._summed_gradients`: forward pass, softmax cross entropy
 and backward pass one sample at a time, summed in sample order. It prints
-one JSON line: peak RSS of the process in MB, the step's wall seconds
+one JSON line: peak RSS of the process in MB, the peak RSS it had already
+reached when the model was built, before the first cuboid was drawn
+(`build_peak_rss_mb`; peak RSS never falls, so the step's own peak shows
+only where it is higher), the step's wall seconds
 (with drawing the cuboids, about 20 ms each at the paper shape), the
 forward passes with the loss and the backward passes among them, and a
 SHA-256 over the logits and every summed parameter gradient, so two builds
@@ -40,6 +43,10 @@ from strokebench.errors import ArchitectureError, TrainingError
 from strokebench.nn.rng import MASK64
 
 
+def _peak_rss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     for key in ("cuboid_len", "cuboid_size", "filters", "hidden", "batch", "seed"):
@@ -55,6 +62,7 @@ def main(argv=None) -> int:
     except ArchitectureError as e:
         p.error(f"no model for --cuboid-len {cfg.cuboid_len} --cuboid-size {cfg.cuboid_size} "
                 f"--hidden {cfg.hidden}: {e}")
+    build_peak_rss_mb = _peak_rss_mb()
     shape = net.input_shape
     rng = np.random.default_rng(cfg.seed & MASK64)
     # each cuboid is drawn as the step reaches it (the values of one
@@ -74,7 +82,8 @@ def main(argv=None) -> int:
         "input": list(shape), "filters": list(cfg.filters), "hidden": cfg.hidden,
         "batch": cfg.batch, "seed": cfg.seed,
         "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": _peak_rss_mb(),
+        "build_peak_rss_mb": build_peak_rss_mb,
         "step_s": round(step_s, 3),
         "forward_s": round(forward_s, 3),
         "backward_s": round(backward_s, 3),

@@ -40,6 +40,7 @@ STROKE_CLASS = DETECTION_LABELS.index(STROKE_LABEL)
 
 _INIT_SALT = 0x494E4954  # distinct streams per purpose
 _SHUFFLE_SALT = 0x53485546
+_INIT_CHUNK = 1 << 18  # draws at a time in build_model, not all of fc1's 9.2M at paper shape
 
 
 @dataclass
@@ -112,7 +113,7 @@ def build_model(n_classes: int, arch: list[LayerSpec], seed: int, *,
 
     Weights and biases are uniform in ±1/sqrt(fan_in), drawn per layer in
     declaration order from one seeded stream, so a fixed seed gives
-    byte-identical parameters.
+    byte-identical parameters, the same in chunks of _INIT_CHUNK draws.
     """
     model = _checked(arch, input_shape)
     if model.n_classes != n_classes:
@@ -124,7 +125,9 @@ def build_model(n_classes: int, arch: list[LayerSpec], seed: int, *,
     for name, shape in param_entries(arch):
         if name.endswith(".weight"):  # the bias that follows shares this bound
             bound = 1.0 / np.sqrt(np.prod(shape[1:]))
-        vals = stream.uniform(int(np.prod(shape)), -bound, bound).astype(np.float32)
+        vals = np.empty(math.prod(shape), dtype=np.float32)
+        for chunk in np.array_split(vals, range(_INIT_CHUNK, vals.size, _INIT_CHUNK)):
+            chunk[:] = stream.uniform(chunk.size, -bound, bound)
         model.params[name] = vals.reshape(shape)
     return model
 
@@ -137,17 +140,18 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
     pooled values only, with no tap index; the logits keep their bytes.
 
     A relu directly followed by a maxpool3d runs after it, on the pooled
-    tensor, so neither its output nor its cache is ever full size. That is
-    exact: relu is monotone, so where a window's maximum is > 0 both orders
-    pick the same first maximum, and where it is <= 0 both give +0.0
-    (relu_forward maps every x <= 0, -0.0 included, to +0.0); a NaN wins its
-    window either way. Against the spec order, only the stored winning tap
-    of a window whose values are all <= 0 can differ, and with it the sign of
-    the zero gradient routed there (g * 0 before, now 0 + g * 0, which is
-    +0.0).
-    Each relu caches its output, which the next layer holds as well, so the
-    array relu read dies as soon as relu has run.
-    Caches are kept in run order, so _backward_full follows the same order.
+    tensor. That is exact: relu is monotone, so where a window's maximum is
+    > 0 both orders pick the same first maximum, and where it is <= 0 both
+    give +0.0 (relu_forward maps every x <= 0, -0.0 included, to +0.0); a NaN
+    wins its window either way. Against the spec order, only the stored
+    winning tap of a window whose values are all <= 0 can differ, and with
+    it the sign of the zero gradient routed there (g * 0 before, now
+    0 + g * 0, which is +0.0). A conv3d directly followed by a maxpool3d
+    (then every block of the default chain) runs as `ops.conv3d_maxpool3d`,
+    and back as `ops.conv3d_backward` with the pool's window, so no
+    full-size output, relu cache or gradient exists. Each relu caches its
+    output, which the next layer holds as well. Caches are kept in run
+    order, so _backward_full follows the same order.
     The kernels take a unit batch axis: it is added here and in
     _backward_full, and nowhere else.
     """
@@ -159,14 +163,18 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
     for i in range(len(specs) - 1):
         if specs[i].kind == "relu" and specs[i + 1].kind == "maxpool3d":
             specs[i], specs[i + 1] = specs[i + 1], specs[i]
-    for spec in specs:
+    fused = {i for i in range(1, len(specs))  # pools that run only inside the conv before them
+             if specs[i].kind == "maxpool3d" and specs[i - 1].kind == "conv3d"}
+    for i, spec in enumerate(specs):
         if spec.kind in ("conv3d", "linear"):
             weight, bias = next(names), next(names)
-            keep((spec, weight, bias, cur))
             w, b = model.params[weight], model.params[bias]
-            cur = (ops.conv3d_forward(cur, w, b, spec.stride, spec.pad)
-                   if spec.kind == "conv3d" else ops.linear_forward(cur, w, b))
-        elif spec.kind == "maxpool3d":
+            window, x = (specs[i + 1].window if i + 1 in fused else None), cur
+            cur, taps = (ops.conv3d_maxpool3d(cur, w, b, spec.stride, spec.pad, window,
+                                              need_winners=training)
+                         if spec.kind == "conv3d" else (ops.linear_forward(cur, w, b), None))
+            keep((spec, weight, bias, window, taps, x))
+        elif spec.kind == "maxpool3d" and i not in fused:
             in_shape = cur.shape
             cur, taps = ops.maxpool3d(cur, spec.window, need_winners=training)
             keep((spec, taps, in_shape))
@@ -177,7 +185,7 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
         elif spec.kind == "flatten":
             keep((spec, cur.shape))
             cur = cur.reshape(cur.shape[0], -1)
-        else:
+        elif i not in fused:
             raise ArchitectureError(f"unknown layer kind {spec.kind!r}")
     return cur[0], caches
 
@@ -201,10 +209,11 @@ def _layer_backward(model: ModelParams, cache, g: np.ndarray, sums: dict[str, np
     array unpacked from it."""
     spec = cache[0]
     if spec.kind in ("conv3d", "linear"):
-        _, weight, bias, x = cache
+        _, weight, bias, window, taps, x = cache
         w = model.params[weight]
         g, grad_w, grad_b = (
-            ops.conv3d_backward(x, w, g, spec.stride, spec.pad, need_input=need_input)
+            ops.conv3d_backward(x, w, g, spec.stride, spec.pad, need_input=need_input,
+                                window=window, taps=taps)
             if spec.kind == "conv3d" else ops.linear_backward(x, w, g))
         sums[weight] += grad_w
         sums[bias] += grad_b

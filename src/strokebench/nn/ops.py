@@ -9,23 +9,23 @@ logit vector. A batch runs as one-sample passes (see `model`).
 Conv weights are (F, C, kt, kh, kw), linear weights (Out, In).
 
 Memory. No kernel builds a full im2col copy of its input (27x the input for
-a 3x3x3 kernel). `conv3d_forward` and the grad_weight of `conv3d_backward`
-lower the input the same way (`_lowered_tiles`): the sample padded once,
-and one tile of output positions at a time into one column buffer of at
-most `TILE_BYTES` (or one output row, if that is larger), which every tile
-reuses. `conv3d_backward` holds no padded copy of its gradient. For
-grad_weight it adds one (F, C*kt*kh*kw) sum and one GEMM output of that
-size; for grad_input, after the column buffer is freed, the returned
-grad_input and one col2im block of at most `BLOCK_BYTES`. Col2im finds
-where a tap meets the unpadded input by `_tap_parts`.
-`maxpool3d` takes the max over strided views of the input, with no
-transposed copy, one block of output frames (at most `BLOCK_BYTES` of
-input) at a time. For training it returns the index of each window's
-winning tap, one byte per pooled element; inference (need_winners=False)
-builds none. `maxpool3d_backward` expands that index to flat int64 indices
-one block of at most `BLOCK_BYTES` at a time. Tiles and blocks alike are
-planned by `_even_runs`: the fewest runs within the cap (one frame or row at
-least) whose lengths differ by one at most.
+a 3x3x3 kernel). The conv forward and grad_weight lower the input the same
+way (`_lowered_tiles`): the sample padded once, and one tile of output
+positions at a time into one column buffer of at most `TILE_BYTES` (or one
+output row, if that is larger), which every tile reuses. For grad_weight the
+backward adds one (F, C*kt*kh*kw) sum and one GEMM output of that size; for
+grad_input, after the column buffer is freed, the returned grad_input and
+one col2im block of at most `BLOCK_BYTES`. Col2im finds where a tap meets
+the unpadded input by `_tap_parts`. A conv and the max pool after it run as
+one kernel both ways (`conv3d_maxpool3d`): the conv output and its gradient
+exist one pool block at a time. `maxpool3d` takes the max over strided views
+of the input, with no transposed copy, one block of output frames (at most
+`BLOCK_BYTES` of input) at a time. For training it returns the index of each
+window's winning tap, one byte per pooled element; inference
+(need_winners=False) builds none. `maxpool3d_backward` expands that index to
+flat int64 indices one block of at most `BLOCK_BYTES` at a time. Tiles and
+blocks alike are planned by `_even_runs`: the fewest runs within the cap
+(one frame or row at least) whose lengths differ by one at most.
 
 Bound: the tracemalloc peak of one conv3d_forward call stays below
 output bytes + one padded sample's bytes + 2 * TILE_BYTES while one output
@@ -38,10 +38,13 @@ of shape (1, 8, 32, 64, 64) float32 and 8 filters. The forward may use
 and one col2im block; without grad_input it uses 5.20 MB, one padded
 sample, one tile and 20 KB of sums and Python objects. With a 3x3x1
 kernel grad_input sets the peak: 7.95 MB, below grad_input + BLOCK_BYTES
-+ 128 KB of ufunc buffers and Python objects (8.52 MB). It also checks
-that a training `maxpool3d` call peaks less than `BLOCK_BYTES` above its
-pooled values and taps, and `maxpool3d_backward` less than that above its
-result.
++ 128 KB of ufunc buffers and Python objects (8.52 MB). At paper conv1 on
+16 frames (a 27.6 MB output in 8 runs), conv3d_maxpool3d stays below its
+results + one padded sample + one run + 2 * TILE_BYTES (12.0 MB), using
+11.9 MB, and its backward without grad_input below one padded sample + one
+run + 2 * BLOCK_BYTES (15.1 MB), using 12.4 MB. A training `maxpool3d` call
+peaks less than `BLOCK_BYTES` above its results, `maxpool3d_backward` less
+than that above its result.
 
 Numerics. Each output element of the forward and of grad_input is one dot
 product over the same reduction axis, in the same order, as in the im2col
@@ -59,6 +62,7 @@ alone need not be: at desk conv2 it is 1.4 times the per-tap GEMMs'.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -151,6 +155,16 @@ def _tap_parts(tap, stride, pad, extents, ranges):
     return tuple(out_part), tuple(in_part)
 
 
+def _pool_runs(kdim, f, outs, itemsize, window):
+    """The runs of output frames, a maxpool3d block each, that conv3d_maxpool3d
+    holds at a time; one with no window or tiles of whole frames (_lowered_tiles)."""
+    to, ho, wo = outs
+    if window is None or TILE_BYTES // (kdim * wo * itemsize) >= ho:
+        return [(0, to)]
+    cap = BLOCK_BYTES // max(1, f * window[0] * ho * wo * itemsize)  # pooled frames per run
+    return [(a * window[0], b * window[0]) for a, b in _even_runs(to // window[0], cap)]
+
+
 def _lowered_tiles(x, kshape, stride: int, pad: int, outs):
     """The columns of conv3d_forward's tiles for the unpadded one-sample
     input `x`, in the order both passes use them: yields (output positions,
@@ -198,87 +212,125 @@ def _lowered_tiles(x, kshape, stride: int, pad: int, outs):
 
 
 def conv3d_forward(x, weight, bias, stride: int, pad: int):
-    """Cross-correlation over (T,H,W); zero padding contributes zeros.
+    """Cross-correlation over (T,H,W), zero-padded: conv3d_maxpool3d, no pool."""
+    return conv3d_maxpool3d(x, weight, bias, stride, pad, None)[0]
 
-    Per tile of output positions (see _lowered_tiles): one GEMM of the
-    tile's columns writing straight into the (1,F,T',H',W') output, then the
+
+def conv3d_maxpool3d(x, weight, bias, stride: int, pad: int, window, *, need_winners=True):
+    """maxpool3d(conv3d_forward(x, weight, bias, stride, pad), window,
+    need_winners=need_winners); with window None, (the (1,F,T',H',W') conv
+    output, None). Per tile of output positions (see _lowered_tiles): one
+    GEMM of the tile's columns writing straight into the output, then the
     bias added to the tile while it is still in cache. Only the GEMM's N
     axis is cut, so each output element is the same dot product as in one
-    GEMM over all positions; tests/test_kernels.py holds the bytes to those
-    of the earlier frame-block forward at every conv shape the workloads run.
+    GEMM over all positions. The output is held one run of _pool_runs at a
+    time, pooled as maxpool3d pools a block once the run's last tile ran.
     """
     outs = _check_conv(x, weight, stride, pad)
     if bias.shape != (weight.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} does not match {weight.shape[0]} filters")
     f = weight.shape[0]
     w2 = weight.reshape(f, -1)
-    out = np.empty((1, f) + outs, dtype=np.result_type(x, weight))
-    column_bias = bias.reshape(f, 1)
-    flat = out.reshape(f, -1)
-    for positions, cols in _lowered_tiles(x, weight.shape[2:], stride, pad, outs):
-        dst = flat[:, positions]
-        np.matmul(w2, cols, out=dst)
-        dst += column_bias
-    return out
+    runs = _pool_runs(w2.shape[1], f, outs, x.itemsize, window)
+    out = np.empty((1, f, max(b - a for a, b in runs)) + outs[1:], np.result_type(x, weight))
+    pooled = out if window is None else np.empty((1, f) + maxpool3d_out_extents(outs, window),
+                                                 dtype=out.dtype)
+    taps = (np.zeros(pooled.shape, dtype=np.min_scalar_type(math.prod(window) - 1))
+            if window is not None and need_winners else None)
+    frame, column_bias, flat = outs[1] * outs[2], bias.reshape(f, 1), out.reshape(f, -1)
+    tiles = _lowered_tiles(x, weight.shape[2:], stride, pad, outs)
+    for t0, t1 in runs:
+        for positions, cols in tiles:  # each run resumes where the last one stopped
+            dst = flat[:, positions.start - t0 * frame : positions.stop - t0 * frame]
+            np.matmul(w2, cols, out=dst)
+            dst += column_bias
+            if positions.stop == t1 * frame:
+                break
+        if window is not None:
+            p = slice(t0 // window[0], t1 // window[0])
+            _pool_block(out[0, :, : t1 - t0], window, pooled[0, :, p],
+                        None if taps is None else taps[0, :, p])
+    return pooled, taps
 
 
-def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *,
-                    need_input: bool = True):
-    """Exact adjoints of conv3d_forward: (grad_input, grad_weight, grad_bias).
+def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *, need_input: bool = True,
+                    window=None, taps=None):
+    """Exact adjoints of conv3d_forward, or with a `window` of conv3d_maxpool3d
+    at its tap index `taps`, for the gradient `grad_out` of the (pooled)
+    output: (grad_input, grad_weight, grad_bias). The conv output's gradient
+    is built one run of _pool_runs at a time, and for grad_bias in groups of
+    whole channels within BLOCK_BYTES (one at least): each sums its C-order row.
 
     grad_weight: per tile of conv3d_forward (see _lowered_tiles), the tile
-    lowered as the forward lowers it and one GEMM, the tile's grad_out
-    (F x positions) times its columns transposed, added into one
-    (F, C*kt*kh*kw) sum that starts from zero, in tile order. So the sum
-    over T'*H'*W' runs tile by tile.
+    lowered as the forward lowers it and one GEMM, the tile's gradient
+    (F x positions) times its columns transposed, added in tile order into
+    one (F, C*kt*kh*kw) sum that starts from zero.
     grad_input: per block of output frames, one GEMM gives every tap's
     contribution (col2im, in (kt,kh,kw,C | T',H',W') layout), added
     straight into grad_input where the tap meets the input (see _tap_parts).
-    Blocks run last frame first, so that each input element still receives
-    its contributions in tap order.
-    With need_input=False grad_input is not computed, and an empty array of
-    grad_out's dtype stands in its place (for a first layer, whose input
-    needs no gradient).
+    Runs and blocks go last frame first, so that each input element still
+    receives its contributions in tap order. With need_input=False an empty
+    array of grad_out's dtype stands in for grad_input (a first layer's).
     """
     outs = _check_conv(x, weight, stride, pad)
     c, t, h, w = x.shape[1:]
     f = weight.shape[0]
     kshape = weight.shape[2:]
-    expected = (1, f) + outs
+    expected = (1, f) + (outs if window is None else maxpool3d_out_extents(outs, window))
     if grad_out.shape != expected:
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match output {expected}")
     to, ho, wo = outs
+    frame = ho * wo  # output positions per frame
 
-    g2 = grad_out.reshape(f, -1)
+    @functools.lru_cache(maxsize=1)  # built once where one run and one group hold it all
+    def conv_grad(c0, c1, t0, t1):  # of channels [c0, c1) and frames [t0, t1), flat
+        if window is None:
+            return grad_out[0, c0:c1, t0:t1].reshape(c1 - c0, -1)
+        p = slice(t0 // window[0], t1 // window[0])
+        return maxpool3d_backward(grad_out[:, c0:c1, p], taps[:, c0:c1, p],
+                                  (1, c1 - c0, t1 - t0, ho, wo), window).reshape(c1 - c0, -1)
+
+    groups = _even_runs(f, BLOCK_BYTES // (to * frame * grad_out.itemsize))
     # a sum from zero: a channel of -0.0 gradients gives +0.0
-    grad_bias = g2.sum(axis=1) + 0.0
+    grad_bias = np.concatenate([conv_grad(c0, c1, 0, to).sum(axis=1) for c0, c1 in groups]) + 0.0
 
+    runs = _pool_runs(c * math.prod(kshape), f, outs, x.itemsize, window)
     grad_weight = np.zeros((f, weight[0].size), dtype=np.result_type(grad_out, x))
     prod = np.empty_like(grad_weight)
-    for positions, cols in _lowered_tiles(x, kshape, stride, pad, outs):
-        np.matmul(g2[:, positions], cols.T, out=prod)
-        grad_weight += prod
+    tiles = _lowered_tiles(x, kshape, stride, pad, outs)
+    for t0, t1 in runs:
+        g2 = conv_grad(0, f, t0, t1)
+        for positions, cols in tiles:  # each run resumes where the last one stopped
+            np.matmul(g2[:, positions.start - t0 * frame : positions.stop - t0 * frame], cols.T,
+                      out=prod)
+            grad_weight += prod
+            if positions.stop == t1 * frame:
+                break
     grad_weight = grad_weight.reshape(weight.shape)
-    cols = prod = None  # so that the column buffer never coexists with grad_input
+    tiles = g2 = cols = prod = None  # so that no column buffer coexists with grad_input
     if not need_input:
         return np.empty(0, dtype=grad_out.dtype), grad_weight, grad_bias
 
     grad_input = np.zeros(x.shape, dtype=grad_out.dtype)
     w2 = np.ascontiguousarray(weight.transpose(2, 3, 4, 1, 0)).reshape(-1, f)
-    blocks = _even_runs(to, BLOCK_BYTES // (w2.shape[0] * ho * wo * x.itemsize))
-    for t0, t1 in reversed(blocks):
-        cols = (w2 @ g2[:, t0 * ho * wo : t1 * ho * wo]).reshape(kshape + (c, t1 - t0, ho, wo))
-        for tap in np.ndindex(*kshape):
-            out_part, in_part = _tap_parts(tap, stride, pad, (t, h, w),
-                                           ((t0, t1), (0, ho), (0, wo)))
-            grad_input[(0, ..., *in_part)] += cols[tap][(..., *out_part)]
-        del cols  # so that two blocks never coexist
+    cap = BLOCK_BYTES // (w2.shape[0] * frame * x.itemsize)
+    for t0, t1 in reversed(runs):
+        g2 = conv_grad(0, f, t0, t1)
+        for a, b in reversed(_even_runs(t1 - t0, cap)):
+            cols = (w2 @ g2[:, a * frame : b * frame]).reshape(kshape + (c, b - a, ho, wo))
+            for tap in np.ndindex(*kshape):
+                out_part, in_part = _tap_parts(tap, stride, pad, (t, h, w),
+                                               ((t0 + a, t0 + b), (0, ho), (0, wo)))
+                grad_input[(0, ..., *in_part)] += cols[tap][(..., *out_part)]
+            del cols  # so that two blocks never coexist
     return grad_input, grad_weight, grad_bias
 
 
-def _pool_block(views, peak, local):
-    """The max over the tap `views` into `peak`, and, unless `local` is None,
-    the index of each window's winning tap into `local` (zeros on entry)."""
+def _pool_block(x, window, peak, local):
+    """The max over each window of the (C, T, H, W) frames `x` into `peak`, and
+    unless `local` is None each window's winning tap into `local` (zeros on entry)."""
+    r = x.reshape(x.shape[:1] + sum(((e // p, p) for e, p in zip(x.shape[1:], window)), ()))
+    views = [r[:, :, i, :, j, :, k] for i, j, k in np.ndindex(*window)]
     np.copyto(peak, views[0])
     for v in views[1:]:
         np.maximum(peak, v, out=peak)  # keeps the first NaN, payload included
@@ -314,17 +366,13 @@ def maxpool3d(x, window, *, need_winners: bool = True):
     runs no backward); the pooled values keep their bytes.
     """
     _check_one_sample("maxpool3d", x.shape)
-    pt, ph, pw = window
-    c, t, h, w = x.shape[1:]
-    to, ho, wo = maxpool3d_out_extents(x.shape[2:], window)
-    taps = list(np.ndindex(pt, ph, pw))
-    pooled = np.empty((1, c, to, ho, wo), dtype=x.dtype)
-    local = (np.zeros(pooled.shape, dtype=np.min_scalar_type(len(taps) - 1))
+    pt = window[0]
+    pooled = np.empty(x.shape[:2] + maxpool3d_out_extents(x.shape[2:], window), dtype=x.dtype)
+    local = (np.zeros(pooled.shape, dtype=np.min_scalar_type(math.prod(window) - 1))
              if need_winners else None)
-    frame_bytes = c * pt * h * w * x.itemsize  # input bytes per output frame
-    for t0, t1 in _even_runs(to, BLOCK_BYTES // max(1, frame_bytes)):
-        r = x[0, :, t0 * pt : t1 * pt].reshape(c, t1 - t0, pt, ho, ph, wo, pw)
-        _pool_block([r[:, :, i, :, j, :, k] for i, j, k in taps], pooled[0, :, t0:t1],
+    # blocks of at most BLOCK_BYTES of input, one output frame at least
+    for t0, t1 in _even_runs(pooled.shape[2], BLOCK_BYTES // max(1, x[0, :, :pt].nbytes)):
+        _pool_block(x[0, :, t0 * pt : t1 * pt], window, pooled[0, :, t0:t1],
                     None if local is None else local[0, :, t0:t1])
     return pooled, local
 

@@ -57,7 +57,9 @@ class SplitMix64:
         return int(self.fill_u64(1)[0])
 
     def fill_u64(self, n: int) -> np.ndarray:
-        """Next n draws as a uint64 array (same sequence as n next_u64 calls)."""
+        """Next n >= 0 draws as a uint64 array (same sequence as n next_u64 calls)."""
+        if n < 0:
+            raise ValueError(f"draw count must be >= 0, got {n}")
         ks = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
         with np.errstate(over="ignore"):

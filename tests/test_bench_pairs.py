@@ -141,8 +141,8 @@ def test_failed_gate_gives_exit_1(tmp_path, monkeypatch):
 def _fake_step(calls, sha_of=lambda side, batch: "same"):
     def run_step(tree, batch, tiny):
         calls.append((batch, tree.name, tiny))
-        return {"peak_rss_mb": 100.0 + batch, "forward_s": 1.0, "backward_s": 2.0,
-                "sha256": sha_of(tree.name, batch)}
+        return {"peak_rss_mb": 100.0 + batch, "build_peak_rss_mb": 80.0, "forward_s": 1.0,
+                "backward_s": 2.0, "sha256": sha_of(tree.name, batch)}
     return run_step
 
 
@@ -160,8 +160,8 @@ def test_steps_alternate_and_record_each_tree(tmp_path, monkeypatch):
     assert report["workloads"] == {}
     step = report["steps"]["10"]
     assert step["order"] == ["change", "base"] and step["same_sha256"]
-    assert step["base"] == {"peak_rss_mb": 110.0, "forward_s": 1.0, "backward_s": 2.0,
-                            "sha256": "same"}
+    assert step["base"] == {"peak_rss_mb": 110.0, "build_peak_rss_mb": 80.0, "forward_s": 1.0,
+                            "backward_s": 2.0, "sha256": "same"}
 
 
 def test_steps_with_other_bytes_give_exit_1(tmp_path, monkeypatch):
@@ -183,7 +183,7 @@ def test_tiny_step_of_one_checkout_against_itself(tmp_path):
     step = json.loads(out.read_text())["steps"]["2"]
     assert step["same_sha256"] and len(step["base"]["sha256"]) == 64
     assert set(step["base"]) == set(bench_pairs.STEP_FIELDS)
-    assert step["base"]["peak_rss_mb"] > 0
+    assert 0 < step["base"]["build_peak_rss_mb"] <= step["base"]["peak_rss_mb"]
 
 
 def test_nothing_to_run_is_refused(tmp_path):

@@ -468,7 +468,8 @@ def test_backward_full_skips_only_the_first_conv_grad_input(monkeypatch):
 
 
 def test_backward_full_frees_each_cache_before_the_next_layer(monkeypatch):
-    """When conv1's backward runs, pool1's tap index is gone."""
+    """When conv1's backward runs, pool2's tap index, which conv2's fused
+    backward read, is gone."""
     shape = (3, 8, 16, 16)
     arch = default_architecture(shape, filters=(4, 8), hidden=8, n_classes=2)
     net = model.build_model(2, arch, seed=3, input_shape=shape)
@@ -484,9 +485,9 @@ def test_backward_full_frees_each_cache_before_the_next_layer(monkeypatch):
     sums = {name: np.zeros_like(p) for name, p in net.params.items()}
     for s in range(len(x)):
         logits, caches = model._forward_full(net, x[s], training=True)
-        pool1 = next(c for c in caches if c[0].kind == "maxpool3d")
-        taps = weakref.ref(pool1[1])
-        del pool1
+        conv2 = [c for c in caches if c[0].kind == "conv3d"][1]
+        taps = weakref.ref(conv2[4])
+        del conv2
         model._backward_full(net, caches, np.ones_like(logits), sums)
     assert alive == [True, False] * len(x)
 
@@ -532,8 +533,8 @@ def test_relu_caches_the_array_its_next_layer_holds(monkeypatch):
         pooled.append(out[0])
         return out
 
-    orig = ops.maxpool3d
-    monkeypatch.setattr(ops, "maxpool3d", pool_spy)
+    orig = ops.conv3d_maxpool3d
+    monkeypatch.setattr(ops, "conv3d_maxpool3d", pool_spy)
     _, caches = model._forward_full(net, np.ones(shape, np.float32), training=True)
     relus = [(i, c[1]) for i, c in enumerate(caches) if c[0].kind == "relu"]
     assert len(relus) == 3 and len(pooled) == 2
@@ -792,3 +793,139 @@ def test_maxpool_of_a_zero_extent_is_empty(shape):
     assert ops.maxpool3d(x, (2, 2, 2), need_winners=False)[0].shape == pooled_shape
     grad = ops.maxpool3d_backward(pooled, taps, shape, (2, 2, 2))
     assert grad.shape == shape and grad.dtype == np.float32
+
+
+# -- conv3d_maxpool3d: each conv -> pool pair in one kernel ---------------------
+
+# (name, input shape, filters, pool window): every conv -> pool pair the
+# workloads run. Paper conv1 and conv2 run on fewer frames: the tile plan
+# of each frame is the same, and two pool blocks remain (2 and 7 frames).
+FUSED_CASES = [
+    ("desk conv1", (1, 3, 16, 32, 32), 8, (2, 2, 2)),
+    ("desk conv2", (1, 8, 8, 16, 16), 16, (2, 2, 2)),
+    ("paper conv1, 4 frames", (1, 3, 4, 120, 120), 30, (2, 2, 2)),
+    ("paper conv2, 14 frames", (1, 30, 14, 60, 60), 60, (7, 2, 2)),
+    ("paper conv3", (1, 60, 7, 30, 30), 80, (7, 2, 2)),
+]
+# the inputs of tests/test_walk_order.py's edge cases, made at the conv; the
+# edge cases run at the desk layers and paper conv3, random inputs at all
+FUSED_EDGES = ["random", "all <= 0 windows", "some <= 0 windows", "signed zeros", "nan", "inf"]
+FUSED_RUNS = [(case, kind) for case in FUSED_CASES
+              for kind in (FUSED_EDGES if "frames" not in case[0] else FUSED_EDGES[:1])]
+
+
+def _fused_case(name, x_shape, filters, window, kind, dtype=np.float32):
+    rng = np.random.default_rng(sum(x_shape) + filters + len(kind))
+    x, weight, bias, _, _ = _conv_case(rng, dtype, x_shape, filters)
+    if kind == "all <= 0 windows":
+        bias[:] = -1e3
+    elif kind == "some <= 0 windows":
+        bias[:] = -2.0
+    elif kind == "signed zeros":
+        x[:] = 0.0
+        x[rng.random(x.shape) < 0.5] = -0.0
+        bias[::2] = -0.0
+    elif kind == "nan":
+        x[rng.random(x.shape) < 1e-3] = np.nan
+    elif kind == "inf":
+        x[0, 0, 1, 2, 3] = np.inf
+        x[0, -1, 2, 5, 6] = -np.inf
+    out_shape = (1, filters) + ops.maxpool3d_out_extents(x_shape[2:], window)
+    grad = rng.standard_normal(out_shape).astype(dtype)
+    grad[rng.random(out_shape) < 0.2] = -0.0
+    return x, weight, bias, grad
+
+
+def _assert_fused_bytes(x, weight, bias, window, grad):
+    """conv3d_maxpool3d and its backward against conv3d_forward -> maxpool3d
+    and maxpool3d_backward -> conv3d_backward, with and without grad_input."""
+    conv = ops.conv3d_forward(x, weight, bias, 1, 1)
+    pooled, taps = ops.maxpool3d(conv, window)
+    got, got_taps = ops.conv3d_maxpool3d(x, weight, bias, 1, 1, window)
+    assert _same_bytes(got, pooled) and _same_bytes(got_taps, taps)
+    values, none = ops.conv3d_maxpool3d(x, weight, bias, 1, 1, window, need_winners=False)
+    assert none is None and _same_bytes(values, pooled)
+    conv_grad = ops.maxpool3d_backward(grad, taps, conv.shape, window)
+    for need_input in (True, False):
+        ref = ops.conv3d_backward(x, weight, conv_grad, 1, 1, need_input=need_input)
+        fused = ops.conv3d_backward(x, weight, grad, 1, 1, need_input=need_input,
+                                    window=window, taps=got_taps)
+        for a, b in zip(fused, ref):
+            assert _same_bytes(a, b), need_input
+
+
+@pytest.mark.parametrize("case,kind", FUSED_RUNS,
+                         ids=[f"{case[0]}-{kind}" for case, kind in FUSED_RUNS])
+def test_conv_pool_pair_bit_identical(case, kind):
+    x, weight, bias, grad = _fused_case(*case, kind)
+    window = case[3]
+    with np.errstate(invalid="ignore", over="ignore"):
+        _assert_fused_bytes(x, weight, bias, window, grad)
+
+
+def test_paper_conv1_and_conv2_pool_in_several_blocks():
+    """The frame-reduced paper cases above pool in two blocks each, so the
+    block seams are covered: one pool block is 2 conv1 frames (3.5 MB) or
+    7 conv2 frames."""
+    assert ops._pool_runs(81, 30, (4, 120, 120), 4, (2, 2, 2)) == [(0, 2), (2, 4)]
+    assert ops._pool_runs(810, 60, (14, 60, 60), 4, (7, 2, 2)) == [(0, 7), (7, 14)]
+    assert ops._pool_runs(81, 30, (98, 120, 120), 4, (2, 2, 2))[:2] == [(0, 2), (2, 4)]
+
+
+# (name, input shape, filters, window, TILE_BYTES, BLOCK_BYTES, the runs of
+# conv output frames): tiles of rows take runs of pool blocks, and tiles of
+# whole frames, which a run could split, one run
+BLOCK_CASES = [
+    ("tiles of rows, a run per frame", (1, 2, 4, 8, 8), 3, (1, 2, 2), 2 * 54 * 8 * 4,
+     3 * 64 * 4, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    ("tiles of rows, runs of 2 and 4 frames", (1, 3, 10, 12, 12), 5, (2, 2, 2),
+     5 * 81 * 12 * 4, 2 * 5 * 2 * 144 * 4, [(0, 2), (2, 6), (6, 10)]),
+    ("desk conv1, tiles of whole frames", (1, 3, 16, 32, 32), 8, (2, 2, 2), 512 << 10,
+     64 << 10, [(0, 16)]),
+]
+
+
+@pytest.mark.parametrize("kind", FUSED_EDGES)
+@pytest.mark.parametrize("name,x_shape,filters,window,tile,block,runs", BLOCK_CASES,
+                         ids=[case[0] for case in BLOCK_CASES])
+def test_conv_pool_pair_bit_identical_in_several_blocks(name, x_shape, filters, window, tile,
+                                                        block, runs, kind, monkeypatch):
+    monkeypatch.setattr(ops, "TILE_BYTES", tile)
+    monkeypatch.setattr(ops, "BLOCK_BYTES", block)
+    kdim = x_shape[1] * 27
+    assert ops._pool_runs(kdim, filters, x_shape[2:], 4, window) == runs
+    for dtype in (np.float32, np.float64):
+        x, weight, bias, grad = _fused_case(name, x_shape, filters, window, kind, dtype)
+        with np.errstate(invalid="ignore", over="ignore"):
+            _assert_fused_bytes(x, weight, bias, window, grad)
+
+
+def test_conv_pool_pair_refuses_what_its_parts_refuse():
+    x = np.zeros((1, 2, 6, 8, 8), np.float32)
+    weight = np.zeros((4, 2, 3, 3, 3), np.float32)
+    with pytest.raises(ops.ShapeError, match="not divisible by pool window"):
+        ops.conv3d_maxpool3d(x, weight, np.zeros(4, np.float32), 1, 1, (4, 2, 2))
+    with pytest.raises(ops.ShapeError, match="does not match 4 filters"):
+        ops.conv3d_maxpool3d(x, weight, np.zeros(3, np.float32), 1, 1, (2, 2, 2))
+    pooled, taps = ops.conv3d_maxpool3d(x, weight, np.zeros(4, np.float32), 1, 1, (2, 2, 2))
+    with pytest.raises(ops.ShapeError, match="does not match output"):
+        ops.conv3d_backward(x, weight, pooled[:, :, :1], 1, 1, window=(2, 2, 2), taps=taps)
+
+
+# conv1 of a paper-like chain: 3 channels to 30 filters, a (1, 30, 16, 96, 96)
+# float32 output of 17.7 MB, pooled in blocks of at most 4 MB
+CONV1_SHAPE, CONV1_FILTERS = (3, 16, 96, 96), (30, 8)
+
+
+def test_no_conv1_output_in_a_training_step_or_forward():
+    """A training step's tracemalloc peak, and a forward's, stay below the
+    bytes of conv1's output, so no array of its extent (the output, or its
+    gradient) is ever allocated. Both peaked above it when conv1 and pool1
+    ran as two kernels."""
+    arch = default_architecture(CONV1_SHAPE, filters=CONV1_FILTERS, hidden=8, n_classes=2)
+    net = model.build_model(2, arch, seed=1, input_shape=CONV1_SHAPE)
+    x = np.random.default_rng(1).random(CONV1_SHAPE, dtype=np.float32)
+    conv1 = CONV1_FILTERS[0] * int(np.prod(CONV1_SHAPE[1:])) * 4
+    assert len(ops._pool_runs(81, 30, CONV1_SHAPE[1:], 4, (2, 2, 2))) > 4
+    assert _peak_bytes(model._summed_gradients, net, [(x, 0)], "step") < conv1
+    assert _peak_bytes(model.forward, net, x) < conv1

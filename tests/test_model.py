@@ -1,10 +1,12 @@
 import logging
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import strokebench.model as model_mod
 from strokebench.annotations import Segment
 from strokebench.errors import (AnnotationError, ArchitectureError, CheckpointError, CuboidError,
                                 ShapeError, TrainingError)
@@ -14,6 +16,7 @@ from strokebench.model import (CHECKPOINT_MAGIC, DatasetItem, ModelParams, Train
                                _text_lines, _window_input, history_csv, load_checkpoint,
                                save_checkpoint, train)
 from strokebench.nn import ops
+from strokebench.nn.rng import SplitMix64, derive_seed
 from strokebench.nn.layers import (FILTERS, HIDDEN, LayerSpec, chain_shapes, conv3d,
                                    default_architecture, flatten, linear, maxpool3d,
                                    param_entries, relu, to_descriptor)
@@ -169,6 +172,37 @@ class TestBuild:
         bound = 1.0 / np.sqrt(3 * 27)
         assert np.abs(w).max() <= bound
         assert w.dtype == np.float32
+
+    def test_chunked_init_gives_one_draw_per_parameter(self):
+        """fc1 here takes 1M draws, 4 chunks: the values are those of one
+        stream.uniform call per parameter, cast to float32."""
+        shape = (3, 16, 64, 64)
+        arch = default_architecture(shape, filters=(8, 16), hidden=64, n_classes=2)
+        m = build_model(2, arch, seed=5, input_shape=shape)
+        assert m.params["fc1.weight"].size > 3 * model_mod._INIT_CHUNK
+        stream = SplitMix64(derive_seed(5, model_mod._INIT_SALT))
+        for name, shape in param_entries(arch):
+            if name.endswith(".weight"):
+                bound = 1.0 / np.sqrt(np.prod(shape[1:]))
+            ref = stream.uniform(int(np.prod(shape)), -bound, bound).astype(np.float32)
+            assert m.params[name].tobytes() == ref.tobytes(), name
+
+    def test_paper_build_holds_its_parameters_and_one_chunk(self):
+        """At the paper shape build_model's tracemalloc peak is its 36.7 MB
+        of parameters and the temporaries of one chunk of draws (8.4 MB),
+        below 6 float64 chunks. Drawing each parameter at once made fc1's
+        9.2M draws into full-size uint64 and float64 arrays, 74 MB each."""
+        shape = (3, 98, 120, 120)
+        arch = default_architecture(shape, FILTERS, HIDDEN, n_classes=2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            m = build_model(2, arch, seed=0, input_shape=shape)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        params = sum(p.nbytes for p in m.params.values())
+        assert params < peak < params + 6 * 8 * model_mod._INIT_CHUNK
 
     def test_incompatible_chain_rejected(self):
         arch = [conv3d(3, 4, (3, 3, 3), 1, 1), maxpool3d((3, 2, 2))]

@@ -70,3 +70,14 @@ def test_shuffle_of_fewer_than_two_items_draws_nothing():
     for items in ([], [7]):
         gen.shuffle(items)
     assert gen.counter == 0 and gen.next_u64() == splitmix64_sequence(3, 1)[0]
+
+
+@pytest.mark.parametrize("draw", [lambda g: g.fill_u64(-2), lambda g: g.fill_float(-2),
+                                  lambda g: g.uniform(-2, 0.0, 1.0)],
+                         ids=["fill_u64", "fill_float", "uniform"])
+def test_negative_draw_count_is_refused_and_draws_nothing(draw):
+    gen = SplitMix64(3)
+    gen.next_u64()
+    with pytest.raises(ValueError, match=r"^draw count must be >= 0, got -2$"):
+        draw(gen)
+    assert gen.counter == 1 and gen.next_u64() == splitmix64_sequence(3, 2)[1]

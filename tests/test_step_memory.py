@@ -47,6 +47,8 @@ def test_step_memory_reports_one_reproducible_step():
     assert first["input"] == [3, 8, 16, 16] and first["filters"] == [4, 8]
     assert first["batch"] == 2 and first["openblas_threads"] == "1"
     assert 0 < first["peak_rss_mb"] and 0 <= first["step_s"]
+    # the peak after the model build, which the step's peak includes
+    assert 0 < first["build_peak_rss_mb"] <= first["peak_rss_mb"]
     assert 0 <= first["forward_s"] and 0 <= first["backward_s"]
     # each of the three is rounded to the millisecond
     assert abs(first["forward_s"] + first["backward_s"] - first["step_s"]) < 0.002

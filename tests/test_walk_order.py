@@ -222,10 +222,10 @@ def test_inference_pools_without_winners_and_keeps_training_logits(chain, kind, 
     net, shape = _chain_net(chain)
     x = _edge_case(kind, rng, rng.random((3,) + shape, dtype=np.float32), net)
     calls, seen = [], []
-    pool, loss = ops.maxpool3d, ops.softmax_cross_entropy
+    pool, loss = ops.conv3d_maxpool3d, ops.softmax_cross_entropy
 
-    def pool_spy(x, window, **kwargs):
-        pooled, taps = pool(x, window, **kwargs)
+    def pool_spy(x, weight, bias, stride, pad, window, **kwargs):
+        pooled, taps = pool(x, weight, bias, stride, pad, window, **kwargs)
         calls.append((kwargs["need_winners"], taps is None))
         return pooled, taps
 
@@ -233,7 +233,7 @@ def test_inference_pools_without_winners_and_keeps_training_logits(chain, kind, 
         seen.append(logits.copy())
         return loss(logits, cls)
 
-    monkeypatch.setattr(ops, "maxpool3d", pool_spy)
+    monkeypatch.setattr(ops, "conv3d_maxpool3d", pool_spy)
     monkeypatch.setattr(ops, "softmax_cross_entropy", loss_spy)
     n_pools = sum(spec.kind == "maxpool3d" for spec in net.specs)
     with np.errstate(invalid="ignore", over="ignore"):
