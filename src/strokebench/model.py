@@ -140,18 +140,17 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
     pooled values only, with no tap index; the logits keep their bytes.
 
     A relu directly followed by a maxpool3d runs after it, on the pooled
-    tensor. That is exact: relu is monotone, so where a window's maximum is
-    > 0 both orders pick the same first maximum, and where it is <= 0 both
-    give +0.0 (relu_forward maps every x <= 0, -0.0 included, to +0.0); a NaN
-    wins its window either way. Against the spec order, only the stored
-    winning tap of a window whose values are all <= 0 can differ, and with
-    it the sign of the zero gradient routed there (g * 0 before, now
-    0 + g * 0, which is +0.0). A conv3d directly followed by a maxpool3d
-    (then every block of the default chain) runs as `ops.conv3d_maxpool3d`,
-    and back as `ops.conv3d_backward` with the pool's window, so no
-    full-size output, relu cache or gradient exists. Each relu caches its
-    output, which the next layer holds as well. Caches are kept in run
-    order, so _backward_full follows the same order.
+    tensor. That is exact: relu is monotone, so where a window's maximum is > 0
+    both orders pick the same first maximum, and where it is <= 0 both give
+    +0.0 (relu_forward maps every x <= 0, -0.0 included, to +0.0); a NaN wins
+    its window either way. Against the spec order, only the stored winning tap
+    of a window whose values are all <= 0 can differ, and with it the sign of
+    the zero gradient routed there (g * 0 before, now 0 + g * 0, which is
+    +0.0). A conv3d directly followed by a maxpool3d (then every block of the
+    default chain) runs as `ops.conv3d_maxpool3d`, and back as
+    `ops.conv3d_backward` with the pool's window: no full-size output, relu
+    cache or gradient exists. Each relu caches its output, which the next layer
+    holds too. Caches are kept in run order, which _backward_full follows.
     The kernels take a unit batch axis: it is added here and in
     _backward_full, and nowhere else.
     """
@@ -163,7 +162,7 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
     for i in range(len(specs) - 1):
         if specs[i].kind == "relu" and specs[i + 1].kind == "maxpool3d":
             specs[i], specs[i + 1] = specs[i + 1], specs[i]
-    fused = {i for i in range(1, len(specs))  # pools that run only inside the conv before them
+    fused = {i for i in range(1, len(specs))  # pools that run inside the conv before them
              if specs[i].kind == "maxpool3d" and specs[i - 1].kind == "conv3d"}
     for i, spec in enumerate(specs):
         if spec.kind in ("conv3d", "linear"):
@@ -174,7 +173,9 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
                                               need_winners=training)
                          if spec.kind == "conv3d" else (ops.linear_forward(cur, w, b), None))
             keep((spec, weight, bias, window, taps, x))
-        elif spec.kind == "maxpool3d" and i not in fused:
+        elif i in fused:
+            continue  # it ran inside the conv3d before it
+        elif spec.kind == "maxpool3d":
             in_shape = cur.shape
             cur, taps = ops.maxpool3d(cur, spec.window, need_winners=training)
             keep((spec, taps, in_shape))
@@ -185,7 +186,7 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
         elif spec.kind == "flatten":
             keep((spec, cur.shape))
             cur = cur.reshape(cur.shape[0], -1)
-        elif i not in fused:
+        else:
             raise ArchitectureError(f"unknown layer kind {spec.kind!r}")
     return cur[0], caches
 

@@ -6,6 +6,7 @@ once for real at a tiny shape."""
 import importlib.util
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,17 @@ def test_tiny_step_of_one_checkout_against_itself(tmp_path):
     assert step["same_sha256"] and len(step["base"]["sha256"]) == 64
     assert set(step["base"]) == set(bench_pairs.STEP_FIELDS)
     assert 0 < step["base"]["build_peak_rss_mb"] <= step["base"]["peak_rss_mb"]
+
+
+def test_step_of_a_checkout_without_the_build_peak_reads_none(tmp_path, monkeypatch):
+    """A checkout whose step_memory.py prints no build_peak_rss_mb, such as a
+    base older than it, is recorded with None there."""
+    line = json.dumps({"peak_rss_mb": 1.0, "forward_s": 0.1, "backward_s": 0.2, "sha256": "x"})
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda cmd, **kwargs: subprocess.CompletedProcess(cmd, 0, line + "\n", ""))
+    step = bench_pairs.run_step(tmp_path, 2, tiny=True)
+    assert step == {"peak_rss_mb": 1.0, "build_peak_rss_mb": None, "forward_s": 0.1,
+                    "backward_s": 0.2, "sha256": "x"}
 
 
 def test_nothing_to_run_is_refused(tmp_path):

@@ -929,3 +929,26 @@ def test_no_conv1_output_in_a_training_step_or_forward():
     assert len(ops._pool_runs(81, 30, CONV1_SHAPE[1:], 4, (2, 2, 2))) > 4
     assert _peak_bytes(model._summed_gradients, net, [(x, 0)], "step") < conv1
     assert _peak_bytes(model.forward, net, x) < conv1
+
+
+def test_conv_pool_pair_memory_is_one_run_above_its_results():
+    """The bounds the ops docstring states, at paper conv1 on 16 frames: a
+    27.6 MB conv output held in 8 runs of 3.46 MB. The forward peaks below
+    its pooled values and taps + one padded sample + one run + 2 *
+    TILE_BYTES (12.0 MB; it uses 11.9 MB), the backward without grad_input
+    below one padded sample + one run + 2 * BLOCK_BYTES (15.1 MB; it uses
+    12.4 MB), both well below the conv output alone."""
+    x, weight, bias, _, _ = _conv_case(np.random.default_rng(30), np.float32,
+                                       (1, 3, 16, 120, 120), 30)
+    runs = ops._pool_runs(81, 30, (16, 120, 120), 4, (2, 2, 2))
+    assert len(runs) == 8
+    run = 30 * 2 * 120 * 120 * 4
+    padded = 3 * 18 * 122 * 122 * 4
+    pooled, taps = ops.conv3d_maxpool3d(x, weight, bias, 1, 1, (2, 2, 2))
+    grad = np.random.default_rng(31).standard_normal(pooled.shape, dtype=np.float32)
+    forward = _peak_bytes(ops.conv3d_maxpool3d, x, weight, bias, 1, 1, (2, 2, 2))
+    backward = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad, 1, 1, need_input=False,
+                                                       window=(2, 2, 2), taps=taps))
+    assert forward < pooled.nbytes + taps.nbytes + padded + run + 2 * ops.TILE_BYTES
+    assert backward < padded + run + 2 * ops.BLOCK_BYTES
+    assert max(forward, backward) < 8 * run / 2
