@@ -27,9 +27,9 @@ workload and metric with both. Per tree it holds the `env:` line of its
 runs and its `git rev-parse HEAD` with a dirty flag.
 Per step batch it holds each tree's peak RSS, the peak RSS after the model
 build (None where that tree's script does not print it), forward and
-backward seconds and the SHA-256 of its logits and gradients. The exit code is nonzero if a
-run printed no result or failed a gate, or if the two trees' steps gave
-different SHA-256s.
+backward seconds and the SHA-256 of its logits and gradients. The exit
+code is nonzero if a run printed no result or failed a gate, or if the two
+trees' steps gave different SHA-256s.
 """
 
 from __future__ import annotations

@@ -798,20 +798,22 @@ def test_maxpool_of_a_zero_extent_is_empty(shape):
 # -- conv3d_maxpool3d: each conv -> pool pair in one kernel ---------------------
 
 # (name, input shape, filters, pool window): every conv -> pool pair the
-# workloads run. Paper conv1 and conv2 run on fewer frames: the tile plan
-# of each frame is the same, and two pool blocks remain (2 and 7 frames).
+# workloads run (paper conv1 in 49 pool blocks, conv2 in 7), and paper conv1
+# on 4 frames, whose frames have the same tile plan and two pool blocks
 FUSED_CASES = [
     ("desk conv1", (1, 3, 16, 32, 32), 8, (2, 2, 2)),
     ("desk conv2", (1, 8, 8, 16, 16), 16, (2, 2, 2)),
-    ("paper conv1, 4 frames", (1, 3, 4, 120, 120), 30, (2, 2, 2)),
-    ("paper conv2, 14 frames", (1, 30, 14, 60, 60), 60, (7, 2, 2)),
+    ("paper conv1", (1, 3, 98, 120, 120), 30, (2, 2, 2)),
+    ("paper conv2", (1, 30, 49, 60, 60), 60, (7, 2, 2)),
     ("paper conv3", (1, 60, 7, 30, 30), 80, (7, 2, 2)),
+    ("paper conv1, 4 frames", (1, 3, 4, 120, 120), 30, (2, 2, 2)),
 ]
 # the inputs of tests/test_walk_order.py's edge cases, made at the conv; the
-# edge cases run at the desk layers and paper conv3, random inputs at all
+# whole paper conv1 and conv2 take random inputs only, to keep the suite short
 FUSED_EDGES = ["random", "all <= 0 windows", "some <= 0 windows", "signed zeros", "nan", "inf"]
 FUSED_RUNS = [(case, kind) for case in FUSED_CASES
-              for kind in (FUSED_EDGES if "frames" not in case[0] else FUSED_EDGES[:1])]
+              for kind in (FUSED_EDGES[:1] if case[0] in ("paper conv1", "paper conv2")
+                           else FUSED_EDGES)]
 
 
 def _fused_case(name, x_shape, filters, window, kind, dtype=np.float32):
@@ -864,12 +866,13 @@ def test_conv_pool_pair_bit_identical(case, kind):
 
 
 def test_paper_conv1_and_conv2_pool_in_several_blocks():
-    """The frame-reduced paper cases above pool in two blocks each, so the
-    block seams are covered: one pool block is 2 conv1 frames (3.5 MB) or
-    7 conv2 frames."""
+    """The paper cases above cross block seams: one pool block is 2 conv1
+    frames (3.5 MB) or 7 conv2 frames (6 MB)."""
     assert ops._pool_runs(81, 30, (4, 120, 120), 4, (2, 2, 2)) == [(0, 2), (2, 4)]
-    assert ops._pool_runs(810, 60, (14, 60, 60), 4, (7, 2, 2)) == [(0, 7), (7, 14)]
-    assert ops._pool_runs(81, 30, (98, 120, 120), 4, (2, 2, 2))[:2] == [(0, 2), (2, 4)]
+    assert ops._pool_runs(81, 30, (98, 120, 120), 4, (2, 2, 2)) == [
+        (a, a + 2) for a in range(0, 98, 2)]
+    assert ops._pool_runs(810, 60, (49, 60, 60), 4, (7, 2, 2)) == [
+        (a, a + 7) for a in range(0, 49, 7)]
 
 
 # (name, input shape, filters, window, TILE_BYTES, BLOCK_BYTES, the runs of
