@@ -45,6 +45,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from strokebench import model
+from strokebench.errors import ShapeError
 from strokebench.nn import ops
 from strokebench.nn.layers import default_architecture
 
@@ -816,7 +817,7 @@ FUSED_RUNS = [(case, kind) for case in FUSED_CASES
                            else FUSED_EDGES)]
 
 
-def _fused_case(name, x_shape, filters, window, kind, dtype=np.float32):
+def _fused_case(x_shape, filters, window, kind, dtype=np.float32):
     rng = np.random.default_rng(sum(x_shape) + filters + len(kind))
     x, weight, bias, _, _ = _conv_case(rng, dtype, x_shape, filters)
     if kind == "all <= 0 windows":
@@ -859,8 +860,8 @@ def _assert_fused_bytes(x, weight, bias, window, grad):
 @pytest.mark.parametrize("case,kind", FUSED_RUNS,
                          ids=[f"{case[0]}-{kind}" for case, kind in FUSED_RUNS])
 def test_conv_pool_pair_bit_identical(case, kind):
-    x, weight, bias, grad = _fused_case(*case, kind)
-    window = case[3]
+    _, x_shape, filters, window = case
+    x, weight, bias, grad = _fused_case(x_shape, filters, window, kind)
     with np.errstate(invalid="ignore", over="ignore"):
         _assert_fused_bytes(x, weight, bias, window, grad)
 
@@ -898,7 +899,7 @@ def test_conv_pool_pair_bit_identical_in_several_blocks(name, x_shape, filters, 
     kdim = x_shape[1] * 27
     assert ops._pool_runs(kdim, filters, x_shape[2:], 4, window) == runs
     for dtype in (np.float32, np.float64):
-        x, weight, bias, grad = _fused_case(name, x_shape, filters, window, kind, dtype)
+        x, weight, bias, grad = _fused_case(x_shape, filters, window, kind, dtype)
         with np.errstate(invalid="ignore", over="ignore"):
             _assert_fused_bytes(x, weight, bias, window, grad)
 
@@ -906,12 +907,12 @@ def test_conv_pool_pair_bit_identical_in_several_blocks(name, x_shape, filters, 
 def test_conv_pool_pair_refuses_what_its_parts_refuse():
     x = np.zeros((1, 2, 6, 8, 8), np.float32)
     weight = np.zeros((4, 2, 3, 3, 3), np.float32)
-    with pytest.raises(ops.ShapeError, match="not divisible by pool window"):
+    with pytest.raises(ShapeError, match="not divisible by pool window"):
         ops.conv3d_maxpool3d(x, weight, np.zeros(4, np.float32), 1, 1, (4, 2, 2))
-    with pytest.raises(ops.ShapeError, match="does not match 4 filters"):
+    with pytest.raises(ShapeError, match="does not match 4 filters"):
         ops.conv3d_maxpool3d(x, weight, np.zeros(3, np.float32), 1, 1, (2, 2, 2))
     pooled, taps = ops.conv3d_maxpool3d(x, weight, np.zeros(4, np.float32), 1, 1, (2, 2, 2))
-    with pytest.raises(ops.ShapeError, match="does not match output"):
+    with pytest.raises(ShapeError, match="does not match output"):
         ops.conv3d_backward(x, weight, pooled[:, :, :1], 1, 1, window=(2, 2, 2), taps=taps)
 
 

@@ -1,8 +1,9 @@
 """The training walk of `model._forward_full`/`_backward_full` against a frozen
 copy of the spec-order walk it replaced.
 
-The model now runs each relu -> maxpool3d pair as maxpool3d -> relu, and
-its kernels take one sample. The reference below keeps the earlier walk:
+The model now runs each relu -> maxpool3d pair as maxpool3d -> relu, each
+conv3d -> maxpool3d pair as one kernel both ways, and its kernels take one
+sample. The reference below keeps the earlier walk:
 every layer in spec order, the pool gradient scattered with `np.add.at` into
 a flat (N, C, ...) buffer at the winners `oracles.taps_to_winners` makes of
 the pool's tap index, and the conv bias gradient as
