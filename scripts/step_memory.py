@@ -66,8 +66,8 @@ def main(argv=None) -> int:
     shape = net.input_shape
     rng = np.random.default_rng(cfg.seed & MASK64)
     # each cuboid is drawn as the step reaches it (the values of one
-    # (batch,) + shape draw): training steps over cuboids it holds anyway,
-    # so no copy of the batch belongs to the step
+    # (batch,) + shape draw), as training cuts each cuboid from its video
+    # when the step reaches it: no copy of the batch belongs to the step
     samples = ((rng.random(shape, dtype=np.float32), n % 2) for n in range(cfg.batch))
 
     t0 = time.perf_counter()

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import struct
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -212,11 +212,13 @@ def _layer_backward(model: ModelParams, cache, g: np.ndarray, sums: dict[str, np
     if spec.kind in ("conv3d", "linear"):
         _, weight, bias, window, taps, x = cache
         w = model.params[weight]
-        g, grad_w, grad_b = (
-            ops.conv3d_backward(x, w, g, spec.stride, spec.pad, need_input=need_input,
-                                window=window, taps=taps)
-            if spec.kind == "conv3d" else ops.linear_backward(x, w, g))
-        sums[weight] += grad_w
+        if spec.kind == "conv3d":
+            g, grad_w, grad_b = ops.conv3d_backward(x, w, g, spec.stride, spec.pad,
+                                                    need_input=need_input, window=window,
+                                                    taps=taps)
+            sums[weight] += grad_w
+        else:  # it adds its weight gradient into the sum itself
+            g, _, grad_b = ops.linear_backward(x, w, g, sums[weight])
         sums[bias] += grad_b
     elif spec.kind == "maxpool3d":
         _, taps, in_shape = cache
@@ -284,31 +286,37 @@ def detect(model: ModelParams, src: VideoSource, proposal_len: int = PROPOSAL_LE
             if cls == STROKE_CLASS]
 
 
-def _extract_item(item: DatasetItem, sources: dict[str, VideoSource],
-                  model: ModelParams) -> np.ndarray | None:
-    src = sources.get(item.video_id)
-    if src is None:
-        logger.warning("no video source for %s; sample skipped", item.video_id)
-        return None
-    try:
-        return _window_input(model, src, item.segment.begin)
-    except CuboidError as e:
-        logger.warning("%s; sample skipped", e)
-        return None
+def _usable_items(items: list[DatasetItem], sources: dict[str, VideoSource],
+                  model: ModelParams) -> list[DatasetItem]:
+    """The items a cuboid can be cut for: their video has a source at least
+    the model's input length long. Each other item is logged as skipped."""
+    usable = []
+    for item in items:
+        src = sources.get(item.video_id)
+        if src is None:
+            logger.warning("no video source for %s; sample skipped", item.video_id)
+            continue
+        try:
+            check_video_length(model, src)
+        except CuboidError as e:
+            logger.warning("%s; sample skipped", e)
+            continue
+        usable.append(item)
+    return usable
 
 
-def _extract_samples(items: list[DatasetItem], sources: dict[str, VideoSource],
-                     model: ModelParams) -> list[tuple[np.ndarray, int]]:
-    """(cuboid, class index) for each item that can be extracted."""
-    samples = [(_extract_item(item, sources, model), item.class_index) for item in items]
-    return [s for s in samples if s[0] is not None]
+def _samples(model: ModelParams, items: list[DatasetItem], sources: dict[str, VideoSource]):
+    """(cuboid, class index) of each usable item, each cuboid cut only when
+    the loop that consumes it gets there."""
+    for item in items:
+        yield _window_input(model, sources[item.video_id], item.segment.begin), item.class_index
 
 
 def _summed_gradients(model: ModelParams, samples: Iterable[tuple[np.ndarray, int]],
                       where: str):
     """Forward, loss and backward of each (cuboid, class) in `samples`, one
-    held cuboid at a time, so that no stacked copy of the batch is made and
-    one sample's caches are live at a time.
+    cuboid at a time as `samples` yields it, so that no stacked copy of the
+    batch is made and one sample's caches are live at a time.
 
     In sample order, each sample's parameter gradients are added into one sum
     per parameter that starts from zero, and its loss into a summed loss that
@@ -340,22 +348,33 @@ def _summed_gradients(model: ModelParams, samples: Iterable[tuple[np.ndarray, in
     return loss, np.stack(logits), grads, (forward_s, backward_s)
 
 
-def _train_step(model: ModelParams, opt: NesterovSGD, samples: list[tuple[np.ndarray, int]],
-                where: str) -> tuple[float, int]:
+def _train_step(model: ModelParams, opt: NesterovSGD,
+                samples: Iterable[tuple[np.ndarray, int]], where: str) -> tuple[float, int]:
     """One SGD step on a batch of (cuboid, class) samples, with the gradients
     `_summed_gradients` sums: (summed loss, correct predictions). A loss or
     a parameter gradient that is not finite raises TrainingError before any
     parameter or velocity changes. The caches and gradients die on return,
     before validation allocates."""
-    loss, logits, grads, _ = _summed_gradients(model, samples, where)
+    classes = []
+
+    def counted():
+        for cuboid, cls in samples:
+            classes.append(cls)
+            yield cuboid, cls
+
+    loss, logits, grads, _ = _summed_gradients(model, counted(), where)
     opt.step(model.params, grads)
-    return loss, int(np.sum(np.argmax(logits, axis=1) == [cls for _, cls in samples]))
+    return loss, int(np.sum(np.argmax(logits, axis=1) == classes))
 
 
-def _evaluate(model: ModelParams, samples: list[tuple[np.ndarray, int]]) -> float:
+def _evaluate(model: ModelParams, samples: Iterable[tuple[np.ndarray, int]]) -> float:
     """The share of samples whose `classify` class is their own: one cuboid
     at a time, the shape inference runs the model at."""
-    return sum(classify(model, cuboid)[0] == cls for cuboid, cls in samples) / len(samples)
+    hits = count = 0
+    for cuboid, cls in samples:
+        hits += classify(model, cuboid)[0] == cls
+        count += 1
+    return hits / count
 
 
 def train(model: ModelParams, train_items: list[DatasetItem],
@@ -367,12 +386,16 @@ def train(model: ModelParams, train_items: list[DatasetItem],
     sample losses (a batch's gradient is the sum of its samples') and keeps
     the snapshot with the highest validation accuracy, earliest epoch on
     ties. Training and validation run the model on one sample at a time, as
-    `classify` does. Samples whose video is missing or too short are skipped
-    with a warning; an epoch with nothing usable aborts, and so does a batch
-    whose loss or parameter gradient is not finite (TrainingError naming the
-    epoch and batch, raised before that batch changes any parameter). Cuboid
-    settings that do not match the model input raise TrainingError, and bad
-    optimizer settings ConfigError, before anything is extracted.
+    `classify` does, and cut each sample's cuboid only when they reach it,
+    every epoch anew, so one cuboid is held at a time however large the
+    corpus. Samples whose video is missing or too short are skipped, each
+    with one warning before epoch 1; with no usable training or validation
+    sample the run aborts before epoch 1. A frame that cannot be read raises
+    when a step or validation reaches it. A batch whose loss or parameter
+    gradient is not finite raises TrainingError naming the epoch and batch,
+    before that batch changes any parameter. Cuboid settings that do not
+    match the model input raise TrainingError, and bad optimizer settings
+    ConfigError, before any video is read.
     """
     if not train_items or not val_items:
         raise TrainingError("train and validation sets must be non-empty")
@@ -389,30 +412,30 @@ def train(model: ModelParams, train_items: list[DatasetItem],
             )
     opt = NesterovSGD(model.params, cfg.lr, cfg.momentum, cfg.weight_decay)
 
-    train_samples = _extract_samples(train_items, sources, model)
-    val_samples = _extract_samples(val_items, sources, model)
-    skipped = len(train_items) + len(val_items) - len(train_samples) - len(val_samples)
+    train_usable = _usable_items(train_items, sources, model)
+    val_usable = _usable_items(val_items, sources, model)
+    skipped = len(train_items) + len(val_items) - len(train_usable) - len(val_usable)
     if skipped:
         logger.warning("skipped %d unextractable samples", skipped)
-    if not train_samples or not val_samples:
+    if not train_usable or not val_usable:
         raise TrainingError("no usable samples after extraction; aborting")
 
     best = None
     best_acc = -1.0
     history: list[EpochStats] = []
-    n = len(train_samples)
+    n = len(train_usable)
     for epoch in range(1, cfg.epochs + 1):
         order = list(range(n))
         SplitMix64(derive_seed(cfg.seed, _SHUFFLE_SALT, epoch)).shuffle(order)
         epoch_loss = 0.0
         correct = 0
         for i in range(0, n, cfg.batch_size):
-            batch = [train_samples[j] for j in order[i : i + cfg.batch_size]]
-            loss, hits = _train_step(model, opt, batch, f"epoch {epoch}, batch "
-                                     f"{i // cfg.batch_size + 1}")
+            batch = [train_usable[j] for j in order[i : i + cfg.batch_size]]
+            loss, hits = _train_step(model, opt, _samples(model, batch, sources),
+                                     f"epoch {epoch}, batch {i // cfg.batch_size + 1}")
             epoch_loss += loss
             correct += hits
-        val_acc = _evaluate(model, val_samples)
+        val_acc = _evaluate(model, _samples(model, val_usable, sources))
         history.append(EpochStats(epoch, epoch_loss, correct / n, val_acc))
         if val_acc > best_acc:
             best_acc = val_acc
@@ -441,76 +464,78 @@ def _text_lines(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> list[st
 
 
 def save_checkpoint(model: ModelParams, path) -> None:
-    """Write one record per param_entries(model.specs) entry, in that order;
-    CheckpointError, before the file is made, unless params holds exactly those."""
+    """Write one record per param_entries(model.specs) entry, in that order,
+    each straight from its array to the file; CheckpointError, before the
+    file is made, unless params holds exactly those."""
     entries = dict(param_entries(model.specs))
     if (shapes := {name: arr.shape for name, arr in model.params.items()}) != entries:
         raise CheckpointError(f"{path}: parameters {shapes} do not match the layers' {entries}")
-    buf = bytearray(CHECKPOINT_MAGIC)
-    for line in _text_lines(model.specs, model.input_shape):
-        buf += (line + "\n").encode("utf-8")
-    for name, shape in entries.items():
-        buf += _record_head(name, shape)
-        buf += np.ascontiguousarray(model.params[name], dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(buf))
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        for line in _text_lines(model.specs, model.input_shape):
+            f.write((line + "\n").encode("utf-8"))
+        for name, shape in entries.items():
+            f.write(_record_head(name, shape))
+            f.write(np.ascontiguousarray(model.params[name], dtype="<f4"))
 
 
-def _read_line(data: bytes, pos: int, path):
-    nl = data.find(b"\n", pos)
-    if nl < 0:
+def _read_line(f, path) -> str:
+    line = f.readline()
+    if not line.endswith(b"\n"):
         raise CheckpointError(f"{path}: truncated checkpoint: unterminated text line")
     try:
-        return data[pos:nl].decode("utf-8"), nl + 1
+        return line[:-1].decode("utf-8")
     except UnicodeDecodeError:
-        raise CheckpointError(f"{path}: text line {data[pos:nl]!r} is not UTF-8") from None
+        raise CheckpointError(f"{path}: text line {line[:-1]!r} is not UTF-8") from None
 
 
 def load_checkpoint(path) -> ModelParams:
-    data = Path(path).read_bytes()
-    if not data.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError(
-            f"{path}: bad magic {data[:6]!r}, expected {CHECKPOINT_MAGIC!r}"
-        )
-    pos = len(CHECKPOINT_MAGIC)
-    header, pos = _read_line(data, pos, path)
-    try:
-        _, layers, shape = header.split(" ")
-        n_layers = ascii_int(layers.removeprefix("layers="))
-        input_shape = tuple(ascii_int(x) for x in shape.removeprefix("input=").split("x"))
-    except ValueError:
-        raise CheckpointError(f"{path}: bad header line {header!r}") from None
-
-    lines = [header]
-    for _ in range(n_layers):
-        line, pos = _read_line(data, pos, path)
-        lines.append(line)
-    try:
-        model = _checked([from_descriptor(line) for line in lines[1:]], input_shape)
-    except ValueError as e:  # ArchitectureError included
-        raise CheckpointError(f"{path}: {e}") from None
-    # one spelling per value: each line must be the one save_checkpoint writes
-    for lineno, (line, saved) in enumerate(zip(lines, _text_lines(model.specs, input_shape)), 2):
-        if line != saved:
-            raise CheckpointError(
-                f"{path}: line {lineno} reads {line!r}, but save_checkpoint writes {saved!r}")
-
-    for name, shape in param_entries(model.specs):
+    """The model the checkpoint at `path` holds, each parameter read from the
+    file straight into its array."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        magic = f.read(len(CHECKPOINT_MAGIC))
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+        header = _read_line(f, path)
         try:
-            head = _record_head(name, shape)
-        except struct.error:  # no record holds an extent past u32
-            raise CheckpointError(f"{path}: {name} {shape} has an extent past 2**32 - 1") from None
-        count = math.prod(shape)
-        start = pos + len(head)
-        end = start + 4 * count
-        if end > len(data):
-            raise CheckpointError(f"{path}: truncated at parameter {name}")
-        if data[pos:start] != head:
-            raise CheckpointError(
-                f"{path}: record at byte {pos} is not parameter {name} of shape {shape}"
-            )
-        vals = np.frombuffer(data, dtype="<f4", count=count, offset=start)
-        model.params[name] = vals.reshape(shape).astype(np.float32)
-        pos = end
-    if pos != len(data):
-        raise CheckpointError(f"{path}: {len(data) - pos} bytes of trailing data")
-    return model
+            _, layers, shape = header.split(" ")
+            n_layers = ascii_int(layers.removeprefix("layers="))
+            input_shape = tuple(ascii_int(x) for x in shape.removeprefix("input=").split("x"))
+        except ValueError:
+            raise CheckpointError(f"{path}: bad header line {header!r}") from None
+
+        lines = [header] + [_read_line(f, path) for _ in range(n_layers)]
+        try:
+            model = _checked([from_descriptor(line) for line in lines[1:]], input_shape)
+        except ValueError as e:  # ArchitectureError included
+            raise CheckpointError(f"{path}: {e}") from None
+        # one spelling per value: each line must be the one save_checkpoint writes
+        saved_lines = _text_lines(model.specs, input_shape)
+        for lineno, (line, saved) in enumerate(zip(lines, saved_lines), 2):
+            if line != saved:
+                raise CheckpointError(
+                    f"{path}: line {lineno} reads {line!r}, but save_checkpoint writes {saved!r}")
+
+        pos = f.tell()
+        for name, shape in param_entries(model.specs):
+            try:
+                head = _record_head(name, shape)
+            except struct.error:  # no record holds an extent past u32
+                raise CheckpointError(
+                    f"{path}: {name} {shape} has an extent past 2**32 - 1") from None
+            end = pos + len(head) + 4 * math.prod(shape)
+            if end > size:
+                raise CheckpointError(f"{path}: truncated at parameter {name}")
+            if f.read(len(head)) != head:
+                raise CheckpointError(
+                    f"{path}: record at byte {pos} is not parameter {name} of shape {shape}"
+                )
+            vals = np.empty(shape, dtype="<f4")
+            if f.readinto(vals) != vals.nbytes:  # the file shrank while it was read
+                raise CheckpointError(f"{path}: truncated at parameter {name}")
+            model.params[name] = vals.astype(np.float32, copy=False)
+            pos = end
+        if pos != size:
+            raise CheckpointError(f"{path}: {size - pos} bytes of trailing data")
+        return model

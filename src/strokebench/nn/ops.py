@@ -26,6 +26,11 @@ window's winning tap, one byte per pooled element; inference
 flat int64 indices one block of at most `BLOCK_BYTES` at a time. Tiles and
 blocks alike are planned by `_even_runs`: the fewest runs within the cap
 (one frame or row at least) whose lengths differ by one at most.
+`linear_backward` adds the weight gradient into the sum it is given one
+block of rows of at most `TILE_BYTES` at a time, so no array of the
+weight's size is made. `relu_backward` multiplies into the gradient it is
+given, in place: its caller owns that gradient and reads only the result
+(in the model, it is always the array the next layer's backward returned).
 
 Bound: the tracemalloc peak of one conv3d_forward call stays below
 output bytes + one padded sample's bytes + 2 * TILE_BYTES while one output
@@ -44,7 +49,8 @@ results + one padded sample + one run + 2 * TILE_BYTES (12.0 MB), using
 11.9 MB, and its backward without grad_input below one padded sample + one
 run + 2 * BLOCK_BYTES (15.1 MB), using 12.4 MB. A training `maxpool3d` call
 peaks less than `BLOCK_BYTES` above its results, `maxpool3d_backward` less
-than that above its result.
+than that above its result, and `linear_backward`, adding into a sum, less
+than one block of rows above its results.
 
 Numerics. Each output element of the forward and of grad_input is one dot
 product over the same reduction axis, in the same order, as in the im2col
@@ -428,16 +434,28 @@ def linear_forward(x, weight, bias):
     return x @ weight.T + bias
 
 
-def linear_backward(x, weight, grad_out):
+def linear_backward(x, weight, grad_out, grad_weight=None):
+    """(grad_input, grad_weight, grad_bias) of one sample. The weight
+    gradient grad_out.T * x + 0.0 is added into `grad_weight` (a training
+    step's sum, which is returned), or into zeros if it is None, one block of
+    rows of at most TILE_BYTES (one row at least) at a time."""
     if x.ndim != 2 or x.shape[0] != 1:
         raise ShapeError(f"linear_backward takes one sample of shape (1,In), got shape {x.shape}")
     if grad_out.shape != (1, weight.shape[0]):
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match (1, {weight.shape[0]})")
+    if grad_weight is None:
+        grad_weight = np.zeros(weight.shape, dtype=np.result_type(grad_out, x))
+    elif grad_weight.shape != weight.shape:
+        raise ShapeError(f"grad_weight shape {grad_weight.shape} does not match {weight.shape}")
     # One product per element, as in the K = 1 GEMM grad_out.T @ x, which
     # OpenBLAS runs up to 20x slower. The GEMM adds each product to 0, so
     # adding 0 here too gives its bytes: +0.0 where the product is -0.0.
-    grad_weight = grad_out.T * x
-    grad_weight += 0.0
+    column = grad_out.T
+    for a, b in _even_runs(len(column), TILE_BYTES // max(1, x.nbytes)):
+        block = column[a:b] * x
+        block += 0.0
+        grad_weight[a:b] += block
+        del block  # so that two blocks never coexist
     return grad_out @ weight, grad_weight, grad_out.sum(axis=0)
 
 
@@ -446,8 +464,11 @@ def relu_forward(x):
 
 
 def relu_backward(x, grad_out):
+    """grad_out * (x > 0), multiplied in place into `grad_out`, which is
+    returned: the caller hands the gradient over (see the module docstring)."""
     # gradient defined as exactly 0 at x == 0
-    return grad_out * (x > 0)
+    grad_out *= x > 0
+    return grad_out
 
 
 def softmax(logits):

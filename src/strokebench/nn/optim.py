@@ -10,6 +10,10 @@ i.e. decay is folded into the gradient before the velocity update and the
 lookahead term g + momentum*v is applied, matching the convention of the
 mainstream training frameworks. With momentum = weight_decay = 0 this reduces
 exactly to theta -= lr * g0.
+
+Each parameter is updated one block of rows (at most TILE_BYTES, one row
+at least) at a time, so the step's temporaries are block-sized; every op is
+elementwise, so the blocking changes no byte. The gradients are only read.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
+from .ops import TILE_BYTES
 
 
 class NesterovSGD:
@@ -45,7 +50,12 @@ class NesterovSGD:
                     f"{name}: parameter {theta.shape}, gradient {g0.shape} and "
                     f"velocity {v.shape} shapes must agree"
                 )
-            g = g0 + self.weight_decay * theta if self.weight_decay else g0
-            v *= self.momentum
-            v += g
-            theta -= self.lr * (g + self.momentum * v)
+            rows = max(1, TILE_BYTES // max(1, theta[0].nbytes))
+            for a in range(0, len(theta), rows):
+                self._step_block(theta[a : a + rows], g0[a : a + rows], v[a : a + rows])
+
+    def _step_block(self, theta, g0, v) -> None:
+        g = g0 + self.weight_decay * theta if self.weight_decay else g0
+        v *= self.momentum
+        v += g
+        theta -= self.lr * (g + self.momentum * v)

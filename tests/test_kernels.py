@@ -493,30 +493,39 @@ def test_backward_full_frees_each_cache_before_the_next_layer(monkeypatch):
     assert alive == [True, False] * len(x)
 
 
-def test_step_drops_each_parameter_gradient_once_it_is_summed(monkeypatch):
-    """Each sample's fc1 grad_weight is added into the step's sums and dropped
-    before any conv backward of that sample runs."""
+def test_step_adds_each_fc1_weight_gradient_into_its_sum(monkeypatch):
+    """linear_backward adds each sample's fc1 weight gradient into the step's
+    sum, and returns that sum: no array of its size is made, so none is alive
+    when any conv backward of that sample runs."""
     shape = (3, 8, 16, 16)
     arch = default_architecture(shape, filters=(4, 8), hidden=8, n_classes=2)
     net = model.build_model(2, arch, seed=3, input_shape=shape)
-    fc1_grad, alive = [], []
+    fc1 = net.params["fc1.weight"]
+    fc1_grad, alive, before = [], [], []
 
-    def linear_spy(x, weight, grad_out):
-        out = orig_linear(x, weight, grad_out)
-        if weight is net.params["fc1.weight"]:
-            fc1_grad.append(weakref.ref(out[1]))
+    def linear_spy(x, weight, grad_out, *sums):
+        if weight is fc1:
+            before.append(tracemalloc.get_traced_memory()[0])
+        out = orig_linear(x, weight, grad_out, *sums)
+        if weight is fc1:
+            fc1_grad.append(out[1] is sums[0])
         return out
 
     def conv_spy(x, weight, *args, **kwargs):
-        alive.append(fc1_grad[-1]() is not None)
+        # what linear_backward left behind: fc1's input gradient, 1/8 of its weight
+        alive.append(tracemalloc.get_traced_memory()[0] - before[-1] >= fc1.nbytes)
         return orig_conv(x, weight, *args, **kwargs)
 
     orig_linear, orig_conv = ops.linear_backward, ops.conv3d_backward
     monkeypatch.setattr(ops, "linear_backward", linear_spy)
     monkeypatch.setattr(ops, "conv3d_backward", conv_spy)
     samples = [(np.ones(shape, np.float32), 0), (np.full(shape, 0.5, np.float32), 1)]
-    _, _, sums, _ = model._summed_gradients(net, samples, "step")
-    assert len(fc1_grad) == 2 and alive == [False, False] * 2
+    tracemalloc.start()
+    try:
+        _, _, sums, _ = model._summed_gradients(net, samples, "step")
+    finally:
+        tracemalloc.stop()
+    assert len(fc1_grad) == 2 and all(fc1_grad) and alive == [False, False] * 2
     assert np.any(sums["fc1.weight"] != 0) and np.any(sums["conv1.weight"] != 0)
 
 
@@ -779,6 +788,21 @@ def test_maxpool_backward_memory_is_one_block_above_its_result(pool_case):
     x, _, taps, grad_out = pool_case
     peak = _peak_bytes(ops.maxpool3d_backward, grad_out, taps, x.shape, (2, 2, 2))
     assert peak < x.nbytes + ops.BLOCK_BYTES
+
+
+def test_linear_backward_into_a_sum_is_one_block_above_its_results():
+    """Adding a (200, 6000) weight gradient into a sum holds one block of 20
+    rows (480 KB) besides grad_input and grad_bias; with no sum, the
+    gradient it builds alone is larger than that bound."""
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((1, 6000), dtype=np.float32)
+    weight = rng.standard_normal((200, 6000), dtype=np.float32)
+    grad_out = rng.standard_normal((1, 200), dtype=np.float32)
+    sums = np.zeros_like(weight)
+    results = x.nbytes + grad_out.nbytes  # grad_input and grad_bias
+    peak = _peak_bytes(ops.linear_backward, x, weight, grad_out, sums)
+    assert peak < results + ops.TILE_BYTES
+    assert _peak_bytes(ops.linear_backward, x, weight, grad_out) > weight.nbytes
 
 
 @pytest.mark.parametrize("shape", [(1, 2, 0, 4, 4), (1, 2, 4, 0, 4), (1, 2, 4, 4, 0),

@@ -9,7 +9,7 @@ import pytest
 import strokebench.model as model_mod
 from strokebench.annotations import Segment
 from strokebench.errors import (AnnotationError, ArchitectureError, CheckpointError, CuboidError,
-                                ShapeError, TrainingError)
+                                ShapeError, TrainingError, VideoFormatError)
 from strokebench.frames import extract_cuboid, open_rgbv, write_rgbv
 from strokebench.model import (CHECKPOINT_MAGIC, DatasetItem, ModelParams, TrainConfig,
                                build_model, classify, classify_windows, detect, forward,
@@ -337,8 +337,9 @@ class TestTrain:
         best, history = train(m, items, items, sources, self._cfg(epochs=6))
         accs = [h.val_acc for h in history]
         # re-evaluate the returned snapshot: must match the best recorded epoch
-        from strokebench.model import _evaluate, _extract_item
-        samples = [(_extract_item(i, sources, best), i.class_index) for i in items]
+        from strokebench.model import _evaluate
+        samples = ((_window_input(best, sources[i.video_id], i.segment.begin), i.class_index)
+                   for i in items)
         best_acc = _evaluate(best, samples)
         assert best_acc >= max(accs) - 1e-9
 
@@ -390,14 +391,70 @@ class TestTrain:
         loss_after, _ = ops.softmax_cross_entropy(_forward_full(m, x, training=True)[0], y)
         assert loss_after < loss_before
 
-    def test_too_short_videos_are_skipped(self, tmp_path):
+    def test_too_short_videos_are_skipped(self, tmp_path, caplog):
         sources, items = self._dataset(tmp_path, n_videos=2, frames=24)
         # one extra item pointing at a 2-frame video: skipped with a warning
         write_rgbv(tmp_path / "tiny.rgbv", np.zeros((2, 8, 8, 3), np.uint8), 120.0)
         sources["tiny"] = open_rgbv(tmp_path / "tiny.rgbv")
         items = items + [DatasetItem("tiny", Segment(0, 2, "x"), 0)]
-        _, history = train(small_model(seed=1), items, items[:2], sources, self._cfg())
-        assert len(history) == 1
+        with caplog.at_level(logging.WARNING, logger="strokebench"):
+            _, history = train(small_model(seed=1), items, items[:2], sources,
+                               self._cfg(epochs=3))
+        assert len(history) == 3
+        # once each before epoch 1, though every epoch cuts its cuboids anew
+        assert [r.getMessage() for r in caplog.records] == [
+            "tiny: only 2 frames, shorter than the 4-frame model input; sample skipped",
+            "skipped 1 unextractable samples"]
+
+    def test_unreadable_frame_raises_when_a_step_reaches_it(self, tmp_path):
+        """Frames are read when a step cuts its cuboid, not before epoch 1:
+        a video that loses its frames after training starts raises there."""
+        sources, items = self._dataset(tmp_path, n_videos=2)
+        calls = []
+        real = sources["v1"].frame
+
+        def frame(index):
+            calls.append(index)
+            if len(calls) > 4:  # the first cuboid of v1 was cut in epoch 1
+                raise VideoFormatError("v1: frame gone")
+            return real(index)
+
+        sources["v1"].frame = frame
+        with pytest.raises(VideoFormatError, match="v1: frame gone"):
+            train(small_model(seed=1), items, items[:1], sources, self._cfg(epochs=2))
+        assert len(calls) == 5
+
+    def test_peak_does_not_grow_with_the_corpus(self, tmp_path):
+        """train's tracemalloc peak on a corpus with 4x the segments is within
+        one cuboid of the 1x run's: each cuboid is cut when a step or
+        validation reaches it. Extracting every cuboid before epoch 1 held
+        one more per train and validation segment."""
+        shape = (3, 8, 64, 64)
+        arch = [conv3d(3, 4, (3, 3, 3), 1, 1), relu(), maxpool3d((2, 2, 2)), flatten(),
+                linear(4 * 4 * 32 * 32, 8), relu(), linear(8, 2)]
+        rng = np.random.default_rng(12)
+        sources = {}
+        for v in range(4):
+            write_rgbv(tmp_path / f"v{v}.rgbv",
+                       rng.integers(0, 256, (32, 64, 64, 3), dtype=np.uint8), 120.0)
+            sources[f"v{v}"] = open_rgbv(tmp_path / f"v{v}.rgbv")
+
+        def peak(segments):
+            items = [DatasetItem(f"v{v}", Segment(8 * k, 8 * k + 8, "x"), v % 2)
+                     for v in range(4) for k in range(segments)]
+            m = build_model(2, arch, seed=3, input_shape=shape)
+            cfg = self._cfg(epochs=2, cuboid_len=8, cuboid_size=64)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train(m, items, items, sources, cfg)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        cuboid = 4 * int(np.prod(shape))
+        one = peak(1)
+        assert peak(4) - one < cuboid
 
     def test_non_finite_loss_stops_the_run(self, tmp_path):
         sources, items = self._dataset(tmp_path, n_videos=4)
@@ -458,7 +515,6 @@ class TestTrain:
         validation runs the model on each cuboid alone, with the bytes of
         one-window inference."""
         import strokebench.model as model_mod
-        from strokebench.model import _extract_item
 
         sources, items = self._dataset(tmp_path, n_videos=4)
         seen = []
@@ -474,7 +530,7 @@ class TestTrain:
         assert len(seen) == len(items)  # training itself runs no inference forward
         hits = 0
         for item, logits in zip(items[::-1], seen):
-            cuboid = _extract_item(item, sources, best)
+            cuboid = _window_input(best, sources[item.video_id], item.segment.begin)
             assert logits.tobytes() == forward(best, cuboid).tobytes()
             cls, _ = classify(best, cuboid)
             assert cls == int(np.argmax(logits))
@@ -831,6 +887,30 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(f"{p}: parameters ")):
             save_checkpoint(m, p)
         assert not p.exists()
+
+    def test_save_and_load_hold_one_copy_of_the_parameters(self, tmp_path):
+        """Each peaks, by tracemalloc, below the parameters plus one record:
+        save writes each array to the file as it is, and load reads each
+        record into its final array. Both held the whole file besides the
+        parameters when they built or read it as one bytes object."""
+        arch = [conv3d(3, 4, (3, 3, 3), 1, 1), relu(), maxpool3d((2, 2, 2)), flatten(),
+                linear(128, 1024)] + [relu(), linear(1024, 1024)] * 3 + [relu(), linear(1024, 2)]
+        m = build_model(2, arch, seed=1, input_shape=SMALL_SHAPE)
+        params = sum(arr.nbytes for arr in m.params.values())
+        record = max(arr.nbytes for arr in m.params.values())
+        assert record < params / 2
+        p = tmp_path / "m.ckpt"
+        peaks = []
+        for call in (lambda: save_checkpoint(m, p), lambda: load_checkpoint(p)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < params + record
+        assert p.read_bytes() == reference_checkpoint_bytes(m)
 
     def test_default_architecture_checkpoint_shape_chain(self, tmp_path):
         specs = default_architecture((3, 16, 32, 32), filters=(4, 8), hidden=16, n_classes=20)

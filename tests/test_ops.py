@@ -219,6 +219,46 @@ class TestLinear:
         assert np.signbit(r.T * x).any() and not np.signbit(r.T @ x).all()
         assert gw.dtype == dtype and gw.tobytes() == (r.T @ x).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("start", [-0.0, 0.0], ids=["sums from -0.0", "sums from +0.0"])
+    def test_adding_into_a_sum_in_blocks_has_the_bytes_of_one_add(self, start, dtype,
+                                                                   monkeypatch):
+        """Three samples' weight gradients added into one sum, in blocks of 3
+        rows (4 blocks of 10 rows), give the bytes of sums += grad_out.T * x
+        + 0.0, NaN, +-inf and signed zeros included. The returned weight
+        gradient is the sum. Where a NaN is added to a NaN, IEEE 754 leaves
+        open whose payload and sign the result takes, and numpy's vector and
+        scalar loops differ, so there both need only be NaN (training stops
+        before the step on a gradient that is not finite)."""
+        outs, ins = 10, 7
+        monkeypatch.setattr(ops, "TILE_BYTES", 3 * ins * np.dtype(dtype).itemsize)
+        assert len(ops._even_runs(outs, 3)) == 4
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0], dtype)
+        rng = np.random.default_rng(7)
+        w = rng.standard_normal((outs, ins)).astype(dtype)
+        sums = np.full((outs, ins), start, dtype)
+        expected = sums.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            for _ in range(3):
+                x = rng.choice(special, (1, ins))
+                r = rng.choice(special, (1, outs))
+                gx, gw, gb = ops.linear_backward(x, w, r, sums)
+                product = r.T * x + 0.0
+                two_nans = np.isnan(expected) & np.isnan(product)
+                expected += product
+                assert gw is sums and gx.tobytes() == (r @ w).tobytes()
+                assert gb.tobytes() == r.sum(axis=0).tobytes()
+                same = sums.view(f"u{sums.itemsize}") == expected.view(f"u{sums.itemsize}")
+                assert (same | two_nans).all() and np.isnan(sums[two_nans]).all()
+                sums[two_nans] = expected[two_nans]
+        assert np.isnan(sums).any() and np.isinf(sums).any() and (sums == 0).any()
+        assert not np.signbit(sums[sums == 0]).any()  # -0.0 + (+0.0) is +0.0
+
+    def test_weight_gradient_of_another_shape_rejected(self):
+        with pytest.raises(ShapeError, match=r"grad_weight shape \(3, 4\) does not match"):
+            ops.linear_backward(np.zeros((1, 3)), np.zeros((2, 3)), np.zeros((1, 2)),
+                                np.zeros((3, 4)))
+
     def test_inner_extent_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="inner extents"):
             ops.linear_forward(np.zeros((1, 3)), np.zeros((2, 4)), np.zeros(2))
@@ -237,6 +277,19 @@ class TestRelu:
     def test_gradient_zero_exactly_at_zero(self):
         x = np.array([0.0, 1.0])
         assert np.array_equal(ops.relu_backward(x, np.ones(2)), [0.0, 1.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_multiplies_in_place_with_the_bytes_of_the_product(self, dtype):
+        """relu_backward returns the gradient it was given, multiplied in place,
+        with the bytes of grad_out * (x > 0) for every pair of NaN, +-inf,
+        signed zeros and finite values."""
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-30, -3.5, 2.0], dtype)
+        x, grad_out = (a.copy() for a in np.meshgrid(special, special))
+        with np.errstate(invalid="ignore"):
+            expected = grad_out * (x > 0)
+            got = ops.relu_backward(x, grad_out)
+        assert got is grad_out and got.tobytes() == expected.tobytes()
+        assert np.signbit(got).any() and np.isnan(got).any()
 
 
 class TestSoftmaxCrossEntropy:

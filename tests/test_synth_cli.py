@@ -859,7 +859,7 @@ class TestCommands:
         with caplog.at_level(logging.WARNING, logger="strokebench"):
             if outcome == "train":
                 item = model_mod.DatasetItem("short", segment, 0)
-                assert model_mod._extract_item(item, {"short": src}, net) is None
+                assert model_mod._usable_items([item], {"short": src}, net) == []
             elif outcome == "classify_windows":
                 assert model_mod.classify_windows(net, src, [segment]) == []
             else:
