@@ -568,7 +568,8 @@ class TestTrain:
         opt = NesterovSGD(m.params, lr=1e-3, momentum=0.5, weight_decay=0.0)
         stepped = {}
         monkeypatch.setattr(opt, "step", lambda params, g: stepped.update(g))
-        assert _train_step(m, opt, samples, "step") == (loss, hits)
+        # a generator, as train passes: each cuboid is reached once
+        assert _train_step(m, opt, iter(samples), "step") == (loss, hits)
         assert stepped.keys() == grads.keys()
         for name, g in grads.items():
             assert stepped[name].dtype == g.dtype and stepped[name].tobytes() == g.tobytes(), name
