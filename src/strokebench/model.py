@@ -370,11 +370,8 @@ def _train_step(model: ModelParams, opt: NesterovSGD,
 def _evaluate(model: ModelParams, samples: Iterable[tuple[np.ndarray, int]]) -> float:
     """The share of samples whose `classify` class is their own: one cuboid
     at a time, the shape inference runs the model at."""
-    hits = count = 0
-    for cuboid, cls in samples:
-        hits += classify(model, cuboid)[0] == cls
-        count += 1
-    return hits / count
+    hits = [classify(model, cuboid)[0] == cls for cuboid, cls in samples]
+    return sum(hits) / len(hits)
 
 
 def train(model: ModelParams, train_items: list[DatasetItem],
