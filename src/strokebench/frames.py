@@ -10,12 +10,16 @@ Two sources are supported so the pipeline needs no codec dependencies:
   frame index, e.g. 000000.ppm, 000001.ppm, ..., read at 120 fps.
 
 Frames come back as uint8 (H, W, 3) arrays; reads are stateless, the same
-index always yields the same bytes.
+index always yields the same bytes. An RGBV video maps its file read-only and
+each frame is a view of that mapping, so the pages a read touches stay in the
+process's RSS until `release()` drops them; the page cache keeps them, and the
+next read faults them back in with the same bytes.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import re
 from dataclasses import dataclass
@@ -42,6 +46,10 @@ class VideoSource:
     def frame(self, index: int) -> np.ndarray:
         raise NotImplementedError
 
+    def release(self) -> None:
+        """Drop this process's mapping of the video's pages, if it maps any.
+        Later reads, and frame views taken before, read the same bytes."""
+
     def _check_index(self, index: int):
         if not 0 <= index < self.frame_count:
             raise VideoFormatError(
@@ -50,6 +58,10 @@ class VideoSource:
 
 
 class RgbvVideo(VideoSource):
+    """An RGBV file, mapped read-only once: `frame` returns views of the
+    mapping, and `release` drops the pages it has touched (a zero-frame
+    video maps nothing)."""
+
     def __init__(self, path):
         path = Path(path)
         self.video_id = path.stem
@@ -59,24 +71,32 @@ class RgbvVideo(VideoSource):
                 raise VideoFormatError(f"{path}: bad magic {magic!r}, expected {RGBV_MAGIC!r}")
             header = fh.readline(RGBV_HEADER_MAX + 1)
             offset = fh.tell()
-        self.width, self.height, self.fps, self.frame_count = _parse_rgbv_header(header, path)
+            self.width, self.height, self.fps, self.frame_count = _parse_rgbv_header(header, path)
 
-        expected = offset + self.frame_count * self.height * self.width * 3
-        actual = os.path.getsize(path)
-        if actual < expected:
-            raise VideoFormatError(f"{path}: truncated payload ({actual} < {expected} bytes)")
-        if actual > expected:
-            raise VideoFormatError(f"{path}: trailing data ({actual} > {expected} bytes)")
-        self._frames = (
-            np.memmap(path, dtype=np.uint8, mode="r", offset=offset,
-                      shape=(self.frame_count, self.height, self.width, 3))
-            if self.frame_count
-            else np.zeros((0, self.height, self.width, 3), dtype=np.uint8)
-        )
+            shape = (self.frame_count, self.height, self.width, 3)
+            expected = offset + math.prod(shape)
+            actual = os.fstat(fh.fileno()).st_size
+            if actual < expected:
+                raise VideoFormatError(f"{path}: truncated payload ({actual} < {expected} bytes)")
+            if actual > expected:
+                raise VideoFormatError(f"{path}: trailing data ({actual} > {expected} bytes)")
+            self._map = (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                         if self.frame_count else None)
+        self._frames = (np.frombuffer(self._map, np.uint8, offset=offset).reshape(shape)
+                        if self._map is not None else np.zeros(shape, dtype=np.uint8))
 
     def frame(self, index: int) -> np.ndarray:
         self._check_index(index)
-        return np.asarray(self._frames[index])
+        return self._frames[index]
+
+    def release(self) -> None:
+        """madvise(MADV_DONTNEED) over the whole mapping. A frame's own range
+        would leave mapped the pages the kernel maps around each fault (64 KB),
+        and the call takes microseconds however large the mapping. A reader
+        in another thread only faults its pages in again, with the same
+        bytes."""
+        if self._map is not None and hasattr(mmap, "MADV_DONTNEED"):
+            self._map.madvise(mmap.MADV_DONTNEED)
 
 
 def open_rgbv(path) -> RgbvVideo:

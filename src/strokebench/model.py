@@ -307,9 +307,15 @@ def _usable_items(items: list[DatasetItem], sources: dict[str, VideoSource],
 
 def _samples(model: ModelParams, items: list[DatasetItem], sources: dict[str, VideoSource]):
     """(cuboid, class index) of each usable item, each cuboid cut only when
-    the loop that consumes it gets there."""
+    the loop that consumes it gets there. The cuboid is a float32 copy, so
+    its video's mapped pages are released as soon as it is cut, and the
+    generator drops it before it cuts the next."""
     for item in items:
-        yield _window_input(model, sources[item.video_id], item.segment.begin), item.class_index
+        src = sources[item.video_id]
+        cuboid = _window_input(model, src, item.segment.begin)
+        src.release()
+        yield cuboid, item.class_index
+        del cuboid
 
 
 def _summed_gradients(model: ModelParams, samples: Iterable[tuple[np.ndarray, int]],
@@ -324,7 +330,8 @@ def _summed_gradients(model: ModelParams, samples: Iterable[tuple[np.ndarray, in
     gradients, (forward seconds, backward seconds)): the forward passes with
     their losses, and the backward passes with the sums. A loss that is not
     finite raises TrainingError before its sample's backward, a summed
-    gradient that is not finite after the last sample's.
+    gradient that is not finite after the last sample's. Each cuboid is
+    dropped before the next is pulled from `samples`.
     """
     grads = {name: np.zeros_like(p) for name, p in model.params.items()}
     loss = 0.0
@@ -342,6 +349,7 @@ def _summed_gradients(model: ModelParams, samples: Iterable[tuple[np.ndarray, in
         logits.append(out)
         _backward_full(model, caches, grad_logits, grads)
         backward_s += time.perf_counter() - t1
+        del cuboid
     for name in model.params:
         if not np.isfinite(grads[name]).all():
             raise TrainingError(f"{where}: gradient of {name} is not finite; stopping the run")
@@ -357,20 +365,23 @@ def _train_step(model: ModelParams, opt: NesterovSGD,
     before validation allocates."""
     classes = []
 
-    def counted():
-        for cuboid, cls in samples:
-            classes.append(cls)
-            yield cuboid, cls
+    def counted(sample):  # map keeps no sample while it pulls the next
+        classes.append(sample[1])
+        return sample
 
-    loss, logits, grads, _ = _summed_gradients(model, counted(), where)
+    loss, logits, grads, _ = _summed_gradients(model, map(counted, samples), where)
     opt.step(model.params, grads)
     return loss, int(np.sum(np.argmax(logits, axis=1) == classes))
 
 
 def _evaluate(model: ModelParams, samples: Iterable[tuple[np.ndarray, int]]) -> float:
     """The share of samples whose `classify` class is their own: one cuboid
-    at a time, the shape inference runs the model at."""
-    hits = [classify(model, cuboid)[0] == cls for cuboid, cls in samples]
+    at a time, the shape inference runs the model at, each dropped before
+    the next is pulled from `samples`."""
+    hits = []
+    for cuboid, cls in samples:
+        hits.append(classify(model, cuboid)[0] == cls)
+        del cuboid
     return sum(hits) / len(hits)
 
 
@@ -385,14 +396,17 @@ def train(model: ModelParams, train_items: list[DatasetItem],
     ties. Training and validation run the model on one sample at a time, as
     `classify` does, and cut each sample's cuboid only when they reach it,
     every epoch anew, so one cuboid is held at a time however large the
-    corpus. Samples whose video is missing or too short are skipped, each
-    with one warning before epoch 1; with no usable training or validation
-    sample the run aborts before epoch 1. A frame that cannot be read raises
-    when a step or validation reaches it. A batch whose loss or parameter
-    gradient is not finite raises TrainingError naming the epoch and batch,
-    before that batch changes any parameter. Cuboid settings that do not
-    match the model input raise TrainingError, and bad optimizer settings
-    ConfigError, before any video is read.
+    corpus. Each cut releases its video's mapped pages
+    (`VideoSource.release`), so the video pages training reads do not stay
+    in the process's RSS either. Samples whose video is missing or too
+    short are skipped, each with one warning before epoch 1; with no usable
+    training or validation sample the run aborts before epoch 1. A frame
+    that cannot be read raises when a step or validation reaches it. A
+    batch whose loss or parameter gradient is not finite raises
+    TrainingError naming the epoch and batch, before that batch changes any
+    parameter. Cuboid settings that do not match the model input raise
+    TrainingError, and bad optimizer settings ConfigError, before any video
+    is read.
     """
     if not train_items or not val_items:
         raise TrainingError("train and validation sets must be non-empty")

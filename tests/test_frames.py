@@ -74,6 +74,9 @@ class TestRgbv:
         src = open_rgbv(p)
         assert src.frame_count == 0
         assert src.fps == 25.5
+        state = dict(vars(src))
+        assert src.release() is None  # it maps nothing
+        assert vars(src) == state
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "b.rgbv"
@@ -197,6 +200,24 @@ class TestRgbv:
         src = open_rgbv(p)
         assert np.array_equal(src.frame(1), src.frame(1))
 
+    def test_reads_keep_their_bytes_across_release(self, tmp_path):
+        """release() drops the mapped pages, not the video: every later read,
+        and a frame view taken before it, gives the bytes of the file."""
+        frames = np.random.default_rng(3).integers(0, 256, (6, 16, 24, 3), dtype=np.uint8)
+        src = open_rgbv(_write_video(tmp_path / "r.rgbv", list(frames)))
+        view = src.frame(2)
+        before = [src.frame(i).copy() for i in range(len(frames))]
+        cuboid = extract_cuboid(src, 1, 4, 8).values
+        assert src.release() is None
+        assert np.array_equal(view, frames[2])
+        for i, frame in enumerate(before):
+            assert np.array_equal(src.frame(i), frame) and np.array_equal(frame, frames[i])
+        assert extract_cuboid(src, 1, 4, 8).values.tobytes() == cuboid.tobytes()
+        src.release()
+        src.release()
+        assert extract_cuboid(src, 1, 4, 8).values.tobytes() == cuboid.tobytes()
+        assert np.array_equal(view, frames[2])
+
 
 class TestFrameDir:
     def _write_ppm(self, path, img, maxval=255, magic=b"P6"):
@@ -214,6 +235,9 @@ class TestFrameDir:
         assert (src.width, src.height, src.fps) == (4, 4, 120.0)
         for i in range(10):
             assert np.array_equal(src.frame(i), imgs[i])
+        first = src.frame(0)
+        assert src.release() is None  # it maps nothing
+        assert np.array_equal(first, imgs[0]) and np.array_equal(src.frame(0), imgs[0])
 
     def test_mixed_extents_rejected(self, tmp_path):
         self._write_ppm(tmp_path / "000000.ppm", np.zeros((8, 8, 3), np.uint8))

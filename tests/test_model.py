@@ -2,6 +2,8 @@ import logging
 import re
 import struct
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +113,20 @@ RULE_BREAKING_CHAINS = {
                            "layer 2 (maxpool3d): pool window extents must be >= 1, "
                            "got (0, 2, 2)"),
 }
+
+
+def _mapped_rss(directory) -> int:
+    """Summed Rss, in bytes, of this process's mappings of the .rgbv files
+    in `directory` (Linux's /proc/self/smaps)."""
+    total, counting = 0, False
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        fields = line.split(maxsplit=5)
+        if re.match(r"[0-9a-f]+-[0-9a-f]+ ", line):  # a mapping's first line
+            path = Path(fields[5]) if len(fields) == 6 else None
+            counting = path is not None and path.parent == directory and path.suffix == ".rgbv"
+        elif counting and fields[0] == "Rss:":
+            total += int(fields[1]) * 1024  # in kB
+    return total
 
 
 def reference_checkpoint_bytes(model):
@@ -424,12 +440,13 @@ class TestTrain:
             train(small_model(seed=1), items, items[:1], sources, self._cfg(epochs=2))
         assert len(calls) == 5
 
-    def test_peak_does_not_grow_with_the_corpus(self, tmp_path):
-        """train's tracemalloc peak on a corpus with 4x the segments is within
-        one cuboid of the 1x run's: each cuboid is cut when a step or
-        validation reaches it. Extracting every cuboid before epoch 1 held
-        one more per train and validation segment."""
-        shape = (3, 8, 64, 64)
+    # the corpus of the two tests below: four 32-frame 64x64 videos, and
+    # `segments` 8-frame segments of each, trained 2 epochs at that shape
+    WIDE_SHAPE = (3, 8, 64, 64)
+
+    def _wide_corpus(self, tmp_path):
+        """A function that trains a fresh model on `segments` segments per
+        video of the corpus written to tmp_path."""
         arch = [conv3d(3, 4, (3, 3, 3), 1, 1), relu(), maxpool3d((2, 2, 2)), flatten(),
                 linear(4 * 4 * 32 * 32, 8), relu(), linear(8, 2)]
         rng = np.random.default_rng(12)
@@ -439,22 +456,67 @@ class TestTrain:
                        rng.integers(0, 256, (32, 64, 64, 3), dtype=np.uint8), 120.0)
             sources[f"v{v}"] = open_rgbv(tmp_path / f"v{v}.rgbv")
 
-        def peak(segments):
+        def run(segments):
             items = [DatasetItem(f"v{v}", Segment(8 * k, 8 * k + 8, "x"), v % 2)
                      for v in range(4) for k in range(segments)]
-            m = build_model(2, arch, seed=3, input_shape=shape)
-            cfg = self._cfg(epochs=2, cuboid_len=8, cuboid_size=64)
+            m = build_model(2, arch, seed=3, input_shape=self.WIDE_SHAPE)
+            train(m, items, items, sources, self._cfg(epochs=2, cuboid_len=8, cuboid_size=64))
+
+        return run
+
+    def test_peak_does_not_grow_with_the_corpus(self, tmp_path):
+        """train's tracemalloc peak on a corpus with 4x the segments is within
+        one cuboid of the 1x run's: each cuboid is cut when a step or
+        validation reaches it. Extracting every cuboid before epoch 1 held
+        one more per train and validation segment."""
+        run = self._wide_corpus(tmp_path)
+
+        def peak(segments):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                train(m, items, items, sources, cfg)
+                run(segments)
                 return tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
 
-        cuboid = 4 * int(np.prod(shape))
+        cuboid = 4 * int(np.prod(self.WIDE_SHAPE))
         one = peak(1)
         assert peak(4) - one < cuboid
+
+    @pytest.mark.skipif(not Path("/proc/self/smaps").is_file(),
+                        reason="needs Linux's /proc/self/smaps")
+    def test_no_video_page_stays_mapped_after_training(self, tmp_path):
+        """tracemalloc does not see the pages of a mapped video. After train,
+        the Rss of the corpus's mappings is at most one window of source
+        frames plus the 64 KB the kernel maps around a fault, on the corpus
+        and on 4x its segments: each cut releases its video's pages.
+        Keeping them mapped held every page training had read."""
+        run = self._wide_corpus(tmp_path)
+        bound = 8 * 64 * 64 * 3 + 64 * 1024
+        run(1)
+        one = _mapped_rss(tmp_path)
+        run(4)
+        four = _mapped_rss(tmp_path)
+        assert one <= bound and four <= bound
+        assert four <= one + 64 * 1024
+
+    def test_one_cuboid_is_alive_at_each_cut(self, tmp_path, monkeypatch):
+        """When a step or validation cuts a cuboid, no cuboid cut before it
+        is alive: each loop drops its cuboid before it pulls the next."""
+        sources, items = self._dataset(tmp_path, n_videos=4)
+        real = model_mod.extract_cuboid
+        cut, alive = [], []
+
+        def spy(*args):
+            alive.append(sum(ref() is not None for ref in cut))
+            cuboid = real(*args)
+            cut.append(weakref.ref(cuboid.values))
+            return cuboid
+
+        monkeypatch.setattr(model_mod, "extract_cuboid", spy)
+        train(small_model(seed=1), items, items, sources, self._cfg(batch_size=4))
+        assert alive == [0] * 8  # 4 training cuboids in one batch, then 4 validation ones
 
     def test_non_finite_loss_stops_the_run(self, tmp_path):
         sources, items = self._dataset(tmp_path, n_videos=4)
