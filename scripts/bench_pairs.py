@@ -27,7 +27,11 @@ workload and metric with both. Per tree it holds the `env:` line of its
 runs and its `git rev-parse HEAD` with a dirty flag.
 Per step batch it holds each tree's peak RSS, the peak RSS after the model
 build (None where that tree's script does not print it), forward and
-backward seconds and the SHA-256 of its logits and gradients. The exit
+backward seconds and the SHA-256 of its logits and gradients. Per run,
+workload and step alike, it holds `others_busy`: the busy share of the
+ticks the CPUs other than the run's pinned one counted while it ran, from
+/proc/stat before and after it (None where /proc/stat cannot be read). A
+busy second CPU moved `train-desk` `items_per_s` by about 10 %. The exit
 code is nonzero if a run printed no result or failed a gate, or if the two
 trees' steps gave different SHA-256s.
 """
@@ -37,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -51,6 +56,47 @@ TINY_STEP = ["--cuboid-len", "8", "--cuboid-size", "16", "--filters", "4,8", "--
 STEP_FIELDS = ("peak_rss_mb", "build_peak_rss_mb", "forward_s", "backward_s", "sha256")
 # a claimed gain needs at least this many pairs
 GAIN_PAIRS = 10
+PROC_STAT = Path("/proc/stat")
+
+
+def pinned_cpu() -> int:
+    """The CPU each run is pinned to, as perfbench/run.py pins itself."""
+    return max(os.sched_getaffinity(0))
+
+
+def cpu_ticks() -> dict | None:
+    """{CPU index: (busy ticks, ticks)} from the `cpuN` lines of /proc/stat,
+    or None where it cannot be read. Busy is every tick but idle and iowait."""
+    try:
+        lines = PROC_STAT.read_text().splitlines()
+    except OSError:
+        return None
+    ticks = {}
+    for line in lines:
+        fields = line.split()
+        if fields and re.fullmatch("cpu[0-9]+", fields[0]):
+            # user nice system idle iowait irq softirq steal
+            counts = [int(f) for f in fields[1:9]]
+            ticks[int(fields[0][3:])] = (sum(counts) - counts[3] - counts[4], sum(counts))
+    return ticks
+
+
+def others_busy(before: dict | None, after: dict | None, pin: int) -> float | None:
+    """The busy share of the ticks every CPU but `pin` counted between two
+    cpu_ticks readings; None if either is None or those CPUs counted none."""
+    if before is None or after is None:
+        return None
+    cpus = (before.keys() & after.keys()) - {pin}
+    busy = sum(after[c][0] - before[c][0] for c in cpus)
+    total = sum(after[c][1] - before[c][1] for c in cpus)
+    return round(busy / total, 4) if total > 0 else None
+
+
+def busy_around(run, *args):
+    """run(*args), and the others_busy share of the CPUs while it ran."""
+    before = cpu_ticks()
+    out = run(*args)
+    return out, others_busy(before, cpu_ticks(), pinned_cpu())
 
 
 def git_state(tree: Path, given: Path) -> dict:
@@ -86,7 +132,7 @@ def run_step(tree: Path, batch: int, tiny: bool) -> dict:
     cmd = [sys.executable, "scripts/step_memory.py", "--batch", str(batch)] + (
         TINY_STEP if tiny else [])
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
-    cpu = max(os.sched_getaffinity(0))  # as perfbench/run.py pins its runs
+    cpu = pinned_cpu()
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
                           preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     try:
@@ -103,13 +149,15 @@ def pair_steps(trees: dict, batches: list[int], tiny: bool) -> dict:
     out = {}
     for k, batch in enumerate(batches):
         first = TREES if k % 2 == 0 else TREES[::-1]
-        runs = {}
+        runs, busy = {}, {}
         for name in first:
-            runs[name] = run_step(trees[name], batch, tiny)
+            runs[name], busy[name] = busy_around(run_step, trees[name], batch, tiny)
             print(f"step batch {batch} {name}: peak_rss_mb {runs[name]['peak_rss_mb']}, "
-                  f"after the build {runs[name]['build_peak_rss_mb']}", flush=True)
+                  f"after the build {runs[name]['build_peak_rss_mb']}, "
+                  f"others busy {busy[name]}", flush=True)
         out[str(batch)] = {"order": list(first), **{t: runs[t] for t in TREES},
-                           "same_sha256": runs["base"]["sha256"] == runs["change"]["sha256"]}
+                           "same_sha256": runs["base"]["sha256"] == runs["change"]["sha256"],
+                           "others_busy": {t: busy[t] for t in TREES}}
     return out
 
 
@@ -163,15 +211,18 @@ def verdict_line(workload: str, name: str, m: dict) -> str:
 def pair_workload(trees: dict, workload: str, seeds: list[int], seconds: float,
                   tiny: bool, metrics: list[dict]) -> dict:
     runs = {name: [] for name in TREES}
+    busy = {name: [] for name in TREES}
     order = []
     for seed in seeds:
         first = TREES if seed % 2 else TREES[::-1]
         order.append(list(first))
         for name in first:
-            run = run_once(trees[name], workload, seed, seconds, tiny)
+            run, others = busy_around(run_once, trees[name], workload, seed, seconds, tiny)
             runs[name].append(run)
+            busy[name].append(others)
             value = run["result"]["metrics"]["items_per_s"]["value"]
-            print(f"{workload} seed {seed} {name}: items_per_s {value:.6g}", flush=True)
+            print(f"{workload} seed {seed} {name}: items_per_s {value:.6g}, "
+                  f"others busy {others}", flush=True)
 
     out = {"seeds": seeds, "order": order, "metrics": {}}
     for m in metrics:
@@ -185,6 +236,7 @@ def pair_workload(trees: dict, workload: str, seeds: list[int], seconds: float,
             "failed": [r["result"]["failed"] for r in runs[t]],
             "attempted": [r["result"]["attempted"] for r in runs[t]],
             "returncodes": [r["returncode"] for r in runs[t]],
+            "others_busy": busy[t],
         }
     return out
 

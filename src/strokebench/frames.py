@@ -10,10 +10,11 @@ Two sources are supported so the pipeline needs no codec dependencies:
   frame index, e.g. 000000.ppm, 000001.ppm, ..., read at 120 fps.
 
 Frames come back as uint8 (H, W, 3) arrays; reads are stateless, the same
-index always yields the same bytes. An RGBV video maps its file read-only and
-each frame is a view of that mapping, so the pages a read touches stay in the
-process's RSS until `release()` drops them; the page cache keeps them, and the
-next read faults them back in with the same bytes.
+index always yields the same bytes. An RGBV video holds no open file: it
+maps its file read-only at its first read, and each frame is a view of that
+mapping, so the pages a read touches stay in the process's RSS until
+`release()` closes the mapping; the page cache keeps them, and the next read
+maps the file again and faults them back in with the same bytes.
 """
 
 from __future__ import annotations
@@ -58,45 +59,69 @@ class VideoSource:
 
 
 class RgbvVideo(VideoSource):
-    """An RGBV file, mapped read-only once: `frame` returns views of the
-    mapping, and `release` drops the pages it has touched (a zero-frame
-    video maps nothing)."""
+    """An RGBV file whose header and size are checked at open, after which
+    the file is closed: no descriptor is held for the video's life. The
+    first `frame` maps the file read-only and returns views of the mapping;
+    `release` closes the mapping, which the next `frame` makes again (a
+    zero-frame video maps nothing)."""
 
     def __init__(self, path):
-        path = Path(path)
-        self.video_id = path.stem
-        with open(path, "rb") as fh:
+        self._path = Path(path)
+        self.video_id = self._path.stem
+        with open(self._path, "rb") as fh:
             magic = fh.read(len(RGBV_MAGIC))
             if magic != RGBV_MAGIC:
-                raise VideoFormatError(f"{path}: bad magic {magic!r}, expected {RGBV_MAGIC!r}")
+                raise VideoFormatError(
+                    f"{self._path}: bad magic {magic!r}, expected {RGBV_MAGIC!r}")
             header = fh.readline(RGBV_HEADER_MAX + 1)
-            offset = fh.tell()
-            self.width, self.height, self.fps, self.frame_count = _parse_rgbv_header(header, path)
-
-            shape = (self.frame_count, self.height, self.width, 3)
-            expected = offset + math.prod(shape)
+            self._offset = fh.tell()
+            self.width, self.height, self.fps, self.frame_count = _parse_rgbv_header(
+                header, self._path)
+            self._shape = (self.frame_count, self.height, self.width, 3)
+            self._size = self._offset + math.prod(self._shape)
             actual = os.fstat(fh.fileno()).st_size
-            if actual < expected:
-                raise VideoFormatError(f"{path}: truncated payload ({actual} < {expected} bytes)")
-            if actual > expected:
-                raise VideoFormatError(f"{path}: trailing data ({actual} > {expected} bytes)")
-            self._map = (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-                         if self.frame_count else None)
-        self._frames = (np.frombuffer(self._map, np.uint8, offset=offset).reshape(shape)
-                        if self._map is not None else np.zeros(shape, dtype=np.uint8))
+            if actual < self._size:
+                raise VideoFormatError(
+                    f"{self._path}: truncated payload ({actual} < {self._size} bytes)")
+            if actual > self._size:
+                raise VideoFormatError(
+                    f"{self._path}: trailing data ({actual} > {self._size} bytes)")
+        self._map = None
+        self._frames = None if self.frame_count else np.zeros(self._shape, dtype=np.uint8)
 
     def frame(self, index: int) -> np.ndarray:
         self._check_index(index)
+        if self._frames is None:
+            if self._map is None:
+                with open(self._path, "rb") as fh:
+                    actual = os.fstat(fh.fileno()).st_size
+                    if actual != self._size:
+                        raise VideoFormatError(f"{self._path}: size changed since the video "
+                                               f"was opened ({actual} != {self._size} bytes)")
+                    self._map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            self._frames = np.frombuffer(self._map, np.uint8,
+                                         offset=self._offset).reshape(self._shape)
         return self._frames[index]
 
     def release(self) -> None:
-        """madvise(MADV_DONTNEED) over the whole mapping. A frame's own range
-        would leave mapped the pages the kernel maps around each fault (64 KB),
-        and the call takes microseconds however large the mapping. A reader
-        in another thread only faults its pages in again, with the same
-        bytes."""
-        if self._map is not None and hasattr(mmap, "MADV_DONTNEED"):
-            self._map.madvise(mmap.MADV_DONTNEED)
+        """Close the mapping, and with it the descriptor the mapping holds
+        and every page it has touched. While a caller still holds a frame
+        view, the mapping cannot close (BufferError); it then stays, and
+        madvise(MADV_DONTNEED) over all of it drops its pages instead. A
+        frame's own range would leave mapped the pages the kernel maps
+        around each fault (64 KB), and the call takes microseconds however
+        large the mapping. Either way a later read, or a held view, faults
+        the pages in again with the same bytes."""
+        if self._map is None:
+            return
+        self._frames = None
+        try:
+            self._map.close()
+        except BufferError:  # a frame view outlives the call
+            if hasattr(mmap, "MADV_DONTNEED"):
+                self._map.madvise(mmap.MADV_DONTNEED)
+            return
+        self._map = None
 
 
 def open_rgbv(path) -> RgbvVideo:

@@ -192,22 +192,27 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
 
 
 def _backward_full(model: ModelParams, caches, grad_logits: np.ndarray,
-                   sums: dict[str, np.ndarray]) -> None:
+                   sums: dict[str, np.ndarray | list]) -> None:
     """Adds one sample's parameter gradients, from its (K,) logit gradient,
-    into `sums` in place as each layer's backward returns them.
-    Empties `caches`, last layer first, so each layer's saved array is freed
-    as soon as its backward has run."""
+    into `sums` in place as each layer's backward returns them; for a
+    linear weight, whose entry in `sums` is a list, it appends the sample's
+    (x, grad_out) instead (see `_layer_backward`). Empties `caches`, last
+    layer first, so each layer's saved array is freed as soon as its
+    backward has run."""
     g = grad_logits[None]
     while caches:
         # the first layer's input needs no gradient
         g = _layer_backward(model, caches.pop(), g, sums, need_input=bool(caches))
 
 
-def _layer_backward(model: ModelParams, cache, g: np.ndarray, sums: dict[str, np.ndarray],
-                    need_input: bool) -> np.ndarray:
+def _layer_backward(model: ModelParams, cache, g: np.ndarray,
+                    sums: dict[str, np.ndarray | list], need_input: bool) -> np.ndarray:
     """One layer's backward: returns the gradient for its input and adds its
-    parameter gradients into `sums`. The cache dies on return, with every
-    array unpacked from it."""
+    parameter gradients into `sums`. A linear layer forms no weight
+    gradient: it appends its input and output gradient, the factors
+    `ops.linear_weight_grad` sums over the batch, to its weight's list in
+    `sums`. The cache dies on return, with every other array unpacked from
+    it."""
     spec = cache[0]
     if spec.kind in ("conv3d", "linear"):
         _, weight, bias, window, taps, x = cache
@@ -217,8 +222,9 @@ def _layer_backward(model: ModelParams, cache, g: np.ndarray, sums: dict[str, np
                                                     need_input=need_input, window=window,
                                                     taps=taps)
             sums[weight] += grad_w
-        else:  # it adds its weight gradient into the sum itself
-            g, _, grad_b = ops.linear_backward(x, w, g, sums[weight])
+        else:
+            sums[weight].append((x, g))
+            g, grad_b = ops.linear_backward(x, w, g)
         sums[bias] += grad_b
     elif spec.kind == "maxpool3d":
         _, taps, in_shape = cache
@@ -326,14 +332,21 @@ def _summed_gradients(model: ModelParams, samples: Iterable[tuple[np.ndarray, in
 
     In sample order, each sample's parameter gradients are added into one sum
     per parameter that starts from zero, and its loss into a summed loss that
-    starts from zero. Returns (summed loss, the (N, K) logits, the summed
-    gradients, (forward seconds, backward seconds)): the forward passes with
-    their losses, and the backward passes with the sums. A loss that is not
-    finite raises TrainingError before its sample's backward, a summed
-    gradient that is not finite after the last sample's. Each cuboid is
-    dropped before the next is pulled from `samples`.
+    starts from zero. A linear weight's gradient is the exception: each
+    backward keeps only the sample's factors (x, grad_out), 74 KB at paper
+    fc1, and `ops.linear_weight_grad` sums them in sample order, with the
+    same bytes, after the last sample's backward, when no cuboid or cache is
+    live. So no array of fc1's weight size exists during any sample's
+    passes. Returns (summed loss, the (N, K) logits, the summed gradients,
+    (forward seconds, backward seconds)): the forward passes with their
+    losses, and the backward passes with the sums. A loss that is not finite
+    raises TrainingError before its sample's backward, a summed gradient
+    that is not finite once all sums are formed. Each cuboid is dropped
+    before the next is pulled from `samples`.
     """
-    grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    linear = [name for name, p in model.params.items() if p.ndim == 2]  # the linear weights
+    grads = {name: [] if name in linear else np.zeros_like(p)
+             for name, p in model.params.items()}
     loss = 0.0
     logits = []
     forward_s = backward_s = 0.0
@@ -350,6 +363,10 @@ def _summed_gradients(model: ModelParams, samples: Iterable[tuple[np.ndarray, in
         _backward_full(model, caches, grad_logits, grads)
         backward_s += time.perf_counter() - t1
         del cuboid
+    t0 = time.perf_counter()
+    for name in linear:
+        grads[name] = ops.linear_weight_grad(grads[name])
+    backward_s += time.perf_counter() - t0
     for name in model.params:
         if not np.isfinite(grads[name]).all():
             raise TrainingError(f"{where}: gradient of {name} is not finite; stopping the run")
@@ -396,17 +413,22 @@ def train(model: ModelParams, train_items: list[DatasetItem],
     ties. Training and validation run the model on one sample at a time, as
     `classify` does, and cut each sample's cuboid only when they reach it,
     every epoch anew, so one cuboid is held at a time however large the
-    corpus. Each cut releases its video's mapped pages
-    (`VideoSource.release`), so the video pages training reads do not stay
-    in the process's RSS either. Samples whose video is missing or too
-    short are skipped, each with one warning before epoch 1; with no usable
-    training or validation sample the run aborts before epoch 1. A frame
-    that cannot be read raises when a step or validation reaches it. A
-    batch whose loss or parameter gradient is not finite raises
-    TrainingError naming the epoch and batch, before that batch changes any
-    parameter. Cuboid settings that do not match the model input raise
-    TrainingError, and bad optimizer settings ConfigError, before any video
-    is read.
+    corpus. Each cut releases its video's mapping (`VideoSource.release`),
+    so the video pages training reads do not stay in the process's RSS, and
+    an RGBV video holds no file descriptor between its cuts. Within a step,
+    one sample's caches are live at a time, beside the sums of the conv
+    and bias gradients; each linear weight's gradient is summed from the
+    samples' factors after the batch's last backward (`_summed_gradients`),
+    so fc1's weight-sized sum never coexists with a cuboid or a cache.
+    Samples whose video is missing or too short are skipped, each with one
+    warning before epoch 1; with no usable training or validation sample
+    the run aborts before epoch 1. A frame that cannot be read, or an RGBV
+    file whose size changed since it was opened, raises when a step or
+    validation reaches it. A batch whose loss or parameter gradient is not
+    finite raises TrainingError naming the epoch and batch, before that
+    batch changes any parameter. Cuboid settings that do not match the
+    model input raise TrainingError, and bad optimizer settings
+    ConfigError, before any video is read.
     """
     if not train_items or not val_items:
         raise TrainingError("train and validation sets must be non-empty")

@@ -26,11 +26,15 @@ window's winning tap, one byte per pooled element; inference
 flat int64 indices one block of at most `BLOCK_BYTES` at a time. Tiles and
 blocks alike are planned by `_even_runs`: the fewest runs within the cap
 (one frame or row at least) whose lengths differ by one at most.
-`linear_backward` adds the weight gradient into the sum it is given one
-block of rows of at most `TILE_BYTES` at a time, so no array of the
-weight's size is made. `relu_backward` multiplies into the gradient it is
-given, in place: its caller owns that gradient and reads only the result
-(in the model, it is always the array the next layer's backward returned).
+`linear_backward` forms no weight gradient, only grad_input and grad_bias:
+a sample's weight gradient is the outer product of its grad_out and x, so
+the caller keeps those factors (74 KB per sample at paper fc1, whose weight
+is 36.7 MB), and `linear_weight_grad` sums a batch's products into one
+array of the weight's size, one block of rows of at most `TILE_BYTES` at a
+time, once the batch's backward passes are done. `relu_backward`
+multiplies into the gradient it is given, in place: its caller owns that
+gradient and reads only the result (in the model, it is always the array
+the next layer's backward returned).
 
 Bound: the tracemalloc peak of one conv3d_forward call stays below
 output bytes + one padded sample's bytes + 2 * TILE_BYTES while one output
@@ -49,8 +53,9 @@ results + one padded sample + one run + 2 * TILE_BYTES (12.0 MB), using
 11.9 MB, and its backward without grad_input below one padded sample + one
 run + 2 * BLOCK_BYTES (15.1 MB), using 12.4 MB. A training `maxpool3d` call
 peaks less than `BLOCK_BYTES` above its results, `maxpool3d_backward` less
-than that above its result, and `linear_backward`, adding into a sum, less
-than one block of rows above its results.
+than that above its result, `linear_weight_grad` less than one block of
+rows above the sum it returns, and `linear_backward` holds only its
+results.
 
 Numerics. Each output element of the forward and of grad_input is one dot
 product over the same reduction axis, in the same order, as in the im2col
@@ -434,29 +439,46 @@ def linear_forward(x, weight, bias):
     return x @ weight.T + bias
 
 
-def linear_backward(x, weight, grad_out, grad_weight=None):
-    """(grad_input, grad_weight, grad_bias) of one sample. The weight
-    gradient grad_out.T * x + 0.0 is added into `grad_weight` (a training
-    step's sum, which is returned), or into zeros if it is None, one block of
-    rows of at most TILE_BYTES (one row at least) at a time."""
+def linear_backward(x, weight, grad_out):
+    """(grad_input, grad_bias) of one sample. Its weight gradient,
+    grad_out.T * x, is not formed here: `linear_weight_grad` sums it over a
+    batch from each sample's (x, grad_out)."""
     if x.ndim != 2 or x.shape[0] != 1:
         raise ShapeError(f"linear_backward takes one sample of shape (1,In), got shape {x.shape}")
     if grad_out.shape != (1, weight.shape[0]):
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match (1, {weight.shape[0]})")
-    if grad_weight is None:
-        grad_weight = np.zeros(weight.shape, dtype=np.result_type(grad_out, x))
-    elif grad_weight.shape != weight.shape:
-        raise ShapeError(f"grad_weight shape {grad_weight.shape} does not match {weight.shape}")
+    return grad_out @ weight, grad_out.sum(axis=0)
+
+
+def linear_weight_grad(factors):
+    """The weight gradient summed over `factors`, the (x, grad_out) pairs of
+    one sample each that linear_backward took: a sum that starts from +0.0,
+    to which each sample's grad_out.T * x is added in the order given, one
+    block of rows of at most TILE_BYTES (one row at least) at a time. Every
+    element gets the same additions in the same order as when each sample's
+    gradient is added into the sum whole."""
+    factors = list(factors)
+    if not factors:
+        raise ShapeError("linear_weight_grad needs the factors of one sample at least")
+    ins, outs = factors[0][0].shape[-1], factors[0][1].shape[-1]
+    for x, grad_out in factors:
+        if x.shape != (1, ins) or grad_out.shape != (1, outs):
+            raise ShapeError(f"factors of shapes {x.shape} and {grad_out.shape} are not "
+                             f"one sample's (1, {ins}) and (1, {outs})")
+    dtype = np.result_type(*(a for pair in factors for a in pair))
+    grad_weight = np.zeros((outs, ins), dtype=dtype)
+    runs = _even_runs(outs, TILE_BYTES // max(1, ins * dtype.itemsize))
+    block = np.empty((max((b - a for a, b in runs), default=0), ins), dtype=dtype)
     # One product per element, as in the K = 1 GEMM grad_out.T @ x, which
-    # OpenBLAS runs up to 20x slower. The GEMM adds each product to 0, so
-    # adding 0 here too gives its bytes: +0.0 where the product is -0.0.
-    column = grad_out.T
-    for a, b in _even_runs(len(column), TILE_BYTES // max(1, x.nbytes)):
-        block = column[a:b] * x
-        block += 0.0
-        grad_weight[a:b] += block
-        del block  # so that two blocks never coexist
-    return grad_out @ weight, grad_weight, grad_out.sum(axis=0)
+    # OpenBLAS runs up to 20x slower. The GEMM adds each product to +0.0, as
+    # the sum does: a sum from +0.0 is never -0.0, so each sample adds as its
+    # product + 0.0 would, and one sample's sum has the GEMM's bytes.
+    for a, b in runs:
+        part = block[: b - a]
+        for x, grad_out in factors:
+            np.multiply(grad_out[0, a:b, None], x, out=part)
+            grad_weight[a:b] += part
+    return grad_weight
 
 
 def relu_forward(x):

@@ -216,3 +216,73 @@ def test_out_in_a_missing_directory_is_refused_before_any_run(tmp_path, monkeypa
                           "--workload", "train-desk", "--step-batch", "1", "--out", str(out)])
     assert exit_.value.code == 2 and not calls
     assert f"--out: no directory {out.parent}" in capsys.readouterr().err
+
+
+STAT = """cpu  30 0 20 100 10 0 0 0 0 0
+cpu0 10 0 5 50 5 0 0 0 0 0
+cpu1 20 0 15 50 5 0 0 0 0 0
+intr 1 2 3
+ctxt 99
+"""
+
+
+def test_cpu_ticks_read_each_cpu_line(tmp_path, monkeypatch):
+    """Busy ticks are all but idle and iowait; the summary `cpu` line and
+    other lines are skipped."""
+    stat = tmp_path / "stat"
+    stat.write_text(STAT)
+    monkeypatch.setattr(bench_pairs, "PROC_STAT", stat)
+    assert bench_pairs.cpu_ticks() == {0: (15, 70), 1: (35, 90)}
+    monkeypatch.setattr(bench_pairs, "PROC_STAT", tmp_path / "missing")
+    assert bench_pairs.cpu_ticks() is None
+
+
+def test_others_busy_leaves_out_the_pinned_cpu():
+    before = {0: (10, 100), 1: (10, 100), 2: (0, 100)}
+    after = {0: (60, 200), 1: (100, 200), 2: (10, 200)}
+    # CPUs 0 and 2: 50 + 10 busy of 100 + 100 ticks; CPU 1's 90 of 100 left out
+    assert bench_pairs.others_busy(before, after, pin=1) == 0.3
+    assert bench_pairs.others_busy(before, after, pin=2) == 0.7
+    assert bench_pairs.others_busy(before, before, pin=1) is None  # no tick counted
+    assert bench_pairs.others_busy({1: (0, 0)}, {1: (5, 9)}, pin=1) is None  # one CPU only
+    assert bench_pairs.others_busy(None, after, pin=1) is None
+    assert bench_pairs.others_busy(before, None, pin=1) is None
+
+
+def test_others_busy_is_recorded_per_run(tmp_path, monkeypatch):
+    """Each workload run and each step run gets the share read around it:
+    here the n-th run's readings are 100 ticks apart, n * 10 of them busy."""
+    base, change = _trees(tmp_path)
+    readings = iter(range(100))
+
+    def ticks():
+        k = next(readings)
+        n = k // 2  # the run this reading is taken before (even k) or after
+        busy = sum(10 * j for j in range(n)) + (10 * n if k % 2 else 0)
+        return {0: (busy, 100 * k), 1: (0, 0)}
+
+    monkeypatch.setattr(bench_pairs, "run_once", _fake([]))
+    monkeypatch.setattr(bench_pairs, "run_step", _fake_step([]))
+    monkeypatch.setattr(bench_pairs, "cpu_ticks", ticks)
+    monkeypatch.setattr(bench_pairs, "pinned_cpu", lambda: 1)
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pairs.main(["--base", str(base), "--change", str(change), "--seeds", "2",
+                             "--workload", "train-desk", "--step-batch", "2",
+                             "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    desk = report["workloads"]["train-desk"]
+    # runs 0-3: seed 1 base then change, seed 2 change then base; 4-5 the step's
+    assert desk["base"]["others_busy"] == [0.0, 0.3]
+    assert desk["change"]["others_busy"] == [0.1, 0.2]
+    assert report["steps"]["2"]["others_busy"] == {"base": 0.4, "change": 0.5}
+
+
+def test_others_busy_without_proc_stat_reads_none(tmp_path, monkeypatch):
+    base, change = _trees(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", _fake([]))
+    monkeypatch.setattr(bench_pairs, "PROC_STAT", tmp_path / "missing")
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pairs.main(["--base", str(base), "--change", str(change), "--seeds", "2",
+                             "--workload", "train-desk", "--out", str(out)]) == 0
+    desk = json.loads(out.read_text())["workloads"]["train-desk"]
+    assert desk["base"]["others_busy"] == desk["change"]["others_busy"] == [None, None]

@@ -219,6 +219,57 @@ class TestRgbv:
         assert np.array_equal(view, frames[2])
 
 
+    def test_videos_hold_no_open_files(self, tmp_path):
+        # an open video must not pin a file descriptor, nor a read one once
+        # released, or a corpus of more videos than the 1024-file limit
+        # fails to train (EMFILE): all 300 open, then each is read and released
+        resource = pytest.importorskip("resource")
+        paths = [_write_video(tmp_path / f"{i}.rgbv", [np.full((2, 2, 3), i % 256, np.uint8)])
+                 for i in range(300)]
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (min(256, soft), hard))
+        try:
+            videos = [open_rgbv(p) for p in paths]
+            firsts = []
+            for src in videos:
+                firsts.append(int(src.frame(0)[0, 0, 0]))
+                src.release()
+            again = [int(src.frame(0)[0, 0, 0]) for src in videos[:100]]
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert firsts == [i % 256 for i in range(300)] and again == firsts[:100]
+
+    @pytest.mark.parametrize("read_before", [False, True], ids=["first map", "re-map"])
+    def test_size_change_before_a_map_is_refused(self, tmp_path, read_before):
+        """The file is mapped at the first read after open or release; if its
+        size is no longer the one checked at open, that read raises."""
+        p = _write_video(tmp_path / "c.rgbv", [np.zeros((4, 4, 3), np.uint8)] * 3)
+        src = open_rgbv(p)
+        if read_before:
+            src.frame(0)
+            src.release()
+        with open(p, "ab") as fh:
+            fh.write(b"more")
+        with pytest.raises(VideoFormatError, match=re.escape(
+                f"{p}: size changed since the video was opened (164 != 160 bytes)")):
+            src.frame(1)
+
+    def test_release_with_a_held_view_keeps_the_mapping(self, tmp_path):
+        """While a frame view lives, release() drops the pages but not the
+        mapping; once no view is left, it closes the mapping."""
+        frames = np.random.default_rng(4).integers(0, 256, (3, 4, 4, 3), dtype=np.uint8)
+        src = open_rgbv(_write_video(tmp_path / "h.rgbv", list(frames)))
+        assert src._map is None  # nothing mapped before the first read
+        row = src.frame(1)[2]
+        mapping = src._map
+        src.release()
+        assert src._map is mapping and not mapping.closed
+        assert np.array_equal(row, frames[1, 2]) and np.array_equal(src.frame(2), frames[2])
+        del row
+        src.release()
+        assert src._map is None and mapping.closed
+
+
 class TestFrameDir:
     def _write_ppm(self, path, img, maxval=255, magic=b"P6"):
         h, w, _ = img.shape

@@ -460,7 +460,7 @@ def test_backward_full_skips_only_the_first_conv_grad_input(monkeypatch):
 
     orig = ops.conv3d_backward
     monkeypatch.setattr(ops, "conv3d_backward", spy)
-    sums = {name: np.zeros_like(p) for name, p in net.params.items()}
+    sums = {name: [] if p.ndim == 2 else np.zeros_like(p) for name, p in net.params.items()}
     for s in range(len(x)):
         logits, caches = model._forward_full(net, x[s], training=True)
         model._backward_full(net, caches, np.ones_like(logits), sums)
@@ -483,7 +483,7 @@ def test_backward_full_frees_each_cache_before_the_next_layer(monkeypatch):
 
     orig = ops.conv3d_backward
     monkeypatch.setattr(ops, "conv3d_backward", spy)
-    sums = {name: np.zeros_like(p) for name, p in net.params.items()}
+    sums = {name: [] if p.ndim == 2 else np.zeros_like(p) for name, p in net.params.items()}
     for s in range(len(x)):
         logits, caches = model._forward_full(net, x[s], training=True)
         conv2 = [c for c in caches if c[0].kind == "conv3d"][1]
@@ -493,40 +493,44 @@ def test_backward_full_frees_each_cache_before_the_next_layer(monkeypatch):
     assert alive == [True, False] * len(x)
 
 
-def test_step_adds_each_fc1_weight_gradient_into_its_sum(monkeypatch):
-    """linear_backward adds each sample's fc1 weight gradient into the step's
-    sum, and returns that sum: no array of its size is made, so none is alive
-    when any conv backward of that sample runs."""
+def test_step_allocates_no_fc1_weight_sized_array_before_a_conv_backward(monkeypatch):
+    """From the start of a batch-3 step up to each conv backward, the
+    tracemalloc peak stays below the bytes of fc1.weight (4.1 MB, larger
+    than all else the step holds at this shape), so no array of its size
+    was made: its gradient is summed after the last backward, and has the
+    bytes of adding each sample's grad_out.T @ x in sample order into zeros."""
     shape = (3, 8, 16, 16)
-    arch = default_architecture(shape, filters=(4, 8), hidden=8, n_classes=2)
+    arch = default_architecture(shape, filters=(4, 8), hidden=4000, n_classes=2)
     net = model.build_model(2, arch, seed=3, input_shape=shape)
     fc1 = net.params["fc1.weight"]
-    fc1_grad, alive, before = [], [], []
+    factors, peaks = [], []
 
-    def linear_spy(x, weight, grad_out, *sums):
+    def linear_spy(x, weight, grad_out):
         if weight is fc1:
-            before.append(tracemalloc.get_traced_memory()[0])
-        out = orig_linear(x, weight, grad_out, *sums)
-        if weight is fc1:
-            fc1_grad.append(out[1] is sums[0])
-        return out
+            factors.append((x.copy(), grad_out.copy()))
+        return orig_linear(x, weight, grad_out)
 
     def conv_spy(x, weight, *args, **kwargs):
-        # what linear_backward left behind: fc1's input gradient, 1/8 of its weight
-        alive.append(tracemalloc.get_traced_memory()[0] - before[-1] >= fc1.nbytes)
+        peaks.append(tracemalloc.get_traced_memory()[1])
         return orig_conv(x, weight, *args, **kwargs)
 
     orig_linear, orig_conv = ops.linear_backward, ops.conv3d_backward
     monkeypatch.setattr(ops, "linear_backward", linear_spy)
     monkeypatch.setattr(ops, "conv3d_backward", conv_spy)
-    samples = [(np.ones(shape, np.float32), 0), (np.full(shape, 0.5, np.float32), 1)]
+    rng = np.random.default_rng(3)
+    samples = [(rng.random(shape, dtype=np.float32), n % 2) for n in range(3)]
     tracemalloc.start()
     try:
         _, _, sums, _ = model._summed_gradients(net, samples, "step")
     finally:
         tracemalloc.stop()
-    assert len(fc1_grad) == 2 and all(fc1_grad) and alive == [False, False] * 2
-    assert np.any(sums["fc1.weight"] != 0) and np.any(sums["conv1.weight"] != 0)
+    assert len(peaks) == 2 * 3 and max(peaks) < fc1.nbytes
+    expected = np.zeros_like(fc1)
+    for x, grad_out in factors:
+        expected += grad_out.T @ x
+    assert len(factors) == 3 and np.any(expected != 0)
+    assert sums["fc1.weight"].dtype == fc1.dtype
+    assert sums["fc1.weight"].tobytes() == expected.tobytes()
 
 
 def test_relu_caches_the_array_its_next_layer_holds(monkeypatch):
@@ -790,19 +794,19 @@ def test_maxpool_backward_memory_is_one_block_above_its_result(pool_case):
     assert peak < x.nbytes + ops.BLOCK_BYTES
 
 
-def test_linear_backward_into_a_sum_is_one_block_above_its_results():
-    """Adding a (200, 6000) weight gradient into a sum holds one block of 20
-    rows (480 KB) besides grad_input and grad_bias; with no sum, the
-    gradient it builds alone is larger than that bound."""
+def test_linear_weight_gradient_is_one_block_above_its_sum():
+    """Summing three samples' (200, 6000) weight gradients holds one block
+    of 20 rows (480 KB) besides the sum it returns; linear_backward holds
+    only grad_input and grad_bias."""
     rng = np.random.default_rng(17)
-    x = rng.standard_normal((1, 6000), dtype=np.float32)
     weight = rng.standard_normal((200, 6000), dtype=np.float32)
-    grad_out = rng.standard_normal((1, 200), dtype=np.float32)
-    sums = np.zeros_like(weight)
+    factors = [(rng.standard_normal((1, 6000), dtype=np.float32),
+                rng.standard_normal((1, 200), dtype=np.float32)) for _ in range(3)]
+    peak = _peak_bytes(ops.linear_weight_grad, factors)
+    assert peak < weight.nbytes + ops.TILE_BYTES
+    x, grad_out = factors[0]
     results = x.nbytes + grad_out.nbytes  # grad_input and grad_bias
-    peak = _peak_bytes(ops.linear_backward, x, weight, grad_out, sums)
-    assert peak < results + ops.TILE_BYTES
-    assert _peak_bytes(ops.linear_backward, x, weight, grad_out) > weight.nbytes
+    assert _peak_bytes(ops.linear_backward, x, weight, grad_out) < results + 1024
 
 
 @pytest.mark.parametrize("shape", [(1, 2, 0, 4, 4), (1, 2, 4, 0, 4), (1, 2, 4, 4, 0),

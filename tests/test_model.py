@@ -401,8 +401,11 @@ class TestTrain:
 
         logits, caches = _forward_full(m, x, training=True)
         loss_before, grad = ops.softmax_cross_entropy(logits, y)
-        grads = {name: np.zeros_like(p) for name, p in m.params.items()}
+        grads = {name: [] if p.ndim == 2 else np.zeros_like(p) for name, p in m.params.items()}
         _backward_full(m, caches, grad, grads)
+        for name, p in m.params.items():
+            if p.ndim == 2:
+                grads[name] = ops.linear_weight_grad(grads[name])
         NesterovSGD(m.params, lr=1e-4, momentum=0.0, weight_decay=0.0).step(m.params, grads)
         loss_after, _ = ops.softmax_cross_entropy(_forward_full(m, x, training=True)[0], y)
         assert loss_after < loss_before
@@ -572,6 +575,51 @@ class TestTrain:
             assert np.array_equal(m.params[k], before[k])
             assert np.array_equal(opt.velocity[k], velocity[k])
 
+    def test_non_finite_fc1_weight_gradient_stops_the_step(self, monkeypatch):
+        """Only fc1.weight's gradient is not finite: the class-1 sample's
+        grad_out.T * x overflows float32, while every array linear_backward
+        returns and fc2.weight's sum are finite. The step raises once that
+        sum is formed after the last backward, before any parameter or
+        velocity changes."""
+        from strokebench.model import _train_step
+        from strokebench.nn.optim import NesterovSGD
+
+        m = small_model(seed=2)
+        m.params["conv1.bias"][:] = 1e10  # fc1's input is about 1e10
+        m.params["fc1.weight"][:] = 0  # so fc1's output is its bias, and grad_input 0
+        m.params["fc1.bias"][:] = 1e-30
+        m.params["fc2.weight"][:] = 0
+        m.params["fc2.weight"][0] = 1e30  # logits (8, 0); fc1's grad_out about 1e30
+        m.params["fc2.bias"][:] = 0
+        opt = NesterovSGD(m.params, lr=1e-3, momentum=0.5, weight_decay=0.0)
+        opt.velocity["fc1.weight"][:] = 1.0
+        before = {k: v.copy() for k, v in m.params.items()}
+        velocity = {k: v.copy() for k, v in opt.velocity.items()}
+        returned, sums = [], []
+        real, real_sum = ops.linear_backward, ops.linear_weight_grad
+
+        def spy(x, weight, grad_out):
+            out = real(x, weight, grad_out)
+            returned.extend(out)
+            return out
+
+        def summed(factors):
+            sums.append(real_sum(factors))
+            return sums[-1]
+
+        monkeypatch.setattr(ops, "linear_backward", spy)
+        monkeypatch.setattr(ops, "linear_weight_grad", summed)
+        x = np.random.default_rng(3).random((2,) + m.input_shape, dtype=np.float32)
+        with np.errstate(over="ignore"), pytest.raises(
+                TrainingError, match=r"^direct: gradient of fc1.weight is not finite; "
+                                     r"stopping the run$"):
+            _train_step(m, opt, [(x[0], 0), (x[1], 1)], "direct")
+        assert len(returned) == 2 * 2 * 2 and all(np.isfinite(a).all() for a in returned)
+        assert [np.isfinite(a).all() for a in sums] == [False, True]  # fc1, fc2
+        for k in m.params:
+            assert np.array_equal(m.params[k], before[k])
+            assert np.array_equal(opt.velocity[k], velocity[k])
+
     def test_validation_scores_each_cuboid_as_classify(self, tmp_path, monkeypatch):
         """Validation accuracy is the share of `classify` argmax hits, and
         validation runs the model on each cuboid alone, with the bytes of
@@ -602,7 +650,9 @@ class TestTrain:
     def test_step_is_the_sample_order_sum_of_one_sample_passes(self, monkeypatch):
         """The step's summed loss and the gradients it hands the optimizer
         are, byte for byte, the sums in sample order, each starting from
-        zero, of one-sample _forward_full/_backward_full passes."""
+        zero, of one-sample _forward_full/_backward_full passes: a linear
+        weight's as each sample's own weight gradient, formed from its
+        factors alone, added in sample order."""
         from strokebench.model import _backward_full, _forward_full, _train_step
         from strokebench.nn.optim import NesterovSGD
 
@@ -622,10 +672,11 @@ class TestTrain:
             hits += int(np.argmax(logits)) == cls
             # -0.0 + g is g for every float, so `raw` holds this sample's own
             # gradient bytes; the sample-order sum is this test's, not the code's
-            raw = {name: np.full_like(p, -0.0) for name, p in m.params.items()}
+            raw = {name: [] if p.ndim == 2 else np.full_like(p, -0.0)
+                   for name, p in m.params.items()}
             assert _backward_full(m, caches, grad_logits, raw) is None
             for name, g in raw.items():
-                grads[name] += g
+                grads[name] += ops.linear_weight_grad(g) if isinstance(g, list) else g
 
         opt = NesterovSGD(m.params, lr=1e-3, momentum=0.5, weight_decay=0.0)
         stepped = {}

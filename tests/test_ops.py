@@ -197,7 +197,8 @@ class TestLinear:
             def objective():
                 return float(np.sum(ops.linear_forward(xs, w, b) * rs))
 
-            gx, gw, gb = ops.linear_backward(xs, w, rs)
+            gx, gb = ops.linear_backward(xs, w, rs)
+            gw = ops.linear_weight_grad([(xs, rs)])
             assert max_rel_error(gx, numeric_grad(objective, xs, 1e-5)) < 1e-6
             assert max_rel_error(gw, numeric_grad(objective, w, 1e-5)) < 1e-6
             assert max_rel_error(gb, numeric_grad(objective, b, 1e-5)) < 1e-6
@@ -215,49 +216,60 @@ class TestLinear:
         x[0, :2] = -0.0
         r = rng.standard_normal((1, outs)).astype(dtype)
         r[0, :2] = [0.0, -0.0]
-        gx, gw, gb = ops.linear_backward(x, np.ones((outs, ins), dtype), r)
+        gw = ops.linear_weight_grad([(x, r)])
         assert np.signbit(r.T * x).any() and not np.signbit(r.T @ x).all()
         assert gw.dtype == dtype and gw.tobytes() == (r.T @ x).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("start", [-0.0, 0.0], ids=["sums from -0.0", "sums from +0.0"])
-    def test_adding_into_a_sum_in_blocks_has_the_bytes_of_one_add(self, start, dtype,
-                                                                   monkeypatch):
-        """Three samples' weight gradients added into one sum, in blocks of 3
-        rows (4 blocks of 10 rows), give the bytes of sums += grad_out.T * x
-        + 0.0, NaN, +-inf and signed zeros included. The returned weight
-        gradient is the sum. Where a NaN is added to a NaN, IEEE 754 leaves
-        open whose payload and sign the result takes, and numpy's vector and
-        scalar loops differ, so there both need only be NaN (training stops
-        before the step on a gradient that is not finite)."""
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_summed_weight_gradient_in_blocks_has_the_bytes_of_sample_order_adds(
+            self, samples, dtype, monkeypatch):
+        """The samples' weight gradients summed in blocks of 3 rows (4 blocks
+        of 10 rows) give the bytes of adding grad_out.T * x + 0.0 into a sum
+        from +0.0, sample by sample, NaN, +-inf and signed zeros included.
+        Where a NaN is added to a NaN, IEEE 754 leaves open whose payload and
+        sign the result takes, and numpy's vector and scalar loops differ, so
+        there both need only be NaN (training stops before the step on a
+        gradient that is not finite). grad_input and grad_bias are the
+        sample's own."""
         outs, ins = 10, 7
         monkeypatch.setattr(ops, "TILE_BYTES", 3 * ins * np.dtype(dtype).itemsize)
         assert len(ops._even_runs(outs, 3)) == 4
         special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0], dtype)
         rng = np.random.default_rng(7)
         w = rng.standard_normal((outs, ins)).astype(dtype)
-        sums = np.full((outs, ins), start, dtype)
-        expected = sums.copy()
+        factors = [(rng.choice(special, (1, ins)), rng.choice(special, (1, outs)))
+                   for _ in range(samples)]
+        expected = np.zeros((outs, ins), dtype)
+        two_nans = np.zeros(expected.shape, bool)
         with np.errstate(invalid="ignore", over="ignore"):
-            for _ in range(3):
-                x = rng.choice(special, (1, ins))
-                r = rng.choice(special, (1, outs))
-                gx, gw, gb = ops.linear_backward(x, w, r, sums)
-                product = r.T * x + 0.0
-                two_nans = np.isnan(expected) & np.isnan(product)
-                expected += product
-                assert gw is sums and gx.tobytes() == (r @ w).tobytes()
+            for x, r in factors:
+                gx, gb = ops.linear_backward(x, w, r)
+                assert gx.tobytes() == (r @ w).tobytes()
                 assert gb.tobytes() == r.sum(axis=0).tobytes()
-                same = sums.view(f"u{sums.itemsize}") == expected.view(f"u{sums.itemsize}")
-                assert (same | two_nans).all() and np.isnan(sums[two_nans]).all()
-                sums[two_nans] = expected[two_nans]
+                product = r.T * x + 0.0
+                two_nans |= np.isnan(expected) & np.isnan(product)
+                expected += product
+            sums = ops.linear_weight_grad(factors)
+        assert sums.dtype == dtype and sums.shape == (outs, ins)
+        same = sums.view(f"u{sums.itemsize}") == expected.view(f"u{sums.itemsize}")
+        assert (same | two_nans).all() and np.isnan(sums[two_nans]).all()
         assert np.isnan(sums).any() and np.isinf(sums).any() and (sums == 0).any()
         assert not np.signbit(sums[sums == 0]).any()  # -0.0 + (+0.0) is +0.0
 
-    def test_weight_gradient_of_another_shape_rejected(self):
-        with pytest.raises(ShapeError, match=r"grad_weight shape \(3, 4\) does not match"):
-            ops.linear_backward(np.zeros((1, 3)), np.zeros((2, 3)), np.zeros((1, 2)),
-                                np.zeros((3, 4)))
+    def test_weight_gradient_of_no_sample_rejected(self):
+        with pytest.raises(ShapeError, match="one sample at least"):
+            ops.linear_weight_grad([])
+
+    @pytest.mark.parametrize("x_shape,r_shape", [((1, 4), (1, 2)), ((1, 3), (1, 3)),
+                                                 ((2, 3), (2, 2)), ((3,), (2,))])
+    def test_weight_gradient_factors_of_another_shape_rejected(self, x_shape, r_shape):
+        """Every pair must be one sample's, of the first pair's extents."""
+        first = (np.zeros((1, 3)), np.zeros((1, 2)))
+        with pytest.raises(ShapeError, match=re.escape(
+                f"factors of shapes {x_shape} and {r_shape} are not one sample's (1, 3) and "
+                f"(1, 2)")):
+            ops.linear_weight_grad([first, (np.zeros(x_shape), np.zeros(r_shape))])
 
     def test_inner_extent_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="inner extents"):

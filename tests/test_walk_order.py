@@ -77,8 +77,8 @@ def spec_order_step(net, x, upstream):
             g = g.reshape(cache[1])
         elif spec.kind == "linear":
             _, idx, inp = cache
-            g, grads[f"fc{idx}.weight"], grads[f"fc{idx}.bias"] = ops.linear_backward(
-                inp, net.params[f"fc{idx}.weight"], g)
+            grads[f"fc{idx}.weight"] = ops.linear_weight_grad([(inp, g)])
+            g, grads[f"fc{idx}.bias"] = ops.linear_backward(inp, net.params[f"fc{idx}.weight"], g)
     return logits, grads
 
 
@@ -126,9 +126,14 @@ def _assert_walks_agree(net, x, upstream):
             net, x[s:s + 1], lambda logits: upstream(logits[0], s)[None])
         logits, caches = model._forward_full(net, x[s], training=True)
         # -0.0 + v keeps the bytes of every v arithmetic makes, quiet NaNs and
-        # signed zeros too, so these sums are the sample's raw gradients
-        grads = {name: np.full_like(p, -0.0) for name, p in net.params.items()}
+        # signed zeros too, so these sums are the sample's raw gradients; a
+        # linear weight's is summed from the one sample's factors
+        grads = {name: [] if p.ndim == 2 else np.full_like(p, -0.0)
+                 for name, p in net.params.items()}
         model._backward_full(net, caches, upstream(logits, s), grads)
+        for name, p in net.params.items():
+            if p.ndim == 2:
+                grads[name] = ops.linear_weight_grad(grads[name])
         assert _same_bytes(logits, ref_logits[0]), s
         assert grads.keys() == ref_grads.keys()
         for name in ref_grads:
