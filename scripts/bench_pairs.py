@@ -29,9 +29,11 @@ Per step batch it holds each tree's peak RSS, the peak RSS after the model
 build (None where that tree's script does not print it), forward and
 backward seconds and the SHA-256 of its logits and gradients. Per run,
 workload and step alike, it holds `others_busy`: the busy share of the
-ticks the CPUs other than the run's pinned one counted while it ran, from
-/proc/stat before and after it (None where /proc/stat cannot be read). A
-busy second CPU moved `train-desk` `items_per_s` by about 10 %. The exit
+ticks the CPUs other than the run's pinned one counted while it ran, and
+`pinned_steal`: the steal share of the pinned CPU's ticks, the time the
+hypervisor ran something else on it. Both come from /proc/stat before and
+after the run (None where /proc/stat cannot be read). A busy second CPU
+moved `train-desk` `items_per_s` by about 10 %. The exit
 code is nonzero if a run printed no result or failed a gate, or if the two
 trees' steps gave different SHA-256s.
 """
@@ -65,8 +67,9 @@ def pinned_cpu() -> int:
 
 
 def cpu_ticks() -> dict | None:
-    """{CPU index: (busy ticks, ticks)} from the `cpuN` lines of /proc/stat,
-    or None where it cannot be read. Busy is every tick but idle and iowait."""
+    """{CPU index: (busy ticks, ticks, steal ticks)} from the `cpuN` lines of
+    /proc/stat, or None where it cannot be read. Busy is every tick but idle
+    and iowait."""
     try:
         lines = PROC_STAT.read_text().splitlines()
     except OSError:
@@ -77,7 +80,8 @@ def cpu_ticks() -> dict | None:
         if fields and re.fullmatch("cpu[0-9]+", fields[0]):
             # user nice system idle iowait irq softirq steal
             counts = [int(f) for f in fields[1:9]]
-            ticks[int(fields[0][3:])] = (sum(counts) - counts[3] - counts[4], sum(counts))
+            ticks[int(fields[0][3:])] = (sum(counts) - counts[3] - counts[4], sum(counts),
+                                         counts[7])
     return ticks
 
 
@@ -92,11 +96,21 @@ def others_busy(before: dict | None, after: dict | None, pin: int) -> float | No
     return round(busy / total, 4) if total > 0 else None
 
 
+def pinned_steal(before: dict | None, after: dict | None, pin: int) -> float | None:
+    """The steal share of the ticks CPU `pin` counted between two cpu_ticks
+    readings; None if either is None or lacks `pin`, or it counted none."""
+    if before is None or after is None or pin not in before.keys() & after.keys():
+        return None
+    total = after[pin][1] - before[pin][1]
+    return round((after[pin][2] - before[pin][2]) / total, 4) if total > 0 else None
+
+
 def busy_around(run, *args):
-    """run(*args), and the others_busy share of the CPUs while it ran."""
+    """run(*args), and the others_busy and pinned_steal shares while it ran."""
     before = cpu_ticks()
     out = run(*args)
-    return out, others_busy(before, cpu_ticks(), pinned_cpu())
+    after, pin = cpu_ticks(), pinned_cpu()
+    return out, others_busy(before, after, pin), pinned_steal(before, after, pin)
 
 
 def git_state(tree: Path, given: Path) -> dict:
@@ -149,15 +163,16 @@ def pair_steps(trees: dict, batches: list[int], tiny: bool) -> dict:
     out = {}
     for k, batch in enumerate(batches):
         first = TREES if k % 2 == 0 else TREES[::-1]
-        runs, busy = {}, {}
+        runs, busy, steal = {}, {}, {}
         for name in first:
-            runs[name], busy[name] = busy_around(run_step, trees[name], batch, tiny)
+            runs[name], busy[name], steal[name] = busy_around(run_step, trees[name], batch, tiny)
             print(f"step batch {batch} {name}: peak_rss_mb {runs[name]['peak_rss_mb']}, "
                   f"after the build {runs[name]['build_peak_rss_mb']}, "
-                  f"others busy {busy[name]}", flush=True)
+                  f"others busy {busy[name]}, steal {steal[name]}", flush=True)
         out[str(batch)] = {"order": list(first), **{t: runs[t] for t in TREES},
                            "same_sha256": runs["base"]["sha256"] == runs["change"]["sha256"],
-                           "others_busy": {t: busy[t] for t in TREES}}
+                           "others_busy": {t: busy[t] for t in TREES},
+                           "pinned_steal": {t: steal[t] for t in TREES}}
     return out
 
 
@@ -212,17 +227,20 @@ def pair_workload(trees: dict, workload: str, seeds: list[int], seconds: float,
                   tiny: bool, metrics: list[dict]) -> dict:
     runs = {name: [] for name in TREES}
     busy = {name: [] for name in TREES}
+    steal = {name: [] for name in TREES}
     order = []
     for seed in seeds:
         first = TREES if seed % 2 else TREES[::-1]
         order.append(list(first))
         for name in first:
-            run, others = busy_around(run_once, trees[name], workload, seed, seconds, tiny)
+            run, others, stolen = busy_around(run_once, trees[name], workload, seed, seconds,
+                                              tiny)
             runs[name].append(run)
             busy[name].append(others)
+            steal[name].append(stolen)
             value = run["result"]["metrics"]["items_per_s"]["value"]
             print(f"{workload} seed {seed} {name}: items_per_s {value:.6g}, "
-                  f"others busy {others}", flush=True)
+                  f"others busy {others}, steal {stolen}", flush=True)
 
     out = {"seeds": seeds, "order": order, "metrics": {}}
     for m in metrics:
@@ -237,6 +255,7 @@ def pair_workload(trees: dict, workload: str, seeds: list[int], seconds: float,
             "attempted": [r["result"]["attempted"] for r in runs[t]],
             "returncodes": [r["returncode"] for r in runs[t]],
             "others_busy": busy[t],
+            "pinned_steal": steal[t],
         }
     return out
 

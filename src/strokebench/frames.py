@@ -86,8 +86,7 @@ class RgbvVideo(VideoSource):
             if actual > self._size:
                 raise VideoFormatError(
                     f"{self._path}: trailing data ({actual} > {self._size} bytes)")
-        self._map = None
-        self._frames = None if self.frame_count else np.zeros(self._shape, dtype=np.uint8)
+        self._map = self._frames = None
 
     def frame(self, index: int) -> np.ndarray:
         self._check_index(index)
@@ -233,6 +232,7 @@ def _read_ppm_header(p: Path):
 class _PpmFrame:
     path: Path
     offset: int
+    size: int  # the file's bytes at open
 
 
 class FrameDirVideo(VideoSource):
@@ -279,13 +279,16 @@ class FrameDirVideo(VideoSource):
                 )
             if size - offset < w * h * 3:
                 raise VideoFormatError(f"{p}: truncated pixel payload")
-            self._frames.append(_PpmFrame(p, offset))
+            self._frames.append(_PpmFrame(p, offset, size))
         self.frame_count = len(self._frames)
 
     def frame(self, index: int) -> np.ndarray:
         self._check_index(index)
         rec = self._frames[index]
         data = rec.path.read_bytes()
+        if len(data) != rec.size:
+            raise VideoFormatError(f"{rec.path}: size changed since the video was opened "
+                                   f"({len(data)} != {rec.size} bytes)")
         px = np.frombuffer(data, dtype=np.uint8, count=self.height * self.width * 3,
                            offset=rec.offset)
         return px.reshape(self.height, self.width, 3)

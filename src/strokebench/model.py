@@ -113,7 +113,7 @@ def build_model(n_classes: int, arch: list[LayerSpec], seed: int, *,
 
     Weights and biases are uniform in ±1/sqrt(fan_in), drawn per layer in
     declaration order from one seeded stream, so a fixed seed gives
-    byte-identical parameters, the same in chunks of _INIT_CHUNK draws.
+    byte-identical parameters, the same in chunks of at most _INIT_CHUNK draws.
     """
     model = _checked(arch, input_shape)
     if model.n_classes != n_classes:
@@ -126,8 +126,8 @@ def build_model(n_classes: int, arch: list[LayerSpec], seed: int, *,
         if name.endswith(".weight"):  # the bias that follows shares this bound
             bound = 1.0 / np.sqrt(np.prod(shape[1:]))
         vals = np.empty(math.prod(shape), dtype=np.float32)
-        for chunk in np.array_split(vals, range(_INIT_CHUNK, vals.size, _INIT_CHUNK)):
-            chunk[:] = stream.uniform(chunk.size, -bound, bound)
+        for a, b in ops._even_runs(vals.size, _INIT_CHUNK):
+            vals[a:b] = stream.uniform(b - a, -bound, bound)
         model.params[name] = vals.reshape(shape)
     return model
 
@@ -261,8 +261,8 @@ def check_video_length(model: ModelParams, src: VideoSource) -> None:
 
 def _window_input(model: ModelParams, src: VideoSource, begin: int) -> np.ndarray:
     """The model input for the window starting at `begin`: a cuboid of the
-    model's input length and size, right-clamped to fit inside the video."""
-    check_video_length(model, src)
+    model's input length and size, right-clamped to fit inside the video,
+    which must be no shorter than that length (see check_video_length)."""
     _, length, size, _ = model.input_shape
     start = max(0, min(begin, src.frame_count - length))
     return extract_cuboid(src, start, length, size).values

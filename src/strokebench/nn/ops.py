@@ -9,23 +9,20 @@ logit vector. A batch runs as one-sample passes (see `model`).
 Conv weights are (F, C, kt, kh, kw), linear weights (Out, In).
 
 Memory. No kernel builds a full im2col copy of its input (27x the input for
-a 3x3x3 kernel). The conv forward and grad_weight lower the input the same
-way (`_lowered_tiles`): the sample padded once, and one tile of output
-positions at a time into one column buffer of at most `TILE_BYTES` (or one
-output row, if that is larger), which every tile reuses. For grad_weight the
-backward adds one (F, C*kt*kh*kw) sum and one GEMM output of that size; for
+a 3x3x3 kernel). `_conv_plan` fixes how both passes of a conv walk its
+output: tiles of output positions whose columns fill one reused buffer of at
+most `TILE_BYTES` (one output row at least), and runs of frames, one
+maxpool3d block each, in which a conv and the max pool after it, one kernel
+both ways (`conv3d_maxpool3d`), hold the conv output and its gradient.
+grad_weight adds one (F, C*kt*kh*kw) sum and one GEMM output of that size;
 grad_input, after the column buffer is freed, the returned grad_input and
-one col2im block of at most `BLOCK_BYTES`. Col2im finds where a tap meets
-the unpadded input by `_tap_parts`. A conv and the max pool after it run as
-one kernel both ways (`conv3d_maxpool3d`): the conv output and its gradient
-exist one pool block at a time. `maxpool3d` takes the max over strided views
-of the input, with no transposed copy, one block of output frames (at most
-`BLOCK_BYTES` of input) at a time. For training it returns the index of each
-window's winning tap, one byte per pooled element; inference
-(need_winners=False) builds none. `maxpool3d_backward` expands that index to
-flat int64 indices one block of at most `BLOCK_BYTES` at a time. Tiles and
-blocks alike are planned by `_even_runs`: the fewest runs within the cap
-(one frame or row at least) whose lengths differ by one at most.
+one col2im block of at most `BLOCK_BYTES`. `maxpool3d` pools, with no
+transposed copy, and `maxpool3d_backward` expands the tap index (each
+window's winning tap, one byte per pooled element; inference builds none)
+to flat int64 indices, one block of at most `BLOCK_BYTES` at a time. Every
+block loop, here, in `optim` and in `model.build_model`, is planned by
+`_even_runs`: the fewest runs within the cap (one frame or row at least)
+whose lengths differ by one at most.
 `linear_backward` forms no weight gradient, only grad_input and grad_bias:
 a sample's weight gradient is the outer product of its grad_out and x, so
 the caller keeps those factors (74 KB per sample at paper fc1, whose weight
@@ -166,48 +163,48 @@ def _tap_parts(tap, stride, pad, extents, ranges):
     return tuple(out_part), tuple(in_part)
 
 
-def _pool_runs(kdim, f, outs, itemsize, window):
-    """The runs of output frames, a maxpool3d block each, that conv3d_maxpool3d
-    holds at a time; one with no window or tiles of whole frames (_lowered_tiles)."""
+def _pool_blocks(frames, frame_input):
+    """maxpool3d's blocks of `frames` pooled frames, `frame_input` bytes of input each."""
+    return _even_runs(frames, BLOCK_BYTES // max(1, frame_input))
+
+
+def _conv_plan(kdim, f, outs, itemsize, window):
+    """(whole, runs): how both passes of a conv with C*kt*kh*kw = `kdim`, `f`
+    filters and output extents `outs` walk its output, with the pool `window`
+    after it (None for none). A tile holds whole output frames (`whole`) when
+    one frame's columns fit in TILE_BYTES, else a run of rows of one frame.
+    The frames, or each frame's rows, are split into the fewest such tiles,
+    so that no GEMM is a small remainder (which OpenBLAS may run with another
+    kernel). The conv output is held one run of frames [t0, t1) at a time: a
+    maxpool3d block with tiles of rows and a window, else all frames, as a
+    tile of whole frames may cross a block's end. `runs` holds (t0, t1,
+    tiles), each tile (positions, i, span): its flat T'*H'*W' positions from
+    frame t0, and `span` of the frames (i = 0) or of frame t0 + i's rows."""
     to, ho, wo = outs
-    if window is None or TILE_BYTES // (kdim * wo * itemsize) >= ho:
-        return [(0, to)]
-    cap = BLOCK_BYTES // max(1, f * window[0] * ho * wo * itemsize)  # pooled frames per run
-    return [(a * window[0], b * window[0]) for a, b in _even_runs(to // window[0], cap)]
+    frame = ho * wo  # output positions per frame
+    rows = TILE_BYTES // (kdim * wo * itemsize)  # output rows whose columns fit
+    whole = rows >= ho
+    spans, step = (_even_runs(to, rows // ho), frame) if whole else (_even_runs(ho, rows), wo)
+    runs = [(0, to)] if whole or window is None else [
+        (a * window[0], b * window[0])
+        for a, b in _pool_blocks(to // window[0], f * window[0] * frame * itemsize)]
+    tiles = {n: [(slice(i * frame + a * step, i * frame + b * step), i, slice(a, b))
+                 for i in range(1 if whole else n) for a, b in spans]
+             for n in {t1 - t0 for t0, t1 in runs}}  # shared by the runs of each length
+    return whole, [(t0, t1, tiles[t1 - t0]) for t0, t1 in runs]
 
 
-def _lowered_tiles(x, kshape, stride: int, pad: int, outs):
-    """The columns of conv3d_forward's tiles for the unpadded one-sample
-    input `x`, in the order both passes use them: yields (output positions,
-    columns) per tile. `outs` is the output's (T', H', W').
-
-    A tile holds whole output frames when one frame's columns fit in
-    `TILE_BYTES`, and otherwise a run of output rows of one frame (one row
-    at least). The frames, or each frame's rows, are split into the fewest
-    such tiles, whose lengths differ by at most one, so that no GEMM is a
-    small remainder (which OpenBLAS may run with another kernel). Each tile
-    is lowered in (C,kt,kh,kw | positions) layout into one column buffer,
-    the (C*kt*kh*kw, positions) matrix yielded, which the next tile
-    overwrites. The positions are a slice of the flat T'*H'*W' axis. The
-    sample is padded once, into one zero-bordered copy.
-    """
-    c = x.shape[1]
-    to, ho, wo = outs
-    kdim = c * math.prod(kshape)
-    rows = TILE_BYTES // (kdim * wo * x.itemsize)  # output rows whose columns fit
-    whole_frames = rows >= ho
-    if whole_frames:  # tiles of whole frames: runs of the T' axis
-        unit, runs = (ho, wo), _even_runs(to, rows // ho)
-    else:  # tiles of a run of rows of one frame: runs of each frame's H' axis
-        unit, runs = (wo,), _even_runs(ho, rows)
-    step = math.prod(unit)  # output positions per frame or row
-    lengths = {b - a for a, b in runs}
+def _tile_columns(x, kshape, stride: int, pad: int, outs, whole, runs):
+    """columns(t, span): for the unpadded one-sample input `x`, the (C*kt*kh*kw,
+    positions) columns of the `span` of _conv_plan's frames (t = 0) or of frame
+    t's rows, lowered into one buffer that the next tile overwrites."""
+    c, unit = x.shape[1], (outs[1:] if whole else outs[2:])  # positions of a frame or row
+    kdim, step = c * math.prod(kshape), math.prod(unit)
+    lengths = {span.stop - span.start for _, _, span in runs[0][2]}  # as in every run
     cols = np.empty(kdim * step * max(lengths), dtype=x.dtype)
     # per tile length: the column buffer as the tile's windows and as the GEMM operand
     lowered = {k: (cols[: kdim * step * k].reshape((c,) + kshape + (k,) + unit),
                    cols[: kdim * step * k].reshape(kdim, -1)) for k in lengths}
-    # (slice of the tiled axis, its output positions, buffer views) per tile, built once
-    tiles = [(slice(a, b), (a * step, b * step), lowered[b - a]) for a, b in runs]
     sample = x[0]
     if pad:  # not np.pad: 89 against 31 us at desk conv1 on the target machine
         sample = np.zeros((c,) + tuple(e + 2 * pad for e in x.shape[2:]), dtype=x.dtype)
@@ -215,11 +212,13 @@ def _lowered_tiles(x, kshape, stride: int, pad: int, outs):
     win = sliding_window_view(sample, kshape, axis=(1, 2, 3))
     win = win[:, ::stride, ::stride, ::stride].transpose(0, 4, 5, 6, 1, 2, 3)
     # (C,kt,kh,kw | tiled axis, ...) windows of all frames at once, or of each frame
-    for t, part in enumerate(win[None] if whole_frames else np.moveaxis(win, 4, 0)):
-        first = t * ho * wo  # output positions before the frame
-        for index, (a, b), (windows, matrix) in tiles:
-            np.copyto(windows, part[:, :, :, :, index])
-            yield slice(first + a, first + b), matrix
+    parts = win[None] if whole else np.moveaxis(win, 4, 0)
+
+    def columns(i, span):
+        windows, matrix = lowered[span.stop - span.start]
+        np.copyto(windows, parts[i, :, :, :, :, span])
+        return matrix
+    return columns
 
 
 def conv3d_forward(x, weight, bias, stride: int, pad: int):
@@ -230,33 +229,30 @@ def conv3d_forward(x, weight, bias, stride: int, pad: int):
 def conv3d_maxpool3d(x, weight, bias, stride: int, pad: int, window, *, need_winners=True):
     """maxpool3d(conv3d_forward(x, weight, bias, stride, pad), window,
     need_winners=need_winners); with window None, (the (1,F,T',H',W') conv
-    output, None). Per tile of output positions (see _lowered_tiles): one
-    GEMM of the tile's columns writing straight into the output, then the
-    bias added to the tile while it is still in cache. Only the GEMM's N
-    axis is cut, so each output element is the same dot product as in one
-    GEMM over all positions. The output is held one run of _pool_runs at a
-    time, pooled as maxpool3d pools a block once the run's last tile ran.
+    output, None). Per tile of output positions (see _conv_plan): one GEMM
+    of the tile's columns writing straight into the output, then the bias
+    added to the tile while it is still in cache. Only the GEMM's N axis is
+    cut, so each output element is the same dot product as in one GEMM over
+    all positions. Each run is pooled as maxpool3d pools a block.
     """
     outs = _check_conv(x, weight, stride, pad)
     if bias.shape != (weight.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} does not match {weight.shape[0]} filters")
     f = weight.shape[0]
     w2 = weight.reshape(f, -1)
-    runs = _pool_runs(w2.shape[1], f, outs, x.itemsize, window)
-    out = np.empty((1, f, max(b - a for a, b in runs)) + outs[1:], np.result_type(x, weight))
+    whole, runs = _conv_plan(w2.shape[1], f, outs, x.itemsize, window)
+    out = np.empty((1, f, max(b - a for a, b, _ in runs)) + outs[1:], np.result_type(x, weight))
     pooled = out if window is None else np.empty((1, f) + maxpool3d_out_extents(outs, window),
                                                  dtype=out.dtype)
     taps = (np.zeros(pooled.shape, dtype=np.min_scalar_type(math.prod(window) - 1))
             if window is not None and need_winners else None)
-    frame, column_bias, flat = outs[1] * outs[2], bias.reshape(f, 1), out.reshape(f, -1)
-    tiles = _lowered_tiles(x, weight.shape[2:], stride, pad, outs)
-    for t0, t1 in runs:
-        for positions, cols in tiles:  # each run resumes where the last one stopped
-            dst = flat[:, positions.start - t0 * frame : positions.stop - t0 * frame]
-            np.matmul(w2, cols, out=dst)
+    column_bias, flat = bias.reshape(f, 1), out.reshape(f, -1)
+    columns = _tile_columns(x, weight.shape[2:], stride, pad, outs, whole, runs)
+    for t0, t1, tiles in runs:
+        for positions, i, span in tiles:
+            dst = flat[:, positions]
+            np.matmul(w2, columns(t0 + i, span), out=dst)
             dst += column_bias
-            if positions.stop == t1 * frame:
-                break
         if window is not None:
             p = slice(t0 // window[0], t1 // window[0])
             _pool_block(out[0, :, : t1 - t0], window, pooled[0, :, p],
@@ -269,13 +265,13 @@ def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *, need_input: b
     """Exact adjoints of conv3d_forward, or with a `window` of conv3d_maxpool3d
     at its tap index `taps`, for the gradient `grad_out` of the (pooled)
     output: (grad_input, grad_weight, grad_bias). The conv output's gradient
-    is built one run of _pool_runs at a time, and for grad_bias in groups of
+    is built one run of _conv_plan at a time, and for grad_bias in groups of
     whole channels within BLOCK_BYTES (one at least): each sums its C-order row.
 
-    grad_weight: per tile of conv3d_forward (see _lowered_tiles), the tile
-    lowered as the forward lowers it and one GEMM, the tile's gradient
-    (F x positions) times its columns transposed, added in tile order into
-    one (F, C*kt*kh*kw) sum that starts from zero.
+    grad_weight: per tile of _conv_plan, the tile lowered as the forward
+    lowers it and one GEMM, the tile's gradient (F x positions) times its
+    columns transposed, added in tile order into one (F, C*kt*kh*kw) sum
+    that starts from zero.
     grad_input: per block of output frames, one GEMM gives every tap's
     contribution (col2im, in (kt,kh,kw,C | T',H',W') layout), added
     straight into grad_input where the tap meets the input (see _tap_parts).
@@ -290,6 +286,8 @@ def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *, need_input: b
     expected = (1, f) + (outs if window is None else maxpool3d_out_extents(outs, window))
     if grad_out.shape != expected:
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match output {expected}")
+    if window is not None and taps.shape != expected:
+        raise ShapeError(f"tap index shape {taps.shape} does not match output {expected}")
     to, ho, wo = outs
     frame = ho * wo  # output positions per frame
 
@@ -298,34 +296,32 @@ def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *, need_input: b
         if window is None:
             return grad_out[0, c0:c1, t0:t1].reshape(c1 - c0, -1)
         p = slice(t0 // window[0], t1 // window[0])
-        return maxpool3d_backward(grad_out[:, c0:c1, p], taps[:, c0:c1, p],
-                                  (1, c1 - c0, t1 - t0, ho, wo), window).reshape(c1 - c0, -1)
+        return _pool_backward(grad_out[:, c0:c1, p], taps[:, c0:c1, p],
+                              (1, c1 - c0, t1 - t0, ho, wo), window).reshape(c1 - c0, -1)
 
     groups = _even_runs(f, BLOCK_BYTES // (to * frame * grad_out.itemsize))
     # a sum from zero: a channel of -0.0 gradients gives +0.0
     grad_bias = np.concatenate([conv_grad(c0, c1, 0, to).sum(axis=1) for c0, c1 in groups]) + 0.0
 
-    runs = _pool_runs(c * math.prod(kshape), f, outs, x.itemsize, window)
+    whole, runs = _conv_plan(c * math.prod(kshape), f, outs, x.itemsize, window)
     grad_weight = np.zeros((f, weight[0].size), dtype=np.result_type(grad_out, x))
     prod = np.empty_like(grad_weight)
-    tiles = _lowered_tiles(x, kshape, stride, pad, outs)
-    for t0, t1 in runs:
+    conv_grad(0, f, *runs[0][:2])  # cached; built first, so it never peaks beside the columns
+    columns = _tile_columns(x, kshape, stride, pad, outs, whole, runs)
+    for t0, t1, tiles in runs:
         g2 = conv_grad(0, f, t0, t1)
-        for positions, cols in tiles:  # each run resumes where the last one stopped
-            np.matmul(g2[:, positions.start - t0 * frame : positions.stop - t0 * frame], cols.T,
-                      out=prod)
+        for positions, i, span in tiles:
+            np.matmul(g2[:, positions], columns(t0 + i, span).T, out=prod)
             grad_weight += prod
-            if positions.stop == t1 * frame:
-                break
     grad_weight = grad_weight.reshape(weight.shape)
-    tiles = g2 = cols = prod = None  # so that no column buffer coexists with grad_input
+    columns = g2 = prod = None  # so that no column buffer coexists with grad_input
     if not need_input:
         return np.empty(0, dtype=grad_out.dtype), grad_weight, grad_bias
 
     grad_input = np.zeros(x.shape, dtype=grad_out.dtype)
     w2 = np.ascontiguousarray(weight.transpose(2, 3, 4, 1, 0)).reshape(-1, f)
     cap = BLOCK_BYTES // (w2.shape[0] * frame * x.itemsize)
-    for t0, t1 in reversed(runs):
+    for t0, t1, _ in reversed(runs):
         g2 = conv_grad(0, f, t0, t1)
         for a, b in reversed(_even_runs(t1 - t0, cap)):
             cols = (w2 @ g2[:, a * frame : b * frame]).reshape(kshape + (c, b - a, ho, wo))
@@ -381,8 +377,7 @@ def maxpool3d(x, window, *, need_winners: bool = True):
     pooled = np.empty(x.shape[:2] + maxpool3d_out_extents(x.shape[2:], window), dtype=x.dtype)
     local = (np.zeros(pooled.shape, dtype=np.min_scalar_type(math.prod(window) - 1))
              if need_winners else None)
-    # blocks of at most BLOCK_BYTES of input, one output frame at least
-    for t0, t1 in _even_runs(pooled.shape[2], BLOCK_BYTES // max(1, x[0, :, :pt].nbytes)):
+    for t0, t1 in _pool_blocks(pooled.shape[2], x[0, :, :pt].nbytes):
         _pool_block(x[0, :, t0 * pt : t1 * pt], window, pooled[0, :, t0:t1],
                     None if local is None else local[0, :, t0:t1])
     return pooled, local
@@ -397,9 +392,14 @@ def maxpool3d_backward(grad_out, taps, input_shape, window):
     if grad_out.shape != expected or taps.shape != expected:
         raise ShapeError(f"grad_out shape {grad_out.shape} and tap index shape {taps.shape} "
                          f"must both be {expected}")
+    return _pool_backward(grad_out, taps, input_shape, window)
+
+
+def _pool_backward(grad_out, taps, input_shape, window):
+    """maxpool3d_backward, unchecked: conv3d_backward calls it for a pool it fuses."""
     pt, ph, pw = window
-    t, h, w = input_shape[2:]
-    to, ho, wo = expected[2:]
+    c, t, h, w = input_shape[1:]
+    to, ho, wo = grad_out.shape[2:]
     grad_input = np.zeros(input_shape, dtype=grad_out.dtype)
     flat = grad_input.reshape(-1)
     # flat index in grad_input: the tap's offset in its window, plus the

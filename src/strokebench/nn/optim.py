@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .ops import TILE_BYTES
+from .ops import TILE_BYTES, _even_runs
 
 
 class NesterovSGD:
@@ -50,9 +50,8 @@ class NesterovSGD:
                     f"{name}: parameter {theta.shape}, gradient {g0.shape} and "
                     f"velocity {v.shape} shapes must agree"
                 )
-            rows = max(1, TILE_BYTES // max(1, theta[0].nbytes))
-            for a in range(0, len(theta), rows):
-                self._step_block(theta[a : a + rows], g0[a : a + rows], v[a : a + rows])
+            for a, b in _even_runs(len(theta), TILE_BYTES // max(1, theta[0].nbytes)):
+                self._step_block(theta[a:b], g0[a:b], v[a:b])
 
     def _step_block(self, theta, g0, v) -> None:
         g = g0 + self.weight_decay * theta if self.weight_decay else g0

@@ -220,19 +220,19 @@ def test_out_in_a_missing_directory_is_refused_before_any_run(tmp_path, monkeypa
 
 STAT = """cpu  30 0 20 100 10 0 0 0 0 0
 cpu0 10 0 5 50 5 0 0 0 0 0
-cpu1 20 0 15 50 5 0 0 0 0 0
+cpu1 20 0 15 50 5 0 0 4 0 0
 intr 1 2 3
 ctxt 99
 """
 
 
 def test_cpu_ticks_read_each_cpu_line(tmp_path, monkeypatch):
-    """Busy ticks are all but idle and iowait; the summary `cpu` line and
-    other lines are skipped."""
+    """Busy ticks are all but idle and iowait, steal the 8th count; the
+    summary `cpu` line and other lines are skipped."""
     stat = tmp_path / "stat"
     stat.write_text(STAT)
     monkeypatch.setattr(bench_pairs, "PROC_STAT", stat)
-    assert bench_pairs.cpu_ticks() == {0: (15, 70), 1: (35, 90)}
+    assert bench_pairs.cpu_ticks() == {0: (15, 70, 0), 1: (39, 94, 4)}
     monkeypatch.setattr(bench_pairs, "PROC_STAT", tmp_path / "missing")
     assert bench_pairs.cpu_ticks() is None
 
@@ -249,9 +249,22 @@ def test_others_busy_leaves_out_the_pinned_cpu():
     assert bench_pairs.others_busy(before, None, pin=1) is None
 
 
+def test_pinned_steal_reads_the_pinned_cpu_only():
+    before = {0: (10, 100, 0), 1: (10, 100, 5)}
+    after = {0: (60, 200, 50), 1: (100, 200, 25)}
+    # CPU 1: 20 of its 100 ticks stolen; CPU 0's 50 left out
+    assert bench_pairs.pinned_steal(before, after, pin=1) == 0.2
+    assert bench_pairs.pinned_steal(before, after, pin=0) == 0.5
+    assert bench_pairs.pinned_steal(before, before, pin=1) is None  # no tick counted
+    assert bench_pairs.pinned_steal(before, after, pin=2) is None  # no such CPU line
+    assert bench_pairs.pinned_steal(None, after, pin=1) is None
+    assert bench_pairs.pinned_steal(before, None, pin=1) is None
+
+
 def test_others_busy_is_recorded_per_run(tmp_path, monkeypatch):
-    """Each workload run and each step run gets the share read around it:
-    here the n-th run's readings are 100 ticks apart, n * 10 of them busy."""
+    """Each workload run and each step run gets the shares read around it:
+    here the n-th run's readings are 100 ticks apart on CPU 0, n * 10 of
+    them busy, and 10 apart on the pinned CPU 1, n of them stolen."""
     base, change = _trees(tmp_path)
     readings = iter(range(100))
 
@@ -259,7 +272,7 @@ def test_others_busy_is_recorded_per_run(tmp_path, monkeypatch):
         k = next(readings)
         n = k // 2  # the run this reading is taken before (even k) or after
         busy = sum(10 * j for j in range(n)) + (10 * n if k % 2 else 0)
-        return {0: (busy, 100 * k), 1: (0, 0)}
+        return {0: (busy, 100 * k, 0), 1: (0, 10 * k, busy // 10)}
 
     monkeypatch.setattr(bench_pairs, "run_once", _fake([]))
     monkeypatch.setattr(bench_pairs, "run_step", _fake_step([]))
@@ -275,6 +288,9 @@ def test_others_busy_is_recorded_per_run(tmp_path, monkeypatch):
     assert desk["base"]["others_busy"] == [0.0, 0.3]
     assert desk["change"]["others_busy"] == [0.1, 0.2]
     assert report["steps"]["2"]["others_busy"] == {"base": 0.4, "change": 0.5}
+    assert desk["base"]["pinned_steal"] == [0.0, 0.3]
+    assert desk["change"]["pinned_steal"] == [0.1, 0.2]
+    assert report["steps"]["2"]["pinned_steal"] == {"base": 0.4, "change": 0.5}
 
 
 def test_others_busy_without_proc_stat_reads_none(tmp_path, monkeypatch):
@@ -286,3 +302,4 @@ def test_others_busy_without_proc_stat_reads_none(tmp_path, monkeypatch):
                              "--workload", "train-desk", "--out", str(out)]) == 0
     desk = json.loads(out.read_text())["workloads"]["train-desk"]
     assert desk["base"]["others_busy"] == desk["change"]["others_busy"] == [None, None]
+    assert desk["base"]["pinned_steal"] == desk["change"]["pinned_steal"] == [None, None]

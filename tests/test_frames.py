@@ -290,6 +290,25 @@ class TestFrameDir:
         assert src.release() is None  # it maps nothing
         assert np.array_equal(first, imgs[0]) and np.array_equal(src.frame(0), imgs[0])
 
+    @pytest.mark.parametrize("rewrite, size", [("truncated", 54), ("as an 8x8 frame", 203)])
+    def test_frame_file_changed_since_open_is_refused(self, tmp_path, rewrite, size):
+        """Each read checks its frame file's size against the one seen at
+        open, as an RGBV video does when it maps its file again: a truncated
+        file, or one rewritten as a larger frame, raises a VideoFormatError
+        naming it, not numpy's ValueError or 4x4 pixels at the old offset."""
+        for i in range(2):
+            self._write_ppm(tmp_path / f"{i:06d}.ppm", np.full((4, 4, 3), i, np.uint8))
+        src = open_frame_dir(tmp_path)
+        p = tmp_path / "000001.ppm"  # 11 header bytes and 48 pixel bytes
+        if rewrite == "truncated":
+            p.write_bytes(p.read_bytes()[:-5])
+        else:
+            self._write_ppm(p, np.ones((8, 8, 3), np.uint8))
+        with pytest.raises(VideoFormatError, match=re.escape(
+                f"{p}: size changed since the video was opened ({size} != 59 bytes)")):
+            src.frame(1)
+        assert np.array_equal(src.frame(0), np.zeros((4, 4, 3), np.uint8))
+
     def test_mixed_extents_rejected(self, tmp_path):
         self._write_ppm(tmp_path / "000000.ppm", np.zeros((8, 8, 3), np.uint8))
         self._write_ppm(tmp_path / "000001.ppm", np.zeros((4, 4, 3), np.uint8))

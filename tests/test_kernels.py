@@ -48,6 +48,7 @@ from strokebench import model
 from strokebench.errors import ShapeError
 from strokebench.nn import ops
 from strokebench.nn.layers import default_architecture
+from strokebench.nn.optim import NesterovSGD
 
 from oracles import maxpool3d_backward_flat, taps_to_winners
 
@@ -894,13 +895,18 @@ def test_conv_pool_pair_bit_identical(case, kind):
         _assert_fused_bytes(x, weight, bias, window, grad)
 
 
+def _runs(kdim, filters, outs, itemsize, window):
+    """The runs of conv output frames that ops._conv_plan holds at a time."""
+    return [(t0, t1) for t0, t1, _ in ops._conv_plan(kdim, filters, outs, itemsize, window)[1]]
+
+
 def test_paper_conv1_and_conv2_pool_in_several_blocks():
     """The paper cases above cross block seams: one pool block is 2 conv1
     frames (3.5 MB) or 7 conv2 frames (6 MB)."""
-    assert ops._pool_runs(81, 30, (4, 120, 120), 4, (2, 2, 2)) == [(0, 2), (2, 4)]
-    assert ops._pool_runs(81, 30, (98, 120, 120), 4, (2, 2, 2)) == [
+    assert _runs(81, 30, (4, 120, 120), 4, (2, 2, 2)) == [(0, 2), (2, 4)]
+    assert _runs(81, 30, (98, 120, 120), 4, (2, 2, 2)) == [
         (a, a + 2) for a in range(0, 98, 2)]
-    assert ops._pool_runs(810, 60, (49, 60, 60), 4, (7, 2, 2)) == [
+    assert _runs(810, 60, (49, 60, 60), 4, (7, 2, 2)) == [
         (a, a + 7) for a in range(0, 49, 7)]
 
 
@@ -925,7 +931,7 @@ def test_conv_pool_pair_bit_identical_in_several_blocks(name, x_shape, filters, 
     monkeypatch.setattr(ops, "TILE_BYTES", tile)
     monkeypatch.setattr(ops, "BLOCK_BYTES", block)
     kdim = x_shape[1] * 27
-    assert ops._pool_runs(kdim, filters, x_shape[2:], 4, window) == runs
+    assert _runs(kdim, filters, x_shape[2:], 4, window) == runs
     for dtype in (np.float32, np.float64):
         x, weight, bias, grad = _fused_case(x_shape, filters, window, kind, dtype)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -958,7 +964,7 @@ def test_no_conv1_output_in_a_training_step_or_forward():
     net = model.build_model(2, arch, seed=1, input_shape=CONV1_SHAPE)
     x = np.random.default_rng(1).random(CONV1_SHAPE, dtype=np.float32)
     conv1 = CONV1_FILTERS[0] * int(np.prod(CONV1_SHAPE[1:])) * 4
-    assert len(ops._pool_runs(81, 30, CONV1_SHAPE[1:], 4, (2, 2, 2))) > 4
+    assert len(_runs(81, 30, CONV1_SHAPE[1:], 4, (2, 2, 2))) > 4
     assert _peak_bytes(model._summed_gradients, net, [(x, 0)], "step") < conv1
     assert _peak_bytes(model.forward, net, x) < conv1
 
@@ -972,7 +978,7 @@ def test_conv_pool_pair_memory_is_one_run_above_its_results():
     12.4 MB), both well below the conv output alone."""
     x, weight, bias, _, _ = _conv_case(np.random.default_rng(30), np.float32,
                                        (1, 3, 16, 120, 120), 30)
-    runs = ops._pool_runs(81, 30, (16, 120, 120), 4, (2, 2, 2))
+    runs = _runs(81, 30, (16, 120, 120), 4, (2, 2, 2))
     assert len(runs) == 8
     run = 30 * 2 * 120 * 120 * 4
     padded = 3 * 18 * 122 * 122 * 4
@@ -984,3 +990,46 @@ def test_conv_pool_pair_memory_is_one_run_above_its_results():
     assert forward < pooled.nbytes + taps.nbytes + padded + run + 2 * ops.TILE_BYTES
     assert backward < padded + run + 2 * ops.BLOCK_BYTES
     assert max(forward, backward) < 8 * run / 2
+
+
+def _traced_kernels():
+    """The nn.ops names perfbench/tracing.py wraps (its OPS tuple)."""
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    for node in ast.parse(tracing.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["OPS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no OPS tuple in {tracing}")
+
+
+def test_no_traced_kernel_runs_inside_another(monkeypatch):
+    """Every kernel the tracer wraps is a leaf: while one runs, no other
+    starts, through a training step and a forward whose fused conv-pool
+    pairs run in several pool runs. The tracer's spans would nest otherwise,
+    as they did when the fused backward called maxpool3d_backward."""
+    monkeypatch.setattr(ops, "TILE_BYTES", 2 * 81 * 16 * 4)  # conv1 tiles of 2 rows
+    monkeypatch.setattr(ops, "BLOCK_BYTES", 4 * 2 * 16 * 16 * 4)  # runs of 2 conv1 frames
+    shape = (3, 8, 16, 16)
+    assert _runs(81, 4, shape[1:], 4, (2, 2, 2)) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+    depth, deepest = [0], [0]
+
+    def counted(kernel):
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            deepest[0] = max(deepest[0], depth[0])
+            try:
+                return kernel(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    names = _traced_kernels()
+    assert {"conv3d_backward", "maxpool3d_backward"} <= set(names)
+    for name in names:
+        monkeypatch.setattr(ops, name, counted(getattr(ops, name)))
+    arch = default_architecture(shape, filters=(4, 8), hidden=8, n_classes=2)
+    net = model.build_model(2, arch, seed=5, input_shape=shape)
+    x = np.random.default_rng(5).random(shape, dtype=np.float32)
+    opt = NesterovSGD(net.params, lr=0.01, momentum=0.9, weight_decay=0.005)
+    model._train_step(net, opt, [(x, 0), (x[:, ::-1].copy(), 1)], "step")
+    model.forward(net, x)
+    assert deepest == [1]

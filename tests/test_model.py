@@ -801,8 +801,9 @@ class TestClassifyWindows:
         assert np.array_equal(got, extract_cuboid(src, start, 98, 8).values)
 
     def test_window_of_a_video_shorter_than_the_input_rejected(self, tmp_path):
+        """Its callers check the length first; extract_cuboid refuses the window."""
         src = self._video(tmp_path, 97)
-        with pytest.raises(CuboidError, match="shorter"):
+        with pytest.raises(CuboidError, match=re.escape("window [0, 98) out of range")):
             _window_input(ModelParams([], {}, (3, 98, 8, 8), 2), src, 0)
 
     def test_video_shorter_than_the_input_gets_nothing(self, tmp_path, caplog):

@@ -537,30 +537,54 @@ class TestCommands:
         assert main(["eval", *detection]) == 0
         assert capsys.readouterr().out == scored
 
-    def test_frame_directory_corpus_gives_the_rgbv_corpus_bytes(
-            self, tiny_corpus, tmp_path, capsys):
+    @staticmethod
+    def _rgbv_and_frame_dir_runs(corpus, tmp_path, capsys, task, prepare=(), train=(), infer=()):
+        """(files, printed) of prepare, train, infer and eval on the RGBV
+        corpus, then on its copy as frame directories, with one seed."""
         frame_dirs = tmp_path / "frame_dirs"
-        _as_frame_dirs(tiny_corpus, frame_dirs)
+        _as_frame_dirs(corpus, frame_dirs)
         assert not list(frame_dirs.rglob("*.rgbv"))
         runs = []
-        for data in (tiny_corpus, frame_dirs):
-            # classification scores every test segment, so every score is compared
+        for data in (corpus, frame_dirs):
             out = tmp_path / f"run_{data.name}"
-            common = ["--task", "classification", "--data", str(data), "--out", str(out)]
+            common = ["--task", task, "--data", str(data), "--out", str(out)]
             capsys.readouterr()
-            assert main(["prepare", *common]) == 0
-            assert main(_train_args(data, out, task="classification")) == 0
-            assert main(["infer", *common]) == 0
+            assert main(["prepare", *common, *prepare]) == 0
+            assert main(_train_args(data, out, train, task=task)) == 0
+            assert main(["infer", *common, *infer]) == 0
             assert main(["eval", *common]) == 0
             printed = capsys.readouterr().out.replace(str(out), "OUT")
             runs.append((_tree_bytes(out), printed))
-        (rgbv_files, rgbv_out), (dir_files, dir_out) = runs
+        return runs
+
+    def test_frame_directory_corpus_gives_the_rgbv_corpus_bytes(
+            self, tiny_corpus, tmp_path, capsys):
+        # classification scores every test segment, so every score is compared
+        (rgbv_files, rgbv_out), (dir_files, dir_out) = self._rgbv_and_frame_dir_runs(
+            tiny_corpus, tmp_path, capsys, "classification")
         assert sorted(rgbv_files) == [
             "classification_history.csv", "classification_model.ckpt",
             "classification_predictions/test000.xml",
             "classification_train_index.csv", "classification_validation_index.csv",
             "confusion_global.csv", "confusion_hand.csv", "confusion_type.csv",
             "confusion_type_hand.csv"]
+        assert dir_files == rgbv_files
+        assert dir_out == rgbv_out
+
+    def test_frame_directory_detection_gives_the_rgbv_corpus_bytes(
+            self, tiny_corpus, tmp_path, capsys):
+        # detection trains on negatives cut from the gaps and scores
+        # overlapping proposals over each whole test video; trained long
+        # enough to detect strokes, so that the predictions hold scores
+        (rgbv_files, rgbv_out), (dir_files, dir_out) = self._rgbv_and_frame_dir_runs(
+            tiny_corpus, tmp_path, capsys, "detection", prepare=["--block-len", "10"],
+            train=["--epochs", "20", "--lr", "0.05"],
+            infer=["--proposal-len", "30", "--proposal-stride", "5"])
+        assert sorted(rgbv_files) == [
+            "detection_history.csv", "detection_model.ckpt",
+            "detection_predictions/test000.xml",
+            "detection_train_index.csv", "detection_validation_index.csv"]
+        assert "<action" in rgbv_files["detection_predictions/test000.xml"].decode()
         assert dir_files == rgbv_files
         assert dir_out == rgbv_out
 
