@@ -14,8 +14,11 @@ default: the fewest that can meet the gain rule.
 `scripts/step_memory.py --batch B`, once in each checkout: a fresh child
 each, from the root of its checkout with its own `src` on PYTHONPATH, one
 OpenBLAS thread and pinned to the CPU the benchmark pins to, alternating
-which goes first. With `--tiny` the step runs at a tiny shape instead of
-the paper's.
+which goes first. Each tree's step then runs once more with
+`MALLOC_MMAP_THRESHOLD_=131072`, so that glibc returns each freed block
+above 128 KB to the system at once: the first run's peak less this one's
+is about the freed heap glibc kept at the peak. With `--tiny` the step
+runs at a tiny shape instead of the paper's.
 
 The file holds, per workload and end-to-end metric of BENCHMARK.json, each
 tree's values, median and [q1, q3], the per-pair ratio change / base, how
@@ -27,7 +30,8 @@ workload and metric with both. Per tree it holds the `env:` line of its
 runs and its `git rev-parse HEAD` with a dirty flag.
 Per step batch it holds each tree's peak RSS, the peak RSS after the model
 build (None where that tree's script does not print it), forward and
-backward seconds and the SHA-256 of its logits and gradients. Per run,
+backward seconds, the SHA-256 of its logits and gradients, and the peak RSS
+of the run at the mmap threshold (`mmap_threshold_peak_rss_mb`). Per run,
 workload and step alike, it holds `others_busy`: the busy share of the
 ticks the CPUs other than the run's pinned one counted while it ran, and
 `pinned_steal`: the steal share of the pinned CPU's ticks, the time the
@@ -56,6 +60,8 @@ TREES = ("base", "change")
 # the tiny shape tests/test_step_memory.py runs scripts/step_memory.py at
 TINY_STEP = ["--cuboid-len", "8", "--cuboid-size", "16", "--filters", "4,8", "--hidden", "8"]
 STEP_FIELDS = ("peak_rss_mb", "build_peak_rss_mb", "forward_s", "backward_s", "sha256")
+# glibc's mmap threshold of a step's second run (MALLOC_MMAP_THRESHOLD_)
+MMAP_THRESHOLD = 131072
 # a claimed gain needs at least this many pairs
 GAIN_PAIRS = 10
 PROC_STAT = Path("/proc/stat")
@@ -140,12 +146,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, tiny: bool) -
     return {"env": env, "returncode": proc.returncode, "result": result}
 
 
-def run_step(tree: Path, batch: int, tiny: bool) -> dict:
+def run_step(tree: Path, batch: int, tiny: bool, mmap_threshold: int | None = None) -> dict:
     """One `scripts/step_memory.py --batch B` run of `tree`: the fields of
-    STEP_FIELDS from the JSON line it prints."""
+    STEP_FIELDS from the JSON line it prints. It runs with glibc's mmap
+    threshold set to `mmap_threshold` bytes, or with glibc's own (the
+    variable removed) for None."""
     cmd = [sys.executable, "scripts/step_memory.py", "--batch", str(batch)] + (
         TINY_STEP if tiny else [])
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    env.pop("MALLOC_MMAP_THRESHOLD_", None)
+    if mmap_threshold is not None:
+        env["MALLOC_MMAP_THRESHOLD_"] = str(mmap_threshold)
     cpu = pinned_cpu()
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
                           preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
@@ -166,7 +177,11 @@ def pair_steps(trees: dict, batches: list[int], tiny: bool) -> dict:
         runs, busy, steal = {}, {}, {}
         for name in first:
             runs[name], busy[name], steal[name] = busy_around(run_step, trees[name], batch, tiny)
+            runs[name]["mmap_threshold_peak_rss_mb"] = run_step(
+                trees[name], batch, tiny, MMAP_THRESHOLD)["peak_rss_mb"]
             print(f"step batch {batch} {name}: peak_rss_mb {runs[name]['peak_rss_mb']}, "
+                  f"at MALLOC_MMAP_THRESHOLD_={MMAP_THRESHOLD} "
+                  f"{runs[name]['mmap_threshold_peak_rss_mb']}, "
                   f"after the build {runs[name]['build_peak_rss_mb']}, "
                   f"others busy {busy[name]}, steal {steal[name]}", flush=True)
         out[str(batch)] = {"order": list(first), **{t: runs[t] for t in TREES},

@@ -9,17 +9,20 @@ logit vector. A batch runs as one-sample passes (see `model`).
 Conv weights are (F, C, kt, kh, kw), linear weights (Out, In).
 
 Memory. No kernel builds a full im2col copy of its input (27x the input for
-a 3x3x3 kernel). `_conv_plan` fixes how both passes of a conv walk its
-output: tiles of output positions whose columns fill one reused buffer of at
-most `TILE_BYTES` (one output row at least), and runs of frames, one
-maxpool3d block each, in which a conv and the max pool after it, one kernel
-both ways (`conv3d_maxpool3d`), hold the conv output and its gradient.
-grad_weight adds one (F, C*kt*kh*kw) sum and one GEMM output of that size;
-grad_input, after the column buffer is freed, the returned grad_input and
-one col2im block of at most `BLOCK_BYTES`. `maxpool3d` pools, with no
-transposed copy, and `maxpool3d_backward` expands the tap index (each
-window's winning tap, one byte per pooled element; inference builds none)
-to flat int64 indices, one block of at most `BLOCK_BYTES` at a time. Every
+a 3x3x3 kernel), nor a padded copy of it. `_conv_plan` fixes how both
+passes of a conv walk its output: tiles of output positions whose columns
+fill one reused buffer of at most `TILE_BYTES` (one output row at least),
+lowered from one reused zero-bordered buffer of only the input frames a
+tile reads; col2im blocks of grad_input of at most `BLOCK_BYTES` (one
+output row at least); and runs of frames, one maxpool3d block each, in
+which a conv and the max pool after it, one kernel both ways
+(`conv3d_maxpool3d`), hold the conv output and its gradient. grad_weight
+adds one (F, C*kt*kh*kw) sum and one GEMM output of that size; grad_input,
+after the tile buffers are freed, the returned grad_input and one col2im
+block. `maxpool3d` pools, with no transposed copy, and `maxpool3d_backward`
+expands the tap index (each window's winning tap, one byte per pooled
+element; inference builds none) to flat int64 indices, one block of at most
+`BLOCK_BYTES` at a time. Every
 block loop, here, in `optim` and in `model.build_model`, is planned by
 `_even_runs`: the fewest runs within the cap (one frame or row at least)
 whose lengths differ by one at most.
@@ -34,25 +37,29 @@ gradient and reads only the result (in the model, it is always the array
 the next layer's backward returned).
 
 Bound: the tracemalloc peak of one conv3d_forward call stays below
-output bytes + one padded sample's bytes + 2 * TILE_BYTES while one output
-row's columns fit in a tile. That of one conv3d_backward call stays below
-4 * (input bytes + grad_out bytes) + BLOCK_BYTES while one output frame's
-col2im columns fit in a block. `tests/test_kernels.py` checks both for x
-of shape (1, 8, 32, 64, 64) float32 and 8 filters. The forward may use
-9.98 MB (a 4.19 MB output, a 4.74 MB padded sample and two tiles) and uses
-9.43 MB. The backward may use 37.7 MB and uses 7.85 MB, set by grad_input
-and one col2im block; without grad_input it uses 5.20 MB, one padded
-sample, one tile and 20 KB of sums and Python objects. With a 3x3x1
-kernel grad_input sets the peak: 7.95 MB, below grad_input + BLOCK_BYTES
-+ 128 KB of ufunc buffers and Python objects (8.52 MB). At paper conv1 on
-16 frames (a 27.6 MB output in 8 runs), conv3d_maxpool3d stays below its
-results + one padded sample + one run + 2 * TILE_BYTES (12.0 MB), using
-11.9 MB, and its backward without grad_input below one padded sample + one
-run + 2 * BLOCK_BYTES (15.1 MB), using 12.4 MB. A training `maxpool3d` call
-peaks less than `BLOCK_BYTES` above its results, `maxpool3d_backward` less
-than that above its result, `linear_weight_grad` less than one block of
-rows above the sum it returns, and `linear_backward` holds only its
-results.
+output bytes + the bytes of the padded input frames one tile reads + 2 *
+TILE_BYTES while one output row's columns fit in a tile. That of one
+conv3d_backward call stays below 4 * (input bytes + grad_out bytes) +
+BLOCK_BYTES while one output row's col2im columns fit in a block.
+`tests/test_kernels.py` checks both for x of shape (1, 8, 32, 64, 64)
+float32 and 8 filters. The forward may use 5.66 MB (a 4.19 MB output, the
+0.42 MB of the 3 padded frames a tile reads and two tiles) and uses 5.19
+MB. The backward may use 37.7 MB and uses 7.89 MB, set by grad_input and
+one col2im block; without grad_input it uses 0.92 MB: a tile's padded
+frames, one tile and 40 KB of sums and Python objects. With a 3x3x1 kernel
+grad_input sets the peak: 7.97 MB, below grad_input + BLOCK_BYTES + 128 KB
+of ufunc buffers and Python objects (8.52 MB). At paper conv1 on 16 frames
+(a 27.6 MB output in 8 runs), conv3d_maxpool3d stays below its results + a
+tile's padded frames + one run + 2 * TILE_BYTES (9.36 MB), using 9.17 MB,
+and its backward without grad_input below a tile's padded frames + one run
++ 2 * BLOCK_BYTES (12.4 MB), using 9.70 MB. At paper conv2 on one (7, 2, 2)
+pool run, one output frame's col2im columns (11.7 MB) exceed BLOCK_BYTES,
+so its col2im blocks are runs of 20 rows (3.9 MB): the backward stays below
+grad_input + the run's gradient + BLOCK_BYTES + two weight sizes + 128 KB
+(13.8 MB), using 13.5 MB. A training `maxpool3d` call peaks less than
+`BLOCK_BYTES` above its results, `maxpool3d_backward` less than that above
+its result, `linear_weight_grad` less than one block of rows above the sum
+it returns, and `linear_backward` holds only its results.
 
 Numerics. Each output element of the forward and of grad_input is one dot
 product over the same reduction axis, in the same order, as in the im2col
@@ -83,11 +90,12 @@ from ..errors import ShapeError
 # second copy of the columns and the tile's output must fit beside them.
 TILE_BYTES = 512 << 10
 
-# Upper bound on one block of a streaming kernel, one output frame at least:
-# a col2im block of conv3d_backward, the input of a maxpool3d block, the
-# temporaries of a maxpool3d_backward block. At 4 MB the pooled-size arrays
-# a 2x2x2 window's passes reread (about a quarter of the block) fit in the
-# 2 MB L2 cache of one core of the target machine: training pooling of paper
+# Upper bound on one block of a streaming kernel: a col2im block of
+# conv3d_backward (one output row at least), the input of a maxpool3d block
+# (one output frame at least), the temporaries of a maxpool3d_backward block
+# (one output frame at least). At 4 MB the pooled-size arrays a 2x2x2
+# window's passes reread (about a quarter of the block) fit in the 2 MB L2
+# cache of one core of the target machine: training pooling of paper
 # pool1, (2, 30, 98, 120, 120), took 0.25-0.30 s with 1 to 8 MB blocks, 0.31 s
 # with 32 MB and 0.55 s unblocked (one CPU, one BLAS thread, best of 5).
 # Col2im time barely depends on the cap, and a freed block raises glibc's mmap
@@ -169,54 +177,75 @@ def _pool_blocks(frames, frame_input):
 
 
 def _conv_plan(kdim, f, outs, itemsize, window):
-    """(whole, runs): how both passes of a conv with C*kt*kh*kw = `kdim`, `f`
-    filters and output extents `outs` walk its output, with the pool `window`
-    after it (None for none). A tile holds whole output frames (`whole`) when
-    one frame's columns fit in TILE_BYTES, else a run of rows of one frame.
-    The frames, or each frame's rows, are split into the fewest such tiles,
-    so that no GEMM is a small remainder (which OpenBLAS may run with another
-    kernel). The conv output is held one run of frames [t0, t1) at a time: a
-    maxpool3d block with tiles of rows and a window, else all frames, as a
-    tile of whole frames may cross a block's end. `runs` holds (t0, t1,
-    tiles), each tile (positions, i, span): its flat T'*H'*W' positions from
-    frame t0, and `span` of the frames (i = 0) or of frame t0 + i's rows."""
+    """How both passes of a conv with C*kt*kh*kw = `kdim`, `f` filters and
+    output extents `outs` walk its output, with the pool `window` after it
+    (None for none): a list of runs (t0, t1, tiles, blocks). The conv output
+    is held one run of frames [t0, t1) at a time: a maxpool3d block when the
+    tiles are runs of rows and there is a window, else all frames, as a tile
+    of whole frames may cross a block's end. `tiles` cut the run into the
+    parts whose columns the forward and grad_weight lower (at most
+    TILE_BYTES), `blocks` into grad_input's col2im blocks (at most
+    BLOCK_BYTES). Either holds whole output frames when one frame's columns
+    fit in its cap, else a run of rows of one frame; the frames, or each
+    frame's rows, are split into the fewest such parts, so that no GEMM is a
+    small remainder (which OpenBLAS may run with another kernel). Each part
+    is (positions, frames, rows): its flat T'*H'*W' positions from frame t0,
+    and its [start, end) frames from t0 and rows."""
     to, ho, wo = outs
     frame = ho * wo  # output positions per frame
-    rows = TILE_BYTES // (kdim * wo * itemsize)  # output rows whose columns fit
-    whole = rows >= ho
-    spans, step = (_even_runs(to, rows // ho), frame) if whole else (_even_runs(ho, rows), wo)
-    runs = [(0, to)] if whole or window is None else [
+    row = kdim * wo * itemsize  # bytes of one output row's columns
+
+    def parts(n, cap):  # the parts of a run of n frames
+        rows = cap // row
+        if rows >= ho:
+            return [(slice(a * frame, b * frame), (a, b), (0, ho))
+                    for a, b in _even_runs(n, rows // ho)]
+        return [(slice(i * frame + a * wo, i * frame + b * wo), (i, i + 1), (a, b))
+                for i in range(n) for a, b in _even_runs(ho, rows)]
+
+    runs = [(0, to)] if TILE_BYTES // row >= ho or window is None else [
         (a * window[0], b * window[0])
         for a, b in _pool_blocks(to // window[0], f * window[0] * frame * itemsize)]
-    tiles = {n: [(slice(i * frame + a * step, i * frame + b * step), i, slice(a, b))
-                 for i in range(1 if whole else n) for a, b in spans]
-             for n in {t1 - t0 for t0, t1 in runs}}  # shared by the runs of each length
-    return whole, [(t0, t1, tiles[t1 - t0]) for t0, t1 in runs]
+    # shared by the runs of each length
+    cuts = {n: (parts(n, TILE_BYTES), parts(n, BLOCK_BYTES)) for n in {b - a for a, b in runs}}
+    return [(t0, t1) + cuts[t1 - t0] for t0, t1 in runs]
 
 
-def _tile_columns(x, kshape, stride: int, pad: int, outs, whole, runs):
-    """columns(t, span): for the unpadded one-sample input `x`, the (C*kt*kh*kw,
-    positions) columns of the `span` of _conv_plan's frames (t = 0) or of frame
-    t's rows, lowered into one buffer that the next tile overwrites."""
-    c, unit = x.shape[1], (outs[1:] if whole else outs[2:])  # positions of a frame or row
-    kdim, step = c * math.prod(kshape), math.prod(unit)
-    lengths = {span.stop - span.start for _, _, span in runs[0][2]}  # as in every run
-    cols = np.empty(kdim * step * max(lengths), dtype=x.dtype)
-    # per tile length: the column buffer as the tile's windows and as the GEMM operand
-    lowered = {k: (cols[: kdim * step * k].reshape((c,) + kshape + (k,) + unit),
-                   cols[: kdim * step * k].reshape(kdim, -1)) for k in lengths}
-    sample = x[0]
-    if pad:  # not np.pad: 89 against 31 us at desk conv1 on the target machine
-        sample = np.zeros((c,) + tuple(e + 2 * pad for e in x.shape[2:]), dtype=x.dtype)
-        sample[(slice(None),) + (slice(pad, -pad),) * 3] = x[0]
-    win = sliding_window_view(sample, kshape, axis=(1, 2, 3))
+def _tile_columns(x, kshape, stride: int, pad: int, outs, runs):
+    """columns(t0, frames, rows): for the unpadded one-sample input `x`, the
+    (C*kt*kh*kw, positions) columns of a tile of the _conv_plan run from
+    frame t0, lowered into one buffer that the next tile overwrites. They
+    are lowered from a zero-bordered copy of only the input frames the tile
+    reads, (frames - 1) * stride + kt of them, which the next tile refills
+    only if it reads other frames."""
+    c, t = x.shape[1:3]
+    kdim, wo = c * math.prod(kshape), outs[2]
+    shapes = {(f1 - f0, r1 - r0) for _, (f0, f1), (r0, r1) in runs[0][2]}  # as in every run
+    cols = np.empty(kdim * wo * max(n * r for n, r in shapes), dtype=x.dtype)
+    # per tile shape: the column buffer as the tile's windows and as the GEMM operand
+    lowered = {(n, r): (cols[: kdim * wo * n * r].reshape((c,) + kshape + (n, r, wo)),
+                        cols[: kdim * wo * n * r].reshape(kdim, -1)) for n, r in shapes}
+    held = (max(n for n, _ in shapes) - 1) * stride + kshape[0]
+    padded = np.zeros((c, held) + tuple(e + 2 * pad for e in x.shape[3:]), dtype=x.dtype)
+    inside = (slice(pad, pad + x.shape[3]), slice(pad, pad + x.shape[4]))
+    win = sliding_window_view(padded, kshape, axis=(1, 2, 3))
+    # (C,kt,kh,kw | frames, rows, columns) windows over the held frames
     win = win[:, ::stride, ::stride, ::stride].transpose(0, 4, 5, 6, 1, 2, 3)
-    # (C,kt,kh,kw | tiled axis, ...) windows of all frames at once, or of each frame
-    parts = win[None] if whole else np.moveaxis(win, 4, 0)
+    filled = None  # (first output frame, frames) of the held input
 
-    def columns(i, span):
-        windows, matrix = lowered[span.stop - span.start]
-        np.copyto(windows, parts[i, :, :, :, :, span])
+    def columns(t0, frames, rows):
+        nonlocal filled
+        n = frames[1] - frames[0]
+        if filled != (t0 + frames[0], n):
+            filled = (t0 + frames[0], n)
+            s = (t0 + frames[0]) * stride - pad  # the input frame held first
+            a = max(s, 0)
+            b = max(a, min(s + (n - 1) * stride + kshape[0], t))
+            padded[:, : a - s] = 0
+            padded[:, b - s :] = 0
+            padded[(slice(None), slice(a - s, b - s)) + inside] = x[0, :, a:b]
+        windows, matrix = lowered[n, rows[1] - rows[0]]
+        np.copyto(windows, win[:, :, :, :, :n, rows[0] : rows[1]])
         return matrix
     return columns
 
@@ -240,18 +269,18 @@ def conv3d_maxpool3d(x, weight, bias, stride: int, pad: int, window, *, need_win
         raise ShapeError(f"bias shape {bias.shape} does not match {weight.shape[0]} filters")
     f = weight.shape[0]
     w2 = weight.reshape(f, -1)
-    whole, runs = _conv_plan(w2.shape[1], f, outs, x.itemsize, window)
-    out = np.empty((1, f, max(b - a for a, b, _ in runs)) + outs[1:], np.result_type(x, weight))
+    runs = _conv_plan(w2.shape[1], f, outs, x.itemsize, window)
+    out = np.empty((1, f, max(b - a for a, b, *_ in runs)) + outs[1:], np.result_type(x, weight))
     pooled = out if window is None else np.empty((1, f) + maxpool3d_out_extents(outs, window),
                                                  dtype=out.dtype)
     taps = (np.zeros(pooled.shape, dtype=np.min_scalar_type(math.prod(window) - 1))
             if window is not None and need_winners else None)
     column_bias, flat = bias.reshape(f, 1), out.reshape(f, -1)
-    columns = _tile_columns(x, weight.shape[2:], stride, pad, outs, whole, runs)
-    for t0, t1, tiles in runs:
-        for positions, i, span in tiles:
+    columns = _tile_columns(x, weight.shape[2:], stride, pad, outs, runs)
+    for t0, t1, tiles, _ in runs:
+        for positions, frames, rows in tiles:
             dst = flat[:, positions]
-            np.matmul(w2, columns(t0 + i, span), out=dst)
+            np.matmul(w2, columns(t0, frames, rows), out=dst)
             dst += column_bias
         if window is not None:
             p = slice(t0 // window[0], t1 // window[0])
@@ -272,11 +301,12 @@ def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *, need_input: b
     lowers it and one GEMM, the tile's gradient (F x positions) times its
     columns transposed, added in tile order into one (F, C*kt*kh*kw) sum
     that starts from zero.
-    grad_input: per block of output frames, one GEMM gives every tap's
-    contribution (col2im, in (kt,kh,kw,C | T',H',W') layout), added
+    grad_input: per col2im block of _conv_plan, one GEMM gives every tap's
+    contribution (in (kt,kh,kw,C | frames, rows, W') layout), added
     straight into grad_input where the tap meets the input (see _tap_parts).
-    Runs and blocks go last frame first, so that each input element still
-    receives its contributions in tap order. With need_input=False an empty
+    Runs and blocks go last frame first, and last row first within a frame:
+    a lower tap reads a later output frame or row, so each input element
+    still receives its contributions in tap order. With need_input=False an empty
     array of grad_out's dtype stands in for grad_input (a first layer's).
     """
     outs = _check_conv(x, weight, stride, pad)
@@ -286,6 +316,9 @@ def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *, need_input: b
     expected = (1, f) + (outs if window is None else maxpool3d_out_extents(outs, window))
     if grad_out.shape != expected:
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match output {expected}")
+    if (window is None) != (taps is None):
+        raise ShapeError(f"a pool window and its tap index go together, got window {window} "
+                         f"and {'no' if taps is None else 'a'} tap index")
     if window is not None and taps.shape != expected:
         raise ShapeError(f"tap index shape {taps.shape} does not match output {expected}")
     to, ho, wo = outs
@@ -303,31 +336,30 @@ def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *, need_input: b
     # a sum from zero: a channel of -0.0 gradients gives +0.0
     grad_bias = np.concatenate([conv_grad(c0, c1, 0, to).sum(axis=1) for c0, c1 in groups]) + 0.0
 
-    whole, runs = _conv_plan(c * math.prod(kshape), f, outs, x.itemsize, window)
+    runs = _conv_plan(c * math.prod(kshape), f, outs, x.itemsize, window)
     grad_weight = np.zeros((f, weight[0].size), dtype=np.result_type(grad_out, x))
     prod = np.empty_like(grad_weight)
     conv_grad(0, f, *runs[0][:2])  # cached; built first, so it never peaks beside the columns
-    columns = _tile_columns(x, kshape, stride, pad, outs, whole, runs)
-    for t0, t1, tiles in runs:
+    columns = _tile_columns(x, kshape, stride, pad, outs, runs)
+    for t0, t1, tiles, _ in runs:
         g2 = conv_grad(0, f, t0, t1)
-        for positions, i, span in tiles:
-            np.matmul(g2[:, positions], columns(t0 + i, span).T, out=prod)
+        for positions, frames, rows in tiles:
+            np.matmul(g2[:, positions], columns(t0, frames, rows).T, out=prod)
             grad_weight += prod
     grad_weight = grad_weight.reshape(weight.shape)
-    columns = g2 = prod = None  # so that no column buffer coexists with grad_input
+    columns = g2 = prod = None  # so that no column or input buffer coexists with grad_input
     if not need_input:
         return np.empty(0, dtype=grad_out.dtype), grad_weight, grad_bias
 
     grad_input = np.zeros(x.shape, dtype=grad_out.dtype)
     w2 = np.ascontiguousarray(weight.transpose(2, 3, 4, 1, 0)).reshape(-1, f)
-    cap = BLOCK_BYTES // (w2.shape[0] * frame * x.itemsize)
-    for t0, t1, _ in reversed(runs):
+    for t0, t1, _, blocks in reversed(runs):
         g2 = conv_grad(0, f, t0, t1)
-        for a, b in reversed(_even_runs(t1 - t0, cap)):
-            cols = (w2 @ g2[:, a * frame : b * frame]).reshape(kshape + (c, b - a, ho, wo))
+        for positions, (f0, f1), rows in reversed(blocks):
+            cols = (w2 @ g2[:, positions]).reshape(kshape + (c, f1 - f0, rows[1] - rows[0], wo))
             for tap in np.ndindex(*kshape):
                 out_part, in_part = _tap_parts(tap, stride, pad, (t, h, w),
-                                               ((t0 + a, t0 + b), (0, ho), (0, wo)))
+                                               ((t0 + f0, t0 + f1), rows, (0, wo)))
                 grad_input[(0, ..., *in_part)] += cols[tap][(..., *out_part)]
             del cols  # so that two blocks never coexist
     return grad_input, grad_weight, grad_bias

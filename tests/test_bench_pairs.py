@@ -140,14 +140,18 @@ def test_failed_gate_gives_exit_1(tmp_path, monkeypatch):
 
 
 def _fake_step(calls, sha_of=lambda side, batch: "same"):
-    def run_step(tree, batch, tiny):
-        calls.append((batch, tree.name, tiny))
-        return {"peak_rss_mb": 100.0 + batch, "build_peak_rss_mb": 80.0, "forward_s": 1.0,
-                "backward_s": 2.0, "sha256": sha_of(tree.name, batch)}
+    """Peak RSS 100 + batch MB, 10 MB less at an mmap threshold."""
+    def run_step(tree, batch, tiny, mmap_threshold=None):
+        calls.append((batch, tree.name, tiny, mmap_threshold))
+        return {"peak_rss_mb": 100.0 + batch - (10 if mmap_threshold else 0),
+                "build_peak_rss_mb": 80.0, "forward_s": 1.0, "backward_s": 2.0,
+                "sha256": sha_of(tree.name, batch)}
     return run_step
 
 
-def test_steps_alternate_and_record_each_tree(tmp_path, monkeypatch):
+def test_steps_alternate_and_record_each_tree(tmp_path, monkeypatch, capsys):
+    """Each tree's step runs twice in a row, the second time at the mmap
+    threshold, whose peak is recorded and printed beside the first's."""
     base, change = _trees(tmp_path)
     calls = []
     monkeypatch.setattr(bench_pairs, "run_step", _fake_step(calls))
@@ -155,14 +159,18 @@ def test_steps_alternate_and_record_each_tree(tmp_path, monkeypatch):
     assert bench_pairs.main(["--base", str(base), "--change", str(change), "--tiny",
                              "--step-batch", "2", "--step-batch", "10",
                              "--out", str(out)]) == 0
-    assert calls == [(2, "base", True), (2, "change", True),
-                     (10, "change", True), (10, "base", True)]
+    assert calls == [(batch, side, True, threshold)
+                     for batch, sides in [(2, ("base", "change")), (10, ("change", "base"))]
+                     for side in sides for threshold in (None, 131072)]
     report = json.loads(out.read_text())
     assert report["workloads"] == {}
     step = report["steps"]["10"]
     assert step["order"] == ["change", "base"] and step["same_sha256"]
     assert step["base"] == {"peak_rss_mb": 110.0, "build_peak_rss_mb": 80.0, "forward_s": 1.0,
-                            "backward_s": 2.0, "sha256": "same"}
+                            "backward_s": 2.0, "sha256": "same",
+                            "mmap_threshold_peak_rss_mb": 100.0}
+    assert ("step batch 10 base: peak_rss_mb 110.0, at MALLOC_MMAP_THRESHOLD_=131072 100.0, "
+            "after the build 80.0") in capsys.readouterr().out
 
 
 def test_steps_with_other_bytes_give_exit_1(tmp_path, monkeypatch):
@@ -183,8 +191,9 @@ def test_tiny_step_of_one_checkout_against_itself(tmp_path):
                              "--step-batch", "2", "--out", str(out)]) == 0
     step = json.loads(out.read_text())["steps"]["2"]
     assert step["same_sha256"] and len(step["base"]["sha256"]) == 64
-    assert set(step["base"]) == set(bench_pairs.STEP_FIELDS)
+    assert set(step["base"]) == set(bench_pairs.STEP_FIELDS) | {"mmap_threshold_peak_rss_mb"}
     assert 0 < step["base"]["build_peak_rss_mb"] <= step["base"]["peak_rss_mb"]
+    assert step["base"]["mmap_threshold_peak_rss_mb"] > 0
 
 
 def test_step_of_a_checkout_without_the_build_peak_reads_none(tmp_path, monkeypatch):
@@ -196,6 +205,28 @@ def test_step_of_a_checkout_without_the_build_peak_reads_none(tmp_path, monkeypa
     step = bench_pairs.run_step(tmp_path, 2, tiny=True)
     assert step == {"peak_rss_mb": 1.0, "build_peak_rss_mb": None, "forward_s": 0.1,
                     "backward_s": 0.2, "sha256": "x"}
+
+
+@pytest.mark.parametrize("threshold,inherited", [(None, None), (None, "4096"),
+                                                  (131072, None), (131072, "4096")])
+def test_step_sets_the_mmap_threshold_it_is_given(tmp_path, monkeypatch, threshold, inherited):
+    """The child gets MALLOC_MMAP_THRESHOLD_ only as given, whatever the
+    parent's environment holds."""
+    if inherited is None:
+        monkeypatch.delenv("MALLOC_MMAP_THRESHOLD_", raising=False)
+    else:
+        monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", inherited)
+    envs = []
+    line = json.dumps({"peak_rss_mb": 1.0, "sha256": "x"})
+
+    def run(cmd, env, **kwargs):
+        envs.append(env)
+        return subprocess.CompletedProcess(cmd, 0, line + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    bench_pairs.run_step(tmp_path, 2, tiny=True, mmap_threshold=threshold)
+    assert envs[0].get("MALLOC_MMAP_THRESHOLD_") == (None if threshold is None
+                                                     else str(threshold))
 
 
 def test_nothing_to_run_is_refused(tmp_path):

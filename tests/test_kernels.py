@@ -287,7 +287,7 @@ def test_conv_bit_identical_at_desk_layers(name, x_shape, filters, dtype):
 # (name, input shape, filters, stride, pad): paper conv3 at batch 2 with and
 # without stride and padding, and paper conv2 on 4 frames, where one output
 # frame's col2im columns (11.7 MB) exceed BLOCK_BYTES, so grad_input runs in
-# blocks of one frame
+# blocks of 20 rows of one frame (3.9 MB each)
 PAPER_CASES = [MODEL_LAYERS[4] + sp for sp in [(1, 1), (1, 0), (2, 1), (2, 0)]] + [
     ("paper conv2, batch 1, 4 frames", (1, 30, 4, 60, 60), 60, 1, 1),
     ("paper conv2, batch 2, 4 frames", (2, 30, 4, 60, 60), 60, 1, 1),
@@ -303,8 +303,7 @@ def test_conv_bit_identical_at_paper_layers(name, x_shape, filters, stride, pad)
     _assert_backward_bytes(name, seed, x, weight, grad_out, stride, pad)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_conv_matches_im2col_at_random_shapes(dtype):
+def _assert_random_shapes_match_im2col(dtype):
     """Any kernel, stride and padding: equal up to summation-order rounding."""
     tol = 100 * np.finfo(dtype).eps
     rng = np.random.default_rng(17)
@@ -324,6 +323,24 @@ def test_conv_matches_im2col_at_random_shapes(dtype):
             for g, r in zip(got, ref):
                 assert g.dtype == r.dtype and g.shape == r.shape
                 assert np.abs(g - r).max() <= tol * max(np.abs(r).max(), 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_matches_im2col_at_random_shapes(dtype):
+    _assert_random_shapes_match_im2col(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_matches_im2col_in_tiles_and_blocks_of_one_row(dtype, monkeypatch):
+    """The same cases with every tile and col2im block one output row: each
+    tile refills the input frames it reads, and grad_input walks the rows of
+    a frame last first."""
+    monkeypatch.setattr(ops, "TILE_BYTES", 1)
+    monkeypatch.setattr(ops, "BLOCK_BYTES", 1)
+    (_, _, tiles, blocks), = ops._conv_plan(81, 4, (3, 5, 6), 4, None)
+    assert tiles == blocks == [(slice(6 * (5 * t + r), 6 * (5 * t + r + 1)), (t, t + 1), (r, r + 1))
+                               for t in range(3) for r in range(5)]
+    _assert_random_shapes_match_im2col(dtype)
 
 
 # -- conv3d forward in cache-sized tiles ---------------------------------------
@@ -717,12 +734,17 @@ def bound_case():
     return x, weight, bias, grad_out, bound
 
 
+def _tile_frames(x, kt=3, pad=1):
+    """Bytes of the kt padded input frames one tile of output rows reads."""
+    return x.shape[1] * kt * (x.shape[3] + 2 * pad) * (x.shape[4] + 2 * pad) * x.itemsize
+
+
 def test_conv_forward_memory_is_bounded(bound_case):
-    """Past its output and the padded input, the forward holds one tile's
-    columns, at most TILE_BYTES (the frame-block forward held 32 MB)."""
+    """Past its output and the padded input frames a tile reads, the forward
+    holds one tile's columns, at most TILE_BYTES (the frame-block forward
+    held 32 MB)."""
     x, weight, bias, grad_out, _ = bound_case
-    padded = x.shape[0] * x.shape[1] * int(np.prod([e + 2 for e in x.shape[2:]]))  # pad 1
-    limit = grad_out.nbytes + padded * x.itemsize + 2 * ops.TILE_BYTES
+    limit = grad_out.nbytes + _tile_frames(x) + 2 * ops.TILE_BYTES
     assert _peak_bytes(ops.conv3d_forward, x, weight, bias, 1, 1) < limit
     assert _peak_bytes(frame_block_conv3d_forward, x, weight, bias, 1, 1) > limit
 
@@ -747,18 +769,18 @@ def test_conv_backward_without_grad_input_peaks_lower():
     assert full < x.nbytes + ops.BLOCK_BYTES + (128 << 10)
 
 
-def test_conv_backward_without_grad_input_holds_one_padded_sample(bound_case):
-    """Past one padded sample, the backward without grad_input holds only one
-    tile's columns (at most TILE_BYTES), the (F, C*kt*kh*kw) sum, which it
-    returns as grad_weight, one GEMM output of that size, the returned
-    grad_bias and Python objects. The kernel-row block this replaced held
-    kw input sizes, 12.6 MB here."""
+def test_conv_backward_without_grad_input_holds_the_frames_of_one_tile(bound_case):
+    """Past the padded input frames one tile reads (0.42 MB), the backward
+    without grad_input holds only one tile's columns (at most TILE_BYTES),
+    the (F, C*kt*kh*kw) sum, which it returns as grad_weight, one GEMM
+    output of that size, the returned grad_bias and Python objects: 0.92 MB
+    in all. It held one padded sample (4.74 MB) before, and the kernel-row
+    block that replaced held kw input sizes, 12.6 MB here."""
     x, weight, _, grad_out, _ = bound_case
-    padded = x.shape[1] * int(np.prod([e + 2 for e in x.shape[2:]])) * x.itemsize  # pad 1
     sums = 2 * weight.nbytes + weight.shape[0] * x.itemsize
     peak = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad_out, 1, 1,
                                                    need_input=False))
-    assert padded < peak < padded + ops.TILE_BYTES + sums + (16 << 10)
+    assert peak < _tile_frames(x) + ops.TILE_BYTES + sums + (16 << 10)
 
 
 def test_memory_bound_rejects_im2col(bound_case):
@@ -897,7 +919,7 @@ def test_conv_pool_pair_bit_identical(case, kind):
 
 def _runs(kdim, filters, outs, itemsize, window):
     """The runs of conv output frames that ops._conv_plan holds at a time."""
-    return [(t0, t1) for t0, t1, _ in ops._conv_plan(kdim, filters, outs, itemsize, window)[1]]
+    return [(t0, t1) for t0, t1, *_ in ops._conv_plan(kdim, filters, outs, itemsize, window)]
 
 
 def test_paper_conv1_and_conv2_pool_in_several_blocks():
@@ -972,24 +994,68 @@ def test_no_conv1_output_in_a_training_step_or_forward():
 def test_conv_pool_pair_memory_is_one_run_above_its_results():
     """The bounds the ops docstring states, at paper conv1 on 16 frames: a
     27.6 MB conv output held in 8 runs of 3.46 MB. The forward peaks below
-    its pooled values and taps + one padded sample + one run + 2 *
-    TILE_BYTES (12.0 MB; it uses 11.9 MB), the backward without grad_input
-    below one padded sample + one run + 2 * BLOCK_BYTES (15.1 MB; it uses
-    12.4 MB), both well below the conv output alone."""
+    its pooled values and taps + the padded frames one tile reads + one run
+    + 2 * TILE_BYTES (9.36 MB; it uses 9.17 MB), the backward without
+    grad_input below those frames + one run + 2 * BLOCK_BYTES (12.4 MB; it
+    uses 9.70 MB), both well below the conv output alone."""
     x, weight, bias, _, _ = _conv_case(np.random.default_rng(30), np.float32,
                                        (1, 3, 16, 120, 120), 30)
     runs = _runs(81, 30, (16, 120, 120), 4, (2, 2, 2))
     assert len(runs) == 8
     run = 30 * 2 * 120 * 120 * 4
-    padded = 3 * 18 * 122 * 122 * 4
+    frames = _tile_frames(x)
+    assert frames == 3 * 3 * 122 * 122 * 4
     pooled, taps = ops.conv3d_maxpool3d(x, weight, bias, 1, 1, (2, 2, 2))
     grad = np.random.default_rng(31).standard_normal(pooled.shape, dtype=np.float32)
     forward = _peak_bytes(ops.conv3d_maxpool3d, x, weight, bias, 1, 1, (2, 2, 2))
     backward = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad, 1, 1, need_input=False,
                                                        window=(2, 2, 2), taps=taps))
-    assert forward < pooled.nbytes + taps.nbytes + padded + run + 2 * ops.TILE_BYTES
-    assert backward < padded + run + 2 * ops.BLOCK_BYTES
+    assert forward < pooled.nbytes + taps.nbytes + frames + run + 2 * ops.TILE_BYTES
+    assert backward < frames + run + 2 * ops.BLOCK_BYTES
     assert max(forward, backward) < 8 * run / 2
+
+
+def test_paper_conv2_holds_no_padded_sample_or_frame_block():
+    """Paper conv2 on one (7, 2, 2) pool run, a 6.05 MB conv output. Its
+    tiles are runs of 2 rows and its col2im blocks runs of 20 rows, as one
+    output frame's col2im columns (11.7 MB) exceed BLOCK_BYTES. The forward
+    peaks below its results + the run + the padded frames one tile reads
+    (1.38 MB) + 2 * TILE_BYTES (8.75 MB; it uses 8.32 MB), the backward
+    below grad_input + the run's gradient + BLOCK_BYTES + the weight-sized
+    col2im operand and sum + 128 KB of ufunc buffers and Python objects
+    (13.8 MB; it uses 13.5 MB). With a padded sample (4.15 MB) and whole-frame
+    col2im blocks they used 11.1 and 21.3 MB."""
+    shape, filters, window = (1, 30, 7, 60, 60), 60, (7, 2, 2)
+    x, weight, bias, grad = _fused_case(shape, filters, window, "random")
+    run = filters * 7 * 60 * 60 * 4
+    assert _runs(810, filters, shape[2:], 4, window) == [(0, 7)]
+    (_, _, tiles, blocks), = ops._conv_plan(810, filters, shape[2:], 4, window)
+    assert {r1 - r0 for _, _, (r0, r1) in tiles} == {2}
+    assert [rows for _, _, rows in blocks[:3]] == [(0, 20), (20, 40), (40, 60)]
+    pooled, taps = ops.conv3d_maxpool3d(x, weight, bias, 1, 1, window)
+    forward = _peak_bytes(ops.conv3d_maxpool3d, x, weight, bias, 1, 1, window)
+    backward = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad, 1, 1, window=window,
+                                                       taps=taps))
+    assert forward < pooled.nbytes + taps.nbytes + run + _tile_frames(x) + 2 * ops.TILE_BYTES
+    assert backward < x.nbytes + run + ops.BLOCK_BYTES + 2 * weight.nbytes + (128 << 10)
+
+
+def test_conv_backward_refuses_a_window_without_its_taps():
+    x = np.zeros((1, 2, 4, 8, 8), np.float32)
+    weight = np.zeros((4, 2, 3, 3, 3), np.float32)
+    pooled, _ = ops.conv3d_maxpool3d(x, weight, np.zeros(4, np.float32), 1, 1, (2, 2, 2))
+    with pytest.raises(ShapeError, match="a pool window and its tap index go together"):
+        ops.conv3d_backward(x, weight, pooled, 1, 1, window=(2, 2, 2))
+
+
+def test_conv_backward_refuses_taps_without_their_window():
+    """A tap index alone was ignored: the gradient went through unpooled."""
+    x = np.zeros((1, 2, 4, 8, 8), np.float32)
+    weight = np.zeros((4, 2, 3, 3, 3), np.float32)
+    _, taps = ops.conv3d_maxpool3d(x, weight, np.zeros(4, np.float32), 1, 1, (2, 2, 2))
+    grad = np.zeros((1, 4, 4, 8, 8), np.float32)
+    with pytest.raises(ShapeError, match="a pool window and its tap index go together"):
+        ops.conv3d_backward(x, weight, grad, 1, 1, taps=taps)
 
 
 def _traced_kernels():
