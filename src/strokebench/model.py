@@ -149,8 +149,12 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
     +0.0). A conv3d directly followed by a maxpool3d (then every block of the
     default chain) runs as `ops.conv3d_maxpool3d`, and back as
     `ops.conv3d_backward` with the pool's window: no full-size output, relu
-    cache or gradient exists. Each relu caches its output, which the next layer
-    holds too. Caches are kept in run order, which _backward_full follows.
+    cache or gradient exists. Each relu runs in place on an array the walk
+    made (it copies only the caller's cuboid, which no layer writes), and in
+    training caches the bool mask of its output > 0, one byte per element:
+    the next conv or linear layer caches the relu'd array itself, so no
+    activation is held twice. Inference makes no mask. Caches are kept in
+    run order, which _backward_full follows.
     The kernels take a unit batch axis: it is added here and in
     _backward_full, and nowhere else.
     """
@@ -180,9 +184,10 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
             cur, taps = ops.maxpool3d(cur, spec.window, need_winners=training)
             keep((spec, taps, in_shape))
         elif spec.kind == "relu":
-            # its output: x > 0 masks relu's input and output alike, NaN, ±0 and ±inf too
-            cur = ops.relu_forward(cur)
-            keep((spec, cur))
+            # in place, but never into the caller's cuboid
+            cur = ops.relu_forward(cur, out=None if np.may_share_memory(cur, cuboid) else cur)
+            if training:  # x > 0 masks relu's input and output alike, NaN, ±0 and ±inf too
+                keep((spec, cur > 0))
         elif spec.kind == "flatten":
             keep((spec, cur.shape))
             cur = cur.reshape(cur.shape[0], -1)
@@ -197,31 +202,39 @@ def _backward_full(model: ModelParams, caches, grad_logits: np.ndarray,
     into `sums` in place as each layer's backward returns them; for a
     linear weight, whose entry in `sums` is a list, it appends the sample's
     (x, grad_out) instead (see `_layer_backward`). Empties `caches`, last
-    layer first, so each layer's saved array is freed as soon as its
-    backward has run."""
+    layer first: `_layer_backward` pops each cache itself, so no frame but
+    its own holds the cache, and each saved array is freed as soon as the
+    layer's backward is done with it."""
     g = grad_logits[None]
     while caches:
-        # the first layer's input needs no gradient
-        g = _layer_backward(model, caches.pop(), g, sums, need_input=bool(caches))
+        g = _layer_backward(model, caches, g, sums)
 
 
-def _layer_backward(model: ModelParams, cache, g: np.ndarray,
-                    sums: dict[str, np.ndarray | list], need_input: bool) -> np.ndarray:
-    """One layer's backward: returns the gradient for its input and adds its
-    parameter gradients into `sums`. A linear layer forms no weight
-    gradient: it appends its input and output gradient, the factors
-    `ops.linear_weight_grad` sums over the batch, to its weight's list in
-    `sums`. The cache dies on return, with every other array unpacked from
-    it."""
+def _layer_backward(model: ModelParams, caches: list, g: np.ndarray,
+                    sums: dict[str, np.ndarray | list]) -> np.ndarray | None:
+    """The backward of the layer whose cache is last in `caches`, which it
+    pops: returns the gradient for its input (None for a conv that is the
+    first layer, whose input needs none) and adds its parameter gradients
+    into `sums`. A linear layer forms no weight gradient: it appends its
+    input and output gradient, the factors `ops.linear_weight_grad` sums
+    over the batch, to its weight's list in `sums`. A conv forms its weight
+    gradient first, then drops its input, of which its cache held the only
+    reference, and only then forms grad_input (`ops.conv3d_input_grad`).
+    Every array unpacked from the cache dies on return."""
+    cache = caches.pop()
     spec = cache[0]
     if spec.kind in ("conv3d", "linear"):
         _, weight, bias, window, taps, x = cache
+        del cache
         w = model.params[weight]
         if spec.kind == "conv3d":
-            g, grad_w, grad_b = ops.conv3d_backward(x, w, g, spec.stride, spec.pad,
-                                                    need_input=need_input, window=window,
-                                                    taps=taps)
+            _, grad_w, grad_b = ops.conv3d_backward(x, w, g, spec.stride, spec.pad,
+                                                    need_input=False, window=window, taps=taps)
             sums[weight] += grad_w
+            shape = x.shape
+            del x  # its only reference: it never coexists with its gradient
+            g = (ops.conv3d_input_grad(w, g, shape, spec.stride, spec.pad, window=window,
+                                       taps=taps) if caches else None)
         else:
             sums[weight].append((x, g))
             g, grad_b = ops.linear_backward(x, w, g)
@@ -337,7 +350,10 @@ def _summed_gradients(model: ModelParams, samples: Iterable[tuple[np.ndarray, in
     fc1, and `ops.linear_weight_grad` sums them in sample order, with the
     same bytes, after the last sample's backward, when no cuboid or cache is
     live. So no array of fc1's weight size exists during any sample's
-    passes. Returns (summed loss, the (N, K) logits, the summed gradients,
+    passes. Each activation is held once: a relu caches a one-byte mask, not
+    its output, which only the next layer's cache holds, and each conv's
+    input dies before its grad_input is formed (see `_layer_backward`).
+    Returns (summed loss, the (N, K) logits, the summed gradients,
     (forward seconds, backward seconds)): the forward passes with their
     losses, and the backward passes with the sums. A loss that is not finite
     raises TrainingError before its sample's backward, a summed gradient

@@ -135,7 +135,7 @@ def _check_relu(rng: np.random.Generator) -> float:
     def objective():
         return float(np.sum(ops.relu_forward(x) * r))
 
-    return _worst(objective, [(ops.relu_backward(x, r.copy()), x)])
+    return _worst(objective, [(ops.relu_backward(x > 0, r.copy()), x)])
 
 
 def _check_softmax_cross_entropy(rng: np.random.Generator) -> float:

@@ -16,25 +16,31 @@ lowered from one reused zero-bordered buffer of only the input frames a
 tile reads; col2im blocks of grad_input of at most `BLOCK_BYTES` (one
 output row at least); and runs of frames, one maxpool3d block each, in
 which a conv and the max pool after it, one kernel both ways
-(`conv3d_maxpool3d`), hold the conv output and its gradient. grad_weight
-adds one (F, C*kt*kh*kw) sum and one GEMM output of that size; grad_input,
-after the tile buffers are freed, the returned grad_input and one col2im
-block. `maxpool3d` pools, with no transposed copy, and `maxpool3d_backward`
-expands the tap index (each window's winning tap, one byte per pooled
-element; inference builds none) to flat int64 indices, one block of at most
-`BLOCK_BYTES` at a time. Every
-block loop, here, in `optim` and in `model.build_model`, is planned by
-`_even_runs`: the fewest runs within the cap (one frame or row at least)
-whose lengths differ by one at most.
+(`conv3d_maxpool3d`), hold the conv output and its gradient. The conv
+backward has two halves. The weight half (`conv3d_backward` with
+need_input=False) reads the input and adds one (F, C*kt*kh*kw) sum and one
+GEMM output of that size. The input half (`conv3d_input_grad`) takes only
+the input's shape, so a caller that holds the input's only reference can
+drop it in between, as the model does; it holds the returned grad_input
+and one col2im block. `conv3d_backward` runs both, the second once every
+buffer of the first is freed. `maxpool3d` pools, with no transposed copy,
+and `maxpool3d_backward` expands the tap index (each window's winning tap,
+one byte per pooled element; inference builds none) to flat int64 indices,
+one block of at most `BLOCK_BYTES` at a time. Every block loop, here, in
+`optim` and in `model.build_model`, is planned by `_even_runs`: the fewest
+runs within the cap (one frame or row at least) whose lengths differ by one
+at most.
 `linear_backward` forms no weight gradient, only grad_input and grad_bias:
 a sample's weight gradient is the outer product of its grad_out and x, so
 the caller keeps those factors (74 KB per sample at paper fc1, whose weight
 is 36.7 MB), and `linear_weight_grad` sums a batch's products into one
 array of the weight's size, one block of rows of at most `TILE_BYTES` at a
-time, once the batch's backward passes are done. `relu_backward`
-multiplies into the gradient it is given, in place: its caller owns that
-gradient and reads only the result (in the model, it is always the array
-the next layer's backward returned).
+time, once the batch's backward passes are done. `relu_forward` runs in
+place when given out=x. `relu_backward` takes the bool mask x > 0, one byte
+per element (the model caches it instead of relu's output), and multiplies
+it into the gradient it is given, in place: its caller owns that gradient
+and reads only the result (in the model, it is always the array the next
+layer's backward returned).
 
 Bound: the tracemalloc peak of one conv3d_forward call stays below
 output bytes + the bytes of the padded input frames one tile reads + 2 *
@@ -44,22 +50,27 @@ BLOCK_BYTES while one output row's col2im columns fit in a block.
 `tests/test_kernels.py` checks both for x of shape (1, 8, 32, 64, 64)
 float32 and 8 filters. The forward may use 5.66 MB (a 4.19 MB output, the
 0.42 MB of the 3 padded frames a tile reads and two tiles) and uses 5.19
-MB. The backward may use 37.7 MB and uses 7.89 MB, set by grad_input and
-one col2im block; without grad_input it uses 0.92 MB: a tile's padded
-frames, one tile and 40 KB of sums and Python objects. With a 3x3x1 kernel
-grad_input sets the peak: 7.97 MB, below grad_input + BLOCK_BYTES + 128 KB
-of ufunc buffers and Python objects (8.52 MB). At paper conv1 on 16 frames
-(a 27.6 MB output in 8 runs), conv3d_maxpool3d stays below its results + a
-tile's padded frames + one run + 2 * TILE_BYTES (9.36 MB), using 9.17 MB,
-and its backward without grad_input below a tile's padded frames + one run
+MB. The backward may use 37.7 MB and uses 7.94 MB, set by its input half.
+Each half has a bound of its own. The weight half stays below the padded
+frames one tile reads + TILE_BYTES + two weight sizes + grad_bias + 16 KB
+of Python objects, using 0.92 MB here; with a pool window add one run of
+the conv output's gradient (see below). The input half stays below
+grad_input + the run's gradient (none without a window) + BLOCK_BYTES +
+one weight size + 128 KB of ufunc buffers and Python objects: 8.52 MB
+here, using 7.88 MB, and with a 3x3x1 kernel 7.64 MB. At paper conv1 on 16
+frames (a 27.6 MB output in 8 runs), conv3d_maxpool3d stays below its
+results + a tile's padded frames + one run + 2 * TILE_BYTES (9.36 MB),
+using 9.17 MB, and its weight half below a tile's padded frames + one run
 + 2 * BLOCK_BYTES (12.4 MB), using 9.70 MB. At paper conv2 on one (7, 2, 2)
 pool run, one output frame's col2im columns (11.7 MB) exceed BLOCK_BYTES,
-so its col2im blocks are runs of 20 rows (3.9 MB): the backward stays below
-grad_input + the run's gradient + BLOCK_BYTES + two weight sizes + 128 KB
-(13.8 MB), using 13.5 MB. A training `maxpool3d` call peaks less than
-`BLOCK_BYTES` above its results, `maxpool3d_backward` less than that above
-its result, `linear_weight_grad` less than one block of rows above the sum
-it returns, and `linear_backward` holds only its results.
+so its col2im blocks are runs of 20 rows (3.9 MB): the input half stays
+below grad_input + the run's gradient + BLOCK_BYTES + one weight size +
+128 KB (13.6 MB), using 13.3 MB, and the whole backward below that + one
+more weight size (13.8 MB), using 13.5 MB. A training `maxpool3d` call
+peaks less than `BLOCK_BYTES` above its results, `maxpool3d_backward` less
+than that above its result, `linear_weight_grad` less than one block of
+rows above the sum it returns, and `linear_backward` and `relu_backward`
+hold only their results.
 
 Numerics. Each output element of the forward and of grad_input is one dot
 product over the same reduction axis, in the same order, as in the im2col
@@ -137,15 +148,15 @@ def _check_one_sample(op, shape):
         raise ShapeError(f"{op} takes one sample of shape (1,C,T,H,W), got shape {tuple(shape)}")
 
 
-def _check_conv(x, weight, stride, pad):
-    _check_one_sample("conv3d", x.shape)
+def _check_conv(shape, weight, stride, pad):
+    _check_one_sample("conv3d", shape)
     if weight.ndim != 5:
         raise ShapeError(f"conv3d weight must be 5-d (F,C,kt,kh,kw), got shape {weight.shape}")
-    if x.shape[1] != weight.shape[1]:
+    if shape[1] != weight.shape[1]:
         raise ShapeError(
-            f"input channels {x.shape[1]} do not match weight channels {weight.shape[1]}"
+            f"input channels {shape[1]} do not match weight channels {weight.shape[1]}"
         )
-    return conv3d_out_extents(x.shape[2:], weight.shape[2:], stride, pad)
+    return conv3d_out_extents(shape[2:], weight.shape[2:], stride, pad)
 
 
 def _even_runs(count, cap):
@@ -153,22 +164,6 @@ def _even_runs(count, cap):
     (one at least), whose lengths differ by at most one."""
     runs = -(-count // max(1, cap))
     return [(count * i // runs, count * (i + 1) // runs) for i in range(runs)]
-
-
-def _tap_parts(tap, stride, pad, extents, ranges):
-    """Where kernel tap (i, j, k) meets the unpadded (T, H, W) input of
-    `extents`, for the output positions in `ranges` ((start, end) per axis):
-    the slices of the positions whose tap lands inside the input, counted
-    from each range's start, and the input slices those positions read."""
-    out_part, in_part = [], []
-    for offset, extent, (a, b) in zip(tap, extents, ranges):
-        # output positions o with 0 <= offset + stride*o - pad < extent
-        lo = min(b, max(a, -((offset - pad) // stride)))
-        hi = max(lo, min(b, (extent - 1 + pad - offset) // stride + 1))
-        start = offset + stride * lo - pad
-        out_part.append(slice(lo - a, hi - a))
-        in_part.append(slice(start, start + stride * (hi - lo), stride))
-    return tuple(out_part), tuple(in_part)
 
 
 def _pool_blocks(frames, frame_input):
@@ -264,7 +259,7 @@ def conv3d_maxpool3d(x, weight, bias, stride: int, pad: int, window, *, need_win
     cut, so each output element is the same dot product as in one GEMM over
     all positions. Each run is pooled as maxpool3d pools a block.
     """
-    outs = _check_conv(x, weight, stride, pad)
+    outs = _check_conv(x.shape, weight, stride, pad)
     if bias.shape != (weight.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} does not match {weight.shape[0]} filters")
     f = weight.shape[0]
@@ -289,6 +284,39 @@ def conv3d_maxpool3d(x, weight, bias, stride: int, pad: int, window, *, need_win
     return pooled, taps
 
 
+def _check_backward(input_shape, weight, grad_out, stride, pad, window, taps):
+    """The conv output extents of a backward from grad_out, checked as
+    conv3d_backward and conv3d_input_grad check their arguments."""
+    outs = _check_conv(input_shape, weight, stride, pad)
+    expected = (1, weight.shape[0]) + (outs if window is None else
+                                       maxpool3d_out_extents(outs, window))
+    if grad_out.shape != expected:
+        raise ShapeError(f"grad_out shape {grad_out.shape} does not match output {expected}")
+    if (window is None) != (taps is None):
+        raise ShapeError(f"a pool window and its tap index go together, got window {window} "
+                         f"and {'no' if taps is None else 'a'} tap index")
+    if window is not None and taps.shape != expected:
+        raise ShapeError(f"tap index shape {taps.shape} does not match output {expected}")
+    return outs
+
+
+def _conv_grads(grad_out, window, taps, outs):
+    """conv_grad(c0, c1, t0, t1): the gradient of the conv output's channels
+    [c0, c1) and frames [t0, t1), flat, from the gradient `grad_out` of the
+    (pooled) output, through the pool's backward at `taps` with a `window`.
+    It keeps the last one it built."""
+    ho, wo = outs[1:]
+
+    @functools.lru_cache(maxsize=1)  # built once where one run and one group hold it all
+    def conv_grad(c0, c1, t0, t1):
+        if window is None:
+            return grad_out[0, c0:c1, t0:t1].reshape(c1 - c0, -1)
+        p = slice(t0 // window[0], t1 // window[0])
+        return _pool_backward(grad_out[:, c0:c1, p], taps[:, c0:c1, p],
+                              (1, c1 - c0, t1 - t0, ho, wo), window).reshape(c1 - c0, -1)
+    return conv_grad
+
+
 def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *, need_input: bool = True,
                     window=None, taps=None):
     """Exact adjoints of conv3d_forward, or with a `window` of conv3d_maxpool3d
@@ -301,38 +329,29 @@ def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *, need_input: b
     lowers it and one GEMM, the tile's gradient (F x positions) times its
     columns transposed, added in tile order into one (F, C*kt*kh*kw) sum
     that starts from zero.
-    grad_input: per col2im block of _conv_plan, one GEMM gives every tap's
-    contribution (in (kt,kh,kw,C | frames, rows, W') layout), added
-    straight into grad_input where the tap meets the input (see _tap_parts).
-    Runs and blocks go last frame first, and last row first within a frame:
-    a lower tap reads a later output frame or row, so each input element
-    still receives its contributions in tap order. With need_input=False an empty
-    array of grad_out's dtype stands in for grad_input (a first layer's).
+    grad_input is conv3d_input_grad's, formed once every column and input
+    buffer of grad_weight is freed. With need_input=False an empty array of
+    grad_out's dtype stands in for it (a first layer's, or one the caller
+    forms with conv3d_input_grad after dropping x).
     """
-    outs = _check_conv(x, weight, stride, pad)
-    c, t, h, w = x.shape[1:]
+    outs = _check_backward(x.shape, weight, grad_out, stride, pad, window, taps)
+    # every buffer and the plan of grad_weight die before grad_input is formed
+    grad_weight, grad_bias = _weight_grad(x, weight, grad_out, stride, pad, window, taps, outs)
+    if not need_input:
+        return np.empty(0, dtype=grad_out.dtype), grad_weight, grad_bias
+    return (_input_grad(weight, grad_out, x.shape, stride, pad, window, taps, outs),
+            grad_weight, grad_bias)
+
+
+def _weight_grad(x, weight, grad_out, stride, pad, window, taps, outs):
+    """(grad_weight, grad_bias) of conv3d_backward, unchecked."""
+    c = x.shape[1]
     f = weight.shape[0]
     kshape = weight.shape[2:]
-    expected = (1, f) + (outs if window is None else maxpool3d_out_extents(outs, window))
-    if grad_out.shape != expected:
-        raise ShapeError(f"grad_out shape {grad_out.shape} does not match output {expected}")
-    if (window is None) != (taps is None):
-        raise ShapeError(f"a pool window and its tap index go together, got window {window} "
-                         f"and {'no' if taps is None else 'a'} tap index")
-    if window is not None and taps.shape != expected:
-        raise ShapeError(f"tap index shape {taps.shape} does not match output {expected}")
     to, ho, wo = outs
-    frame = ho * wo  # output positions per frame
+    conv_grad = _conv_grads(grad_out, window, taps, outs)
 
-    @functools.lru_cache(maxsize=1)  # built once where one run and one group hold it all
-    def conv_grad(c0, c1, t0, t1):  # of channels [c0, c1) and frames [t0, t1), flat
-        if window is None:
-            return grad_out[0, c0:c1, t0:t1].reshape(c1 - c0, -1)
-        p = slice(t0 // window[0], t1 // window[0])
-        return _pool_backward(grad_out[:, c0:c1, p], taps[:, c0:c1, p],
-                              (1, c1 - c0, t1 - t0, ho, wo), window).reshape(c1 - c0, -1)
-
-    groups = _even_runs(f, BLOCK_BYTES // (to * frame * grad_out.itemsize))
+    groups = _even_runs(f, BLOCK_BYTES // (to * ho * wo * grad_out.itemsize))
     # a sum from zero: a channel of -0.0 gradients gives +0.0
     grad_bias = np.concatenate([conv_grad(c0, c1, 0, to).sum(axis=1) for c0, c1 in groups]) + 0.0
 
@@ -346,23 +365,80 @@ def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *, need_input: b
         for positions, frames, rows in tiles:
             np.matmul(g2[:, positions], columns(t0, frames, rows).T, out=prod)
             grad_weight += prod
-    grad_weight = grad_weight.reshape(weight.shape)
-    columns = g2 = prod = None  # so that no column or input buffer coexists with grad_input
-    if not need_input:
-        return np.empty(0, dtype=grad_out.dtype), grad_weight, grad_bias
+    return grad_weight.reshape(weight.shape), grad_bias
 
-    grad_input = np.zeros(x.shape, dtype=grad_out.dtype)
+
+def conv3d_input_grad(weight, grad_out, input_shape, stride: int, pad: int, *, window=None,
+                      taps=None):
+    """grad_input of conv3d_backward for an input of `input_shape`, which it
+    does not read: a caller may drop the input once grad_weight is formed.
+
+    Per col2im block of _conv_plan, one GEMM gives every tap's contribution
+    (in (kt,kh,kw,C | frames, rows, W') layout), added straight into
+    grad_input where the tap meets the input (see _axis_parts). Runs and
+    blocks go last frame first, and last row first within a frame: a lower
+    tap reads a later output frame or row, so each input element still
+    receives its contributions in tap order.
+    """
+    outs = _check_backward(tuple(input_shape), weight, grad_out, stride, pad, window, taps)
+    return _input_grad(weight, grad_out, tuple(input_shape), stride, pad, window, taps, outs)
+
+
+def _input_grad(weight, grad_out, input_shape, stride, pad, window, taps, outs):
+    """conv3d_input_grad, unchecked: conv3d_backward calls it too. Each
+    block adds its taps into a view of the input frames they reach, so a
+    tap's slices depend on the block's frames only where they reach the
+    input's padding: they are computed once per frame count for the blocks
+    whose taps all land inside the input, once per block elsewhere, and
+    once per row range across rows (see _axis_parts)."""
+    c, t, h, w = input_shape[1:]
+    f, (kt, kh, kw) = weight.shape[0], weight.shape[2:]
+    wo = outs[2]
+    conv_grad = _conv_grads(grad_out, window, taps, outs)
+    runs = _conv_plan(c * kt * kh * kw, f, outs, np.result_type(weight, grad_out).itemsize,
+                      window)
+    grad_input = np.zeros(input_shape, dtype=grad_out.dtype)
     w2 = np.ascontiguousarray(weight.transpose(2, 3, 4, 1, 0)).reshape(-1, f)
+    frame_parts, row_parts = {}, {}
+    col_parts = _axis_parts(kw, stride, pad, w, (0, wo), 0)
     for t0, t1, _, blocks in reversed(runs):
         g2 = conv_grad(0, f, t0, t1)
         for positions, (f0, f1), rows in reversed(blocks):
-            cols = (w2 @ g2[:, positions]).reshape(kshape + (c, f1 - f0, rows[1] - rows[0], wo))
-            for tap in np.ndindex(*kshape):
-                out_part, in_part = _tap_parts(tap, stride, pad, (t, h, w),
-                                               ((t0 + f0, t0 + f1), rows, (0, wo)))
-                grad_input[(0, ..., *in_part)] += cols[tap][(..., *out_part)]
+            a, b = t0 + f0, t0 + f1
+            # the input frames the block's taps reach, padding included
+            s, e = a * stride - pad, (b - 1) * stride + kt - pad
+            key = b - a if 0 <= s and e <= t else (a, b)
+            if key not in frame_parts:
+                frame_parts[key] = _axis_parts(kt, stride, pad, t, (a, b), max(s, 0))
+            if rows not in row_parts:
+                row_parts[rows] = _axis_parts(kh, stride, pad, h, rows, 0)
+            held = grad_input[0, :, max(s, 0) : min(e, t)]
+            cols = (w2 @ g2[:, positions]).reshape(kt, kh, kw, c, b - a, rows[1] - rows[0], wo)
+            for i, out_t, in_t in frame_parts[key]:
+                for j, out_h, in_h in row_parts[rows]:
+                    for k, out_w, in_w in col_parts:
+                        held[:, in_t, in_h, in_w] += cols[i, j, k, :, out_t, out_h, out_w]
             del cols  # so that two blocks never coexist
-    return grad_input, grad_weight, grad_bias
+    return grad_input
+
+
+def _axis_parts(kernel, stride, pad, extent, span, first):
+    """Where each kernel offset along one axis meets the unpadded input of
+    `extent`, for the output positions [a, b) of `span`: in order, each
+    offset that meets it for one of them at least, with the slice of the
+    positions it meets counted from a and the input slice they read counted
+    from index `first`."""
+    a, b = span
+    parts = []
+    for offset in range(kernel):
+        # output positions o with 0 <= offset + stride*o - pad < extent
+        lo = min(b, max(a, -((offset - pad) // stride)))
+        hi = max(lo, min(b, (extent - 1 + pad - offset) // stride + 1))
+        if lo < hi:
+            start = offset + stride * lo - pad - first
+            parts.append((offset, slice(lo - a, hi - a),
+                          slice(start, start + stride * (hi - lo), stride)))
+    return parts
 
 
 def _pool_block(x, window, peak, local):
@@ -513,15 +589,19 @@ def linear_weight_grad(factors):
     return grad_weight
 
 
-def relu_forward(x):
-    return np.maximum(x, 0)
+def relu_forward(x, out=None):
+    """max(x, 0), into `out` if given (x itself for a relu in place)."""
+    return np.maximum(x, 0, out=out)
 
 
-def relu_backward(x, grad_out):
-    """grad_out * (x > 0), multiplied in place into `grad_out`, which is
-    returned: the caller hands the gradient over (see the module docstring)."""
-    # gradient defined as exactly 0 at x == 0
-    grad_out *= x > 0
+def relu_backward(mask, grad_out):
+    """grad_out * mask for the bool `mask` x > 0 (the gradient is exactly 0
+    at x == 0), multiplied in place into `grad_out`, which is returned: the
+    caller hands the gradient over (see the module docstring). relu_forward(x)
+    > 0 is the same mask, for NaN, +-0 and +-inf too."""
+    if mask.dtype != np.bool_:
+        raise TypeError(f"relu_backward takes the bool mask x > 0, got dtype {mask.dtype}")
+    grad_out *= mask
     return grad_out
 
 

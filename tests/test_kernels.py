@@ -33,6 +33,7 @@ off than the per-tap GEMMs, which stay as the rounding reference.
 """
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -46,7 +47,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from strokebench import model
 from strokebench.errors import ShapeError
-from strokebench.nn import ops
+from strokebench.nn import layers, ops
 from strokebench.nn.layers import default_architecture
 from strokebench.nn.optim import NesterovSGD
 
@@ -102,7 +103,7 @@ def frame_block_conv3d_forward(x, weight, bias, stride=1, pad=0):
     """conv3d_forward before it worked in cache-sized tiles: per sample, one
     GEMM per block of output frames whose columns take up to 32 MB, and the
     bias added to the whole output at the end."""
-    to, ho, wo = ops._check_conv(x, weight, stride, pad)
+    to, ho, wo = ops._check_conv(x.shape, weight, stride, pad)
     n = x.shape[0]
     f = weight.shape[0]
     kdim = weight[0].size
@@ -463,27 +464,44 @@ def test_backward_without_grad_input(name, x_shape, filters, kernel, stride, pad
             xs, weight, gs, stride, pad, need_input=False)
         assert grad_input.size == 0 and grad_input.dtype == grad_out.dtype
         assert _same_bytes(grad_weight, full[1]) and _same_bytes(grad_bias, full[2]), (name, s)
+        # the other half, from the input's shape alone
+        shape = list(xs.shape)
+        assert _same_bytes(ops.conv3d_input_grad(weight, gs, shape, stride, pad), full[0]), name
 
 
 def test_backward_full_skips_only_the_first_conv_grad_input(monkeypatch):
+    """Each conv's backward forms its weight gradient alone
+    (need_input=False), and every conv but the first then its grad_input
+    with conv3d_input_grad, once the conv's input, which its cache held, is
+    gone."""
     arch = default_architecture((3, 8, 16, 16), filters=(4, 8, 8), hidden=8, n_classes=2)
     net = model.build_model(2, arch, seed=3, input_shape=(3, 8, 16, 16))
     x = np.random.default_rng(3).random((2, 3, 8, 16, 16), dtype=np.float32)
-    calls = []
+    calls, inputs = [], {}
 
-    def spy(x, weight, grad_out, stride=1, pad=0, **kwargs):
-        out = orig(x, weight, grad_out, stride, pad, **kwargs)
-        calls.append((weight.shape[:2], kwargs.get("need_input", True), out[0].shape))
+    def weight_spy(x, weight, grad_out, stride=1, pad=0, **kwargs):
+        out = orig_weight(x, weight, grad_out, stride, pad, **kwargs)
+        calls.append(("weight", weight.shape[:2], kwargs.get("need_input", True), out[0].shape))
         return out
 
-    orig = ops.conv3d_backward
-    monkeypatch.setattr(ops, "conv3d_backward", spy)
+    def input_spy(weight, grad_out, input_shape, stride, pad, **kwargs):
+        alive = inputs[weight.shape]() is not None
+        out = orig_input(weight, grad_out, input_shape, stride, pad, **kwargs)
+        calls.append(("input", weight.shape[:2], alive, out.shape))
+        return out
+
+    orig_weight, orig_input = ops.conv3d_backward, ops.conv3d_input_grad
+    monkeypatch.setattr(ops, "conv3d_backward", weight_spy)
+    monkeypatch.setattr(ops, "conv3d_input_grad", input_spy)
     sums = {name: [] if p.ndim == 2 else np.zeros_like(p) for name, p in net.params.items()}
     for s in range(len(x)):
         logits, caches = model._forward_full(net, x[s], training=True)
+        inputs = {net.params[c[1]].shape: weakref.ref(c[-1])
+                  for c in caches if c[0].kind == "conv3d"}
         model._backward_full(net, caches, np.ones_like(logits), sums)
-    assert calls == [((8, 8), True, (1, 8, 2, 4, 4)), ((8, 4), True, (1, 4, 4, 8, 8)),
-                     ((4, 3), False, (0,))] * len(x)
+    assert calls == [("weight", (8, 8), False, (0,)), ("input", (8, 8), False, (1, 8, 2, 4, 4)),
+                     ("weight", (8, 4), False, (0,)), ("input", (8, 4), False, (1, 4, 4, 8, 8)),
+                     ("weight", (4, 3), False, (0,))] * len(x)
 
 
 def test_backward_full_frees_each_cache_before_the_next_layer(monkeypatch):
@@ -551,30 +569,142 @@ def test_step_allocates_no_fc1_weight_sized_array_before_a_conv_backward(monkeyp
     assert sums["fc1.weight"].tobytes() == expected.tobytes()
 
 
-def test_relu_caches_the_array_its_next_layer_holds(monkeypatch):
-    """After a training forward, every relu cache is the array (or the base of
-    the flattened view) that the next conv or linear layer caches, and no
-    cache holds a pool's output."""
+def test_conv2_input_dies_before_its_grad_input(monkeypatch):
+    """From the start of a training step to the end of conv2's backward
+    (when conv1's starts), the tracemalloc peak stays below conv2's
+    grad_input + pool1's tap index + relu1's mask + 1.25 MB for all else
+    at the peak: conv2's tile buffers and input frames, its output's
+    gradient, pool2's output that fc1 holds, Python objects. The bound has
+    no term for conv2's input (relu1's output, 2.1 MB here, the largest
+    array the step makes) beside its grad_input of that size.
+    While relu1's cache and conv2's both held that input through conv2's
+    grad_input, the step peaked at 5.52 MB against this bound of 4.46 MB;
+    now it peaks at 4.22 MB, in conv2's weight gradient."""
+    monkeypatch.setattr(ops, "TILE_BYTES", 128 << 10)
+    monkeypatch.setattr(ops, "BLOCK_BYTES", 128 << 10)
+    shape, filters = (3, 32, 64, 64), (32, 2)
+    arch = default_architecture(shape, filters=filters, hidden=8, n_classes=2)
+    net = model.build_model(2, arch, seed=7, input_shape=shape)
+    samples = [(np.random.default_rng(7).random(shape, dtype=np.float32), 0)]
+    conv1, peaks = net.params["conv1.weight"], []
+
+    def spy(x, weight, *args, **kwargs):
+        if weight is conv1:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        return orig(x, weight, *args, **kwargs)
+
+    orig = ops.conv3d_backward
+    monkeypatch.setattr(ops, "conv3d_backward", spy)
+    tracemalloc.start()
+    try:
+        model._summed_gradients(net, samples, "step")
+    finally:
+        tracemalloc.stop()
+    pooled = filters[0] * 16 * 32 * 32  # elements of pool1's output, conv2's input
+    bound = 4 * pooled + pooled + pooled + (1280 << 10)
+    assert len(peaks) == 1 and peaks[0] < bound, (peaks, bound)
+
+
+def test_relu_caches_a_mask_and_its_next_layer_the_relud_array(monkeypatch):
+    """After a training forward, every relu cache is the bool mask of its
+    output > 0, one byte per element. Each relu ran in place, and the next
+    conv or linear layer caches the array it returned (or a flattened view
+    of it). No cache holds any other float array but the input cuboid:
+    no activation is held twice."""
     shape = (3, 8, 16, 16)
     arch = default_architecture(shape, filters=(4, 8), hidden=8, n_classes=2)
     net = model.build_model(2, arch, seed=3, input_shape=shape)
-    pooled = []
+    cuboid = np.random.default_rng(3).standard_normal(shape).astype(np.float32)
+    relus = []
 
-    def pool_spy(*args, **kwargs):
-        out = orig(*args, **kwargs)
-        pooled.append(out[0])
-        return out
+    def relu_spy(x, out=None):
+        relus.append((x, orig(x, out=out)))
+        return relus[-1][1]
 
-    orig = ops.conv3d_maxpool3d
-    monkeypatch.setattr(ops, "conv3d_maxpool3d", pool_spy)
-    _, caches = model._forward_full(net, np.ones(shape, np.float32), training=True)
-    relus = [(i, c[1]) for i, c in enumerate(caches) if c[0].kind == "relu"]
-    assert len(relus) == 3 and len(pooled) == 2
-    for i, out in relus:
+    orig = ops.relu_forward
+    monkeypatch.setattr(ops, "relu_forward", relu_spy)
+    _, caches = model._forward_full(net, cuboid, training=True)
+    masks = [(i, c[1]) for i, c in enumerate(caches) if c[0].kind == "relu"]
+    assert len(masks) == len(relus) == 3
+    for (i, mask), (x, out) in zip(masks, relus):
+        assert out is x, i
+        assert mask.dtype == np.bool_ and np.array_equal(mask, out > 0), i
         nxt = next(c[-1] for c in caches[i + 1:] if c[0].kind in ("conv3d", "linear"))
         assert nxt is out or nxt.base is out, i
-    arrays = [a for c in caches for a in c[1:] if isinstance(a, np.ndarray)]
-    assert not any(a is p for a in arrays for p in pooled)
+    floats = [a for c in caches for a in c[1:]
+              if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+    owners = [cuboid] + [out for _, out in relus]
+    assert sorted(next(k for k, o in enumerate(owners) if np.shares_memory(a, o))
+                  for a in floats) == [0, 1, 2, 3]
+
+
+RELU_FIRST = (3, 4, 8, 8)
+RELU_FIRST_CHAINS = {  # each chain and the index of the relu that reads the cuboid
+    "relu first": ([layers.relu(), layers.conv3d(3, 4, (3, 3, 3), 1, 1), layers.relu(),
+                    layers.maxpool3d((2, 2, 2)), layers.flatten(), layers.linear(128, 2)], 0),
+    "flatten, then relu": ([layers.flatten(), layers.relu(), layers.linear(768, 2)], 1),
+}
+
+
+@pytest.mark.parametrize("chain", list(RELU_FIRST_CHAINS))
+def test_relu_on_the_input_leaves_the_callers_cuboid(chain):
+    """A hand-built chain may start with relu (or flatten, then relu): that
+    relu copies, so the caller's cuboid keeps its bytes through `forward`
+    and a training step, and the logits are those of the chain without it
+    on the relu'd cuboid."""
+    arch, first = RELU_FIRST_CHAINS[chain]
+    net = model.build_model(2, arch, seed=9, input_shape=RELU_FIRST)
+    cuboid = np.random.default_rng(9).standard_normal(RELU_FIRST).astype(np.float32)
+    before = cuboid.tobytes()
+    logits = model.forward(net, cuboid)
+    assert cuboid.tobytes() == before
+    bare = model.ModelParams(arch[:first] + arch[first + 1:], net.params, RELU_FIRST, 2)
+    assert model.forward(bare, np.maximum(cuboid, 0)).tobytes() == logits.tobytes()
+    opt = NesterovSGD(net.params, lr=0.01, momentum=0.9, weight_decay=0.005)
+    model._train_step(net, opt, [(cuboid, 0), (cuboid, 1)], "step")
+    assert cuboid.tobytes() == before
+
+
+def test_forward_makes_no_relu_mask(monkeypatch):
+    """In a forward each relu runs in place and makes no mask: from each
+    relu's start to the start of the next kernel, the tracemalloc peak
+    grows by less than 4 KB. A training forward's grows by each relu's
+    mask at least (64 KB for relu1 here), so the measure sees a mask where
+    one is made."""
+    shape = (3, 16, 64, 64)
+    arch = default_architecture(shape, filters=(8, 16), hidden=8, n_classes=2)
+    net = model.build_model(2, arch, seed=4, input_shape=shape)
+    x = np.random.default_rng(4).random(shape, dtype=np.float32)
+    starts, growth = [], []
+
+    def relu_spy(*args, **kwargs):
+        starts.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return orig_relu(*args, **kwargs)
+
+    def next_kernel(kernel):
+        def spy(*args, **kwargs):
+            if starts:
+                growth.append(tracemalloc.get_traced_memory()[1] - starts.pop())
+            return kernel(*args, **kwargs)
+        return spy
+
+    orig_relu = ops.relu_forward
+    monkeypatch.setattr(ops, "relu_forward", relu_spy)
+    for name in ("conv3d_maxpool3d", "linear_forward"):
+        monkeypatch.setattr(ops, name, next_kernel(getattr(ops, name)))
+    tracemalloc.start()
+    try:
+        model.forward(net, x)
+        inference = growth[:]
+        growth.clear()
+        _, caches = model._forward_full(net, x, training=True)
+    finally:
+        tracemalloc.stop()
+    masks = [c[1].nbytes for c in caches if c[0].kind == "relu"]
+    assert len(inference) == len(growth) == len(masks) == 3 and masks[0] == 64 << 10
+    assert max(inference) < 4 << 10
+    assert all(g >= m for g, m in zip(growth, masks))
 
 
 # -- maxpool3d -----------------------------------------------------------------
@@ -764,9 +894,10 @@ def test_conv_backward_without_grad_input_peaks_lower():
     assert grad_out.flags.c_contiguous  # no copy of grad_out
     skip = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad_out, 1, 1, need_input=False))
     full = _peak_bytes(ops.conv3d_backward, x, weight, grad_out, 1, 1)
+    half = _peak_bytes(lambda: ops.conv3d_input_grad(weight, grad_out, x.shape, 1, 1))
     assert skip < full
     # grad_input, one block, the ufunc buffers of its adds (96 KB) and Python objects
-    assert full < x.nbytes + ops.BLOCK_BYTES + (128 << 10)
+    assert max(full, half) < x.nbytes + ops.BLOCK_BYTES + (128 << 10)
 
 
 def test_conv_backward_without_grad_input_holds_the_frames_of_one_tile(bound_case):
@@ -906,6 +1037,9 @@ def _assert_fused_bytes(x, weight, bias, window, grad):
                                     window=window, taps=got_taps)
         for a, b in zip(fused, ref):
             assert _same_bytes(a, b), need_input
+        grad_input = fused[0] if need_input else grad_input
+    half = ops.conv3d_input_grad(weight, grad, x.shape, 1, 1, window=window, taps=got_taps)
+    assert _same_bytes(half, grad_input)
 
 
 @pytest.mark.parametrize("case,kind", FUSED_RUNS,
@@ -1036,8 +1170,28 @@ def test_paper_conv2_holds_no_padded_sample_or_frame_block():
     forward = _peak_bytes(ops.conv3d_maxpool3d, x, weight, bias, 1, 1, window)
     backward = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad, 1, 1, window=window,
                                                        taps=taps))
+    half = _peak_bytes(lambda: ops.conv3d_input_grad(weight, grad, x.shape, 1, 1, window=window,
+                                                     taps=taps))
     assert forward < pooled.nbytes + taps.nbytes + run + _tile_frames(x) + 2 * ops.TILE_BYTES
     assert backward < x.nbytes + run + ops.BLOCK_BYTES + 2 * weight.nbytes + (128 << 10)
+    # the input half alone: grad_input, the run's gradient, one block and the col2im operand
+    assert half < x.nbytes + run + ops.BLOCK_BYTES + weight.nbytes + (128 << 10)
+
+
+def test_conv_input_grad_refuses_what_the_backward_refuses():
+    x = np.zeros((1, 2, 4, 8, 8), np.float32)
+    weight = np.zeros((4, 2, 3, 3, 3), np.float32)
+    pooled, taps = ops.conv3d_maxpool3d(x, weight, np.zeros(4, np.float32), 1, 1, (2, 2, 2))
+    with pytest.raises(ShapeError, match="a pool window and its tap index go together"):
+        ops.conv3d_input_grad(weight, pooled, x.shape, 1, 1, window=(2, 2, 2))
+    with pytest.raises(ShapeError, match="does not match output"):
+        ops.conv3d_input_grad(weight, pooled, x.shape, 1, 1)
+    with pytest.raises(ShapeError, match="input channels 3 do not match weight channels 2"):
+        ops.conv3d_input_grad(weight, pooled, (1, 3, 4, 8, 8), 1, 1, window=(2, 2, 2),
+                              taps=taps)
+    with pytest.raises(ShapeError, match="one sample"):
+        ops.conv3d_input_grad(weight, pooled, (2, 2, 4, 8, 8), 1, 1, window=(2, 2, 2),
+                              taps=taps)
 
 
 def test_conv_backward_refuses_a_window_without_its_taps():

@@ -284,24 +284,38 @@ class TestRelu:
     def test_all_negative_blocks_gradient(self):
         x = -np.abs(np.random.default_rng(0).standard_normal((3, 4))) - 0.1
         assert not ops.relu_forward(x).any()
-        assert not ops.relu_backward(x, np.ones_like(x)).any()
+        assert not ops.relu_backward(x > 0, np.ones_like(x)).any()
 
     def test_gradient_zero_exactly_at_zero(self):
         x = np.array([0.0, 1.0])
-        assert np.array_equal(ops.relu_backward(x, np.ones(2)), [0.0, 1.0])
+        assert np.array_equal(ops.relu_backward(x > 0, np.ones(2)), [0.0, 1.0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_multiplies_in_place_with_the_bytes_of_the_product(self, dtype):
         """relu_backward returns the gradient it was given, multiplied in place,
         with the bytes of grad_out * (x > 0) for every pair of NaN, +-inf,
-        signed zeros and finite values."""
+        signed zeros and finite values, whether the mask is taken of relu's
+        input or of its output."""
         special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-30, -3.5, 2.0], dtype)
         x, grad_out = (a.copy() for a in np.meshgrid(special, special))
         with np.errstate(invalid="ignore"):
             expected = grad_out * (x > 0)
-            got = ops.relu_backward(x, grad_out)
+            assert np.array_equal(ops.relu_forward(x) > 0, x > 0)
+            got = ops.relu_backward(ops.relu_forward(x) > 0, grad_out)
         assert got is grad_out and got.tobytes() == expected.tobytes()
         assert np.signbit(got).any() and np.isnan(got).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_in_place_has_the_bytes_of_a_copy(self, dtype):
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-30, -3.5, 2.0], dtype)
+        x = np.tile(special, (3, 5))
+        expected = ops.relu_forward(x)
+        assert ops.relu_forward(x, out=x) is x and x.tobytes() == expected.tobytes()
+
+    def test_backward_refuses_a_float_mask(self):
+        x = np.array([-1.0, 2.0])
+        with pytest.raises(TypeError, match="bool mask"):
+            ops.relu_backward(x, np.ones(2))
 
 
 class TestSoftmaxCrossEntropy:

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,28 @@ def test_step_memory_measures_the_library_step():
         digest.update(grads[name].tobytes())
     reported = _run(*TINY, "--batch", "3")
     assert reported["sha256"] == digest.hexdigest()
+
+
+def test_digest_copies_no_gradient():
+    """The script hashes each gradient from its buffer: hashing a 4 MB
+    gradient allocates less than 64 KB, and gives the digest of its
+    tobytes() copy."""
+    rng = np.random.default_rng(5)
+    logits = rng.standard_normal((2, 2)).astype(np.float32)
+    grads = {"fc1.weight": rng.standard_normal((1000, 1000)).astype(np.float32),
+             "fc1.bias": rng.standard_normal(1000).astype(np.float32)}
+    expected = hashlib.sha256(logits.tobytes())
+    for name in sorted(grads):
+        expected.update(name.encode())
+        expected.update(grads[name].tobytes())
+    tracemalloc.start()
+    try:
+        got = step_memory.digest(logits, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected.hexdigest()
+    assert peak < 64 << 10
 
 
 def test_defaults_are_the_paper_recipe(monkeypatch, capsys):

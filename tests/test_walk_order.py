@@ -72,7 +72,7 @@ def spec_order_step(net, x, upstream):
             g = maxpool3d_backward_flat(g, taps_to_winners(taps, in_shape, spec.window),
                                         in_shape)
         elif spec.kind == "relu":
-            g = ops.relu_backward(cache[1], g)
+            g = ops.relu_backward(cache[1] > 0, g)
         elif spec.kind == "flatten":
             g = g.reshape(cache[1])
         elif spec.kind == "linear":
