@@ -1,6 +1,9 @@
 """Model assembly, the training loop with validation-based snapshot selection,
 classification/detection inference and checkpoint I/O.
 
+The model is the paper's chain and no other: `default_architecture` for its
+input shape, conv filters, hidden units and classes, run by fixed loops.
+
 Checkpoint layout (bit-exact): magic ``STKB1\\n``; one UTF-8 header line
 ``arch layers=<n> input=<C>x<T>x<H>x<W>``; one UTF-8 descriptor line per
 layer; then for each parameter in declaration order: name length (u32 LE),
@@ -14,9 +17,11 @@ from __future__ import annotations
 import logging
 import math
 import os
+import re
 import struct
 import time
 from collections.abc import Iterable
+from itertools import zip_longest
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +31,7 @@ from .annotations import (NONSTROKE_LABEL, PROPOSAL_LEN, PROPOSAL_STRIDE, STROKE
 from .errors import ArchitectureError, CheckpointError, CuboidError, ShapeError, TrainingError
 from .frames import VideoSource, ascii_int, extract_cuboid
 from .nn import ops
-from .nn.layers import (INPUT_SHAPE, LayerSpec, chain_shapes, from_descriptor, param_entries,
+from .nn.layers import (INPUT_SHAPE, LayerSpec, chain_shapes, default_chain, param_entries,
                         to_descriptor)
 from .nn.optim import NesterovSGD
 from .nn.rng import SplitMix64, derive_seed
@@ -89,40 +94,58 @@ class EpochStats:
     val_acc: float
 
 
-def _checked(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> ModelParams:
-    """The model `specs` makes of `input_shape`, with no parameters yet.
-
-    Raises ArchitectureError unless the input is an RGB (3, T, S, S) with
-    square frames and the layers chain from it to a (K,) class vector, K >= 2.
-    """
+def _check_input(input_shape: tuple[int, ...]) -> None:
+    """ArchitectureError unless the input is an RGB (3, T, S, S) cuboid."""
     if len(input_shape) != 4 or input_shape[0] != 3:
         raise ArchitectureError(f"input shape must be (3, T, S, S), got {tuple(input_shape)}")
     if input_shape[2] != input_shape[3]:
         raise ArchitectureError(f"input frames must be square, got {tuple(input_shape)}")
-    if not specs:
-        raise ArchitectureError("architecture has no layers")
+
+
+def _checked(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> ModelParams:
+    """The model of the default chain `specs`, with no parameters yet;
+    ArchitectureError unless it chains from `input_shape` to K >= 2 classes."""
     out = chain_shapes(specs, input_shape)[-1]
-    if len(out) != 1 or out[0] < 2:
+    if out[0] < 2:
         raise ArchitectureError(f"architecture ends at shape {out}, expected (K,) with K >= 2")
-    return ModelParams(list(specs), {}, tuple(input_shape), out[0])
+    return ModelParams(specs, {}, tuple(input_shape), out[0])
+
+
+def _default_for(input_shape, filters: list[int], features: list[int]) -> list[LayerSpec]:
+    """The default chain for `input_shape`, conv `filters` and a chain's
+    linear out-features: the first are its hidden units, the last its classes."""
+    features = features or [0]
+    return default_chain(input_shape, filters, features[0], features[-1])
 
 
 def build_model(n_classes: int, arch: list[LayerSpec], seed: int, *,
                 input_shape: tuple[int, int, int, int]) -> ModelParams:
-    """Validate the shape chain and initialize parameters.
+    """The model of `arch`, which must be `default_architecture` for the input
+    shape and the filters (conv3d out_channels), hidden units and classes (the
+    first and last linear out_features) it holds; else ArchitectureError names
+    the first layer that differs, or the rule a layer of that chain breaks.
 
     Weights and biases are uniform in ±1/sqrt(fan_in), drawn per layer in
     declaration order from one seeded stream, so a fixed seed gives
     byte-identical parameters, the same in chunks of at most _INIT_CHUNK draws.
     """
-    model = _checked(arch, input_shape)
+    _check_input(input_shape)
+    if not arch:
+        raise ArchitectureError("architecture has no layers")
+    default = _default_for(input_shape, [s.out_channels for s in arch if s.kind == "conv3d"],
+                           [s.out_features for s in arch if s.kind == "linear"])
+    for i, (got, want) in enumerate(zip_longest(arch, default)):
+        if got != want:
+            got, want = (repr(to_descriptor(s)) if s else "no layer" for s in (got, want))
+            raise ArchitectureError(f"layer {i}: {got} where the default architecture has {want}")
+    model = _checked(default, input_shape)
     if model.n_classes != n_classes:
         raise ArchitectureError(
             f"architecture ends at shape ({model.n_classes},), expected ({n_classes},)"
         )
 
     stream = SplitMix64(derive_seed(seed, _INIT_SALT))
-    for name, shape in param_entries(arch):
+    for name, shape in param_entries(default):
         if name.endswith(".weight"):  # the bias that follows shares this bound
             bound = 1.0 / np.sqrt(np.prod(shape[1:]))
         vals = np.empty(math.prod(shape), dtype=np.float32)
@@ -133,66 +156,54 @@ def build_model(n_classes: int, arch: list[LayerSpec], seed: int, *,
 
 
 def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
-    """(K,) logits of one (C, T, H, W) cuboid; with `training`, also the
-    per-layer caches the backward sweep needs, among them each maxpool3d's
-    index of the winning tap in every window (one byte per pooled element).
-    Otherwise the returned list stays empty and each maxpool3d computes its
-    pooled values only, with no tap index; the logits keep their bytes.
+    """(K,) logits of one (C, T, H, W) cuboid and, with `training`, the
+    caches _backward_full reads, in run order, among them each pool's index
+    of the winning tap in every window (one byte per pooled element).
+    Otherwise the list stays empty and each pool computes its values only,
+    with no tap index; the logits keep their bytes.
 
-    A relu directly followed by a maxpool3d runs after it, on the pooled
-    tensor. That is exact: relu is monotone, so where a window's maximum is > 0
-    both orders pick the same first maximum, and where it is <= 0 both give
-    +0.0 (relu_forward maps every x <= 0, -0.0 included, to +0.0); a NaN wins
-    its window either way. Against the spec order, only the stored winning tap
-    of a window whose values are all <= 0 can differ, and with it the sign of
-    the zero gradient routed there (g * 0 before, now 0 + g * 0, which is
-    +0.0). A conv3d directly followed by a maxpool3d (then every block of the
-    default chain) runs as `ops.conv3d_maxpool3d`, and back as
-    `ops.conv3d_backward` with the pool's window: no full-size output, relu
-    cache or gradient exists. Each relu runs in place on an array the walk
-    made (it copies only the caller's cuboid, which no layer writes), and in
-    training caches the bool mask of its output > 0, one byte per element:
-    the next conv or linear layer caches the relu'd array itself, so no
-    activation is held twice. Inference makes no mask. Caches are kept in
-    run order, which _backward_full follows.
-    The kernels take a unit batch axis: it is added here and in
-    _backward_full, and nowhere else.
+    A fixed loop: each block runs its conv3d and maxpool3d as one kernel,
+    `ops.conv3d_maxpool3d` (back as `ops.conv3d_backward` with the pool's
+    window, so no full-size conv output or gradient exists), then its relu,
+    on the pooled tensor; then flatten, fc1, relu and fc2. Relu after the
+    pool is exact: relu is monotone, so where a window's maximum is > 0 both
+    orders pick the same first maximum, and where it is <= 0 both give +0.0
+    (relu_forward maps every x <= 0, -0.0 included, to +0.0); a NaN wins its
+    window either way. Against relu before the pool, only the stored winning
+    tap of a window whose values are all <= 0 can differ, and with it the
+    sign of the zero gradient routed there (g * 0 before, now 0 + g * 0,
+    which is +0.0). Each relu runs in place on the array the kernel before
+    it made, and in training caches the bool mask of its output > 0: the
+    next conv or linear layer caches the relu'd array itself, so no
+    activation is held twice. The kernels take a unit batch axis: it is
+    added here and in _backward_full, and nowhere else.
     """
     caches = []
     keep = caches.append if training else (lambda cache: None)
+    specs, params = model.specs, model.params
+
+    def relu(spec, x):
+        x = ops.relu_forward(x, out=x)
+        if training:  # x > 0 masks relu's input and output alike, NaN, ±0 and ±inf too
+            keep((spec, x > 0))
+        return x
+
     cur = cuboid[None]
-    names = iter([name for name, _ in param_entries(model.specs)])  # the swap keeps their order
-    specs = list(model.specs)
-    for i in range(len(specs) - 1):
-        if specs[i].kind == "relu" and specs[i + 1].kind == "maxpool3d":
-            specs[i], specs[i + 1] = specs[i + 1], specs[i]
-    fused = {i for i in range(1, len(specs))  # pools that run inside the conv before them
-             if specs[i].kind == "maxpool3d" and specs[i - 1].kind == "conv3d"}
-    for i, spec in enumerate(specs):
-        if spec.kind in ("conv3d", "linear"):
-            weight, bias = next(names), next(names)
-            w, b = model.params[weight], model.params[bias]
-            window, x = (specs[i + 1].window if i + 1 in fused else None), cur
-            cur, taps = (ops.conv3d_maxpool3d(cur, w, b, spec.stride, spec.pad, window,
-                                              need_winners=training)
-                         if spec.kind == "conv3d" else (ops.linear_forward(cur, w, b), None))
-            keep((spec, weight, bias, window, taps, x))
-        elif i in fused:
-            continue  # it ran inside the conv3d before it
-        elif spec.kind == "maxpool3d":
-            in_shape = cur.shape
-            cur, taps = ops.maxpool3d(cur, spec.window, need_winners=training)
-            keep((spec, taps, in_shape))
-        elif spec.kind == "relu":
-            # in place, but never into the caller's cuboid
-            cur = ops.relu_forward(cur, out=None if np.may_share_memory(cur, cuboid) else cur)
-            if training:  # x > 0 masks relu's input and output alike, NaN, ±0 and ±inf too
-                keep((spec, cur > 0))
-        elif spec.kind == "flatten":
-            keep((spec, cur.shape))
-            cur = cur.reshape(cur.shape[0], -1)
-        else:
-            raise ArchitectureError(f"unknown layer kind {spec.kind!r}")
+    for k in range((len(specs) - 4) // 3):  # the blocks before the head's four layers
+        conv, block_relu, pool = specs[3 * k : 3 * k + 3]
+        weight, bias, x = f"conv{k + 1}.weight", f"conv{k + 1}.bias", cur
+        cur, taps = ops.conv3d_maxpool3d(x, params[weight], params[bias], conv.stride,
+                                         conv.pad, pool.window, need_winners=training)
+        keep((conv, weight, bias, pool.window, taps, x))
+        cur = relu(block_relu, cur)
+    flatten, fc1, head_relu, fc2 = specs[-4:]
+    keep((flatten, cur.shape))
+    x = cur.reshape(1, -1)
+    cur = ops.linear_forward(x, params["fc1.weight"], params["fc1.bias"])
+    keep((fc1, "fc1.weight", "fc1.bias", None, None, x))
+    x = relu(head_relu, cur)
+    cur = ops.linear_forward(x, params["fc2.weight"], params["fc2.bias"])
+    keep((fc2, "fc2.weight", "fc2.bias", None, None, x))
     return cur[0], caches
 
 
@@ -202,50 +213,45 @@ def _backward_full(model: ModelParams, caches, grad_logits: np.ndarray,
     into `sums` in place as each layer's backward returns them; for a
     linear weight, whose entry in `sums` is a list, it appends the sample's
     (x, grad_out) instead (see `_layer_backward`). Empties `caches`, last
-    layer first: `_layer_backward` pops each cache itself, so no frame but
-    its own holds the cache, and each saved array is freed as soon as the
-    layer's backward is done with it."""
-    g = grad_logits[None]
-    while caches:
+    layer first, mirroring _forward_full: fc2, relu, fc1 and flatten, then
+    each block's relu and conv. Each cache is popped where it is used, so no
+    frame but its user's holds it, and each saved array is freed as soon as
+    the layer's backward is done with it."""
+    g = _layer_backward(model, caches, grad_logits[None], sums)  # fc2
+    g = ops.relu_backward(caches.pop()[1], g)
+    g = _layer_backward(model, caches, g, sums)  # fc1
+    g = g.reshape(caches.pop()[1])  # flatten
+    while caches:  # the blocks, last first
+        g = ops.relu_backward(caches.pop()[1], g)
         g = _layer_backward(model, caches, g, sums)
 
 
 def _layer_backward(model: ModelParams, caches: list, g: np.ndarray,
                     sums: dict[str, np.ndarray | list]) -> np.ndarray | None:
-    """The backward of the layer whose cache is last in `caches`, which it
-    pops: returns the gradient for its input (None for a conv that is the
-    first layer, whose input needs none) and adds its parameter gradients
-    into `sums`. A linear layer forms no weight gradient: it appends its
-    input and output gradient, the factors `ops.linear_weight_grad` sums
-    over the batch, to its weight's list in `sums`. A conv forms its weight
-    gradient first, then drops its input, of which its cache held the only
-    reference, and only then forms grad_input (`ops.conv3d_input_grad`).
-    Every array unpacked from the cache dies on return."""
-    cache = caches.pop()
-    spec = cache[0]
-    if spec.kind in ("conv3d", "linear"):
-        _, weight, bias, window, taps, x = cache
-        del cache
-        w = model.params[weight]
-        if spec.kind == "conv3d":
-            _, grad_w, grad_b = ops.conv3d_backward(x, w, g, spec.stride, spec.pad,
-                                                    need_input=False, window=window, taps=taps)
-            sums[weight] += grad_w
-            shape = x.shape
-            del x  # its only reference: it never coexists with its gradient
-            g = (ops.conv3d_input_grad(w, g, shape, spec.stride, spec.pad, window=window,
-                                       taps=taps) if caches else None)
-        else:
-            sums[weight].append((x, g))
-            g, grad_b = ops.linear_backward(x, w, g)
-        sums[bias] += grad_b
-    elif spec.kind == "maxpool3d":
-        _, taps, in_shape = cache
-        g = ops.maxpool3d_backward(g, taps, in_shape, spec.window)
-    elif spec.kind == "relu":
-        g = ops.relu_backward(cache[1], g)
-    elif spec.kind == "flatten":
-        g = g.reshape(cache[1])
+    """The backward of the conv or linear layer whose cache is last in
+    `caches`, which it pops: returns the gradient for its input (None for
+    the first conv, whose input needs none) and adds its parameter
+    gradients into `sums`. A linear layer forms no weight gradient: it
+    appends its input and output gradient, the factors
+    `ops.linear_weight_grad` sums over the batch, to its weight's list in
+    `sums`. A conv forms its weight gradient first, then drops its input,
+    of which its cache held the only reference, and only then forms
+    grad_input (`ops.conv3d_input_grad`). Every array unpacked from the
+    cache dies on return."""
+    spec, weight, bias, window, taps, x = caches.pop()
+    w = model.params[weight]
+    if spec.kind == "conv3d":
+        _, grad_w, grad_b = ops.conv3d_backward(x, w, g, spec.stride, spec.pad,
+                                                need_input=False, window=window, taps=taps)
+        sums[weight] += grad_w
+        shape = x.shape
+        del x  # its only reference: it never coexists with its gradient
+        g = (ops.conv3d_input_grad(w, g, shape, spec.stride, spec.pad, window=window,
+                                   taps=taps) if caches else None)
+    else:
+        sums[weight].append((x, g))
+        g, grad_b = ops.linear_backward(x, w, g)
+    sums[bias] += grad_b
     return g
 
 
@@ -540,7 +546,10 @@ def _read_line(f, path) -> str:
 
 def load_checkpoint(path) -> ModelParams:
     """The model the checkpoint at `path` holds, each parameter read from the
-    file straight into its array."""
+    file straight into its array. Its text lines must be those save_checkpoint
+    writes for the default chain of the input shape in the header, the conv3d
+    lines' out= and the first and last linear line's out= (hidden units,
+    classes); else CheckpointError names the first line that differs."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         magic = f.read(len(CHECKPOINT_MAGIC))
@@ -553,18 +562,27 @@ def load_checkpoint(path) -> ModelParams:
             input_shape = tuple(ascii_int(x) for x in shape.removeprefix("input=").split("x"))
         except ValueError:
             raise CheckpointError(f"{path}: bad header line {header!r}") from None
-
-        lines = [header] + [_read_line(f, path) for _ in range(n_layers)]
-        try:
-            model = _checked([from_descriptor(line) for line in lines[1:]], input_shape)
-        except ValueError as e:  # ArchitectureError included
+        try:  # an ArchitectureError of the chain's numbers becomes a CheckpointError
+            _check_input(input_shape)
+            if n_layers < 1:
+                raise ArchitectureError("architecture has no layers")
+            lines = [header] + [_read_line(f, path) for _ in range(n_layers)]
+            filters, features = [], []
+            for lineno, line in enumerate(lines[1:], 3):
+                kind = line.split(" ")[0]
+                if kind in ("conv3d", "linear"):  # their out= field, in ASCII digits as saved
+                    if (out := re.search(r" out=([0-9]+)(?: |$)", line)) is None:
+                        raise CheckpointError(f"{path}: line {lineno} reads {line!r}, which "
+                                              "save_checkpoint never writes")
+                    (filters if kind == "conv3d" else features).append(int(out[1]))
+            specs = _default_for(input_shape, filters, features)
+            for lineno, (line, saved) in enumerate(zip(lines, _text_lines(specs, input_shape)), 2):
+                if line != saved:
+                    raise CheckpointError(f"{path}: line {lineno} reads {line!r}, but "
+                                          f"save_checkpoint writes {saved!r}")
+            model = _checked(specs, input_shape)
+        except ArchitectureError as e:
             raise CheckpointError(f"{path}: {e}") from None
-        # one spelling per value: each line must be the one save_checkpoint writes
-        saved_lines = _text_lines(model.specs, input_shape)
-        for lineno, (line, saved) in enumerate(zip(lines, saved_lines), 2):
-            if line != saved:
-                raise CheckpointError(
-                    f"{path}: line {lineno} reads {line!r}, but save_checkpoint writes {saved!r}")
 
         pos = f.tell()
         for name, shape in param_entries(model.specs):

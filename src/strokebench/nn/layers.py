@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 from ..errors import ArchitectureError, ShapeError
-from ..frames import ascii_int
 from .ops import conv3d_out_extents, maxpool3d_out_extents
 
 
@@ -102,55 +101,17 @@ def param_entries(specs: list[LayerSpec]) -> list[tuple[str, tuple[int, ...]]]:
     return entries
 
 
-def _extents(text: str) -> tuple[int, int, int]:
-    xs = text.split("x")
-    if len(xs) != 3:
-        raise ValueError(f"expected AxBxC, got {text!r}")
-    return tuple(ascii_int(x) for x in xs)
-
-
-# Each kind's descriptor keys, in descriptor order: key -> (the LayerSpec
-# field it holds, its parser). Both descriptor directions read this.
-_DESCRIPTORS = {
-    "conv3d": {"in": ("in_channels", ascii_int), "out": ("out_channels", ascii_int),
-               "kernel": ("kernel", _extents), "stride": ("stride", ascii_int),
-               "pad": ("pad", ascii_int)},
-    "maxpool3d": {"window": ("window", _extents)},
-    "relu": {},
-    "flatten": {},
-    "linear": {"in": ("in_features", ascii_int), "out": ("out_features", ascii_int)},
-}
-
-
 def to_descriptor(spec: LayerSpec) -> str:
-    if spec.kind not in _DESCRIPTORS:
-        raise ArchitectureError(f"unknown layer kind {spec.kind!r}")
-    words = [spec.kind]
-    for key, (name, _) in _DESCRIPTORS[spec.kind].items():
-        value = getattr(spec, name)
-        text = "x".join(map(str, value)) if isinstance(value, tuple) else str(value)
-        words.append(f"{key}={text}")
-    return " ".join(words)
-
-
-def from_descriptor(line: str) -> LayerSpec:
-    """The LayerSpec of a descriptor line: its kind, then exactly the kind's
-    key=value fields in to_descriptor's order; chain_shapes checks the values."""
-    kind, *words = line.split() or [""]
-    if kind not in _DESCRIPTORS:
-        raise ValueError(f"unknown layer kind in descriptor {line!r}")
-    keys = _DESCRIPTORS[kind]
-    fields = [word.partition("=") for word in words]
-    if [(key, eq) for key, eq, _ in fields] != [(key, "=") for key in keys]:
-        expected = " ".join([kind] + [f"{key}=..." for key in keys])
-        raise ValueError(f"descriptor {line!r} does not match {expected!r}")
-    values = {}
-    for (key, _, text), (name, parse) in zip(fields, keys.values()):
-        try:
-            values[name] = parse(text)
-        except ValueError as e:
-            raise ValueError(f"{kind} {key}: {e}") from None
-    return LayerSpec(kind, **values)
+    """The checkpoint's text line of one layer: a relu's, a flatten's or
+    another kind's is its kind alone."""
+    if spec.kind == "conv3d":
+        return (f"conv3d in={spec.in_channels} out={spec.out_channels} kernel="
+                f"{'x'.join(map(str, spec.kernel))} stride={spec.stride} pad={spec.pad}")
+    if spec.kind == "maxpool3d":
+        return f"maxpool3d window={'x'.join(map(str, spec.window))}"
+    if spec.kind == "linear":
+        return f"linear in={spec.in_features} out={spec.out_features}"
+    return spec.kind
 
 
 def _pool_extent(n: int) -> int:
@@ -174,13 +135,9 @@ FILTERS = (30, 60, 80)
 HIDDEN = 500
 
 
-def default_architecture(input_shape, filters, hidden: int, *, n_classes: int) -> list[LayerSpec]:
-    """Conv/relu/pool blocks followed by a two-layer classifier head.
-
-    Pool windows adapt to the running extents (see _pool_extent) so any input
-    shape yields a valid chain; at INPUT_SHAPE and FILTERS the temporal axis
-    pools 2/7/7 (98 -> 49 -> 7 -> 1) and the spatial axes 2/2/2 (120 -> 15).
-    """
+def default_chain(input_shape, filters, hidden: int, n_classes: int) -> list[LayerSpec]:
+    """default_architecture's layers, before chain_shapes checks them: the
+    one chain `model` builds, runs and loads."""
     if len(input_shape) != 4:
         raise ArchitectureError(f"default architecture needs (C, T, H, W), got {input_shape}")
     c, extents = input_shape[0], tuple(input_shape[1:])
@@ -189,6 +146,17 @@ def default_architecture(input_shape, filters, hidden: int, *, n_classes: int) -
         win = tuple(_pool_extent(n) for n in extents)
         specs += [conv3d(c, f, kernel=(3, 3, 3), stride=1, pad=1), relu(), maxpool3d(win)]
         c, extents = f, maxpool3d_out_extents(extents, win)
-    specs += [flatten(), linear(c * math.prod(extents), hidden), relu(), linear(hidden, n_classes)]
+    return specs + [flatten(), linear(c * math.prod(extents), hidden), relu(),
+                    linear(hidden, n_classes)]
+
+
+def default_architecture(input_shape, filters, hidden: int, *, n_classes: int) -> list[LayerSpec]:
+    """Conv/relu/pool blocks followed by a two-layer classifier head.
+
+    Pool windows adapt to the running extents (see _pool_extent) so any input
+    shape yields a valid chain; at INPUT_SHAPE and FILTERS the temporal axis
+    pools 2/7/7 (98 -> 49 -> 7 -> 1) and the spatial axes 2/2/2 (120 -> 15).
+    """
+    specs = default_chain(input_shape, filters, hidden, n_classes)
     chain_shapes(specs, input_shape)
     return specs

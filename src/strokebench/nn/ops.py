@@ -51,22 +51,25 @@ BLOCK_BYTES while one output row's col2im columns fit in a block.
 float32 and 8 filters. The forward may use 5.66 MB (a 4.19 MB output, the
 0.42 MB of the 3 padded frames a tile reads and two tiles) and uses 5.19
 MB. The backward may use 37.7 MB and uses 7.94 MB, set by its input half.
-Each half has a bound of its own. The weight half stays below the padded
-frames one tile reads + TILE_BYTES + two weight sizes + grad_bias + 16 KB
-of Python objects, using 0.92 MB here; with a pool window add one run of
-the conv output's gradient (see below). The input half stays below
-grad_input + the run's gradient (none without a window) + BLOCK_BYTES +
-one weight size + 128 KB of ufunc buffers and Python objects: 8.52 MB
-here, using 7.88 MB, and with a 3x3x1 kernel 7.64 MB. At paper conv1 on 16
-frames (a 27.6 MB output in 8 runs), conv3d_maxpool3d stays below its
-results + a tile's padded frames + one run + 2 * TILE_BYTES (9.36 MB),
-using 9.17 MB, and its weight half below a tile's padded frames + one run
-+ 2 * BLOCK_BYTES (12.4 MB), using 9.70 MB. At paper conv2 on one (7, 2, 2)
-pool run, one output frame's col2im columns (11.7 MB) exceed BLOCK_BYTES,
-so its col2im blocks are runs of 20 rows (3.9 MB): the input half stays
-below grad_input + the run's gradient + BLOCK_BYTES + one weight size +
-128 KB (13.6 MB), using 13.3 MB, and the whole backward below that + one
-more weight size (13.8 MB), using 13.5 MB. A training `maxpool3d` call
+Each half has a bound of its own, and holds one run of the conv output's
+gradient at a time (none without a window): it drops a run before it
+builds the next. The weight half stays below the padded frames one tile
+reads + TILE_BYTES + two weight sizes + grad_bias + 16 KB of Python
+objects, using 0.92 MB here; with a pool window add one run and one block
+of the pool backward that builds it. The input half stays below
+grad_input + one run + BLOCK_BYTES + one weight size + 128 KB of ufunc
+buffers and Python objects: 8.52 MB here, using 7.88 MB, and with a 3x3x1
+kernel 7.64 MB. At paper conv1 on 16 frames (a 27.6 MB output in 8 runs),
+conv3d_maxpool3d stays below its results + a tile's padded frames + one
+run + 2 * TILE_BYTES (9.36 MB), using 9.17 MB, and its weight half below a
+tile's padded frames + one run + 2 * BLOCK_BYTES (12.4 MB), using 9.70 MB.
+At paper conv2 one output frame's col2im columns (11.7 MB) exceed
+BLOCK_BYTES, so its col2im blocks are runs of 20 rows (3.9 MB). On one
+(7, 2, 2) pool run its input half stays below its bound (13.6 MB), using
+13.3 MB, and the whole backward below that + one more weight size
+(13.8 MB), using 13.5 MB. On two runs (14 input frames) the weight half
+stays below its bound (9.45 MB), using 9.12 MB, and the input half below
+its own (16.6 MB), using 16.3 MB. A training `maxpool3d` call
 peaks less than `BLOCK_BYTES` above its results, `maxpool3d_backward` less
 than that above its result, `linear_weight_grad` less than one block of
 rows above the sum it returns, and `linear_backward` and `relu_backward`
@@ -88,7 +91,6 @@ alone need not be: at desk conv2 it is 1.4 times the per-tap GEMMs'.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -304,16 +306,23 @@ def _conv_grads(grad_out, window, taps, outs):
     """conv_grad(c0, c1, t0, t1): the gradient of the conv output's channels
     [c0, c1) and frames [t0, t1), flat, from the gradient `grad_out` of the
     (pooled) output, through the pool's backward at `taps` with a `window`.
-    It keeps the last one it built."""
+    It keeps the last one it built, and drops it before it builds another,
+    so that two never coexist unless its caller holds one."""
     ho, wo = outs[1:]
+    held = {}  # built once where one run and one group hold it all
 
-    @functools.lru_cache(maxsize=1)  # built once where one run and one group hold it all
     def conv_grad(c0, c1, t0, t1):
-        if window is None:
-            return grad_out[0, c0:c1, t0:t1].reshape(c1 - c0, -1)
-        p = slice(t0 // window[0], t1 // window[0])
-        return _pool_backward(grad_out[:, c0:c1, p], taps[:, c0:c1, p],
-                              (1, c1 - c0, t1 - t0, ho, wo), window).reshape(c1 - c0, -1)
+        key = (c0, c1, t0, t1)
+        if key not in held:
+            held.clear()
+            if window is None:
+                held[key] = grad_out[0, c0:c1, t0:t1].reshape(c1 - c0, -1)
+            else:
+                p = slice(t0 // window[0], t1 // window[0])
+                held[key] = _pool_backward(grad_out[:, c0:c1, p], taps[:, c0:c1, p],
+                                           (1, c1 - c0, t1 - t0, ho, wo),
+                                           window).reshape(c1 - c0, -1)
+        return held[key]
     return conv_grad
 
 
@@ -365,6 +374,7 @@ def _weight_grad(x, weight, grad_out, stride, pad, window, taps, outs):
         for positions, frames, rows in tiles:
             np.matmul(g2[:, positions], columns(t0, frames, rows).T, out=prod)
             grad_weight += prod
+        del g2  # so that two runs' gradients never coexist
     return grad_weight.reshape(weight.shape), grad_bias
 
 
@@ -419,6 +429,7 @@ def _input_grad(weight, grad_out, input_shape, stride, pad, window, taps, outs):
                     for k, out_w, in_w in col_parts:
                         held[:, in_t, in_h, in_w] += cols[i, j, k, :, out_t, out_h, out_w]
             del cols  # so that two blocks never coexist
+        del g2  # so that two runs' gradients never coexist
     return grad_input
 
 

@@ -47,7 +47,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from strokebench import model
 from strokebench.errors import ShapeError
-from strokebench.nn import layers, ops
+from strokebench.nn import ops
 from strokebench.nn.layers import default_architecture
 from strokebench.nn.optim import NesterovSGD
 
@@ -638,28 +638,17 @@ def test_relu_caches_a_mask_and_its_next_layer_the_relud_array(monkeypatch):
                   for a in floats) == [0, 1, 2, 3]
 
 
-RELU_FIRST = (3, 4, 8, 8)
-RELU_FIRST_CHAINS = {  # each chain and the index of the relu that reads the cuboid
-    "relu first": ([layers.relu(), layers.conv3d(3, 4, (3, 3, 3), 1, 1), layers.relu(),
-                    layers.maxpool3d((2, 2, 2)), layers.flatten(), layers.linear(128, 2)], 0),
-    "flatten, then relu": ([layers.flatten(), layers.relu(), layers.linear(768, 2)], 1),
-}
-
-
-@pytest.mark.parametrize("chain", list(RELU_FIRST_CHAINS))
-def test_relu_on_the_input_leaves_the_callers_cuboid(chain):
-    """A hand-built chain may start with relu (or flatten, then relu): that
-    relu copies, so the caller's cuboid keeps its bytes through `forward`
-    and a training step, and the logits are those of the chain without it
-    on the relu'd cuboid."""
-    arch, first = RELU_FIRST_CHAINS[chain]
-    net = model.build_model(2, arch, seed=9, input_shape=RELU_FIRST)
-    cuboid = np.random.default_rng(9).standard_normal(RELU_FIRST).astype(np.float32)
+def test_forward_and_step_leave_the_callers_cuboid():
+    """Each relu runs in place on an array a kernel made, never on the
+    caller's cuboid: it keeps its bytes through `forward` and a training
+    step."""
+    shape = (3, 4, 8, 8)
+    arch = default_architecture(shape, filters=(4,), hidden=8, n_classes=2)
+    net = model.build_model(2, arch, seed=9, input_shape=shape)
+    cuboid = np.random.default_rng(9).standard_normal(shape).astype(np.float32)
     before = cuboid.tobytes()
-    logits = model.forward(net, cuboid)
+    model.forward(net, cuboid)
     assert cuboid.tobytes() == before
-    bare = model.ModelParams(arch[:first] + arch[first + 1:], net.params, RELU_FIRST, 2)
-    assert model.forward(bare, np.maximum(cuboid, 0)).tobytes() == logits.tobytes()
     opt = NesterovSGD(net.params, lr=0.01, momentum=0.9, weight_decay=0.005)
     model._train_step(net, opt, [(cuboid, 0), (cuboid, 1)], "step")
     assert cuboid.tobytes() == before
@@ -1176,6 +1165,33 @@ def test_paper_conv2_holds_no_padded_sample_or_frame_block():
     assert backward < x.nbytes + run + ops.BLOCK_BYTES + 2 * weight.nbytes + (128 << 10)
     # the input half alone: grad_input, the run's gradient, one block and the col2im operand
     assert half < x.nbytes + run + ops.BLOCK_BYTES + weight.nbytes + (128 << 10)
+
+
+def test_paper_conv2_holds_one_run_gradient_at_a_time():
+    """Paper conv2 on two (7, 2, 2) pool runs: each half of its backward
+    holds one run's conv output gradient (6.05 MB) at a time. The weight
+    half peaks below the padded frames one tile reads + TILE_BYTES + two
+    weight sizes + one run + one block of the pool backward that builds a
+    run (one pooled frame's flat indices, their int64 copy and origins,
+    1.09 MB) + 16 KB (9.45 MB; it uses 9.12 MB). The input half peaks below
+    grad_input + one run + BLOCK_BYTES + one weight size + 128 KB (16.6 MB;
+    it uses 16.3 MB). While each loop held its run's gradient through the
+    next one's build, and the gradient cache built the next run before it
+    dropped the last, they used 15.2 and 19.3 MB."""
+    shape, filters, window = (1, 30, 14, 60, 60), 60, (7, 2, 2)
+    x, weight, bias, grad = _fused_case(shape, filters, window, "random")
+    assert _runs(810, filters, shape[2:], 4, window) == [(0, 7), (7, 14)]
+    run = filters * 7 * 60 * 60 * 4
+    pool_block = 30 * 30 * (filters * (16 + 4) + 8)
+    _, taps = ops.conv3d_maxpool3d(x, weight, bias, 1, 1, window)
+    weight_half = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad, 1, 1,
+                                                          need_input=False, window=window,
+                                                          taps=taps))
+    input_half = _peak_bytes(lambda: ops.conv3d_input_grad(weight, grad, x.shape, 1, 1,
+                                                           window=window, taps=taps))
+    assert weight_half < (_tile_frames(x) + ops.TILE_BYTES + 2 * weight.nbytes + run
+                          + pool_block + (16 << 10))
+    assert input_half < x.nbytes + run + ops.BLOCK_BYTES + weight.nbytes + (128 << 10)
 
 
 def test_conv_input_grad_refuses_what_the_backward_refuses():

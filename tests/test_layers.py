@@ -8,8 +8,8 @@ from strokebench.errors import ArchitectureError, ShapeError
 from strokebench.nn import layers, ops
 from strokebench.nn.gradcheck import gradcheck, run_all
 from strokebench.nn.layers import (FILTERS, HIDDEN, chain_shapes, conv3d,
-                                   default_architecture, flatten, from_descriptor, linear,
-                                   maxpool3d, param_entries, relu, to_descriptor)
+                                   default_architecture, flatten, linear, maxpool3d,
+                                   param_entries, relu, to_descriptor)
 
 
 def test_chain_shapes_basic():
@@ -109,16 +109,6 @@ def test_param_entries_order_and_shapes():
     assert shapes["fc2.weight"] == (2, 64)
 
 
-def test_descriptor_round_trip():
-    specs = default_architecture((3, 98, 120, 120), FILTERS, HIDDEN, n_classes=2)
-    for spec in specs:
-        assert from_descriptor(to_descriptor(spec)) == spec
-    with pytest.raises(ValueError):
-        from_descriptor("conv3d in=3")
-    with pytest.raises(ValueError):
-        from_descriptor("warp factor=9")
-
-
 @pytest.mark.parametrize("spec, text", [
     (conv3d(3, 30, (3, 3, 3), 1, 1), "conv3d in=3 out=30 kernel=3x3x3 stride=1 pad=1"),
     (conv3d(3, 8, kernel=(1, 3, 2), stride=2, pad=0),
@@ -128,41 +118,10 @@ def test_descriptor_round_trip():
     (relu(), "relu"),
     (flatten(), "flatten"),
 ], ids=["conv3d_default", "conv3d", "maxpool3d", "linear", "relu", "flatten"])
-def test_descriptor_text_round_trip(spec, text):
+def test_descriptor_text(spec, text):
+    """The checkpoint line of each layer; load_checkpoint reads it back
+    (tests/test_model.py, TestCheckpoint)."""
     assert to_descriptor(spec) == text
-    assert from_descriptor(text) == spec
-
-
-@pytest.mark.parametrize("line", [
-    "conv3d in=3 out=8 kernel=3x3 stride=1 pad=1",
-    "maxpool3d window=2x2x2x2",
-    "conv3d in=3 out=8 kernel=3x3x3 stride=1.5 pad=1",
-    "linear in=3",
-    "pool window=2x2x2",
-    "relu inplace=1",
-    "linear in=3 out=4 bias",
-], ids=["two_extent_kernel", "four_extent_window", "non_integer", "missing_key",
-        "unknown_kind", "stray_field", "stray_token"])
-def test_malformed_descriptor_rejected(line):
-    with pytest.raises(ValueError):
-        from_descriptor(line)
-
-
-@pytest.mark.parametrize("line, message", [
-    ("conv3d in=3 out=8 kernel=3x3x3 stride=1.5 pad=1",
-     "conv3d stride: not a base-10 integer: '1.5'"),
-    ("conv3d in=3 out=8 kernel=3xAx3 stride=1 pad=1", "conv3d kernel: not a base-10 integer: 'A'"),
-    ("linear in=3 out=", "linear out: not a base-10 integer: ''"),
-    ("maxpool3d window=2x2", "maxpool3d window: expected AxBxC, got '2x2'"),
-    # int() takes these; checkpoint text follows the CLI's integer rule
-    ("conv3d in=+3 out=8 kernel=3x3x3 stride=1 pad=1", "conv3d in: not a base-10 integer: '+3'"),
-    ("linear in=1_0 out=4", "linear in: not a base-10 integer: '1_0'"),
-    ("maxpool3d window=2x\uff13x2", "maxpool3d window: not a base-10 integer: '\uff13'"),
-], ids=["stride", "kernel_extent", "empty", "window", "plus_sign", "underscore",
-        "fullwidth_digit"])
-def test_malformed_value_names_kind_and_key(line, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        from_descriptor(line)
 
 
 def test_factory_validation():

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import re
 import struct
@@ -27,10 +28,9 @@ SMALL_SHAPE = (3, 4, 8, 8)
 
 
 def small_arch(n_classes=2, hidden=8):
-    return [
-        conv3d(3, 4, (3, 3, 3), 1, 1), relu(), maxpool3d((2, 2, 2)),
-        flatten(), linear(4 * 2 * 4 * 4, hidden), relu(), linear(hidden, n_classes),
-    ]
+    """conv3d(3, 4, 3x3x3, stride 1, pad 1), relu, maxpool3d(2x2x2), flatten,
+    linear(4 * 2 * 4 * 4, hidden), relu, linear(hidden, n_classes)."""
+    return default_architecture(SMALL_SHAPE, (4,), hidden, n_classes=n_classes)
 
 
 def small_model(n_classes=2, seed=0):
@@ -42,8 +42,7 @@ NON_SQUARE_SHAPE = (3, 4, 8, 16)
 
 
 def non_square_arch():
-    return [conv3d(3, 4, (3, 3, 3), 1, 1), relu(), maxpool3d((2, 2, 2)),
-            flatten(), linear(4 * 2 * 4 * 8, 8), relu(), linear(8, 2)]
+    return default_architecture(NON_SQUARE_SHAPE, (4,), 8, n_classes=2)
 
 
 def non_square_model():
@@ -56,8 +55,7 @@ GRAY_SHAPE = (1, 4, 8, 8)
 
 
 def gray_arch():
-    return [conv3d(1, 4, (3, 3, 3), 1, 1), relu(), maxpool3d((2, 2, 2)),
-            flatten(), linear(4 * 2 * 4 * 4, 8), relu(), linear(8, 2)]
+    return default_architecture(GRAY_SHAPE, (4,), 8, n_classes=2)
 
 
 def unchecked_model(specs, input_shape=SMALL_SHAPE):
@@ -76,8 +74,8 @@ def broken_chain_arch():
 # (architecture, what load_checkpoint says after the path), for models that
 # save_checkpoint writes but build_model refuses
 INVALID_MODELS = {
-    "broken_chain": (broken_chain_arch(), "layer 2 (maxpool3d): extents (4, 8, 8) "
-                                          "not divisible by pool window (3, 2, 2)"),
+    "broken_chain": (broken_chain_arch(), "line 5 reads 'maxpool3d window=3x2x2', but "
+                                          "save_checkpoint writes 'maxpool3d window=2x2x2'"),
     "one_class": (small_arch(n_classes=1), "architecture ends at shape (1,), expected (K,) "
                                            "with K >= 2"),
 }
@@ -93,25 +91,70 @@ def _conv(**fields):
                                       stride=1, pad=1) | fields)
 
 
-# Hand-built chains at TINY_SHAPE, each breaking one layer rule, and what
-# build_model says of them
+def _tiny_chain(conv=None, window=(2, 2, 2), hidden=2):
+    """A hand-built chain at TINY_SHAPE, the default one for its numbers
+    unless `conv` (a _conv spec) or `window` says otherwise."""
+    conv = conv or _conv()
+    return [conv, relu(), LayerSpec("maxpool3d", window=window), flatten(),
+            LayerSpec("linear", in_features=conv.out_channels * 8, out_features=hidden), relu(),
+            LayerSpec("linear", in_features=hidden, out_features=2)]
+
+
+# Hand-built default chains at TINY_SHAPE, each breaking one layer rule with
+# one of its numbers, and what build_model says of them
 RULE_BREAKING_CHAINS = {
-    "zero_filters": ([_conv(out_channels=0), relu(), flatten(),
-                      LayerSpec("linear", in_features=0, out_features=2)],
+    "zero_filters": (_tiny_chain(_conv(out_channels=0)),
                      "layer 0 (conv3d): channels must be >= 1, got 3/0"),
-    "zero_kernel_extent": ([_conv(kernel=(0, 3, 3)), relu(), maxpool3d((7, 2, 2)), flatten(),
-                            linear(16, 2)],
-                           "layer 0 (conv3d): kernel extents must be >= 1, got (0, 3, 3)"),
-    "zero_hidden_outputs": ([_conv(), relu(), maxpool3d((2, 2, 2)), flatten(),
-                             LayerSpec("linear", in_features=32, out_features=0), relu(),
-                             LayerSpec("linear", in_features=0, out_features=2)],
+    "zero_hidden_outputs": (_tiny_chain(hidden=0),
                             "layer 4 (linear): features must be >= 1, got 32/0"),
-    "zero_stride": ([_conv(stride=0), relu(), maxpool3d((2, 2, 2)), flatten(), linear(32, 2)],
-                    "layer 0 (conv3d): stride must be >= 1 and pad >= 0, got stride=0 pad=1"),
-    "zero_window_extent": ([_conv(), relu(), LayerSpec("maxpool3d", window=(0, 2, 2)),
-                            flatten(), linear(32, 2)],
-                           "layer 2 (maxpool3d): pool window extents must be >= 1, "
-                           "got (0, 2, 2)"),
+}
+
+# Hand-built chains that are not the default one for their numbers, with what
+# build_model says of them and which checkpoint line load_checkpoint names:
+# (chain, shape, layer, line)
+_CONV_LINE = "conv3d in=3 out=4 kernel=3x3x3 stride=1 pad=1"
+NON_DEFAULT_CHAINS = {
+    "zero_kernel_extent": (
+        _tiny_chain(_conv(kernel=(0, 3, 3))), TINY_SHAPE,
+        f"layer 0: 'conv3d in=3 out=4 kernel=0x3x3 stride=1 pad=1' where the default "
+        f"architecture has '{_CONV_LINE}'",
+        f"line 3 reads 'conv3d in=3 out=4 kernel=0x3x3 stride=1 pad=1', but save_checkpoint "
+        f"writes '{_CONV_LINE}'"),
+    "zero_stride": (
+        _tiny_chain(_conv(stride=0)), TINY_SHAPE,
+        f"layer 0: 'conv3d in=3 out=4 kernel=3x3x3 stride=0 pad=1' where the default "
+        f"architecture has '{_CONV_LINE}'",
+        f"line 3 reads 'conv3d in=3 out=4 kernel=3x3x3 stride=0 pad=1', but save_checkpoint "
+        f"writes '{_CONV_LINE}'"),
+    "zero_window_extent": (
+        _tiny_chain(window=(0, 2, 2)), TINY_SHAPE,
+        "layer 2: 'maxpool3d window=0x2x2' where the default architecture has "
+        "'maxpool3d window=2x2x2'",
+        "line 5 reads 'maxpool3d window=0x2x2', but save_checkpoint writes "
+        "'maxpool3d window=2x2x2'"),
+    "pool_window": (
+        broken_chain_arch(), SMALL_SHAPE,
+        "layer 2: 'maxpool3d window=3x2x2' where the default architecture has "
+        "'maxpool3d window=2x2x2'",
+        "line 5 reads 'maxpool3d window=3x2x2', but save_checkpoint writes "
+        "'maxpool3d window=2x2x2'"),
+    "four_linear_layers": (
+        default_architecture(SMALL_SHAPE, (4,), 1024, n_classes=2)[:-1]
+        + [linear(1024, 1024), relu()] * 2 + [linear(1024, 2)], SMALL_SHAPE,
+        "layer 6: 'linear in=1024 out=1024' where the default architecture has "
+        "'linear in=1024 out=2'",
+        "line 2 reads 'arch layers=11 input=3x4x8x8', but save_checkpoint writes "
+        "'arch layers=7 input=3x4x8x8'"),
+    "relu_first": (
+        [relu()] + small_arch(), SMALL_SHAPE,
+        f"layer 0: 'relu' where the default architecture has '{_CONV_LINE}'",
+        "line 2 reads 'arch layers=8 input=3x4x8x8', but save_checkpoint writes "
+        "'arch layers=7 input=3x4x8x8'"),
+    "no_head": (
+        [conv3d(3, 4, (3, 3, 3), 1, 1), maxpool3d((3, 2, 2))], SMALL_SHAPE,
+        "layer 1: 'maxpool3d window=3x2x2' where the default architecture has 'relu'",
+        "line 2 reads 'arch layers=2 input=3x4x8x8', but save_checkpoint writes "
+        "'arch layers=7 input=3x4x8x8'"),
 }
 
 
@@ -225,6 +268,14 @@ class TestBuild:
         with pytest.raises(ArchitectureError, match=r"layer 1"):
             build_model(2, arch, seed=0, input_shape=SMALL_SHAPE)
 
+    def test_unknown_layer_kind_rejected(self):
+        arch = small_arch()
+        arch.insert(3, LayerSpec("dropout"))
+        with pytest.raises(ArchitectureError) as built:
+            build_model(2, arch, seed=0, input_shape=SMALL_SHAPE)
+        assert str(built.value) == ("layer 3: 'dropout' where the default architecture has "
+                                    "'flatten'")
+
     def test_wrong_head_size_rejected(self):
         with pytest.raises(ArchitectureError, match="expected"):
             build_model(5, small_arch(n_classes=2), seed=0, input_shape=SMALL_SHAPE)
@@ -267,13 +318,6 @@ class TestForward:
     def test_other_shape_rejected(self, shape):
         with pytest.raises(ShapeError, match=re.escape(f"cuboid shape {shape} does not match")):
             forward(small_model(), np.zeros(shape, np.float32))
-
-    def test_unknown_layer_kind_rejected(self):
-        # a hand-built model skips build_model's chain check; forward still refuses it
-        arch = small_arch()
-        arch.insert(3, LayerSpec("dropout"))
-        with pytest.raises(ArchitectureError, match="unknown layer kind 'dropout'"):
-            forward(unchecked_model(arch), np.zeros(SMALL_SHAPE, np.float32))
 
 
 class TestClassify:
@@ -450,8 +494,7 @@ class TestTrain:
     def _wide_corpus(self, tmp_path):
         """A function that trains a fresh model on `segments` segments per
         video of the corpus written to tmp_path."""
-        arch = [conv3d(3, 4, (3, 3, 3), 1, 1), relu(), maxpool3d((2, 2, 2)), flatten(),
-                linear(4 * 4 * 32 * 32, 8), relu(), linear(8, 2)]
+        arch = default_architecture(self.WIDE_SHAPE, (4,), 8, n_classes=2)
         rng = np.random.default_rng(12)
         sources = {}
         for v in range(4):
@@ -881,17 +924,46 @@ class TestCheckpoint:
                                     "but save_checkpoint writes 'arch layers=7 input=3x4x8x8'"),
         (b"input=3x4", b"input=+3x4", "bad header line 'arch layers=7 input=+3x4x8x8'"),
         (b"conv3d in=3 out=4", b"conv3d  in=+3 out=0_4",
-         "conv3d in: not a base-10 integer: '+3'"),
+         "line 3 reads 'conv3d  in=+3 out=0_4 kernel=3x3x3 stride=1 pad=1', which "
+         "save_checkpoint never writes"),
         (b"conv3d in=3", b"conv3d  in=3",
          "line 3 reads 'conv3d  in=3 out=4 kernel=3x3x3 stride=1 pad=1', "
          "but save_checkpoint writes 'conv3d in=3 out=4 kernel=3x3x3 stride=1 pad=1'"),
         (b"window=2x2x2", b"window=2x2x2 ", "line 5 reads 'maxpool3d window=2x2x2 '"),
-        (b"stride=1", b"stride=1.5", "conv3d stride: not a base-10 integer: '1.5'"),
+        (b"stride=1", b"stride=1.5", "line 3 reads 'conv3d in=3 out=4 kernel=3x3x3 stride=1.5 "
+                                     f"pad=1', but save_checkpoint writes '{_CONV_LINE}'"),
         (b"conv3d", b"\xffonv3d",
          "text line b'\\xffonv3d in=3 out=4 kernel=3x3x3 stride=1 pad=1' is not UTF-8"),
+        (b"kernel=3x3x3", b"kernel=3x3", "line 3 reads 'conv3d in=3 out=4 kernel=3x3 stride=1 "
+                                         f"pad=1', but save_checkpoint writes '{_CONV_LINE}'"),
+        (b"kernel=3x3x3", b"kernel=3xAx3", "line 3 reads 'conv3d in=3 out=4 kernel=3xAx3 "
+                                           "stride=1 pad=1', but"),
+        (b"window=2x2x2", b"window=2x2x2x2", "line 5 reads 'maxpool3d window=2x2x2x2', but "
+                                             "save_checkpoint writes 'maxpool3d window=2x2x2'"),
+        (b"window=2x2x2", b"window=2x2", "line 5 reads 'maxpool3d window=2x2', but"),
+        (b"window=2x2x2", "window=2x\uff13x2".encode(),
+         "line 5 reads 'maxpool3d window=2x\uff13x2'"),
+        (b"maxpool3d window", b"pool window", "line 5 reads 'pool window=2x2x2', but "
+                                              "save_checkpoint writes 'maxpool3d window=2x2x2'"),
+        (b"relu\nmaxpool3d", b"relu inplace=1\nmaxpool3d", "line 4 reads 'relu inplace=1', but "
+                                                           "save_checkpoint writes 'relu'"),
+        (b"linear in=128 out=8", b"linear in=128", "line 7 reads 'linear in=128', which "
+                                                   "save_checkpoint never writes"),
+        (b"out=8", b"out=", "line 7 reads 'linear in=128 out=', which save_checkpoint never "
+                            "writes"),
+        (b"out=8", "out=\uff18".encode(), "line 7 reads 'linear in=128 out=\uff18', which "
+                                          "save_checkpoint never writes"),
+        (b"flatten", b"dropout", "line 6 reads 'dropout', but save_checkpoint writes 'flatten'"),
+        (b"in=128", b"in=1_28", "line 7 reads 'linear in=1_28 out=8', but save_checkpoint "
+                                "writes 'linear in=128 out=8'"),
+        (b"linear in=8 out=2", b"linear in=8 out=2 bias",
+         "line 9 reads 'linear in=8 out=2 bias', but save_checkpoint writes 'linear in=8 out=2'"),
     ], ids=["header_zero_padded", "header_plus_sign", "descriptor_spelling",
             "descriptor_double_space", "descriptor_trailing_space", "descriptor_non_integer",
-            "descriptor_not_utf8"])
+            "descriptor_not_utf8", "two_extent_kernel", "kernel_extent_not_integer",
+            "four_extent_window", "two_extent_window", "window_fullwidth_digit", "unknown_kind",
+            "stray_field", "missing_key", "empty_value", "out_fullwidth_digit",
+            "unknown_kind_dropout", "underscore", "stray_token"])
     def test_text_line_not_as_saved_rejected(self, tmp_path, old, new, message):
         p = tmp_path / "m.ckpt"
         save_checkpoint(small_model(), p)
@@ -964,6 +1036,7 @@ class TestCheckpoint:
         save_checkpoint(m, p)
         assert p.read_bytes() == reference_checkpoint_bytes(m)
         back = load_checkpoint(p)
+        assert back.specs == specs
         assert list(back.params) == list(m.params)
         for name, arr in m.params.items():
             assert back.params[name].dtype == np.float32
@@ -981,6 +1054,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError) as loaded:
             load_checkpoint(p)
         assert str(loaded.value) == f"{p}: {message}"
+
+    @pytest.mark.parametrize("kind", list(NON_DEFAULT_CHAINS))
+    def test_build_and_load_refuse_a_chain_not_the_default(self, tmp_path, kind):
+        """Both take the default chain for the numbers a chain holds and no
+        other: build_model names the first layer that differs, and
+        load_checkpoint the first text line that differs from what
+        save_checkpoint writes for that chain."""
+        specs, shape, layer, line = NON_DEFAULT_CHAINS[kind]
+        with pytest.raises(ArchitectureError) as built:
+            build_model(2, specs, seed=0, input_shape=shape)
+        assert str(built.value) == layer
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(unchecked_model(specs, shape), p)
+        with pytest.raises(CheckpointError) as loaded:
+            load_checkpoint(p)
+        assert str(loaded.value) == f"{p}: {line}"
 
     def test_save_writes_records_in_layer_order(self, tmp_path):
         m = small_model(seed=9)
@@ -1008,9 +1097,9 @@ class TestCheckpoint:
         save writes each array to the file as it is, and load reads each
         record into its final array. Both held the whole file besides the
         parameters when they built or read it as one bytes object."""
-        arch = [conv3d(3, 4, (3, 3, 3), 1, 1), relu(), maxpool3d((2, 2, 2)), flatten(),
-                linear(128, 1024)] + [relu(), linear(1024, 1024)] * 3 + [relu(), linear(1024, 2)]
-        m = build_model(2, arch, seed=1, input_shape=SMALL_SHAPE)
+        shape = (3, 8, 8, 8)  # three convs of 48 filters, fc1 (1024, 48): none is half of all
+        arch = default_architecture(shape, (48, 48, 48), 1024, n_classes=2)
+        m = build_model(2, arch, seed=1, input_shape=shape)
         params = sum(arr.nbytes for arr in m.params.values())
         record = max(arr.nbytes for arr in m.params.values())
         assert record < params / 2
@@ -1026,6 +1115,28 @@ class TestCheckpoint:
                 tracemalloc.stop()
         assert max(peaks) < params + record
         assert p.read_bytes() == reference_checkpoint_bytes(m)
+
+    def test_checkpoint_of_the_general_layer_walk_loads(self, tmp_path):
+        """tests/data/tiny_default_chain.ckpt was written by the build that
+        still walked any chain of layers (build_model(3, default_architecture(
+        (3, 4, 8, 8), (2, 3), 4, n_classes=3), seed=38)). It loads, saves
+        back byte for byte, and gives the logits that build gave, pinned by
+        their SHA-256."""
+        saved = Path(__file__).parent / "data" / "tiny_default_chain.ckpt"
+        shape = (3, 4, 8, 8)
+        m = load_checkpoint(saved)
+        arch = default_architecture(shape, (2, 3), 4, n_classes=3)
+        assert (m.specs, m.input_shape, m.n_classes) == (arch, shape, 3)
+        built = build_model(3, arch, seed=38, input_shape=shape)
+        assert all(m.params[k].tobytes() == v.tobytes() for k, v in built.params.items())
+        p = tmp_path / "again.ckpt"
+        save_checkpoint(m, p)
+        assert p.read_bytes() == saved.read_bytes()
+        x = np.random.default_rng(0).random((2,) + shape, dtype=np.float32)
+        logits = np.stack([forward(m, cuboid) for cuboid in x])
+        assert logits.dtype == np.float32
+        assert hashlib.sha256(logits.tobytes()).hexdigest() == (
+            "2d0322c2bbd2e80b27d3b0cb85b3458d4a81ddf043ff521f53a14a2051515549")
 
     def test_default_architecture_checkpoint_shape_chain(self, tmp_path):
         specs = default_architecture((3, 16, 32, 32), filters=(4, 8), hidden=16, n_classes=20)

@@ -19,7 +19,7 @@ import pytest
 
 from strokebench import model
 from strokebench.errors import TrainingError
-from strokebench.nn import layers, ops
+from strokebench.nn import ops
 from strokebench.nn.layers import default_architecture
 from strokebench.nn.optim import NesterovSGD
 
@@ -208,25 +208,12 @@ def test_some_windows_pick_other_winners():
 
 # -- inference pools values only -----------------------------------------------
 
-# conv -> pool -> flatten -> linear: no relu after the pool, so a +0.0/-0.0
-# tie in a pool window reaches the linear layer as it was pooled
-NO_RELU_SHAPE = (3, 6, 8, 8)
-NO_RELU_CHAIN = [layers.conv3d(3, 4, (3, 3, 3), 1, 1), layers.maxpool3d((2, 2, 2)),
-                 layers.flatten(), layers.linear(4 * 3 * 4 * 4, 2)]
-
-
-def _chain_net(chain):
-    if chain == "desk":
-        return _net(*DESK), DESK[0]
-    return model.build_model(2, NO_RELU_CHAIN, seed=5, input_shape=NO_RELU_SHAPE), NO_RELU_SHAPE
-
 
 @pytest.mark.parametrize("kind", ["random"] + EDGES)
-@pytest.mark.parametrize("chain", ["desk", "no relu after pool"])
-def test_inference_pools_without_winners_and_keeps_training_logits(chain, kind, monkeypatch):
-    rng = np.random.default_rng(len(kind) + len(chain))
-    net, shape = _chain_net(chain)
-    x = _edge_case(kind, rng, rng.random((3,) + shape, dtype=np.float32), net)
+def test_inference_pools_without_winners_and_keeps_training_logits(kind, monkeypatch):
+    rng = np.random.default_rng(len(kind) + 4)
+    net = _net(*DESK)
+    x = _edge_case(kind, rng, rng.random((3,) + DESK[0], dtype=np.float32), net)
     calls, seen = [], []
     pool, loss = ops.conv3d_maxpool3d, ops.softmax_cross_entropy
 
