@@ -118,17 +118,12 @@ def _default_for(input_shape, filters: list[int], features: list[int]) -> list[L
     return default_chain(input_shape, filters, features[0], features[-1])
 
 
-def build_model(n_classes: int, arch: list[LayerSpec], seed: int, *,
-                input_shape: tuple[int, int, int, int]) -> ModelParams:
-    """The model of `arch`, which must be `default_architecture` for the input
-    shape and the filters (conv3d out_channels), hidden units and classes (the
-    first and last linear out_features) it holds; else ArchitectureError names
-    the first layer that differs, or the rule a layer of that chain breaks.
-
-    Weights and biases are uniform in ±1/sqrt(fan_in), drawn per layer in
-    declaration order from one seeded stream, so a fixed seed gives
-    byte-identical parameters, the same in chunks of at most _INIT_CHUNK draws.
-    """
+def _default_model(n_classes: int, arch: list[LayerSpec], input_shape) -> ModelParams:
+    """The model of `arch` with no parameters yet. `arch` must be
+    `default_architecture` for the input shape and the filters (conv3d
+    out_channels), hidden units and classes (the first and last linear
+    out_features) it holds, and end at `n_classes`; else ArchitectureError
+    names the first layer that differs, or the rule a layer of that chain breaks."""
     _check_input(input_shape)
     if not arch:
         raise ArchitectureError("architecture has no layers")
@@ -143,9 +138,20 @@ def build_model(n_classes: int, arch: list[LayerSpec], seed: int, *,
         raise ArchitectureError(
             f"architecture ends at shape ({model.n_classes},), expected ({n_classes},)"
         )
+    return model
 
+
+def build_model(n_classes: int, arch: list[LayerSpec], seed: int, *,
+                input_shape: tuple[int, int, int, int]) -> ModelParams:
+    """The model of `arch`, checked by _default_model.
+
+    Weights and biases are uniform in ±1/sqrt(fan_in), drawn per layer in
+    declaration order from one seeded stream, so a fixed seed gives
+    byte-identical parameters, the same in chunks of at most _INIT_CHUNK draws.
+    """
+    model = _default_model(n_classes, arch, input_shape)
     stream = SplitMix64(derive_seed(seed, _INIT_SALT))
-    for name, shape in param_entries(default):
+    for name, shape in param_entries(model.specs):
         if name.endswith(".weight"):  # the bias that follows shares this bound
             bound = 1.0 / np.sqrt(np.prod(shape[1:]))
         vals = np.empty(math.prod(shape), dtype=np.float32)
@@ -163,7 +169,7 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
     with no tap index; the logits keep their bytes.
 
     A fixed loop: each block runs its conv3d and maxpool3d as one kernel,
-    `ops.conv3d_maxpool3d` (back as `ops.conv3d_backward` with the pool's
+    `ops.conv3d_maxpool3d` (back as both conv backward halves with the pool's
     window, so no full-size conv output or gradient exists), then its relu,
     on the pooled tensor; then flatten, fc1, relu and fc2. Relu after the
     pool is exact: relu is monotone, so where a window's maximum is > 0 both
@@ -234,15 +240,15 @@ def _layer_backward(model: ModelParams, caches: list, g: np.ndarray,
     gradients into `sums`. A linear layer forms no weight gradient: it
     appends its input and output gradient, the factors
     `ops.linear_weight_grad` sums over the batch, to its weight's list in
-    `sums`. A conv forms its weight gradient first, then drops its input,
-    of which its cache held the only reference, and only then forms
-    grad_input (`ops.conv3d_input_grad`). Every array unpacked from the
-    cache dies on return."""
+    `sums`. A conv forms its weight gradient first (`ops.conv3d_backward`),
+    then drops its input, of which its cache held the only reference, and
+    only then forms grad_input (`ops.conv3d_input_grad`). Every array
+    unpacked from the cache dies on return."""
     spec, weight, bias, window, taps, x = caches.pop()
     w = model.params[weight]
     if spec.kind == "conv3d":
-        _, grad_w, grad_b = ops.conv3d_backward(x, w, g, spec.stride, spec.pad,
-                                                need_input=False, window=window, taps=taps)
+        grad_w, grad_b = ops.conv3d_backward(x, w, g, spec.stride, spec.pad, window=window,
+                                             taps=taps)
         sums[weight] += grad_w
         shape = x.shape
         del x  # its only reference: it never coexists with its gradient
@@ -521,7 +527,12 @@ def _text_lines(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> list[st
 def save_checkpoint(model: ModelParams, path) -> None:
     """Write one record per param_entries(model.specs) entry, in that order,
     each straight from its array to the file; CheckpointError, before the
-    file is made, unless params holds exactly those."""
+    file is made, for a model build_model refuses (so every file it writes
+    loads), or unless params holds exactly those entries."""
+    try:
+        _default_model(model.n_classes, model.specs, model.input_shape)
+    except ArchitectureError as e:
+        raise CheckpointError(f"{path}: {e}") from None
     entries = dict(param_entries(model.specs))
     if (shapes := {name: arr.shape for name, arr in model.params.items()}) != entries:
         raise CheckpointError(f"{path}: parameters {shapes} do not match the layers' {entries}")

@@ -74,7 +74,8 @@ def _check_conv3d(rng: np.random.Generator) -> float:
         def objective():
             return float(np.sum(ops.conv3d_forward(xs, wt, b, stride, pad) * rs))
 
-        gx, gw, gb = ops.conv3d_backward(xs, wt, rs, stride, pad)
+        gw, gb = ops.conv3d_backward(xs, wt, rs, stride, pad)
+        gx = ops.conv3d_input_grad(wt, rs, xs.shape, stride, pad)
         return _worst(objective, [(gx, xs), (gw, wt), (gb, b)])
 
     return _per_sample(check, x, r)

@@ -17,13 +17,12 @@ tile reads; col2im blocks of grad_input of at most `BLOCK_BYTES` (one
 output row at least); and runs of frames, one maxpool3d block each, in
 which a conv and the max pool after it, one kernel both ways
 (`conv3d_maxpool3d`), hold the conv output and its gradient. The conv
-backward has two halves. The weight half (`conv3d_backward` with
-need_input=False) reads the input and adds one (F, C*kt*kh*kw) sum and one
-GEMM output of that size. The input half (`conv3d_input_grad`) takes only
-the input's shape, so a caller that holds the input's only reference can
-drop it in between, as the model does; it holds the returned grad_input
-and one col2im block. `conv3d_backward` runs both, the second once every
-buffer of the first is freed. `maxpool3d` pools, with no transposed copy,
+backward has two halves, two kernels. The weight half, `conv3d_backward`,
+reads the input and adds one (F, C*kt*kh*kw) sum and one GEMM output of
+that size. The input half, `conv3d_input_grad`, takes only the input's
+shape, so a caller that holds the input's only reference can drop it in
+between, as the model does; it holds the returned grad_input and one
+col2im block. `maxpool3d` pools, with no transposed copy,
 and `maxpool3d_backward` expands the tap index (each window's winning tap,
 one byte per pooled element; inference builds none) to flat int64 indices,
 one block of at most `BLOCK_BYTES` at a time. Every block loop, here, in
@@ -44,9 +43,10 @@ layer's backward returned).
 
 Bound: the tracemalloc peak of one conv3d_forward call stays below
 output bytes + the bytes of the padded input frames one tile reads + 2 *
-TILE_BYTES while one output row's columns fit in a tile. That of one
-conv3d_backward call stays below 4 * (input bytes + grad_out bytes) +
-BLOCK_BYTES while one output row's col2im columns fit in a block.
+TILE_BYTES while one output row's columns fit in a tile. That of the two
+backward halves, run one after the other, stays below 4 * (input bytes +
+grad_out bytes) + BLOCK_BYTES while one output row's col2im columns fit in
+a block.
 `tests/test_kernels.py` checks both for x of shape (1, 8, 32, 64, 64)
 float32 and 8 filters. The forward may use 5.66 MB (a 4.19 MB output, the
 0.42 MB of the 3 padded frames a tile reads and two tiles) and uses 5.19
@@ -66,7 +66,7 @@ tile's padded frames + one run + 2 * BLOCK_BYTES (12.4 MB), using 9.70 MB.
 At paper conv2 one output frame's col2im columns (11.7 MB) exceed
 BLOCK_BYTES, so its col2im blocks are runs of 20 rows (3.9 MB). On one
 (7, 2, 2) pool run its input half stays below its bound (13.6 MB), using
-13.3 MB, and the whole backward below that + one more weight size
+13.3 MB, and both halves below that + one more weight size
 (13.8 MB), using 13.5 MB. On two runs (14 input frames) the weight half
 stays below its bound (9.45 MB), using 9.12 MB, and the input half below
 its own (16.6 MB), using 16.3 MB. A training `maxpool3d` call
@@ -104,7 +104,7 @@ from ..errors import ShapeError
 TILE_BYTES = 512 << 10
 
 # Upper bound on one block of a streaming kernel: a col2im block of
-# conv3d_backward (one output row at least), the input of a maxpool3d block
+# conv3d_input_grad (one output row at least), the input of a maxpool3d block
 # (one output frame at least), the temporaries of a maxpool3d_backward block
 # (one output frame at least). At 4 MB the pooled-size arrays a 2x2x2
 # window's passes reread (about a quarter of the block) fit in the 2 MB L2
@@ -326,34 +326,20 @@ def _conv_grads(grad_out, window, taps, outs):
     return conv_grad
 
 
-def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *, need_input: bool = True,
-                    window=None, taps=None):
-    """Exact adjoints of conv3d_forward, or with a `window` of conv3d_maxpool3d
-    at its tap index `taps`, for the gradient `grad_out` of the (pooled)
-    output: (grad_input, grad_weight, grad_bias). The conv output's gradient
-    is built one run of _conv_plan at a time, and for grad_bias in groups of
-    whole channels within BLOCK_BYTES (one at least): each sums its C-order row.
+def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *, window=None, taps=None):
+    """The weight half of the adjoints of conv3d_forward, or with a `window`
+    of conv3d_maxpool3d at its tap index `taps`, for the gradient `grad_out`
+    of the (pooled) output: (grad_weight, grad_bias). grad_input is
+    conv3d_input_grad's. The conv output's gradient is built one run of
+    _conv_plan at a time, and for grad_bias in groups of whole channels
+    within BLOCK_BYTES (one at least): each sums its C-order row.
 
     grad_weight: per tile of _conv_plan, the tile lowered as the forward
     lowers it and one GEMM, the tile's gradient (F x positions) times its
     columns transposed, added in tile order into one (F, C*kt*kh*kw) sum
     that starts from zero.
-    grad_input is conv3d_input_grad's, formed once every column and input
-    buffer of grad_weight is freed. With need_input=False an empty array of
-    grad_out's dtype stands in for it (a first layer's, or one the caller
-    forms with conv3d_input_grad after dropping x).
     """
     outs = _check_backward(x.shape, weight, grad_out, stride, pad, window, taps)
-    # every buffer and the plan of grad_weight die before grad_input is formed
-    grad_weight, grad_bias = _weight_grad(x, weight, grad_out, stride, pad, window, taps, outs)
-    if not need_input:
-        return np.empty(0, dtype=grad_out.dtype), grad_weight, grad_bias
-    return (_input_grad(weight, grad_out, x.shape, stride, pad, window, taps, outs),
-            grad_weight, grad_bias)
-
-
-def _weight_grad(x, weight, grad_out, stride, pad, window, taps, outs):
-    """(grad_weight, grad_bias) of conv3d_backward, unchecked."""
     c = x.shape[1]
     f = weight.shape[0]
     kshape = weight.shape[2:]
@@ -380,27 +366,23 @@ def _weight_grad(x, weight, grad_out, stride, pad, window, taps, outs):
 
 def conv3d_input_grad(weight, grad_out, input_shape, stride: int, pad: int, *, window=None,
                       taps=None):
-    """grad_input of conv3d_backward for an input of `input_shape`, which it
-    does not read: a caller may drop the input once grad_weight is formed.
+    """The input half of the adjoints of conv3d_forward: grad_input for an
+    input of `input_shape`, which it does not read, so a caller may drop the
+    input once conv3d_backward has formed grad_weight.
 
     Per col2im block of _conv_plan, one GEMM gives every tap's contribution
     (in (kt,kh,kw,C | frames, rows, W') layout), added straight into
     grad_input where the tap meets the input (see _axis_parts). Runs and
     blocks go last frame first, and last row first within a frame: a lower
     tap reads a later output frame or row, so each input element still
-    receives its contributions in tap order.
+    receives its contributions in tap order. Each block adds its taps into
+    a view of the input frames they reach, so a tap's slices depend on the
+    block's frames only where they reach the input's padding: they are
+    computed once per frame count for the blocks whose taps all land inside
+    the input, once per block elsewhere, and once per row range across rows.
     """
-    outs = _check_backward(tuple(input_shape), weight, grad_out, stride, pad, window, taps)
-    return _input_grad(weight, grad_out, tuple(input_shape), stride, pad, window, taps, outs)
-
-
-def _input_grad(weight, grad_out, input_shape, stride, pad, window, taps, outs):
-    """conv3d_input_grad, unchecked: conv3d_backward calls it too. Each
-    block adds its taps into a view of the input frames they reach, so a
-    tap's slices depend on the block's frames only where they reach the
-    input's padding: they are computed once per frame count for the blocks
-    whose taps all land inside the input, once per block elsewhere, and
-    once per row range across rows (see _axis_parts)."""
+    input_shape = tuple(input_shape)
+    outs = _check_backward(input_shape, weight, grad_out, stride, pad, window, taps)
     c, t, h, w = input_shape[1:]
     f, (kt, kh, kw) = weight.shape[0], weight.shape[2:]
     wo = outs[2]
@@ -515,7 +497,7 @@ def maxpool3d_backward(grad_out, taps, input_shape, window):
 
 
 def _pool_backward(grad_out, taps, input_shape, window):
-    """maxpool3d_backward, unchecked: conv3d_backward calls it for a pool it fuses."""
+    """maxpool3d_backward, unchecked: both conv backward halves call it for a pool they fuse."""
     pt, ph, pw = window
     c, t, h, w = input_shape[1:]
     to, ho, wo = grad_out.shape[2:]

@@ -1,10 +1,12 @@
 """scripts/bench_pairs.py with `run_once` replaced by a fake benchmark: the
 pair order, the per-pair ratios, the count of improved pairs and the gain
 and bound verdicts; and its training-step runs, with `run_step` faked and
-once for real at a tiny shape."""
+once for real at a tiny shape. scripts/bench_table.py on a file the faked
+runs wrote, and on the BENCH file whose table README.md holds."""
 
 import importlib.util
 import json
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -12,9 +14,17 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _script("bench_pairs")
+bench_table = _script("bench_table")
 
 
 def _trees(tmp_path):
@@ -139,12 +149,12 @@ def test_failed_gate_gives_exit_1(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["workloads"]["detect-hires"]["change"]["failed"] == [0, 1]
 
 
-def _fake_step(calls, sha_of=lambda side, batch: "same"):
+def _fake_step(calls, sha_of=lambda side, batch: "same", build=80.0):
     """Peak RSS 100 + batch MB, 10 MB less at an mmap threshold."""
     def run_step(tree, batch, tiny, mmap_threshold=None):
         calls.append((batch, tree.name, tiny, mmap_threshold))
         return {"peak_rss_mb": 100.0 + batch - (10 if mmap_threshold else 0),
-                "build_peak_rss_mb": 80.0, "forward_s": 1.0, "backward_s": 2.0,
+                "build_peak_rss_mb": build, "forward_s": 1.0, "backward_s": 2.0,
                 "sha256": sha_of(tree.name, batch)}
     return run_step
 
@@ -334,3 +344,46 @@ def test_others_busy_without_proc_stat_reads_none(tmp_path, monkeypatch):
     desk = json.loads(out.read_text())["workloads"]["train-desk"]
     assert desk["base"]["others_busy"] == desk["change"]["others_busy"] == [None, None]
     assert desk["base"]["pinned_steal"] == desk["change"]["pinned_steal"] == [None, None]
+
+
+def test_table_reads_what_the_faked_run_writes(tmp_path, monkeypatch, capsys):
+    """bench_table.py prints the change side of the file bench_pairs.py
+    writes, so a field renamed in one fails here; a step of a checkout
+    that printed no build peak reads n/a."""
+    base, change = _trees(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", _fake([]))
+    monkeypatch.setattr(bench_pairs, "run_step", _fake_step([], build=None))
+    monkeypatch.setattr(bench_pairs, "git_state",
+                        lambda tree, given: {"path": str(given), "commit": None, "dirty": None})
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pairs.main(["--base", str(base), "--change", str(change), "--seeds", "4",
+                             "--workload", "train-desk", "--step-batch", "2",
+                             "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert bench_table.main([str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "`BENCH_1.json`: the change tree with no recorded commit, 15 s per workload run, "
+        "`nproc=2 cpus=[1]`.\n"
+        "\n"
+        "| workload | metric | median | [q1, q3] | gain_rule_met | within_bound |\n"
+        "| --- | --- | --- | --- | --- | --- |\n"
+        "| train-desk | items_per_s | 375 1/s | [262.5, 487.5] | no | yes |\n"
+        "| train-desk | peak_rss_mb | 105 MB | [100, 110] | no | yes |\n"
+        "| train-desk | setup_s | 1.25 s | [0.5, 2] | no | yes |\n"
+        "\n"
+        "| step batch | peak_rss_mb | mmap_threshold_peak_rss_mb | build_peak_rss_mb | forward_s "
+        "| backward_s | sha256 |\n"
+        "| --- | --- | --- | --- | --- | --- | --- |\n"
+        "| 2 | 102.0 | 92.0 | n/a | 1.0 | 2.0 | `same` |\n")
+
+
+def test_readme_holds_the_table_of_the_bench_file_it_names(capsys):
+    """README.md's measured numbers are bench_table.py's output for the
+    BENCH file its marker comments name, byte for byte."""
+    readme = (ROOT / "README.md").read_text()
+    tables = re.findall(r"<!-- bench_table (\S+) -->\n(.*?)<!-- end bench_table \1 -->", readme,
+                        re.DOTALL)
+    assert len(tables) == 1
+    name, held = tables[0]
+    assert bench_table.main([str(ROOT / name)]) == 0
+    assert held == capsys.readouterr().out

@@ -63,6 +63,14 @@ def _padded_windows(x, kshape, stride, pad):
     return win[:, :, ::stride, ::stride, ::stride]  # (N,C,T',H',W',kt,kh,kw)
 
 
+def both_halves(x, weight, grad_out, stride, pad, **pool):
+    """(grad_input, grad_weight, grad_bias): the weight half of the conv
+    backward, then its input half, as the model runs them."""
+    grad_weight, grad_bias = ops.conv3d_backward(x, weight, grad_out, stride, pad, **pool)
+    return (ops.conv3d_input_grad(weight, grad_out, x.shape, stride, pad, **pool), grad_weight,
+            grad_bias)
+
+
 def im2col_conv3d_forward(x, weight, bias, stride=1, pad=0):
     win = _padded_windows(x, weight.shape[2:], stride, pad)
     out = np.tensordot(win, weight, axes=([1, 5, 6, 7], [1, 2, 3, 4]))  # (N,T',H',W',F)
@@ -236,7 +244,7 @@ def grad_weight_other_bytes(seed, dtype, x_shape, filters, kernel, stride, pad):
                                            filters, kernel, stride, pad)
     return [s for s in range(len(x))
             if not _same_bytes(ops.conv3d_backward(x[s:s + 1], weight, grad_out[s:s + 1],
-                                                   stride, pad)[1],
+                                                   stride, pad)[0],
                                tile_grad_weight(x[s:s + 1], weight, grad_out[s:s + 1],
                                                 stride, pad))]
 
@@ -258,7 +266,7 @@ def _assert_backward_bytes(name, seed, x, weight, grad_out, stride, pad):
     and grad_out are the `_conv_case` of `seed`, at a 3x3x3 kernel)."""
     for s in range(len(x)):
         xs, gs = x[s:s + 1], grad_out[s:s + 1]
-        got = ops.conv3d_backward(xs, weight, gs, stride, pad)
+        got = both_halves(xs, weight, gs, stride, pad)
         ref = im2col_conv3d_backward(xs, weight, gs, stride, pad)
         assert _same_bytes(got[0], ref[0]), f"{name} sample {s} grad_input"
         assert _same_bytes(got[2], ref[2]), f"{name} sample {s} grad_bias"
@@ -317,7 +325,7 @@ def _assert_random_shapes_match_im2col(dtype):
                                                   stride, pad)
         for s in range(n):
             xs, gs = x[s:s + 1], grad_out[s:s + 1]
-            got = (ops.conv3d_forward(xs, weight, bias, stride, pad),) + ops.conv3d_backward(
+            got = (ops.conv3d_forward(xs, weight, bias, stride, pad),) + both_halves(
                 xs, weight, gs, stride, pad)
             ref = ((im2col_conv3d_forward(xs, weight, bias, stride, pad),)
                    + im2col_conv3d_backward(xs, weight, gs, stride, pad))
@@ -424,7 +432,7 @@ def test_grad_weight_at_small_desk_batches_within_rounding(batch, dtype):
         x, weight, _, _, grad_out = _weight_case(dtype, x_shape, filters, (3, 3, 3), 1, 1)
         for s in range(batch):
             xs, gs = x[s:s + 1], grad_out[s:s + 1]
-            got = ops.conv3d_backward(xs, weight, gs, 1, 1)[1]
+            got = ops.conv3d_backward(xs, weight, gs, 1, 1)[0]
             ref = per_tap_grad_weight(xs, weight, gs, 1, 1)
             assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
 
@@ -447,8 +455,7 @@ def test_tile_grad_weight_closer_to_float64_than_per_tap_gemms(name, x_shape, fi
     exact = per_tap_grad_weight(*(a.astype(np.float64) for a in (x, weight, grad_out)), 1, 1)
     got = np.zeros_like(weight)
     for s in range(len(x)):
-        got += ops.conv3d_backward(x[s:s + 1], weight, grad_out[s:s + 1], 1, 1,
-                                   need_input=False)[1]
+        got += ops.conv3d_backward(x[s:s + 1], weight, grad_out[s:s + 1], 1, 1)[0]
     per_tap = per_tap_grad_weight(x, weight, grad_out, 1, 1)
     assert np.abs(got - exact).sum() < np.abs(per_tap - exact).sum(), name
 
@@ -459,10 +466,11 @@ def test_backward_without_grad_input(name, x_shape, filters, kernel, stride, pad
     x, weight, _, _, grad_out = _weight_case(dtype, x_shape, filters, kernel, stride, pad)
     for s in range(len(x)):
         xs, gs = x[s:s + 1], grad_out[s:s + 1]
-        full = ops.conv3d_backward(xs, weight, gs, stride, pad)
-        grad_input, grad_weight, grad_bias = ops.conv3d_backward(
-            xs, weight, gs, stride, pad, need_input=False)
-        assert grad_input.size == 0 and grad_input.dtype == grad_out.dtype
+        full = both_halves(xs, weight, gs, stride, pad)
+        halves = ops.conv3d_backward(xs, weight, gs, stride, pad)
+        # the weight half forms no grad_input, not even an empty stand-in
+        assert len(halves) == 2 and all(h.dtype == grad_out.dtype for h in halves)
+        grad_weight, grad_bias = halves
         assert _same_bytes(grad_weight, full[1]) and _same_bytes(grad_bias, full[2]), (name, s)
         # the other half, from the input's shape alone
         shape = list(xs.shape)
@@ -471,7 +479,7 @@ def test_backward_without_grad_input(name, x_shape, filters, kernel, stride, pad
 
 def test_backward_full_skips_only_the_first_conv_grad_input(monkeypatch):
     """Each conv's backward forms its weight gradient alone
-    (need_input=False), and every conv but the first then its grad_input
+    (conv3d_backward), and every conv but the first then its grad_input
     with conv3d_input_grad, once the conv's input, which its cache held, is
     gone."""
     arch = default_architecture((3, 8, 16, 16), filters=(4, 8, 8), hidden=8, n_classes=2)
@@ -481,7 +489,7 @@ def test_backward_full_skips_only_the_first_conv_grad_input(monkeypatch):
 
     def weight_spy(x, weight, grad_out, stride=1, pad=0, **kwargs):
         out = orig_weight(x, weight, grad_out, stride, pad, **kwargs)
-        calls.append(("weight", weight.shape[:2], kwargs.get("need_input", True), out[0].shape))
+        calls.append(("weight", weight.shape[:2], len(out)))
         return out
 
     def input_spy(weight, grad_out, input_shape, stride, pad, **kwargs):
@@ -499,9 +507,9 @@ def test_backward_full_skips_only_the_first_conv_grad_input(monkeypatch):
         inputs = {net.params[c[1]].shape: weakref.ref(c[-1])
                   for c in caches if c[0].kind == "conv3d"}
         model._backward_full(net, caches, np.ones_like(logits), sums)
-    assert calls == [("weight", (8, 8), False, (0,)), ("input", (8, 8), False, (1, 8, 2, 4, 4)),
-                     ("weight", (8, 4), False, (0,)), ("input", (8, 4), False, (1, 4, 4, 8, 8)),
-                     ("weight", (4, 3), False, (0,))] * len(x)
+    assert calls == [("weight", (8, 8), 2), ("input", (8, 8), False, (1, 8, 2, 4, 4)),
+                     ("weight", (8, 4), 2), ("input", (8, 4), False, (1, 4, 4, 8, 8)),
+                     ("weight", (4, 3), 2)] * len(x)
 
 
 def test_backward_full_frees_each_cache_before_the_next_layer(monkeypatch):
@@ -791,7 +799,7 @@ def test_conv_grad_bias_is_the_c_order_sum(x_shape, filters):
     x, weight, _, _, grad_out = _conv_case(rng, np.float32, x_shape, filters)
     for s in range(len(x)):
         gs = grad_out[s:s + 1]
-        got = ops.conv3d_backward(x[s:s + 1], weight, gs, 1, 1)[2]
+        got = ops.conv3d_backward(x[s:s + 1], weight, gs, 1, 1)[1]
         assert _same_bytes(got, gs.sum(axis=(0, 2, 3, 4))), s
 
 
@@ -801,7 +809,7 @@ def test_conv_grad_bias_sums_from_zero():
     grad_out = np.full((1, 2, 2, 2, 2), -0.0, dtype=np.float32)
     grad_out[0, 1, 0, 0, 0] = 1.0
     grad_bias = ops.conv3d_backward(np.ones((1, 1, 2, 2, 2), np.float32),
-                                    np.ones((2, 1, 1, 1, 1), np.float32), grad_out, 1, 0)[2]
+                                    np.ones((2, 1, 1, 1, 1), np.float32), grad_out, 1, 0)[1]
     assert grad_bias.tolist() == [0.0, 1.0] and not np.signbit(grad_bias).any()
 
 
@@ -870,19 +878,19 @@ def test_conv_forward_memory_is_bounded(bound_case):
 
 def test_conv_backward_memory_is_bounded(bound_case):
     x, weight, _, grad_out, bound = bound_case
-    assert _peak_bytes(ops.conv3d_backward, x, weight, grad_out, 1, 1) < bound
+    assert _peak_bytes(both_halves, x, weight, grad_out, 1, 1) < bound
 
 
 def test_conv_backward_without_grad_input_peaks_lower():
-    """need_input=False skips the grad_input buffers, which set the full
-    backward's peak: the returned grad_input, which col2im adds into
+    """The weight half alone skips the grad_input buffers, which set the
+    whole backward's peak: the returned grad_input, which col2im adds into
     directly, and one col2im block. The padded gradient and the copy that
     stripped its padding, which took one more input size, are gone."""
     x, weight, _, _, grad_out = _conv_case(np.random.default_rng(8), np.float32, BOUND_X,
                                            BOUND_FILTERS, kernel=(3, 3, 1))
     assert grad_out.flags.c_contiguous  # no copy of grad_out
-    skip = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad_out, 1, 1, need_input=False))
-    full = _peak_bytes(ops.conv3d_backward, x, weight, grad_out, 1, 1)
+    skip = _peak_bytes(ops.conv3d_backward, x, weight, grad_out, 1, 1)
+    full = _peak_bytes(both_halves, x, weight, grad_out, 1, 1)
     half = _peak_bytes(lambda: ops.conv3d_input_grad(weight, grad_out, x.shape, 1, 1))
     assert skip < full
     # grad_input, one block, the ufunc buffers of its adds (96 KB) and Python objects
@@ -898,8 +906,7 @@ def test_conv_backward_without_grad_input_holds_the_frames_of_one_tile(bound_cas
     block that replaced held kw input sizes, 12.6 MB here."""
     x, weight, _, grad_out, _ = bound_case
     sums = 2 * weight.nbytes + weight.shape[0] * x.itemsize
-    peak = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad_out, 1, 1,
-                                                   need_input=False))
+    peak = _peak_bytes(ops.conv3d_backward, x, weight, grad_out, 1, 1)
     assert peak < _tile_frames(x) + ops.TILE_BYTES + sums + (16 << 10)
 
 
@@ -1012,7 +1019,7 @@ def _fused_case(x_shape, filters, window, kind, dtype=np.float32):
 
 def _assert_fused_bytes(x, weight, bias, window, grad):
     """conv3d_maxpool3d and its backward against conv3d_forward -> maxpool3d
-    and maxpool3d_backward -> conv3d_backward, with and without grad_input."""
+    and maxpool3d_backward -> conv3d_backward and conv3d_input_grad."""
     conv = ops.conv3d_forward(x, weight, bias, 1, 1)
     pooled, taps = ops.maxpool3d(conv, window)
     got, got_taps = ops.conv3d_maxpool3d(x, weight, bias, 1, 1, window)
@@ -1020,15 +1027,10 @@ def _assert_fused_bytes(x, weight, bias, window, grad):
     values, none = ops.conv3d_maxpool3d(x, weight, bias, 1, 1, window, need_winners=False)
     assert none is None and _same_bytes(values, pooled)
     conv_grad = ops.maxpool3d_backward(grad, taps, conv.shape, window)
-    for need_input in (True, False):
-        ref = ops.conv3d_backward(x, weight, conv_grad, 1, 1, need_input=need_input)
-        fused = ops.conv3d_backward(x, weight, grad, 1, 1, need_input=need_input,
-                                    window=window, taps=got_taps)
-        for a, b in zip(fused, ref):
-            assert _same_bytes(a, b), need_input
-        grad_input = fused[0] if need_input else grad_input
-    half = ops.conv3d_input_grad(weight, grad, x.shape, 1, 1, window=window, taps=got_taps)
-    assert _same_bytes(half, grad_input)
+    ref = both_halves(x, weight, conv_grad, 1, 1)
+    fused = both_halves(x, weight, grad, 1, 1, window=window, taps=got_taps)
+    for a, b in zip(fused, ref):
+        assert _same_bytes(a, b)
 
 
 @pytest.mark.parametrize("case,kind", FUSED_RUNS,
@@ -1131,8 +1133,8 @@ def test_conv_pool_pair_memory_is_one_run_above_its_results():
     pooled, taps = ops.conv3d_maxpool3d(x, weight, bias, 1, 1, (2, 2, 2))
     grad = np.random.default_rng(31).standard_normal(pooled.shape, dtype=np.float32)
     forward = _peak_bytes(ops.conv3d_maxpool3d, x, weight, bias, 1, 1, (2, 2, 2))
-    backward = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad, 1, 1, need_input=False,
-                                                       window=(2, 2, 2), taps=taps))
+    backward = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad, 1, 1, window=(2, 2, 2),
+                                                       taps=taps))
     assert forward < pooled.nbytes + taps.nbytes + frames + run + 2 * ops.TILE_BYTES
     assert backward < frames + run + 2 * ops.BLOCK_BYTES
     assert max(forward, backward) < 8 * run / 2
@@ -1157,8 +1159,7 @@ def test_paper_conv2_holds_no_padded_sample_or_frame_block():
     assert [rows for _, _, rows in blocks[:3]] == [(0, 20), (20, 40), (40, 60)]
     pooled, taps = ops.conv3d_maxpool3d(x, weight, bias, 1, 1, window)
     forward = _peak_bytes(ops.conv3d_maxpool3d, x, weight, bias, 1, 1, window)
-    backward = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad, 1, 1, window=window,
-                                                       taps=taps))
+    backward = _peak_bytes(lambda: both_halves(x, weight, grad, 1, 1, window=window, taps=taps))
     half = _peak_bytes(lambda: ops.conv3d_input_grad(weight, grad, x.shape, 1, 1, window=window,
                                                      taps=taps))
     assert forward < pooled.nbytes + taps.nbytes + run + _tile_frames(x) + 2 * ops.TILE_BYTES
@@ -1184,8 +1185,7 @@ def test_paper_conv2_holds_one_run_gradient_at_a_time():
     run = filters * 7 * 60 * 60 * 4
     pool_block = 30 * 30 * (filters * (16 + 4) + 8)
     _, taps = ops.conv3d_maxpool3d(x, weight, bias, 1, 1, window)
-    weight_half = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad, 1, 1,
-                                                          need_input=False, window=window,
+    weight_half = _peak_bytes(lambda: ops.conv3d_backward(x, weight, grad, 1, 1, window=window,
                                                           taps=taps))
     input_half = _peak_bytes(lambda: ops.conv3d_input_grad(weight, grad, x.shape, 1, 1,
                                                            window=window, taps=taps))

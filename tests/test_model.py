@@ -16,7 +16,8 @@ from strokebench.errors import (AnnotationError, ArchitectureError, CheckpointEr
 from strokebench.frames import extract_cuboid, open_rgbv, write_rgbv
 from strokebench.model import (CHECKPOINT_MAGIC, DatasetItem, ModelParams, TrainConfig,
                                build_model, classify, classify_windows, detect, forward,
-                               _text_lines, _window_input, history_csv, load_checkpoint,
+                               _record_head, _text_lines, _window_input, history_csv,
+                               load_checkpoint,
                                save_checkpoint, train)
 from strokebench.nn import ops
 from strokebench.nn.rng import SplitMix64, derive_seed
@@ -64,6 +65,15 @@ def unchecked_model(specs, input_shape=SMALL_SHAPE):
     return ModelParams(specs, params, input_shape, 2)
 
 
+def write_unchecked(model, path):
+    """Write `model` as save_checkpoint writes it, with none of its checks:
+    the checkpoint files of chains that load_checkpoint must refuse."""
+    text = "".join(line + "\n" for line in _text_lines(model.specs, model.input_shape))
+    records = b"".join(_record_head(name, arr.shape) + arr.astype("<f4").tobytes()
+                       for name, arr in model.params.items())
+    Path(path).write_bytes(CHECKPOINT_MAGIC + text.encode("utf-8") + records)
+
+
 def broken_chain_arch():
     """small_arch with a pool window of 3 frames, which does not divide 4."""
     arch = small_arch()
@@ -72,7 +82,7 @@ def broken_chain_arch():
 
 
 # (architecture, what load_checkpoint says after the path), for models that
-# save_checkpoint writes but build_model refuses
+# build_model and save_checkpoint refuse
 INVALID_MODELS = {
     "broken_chain": (broken_chain_arch(), "line 5 reads 'maxpool3d window=3x2x2', but "
                                           "save_checkpoint writes 'maxpool3d window=2x2x2'"),
@@ -585,14 +595,12 @@ class TestTrain:
         seen = {}
 
         def poisoned(*args, **kwargs):
-            grad_input, grad_weight, grad_bias = conv_backward(*args, **kwargs)
-            if kwargs.get("need_input", True):
-                return grad_input, grad_weight, grad_bias
+            grad_weight, grad_bias = conv_backward(*args, **kwargs)
             seen["calls"] = seen.get("calls", 0) + 1  # conv1, once per sample
             if seen["calls"] == 5:  # epoch 2, batch 1, its first sample
                 seen["params"] = {k: v.copy() for k, v in m.params.items()}
                 grad_weight[0, 0, 0, 0, 0] = np.nan
-            return grad_input, grad_weight, grad_bias
+            return grad_weight, grad_bias
 
         monkeypatch.setattr(ops, "conv3d_backward", poisoned)
         with pytest.raises(TrainingError, match=r"^epoch 2, batch 1: gradient of conv1.weight "
@@ -996,7 +1004,7 @@ class TestCheckpoint:
     ], ids=["non_square", "gray"])
     def test_non_square_input_rejected(self, tmp_path, arch, shape, message):
         p = tmp_path / "m.ckpt"
-        save_checkpoint(unchecked_model(arch, shape), p)
+        write_unchecked(unchecked_model(arch, shape), p)
         with pytest.raises(CheckpointError, match=re.escape(f"{p}: {message}")):
             load_checkpoint(p)
 
@@ -1004,7 +1012,7 @@ class TestCheckpoint:
     def test_invalid_model_rejected(self, tmp_path, kind):
         arch, message = INVALID_MODELS[kind]
         p = tmp_path / "m.ckpt"
-        save_checkpoint(unchecked_model(arch), p)
+        write_unchecked(unchecked_model(arch), p)
         with pytest.raises(CheckpointError, match=re.escape(f"{p}: {message}")):
             load_checkpoint(p)
 
@@ -1066,10 +1074,25 @@ class TestCheckpoint:
             build_model(2, specs, seed=0, input_shape=shape)
         assert str(built.value) == layer
         p = tmp_path / "m.ckpt"
-        save_checkpoint(unchecked_model(specs, shape), p)
+        write_unchecked(unchecked_model(specs, shape), p)
         with pytest.raises(CheckpointError) as loaded:
             load_checkpoint(p)
         assert str(loaded.value) == f"{p}: {line}"
+
+    @pytest.mark.parametrize("arch, shape, message", [
+        (broken_chain_arch(), SMALL_SHAPE, "layer 2: 'maxpool3d window=3x2x2' where the "
+                                           "default architecture has 'maxpool3d window=2x2x2'"),
+        (small_arch(n_classes=1), SMALL_SHAPE, "architecture ends at shape (1,), expected (K,) "
+                                               "with K >= 2"),
+        (non_square_arch(), NON_SQUARE_SHAPE, "input frames must be square"),
+    ], ids=["broken_chain", "one_class", "non_square"])
+    def test_save_refuses_a_model_build_model_refuses(self, tmp_path, arch, shape, message):
+        """What save_checkpoint writes, load_checkpoint reads: a chain that
+        build_model refuses is refused with its message before the file is made."""
+        p = tmp_path / "m.ckpt"
+        with pytest.raises(CheckpointError, match=re.escape(f"{p}: {message}")):
+            save_checkpoint(unchecked_model(arch, shape), p)
+        assert not p.exists()
 
     def test_save_writes_records_in_layer_order(self, tmp_path):
         m = small_model(seed=9)

@@ -10,6 +10,12 @@ from strokebench.nn.gradcheck import max_rel_error, numeric_grad
 from oracles import conv3d_naive, cross_entropy_direct
 
 
+def both_halves(x, w, grad_out, stride, pad):
+    """(grad_input, grad_weight, grad_bias) of the two halves of the conv backward."""
+    return (ops.conv3d_input_grad(w, grad_out, x.shape, stride, pad),
+            *ops.conv3d_backward(x, w, grad_out, stride, pad))
+
+
 class TestConv3d:
     def test_all_ones_sums_receptive_field(self):
         x = np.ones((1, 1, 3, 3, 3))
@@ -85,13 +91,13 @@ class TestConv3d:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 2, 4, 4, 4))
         w = rng.standard_normal((3, 2, 3, 3, 3))
-        gx, gw, gb = ops.conv3d_backward(x, w, np.zeros((1, 3, 2, 2, 2)), stride=1, pad=0)
+        gx, gw, gb = both_halves(x, w, np.zeros((1, 3, 2, 2, 2)), 1, 0)
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_backward_scalar_chain_rule(self):
         x = np.full((1, 1, 1, 1, 1), 5.0)
         w = np.full((1, 1, 1, 1, 1), 2.0)
-        gx, gw, gb = ops.conv3d_backward(x, w, np.ones((1, 1, 1, 1, 1)), stride=1, pad=0)
+        gx, gw, gb = both_halves(x, w, np.ones((1, 1, 1, 1, 1)), 1, 0)
         assert gx.item() == 2.0 and gw.item() == 5.0 and gb.item() == 1.0
 
     def test_backward_matches_finite_differences(self):
@@ -104,7 +110,7 @@ class TestConv3d:
         def objective():
             return float(np.sum(ops.conv3d_forward(x, w, b, 2, 1) * r))
 
-        gx, gw, gb = ops.conv3d_backward(x, w, r, stride=2, pad=1)
+        gx, gw, gb = both_halves(x, w, r, 2, 1)
         assert max_rel_error(gx, numeric_grad(objective, x, 1e-5)) < 1e-6
         assert max_rel_error(gw, numeric_grad(objective, w, 1e-5)) < 1e-6
         assert max_rel_error(gb, numeric_grad(objective, b, 1e-5)) < 1e-6
@@ -122,7 +128,7 @@ class TestConv3d:
         b = np.zeros(2, dtype=np.float32)
         out = ops.conv3d_forward(x, w, b, 1, 1)
         assert out.dtype == np.float32
-        gx, gw, gb = ops.conv3d_backward(x, w, out, 1, 1)
+        gx, gw, gb = both_halves(x, w, out, 1, 1)
         assert gx.dtype == gw.dtype == gb.dtype == np.float32
 
 
@@ -412,7 +418,7 @@ def test_all_ops_produce_finite_values_on_finite_inputs():
     for s in range(2):
         out = ops.conv3d_forward(x[s:s + 1], w, b, 1, 1)
         assert np.isfinite(out).all()
-        gx, gw, gb = ops.conv3d_backward(x[s:s + 1], w, out, 1, 1)
+        gx, gw, gb = both_halves(x[s:s + 1], w, out, 1, 1)
         assert np.isfinite(gx).all() and np.isfinite(gw).all() and np.isfinite(gb).all()
         pooled, taps = ops.maxpool3d(out, (2, 2, 2))
         assert np.isfinite(pooled).all()

@@ -18,7 +18,7 @@ from strokebench.model import TrainConfig
 from strokebench.nn.layers import FILTERS, HIDDEN, INPUT_SHAPE, default_architecture
 from strokebench.synth import SynthConfig, generate_corpus
 
-from test_model import INVALID_MODELS, non_square_model, unchecked_model
+from test_model import INVALID_MODELS, non_square_model, unchecked_model, write_unchecked
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
@@ -815,7 +815,7 @@ class TestCommands:
 
     def test_non_square_checkpoint_fails_naming_it(self, tiny_corpus, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
-        model_mod.save_checkpoint(non_square_model(), ckpt)
+        write_unchecked(non_square_model(), ckpt)
         assert main(["infer", "--task", "detection", "--data", str(tiny_corpus),
                      "--out", str(tmp_path / "run"), "--checkpoint", str(ckpt)]) == 2
         assert f"error: {ckpt}: input frames must be square" in capsys.readouterr().err
@@ -824,7 +824,7 @@ class TestCommands:
     def test_invalid_model_checkpoint_fails_naming_it(self, tmp_path, capsys, kind):
         arch, message = INVALID_MODELS[kind]
         ckpt = tmp_path / "m.ckpt"
-        model_mod.save_checkpoint(unchecked_model(arch), ckpt)
+        write_unchecked(unchecked_model(arch), ckpt)
         assert main(["infer", "--checkpoint", str(ckpt), "--out", str(tmp_path)]) == 2
         assert f"error: {ckpt}: {message}" in capsys.readouterr().err
 

@@ -64,8 +64,10 @@ def spec_order_step(net, x, upstream):
             _, idx, inp = cache
             assert g.flags.c_contiguous
             bias_grad = g.sum(axis=(0, 2, 3, 4))
-            g, grads[f"conv{idx}.weight"], _ = ops.conv3d_backward(
-                inp, net.params[f"conv{idx}.weight"], g, spec.stride, spec.pad)
+            weight = net.params[f"conv{idx}.weight"]
+            grads[f"conv{idx}.weight"], _ = ops.conv3d_backward(inp, weight, g, spec.stride,
+                                                                 spec.pad)
+            g = ops.conv3d_input_grad(weight, g, inp.shape, spec.stride, spec.pad)
             grads[f"conv{idx}.bias"] = bias_grad
         elif spec.kind == "maxpool3d":
             _, taps, in_shape = cache
