@@ -285,6 +285,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"video id {shared[0]!r} is named by both {train_index} and "
                           f"{val_index}; train and validation videos need distinct ids")
 
+    net = _default_net(cfg, len(labels))  # its numbers are refused before any video is opened
     sources = {}
     for split, items in (("train", train_items), ("validation", val_items)):
         for item in items:
@@ -293,7 +294,6 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
                 if src is not None:
                     sources[item.video_id] = src
 
-    net = _default_net(cfg, len(labels))
     tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch, lr=cfg.lr, momentum=cfg.momentum,
                      weight_decay=cfg.weight_decay, seed=cfg.seed, cuboid_len=cfg.cuboid_len,
                      cuboid_size=cfg.cuboid_size)

@@ -14,7 +14,7 @@ class ShapeError(StrokebenchError, ValueError):
 
 
 class ArchitectureError(StrokebenchError, ValueError):
-    """Layer chain is not shape-compatible; message names the offending layer."""
+    """A model number breaks its rule, or a chain is not the default one for its numbers."""
 
 
 class AnnotationError(StrokebenchError, ValueError):

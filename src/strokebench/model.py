@@ -1,8 +1,8 @@
 """Model assembly, the training loop with validation-based snapshot selection,
 classification/detection inference and checkpoint I/O.
 
-The model is the paper's chain and no other: `default_architecture` for its
-input shape, conv filters, hidden units and classes, run by fixed loops.
+The model is the paper's chain and no other: `default_architecture`, which
+checks its input shape, conv filters, hidden units and classes, run by fixed loops.
 
 Checkpoint layout (bit-exact): magic ``STKB1\\n``; one UTF-8 header line
 ``arch layers=<n> input=<C>x<T>x<H>x<W>``; one UTF-8 descriptor line per
@@ -31,7 +31,7 @@ from .annotations import (NONSTROKE_LABEL, PROPOSAL_LEN, PROPOSAL_STRIDE, STROKE
 from .errors import ArchitectureError, CheckpointError, CuboidError, ShapeError, TrainingError
 from .frames import VideoSource, ascii_int, extract_cuboid
 from .nn import ops
-from .nn.layers import (INPUT_SHAPE, LayerSpec, chain_shapes, default_chain, param_entries,
+from .nn.layers import (HIDDEN, INPUT_SHAPE, LayerSpec, default_architecture, param_entries,
                         to_descriptor)
 from .nn.optim import NesterovSGD
 from .nn.rng import SplitMix64, derive_seed
@@ -53,7 +53,10 @@ class ModelParams:
     specs: list[LayerSpec]
     params: dict[str, np.ndarray]
     input_shape: tuple[int, int, int, int]
-    n_classes: int
+
+    @property
+    def n_classes(self) -> int:
+        return self.specs[-1].out_features
 
     def copy(self) -> "ModelParams":
         return replace(self, params={k: v.copy() for k, v in self.params.items()})
@@ -94,51 +97,21 @@ class EpochStats:
     val_acc: float
 
 
-def _check_input(input_shape: tuple[int, ...]) -> None:
-    """ArchitectureError unless the input is an RGB (3, T, S, S) cuboid."""
-    if len(input_shape) != 4 or input_shape[0] != 3:
-        raise ArchitectureError(f"input shape must be (3, T, S, S), got {tuple(input_shape)}")
-    if input_shape[2] != input_shape[3]:
-        raise ArchitectureError(f"input frames must be square, got {tuple(input_shape)}")
-
-
-def _checked(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> ModelParams:
-    """The model of the default chain `specs`, with no parameters yet;
-    ArchitectureError unless it chains from `input_shape` to K >= 2 classes."""
-    out = chain_shapes(specs, input_shape)[-1]
-    if out[0] < 2:
-        raise ArchitectureError(f"architecture ends at shape {out}, expected (K,) with K >= 2")
-    return ModelParams(specs, {}, tuple(input_shape), out[0])
-
-
-def _default_for(input_shape, filters: list[int], features: list[int]) -> list[LayerSpec]:
-    """The default chain for `input_shape`, conv `filters` and a chain's
-    linear out-features: the first are its hidden units, the last its classes."""
-    features = features or [0]
-    return default_chain(input_shape, filters, features[0], features[-1])
-
-
 def _default_model(n_classes: int, arch: list[LayerSpec], input_shape) -> ModelParams:
-    """The model of `arch` with no parameters yet. `arch` must be
-    `default_architecture` for the input shape and the filters (conv3d
-    out_channels), hidden units and classes (the first and last linear
-    out_features) it holds, and end at `n_classes`; else ArchitectureError
-    names the first layer that differs, or the rule a layer of that chain breaks."""
-    _check_input(input_shape)
+    """The model of `arch` with no parameters yet: `arch` must be the
+    default chain for the input shape, `n_classes`, its filters and its hidden
+    units (HIDDEN if it has no linear layer), else ArchitectureError names
+    the rule one of those numbers breaks or the first layer that differs."""
+    hidden = next((s.out_features for s in arch if s.kind == "linear"), HIDDEN)
+    filters = [s.out_channels for s in arch if s.kind == "conv3d"]
+    default = default_architecture(input_shape, filters, hidden, n_classes=n_classes)
     if not arch:
         raise ArchitectureError("architecture has no layers")
-    default = _default_for(input_shape, [s.out_channels for s in arch if s.kind == "conv3d"],
-                           [s.out_features for s in arch if s.kind == "linear"])
     for i, (got, want) in enumerate(zip_longest(arch, default)):
         if got != want:
             got, want = (repr(to_descriptor(s)) if s else "no layer" for s in (got, want))
             raise ArchitectureError(f"layer {i}: {got} where the default architecture has {want}")
-    model = _checked(default, input_shape)
-    if model.n_classes != n_classes:
-        raise ArchitectureError(
-            f"architecture ends at shape ({model.n_classes},), expected ({n_classes},)"
-        )
-    return model
+    return ModelParams(default, {}, tuple(input_shape))
 
 
 def build_model(n_classes: int, arch: list[LayerSpec], seed: int, *,
@@ -560,7 +533,8 @@ def load_checkpoint(path) -> ModelParams:
     file straight into its array. Its text lines must be those save_checkpoint
     writes for the default chain of the input shape in the header, the conv3d
     lines' out= and the first and last linear line's out= (hidden units,
-    classes); else CheckpointError names the first line that differs."""
+    classes); else CheckpointError names the rule one of those numbers
+    breaks (see default_architecture) or the first line that differs."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         magic = f.read(len(CHECKPOINT_MAGIC))
@@ -574,7 +548,6 @@ def load_checkpoint(path) -> ModelParams:
         except ValueError:
             raise CheckpointError(f"{path}: bad header line {header!r}") from None
         try:  # an ArchitectureError of the chain's numbers becomes a CheckpointError
-            _check_input(input_shape)
             if n_layers < 1:
                 raise ArchitectureError("architecture has no layers")
             lines = [header] + [_read_line(f, path) for _ in range(n_layers)]
@@ -586,12 +559,13 @@ def load_checkpoint(path) -> ModelParams:
                         raise CheckpointError(f"{path}: line {lineno} reads {line!r}, which "
                                               "save_checkpoint never writes")
                     (filters if kind == "conv3d" else features).append(int(out[1]))
-            specs = _default_for(input_shape, filters, features)
+            hidden, n_classes = (features[0], features[-1]) if features else (HIDDEN, 2)
+            specs = default_architecture(input_shape, filters, hidden, n_classes=n_classes)
             for lineno, (line, saved) in enumerate(zip(lines, _text_lines(specs, input_shape)), 2):
                 if line != saved:
                     raise CheckpointError(f"{path}: line {lineno} reads {line!r}, but "
                                           f"save_checkpoint writes {saved!r}")
-            model = _checked(specs, input_shape)
+            model = ModelParams(specs, {}, input_shape)
         except ArchitectureError as e:
             raise CheckpointError(f"{path}: {e}") from None
 

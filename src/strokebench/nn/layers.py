@@ -1,4 +1,4 @@
-"""Layer specifications, shape-chain validation and the default architecture."""
+"""Layer specifications, their shape arithmetic and the checked default architecture."""
 
 from __future__ import annotations
 
@@ -45,30 +45,16 @@ def linear(in_features: int, out_features: int) -> LayerSpec:
 
 def output_shape(spec: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
     """Shape produced by one layer from `shape` (without the batch axis)."""
-    if spec.kind in ("conv3d", "maxpool3d") and len(shape) != 4:
-        raise ShapeError(f"{spec.kind} expects a (C,T,H,W) input, got {shape}")
     if spec.kind == "conv3d":
-        if spec.in_channels < 1 or spec.out_channels < 1:
-            raise ShapeError(f"channels must be >= 1, got {spec.in_channels}/{spec.out_channels}")
-        if shape[0] != spec.in_channels:
-            raise ShapeError(f"conv3d expects {spec.in_channels} channels, got {shape[0]}")
         return (spec.out_channels,) + conv3d_out_extents(shape[1:], spec.kernel,
                                                          spec.stride, spec.pad)
     if spec.kind == "maxpool3d":
         return (shape[0],) + maxpool3d_out_extents(shape[1:], spec.window)
-    if spec.kind == "relu":
-        return shape
     if spec.kind == "flatten":
-        if len(shape) < 2:
-            raise ShapeError(f"flatten expects a multi-axis input, got {shape}")
         return (math.prod(shape),)
     if spec.kind == "linear":
-        if spec.in_features < 1 or spec.out_features < 1:
-            raise ShapeError(f"features must be >= 1, got {spec.in_features}/{spec.out_features}")
-        if shape != (spec.in_features,):
-            raise ShapeError(f"linear expects ({spec.in_features},) features, got {shape}")
         return (spec.out_features,)
-    raise ArchitectureError(f"unknown layer kind {spec.kind!r}")
+    return shape  # relu
 
 
 def chain_shapes(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -135,12 +121,28 @@ FILTERS = (30, 60, 80)
 HIDDEN = 500
 
 
-def default_chain(input_shape, filters, hidden: int, n_classes: int) -> list[LayerSpec]:
-    """default_architecture's layers, before chain_shapes checks them: the
-    one chain `model` builds, runs and loads."""
-    if len(input_shape) != 4:
-        raise ArchitectureError(f"default architecture needs (C, T, H, W), got {input_shape}")
-    c, extents = input_shape[0], tuple(input_shape[1:])
+def default_architecture(input_shape, filters, hidden: int, *, n_classes: int) -> list[LayerSpec]:
+    """Conv/relu/pool blocks, one per filter count, followed by a two-layer
+    classifier head: the model's one chain, and the one place its numbers
+    are checked. ArchitectureError names the number and its rule unless the
+    input is (3, T, S, S) with T, S >= 1, each filter count and `hidden`
+    are >= 1, and `n_classes` is >= 2.
+
+    Pool windows adapt to the running extents (see _pool_extent) so such
+    numbers always yield a valid chain; at INPUT_SHAPE and FILTERS the temporal
+    axis pools 2/7/7 (98 -> 49 -> 7 -> 1) and the spatial axes 2/2/2 (120 -> 15).
+    """
+    shape = tuple(input_shape)
+    if len(shape) != 4 or shape[0] != 3:
+        raise ArchitectureError(f"input shape must be (3, T, S, S), got {shape}")
+    if shape[2] != shape[3]:
+        raise ArchitectureError(f"input frames must be square, got {shape}")
+    for name, value, least in [("input frames T", shape[1], 1), ("input size S", shape[2], 1),
+                               *(("filters", f, 1) for f in filters),
+                               ("hidden units", hidden, 1), ("classes", n_classes, 2)]:
+        if value < least:
+            raise ArchitectureError(f"{name} must be >= {least}, got {value}")
+    c, extents = 3, shape[1:]
     specs: list[LayerSpec] = []
     for f in filters:  # a 3x3x3 conv at pad 1 keeps the extents
         win = tuple(_pool_extent(n) for n in extents)
@@ -148,15 +150,3 @@ def default_chain(input_shape, filters, hidden: int, n_classes: int) -> list[Lay
         c, extents = f, maxpool3d_out_extents(extents, win)
     return specs + [flatten(), linear(c * math.prod(extents), hidden), relu(),
                     linear(hidden, n_classes)]
-
-
-def default_architecture(input_shape, filters, hidden: int, *, n_classes: int) -> list[LayerSpec]:
-    """Conv/relu/pool blocks followed by a two-layer classifier head.
-
-    Pool windows adapt to the running extents (see _pool_extent) so any input
-    shape yields a valid chain; at INPUT_SHAPE and FILTERS the temporal axis
-    pools 2/7/7 (98 -> 49 -> 7 -> 1) and the spatial axes 2/2/2 (120 -> 15).
-    """
-    specs = default_chain(input_shape, filters, hidden, n_classes)
-    chain_shapes(specs, input_shape)
-    return specs

@@ -376,10 +376,7 @@ def conv3d_input_grad(weight, grad_out, input_shape, stride: int, pad: int, *, w
     blocks go last frame first, and last row first within a frame: a lower
     tap reads a later output frame or row, so each input element still
     receives its contributions in tap order. Each block adds its taps into
-    a view of the input frames they reach, so a tap's slices depend on the
-    block's frames only where they reach the input's padding: they are
-    computed once per frame count for the blocks whose taps all land inside
-    the input, once per block elsewhere, and once per row range across rows.
+    a view of the input frames they reach.
     """
     input_shape = tuple(input_shape)
     outs = _check_backward(input_shape, weight, grad_out, stride, pad, window, taps)
@@ -391,7 +388,6 @@ def conv3d_input_grad(weight, grad_out, input_shape, stride: int, pad: int, *, w
                       window)
     grad_input = np.zeros(input_shape, dtype=grad_out.dtype)
     w2 = np.ascontiguousarray(weight.transpose(2, 3, 4, 1, 0)).reshape(-1, f)
-    frame_parts, row_parts = {}, {}
     col_parts = _axis_parts(kw, stride, pad, w, (0, wo), 0)
     for t0, t1, _, blocks in reversed(runs):
         g2 = conv_grad(0, f, t0, t1)
@@ -399,15 +395,12 @@ def conv3d_input_grad(weight, grad_out, input_shape, stride: int, pad: int, *, w
             a, b = t0 + f0, t0 + f1
             # the input frames the block's taps reach, padding included
             s, e = a * stride - pad, (b - 1) * stride + kt - pad
-            key = b - a if 0 <= s and e <= t else (a, b)
-            if key not in frame_parts:
-                frame_parts[key] = _axis_parts(kt, stride, pad, t, (a, b), max(s, 0))
-            if rows not in row_parts:
-                row_parts[rows] = _axis_parts(kh, stride, pad, h, rows, 0)
+            frame_parts = _axis_parts(kt, stride, pad, t, (a, b), max(s, 0))
+            row_parts = _axis_parts(kh, stride, pad, h, rows, 0)
             held = grad_input[0, :, max(s, 0) : min(e, t)]
             cols = (w2 @ g2[:, positions]).reshape(kt, kh, kw, c, b - a, rows[1] - rows[0], wo)
-            for i, out_t, in_t in frame_parts[key]:
-                for j, out_h, in_h in row_parts[rows]:
+            for i, out_t, in_t in frame_parts:
+                for j, out_h, in_h in row_parts:
                     for k, out_w, in_w in col_parts:
                         held[:, in_t, in_h, in_w] += cols[i, j, k, :, out_t, out_h, out_w]
             del cols  # so that two blocks never coexist

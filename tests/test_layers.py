@@ -23,8 +23,6 @@ def test_chain_names_offending_layer():
     specs = [conv3d(3, 8, (3, 3, 3), 1, 1), maxpool3d((2, 2, 2))]
     with pytest.raises(ArchitectureError, match=r"layer 1 \(maxpool3d\)"):
         chain_shapes(specs, (3, 5, 8, 8))
-    with pytest.raises(ArchitectureError, match=r"layer 0 \(conv3d\)"):
-        chain_shapes(specs, (4, 8, 8, 8))
 
 
 def _chain_matches_kernel(spec, extents, run_kernel):
@@ -98,6 +96,24 @@ def test_default_architecture_reduced():
     assert [s.window for s in specs if s.kind == "maxpool3d"] == [(2, 2, 2), (2, 2, 2)]
 
 
+@pytest.mark.parametrize("input_shape, filters, hidden, n_classes, message", [
+    ((3, 4, 8, 8), (4,), 8, 1, "classes must be >= 2, got 1"),
+    ((1, 4, 8, 8), (4,), 8, 2, "input shape must be (3, T, S, S), got (1, 4, 8, 8)"),
+    ((3, 4, 8, 16), (4,), 8, 2, "input frames must be square, got (3, 4, 8, 16)"),
+    ((3, 0, 8, 8), (4,), 8, 2, "input frames T must be >= 1, got 0"),
+    ((3, 4, 0, 0), (4,), 8, 2, "input size S must be >= 1, got 0"),
+    ((3, 4, 8, 8), (4, 0), 8, 2, "filters must be >= 1, got 0"),
+    ((3, 4, 8, 8), (4,), 0, 2, "hidden units must be >= 1, got 0"),
+], ids=["one_class", "gray", "non_square", "zero_frames", "zero_size", "zero_filters",
+        "zero_hidden"])
+def test_default_architecture_refuses_numbers_breaking_their_rule(
+        input_shape, filters, hidden, n_classes, message):
+    """The model's one check: each refusal names the number and its rule."""
+    with pytest.raises(ArchitectureError) as refused:
+        default_architecture(input_shape, filters, hidden, n_classes=n_classes)
+    assert str(refused.value) == message
+
+
 def test_param_entries_order_and_shapes():
     specs = default_architecture((3, 16, 32, 32), filters=(8, 16), hidden=64, n_classes=2)
     entries = param_entries(specs)
@@ -125,13 +141,11 @@ def test_descriptor_text(spec, text):
 
 
 def test_factory_validation():
-    # the factories only build; the chain walk refuses what they make
+    # the factories only build; the kernels' extent rules refuse what they make
     for spec, input_shape, message in [
-        (conv3d(0, 8, (3, 3, 3), 1, 1), (1, 4, 4, 4), "channels must be >= 1, got 0/8"),
         (conv3d(1, 1, kernel=(0, 3, 3), stride=1, pad=1), (1, 4, 4, 4),
          "kernel extents must be >= 1, got (0, 3, 3)"),
         (maxpool3d((0, 2, 2)), (1, 4, 4, 4), "pool window extents must be >= 1, got (0, 2, 2)"),
-        (linear(0, 5), (1,), "features must be >= 1, got 0/5"),
     ]:
         with pytest.raises(ArchitectureError, match=re.escape(f"layer 0 ({spec.kind}): {message}")):
             chain_shapes([spec], input_shape)

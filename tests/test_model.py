@@ -38,12 +38,31 @@ def small_model(n_classes=2, seed=0):
     return build_model(n_classes, small_arch(n_classes), seed=seed, input_shape=SMALL_SHAPE)
 
 
+def _conv(**fields):
+    """A hand-built conv3d spec: 3 -> 4 channels, 3x3x3 kernel, stride 1, pad 1,
+    with `fields` replaced and no factory in between."""
+    return LayerSpec("conv3d", **dict(in_channels=3, out_channels=4, kernel=(3, 3, 3),
+                                      stride=1, pad=1) | fields)
+
+
+def _hand_chain(conv=None, window=(2, 2, 2), pooled=8, hidden=2, n_classes=2):
+    """One block and the head, built layer by layer with no check: `conv`
+    (a _conv spec), relu, a pool of `window` to `pooled` positions per
+    channel, flatten, linear to `hidden`, relu, linear to `n_classes`. By
+    default, the default chain at TINY_SHAPE for its numbers."""
+    conv = conv or _conv()
+    return [conv, relu(), LayerSpec("maxpool3d", window=window), flatten(),
+            LayerSpec("linear", in_features=conv.out_channels * pooled, out_features=hidden),
+            relu(), LayerSpec("linear", in_features=hidden, out_features=n_classes)]
+
+
 # frames 8 high and 16 wide: every window would be extracted 8x8
 NON_SQUARE_SHAPE = (3, 4, 8, 16)
 
 
 def non_square_arch():
-    return default_architecture(NON_SQUARE_SHAPE, (4,), 8, n_classes=2)
+    """The default chain's layers for NON_SQUARE_SHAPE, built one by one."""
+    return _hand_chain(pooled=2 * 4 * 8, hidden=8)
 
 
 def non_square_model():
@@ -56,13 +75,14 @@ GRAY_SHAPE = (1, 4, 8, 8)
 
 
 def gray_arch():
-    return default_architecture(GRAY_SHAPE, (4,), 8, n_classes=2)
+    """The default chain's layers for GRAY_SHAPE, built one by one."""
+    return _hand_chain(_conv(in_channels=1), pooled=2 * 4 * 4, hidden=8)
 
 
 def unchecked_model(specs, input_shape=SMALL_SHAPE):
     """A model with all-zero parameters, assembled without build_model's checks."""
     params = {name: np.zeros(shape, np.float32) for name, shape in param_entries(specs)}
-    return ModelParams(specs, params, input_shape, 2)
+    return ModelParams(specs, params, input_shape)
 
 
 def write_unchecked(model, path):
@@ -86,37 +106,22 @@ def broken_chain_arch():
 INVALID_MODELS = {
     "broken_chain": (broken_chain_arch(), "line 5 reads 'maxpool3d window=3x2x2', but "
                                           "save_checkpoint writes 'maxpool3d window=2x2x2'"),
-    "one_class": (small_arch(n_classes=1), "architecture ends at shape (1,), expected (K,) "
-                                           "with K >= 2"),
+    "one_class": (_hand_chain(pooled=2 * 4 * 4, hidden=8, n_classes=1),
+                  "classes must be >= 2, got 1"),
 }
 
 
 TINY_SHAPE = (3, 4, 4, 4)
 
 
-def _conv(**fields):
-    """A hand-built conv3d spec: 3 -> 4 channels, 3x3x3 kernel, stride 1, pad 1,
-    with `fields` replaced and no factory in between."""
-    return LayerSpec("conv3d", **dict(in_channels=3, out_channels=4, kernel=(3, 3, 3),
-                                      stride=1, pad=1) | fields)
-
-
-def _tiny_chain(conv=None, window=(2, 2, 2), hidden=2):
-    """A hand-built chain at TINY_SHAPE, the default one for its numbers
-    unless `conv` (a _conv spec) or `window` says otherwise."""
-    conv = conv or _conv()
-    return [conv, relu(), LayerSpec("maxpool3d", window=window), flatten(),
-            LayerSpec("linear", in_features=conv.out_channels * 8, out_features=hidden), relu(),
-            LayerSpec("linear", in_features=hidden, out_features=2)]
-
-
-# Hand-built default chains at TINY_SHAPE, each breaking one layer rule with
-# one of its numbers, and what build_model says of them
+# Hand-built chains, each with one number default_architecture refuses, the
+# input shape they are built and loaded at, and what build_model says of them
 RULE_BREAKING_CHAINS = {
-    "zero_filters": (_tiny_chain(_conv(out_channels=0)),
-                     "layer 0 (conv3d): channels must be >= 1, got 3/0"),
-    "zero_hidden_outputs": (_tiny_chain(hidden=0),
-                            "layer 4 (linear): features must be >= 1, got 32/0"),
+    "zero_frames": (_hand_chain(), (3, 0, 8, 8), "input frames T must be >= 1, got 0"),
+    "zero_filters": (_hand_chain(_conv(out_channels=0)), TINY_SHAPE,
+                     "filters must be >= 1, got 0"),
+    "zero_hidden_outputs": (_hand_chain(hidden=0), TINY_SHAPE,
+                            "hidden units must be >= 1, got 0"),
 }
 
 # Hand-built chains that are not the default one for their numbers, with what
@@ -125,19 +130,19 @@ RULE_BREAKING_CHAINS = {
 _CONV_LINE = "conv3d in=3 out=4 kernel=3x3x3 stride=1 pad=1"
 NON_DEFAULT_CHAINS = {
     "zero_kernel_extent": (
-        _tiny_chain(_conv(kernel=(0, 3, 3))), TINY_SHAPE,
+        _hand_chain(_conv(kernel=(0, 3, 3))), TINY_SHAPE,
         f"layer 0: 'conv3d in=3 out=4 kernel=0x3x3 stride=1 pad=1' where the default "
         f"architecture has '{_CONV_LINE}'",
         f"line 3 reads 'conv3d in=3 out=4 kernel=0x3x3 stride=1 pad=1', but save_checkpoint "
         f"writes '{_CONV_LINE}'"),
     "zero_stride": (
-        _tiny_chain(_conv(stride=0)), TINY_SHAPE,
+        _hand_chain(_conv(stride=0)), TINY_SHAPE,
         f"layer 0: 'conv3d in=3 out=4 kernel=3x3x3 stride=0 pad=1' where the default "
         f"architecture has '{_CONV_LINE}'",
         f"line 3 reads 'conv3d in=3 out=4 kernel=3x3x3 stride=0 pad=1', but save_checkpoint "
         f"writes '{_CONV_LINE}'"),
     "zero_window_extent": (
-        _tiny_chain(window=(0, 2, 2)), TINY_SHAPE,
+        _hand_chain(window=(0, 2, 2)), TINY_SHAPE,
         "layer 2: 'maxpool3d window=0x2x2' where the default architecture has "
         "'maxpool3d window=2x2x2'",
         "line 5 reads 'maxpool3d window=0x2x2', but save_checkpoint writes "
@@ -287,15 +292,17 @@ class TestBuild:
                                     "'flatten'")
 
     def test_wrong_head_size_rejected(self):
-        with pytest.raises(ArchitectureError, match="expected"):
+        with pytest.raises(ArchitectureError) as built:
             build_model(5, small_arch(n_classes=2), seed=0, input_shape=SMALL_SHAPE)
+        assert str(built.value) == ("layer 6: 'linear in=8 out=2' where the default "
+                                    "architecture has 'linear in=8 out=5'")
 
     def test_empty_architecture_rejected(self):
         with pytest.raises(ArchitectureError, match="no layers"):
             build_model(2, [], seed=0, input_shape=SMALL_SHAPE)
 
     @pytest.mark.parametrize("arch, shape, message", [
-        (None, NON_SQUARE_SHAPE, "square"),
+        ([], NON_SQUARE_SHAPE, "square"),
         (non_square_arch(), NON_SQUARE_SHAPE, "square"),
         (gray_arch(), GRAY_SHAPE, "input shape must be (3, T, S, S), got (1, 4, 8, 8)"),
     ], ids=["default", "explicit", "gray"])
@@ -847,7 +854,7 @@ class TestClassifyWindows:
     @pytest.mark.parametrize("frames, begin, start", [(200, 150, 102), (200, 50, 50), (98, 10, 0)])
     def test_window_start_is_right_clamped(self, tmp_path, frames, begin, start):
         src = self._video(tmp_path, frames)
-        m = ModelParams([], {}, (3, 98, 8, 8), 2)  # _window_input reads only the input shape
+        m = ModelParams([], {}, (3, 98, 8, 8))  # _window_input reads only the input shape
         got = _window_input(m, src, begin)
         assert np.array_equal(got, extract_cuboid(src, start, 98, 8).values)
 
@@ -855,7 +862,7 @@ class TestClassifyWindows:
         """Its callers check the length first; extract_cuboid refuses the window."""
         src = self._video(tmp_path, 97)
         with pytest.raises(CuboidError, match=re.escape("window [0, 98) out of range")):
-            _window_input(ModelParams([], {}, (3, 98, 8, 8), 2), src, 0)
+            _window_input(ModelParams([], {}, (3, 98, 8, 8)), src, 0)
 
     def test_video_shorter_than_the_input_gets_nothing(self, tmp_path, caplog):
         src = self._video(tmp_path, SMALL_SHAPE[1] - 1, name="shorty")
@@ -1052,12 +1059,14 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("kind", list(RULE_BREAKING_CHAINS))
     def test_build_and_load_refuse_a_chain_alike(self, tmp_path, kind):
-        specs, message = RULE_BREAKING_CHAINS[kind]
+        """The checkpoint's header (input=3x0x8x8) or conv3d or linear line
+        (out=0) holds the number default_architecture refuses."""
+        specs, shape, message = RULE_BREAKING_CHAINS[kind]
         with pytest.raises(ArchitectureError) as built:
-            build_model(2, specs, seed=0, input_shape=TINY_SHAPE)
+            build_model(2, specs, seed=0, input_shape=shape)
         assert str(built.value) == message
         p = tmp_path / "m.ckpt"
-        text = "".join(line + "\n" for line in _text_lines(specs, TINY_SHAPE))
+        text = "".join(line + "\n" for line in _text_lines(specs, shape))
         p.write_bytes(CHECKPOINT_MAGIC + text.encode("utf-8"))
         with pytest.raises(CheckpointError) as loaded:
             load_checkpoint(p)
@@ -1082,8 +1091,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("arch, shape, message", [
         (broken_chain_arch(), SMALL_SHAPE, "layer 2: 'maxpool3d window=3x2x2' where the "
                                            "default architecture has 'maxpool3d window=2x2x2'"),
-        (small_arch(n_classes=1), SMALL_SHAPE, "architecture ends at shape (1,), expected (K,) "
-                                               "with K >= 2"),
+        (INVALID_MODELS["one_class"][0], SMALL_SHAPE, "classes must be >= 2, got 1"),
         (non_square_arch(), NON_SQUARE_SHAPE, "input frames must be square"),
     ], ids=["broken_chain", "one_class", "non_square"])
     def test_save_refuses_a_model_build_model_refuses(self, tmp_path, arch, shape, message):
@@ -1096,8 +1104,7 @@ class TestCheckpoint:
 
     def test_save_writes_records_in_layer_order(self, tmp_path):
         m = small_model(seed=9)
-        reordered = ModelParams(m.specs, dict(reversed(m.params.items())), m.input_shape,
-                                m.n_classes)
+        reordered = ModelParams(m.specs, dict(reversed(m.params.items())), m.input_shape)
         save_checkpoint(m, tmp_path / "a.ckpt")
         save_checkpoint(reordered, tmp_path / "b.ckpt")
         assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()

@@ -126,7 +126,6 @@ def test_negative_seed_is_taken_mod_2_64():
     assert _run(*TINY, "--batch", "1", "--seed", str(2**64 - 1))["sha256"] == negative["sha256"]
 
 
-NO_FIT = "layer 0 (conv3d): kernel (3, 3, 3) with stride=1 pad=1 does not fit input extents"
 BAD_SETTINGS = [
     ("--cuboid-len", "9_8", "argument --cuboid-len: not a base-10 integer: '9_8'"),
     ("--cuboid-size", "+16", "argument --cuboid-size: not a base-10 integer: '+16'"),
@@ -140,11 +139,11 @@ BAD_SETTINGS = [
     # integer text, refused by the library that the setting feeds
     ("--batch", "0", "argument --batch: batch_size must be >= 1, got 0"),
     ("--cuboid-size", "0",
-     f"no model for --cuboid-len 8 --cuboid-size 0 --hidden 8: {NO_FIT} (8, 0, 0)"),
-    ("--cuboid-len", "0",
-     f"no model for --cuboid-len 0 --cuboid-size 16 --hidden 8: {NO_FIT} (0, 16, 16)"),
+     "no model for --cuboid-len 8 --cuboid-size 0 --hidden 8: input size S must be >= 1, got 0"),
+    ("--cuboid-len", "0", "no model for --cuboid-len 0 --cuboid-size 16 --hidden 8: "
+                          "input frames T must be >= 1, got 0"),
     ("--hidden", "0", "no model for --cuboid-len 8 --cuboid-size 16 --hidden 0: "
-                      "layer 7 (linear): features must be >= 1, got 256/0"),
+                      "hidden units must be >= 1, got 0"),
 ]
 
 

@@ -780,6 +780,21 @@ class TestCommands:
         assert f"error: {field} must be >= 1, got 0\n" in capsys.readouterr().err
         assert not (out / "detection_model.ckpt").exists()
 
+    def test_train_refuses_the_model_before_opening_a_video(self, tiny_corpus, tmp_path,
+                                                            capsys):
+        # train000.rgbv grew 4 bytes: opening it would fail on its trailing data
+        data = tmp_path / "data"
+        shutil.copytree(tiny_corpus, data)
+        with open(data / "train" / "train000.rgbv", "ab") as f:
+            f.write(b"\0" * 4)
+        out = tmp_path / "run"
+        assert main(["prepare", "--task", "detection", "--data", str(data),
+                     "--out", str(out), "--block-len", "10"]) == 0
+        capsys.readouterr()
+        assert main(_train_args(data, out, ["--hidden", "0"])) == 2
+        assert "error: hidden units must be >= 1, got 0\n" in capsys.readouterr().err
+        assert not (out / "detection_model.ckpt").exists()
+
     @pytest.mark.parametrize("command, message", [
         ("infer", "missing checkpoint {out}/detection_model.ckpt; run `train` first"),
         ("eval", "missing predictions directory {out}/detection_predictions; "
