@@ -1,6 +1,6 @@
 """Peak memory and time of one training step, measured in this process.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/step_memory.py \
+    OPENBLAS_NUM_THREADS=1 python scripts/step_memory.py \
         --cuboid-len 98 --cuboid-size 120 --filters 30,60,80 --hidden 500 --batch 10
 
 builds the default architecture for a 2-class model at the RGB cuboid shape
@@ -35,9 +35,12 @@ import os
 import resource
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+# this checkout's package, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from strokebench import cli, model
 from strokebench.errors import ArchitectureError, TrainingError
 from strokebench.nn.rng import MASK64

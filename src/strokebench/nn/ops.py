@@ -41,52 +41,40 @@ it into the gradient it is given, in place: its caller owns that gradient
 and reads only the result (in the model, it is always the array the next
 layer's backward returned).
 
-Bound: the tracemalloc peak of one conv3d_forward call stays below
-output bytes + the bytes of the padded input frames one tile reads + 2 *
-TILE_BYTES while one output row's columns fit in a tile. That of the two
-backward halves, run one after the other, stays below 4 * (input bytes +
-grad_out bytes) + BLOCK_BYTES while one output row's col2im columns fit in
-a block.
-`tests/test_kernels.py` checks both for x of shape (1, 8, 32, 64, 64)
-float32 and 8 filters. The forward may use 5.66 MB (a 4.19 MB output, the
-0.42 MB of the 3 padded frames a tile reads and two tiles) and uses 5.19
-MB. The backward may use 37.7 MB and uses 7.94 MB, set by its input half.
-Each half has a bound of its own, and holds one run of the conv output's
-gradient at a time (none without a window): it drops a run before it
-builds the next. The weight half stays below the padded frames one tile
-reads + TILE_BYTES + two weight sizes + grad_bias + 16 KB of Python
-objects, using 0.92 MB here; with a pool window add one run and one block
-of the pool backward that builds it. The input half stays below
-grad_input + one run + BLOCK_BYTES + one weight size + 128 KB of ufunc
-buffers and Python objects: 8.52 MB here, using 7.88 MB, and with a 3x3x1
-kernel 7.64 MB. At paper conv1 on 16 frames (a 27.6 MB output in 8 runs),
-conv3d_maxpool3d stays below its results + a tile's padded frames + one
-run + 2 * TILE_BYTES (9.36 MB), using 9.17 MB, and its weight half below a
-tile's padded frames + one run + 2 * BLOCK_BYTES (12.4 MB), using 9.70 MB.
-At paper conv2 one output frame's col2im columns (11.7 MB) exceed
-BLOCK_BYTES, so its col2im blocks are runs of 20 rows (3.9 MB). On one
-(7, 2, 2) pool run its input half stays below its bound (13.6 MB), using
-13.3 MB, and both halves below that + one more weight size
-(13.8 MB), using 13.5 MB. On two runs (14 input frames) the weight half
-stays below its bound (9.45 MB), using 9.12 MB, and the input half below
-its own (16.6 MB), using 16.3 MB. A training `maxpool3d` call
-peaks less than `BLOCK_BYTES` above its results, `maxpool3d_backward` less
-than that above its result, `linear_weight_grad` less than one block of
-rows above the sum it returns, and `linear_backward` and `relu_backward`
-hold only their results.
+Bound. `conv_bounds`, `pool_bounds` and `linear_bounds` return what each
+kernel's tracemalloc peak above its caller's stays below, in bytes, from
+the kernels' own plans (`tests/test_kernels.py` checks them). A conv kernel
+holds 96 KB of Python objects at most, and numpy's ufunc buffers (three
+operands of `np.getbufsize()` values) where it adds into strided views. The
+forward holds its results, the largest run of `_conv_plan`, the masks
+`_pool_block` makes for it (two bytes and a tap index per pooled value),
+the padded input frames `_tile_columns` holds and the largest tile's
+columns. The weight half holds those frames and columns and two weight
+sizes, and with a window the larger of a channel group's gradient (for
+grad_bias) and a run's, each with the `_pool_backward` block that builds
+it. The input half holds grad_input, one weight size, with a window a run's
+gradient, and the larger of the largest col2im block and the block that
+builds the run. `maxpool3d` holds its results and its largest block of
+input, `maxpool3d_backward` its result and its largest block,
+`linear_weight_grad` its sum, its largest block of rows and 16 KB of Python
+objects, `linear_backward` its results and 1 KB, `relu_backward` only its
+result.
 
 Numerics. Each output element of the forward and of grad_input is one dot
 product over the same reduction axis, in the same order, as in the im2col
 formulation, but BLAS is called with other matrix shapes. OpenBLAS picks
-its kernel by shape, so the bytes match im2col at the layer shapes the
-model runs (see tests/test_kernels.py) and may differ in the last bits
-elsewhere. grad_weight is summed per tile: one GEMM per tile, added in
-order into a sum that starts from zero, not one GEMM over all T'*H'*W'
-positions. Its last bits therefore differ from im2col's. Summed over the
-samples of a batch from zero, as training sums them, and then over its
-elements, its distance from the float64 result is smaller than that of one
-GEMM per kernel tap over the batch at the model's layer shapes. One sample
-alone need not be: at desk conv2 it is 1.4 times the per-tap GEMMs'.
+its kernel by shape and CPU, so the bytes match im2col at the layer shapes
+the model runs on the `SkylakeX` core (as numpy's bundled OpenBLAS names it
+through `scipy_openblas_get_corename64_`) and may differ in the last bits
+elsewhere: under `OPENBLAS_CORETYPE=HASWELL` the 22 byte-identity cases of
+tests/test_kernels.py fail. grad_weight is summed per tile: one GEMM per
+tile, added in order into a sum that starts from zero, not one GEMM over
+all T'*H'*W' positions. Its last bits therefore differ from im2col's.
+Summed over the samples of a batch from zero, as training sums them, and
+then over its elements, its distance from the float64 result is smaller
+than that of one GEMM per kernel tap over the batch at the model's layer
+shapes. One sample alone need not be: at desk conv2 it is 1.4 times the
+per-tap GEMMs'.
 """
 
 from __future__ import annotations
@@ -168,6 +156,11 @@ def _even_runs(count, cap):
     return [(count * i // runs, count * (i + 1) // runs) for i in range(runs)]
 
 
+def _longest(runs):
+    """The length of the longest [start, end) run of `runs` (0 for none)."""
+    return max((b - a for a, b, *_ in runs), default=0)
+
+
 def _pool_blocks(frames, frame_input):
     """maxpool3d's blocks of `frames` pooled frames, `frame_input` bytes of input each."""
     return _even_runs(frames, BLOCK_BYTES // max(1, frame_input))
@@ -208,6 +201,13 @@ def _conv_plan(kdim, f, outs, itemsize, window):
     return [(t0, t1) + cuts[t1 - t0] for t0, t1 in runs]
 
 
+def _tile_buffers(runs, wo, kt, stride):
+    """The (frames, rows) of each tile of the _conv_plan `runs`, the output positions
+    of the largest, and the padded input frames the tile of the most frames reads."""
+    shapes = {(f1 - f0, r1 - r0) for _, (f0, f1), (r0, r1) in runs[0][2]}
+    return shapes, wo * max(n * r for n, r in shapes), (max(n for n, _ in shapes) - 1) * stride + kt
+
+
 def _tile_columns(x, kshape, stride: int, pad: int, outs, runs):
     """columns(t0, frames, rows): for the unpadded one-sample input `x`, the
     (C*kt*kh*kw, positions) columns of a tile of the _conv_plan run from
@@ -217,12 +217,11 @@ def _tile_columns(x, kshape, stride: int, pad: int, outs, runs):
     only if it reads other frames."""
     c, t = x.shape[1:3]
     kdim, wo = c * math.prod(kshape), outs[2]
-    shapes = {(f1 - f0, r1 - r0) for _, (f0, f1), (r0, r1) in runs[0][2]}  # as in every run
-    cols = np.empty(kdim * wo * max(n * r for n, r in shapes), dtype=x.dtype)
+    shapes, positions, held = _tile_buffers(runs, wo, kshape[0], stride)
+    cols = np.empty(kdim * positions, dtype=x.dtype)
     # per tile shape: the column buffer as the tile's windows and as the GEMM operand
     lowered = {(n, r): (cols[: kdim * wo * n * r].reshape((c,) + kshape + (n, r, wo)),
                         cols[: kdim * wo * n * r].reshape(kdim, -1)) for n, r in shapes}
-    held = (max(n for n, _ in shapes) - 1) * stride + kshape[0]
     padded = np.zeros((c, held) + tuple(e + 2 * pad for e in x.shape[3:]), dtype=x.dtype)
     inside = (slice(pad, pad + x.shape[3]), slice(pad, pad + x.shape[4]))
     win = sliding_window_view(padded, kshape, axis=(1, 2, 3))
@@ -267,7 +266,7 @@ def conv3d_maxpool3d(x, weight, bias, stride: int, pad: int, window, *, need_win
     f = weight.shape[0]
     w2 = weight.reshape(f, -1)
     runs = _conv_plan(w2.shape[1], f, outs, x.itemsize, window)
-    out = np.empty((1, f, max(b - a for a, b, *_ in runs)) + outs[1:], np.result_type(x, weight))
+    out = np.empty((1, f, _longest(runs)) + outs[1:], np.result_type(x, weight))
     pooled = out if window is None else np.empty((1, f) + maxpool3d_out_extents(outs, window),
                                                  dtype=out.dtype)
     taps = (np.zeros(pooled.shape, dtype=np.min_scalar_type(math.prod(window) - 1))
@@ -326,6 +325,11 @@ def _conv_grads(grad_out, window, taps, outs):
     return conv_grad
 
 
+def _channel_groups(f, outs, itemsize):
+    """conv3d_backward's groups of the `f` channels of an `outs` gradient, within BLOCK_BYTES."""
+    return _even_runs(f, BLOCK_BYTES // (math.prod(outs) * itemsize))
+
+
 def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *, window=None, taps=None):
     """The weight half of the adjoints of conv3d_forward, or with a `window`
     of conv3d_maxpool3d at its tap index `taps`, for the gradient `grad_out`
@@ -343,10 +347,10 @@ def conv3d_backward(x, weight, grad_out, stride: int, pad: int, *, window=None, 
     c = x.shape[1]
     f = weight.shape[0]
     kshape = weight.shape[2:]
-    to, ho, wo = outs
+    to = outs[0]
     conv_grad = _conv_grads(grad_out, window, taps, outs)
 
-    groups = _even_runs(f, BLOCK_BYTES // (to * ho * wo * grad_out.itemsize))
+    groups = _channel_groups(f, outs, grad_out.itemsize)
     # a sum from zero: a channel of -0.0 gradients gives +0.0
     grad_bias = np.concatenate([conv_grad(c0, c1, 0, to).sum(axis=1) for c0, c1 in groups]) + 0.0
 
@@ -489,6 +493,15 @@ def maxpool3d_backward(grad_out, taps, input_shape, window):
     return _pool_backward(grad_out, taps, input_shape, window)
 
 
+def _pool_backward_plan(c, outs, itemsize):
+    """_pool_backward's blocks of an `outs` gradient of `c` channels, and what it holds
+    for the largest: per pooled frame, the flat index, the int64 copy of the tap
+    index that take() makes, the gradient and the origins."""
+    frame_bytes = outs[1] * outs[2] * (c * (16 + itemsize) + 8)
+    blocks = _even_runs(outs[0], BLOCK_BYTES // max(1, frame_bytes))
+    return blocks, _longest(blocks) * frame_bytes
+
+
 def _pool_backward(grad_out, taps, input_shape, window):
     """maxpool3d_backward, unchecked: both conv backward halves call it for a pool they fuse."""
     pt, ph, pw = window
@@ -501,11 +514,8 @@ def _pool_backward(grad_out, taps, input_shape, window):
     offsets = np.array([(i * h + j) * w + k for i, j, k in np.ndindex(*window)],
                        dtype=np.int64)
     channels = np.arange(c, dtype=np.int64).reshape(c, 1, 1, 1) * (t * h * w)
-    # per output frame of a block: the flat index, the int64 copy of the tap
-    # index that take() makes, the gradient and the origins
-    frame_bytes = ho * wo * (c * (16 + grad_out.itemsize) + 8)
-    blocks = _even_runs(to, BLOCK_BYTES // max(1, frame_bytes))
-    longest = max((t1 - t0 for t0, t1 in blocks), default=0)
+    blocks = _pool_backward_plan(c, (to, ho, wo), grad_out.itemsize)[0]
+    longest = _longest(blocks)
     origins = (np.arange(longest, dtype=np.int64).reshape(-1, 1, 1) * (pt * h * w)
                + np.arange(ho, dtype=np.int64).reshape(ho, 1) * (ph * w)
                + np.arange(wo, dtype=np.int64) * pw)
@@ -544,6 +554,11 @@ def linear_backward(x, weight, grad_out):
     return grad_out @ weight, grad_out.sum(axis=0)
 
 
+def _weight_rows(outs, ins, itemsize):
+    """linear_weight_grad's blocks of rows, of at most TILE_BYTES (one row at least)."""
+    return _even_runs(outs, TILE_BYTES // max(1, ins * itemsize))
+
+
 def linear_weight_grad(factors):
     """The weight gradient summed over `factors`, the (x, grad_out) pairs of
     one sample each that linear_backward took: a sum that starts from +0.0,
@@ -561,8 +576,8 @@ def linear_weight_grad(factors):
                              f"one sample's (1, {ins}) and (1, {outs})")
     dtype = np.result_type(*(a for pair in factors for a in pair))
     grad_weight = np.zeros((outs, ins), dtype=dtype)
-    runs = _even_runs(outs, TILE_BYTES // max(1, ins * dtype.itemsize))
-    block = np.empty((max((b - a for a, b in runs), default=0), ins), dtype=dtype)
+    runs = _weight_rows(outs, ins, dtype.itemsize)
+    block = np.empty((_longest(runs), ins), dtype=dtype)
     # One product per element, as in the K = 1 GEMM grad_out.T @ x, which
     # OpenBLAS runs up to 20x slower. The GEMM adds each product to +0.0, as
     # the sum does: a sum from +0.0 is never -0.0, so each sample adds as its
@@ -615,3 +630,53 @@ def softmax_cross_entropy(logits, cls: int):
     grad = e / denom
     grad[cls] -= 1
     return float(np.log(denom) - z[cls]), grad
+
+
+def conv_bounds(input_shape, weight_shape, stride: int, pad: int, window, itemsize: int):
+    """(forward, weight half, input half): the bounds of conv3d_maxpool3d (conv3d_forward
+    without a `window`), conv3d_backward and conv3d_input_grad for a weight of
+    `weight_shape` over one sample of `input_shape`, `itemsize` bytes a value."""
+    c, t, h, w = input_shape[1:]
+    f, kdim = weight_shape[0], math.prod(weight_shape[1:])
+    outs = conv3d_out_extents((t, h, w), weight_shape[2:], stride, pad)
+    runs = _conv_plan(kdim, f, outs, itemsize, window)
+    _, positions, held = _tile_buffers(runs, outs[2], weight_shape[2], stride)
+    # the padded input frames _tile_columns holds and the largest tile's columns
+    tile = (c * held * (h + 2 * pad) * (w + 2 * pad) + kdim * positions) * itemsize
+    block = kdim * max(p.stop - p.start for *_, blocks in runs for p, _, _ in blocks) * itemsize
+    run, weights = f * _longest(runs) * outs[1] * outs[2] * itemsize, f * kdim * itemsize
+    objects, ufunc = 96 << 10, 3 * np.getbufsize() * itemsize
+    forward, weight_half = run + tile + ufunc + objects, tile + 2 * weights + objects
+    input_half = c * t * h * w * itemsize + weights + ufunc + objects
+    if window is None:
+        return forward, weight_half, input_half + block
+    pooled = maxpool3d_out_extents(outs, window)
+    taps = np.min_scalar_type(math.prod(window) - 1).itemsize
+    frames = _longest(runs) // window[0]  # pooled frames of a run
+    run_block = _pool_backward_plan(f, (frames,) + pooled[1:], itemsize)[1]
+    group = _longest(_channel_groups(f, outs, itemsize))
+    group_block = _pool_backward_plan(group, pooled, itemsize)[1]
+    return (forward + f * pooled[1] * pooled[2] * (pooled[0] * (itemsize + taps)
+                                                    + frames * (2 + taps)),
+            weight_half + max(group * math.prod(outs) * itemsize + group_block, run + run_block),
+            input_half + run + max(block, run_block))
+
+
+def pool_bounds(input_shape, window, itemsize: int):
+    """(forward, backward): the bounds of maxpool3d and maxpool3d_backward for one
+    sample of `input_shape` and a `window`, `itemsize` bytes a value."""
+    c, _, h, w = input_shape[1:]
+    pooled = maxpool3d_out_extents(input_shape[2:], window)
+    taps = np.min_scalar_type(math.prod(window) - 1).itemsize
+    frame_input = c * window[0] * h * w * itemsize
+    return (c * math.prod(pooled) * (itemsize + taps)
+            + _longest(_pool_blocks(pooled[0], frame_input)) * frame_input,
+            math.prod(input_shape) * itemsize + _pool_backward_plan(c, pooled, itemsize)[1])
+
+
+def linear_bounds(in_features: int, out_features: int, itemsize: int):
+    """(backward, weight sum): the bounds of linear_backward and linear_weight_grad
+    for an (`out_features`, `in_features`) weight, `itemsize` bytes a value."""
+    rows = _longest(_weight_rows(out_features, in_features, itemsize))
+    return ((in_features + out_features) * itemsize + (1 << 10),
+            (out_features + rows) * in_features * itemsize + (16 << 10))

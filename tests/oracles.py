@@ -1,14 +1,18 @@
-"""Independent reference implementations the tests check the package against.
+"""Independent reference implementations the tests check the package against,
+and the tracemalloc measure the memory tests share.
 
 Everything here is deliberately written the slow, obvious way (explicit loops,
 scalar arithmetic) and must stay free of the package's own fast paths.
 """
+
+import tracemalloc
 
 import numpy as np
 
 from strokebench.errors import MetricError
 
 _MASK = (1 << 64) - 1
+
 _GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -201,3 +205,15 @@ def taps_to_winners(taps, input_shape, window):
     nn = np.arange(n).reshape(n, 1, 1, 1, 1)
     cc = np.arange(c).reshape(1, c, 1, 1, 1)
     return ((((nn * c + cc) * t + tt) * h + hh) * w + ww).astype(np.int64)
+
+
+
+def peak_bytes(fn, *args):
+    """The tracemalloc peak of one call fn(*args), above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

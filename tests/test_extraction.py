@@ -9,14 +9,14 @@ still gets the same float64 products and sums in the same order, so the two
 must agree byte for byte at every shape.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from strokebench import frames as frames_mod
 from strokebench.frames import (extract_cuboid, open_frame_dir, open_rgbv, resize_bilinear,
                                 write_rgbv)
+
+from oracles import peak_bytes
 
 # -- frozen reference ----------------------------------------------------------
 
@@ -103,15 +103,8 @@ def test_resize_matches_reference_bytes_on_strided_frames():
 
 def test_hd_downscale_peak_allocation_below_1mb():
     frame = np.random.default_rng(13).integers(0, 256, (720, 1280, 3), dtype=np.uint8)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        resize_bilinear(frame, (32, 32))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
     # casting the whole frame to float64 alone would take 22 MB
-    assert peak < 1e6
+    assert peak_bytes(resize_bilinear, frame, (32, 32)) < 1e6
 
 
 # -- extraction ----------------------------------------------------------------

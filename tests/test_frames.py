@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from strokebench.errors import CuboidError, VideoFormatError
 from strokebench.frames import (ascii_float, extract_cuboid, fps_text, open_frame_dir, open_rgbv,
                                 resize_bilinear, write_rgbv)
 
-from oracles import bilinear_scalar
+from oracles import bilinear_scalar, peak_bytes
 
 
 def _rgbv_bytes(width, height, fps, frames):
@@ -176,12 +175,7 @@ class TestRgbv:
     def test_writer_does_not_copy_the_clip(self, tmp_path):
         frames = np.random.default_rng(2).integers(0, 256, (20, 240, 320, 3), dtype=np.uint8)
         p = tmp_path / "big.rgbv"
-        tracemalloc.start()
-        try:
-            write_rgbv(p, frames, 120.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(write_rgbv, p, frames, 120.0)
         assert p.read_bytes() == _rgbv_bytes(320, 240, 120, list(frames))
         # a bytes copy of the clip alone would take all of its 4.6 MB
         assert peak < frames.nbytes / 100

@@ -2,7 +2,6 @@ import hashlib
 import logging
 import re
 import struct
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -24,6 +23,8 @@ from strokebench.nn.rng import SplitMix64, derive_seed
 from strokebench.nn.layers import (FILTERS, HIDDEN, LayerSpec, chain_shapes, conv3d,
                                    default_architecture, flatten, linear, maxpool3d,
                                    param_entries, relu, to_descriptor)
+
+from oracles import peak_bytes
 
 SMALL_SHAPE = (3, 4, 8, 8)
 
@@ -268,14 +269,9 @@ class TestBuild:
         9.2M draws into full-size uint64 and float64 arrays, 74 MB each."""
         shape = (3, 98, 120, 120)
         arch = default_architecture(shape, FILTERS, HIDDEN, n_classes=2)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            m = build_model(2, arch, seed=0, input_shape=shape)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        params = sum(p.nbytes for p in m.params.values())
+        built = []
+        peak = peak_bytes(lambda: built.append(build_model(2, arch, seed=0, input_shape=shape)))
+        params = sum(p.nbytes for p in built[0].params.values())
         assert params < peak < params + 6 * 8 * model_mod._INIT_CHUNK
 
     def test_incompatible_chain_rejected(self):
@@ -534,18 +530,9 @@ class TestTrain:
         one more per train and validation segment."""
         run = self._wide_corpus(tmp_path)
 
-        def peak(segments):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                run(segments)
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-
         cuboid = 4 * int(np.prod(self.WIDE_SHAPE))
-        one = peak(1)
-        assert peak(4) - one < cuboid
+        one = peak_bytes(run, 1)
+        assert peak_bytes(run, 4) - one < cuboid
 
     @pytest.mark.skipif(not Path("/proc/self/smaps").is_file(),
                         reason="needs Linux's /proc/self/smaps")
@@ -1134,15 +1121,7 @@ class TestCheckpoint:
         record = max(arr.nbytes for arr in m.params.values())
         assert record < params / 2
         p = tmp_path / "m.ckpt"
-        peaks = []
-        for call in (lambda: save_checkpoint(m, p), lambda: load_checkpoint(p)):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                call()
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            finally:
-                tracemalloc.stop()
+        peaks = peak_bytes(save_checkpoint, m, p), peak_bytes(load_checkpoint, p)
         assert max(peaks) < params + record
         assert p.read_bytes() == reference_checkpoint_bytes(m)
 
@@ -1197,8 +1176,6 @@ def test_training_step_memory_per_sample():
     until its backward: its peak grew by about 1.16 conv1 outputs, 3.1
     cuboids, per sample.
     """
-    import tracemalloc
-
     from strokebench.model import _train_step
     from strokebench.nn.optim import NesterovSGD
 
@@ -1210,14 +1187,7 @@ def test_training_step_memory_per_sample():
         opt = NesterovSGD(m.params, lr=1e-3, momentum=0.5, weight_decay=0.0)
         x = np.random.default_rng(batch).random((batch,) + shape, dtype=np.float32)
         samples = [(cuboid, n % 2) for n, cuboid in enumerate(x)]
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            _train_step(m, opt, samples, "step")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak - base
+        return peak_bytes(_train_step, m, opt, samples, "step")
 
     cuboid = int(np.prod(shape)) * 4  # bytes per sample
     per_sample = (step_peak(6) - step_peak(2)) / 4

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,8 @@ from strokebench.model import TrainConfig
 from strokebench.nn import optim
 from strokebench.nn.ops import TILE_BYTES
 from strokebench.nn.optim import NesterovSGD
+
+from oracles import peak_bytes
 
 
 def _single(value, dtype=np.float64):
@@ -115,11 +115,4 @@ def test_step_temporaries_are_three_blocks():
     params = {"w": rng.standard_normal((200, 6000), dtype=np.float32)}
     grads = {"w": rng.standard_normal((200, 6000), dtype=np.float32)}
     opt = NesterovSGD(params, 0.01, 0.5, 0.005)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        opt.step(params, grads)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * TILE_BYTES < params["w"].nbytes
+    assert peak_bytes(opt.step, params, grads) < 3 * TILE_BYTES < params["w"].nbytes

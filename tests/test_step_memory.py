@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,8 @@ from strokebench import model
 from strokebench.model import TrainConfig
 from strokebench.nn.layers import FILTERS, HIDDEN, INPUT_SHAPE, default_architecture
 
+from oracles import peak_bytes
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("step_memory", ROOT / "scripts" / "step_memory.py")
 step_memory = importlib.util.module_from_spec(_spec)
@@ -25,7 +26,8 @@ _spec.loader.exec_module(step_memory)
 
 
 def _proc(*args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    # no PYTHONPATH: the script finds its checkout's package itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"} | {"OPENBLAS_NUM_THREADS": "1"}
     return subprocess.run([sys.executable, str(ROOT / "scripts" / "step_memory.py"), *args],
                           env=env, capture_output=True, text=True)
 
@@ -88,14 +90,8 @@ def test_digest_copies_no_gradient():
     for name in sorted(grads):
         expected.update(name.encode())
         expected.update(grads[name].tobytes())
-    tracemalloc.start()
-    try:
-        got = step_memory.digest(logits, grads)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == expected.hexdigest()
-    assert peak < 64 << 10
+    assert step_memory.digest(logits, grads) == expected.hexdigest()
+    assert peak_bytes(step_memory.digest, logits, grads) < 64 << 10
 
 
 def test_defaults_are_the_paper_recipe(monkeypatch, capsys):
