@@ -46,19 +46,19 @@ kernel's tracemalloc peak above its caller's stays below, in bytes, from
 the kernels' own plans (`tests/test_kernels.py` checks them). A conv kernel
 holds 96 KB of Python objects at most, and numpy's ufunc buffers (three
 operands of `np.getbufsize()` values) where it adds into strided views. The
-forward holds its results, the largest run of `_conv_plan`, the masks
-`_pool_block` makes for it (two bytes and a tap index per pooled value),
-the padded input frames `_tile_columns` holds and the largest tile's
-columns. The weight half holds those frames and columns and two weight
-sizes, and with a window the larger of a channel group's gradient (for
-grad_bias) and a run's, each with the `_pool_backward` block that builds
-it. The input half holds grad_input, one weight size, with a window a run's
-gradient, and the larger of the largest col2im block and the block that
-builds the run. `maxpool3d` holds its results and its largest block of
-input, `maxpool3d_backward` its result and its largest block,
-`linear_weight_grad` its sum, its largest block of rows and 16 KB of Python
-objects, `linear_backward` its results and 1 KB, `relu_backward` only its
-result.
+forward holds the largest run of `_conv_plan` (without a window, the whole
+output) and with a window its results and the masks `_pool_block` makes for
+a run (two bytes and a tap index per pooled value), the padded input frames
+`_tile_columns` holds and the largest tile's columns. The weight half holds
+those frames and columns and two weight sizes, and with a window the larger
+of a channel group's gradient (for grad_bias) and a run's, each with the
+`_pool_backward` block that builds it. The input half holds grad_input, one
+weight size, with a window a run's gradient, and the larger of the largest
+col2im block and the block that builds the run. `maxpool3d` holds its
+results and its largest block of input, `maxpool3d_backward` its result and
+its largest block, `linear_weight_grad` its sum, its largest block of rows
+and 16 KB of Python objects, `linear_backward` its results and 1 KB,
+`relu_backward` only its result.
 
 Numerics. Each output element of the forward and of grad_input is one dot
 product over the same reduction axis, in the same order, as in the im2col
