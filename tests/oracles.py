@@ -12,7 +12,6 @@ import numpy as np
 from strokebench.errors import MetricError
 
 _MASK = (1 << 64) - 1
-
 _GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -205,7 +204,6 @@ def taps_to_winners(taps, input_shape, window):
     nn = np.arange(n).reshape(n, 1, 1, 1, 1)
     cc = np.arange(c).reshape(1, c, 1, 1, 1)
     return ((((nn * c + cc) * t + tt) * h + hh) * w + ww).astype(np.int64)
-
 
 
 def peak_bytes(fn, *args):
