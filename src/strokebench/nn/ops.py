@@ -73,8 +73,8 @@ all T'*H'*W' positions. Its last bits therefore differ from im2col's.
 Summed over the samples of a batch from zero, as training sums them, and
 then over its elements, its distance from the float64 result is smaller
 than that of one GEMM per kernel tap over the batch at the model's layer
-shapes. One sample alone need not be: at desk conv2 it is 1.4 times the
-per-tap GEMMs'.
+shapes. One sample alone need not be: at desk conv2 it is further off than
+the per-tap GEMMs'.
 """
 
 from __future__ import annotations
