@@ -58,6 +58,11 @@ class ModelParams:
     def n_classes(self) -> int:
         return self.specs[-1].out_features
 
+    @property
+    def blocks(self) -> list[tuple[LayerSpec, LayerSpec]]:  # (conv3d, maxpool3d) specs
+        return list(zip(*([s for s in self.specs if s.kind == kind]
+                          for kind in ("conv3d", "maxpool3d"))))
+
     def copy(self) -> "ModelParams":
         return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
@@ -136,10 +141,12 @@ def build_model(n_classes: int, arch: list[LayerSpec], seed: int, *,
 
 def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
     """(K,) logits of one (C, T, H, W) cuboid and, with `training`, the
-    caches _backward_full reads, in run order, among them each pool's index
-    of the winning tap in every window (one byte per pooled element).
-    Otherwise the list stays empty and each pool computes its values only,
-    with no tap index; the logits keep their bytes.
+    caches _backward_full reads, in run order: each block's (stride, pad,
+    window, taps, x, mask), its conv's stride, pad and input, its pool's
+    window and winning tap in every window (one byte per pooled element)
+    and its relu mask, then the head's (pooled shape, fc1's input, the relu
+    mask, fc2's input). Otherwise the list stays empty and each pool
+    computes its values only, with no tap index; the logits keep their bytes.
 
     A fixed loop: each block runs its conv3d and maxpool3d as one kernel,
     `ops.conv3d_maxpool3d` (back as both conv backward halves with the pool's
@@ -152,86 +159,63 @@ def _forward_full(model: ModelParams, cuboid: np.ndarray, training: bool):
     tap of a window whose values are all <= 0 can differ, and with it the
     sign of the zero gradient routed there (g * 0 before, now 0 + g * 0,
     which is +0.0). Each relu runs in place on the array the kernel before
-    it made, and in training caches the bool mask of its output > 0: the
-    next conv or linear layer caches the relu'd array itself, so no
-    activation is held twice. The kernels take a unit batch axis: it is
-    added here and in _backward_full, and nowhere else.
+    it made, and in training its mask, the bool array of its output > 0, is
+    made before the next kernel runs: the next layer's input is the relu'd
+    array itself, so no activation is held twice. The kernels take a unit
+    batch axis: it is added here and in _backward_full, and nowhere else.
     """
     caches = []
-    keep = caches.append if training else (lambda cache: None)
-    specs, params = model.specs, model.params
-
-    def relu(spec, x):
-        x = ops.relu_forward(x, out=x)
-        if training:  # x > 0 masks relu's input and output alike, NaN, ±0 and ±inf too
-            keep((spec, x > 0))
-        return x
-
+    params = model.params
     cur = cuboid[None]
-    for k in range((len(specs) - 4) // 3):  # the blocks before the head's four layers
-        conv, block_relu, pool = specs[3 * k : 3 * k + 3]
-        weight, bias, x = f"conv{k + 1}.weight", f"conv{k + 1}.bias", cur
-        cur, taps = ops.conv3d_maxpool3d(x, params[weight], params[bias], conv.stride,
-                                         conv.pad, pool.window, need_winners=training)
-        keep((conv, weight, bias, pool.window, taps, x))
-        cur = relu(block_relu, cur)
-    flatten, fc1, head_relu, fc2 = specs[-4:]
-    keep((flatten, cur.shape))
+    for k, (conv, pool) in enumerate(model.blocks, 1):
+        x, w, b = cur, params[f"conv{k}.weight"], params[f"conv{k}.bias"]
+        cur, taps = ops.conv3d_maxpool3d(x, w, b, conv.stride, conv.pad, pool.window,
+                                         need_winners=training)
+        cur = ops.relu_forward(cur, out=cur)
+        if training:  # x > 0 masks relu's input and output alike, NaN, ±0 and ±inf too
+            caches.append((conv.stride, conv.pad, pool.window, taps, x, cur > 0))
     x = cur.reshape(1, -1)
-    cur = ops.linear_forward(x, params["fc1.weight"], params["fc1.bias"])
-    keep((fc1, "fc1.weight", "fc1.bias", None, None, x))
-    x = relu(head_relu, cur)
-    cur = ops.linear_forward(x, params["fc2.weight"], params["fc2.bias"])
-    keep((fc2, "fc2.weight", "fc2.bias", None, None, x))
-    return cur[0], caches
+    h = ops.linear_forward(x, params["fc1.weight"], params["fc1.bias"])
+    h = ops.relu_forward(h, out=h)
+    if training:
+        caches.append((cur.shape, x, h > 0, h))
+    return ops.linear_forward(h, params["fc2.weight"], params["fc2.bias"])[0], caches
 
 
 def _backward_full(model: ModelParams, caches, grad_logits: np.ndarray,
                    sums: dict[str, np.ndarray | list]) -> None:
     """Adds one sample's parameter gradients, from its (K,) logit gradient,
-    into `sums` in place as each layer's backward returns them; for a
-    linear weight, whose entry in `sums` is a list, it appends the sample's
-    (x, grad_out) instead (see `_layer_backward`). Empties `caches`, last
-    layer first, mirroring _forward_full: fc2, relu, fc1 and flatten, then
-    each block's relu and conv. Each cache is popped where it is used, so no
-    frame but its user's holds it, and each saved array is freed as soon as
-    the layer's backward is done with it."""
-    g = _layer_backward(model, caches, grad_logits[None], sums)  # fc2
-    g = ops.relu_backward(caches.pop()[1], g)
-    g = _layer_backward(model, caches, g, sums)  # fc1
-    g = g.reshape(caches.pop()[1])  # flatten
-    while caches:  # the blocks, last first
-        g = ops.relu_backward(caches.pop()[1], g)
-        g = _layer_backward(model, caches, g, sums)
-
-
-def _layer_backward(model: ModelParams, caches: list, g: np.ndarray,
-                    sums: dict[str, np.ndarray | list]) -> np.ndarray | None:
-    """The backward of the conv or linear layer whose cache is last in
-    `caches`, which it pops: returns the gradient for its input (None for
-    the first conv, whose input needs none) and adds its parameter
-    gradients into `sums`. A linear layer forms no weight gradient: it
-    appends its input and output gradient, the factors
-    `ops.linear_weight_grad` sums over the batch, to its weight's list in
-    `sums`. A conv forms its weight gradient first (`ops.conv3d_backward`),
-    then drops its input, of which its cache held the only reference, and
-    only then forms grad_input (`ops.conv3d_input_grad`). Every array
-    unpacked from the cache dies on return."""
-    spec, weight, bias, window, taps, x = caches.pop()
-    w = model.params[weight]
-    if spec.kind == "conv3d":
-        grad_w, grad_b = ops.conv3d_backward(x, w, g, spec.stride, spec.pad, window=window,
-                                             taps=taps)
-        sums[weight] += grad_w
+    into `sums` in place as each kernel returns them; for a linear weight,
+    whose entry in `sums` is a list, it appends the sample's (x, grad_out),
+    the factors `ops.linear_weight_grad` sums over the batch. Pops each
+    record of `caches` where it is used, last first: the head's (fc2, relu,
+    fc1, flatten), then each block's: its relu, its conv's weight gradient
+    (`ops.conv3d_backward`) and, once the conv's input, which only the
+    record held, is dropped, its grad_input (`ops.conv3d_input_grad`),
+    except for the first conv, whose input needs none. Each saved array is
+    freed as soon as its backward is done with it."""
+    shape, x, mask, h = caches.pop()
+    g = grad_logits[None]
+    sums["fc2.weight"].append((h, g))
+    g, grad_b = ops.linear_backward(h, model.params["fc2.weight"], g)
+    sums["fc2.bias"] += grad_b
+    g = ops.relu_backward(mask, g)
+    sums["fc1.weight"].append((x, g))
+    g, grad_b = ops.linear_backward(x, model.params["fc1.weight"], g)
+    sums["fc1.bias"] += grad_b
+    g = g.reshape(shape)
+    for k in range(len(caches), 0, -1):  # the blocks, last first
+        stride, pad, window, taps, x, mask = caches.pop()
+        g = ops.relu_backward(mask, g)
+        del mask
+        w = model.params[f"conv{k}.weight"]
+        grad_w, grad_b = ops.conv3d_backward(x, w, g, stride, pad, window=window, taps=taps)
+        sums[f"conv{k}.weight"] += grad_w
+        sums[f"conv{k}.bias"] += grad_b
         shape = x.shape
-        del x  # its only reference: it never coexists with its gradient
-        g = (ops.conv3d_input_grad(w, g, shape, spec.stride, spec.pad, window=window,
-                                   taps=taps) if caches else None)
-    else:
-        sums[weight].append((x, g))
-        g, grad_b = ops.linear_backward(x, w, g)
-    sums[bias] += grad_b
-    return g
+        del x, grad_w  # x's only reference: it never coexists with its gradient
+        g = (ops.conv3d_input_grad(w, g, shape, stride, pad, window=window, taps=taps)
+             if k > 1 else None)
 
 
 def forward(model: ModelParams, cuboid: np.ndarray) -> np.ndarray:
@@ -337,7 +321,7 @@ def _summed_gradients(model: ModelParams, samples: Iterable[tuple[np.ndarray, in
     live. So no array of fc1's weight size exists during any sample's
     passes. Each activation is held once: a relu caches a one-byte mask, not
     its output, which only the next layer's cache holds, and each conv's
-    input dies before its grad_input is formed (see `_layer_backward`).
+    input dies before its grad_input is formed (see `_backward_full`).
     Returns (summed loss, the (N, K) logits, the summed gradients,
     (forward seconds, backward seconds)): the forward passes with their
     losses, and the backward passes with the sums. A loss that is not finite

@@ -11,6 +11,8 @@ over all inputs and trials. The loss is its own scalar objective.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import ops
@@ -82,29 +84,33 @@ def _check_conv3d(rng: np.random.Generator) -> float:
 
 
 def _check_maxpool3d(rng: np.random.Generator) -> float:
-    window = tuple(int(rng.integers(1, 3)) for _ in range(3))
-    pt, ph, pw = window
-    n, c = 1, int(rng.integers(1, 3))
-    to, ho, wo = (int(rng.integers(1, 3)) for _ in range(3))  # windows per axis
-    # resample until every window's top two values are well separated, so the
-    # finite-difference probe cannot flip a winner
+    """The pool as training runs it: `ops.conv3d_maxpool3d` with a random
+    window over a random conv, and both conv backward halves at its taps."""
+    c, f = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+    kshape = tuple(int(rng.integers(1, 4)) for _ in range(3))
+    # no pad where a kernel extent is 1: outputs that read only padding tie at the bias
+    stride, pad = int(rng.integers(1, 3)), int(rng.integers(0, 2)) * (min(kshape) > 1)
+    extents = tuple(k + int(rng.integers(0, 3)) for k in kshape)
+    outs = ops.conv3d_out_extents(extents, kshape, stride, pad)
+    window = tuple(int(rng.choice([p for p in (1, 2, 3) if o % p == 0])) for o in outs)
+    # resample until every window's top two conv outputs are well separated,
+    # so that the finite-difference probe cannot flip a winner
     while True:
-        x = rng.standard_normal((n, c, to * pt, ho * ph, wo * pw))
-        r = (x.reshape(n, c, to, pt, ho, ph, wo, pw).transpose(0, 1, 2, 4, 6, 3, 5, 7)
-             .reshape(-1, pt * ph * pw))
-        if r.shape[1] == 1:
+        x, wt, b = (rng.standard_normal(s) for s in ((1, c) + extents, (f, c) + kshape, f))
+        conv = ops.conv3d_forward(x, wt, b, stride, pad).reshape(
+            f, *(n for o, p in zip(outs, window) for n in (o // p, p)))
+        windows = conv.transpose(0, 1, 3, 5, 2, 4, 6).reshape(-1, math.prod(window))
+        if windows.shape[1] == 1 or np.min(np.diff(np.sort(windows)[:, -2:])) > 1e3 * EPS:
             break
-        part = np.sort(r, axis=1)
-        if np.min(part[:, -1] - part[:, -2]) > 1e3 * EPS:
-            break
-    out, taps = ops.maxpool3d(x, window)
+    out, taps = ops.conv3d_maxpool3d(x, wt, b, stride, pad, window)
     g = rng.standard_normal(out.shape)
 
     def objective():
-        return float(np.sum(ops.maxpool3d(x, window)[0] * g))
+        return float(np.sum(ops.conv3d_maxpool3d(x, wt, b, stride, pad, window)[0] * g))
 
-    gx = ops.maxpool3d_backward(g, taps, x.shape, window)
-    return _worst(objective, [(gx, x)])
+    gw, gb = ops.conv3d_backward(x, wt, g, stride, pad, window=window, taps=taps)
+    gx = ops.conv3d_input_grad(wt, g, x.shape, stride, pad, window=window, taps=taps)
+    return _worst(objective, [(gx, x), (gw, wt), (gb, b)])
 
 
 def _check_linear(rng: np.random.Generator) -> float:

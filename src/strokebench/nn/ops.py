@@ -42,23 +42,25 @@ and reads only the result (in the model, it is always the array the next
 layer's backward returned).
 
 Bound. `conv_bounds`, `pool_bounds` and `linear_bounds` return what each
-kernel's tracemalloc peak above its caller's stays below, in bytes, from
-the kernels' own plans (`tests/test_kernels.py` checks them). A conv kernel
-holds 96 KB of Python objects at most, and numpy's ufunc buffers (three
-operands of `np.getbufsize()` values) where it adds into strided views. The
-forward holds the largest run of `_conv_plan` (without a window, the whole
-output) and with a window its results and the masks `_pool_block` makes for
-a run (two bytes and a tap index per pooled value), the padded input frames
-`_tile_columns` holds and the largest tile's columns. The weight half holds
-those frames and columns and two weight sizes, and with a window the larger
-of a channel group's gradient (for grad_bias) and a run's, each with the
-`_pool_backward` block that builds it. The input half holds grad_input, one
-weight size, with a window a run's gradient, and the larger of the largest
-col2im block and the block that builds the run. `maxpool3d` holds its
-results and its largest block of input, `maxpool3d_backward` its result and
-its largest block, `linear_weight_grad` its sum, its largest block of rows
-and 16 KB of Python objects, `linear_backward` its results and 1 KB,
-`relu_backward` only its result.
+kernel's tracemalloc peak above its caller's stays below, in bytes, from the
+kernels' own plans (`tests/test_kernels.py` checks them). A conv kernel with
+a pool window holds `CONV_OBJECTS` of Python objects at most (without one,
+the plan of a large output alone may hold more, as at paper conv1), and
+numpy's ufunc buffers (three operands of `np.getbufsize()` values) where it
+adds into strided views. The forward holds the largest run of `_conv_plan`
+(without a window, the whole output) and with a window its results and the
+masks `_pool_block` makes for a run (two bytes and a tap index per pooled
+value), the padded input frames `_tile_columns` holds and the largest tile's
+columns. The weight half holds those frames and columns and two weight
+sizes, and with a window the larger of a channel group's gradient (for
+grad_bias) and a run's, each with the `_pool_backward` block that builds it.
+The input half holds grad_input, one weight size, with a window a run's
+gradient, and the larger of the largest col2im block and the block that
+builds the run. `maxpool3d` holds its results and its largest block of
+input, `maxpool3d_backward` its result and its largest block,
+`linear_weight_grad` its sum, its largest block of rows and 16 KB of Python
+objects, `linear_backward` its results and 1 KB, `relu_backward` only its
+result.
 
 Numerics. Each output element of the forward and of grad_input is one dot
 product over the same reduction axis, in the same order, as in the im2col
@@ -102,6 +104,8 @@ TILE_BYTES = 512 << 10
 # Col2im time barely depends on the cap, and a freed block raises glibc's mmap
 # threshold to its size, so smaller blocks hold less freed heap (BENCH_21.json).
 BLOCK_BYTES = 4 << 20
+
+CONV_OBJECTS = 96 << 10  # conv_bounds' allowance for Python objects (see "Bound" above)
 
 
 def conv3d_out_extents(extents, kernel, stride: int, pad: int) -> tuple[int, int, int]:
@@ -269,7 +273,7 @@ def conv3d_maxpool3d(x, weight, bias, stride: int, pad: int, window, *, need_win
     out = np.empty((1, f, _longest(runs)) + outs[1:], np.result_type(x, weight))
     pooled = out if window is None else np.empty((1, f) + maxpool3d_out_extents(outs, window),
                                                  dtype=out.dtype)
-    taps = (np.zeros(pooled.shape, dtype=np.min_scalar_type(math.prod(window) - 1))
+    taps = (np.zeros(pooled.shape, dtype=_tap_dtype(window))
             if window is not None and need_winners else None)
     column_bias, flat = bias.reshape(f, 1), out.reshape(f, -1)
     columns = _tile_columns(x, weight.shape[2:], stride, pad, outs, runs)
@@ -431,6 +435,11 @@ def _axis_parts(kernel, stride, pad, extent, span, first):
     return parts
 
 
+def _tap_dtype(window):
+    """The smallest unsigned dtype that holds every tap index of a `window`."""
+    return np.min_scalar_type(math.prod(window) - 1)
+
+
 def _pool_block(x, window, peak, local):
     """The max over each window of the (C, T, H, W) frames `x` into `peak`, and
     unless `local` is None each window's winning tap into `local` (zeros on entry)."""
@@ -473,8 +482,7 @@ def maxpool3d(x, window, *, need_winners: bool = True):
     _check_one_sample("maxpool3d", x.shape)
     pt = window[0]
     pooled = np.empty(x.shape[:2] + maxpool3d_out_extents(x.shape[2:], window), dtype=x.dtype)
-    local = (np.zeros(pooled.shape, dtype=np.min_scalar_type(math.prod(window) - 1))
-             if need_winners else None)
+    local = np.zeros(pooled.shape, dtype=_tap_dtype(window)) if need_winners else None
     for t0, t1 in _pool_blocks(pooled.shape[2], x[0, :, :pt].nbytes):
         _pool_block(x[0, :, t0 * pt : t1 * pt], window, pooled[0, :, t0:t1],
                     None if local is None else local[0, :, t0:t1])
@@ -635,7 +643,8 @@ def softmax_cross_entropy(logits, cls: int):
 def conv_bounds(input_shape, weight_shape, stride: int, pad: int, window, itemsize: int):
     """(forward, weight half, input half): the bounds of conv3d_maxpool3d (conv3d_forward
     without a `window`), conv3d_backward and conv3d_input_grad for a weight of
-    `weight_shape` over one sample of `input_shape`, `itemsize` bytes a value."""
+    `weight_shape` over one sample of `input_shape`, `itemsize` bytes a value;
+    without a `window`, only while _conv_plan stays within CONV_OBJECTS."""
     c, t, h, w = input_shape[1:]
     f, kdim = weight_shape[0], math.prod(weight_shape[1:])
     outs = conv3d_out_extents((t, h, w), weight_shape[2:], stride, pad)
@@ -645,13 +654,13 @@ def conv_bounds(input_shape, weight_shape, stride: int, pad: int, window, itemsi
     tile = (c * held * (h + 2 * pad) * (w + 2 * pad) + kdim * positions) * itemsize
     block = kdim * max(p.stop - p.start for *_, blocks in runs for p, _, _ in blocks) * itemsize
     run, weights = f * _longest(runs) * outs[1] * outs[2] * itemsize, f * kdim * itemsize
-    objects, ufunc = 96 << 10, 3 * np.getbufsize() * itemsize
+    objects, ufunc = CONV_OBJECTS, 3 * np.getbufsize() * itemsize
     forward, weight_half = run + tile + ufunc + objects, tile + 2 * weights + objects
     input_half = c * t * h * w * itemsize + weights + ufunc + objects
     if window is None:
         return forward, weight_half, input_half + block
     pooled = maxpool3d_out_extents(outs, window)
-    taps = np.min_scalar_type(math.prod(window) - 1).itemsize
+    taps = _tap_dtype(window).itemsize
     frames = _longest(runs) // window[0]  # pooled frames of a run
     run_block = _pool_backward_plan(f, (frames,) + pooled[1:], itemsize)[1]
     group = _longest(_channel_groups(f, outs, itemsize))
@@ -667,7 +676,7 @@ def pool_bounds(input_shape, window, itemsize: int):
     sample of `input_shape` and a `window`, `itemsize` bytes a value."""
     c, _, h, w = input_shape[1:]
     pooled = maxpool3d_out_extents(input_shape[2:], window)
-    taps = np.min_scalar_type(math.prod(window) - 1).itemsize
+    taps = _tap_dtype(window).itemsize
     frame_input = c * window[0] * h * w * itemsize
     return (c * math.prod(pooled) * (itemsize + taps)
             + _longest(_pool_blocks(pooled[0], frame_input)) * frame_input,

@@ -504,8 +504,8 @@ def test_backward_full_skips_only_the_first_conv_grad_input(monkeypatch):
     sums = {name: [] if p.ndim == 2 else np.zeros_like(p) for name, p in net.params.items()}
     for s in range(len(x)):
         logits, caches = model._forward_full(net, x[s], training=True)
-        inputs = {net.params[c[1]].shape: weakref.ref(c[-1])
-                  for c in caches if c[0].kind == "conv3d"}
+        inputs = {net.params[f"conv{k}.weight"].shape: weakref.ref(block[4])
+                  for k, block in enumerate(caches[:-1], 1)}
         model._backward_full(net, caches, np.ones_like(logits), sums)
     assert calls == [("weight", (8, 8), 2), ("input", (8, 8), False, (1, 8, 2, 4, 4)),
                      ("weight", (8, 4), 2), ("input", (8, 4), False, (1, 4, 4, 8, 8)),
@@ -530,9 +530,7 @@ def test_backward_full_frees_each_cache_before_the_next_layer(monkeypatch):
     sums = {name: [] if p.ndim == 2 else np.zeros_like(p) for name, p in net.params.items()}
     for s in range(len(x)):
         logits, caches = model._forward_full(net, x[s], training=True)
-        conv2 = [c for c in caches if c[0].kind == "conv3d"][1]
-        taps = weakref.ref(conv2[4])
-        del conv2
+        taps = weakref.ref(caches[1][3])  # block 2's record, after block 1's
         model._backward_full(net, caches, np.ones_like(logits), sums)
     assert alive == [True, False] * len(x)
 
@@ -609,6 +607,18 @@ def test_conv2_input_dies_before_its_grad_input(monkeypatch):
     assert len(peaks) == 1 and peaks[0] < bound, (peaks, bound)
 
 
+def _relu_masks(caches):
+    """The relu masks of a training forward's records, in run order: each
+    block's (stride, pad, window, taps, x, mask), then the head's
+    (pooled shape, fc1 input, mask, fc2 input)."""
+    return [block[5] for block in caches[:-1]] + [caches[-1][2]]
+
+
+def _layer_inputs(caches):
+    """The inputs each conv and linear layer's record holds, in run order."""
+    return [block[4] for block in caches[:-1]] + [caches[-1][1], caches[-1][3]]
+
+
 def test_relu_caches_a_mask_and_its_next_layer_the_relud_array(monkeypatch):
     """After a training forward, every relu cache is the bool mask of its
     output > 0, one byte per element. Each relu ran in place, and the next
@@ -628,14 +638,14 @@ def test_relu_caches_a_mask_and_its_next_layer_the_relud_array(monkeypatch):
     orig = ops.relu_forward
     monkeypatch.setattr(ops, "relu_forward", relu_spy)
     _, caches = model._forward_full(net, cuboid, training=True)
-    masks = [(i, c[1]) for i, c in enumerate(caches) if c[0].kind == "relu"]
+    masks = _relu_masks(caches)
     assert len(masks) == len(relus) == 3
-    for (i, mask), (x, out) in zip(masks, relus):
+    for i, (mask, (x, out)) in enumerate(zip(masks, relus)):
         assert out is x, i
         assert mask.dtype == np.bool_ and np.array_equal(mask, out > 0), i
-        nxt = next(c[-1] for c in caches[i + 1:] if c[0].kind in ("conv3d", "linear"))
+        nxt = _layer_inputs(caches)[i + 1]
         assert nxt is out or nxt.base is out, i
-    floats = [a for c in caches for a in c[1:]
+    floats = [a for c in caches for a in c
               if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
     owners = [cuboid] + [out for _, out in relus]
     assert sorted(next(k for k, o in enumerate(owners) if np.shares_memory(a, o))
@@ -694,7 +704,7 @@ def test_forward_makes_no_relu_mask(monkeypatch):
         _, caches = model._forward_full(net, x, training=True)
     finally:
         tracemalloc.stop()
-    masks = [c[1].nbytes for c in caches if c[0].kind == "relu"]
+    masks = [mask.nbytes for mask in _relu_masks(caches)]
     assert len(inference) == len(growth) == len(masks) == 3 and masks[0] == 64 << 10
     assert max(inference) < 4 << 10
     assert all(g >= m for g, m in zip(growth, masks))
@@ -1110,6 +1120,23 @@ def test_conv_pool_pair_memory_is_one_run_above_its_results():
     forward_bound, weight_bound, _ = _bounds(x, weight, (2, 2, 2))
     assert forward < forward_bound and backward < weight_bound
     assert max(forward_bound, weight_bound) < 30 * 16 * 120 * 120 * 4 / 2
+
+
+@pytest.mark.parametrize("name,x_shape,filters,window", FUSED_CASES)
+def test_conv_plan_with_a_window_stays_within_the_object_allowance(name, x_shape, filters,
+                                                                   window):
+    """The plan of every conv the desk and paper recipes run, with its pool
+    window, peaks below the CONV_OBJECTS that conv_bounds allows a conv
+    kernel's Python objects."""
+    kdim = x_shape[1] * 27
+    assert peak_bytes(ops._conv_plan, kdim, filters, x_shape[2:], 4, window) < ops.CONV_OBJECTS
+
+
+def test_conv_plan_without_a_window_may_exceed_the_object_allowance():
+    """Without its window, paper conv1's plan lists every tile and col2im
+    block of 98 frames, above CONV_OBJECTS: the allowance holds for a conv
+    with a pool, as conv_bounds says."""
+    assert peak_bytes(ops._conv_plan, 81, 30, (98, 120, 120), 4, None) > ops.CONV_OBJECTS
 
 
 def test_paper_conv2_holds_no_padded_sample_or_frame_block():

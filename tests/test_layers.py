@@ -187,3 +187,16 @@ class TestGradcheck:
 
         monkeypatch.setattr(ops, "linear_backward", broken)
         assert gc.gradcheck("linear", trials=5, seed=0) > 1e-6
+
+    def test_misrouted_pool_backward_is_detected(self, monkeypatch):
+        # negative control: both conv backward halves route every window's
+        # gradient to its first tap, whichever tap won
+        from strokebench.nn import gradcheck as gc, ops
+
+        real = ops._conv_grads
+
+        def first_tap(grad_out, window, taps, outs):
+            return real(grad_out, window, None if taps is None else np.zeros_like(taps), outs)
+
+        monkeypatch.setattr(ops, "_conv_grads", first_tap)
+        assert gc.gradcheck("maxpool3d", trials=5, seed=0) > 1e-6

@@ -3,7 +3,8 @@
 `perfbench/tracing.py` names each conv call after its weight shape and each
 pool call after its input shape, from the model's `specs` (through
 `chain_shapes`) and parameter names. The benchmark runs the desk and paper
-default models; its smoke test runs outside this suite.
+default models; its smoke test runs outside this suite, so the tracer is
+also run here on a desk model's training step and forward.
 """
 
 import importlib.util
@@ -12,8 +13,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from strokebench import model
+import numpy as np
+
+from strokebench import annotations, frames, metrics, model, synth
+from strokebench.nn import ops, optim
 from strokebench.nn.layers import FILTERS, HIDDEN, INPUT_SHAPE, default_architecture
+from strokebench.nn.optim import NesterovSGD
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -46,3 +51,29 @@ def test_layer_names_name_every_conv_and_pool(tracing, input_shape, filters, hid
         assert names.of("maxpool3d_backward", (None, None, conv_out)) == f"pool{k}"
         window = net.specs[3 * k - 1].window
         extents = [e // w for e, w in zip(extents, window)]
+
+
+def test_tracer_names_each_conv_backward_of_a_step_and_uninstalls(tracing):
+    """A traced desk training step and forward: every `nn.ops.conv3d_backward`
+    span is named after its conv, the model's walk passing the weight as the
+    call's second argument, and uninstalling puts every original back."""
+    shape, filters = (3, 16, 32, 32), (8, 16)
+    net = model.build_model(2, default_architecture(shape, filters, 64, n_classes=2), seed=0,
+                            input_shape=shape)
+    owners = (ops, optim.NesterovSGD, frames, model, synth, annotations, metrics)
+    before = [dict(vars(owner)) for owner in owners]
+    rng = np.random.default_rng(0)
+    samples = [(rng.random(shape, dtype=np.float32), n % 2) for n in range(2)]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert ops.conv3d_backward is not before[0]["conv3d_backward"]
+        tracer.start(net)
+        model._train_step(net, NesterovSGD(net.params, 0.01, 0.5, 0.005), samples, "traced")
+        model.forward(net, samples[0][0])
+    finally:
+        tracer.uninstall()
+    backward = [s.name for s in tracer.spans if s.name.startswith("nn.ops.conv3d_backward")]
+    assert backward == ["nn.ops.conv3d_backward.conv2", "nn.ops.conv3d_backward.conv1"] * 2
+    assert [s.name for s in tracer.spans if s.name.startswith("model.")] == ["model.forward"]
+    assert [dict(vars(owner)) for owner in owners] == before
